@@ -134,7 +134,7 @@ func main() {
 	flag.IntVar(&w1Ranks, "w1-ranks", 4, "mprt ranks for -exp w1")
 	flag.IntVar(&w1Tpr, "w1-threads", 1, "threads per rank for -exp w1 (power of two)")
 	flag.IntVar(&w1Upt, "w1-units", 4, "steal units per thread for -exp w1 (power of two)")
-	flag.IntVar(&w1Builds, "w1-builds", 4, "calibration builds for -exp w1")
+	flag.IntVar(&w1Builds, "w1-builds", 8, "calibration builds for -exp w1 (the gate reads builds 3..N)")
 	flag.Uint64Var(&w1Seed, "w1-seed", 7, "noise and victim-order seed for -exp w1")
 	flag.StringVar(&w1Out, "w1-out", "", "write the -exp w1 steal benchmark to this JSON file")
 	flag.IntVar(&m1Steps, "m1-steps", 16, "inner MD steps (the simulated time span) for -exp m1; multiple of 4")

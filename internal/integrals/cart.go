@@ -28,6 +28,11 @@ const maxSupportedL = 4
 // cartNorms[l][i] caches componentNorm(cartLists[l][i]).
 var cartNorms [][]float64
 
+// pairTerms[la][lb] is the number of Hermite terms one primitive pair of an
+// (la lb| shell pair has at a general geometry, Σ over component pairs of
+// Π_axis (a_axis+b_axis+1); coincident centres zero some of them.
+var pairTerms [maxSupportedL + 1][maxSupportedL + 1]int
+
 func init() {
 	cartLists = make([][]CartComponent, maxSupportedL+1)
 	cartNorms = make([][]float64, maxSupportedL+1)
@@ -44,6 +49,15 @@ func init() {
 			norms[i] = componentNorm(c)
 		}
 		cartNorms[l] = norms
+	}
+	for la := range pairTerms {
+		for lb := range pairTerms[la] {
+			for _, a := range cartLists[la] {
+				for _, b := range cartLists[lb] {
+					pairTerms[la][lb] += (a.X + b.X + 1) * (a.Y + b.Y + 1) * (a.Z + b.Z + 1)
+				}
+			}
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package integrals
 import (
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"hfxmd/internal/basis"
 	"hfxmd/internal/boys"
@@ -10,8 +11,8 @@ import (
 )
 
 // Engine evaluates molecular integrals over a basis.Set. It is safe for
-// concurrent use: per-call scratch is allocated locally and the shell-
-// pair cache is guarded by a read-mostly lock.
+// concurrent use: per-call scratch is allocated locally and shell-pair
+// cache entries are published with atomic pointers.
 type Engine struct {
 	Basis *basis.Set
 	// Vector enables the QPX-style 4-wide batched Boys evaluation inside
@@ -19,10 +20,10 @@ type Engine struct {
 	// is the kernel structure and its performance accounting.
 	Vector bool
 
-	// pairCache memoises the Hermite E tables of every shell pair
+	// pairCache memoises the Hermite term tables of every shell pair
 	// (indexed a·NShells+b), built lazily on first use.
-	pairMu    sync.RWMutex
-	pairCache [][]pairData
+	pairInit  sync.Once
+	pairCache []atomic.Pointer[pairData]
 }
 
 // NewEngine returns an integral engine over the given basis.
@@ -204,7 +205,8 @@ func nuclearBlock(sa, sb *basis.Shell, set *basis.Set) []float64 {
 				pc := [3]float64{px - atom.Pos[0], py - atom.Pos[1], pz - atom.Pos[2]}
 				r2 := pc[0]*pc[0] + pc[1]*pc[1] + pc[2]*pc[2]
 				boys.Eval(ltot, p*r2, fn)
-				rt := buildRTensor(ltot, pc, p, fn, nil)
+				rSeeds(fn, p, 1)
+				rt := buildRTensor(ltot, pc, fn, nil)
 				z := -float64(atom.El)
 				for a, compA := range ca {
 					na := componentNorm(compA)

@@ -12,70 +12,137 @@ import (
 	"hfxmd/internal/qpx"
 )
 
-// pairData caches the bra- or ket-side primitive-pair quantities of a
-// shell pair: combined exponent p, Gaussian-product centre P, and the
-// Hermite E tables per dimension.
-type pairData struct {
-	p    float64
-	coef float64
-	px   [3]float64
-	ets  [3]*eTable
-	// e000 caches E_0^{00,x}·E_0^{00,y}·E_0^{00,z}, the only Hermite
-	// coefficient an (ss| pair needs — the ssss fast path below.
-	e000 float64
+// primPair holds the per-primitive-pair scalars of a shell pair: combined
+// exponent p, Gaussian-product centre P, and ss — the contraction
+// coefficients over p times E_0^{00,x}·E_0^{00,y}·E_0^{00,z}, the only
+// Hermite coefficient an (ss| pair needs (the ssss closed form).
+type primPair struct {
+	p  float64
+	px [3]float64
+	ss float64
 }
 
-// pairDataFor returns the (cached) primitive-pair data of a shell pair.
+// pairData is the Hermite-space form of one shell pair at one geometry:
+// for every primitive pair i and Cartesian component pair c, the nonzero
+// Hermite terms E_t·E_u·E_v with the contraction coefficients, 1/p and the
+// component norms folded into val and the triple (t,u,v) named by its
+// hermTUV index. Terms of (i, c) occupy [off[i·ncomp+c], off[i·ncomp+c+1])
+// of the flat hidx/val arrays — 9 bytes a term, no pointers, and the E
+// tables they were read from do not outlive buildPairData. The same table
+// serves as bra or ket; the relative phase hermSign is applied at use.
+type pairData struct {
+	l     int // la+lb: Hermite degrees reach l
+	ncomp int // na·nb
+	prims []primPair
+	off   []int32
+	hidx  []uint8
+	val   []float64
+}
+
+// pairDataFor returns the (cached) Hermite-space data of a shell pair.
 // The cache persists across quartets and SCF iterations — rebuilding the
-// Hermite E tables per quartet would dominate the contraction cost.
-func (e *Engine) pairDataFor(a, b int) []pairData {
+// term tables per quartet would dominate the contraction cost.
+func (e *Engine) pairDataFor(a, b int) *pairData {
 	ns := e.Basis.NShells()
-	idx := a*ns + b
-	e.pairMu.RLock()
-	if e.pairCache != nil && e.pairCache[idx] != nil {
-		pd := e.pairCache[idx]
-		e.pairMu.RUnlock()
+	e.pairInit.Do(func() { e.pairCache = make([]atomic.Pointer[pairData], ns*ns) })
+	slot := &e.pairCache[a*ns+b]
+	if pd := slot.Load(); pd != nil {
 		return pd
 	}
-	e.pairMu.RUnlock()
-	pd := buildPairData(&e.Basis.Shells[a], &e.Basis.Shells[b])
-	e.pairMu.Lock()
-	if e.pairCache == nil {
-		e.pairCache = make([][]pairData, ns*ns)
-	}
-	e.pairCache[idx] = pd
-	e.pairMu.Unlock()
-	return pd
+	// Racing builders produce identical tables; the first one published
+	// is the one everybody uses.
+	slot.CompareAndSwap(nil, buildPairData(&e.Basis.Shells[a], &e.Basis.Shells[b]))
+	return slot.Load()
 }
 
-// buildPairData enumerates the primitive pairs of two shells.
-func buildPairData(sa, sb *basis.Shell) []pairData {
+// buildPairData enumerates the primitive pairs of two shells and their
+// Hermite term tables.
+func buildPairData(sa, sb *basis.Shell) *pairData {
 	ab := [3]float64{
 		sa.Center[0] - sb.Center[0],
 		sa.Center[1] - sb.Center[1],
 		sa.Center[2] - sb.Center[2],
 	}
-	pairs := make([]pairData, 0, len(sa.Exps)*len(sb.Exps))
+	ca, cb := Components(sa.L), Components(sb.L)
+	normA, normB := cartNorms[sa.L], cartNorms[sb.L]
+	nprim := len(sa.Exps) * len(sb.Exps)
+	pd := &pairData{
+		l:     sa.L + sb.L,
+		ncomp: len(ca) * len(cb),
+		prims: make([]primPair, 0, nprim),
+	}
+	pd.off = make([]int32, 1, nprim*pd.ncomp+1)
+	bound := nprim * pairTerms[sa.L][sb.L]
+	pd.hidx = make([]uint8, 0, bound)
+	pd.val = make([]float64, 0, bound)
+	var ets [3]eTable
 	for ia, ea := range sa.Exps {
 		for ib, eb := range sb.Exps {
 			p := ea + eb
-			pd := pairData{
-				p:    p,
-				coef: sa.Coefs[ia] * sb.Coefs[ib],
+			// 1/p is the pair's share of the ERI prefactor 2π^{5/2}/(pq√(p+q)).
+			coef := sa.Coefs[ia] * sb.Coefs[ib] / p
+			for d := 0; d < 3; d++ {
+				ets[d].build(sa.L, sb.L, ab[d], ea, eb)
+			}
+			pd.prims = append(pd.prims, primPair{
+				p: p,
 				px: [3]float64{
 					(ea*sa.Center[0] + eb*sb.Center[0]) / p,
 					(ea*sa.Center[1] + eb*sb.Center[1]) / p,
 					(ea*sa.Center[2] + eb*sb.Center[2]) / p,
 				},
+				ss: coef * ets[0].at(0, 0, 0) * ets[1].at(0, 0, 0) * ets[2].at(0, 0, 0),
+			})
+			for ai, cA := range ca {
+				for bi, cB := range cb {
+					scale := coef * normA[ai] * normB[bi]
+					for t := 0; t <= cA.X+cB.X; t++ {
+						ex := ets[0].at(cA.X, cB.X, t)
+						if ex == 0 {
+							continue
+						}
+						for u := 0; u <= cA.Y+cB.Y; u++ {
+							ey := ets[1].at(cA.Y, cB.Y, u)
+							if ey == 0 {
+								continue
+							}
+							for v := 0; v <= cA.Z+cB.Z; v++ {
+								ez := ets[2].at(cA.Z, cB.Z, v)
+								if ez == 0 {
+									continue
+								}
+								pd.hidx = append(pd.hidx, hermIndex[t][u][v])
+								pd.val = append(pd.val, scale*ex*ey*ez)
+							}
+						}
+					}
+					pd.off = append(pd.off, int32(len(pd.val)))
+				}
 			}
-			for d := 0; d < 3; d++ {
-				pd.ets[d] = buildETable(sa.L, sb.L, ab[d], ea, eb)
-			}
-			pd.e000 = pd.ets[0].at(0, 0, 0) * pd.ets[1].at(0, 0, 0) * pd.ets[2].at(0, 0, 0)
-			pairs = append(pairs, pd)
 		}
 	}
-	return pairs
+	if len(pd.val) < bound {
+		// Coincident centres zero about half the terms; the tables live
+		// as long as the engine, so give the slack back.
+		pd.hidx = append([]uint8(nil), pd.hidx...)
+		pd.val = append([]float64(nil), pd.val...)
+	}
+	return pd
+}
+
+// QuartetOps returns the Hermite-space multiply-add count of the kernel
+// for one (la lb|lc ld) shell quartet, the quantity a cost model prices:
+// perPrim per primitive quartet — the C(L+4,4) R-tensor entries plus the
+// ket terms times the bra's Hermite count (stage 2) — and perBraPrim per
+// bra primitive pair — the bra terms times the ket's component count
+// (stage 3). The all-s class takes the closed form: both are zero.
+func QuartetOps(la, lb, lc, ld int) (perPrim, perBraPrim int) {
+	l := la + lb + lc + ld
+	if l == 0 {
+		return 0, 0
+	}
+	rEntries := (l + 1) * (l + 2) * (l + 3) * (l + 4) / 24
+	return rEntries + pairTerms[lc][ld]*hermCount[la+lb], pairTerms[la][lb] * NCart(lc) * NCart(ld)
 }
 
 // Scratch is the reusable working set of the ERI kernel. A Scratch is
@@ -84,28 +151,24 @@ func buildPairData(sa, sb *basis.Shell) []pairData {
 // warm-up build its buffers stop growing and the hot loop performs no
 // heap allocations.
 type Scratch struct {
-	fn       []float64
-	fnBatch  []qpx.Vec4
-	rsc      rScratch
-	braList  []hermTerm
-	ketLists [][]hermTerm
-	jobs     []primJob
+	jobs    []primJob
+	tvals   []float64 // Boys arguments, padded to whole 4-lane batches
+	fn      []float64 // F_0..F_ltot of every primitive quartet, job-major
+	fnBatch [boys.MaxOrder + 1]qpx.Vec4
+	rsc     rScratch
+	g       []float64 // Hermite intermediate G[cd][tuv] of one bra primitive
+	hoff    []int32   // R-tensor offset of every Hermite index at this ltot
 }
 
 // NewScratch returns a ready-to-use ERI scratch.
-func NewScratch() *Scratch {
-	return &Scratch{
-		fn:      make([]float64, boys.MaxOrder+1),
-		fnBatch: make([]qpx.Vec4, boys.MaxOrder+1),
-	}
-}
+func NewScratch() *Scratch { return new(Scratch) }
 
-// init sizes the fixed buffers of a zero-value Scratch.
-func (s *Scratch) init() {
-	if s.fn == nil {
-		s.fn = make([]float64, boys.MaxOrder+1)
-		s.fnBatch = make([]qpx.Vec4, boys.MaxOrder+1)
+// grow returns buf resliced to n elements, reallocating when too small.
+func grow[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
 	}
+	return buf[:n]
 }
 
 var eriPool = sync.Pool{New: func() any { return NewScratch() }}
@@ -120,230 +183,178 @@ func (e *Engine) ERIShell(a, b, c, d int, out []float64, stats *qpx.Stats) {
 	eriPool.Put(scratch)
 }
 
-// ERIShellScratch is ERIShell with the kernel selection and working set
-// scoped to the caller: vector picks the QPX-batched kernel regardless of
-// the engine-wide Vector flag, and scratch supplies the reusable buffers.
-// This is the entry point for persistent worker pools (package hfx) —
-// two pools sharing one engine can select different kernels without
-// stomping each other, and a per-worker scratch keeps the steady state
-// allocation-free.
+// ERIShellScratch is ERIShell with the Boys evaluation mode and working
+// set scoped to the caller: vector picks the QPX-batched Boys evaluation
+// regardless of the engine-wide Vector flag, and scratch supplies the
+// reusable buffers. This is the entry point for persistent worker pools
+// (package hfx) — two pools sharing one engine can select different
+// modes without stomping each other, and a per-worker scratch keeps the
+// steady state allocation-free.
 func (e *Engine) ERIShellScratch(a, b, c, d int, out []float64, vector bool, stats *qpx.Stats, scratch *Scratch) {
-	sa := &e.Basis.Shells[a]
-	sb := &e.Basis.Shells[b]
-	sc := &e.Basis.Shells[c]
-	sd := &e.Basis.Shells[d]
-	bra := e.pairDataFor(a, b)
-	ket := e.pairDataFor(c, d)
-	scratch.init()
-	eriQuartet(sa, sb, sc, sd, bra, ket, out, vector, stats, scratch)
+	eriQuartet(e.pairDataFor(a, b), e.pairDataFor(c, d), out, vector, stats, scratch)
 }
 
-// eriQuartet is the contraction kernel shared by the engine and the
-// Schwarz bound computation.
-func eriQuartet(sa, sb, sc, sd *basis.Shell, bra, ket []pairData,
-	out []float64, vector bool, stats *qpx.Stats, scratch *Scratch) {
-	na, nb, nc, nd := sa.NFuncs(), sb.NFuncs(), sc.NFuncs(), sd.NFuncs()
-	for i := range out[:na*nb*nc*nd] {
-		out[i] = 0
+// evalBoys fills s.fn with F_0..F_m of the nq gathered arguments
+// s.tvals[:nq], job-major, and returns it. With vector set the arguments go
+// through qpx.BoysBatch four lanes at a time over the whole list (only the
+// last batch can be ragged) and the lane accounting is flushed to stats
+// once; otherwise boys.Eval takes them one by one.
+func (s *Scratch) evalBoys(m, nq int, vector bool, stats *qpx.Stats) []float64 {
+	m1 := m + 1
+	s.fn = grow(s.fn, nq*m1)
+	fn, tvals := s.fn, s.tvals
+	if !vector {
+		for q := 0; q < nq; q++ {
+			boys.Eval(m, tvals[q], fn[q*m1:(q+1)*m1])
+		}
+		return fn
 	}
-	ltot := sa.L + sb.L + sc.L + sd.L
-
-	if vector {
-		eriQuartetVector(sa, sb, sc, sd, bra, ket, out, stats, scratch)
-		return
+	for q := nq; q < len(tvals); q++ {
+		tvals[q] = 0 // idle lanes of the ragged last batch
 	}
-
-	fn := scratch.fn[:ltot+1]
-	if ltot == 0 {
-		// ssss fast path: the Hermite contraction collapses to
-		// pref·E000_bra·E000_ket·F_0(T). This class dominates screened
-		// pair lists, so it is worth the special case.
-		var acc float64
-		for i := range bra {
-			bp := &bra[i]
-			for j := range ket {
-				kp := &ket[j]
-				alpha := bp.p * kp.p / (bp.p + kp.p)
-				dx := bp.px[0] - kp.px[0]
-				dy := bp.px[1] - kp.px[1]
-				dz := bp.px[2] - kp.px[2]
-				boys.Eval(0, alpha*(dx*dx+dy*dy+dz*dz), fn)
-				pref := twoPi52 / (bp.p * kp.p * math.Sqrt(bp.p+kp.p)) * bp.coef * kp.coef
-				acc += pref * bp.e000 * kp.e000 * fn[0]
+	fnBatch := s.fnBatch[:m1]
+	for base := 0; base < nq; base += qpx.Width {
+		qpx.BoysBatch(m, qpx.Vec4(tvals[base:base+qpx.Width]), fnBatch)
+		for lane := 0; lane < min(qpx.Width, nq-base); lane++ {
+			f := fn[(base+lane)*m1:]
+			for k := range fnBatch {
+				f[k] = fnBatch[k][lane]
 			}
+		}
+	}
+	if stats != nil {
+		stats.Record(len(tvals)/qpx.Width, nq)
+	}
+	return fn
+}
+
+// primJob is one primitive bra×ket combination: the reduced exponent
+// α = pq/(p+q), the prefactor 2π^{5/2}/√(p+q) (its 1/(pq) lives in the pair
+// tables) and the separation Q−P.
+type primJob struct {
+	alpha, pref float64
+	qp          [3]float64
+}
+
+// eriQuartet is the one contraction core, shared by the engine's scalar
+// and QPX-batched modes and by the Schwarz bound computation. It works in
+// Hermite space in three stages:
+//
+//  1. every bra×ket primitive combination is gathered and its Boys values
+//     F_0..F_ltot evaluated — four lanes at a time through qpx.BoysBatch
+//     when vector is set, one by one through boys.Eval otherwise (the two
+//     agree bit for bit, so nothing downstream depends on the mode);
+//  2. per bra primitive, the ket primitives are contracted into the
+//     Hermite intermediate G[cd][tuv] = Σ_ket Σ_k E_k^{cd}·R[tuv+k], reading
+//     the ket's cached term table (R offsets are additive). R is built at
+//     Q−P with pref folded into its seeds: R_{tuv}(−X) = (−1)^{t+u+v}·R_{tuv}(X)
+//     moves the textbook ket phase (−1)^{k} onto the bra index tuv;
+//  3. the bra term table, with that phase, is applied to G once per bra
+//     primitive — not once per primitive quartet.
+//
+// The all-s class skips stages 2–3: its block is Σ pref·ss_bra·ss_ket·F_0.
+func eriQuartet(bra, ket *pairData, out []float64, vector bool, stats *qpx.Stats, s *Scratch) {
+	nkp := len(ket.prims)
+	nq := len(bra.prims) * nkp
+	ltot := bra.l + ket.l
+	m1 := ltot + 1
+	s.tvals = grow(s.tvals, (nq+qpx.Width-1)/qpx.Width*qpx.Width)
+	tvals := s.tvals
+
+	if ltot == 0 {
+		// ssss closed form; this class dominates screened pair lists.
+		s.g = grow(s.g, nq)
+		w := s.g
+		q := 0
+		for i := range bra.prims {
+			bp := &bra.prims[i]
+			for j := range ket.prims {
+				kp := &ket.prims[j]
+				inv := 1 / (bp.p + kp.p)
+				dx, dy, dz := bp.px[0]-kp.px[0], bp.px[1]-kp.px[1], bp.px[2]-kp.px[2]
+				tvals[q] = bp.p * kp.p * inv * (dx*dx + dy*dy + dz*dz)
+				w[q] = twoPi52 * math.Sqrt(inv) * bp.ss * kp.ss
+				q++
+			}
+		}
+		fn := s.evalBoys(0, nq, vector, stats)
+		var acc float64
+		for q, f := range fn {
+			acc += w[q] * f
 		}
 		out[0] = acc
 		return
 	}
-	ca, cb := Components(sa.L), Components(sb.L)
-	cc, cd := Components(sc.L), Components(sd.L)
-	for i := range bra {
-		bp := &bra[i]
-		for j := range ket {
-			kp := &ket[j]
-			alpha := bp.p * kp.p / (bp.p + kp.p)
-			pq := [3]float64{
-				bp.px[0] - kp.px[0],
-				bp.px[1] - kp.px[1],
-				bp.px[2] - kp.px[2],
-			}
-			r2 := pq[0]*pq[0] + pq[1]*pq[1] + pq[2]*pq[2]
-			boys.Eval(ltot, alpha*r2, fn)
-			rt := buildRTensor(ltot, pq, alpha, fn, &scratch.rsc)
-			pref := twoPi52 / (bp.p * kp.p * math.Sqrt(bp.p+kp.p)) * bp.coef * kp.coef
-			accumulateQuartet(ca, cb, cc, cd, *bp, *kp, rt, pref, nb, nc, nd, out, scratch)
-		}
-	}
-}
 
-// hermTerm is one nonzero Hermite expansion coefficient E_t E_u E_v of a
-// Cartesian component pair, with the component norms (and, on the ket
-// side, the (−1)^{t+u+v} phase) folded into val.
-type hermTerm struct {
-	t, u, v int32
-	val     float64
-}
+	// Stage 1: gather, then Boys over the whole primitive list.
+	s.jobs = grow(s.jobs, nq)
+	jobs := s.jobs
+	q := 0
+	for i := range bra.prims {
+		bp := &bra.prims[i]
+		for j := range ket.prims {
+			kp := &ket.prims[j]
+			inv := 1 / (bp.p + kp.p)
+			job := &jobs[q]
+			job.alpha = bp.p * kp.p * inv
+			job.pref = twoPi52 * math.Sqrt(inv)
+			job.qp = [3]float64{kp.px[0] - bp.px[0], kp.px[1] - bp.px[1], kp.px[2] - bp.px[2]}
+			tvals[q] = job.alpha * (job.qp[0]*job.qp[0] + job.qp[1]*job.qp[1] + job.qp[2]*job.qp[2])
+			q++
+		}
+	}
+	fn := s.evalBoys(ltot, nq, vector, stats)
 
-// hermList collects the nonzero Hermite terms of component pair (cA, cB)
-// of a primitive pair into dst, scaling by scale and applying the ket
-// phase when phase is true.
-func hermList(dst []hermTerm, pd *pairData, cA, cB CartComponent, scale float64, phase bool) []hermTerm {
-	dst = dst[:0]
-	for t := 0; t <= cA.X+cB.X; t++ {
-		ex := pd.ets[0].at(cA.X, cB.X, t)
-		if ex == 0 {
-			continue
-		}
-		for u := 0; u <= cA.Y+cB.Y; u++ {
-			ey := pd.ets[1].at(cA.Y, cB.Y, u)
-			if ey == 0 {
-				continue
-			}
-			for v := 0; v <= cA.Z+cB.Z; v++ {
-				ez := pd.ets[2].at(cA.Z, cB.Z, v)
-				if ez == 0 {
-					continue
-				}
-				val := scale * ex * ey * ez
-				if phase && (t+u+v)&1 == 1 {
-					val = -val
-				}
-				dst = append(dst, hermTerm{int32(t), int32(u), int32(v), val})
-			}
-		}
+	nkc := ket.ncomp
+	nh := hermCount[bra.l]
+	out = out[:bra.ncomp*nkc]
+	for i := range out {
+		out[i] = 0
 	}
-	return dst
-}
-
-// accumulateQuartet folds one primitive bra×ket combination into the
-// contracted quartet block. The Hermite expansions of the ket component
-// pairs are materialised once and reused across every bra component pair,
-// which removes the dominant redundant eTable traffic.
-func accumulateQuartet(ca, cb, cc, cd []CartComponent, bp, kp pairData,
-	rt *rTensor, pref float64, nb, nc, nd int, out []float64, scratch *Scratch) {
-	nKet := len(cc) * len(cd)
-	for len(scratch.ketLists) < nKet {
-		scratch.ketLists = append(scratch.ketLists, nil)
+	s.g = grow(s.g, nkc*nh)
+	s.hoff = grow(s.hoff, hermCount[max(bra.l, ket.l)])
+	g, hoff := s.g, s.hoff
+	for h := range hoff {
+		tuv := hermTUV[h]
+		hoff[h] = int32((int(tuv[0])*m1+int(tuv[1]))*m1 + int(tuv[2]))
 	}
-	normC := cartNorms[cc[0].X+cc[0].Y+cc[0].Z]
-	normD := cartNorms[cd[0].X+cd[0].Y+cd[0].Z]
-	for ci, compC := range cc {
-		for di, compD := range cd {
-			scratch.ketLists[ci*nd+di] = hermList(
-				scratch.ketLists[ci*nd+di], &kp, compC, compD,
-				normC[ci]*normD[di], true)
+	hoffB := hoff[:nh]
+	for i := range bra.prims {
+		// Stage 2: contract the ket primitives into G.
+		for x := range g {
+			g[x] = 0
 		}
-	}
-	normA := cartNorms[ca[0].X+ca[0].Y+ca[0].Z]
-	normB := cartNorms[cb[0].X+cb[0].Y+cb[0].Z]
-	n := int32(rt.ltot + 1)
-	data := rt.data
-	for ai, compA := range ca {
-		for bi, compB := range cb {
-			scratch.braList = hermList(scratch.braList, &bp, compA, compB,
-				pref*normA[ai]*normB[bi], false)
-			rowBase := (ai*nb + bi) * nc
-			for ci := 0; ci < nc; ci++ {
-				outBase := (rowBase + ci) * nd
-				for di := 0; di < nd; di++ {
-					var v float64
-					for _, b := range scratch.braList {
-						for _, k := range scratch.ketLists[ci*nd+di] {
-							v += b.val * k.val * data[((b.t+k.t)*n+(b.u+k.u))*n+(b.v+k.v)]
-						}
+		for j := 0; j < nkp; j++ {
+			q := i*nkp + j
+			job := &jobs[q]
+			f := fn[q*m1 : (q+1)*m1]
+			rSeeds(f, job.alpha, job.pref)
+			r := buildRTensor(ltot, job.qp, f, &s.rsc).data
+			off := ket.off[j*nkc : (j+1)*nkc+1]
+			for c := 0; c < nkc; c++ {
+				gc := g[c*nh:][:nh]
+				for k := off[c]; k < off[c+1]; k++ {
+					coef := ket.val[k]
+					rk := r[hoff[ket.hidx[k]]:]
+					for h, o := range hoffB {
+						gc[h] += coef * rk[o]
 					}
-					out[outBase+di] += v
 				}
 			}
 		}
-	}
-}
-
-// primJob is one gathered primitive bra×ket combination of the vector
-// kernel; the job list lives in Scratch so the gather is allocation-free
-// in steady state.
-type primJob struct {
-	bp, kp *pairData
-	alpha  float64
-	pq     [3]float64
-	pref   float64
-}
-
-// eriQuartetVector is the QPX-structured kernel: primitive bra×ket
-// combinations are gathered four at a time, their Boys arguments evaluated
-// lane-parallel, and the Hermite assembly then proceeds per quartet. The
-// final partial batch records reduced lane utilisation, reproducing the
-// paper's vector-efficiency accounting.
-func eriQuartetVector(sa, sb, sc, sd *basis.Shell, bra, ket []pairData,
-	out []float64, stats *qpx.Stats, scratch *Scratch) {
-	nb, nc, nd := sb.NFuncs(), sc.NFuncs(), sd.NFuncs()
-	ltot := sa.L + sb.L + sc.L + sd.L
-	ca, cb := Components(sa.L), Components(sb.L)
-	cc, cd := Components(sc.L), Components(sd.L)
-
-	jobs := scratch.jobs[:0]
-	for i := range bra {
-		for j := range ket {
-			bp, kp := &bra[i], &ket[j]
-			alpha := bp.p * kp.p / (bp.p + kp.p)
-			pq := [3]float64{
-				bp.px[0] - kp.px[0],
-				bp.px[1] - kp.px[1],
-				bp.px[2] - kp.px[2],
+		// Stage 3: apply the bra terms, once per bra primitive.
+		off := bra.off[i*bra.ncomp : (i+1)*bra.ncomp+1]
+		for a := 0; a < bra.ncomp; a++ {
+			hidx, val := bra.hidx[off[a]:off[a+1]], bra.val[off[a]:off[a+1]]
+			row := out[a*nkc : (a+1)*nkc]
+			for c := range row {
+				gc := g[c*nh : (c+1)*nh]
+				var v float64
+				for k, h := range hidx {
+					v += val[k] * hermSign[h] * gc[h]
+				}
+				row[c] += v
 			}
-			jobs = append(jobs, primJob{
-				bp: bp, kp: kp, alpha: alpha, pq: pq,
-				pref: twoPi52 / (bp.p * kp.p * math.Sqrt(bp.p+kp.p)) * bp.coef * kp.coef,
-			})
-		}
-	}
-	scratch.jobs = jobs // keep any growth for reuse
-
-	fnBatch := scratch.fnBatch[:ltot+1]
-	fn := scratch.fn[:ltot+1]
-	for base := 0; base < len(jobs); base += qpx.Width {
-		end := base + qpx.Width
-		if end > len(jobs) {
-			end = len(jobs)
-		}
-		active := end - base
-		var tvec qpx.Vec4
-		for lane := 0; lane < active; lane++ {
-			j := &jobs[base+lane]
-			r2 := j.pq[0]*j.pq[0] + j.pq[1]*j.pq[1] + j.pq[2]*j.pq[2]
-			tvec[lane] = j.alpha * r2
-		}
-		qpx.BoysBatch(ltot, tvec, fnBatch)
-		if stats != nil {
-			stats.Record(active)
-		}
-		for lane := 0; lane < active; lane++ {
-			j := &jobs[base+lane]
-			for k := 0; k <= ltot; k++ {
-				fn[k] = fnBatch[k][lane]
-			}
-			rt := buildRTensor(ltot, j.pq, j.alpha, fn, &scratch.rsc)
-			accumulateQuartet(ca, cb, cc, cd, *j.bp, *j.kp, rt, j.pref, nb, nc, nd, out, scratch)
 		}
 	}
 }
@@ -399,7 +410,7 @@ func (e *Engine) SchwarzMatrixThreads(threads int) *linalg.Matrix {
 					}
 					blk := buf[:need]
 					pd := e.pairDataFor(a, b)
-					eriQuartet(sa, sb, sa, sb, pd, pd, blk, false, nil, scratch)
+					eriQuartet(pd, pd, blk, false, nil, scratch)
 					var m float64
 					for i := 0; i < na; i++ {
 						for j := 0; j < nb; j++ {

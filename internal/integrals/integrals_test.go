@@ -232,7 +232,7 @@ func TestVectorPathMatchesScalar(t *testing.T) {
 					es.ERIShell(a, b, c, d, buf1[:n], nil)
 					ev.ERIShell(a, b, c, d, buf2[:n], &stats)
 					for i := 0; i < n; i++ {
-						if math.Abs(buf1[i]-buf2[i]) > 1e-12 {
+						if math.Float64bits(buf1[i]) != math.Float64bits(buf2[i]) {
 							t.Fatalf("vector/scalar mismatch (%d%d|%d%d)[%d]: %g vs %g",
 								a, b, c, d, i, buf1[i], buf2[i])
 						}
@@ -342,22 +342,6 @@ func TestCoreHamiltonian(t *testing.T) {
 	}
 }
 
-func BenchmarkERIQuartetSSSS(b *testing.B) {
-	e := waterEngine()
-	out := make([]float64, 1)
-	for i := 0; i < b.N; i++ {
-		e.ERIShell(0, 3, 0, 4, out, nil)
-	}
-}
-
-func BenchmarkERIQuartetPPPP(b *testing.B) {
-	e := waterEngine()
-	out := make([]float64, 81)
-	for i := 0; i < b.N; i++ {
-		e.ERIShell(2, 2, 2, 2, out, nil)
-	}
-}
-
 func BenchmarkSchwarzWater(b *testing.B) {
 	e := waterEngine()
 	for i := 0; i < b.N; i++ {
@@ -402,7 +386,7 @@ func TestDShellERISymmetryAndVector(t *testing.T) {
 	es.ERIShell(dShell, dShell, dShell, dShell, b1, nil)
 	ev.ERIShell(dShell, dShell, dShell, dShell, b2, nil)
 	for i := range b1 {
-		if math.Abs(b1[i]-b2[i]) > 1e-12 {
+		if math.Float64bits(b1[i]) != math.Float64bits(b2[i]) {
 			t.Fatalf("d-shell vector mismatch at %d: %g vs %g", i, b1[i], b2[i])
 		}
 	}

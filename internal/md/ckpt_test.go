@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"sync/atomic"
 	"testing"
 
 	"hfxmd/internal/chem"
@@ -205,10 +206,9 @@ func TestStepErrorCarriesStepIndex(t *testing.T) {
 	// A potential that dies mid-trajectory must surface a typed
 	// StepError with the failing step, not a bare string.
 	fail := errors.New("md test: potential blew up")
-	calls := 0
+	var calls atomic.Int64 // ForcesN evaluates displacements concurrently
 	pot := func(m *chem.Molecule) (float64, error) {
-		calls++
-		if calls > 30 { // initial Forces+pot plus a few steps
+		if calls.Add(1) > 30 { // initial Forces+pot plus a few steps
 			return 0, fail
 		}
 		return springPot(0.35, 1.4)(m)
@@ -233,12 +233,11 @@ func TestSCFNonConvergenceSurfacesAsStepError(t *testing.T) {
 	// evaluations (initial energy + finite-difference forces) use the
 	// analytic spring; later calls hit a real SCF capped at one
 	// iteration, which cannot converge.
-	calls := 0
+	var calls atomic.Int64
 	good := springPot(0.35, 1.4)
 	diverge := SCFPotential(scf.Config{MaxIter: 1})
 	pot := func(m *chem.Molecule) (float64, error) {
-		calls++
-		if calls > 30 {
+		if calls.Add(1) > 30 {
 			return diverge(m)
 		}
 		return good(m)

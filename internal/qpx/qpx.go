@@ -161,15 +161,13 @@ type Stats struct {
 	activeLanes atomic.Int64
 }
 
-// Record notes a batch with n active lanes (0 < n ≤ Width).
-func (s *Stats) Record(active int) {
-	if active < 0 {
-		active = 0
-	}
-	if active > Width {
-		active = Width
-	}
-	s.batches.Add(1)
+// Record notes batches batches that together carried active useful lanes
+// (clamped to [0, batches×Width]) — one pair of shared atomic adds for a
+// whole gathered primitive list, not one per batch.
+func (s *Stats) Record(batches, active int) {
+	batches = max(batches, 0)
+	active = min(max(active, 0), batches*Width)
+	s.batches.Add(int64(batches))
 	s.activeLanes.Add(int64(active))
 }
 

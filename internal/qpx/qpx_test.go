@@ -155,18 +155,22 @@ func TestBoysBatchOrderPanics(t *testing.T) {
 
 func TestStats(t *testing.T) {
 	var s Stats
-	s.Record(4)
-	s.Record(2)
+	s.Record(1, 4)
+	s.Record(1, 2)
 	if s.Batches() != 2 {
 		t.Fatalf("batches %d", s.Batches())
 	}
 	if got := s.Utilization(); math.Abs(got-0.75) > 1e-15 {
 		t.Fatalf("utilization %g", got)
 	}
-	s.Record(-3) // clamped to 0
-	s.Record(9)  // clamped to 4
+	s.Record(1, -3) // clamped to 0
+	s.Record(1, 9)  // clamped to 4
 	if got := s.Utilization(); math.Abs(got-10.0/16.0) > 1e-15 {
 		t.Fatalf("clamped utilization %g", got)
+	}
+	s.Record(21, 81) // a gathered list: 81 primitive quartets in 21 batches
+	if s.Batches() != 25 || math.Abs(s.Utilization()-91.0/100.0) > 1e-15 {
+		t.Fatalf("gathered list: batches %d utilization %g", s.Batches(), s.Utilization())
 	}
 	s.Reset()
 	if s.Utilization() != 0 || s.Batches() != 0 {
@@ -182,7 +186,7 @@ func TestStatsConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
-				s.Record(3)
+				s.Record(1, 3)
 			}
 		}()
 	}

@@ -3,11 +3,15 @@
 # semi-direct (full ERI cache replay), and incremental+semi-direct (ΔP
 # build on a warm cache) — and emit BENCH_fock.json: ns/op, quartets
 # computed per build, cache hit ratio and allocs/op per configuration.
-# This file is the committed bench baseline; scripts/check.sh fails when
-# the semi-direct ns/op regresses >20% against it.
+# Each configuration is run COUNT times and the fastest run is the one
+# recorded: the guest drifts by up to 1.6x with its neighbours' load, and
+# the minimum is the estimate least moved by it. This file is the committed
+# bench baseline; scripts/check.sh fails when the semi-direct ns/op
+# regresses >20% against it.
 #
 # Usage: scripts/bench_fock.sh [output.json]
-# BENCHTIME overrides -benchtime (default 3x).
+# BENCHTIME overrides -benchtime (default 3x), COUNT overrides -count
+# (default 5).
 set -eu
 cd "$(dirname "$0")/.."
 out="${1:-BENCH_fock.json}"
@@ -16,7 +20,7 @@ trap 'rm -f "$raw"' EXIT
 
 go test ./internal/hfx/ -run '^$' \
 	-bench 'BenchmarkBuildJK(Pooled|SemiDirect|IncrementalSemiDirect)$' \
-	-benchtime "${BENCHTIME:-3x}" -count 1 | tee "$raw"
+	-benchtime "${BENCHTIME:-3x}" -count "${COUNT:-5}" | tee "$raw"
 
 awk '
 /^BenchmarkBuildJK/ {
@@ -28,8 +32,10 @@ awk '
 		if ($(i+1) == "hitratio")    hr = $i
 		if ($(i+1) == "allocs/op")   al = $i
 	}
-	n++
-	lines[n] = sprintf("  \"%s\": {\"ns_per_op\": %s, \"quartets_per_op\": %s, \"cache_hit_ratio\": %s, \"allocs_per_op\": %s}", name, ns, q, hr, al)
+	if (!(name in idx)) idx[name] = ++n
+	else if (ns + 0 >= best[name]) next
+	best[name] = ns + 0
+	lines[idx[name]] = sprintf("  \"%s\": {\"ns_per_op\": %s, \"quartets_per_op\": %s, \"cache_hit_ratio\": %s, \"allocs_per_op\": %s}", name, ns, q, hr, al)
 }
 END {
 	if (n == 0) { print "bench_fock: no benchmark lines parsed" > "/dev/stderr"; exit 1 }
