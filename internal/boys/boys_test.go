@@ -79,6 +79,65 @@ func TestEvalMatchesReference(t *testing.T) {
 	}
 }
 
+// TestEvalRelativeError: every order is interpolated on its own, so the
+// relative error must hold order by order — also where F_m is tiny — on
+// both sides of TableTMax.
+func TestEvalRelativeError(t *testing.T) {
+	const m = 16
+	ref := make([]float64, m+1)
+	fast := make([]float64, m+1)
+	var worst float64
+	for T := 0.0; T <= 80; T += 0.00917 {
+		Reference(m, T, ref)
+		Eval(m, T, fast)
+		for k := 0; k <= m; k++ {
+			rel := math.Abs(fast[k]-ref[k]) / ref[k]
+			worst = math.Max(worst, rel)
+			if !(rel <= 5e-13) {
+				t.Fatalf("T=%g m=%d: fast %.16g ref %.16g (rel %g)", T, k, fast[k], ref[k], rel)
+			}
+		}
+	}
+	t.Logf("worst relative error %.2g", worst)
+}
+
+// TestEvalBatchMatchesEvalBitwise: an element of a gathered list is the
+// Eval value bit for bit whatever the list's length, the element's
+// position in it and its neighbours' branches — tabulated, asymptotic,
+// T = 0, and grid points and the table edge to within an ulp.
+func TestEvalBatchMatchesEvalBitwise(t *testing.T) {
+	grid := 137 * tableStep
+	pool := []float64{
+		0, 0.3, 7.2, 29.9, 50, 120,
+		math.Nextafter(tableTMax, 0), tableTMax, math.Nextafter(tableTMax, 100),
+		math.Nextafter(grid, 0), grid, math.Nextafter(grid, 100),
+		math.Nextafter(grid+tableStep/2, 0), grid + tableStep/2, math.Nextafter(grid+tableStep/2, 100),
+	}
+	want := make([]float64, MaxOrder+1)
+	for _, m := range []int{0, 1, 4, 8, MaxOrder} {
+		m1 := m + 1
+		for n := 1; n <= 9; n++ {
+			ts := make([]float64, n)
+			out := make([]float64, n*m1)
+			for rot := range pool {
+				for q := range ts {
+					ts[q] = pool[(rot+q)%len(pool)]
+				}
+				EvalBatch(m, ts, out)
+				for q, T := range ts {
+					Eval(m, T, want)
+					for k := 0; k <= m; k++ {
+						if math.Float64bits(out[q*m1+k]) != math.Float64bits(want[k]) {
+							t.Fatalf("m=%d len=%d pos=%d T=%g k=%d: batch %.17g, Eval %.17g",
+								m, n, q, T, k, out[q*m1+k], want[k])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestEvalPanicsOnBadArgs(t *testing.T) {
 	out := make([]float64, MaxOrder+2)
 	mustPanic := func(f func()) {
@@ -91,6 +150,8 @@ func TestEvalPanicsOnBadArgs(t *testing.T) {
 	}
 	mustPanic(func() { Eval(MaxOrder+1, 1, out) })
 	mustPanic(func() { Eval(0, -1, out) })
+	mustPanic(func() { EvalBatch(MaxOrder+1, []float64{1}, out) })
+	mustPanic(func() { EvalBatch(0, []float64{1, -1}, out) })
 	mustPanic(func() { Reference(0, -1, out) })
 }
 

@@ -32,8 +32,9 @@ type Options struct {
 	// DensityWeighted enables the P-weighted Schwarz quartet test, which
 	// tightens screening as SCF converges.
 	DensityWeighted bool
-	// Vector turns on the QPX-structured batched kernel. The flag is
-	// scoped to this builder: two builders sharing one integrals.Engine
+	// Vector turns on the QPX lane accounting of the batched kernel
+	// (Report.LaneUtilization); the integrals do not depend on it. The
+	// flag is scoped to this builder: two builders sharing one integrals.Engine
 	// may disagree on it without affecting each other.
 	Vector bool
 	// Dynamic replaces the static assignment with a shared work queue

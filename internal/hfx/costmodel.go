@@ -50,13 +50,14 @@ type CostModel struct {
 }
 
 // DefaultCostModel returns coefficients in nanoseconds fitted to the
-// kernel in its served mode (QPX-batched Boys) on the reference container:
-// over the nine s/p classes of (H2O)2/STO-3G the prediction stays within
-// 0.8–1.4× of the measured time (3.1 µs for ssss to 44 µs for pppp). Only
-// the ratios matter to placement; steal.Calibrator learns the machine's
-// per-class corrections on top.
+// kernel in its served mode on the reference container: over the nine s/p
+// classes of (H2O)2/STO-3G the prediction stays within 0.85–1.1× of the
+// measured time (0.85 µs for ssss to 34 µs for pppp), and single-primitive
+// 6-31G quartets (0.04–0.8 µs) fix the split between the per-quartet and
+// the per-primitive price. Only the ratios matter to placement;
+// steal.Calibrator learns the machine's per-class corrections on top.
 func DefaultCostModel() CostModel {
-	return CostModel{PerQuartet: 400, PerPrimSS: 33, PerPrim: 100, PerOp: 1}
+	return CostModel{PerQuartet: 60, PerPrimSS: 10, PerPrim: 25, PerOp: 1}
 }
 
 // Quartet returns the predicted cost of the quartet (ab|cd).

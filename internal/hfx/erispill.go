@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+
+	"hfxmd/internal/integrals"
 )
 
 // eriSpillMagic versions the serialized ERI cache image. Integrity is
@@ -14,19 +16,22 @@ import (
 const eriSpillMagic = "HFXERI\x01"
 
 // layoutHash fingerprints everything the spill format depends on: the
-// basis size, the screened shell-pair list (indices and Schwarz norms,
-// which fold in the screening parameters), the admission outcome and
-// the per-shard slot layout. Two builders agree on the hash iff a slab
+// revision of the ERI kernel that computed the blocks (rev — a kernel
+// change moves their last bits, and an image must replay bit for bit what
+// the importer would recompute), the basis size, the screened shell-pair
+// list (indices and Schwarz norms, which fold in the screening
+// parameters), the admission outcome and the per-shard slot layout. Two builders agree on the hash iff a slab
 // image from one drops bit-exactly into the other. Deliberately
 // independent of the density, SCF settings, and result cache key: the
 // same geometry requested with a different maxIter shares spills.
-func (c *eriCache) layoutHash(nbasis int, pairs []screenPairView) uint64 {
+func (c *eriCache) layoutHash(rev uint64, nbasis int, pairs []screenPairView) uint64 {
 	h := fnv.New64a()
 	var b [8]byte
 	w := func(v uint64) {
 		binary.LittleEndian.PutUint64(b[:], v)
 		h.Write(b[:])
 	}
+	w(rev)
 	w(uint64(nbasis))
 	w(uint64(c.budget))
 	w(uint64(c.admitted))
@@ -53,9 +58,15 @@ type screenPairView struct {
 	q    float64
 }
 
-// builderLayoutHash computes the spill layout hash of a builder's cache,
-// or 0 when the builder is fully direct.
+// builderLayoutHash computes the spill layout hash of a builder's cache
+// under this build's ERI kernel, or 0 when the builder is fully direct.
 func (b *Builder) builderLayoutHash() uint64 {
+	return b.layoutHashAt(integrals.KernelRevision)
+}
+
+// layoutHashAt is builderLayoutHash as a build with kernel revision rev
+// would compute it.
+func (b *Builder) layoutHashAt(rev uint64) uint64 {
 	pl := b.pl
 	if pl.cache == nil {
 		return 0
@@ -64,13 +75,14 @@ func (b *Builder) builderLayoutHash() uint64 {
 	for i, p := range pl.scr.Pairs {
 		pairs[i] = screenPairView{a: p.A, b: p.B, q: p.Q}
 	}
-	return pl.cache.layoutHash(pl.eng.Basis.NBasis, pairs)
+	return pl.cache.layoutHash(rev, pl.eng.Basis.NBasis, pairs)
 }
 
 // SpillKey returns the content-address of this builder's ERI cache
-// image: a hash of (basis size, shell-pair list, screening-derived
-// Schwarz norms, admission layout). Builders with equal keys can
-// exchange spill images losslessly. Empty for fully direct builders.
+// image: a hash of (ERI kernel revision, basis size, shell-pair list,
+// screening-derived Schwarz norms, admission layout). Builders with equal
+// keys can exchange spill images losslessly. Empty for fully direct
+// builders.
 func (b *Builder) SpillKey() string {
 	h := b.builderLayoutHash()
 	if h == 0 {

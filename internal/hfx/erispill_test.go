@@ -1,9 +1,11 @@
 package hfx
 
 import (
+	"encoding/binary"
 	"testing"
 
 	"hfxmd/internal/chem"
+	"hfxmd/internal/integrals"
 	"hfxmd/internal/linalg"
 )
 
@@ -129,6 +131,29 @@ func TestSpillImportRejectsMismatch(t *testing.T) {
 	_, _, rep := b.BuildJK(testDensity(engB.Basis.NBasis, 1))
 	if rep.Cache.Hits != 0 {
 		t.Fatalf("rejected import leaked %d resident blocks", rep.Cache.Hits)
+	}
+
+	// Same layout, written by another ERI kernel: its blocks differ in
+	// the last bits from what this build recomputes, so the image must be
+	// refused — an hfxd upgraded across a kernel change and restarted on
+	// its old store directory recomputes instead of replaying stale bits.
+	a2 := NewBuilder(engA, scrA, opts)
+	defer a2.Close()
+	other := a2.layoutHashAt(integrals.KernelRevision - 1)
+	if other == a2.builderLayoutHash() {
+		t.Fatal("spill layout hash ignores the kernel revision")
+	}
+	stale := append([]byte(nil), img...)
+	binary.LittleEndian.PutUint64(stale[len(eriSpillMagic):], other)
+	if _, err := a2.ImportERICache(stale); err == nil {
+		t.Fatal("image of another kernel revision must fail")
+	}
+	_, _, rep2 := a2.BuildJK(testDensity(engA.Basis.NBasis, 1))
+	if rep2.Cache.Hits != 0 {
+		t.Fatalf("refused image leaked %d resident blocks", rep2.Cache.Hits)
+	}
+	if _, err := a2.ImportERICache(img); err != nil {
+		t.Fatalf("image of this kernel revision refused: %v", err)
 	}
 }
 

@@ -1,7 +1,6 @@
 package hfx
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"os"
@@ -476,14 +475,9 @@ func TestReportPhaseTable(t *testing.T) {
 // that way, alone on the CPUs and without the race detector, which
 // distorts the cost shape): for every s/p class and orientation the
 // predicted cost must stay within 2× of the measured kernel time in
-// served mode (QPX-batched Boys). A class's measured time is the minimum
-// of 40 repetitions, divided by the median ratio to the prediction over
-// all classes, so the check is of the model's shape and holds on a slower
-// machine. A violation fails the test only when three measurements in a
-// row show one, each taken at a different stack depth: Go moves a
-// qpx.Vec4 with 16-byte loads on an 8-aligned stack, and at the stack
-// offset where one of BoysBatch's temporaries straddles a page the ssss
-// class runs 2.3× slower whatever the model says.
+// served mode. A class's measured time is the minimum of 40 repetitions,
+// divided by the median ratio to the prediction over all classes, so the
+// check is of the model's shape and holds on a slower machine.
 func TestCostModelTracksKernel(t *testing.T) {
 	eng, _ := setup(t, chem.WaterCluster(2, 1), 1e-10)
 	set := eng.Basis
@@ -526,48 +520,25 @@ func TestCostModelTracksKernel(t *testing.T) {
 	out := make([]float64, eng.MaxERIBufLen())
 	scratch := integrals.NewScratch()
 	vector := DefaultOptions().Vector
-	// offBand times every class once and lists those outside 0.5–2×.
-	offBand := func() (bad []string) {
-		ratios := make([]float64, len(classes))
-		for i, cl := range classes {
-			best := math.Inf(1)
-			for rep := 0; rep < 40; rep++ {
-				start := time.Now()
-				for _, q := range cl.qs {
-					eng.ERIShellScratch(q[0], q[1], q[2], q[3], out, vector, nil, scratch)
-				}
-				best = math.Min(best, float64(time.Since(start).Nanoseconds()))
+	ratios := make([]float64, len(classes))
+	for i, cl := range classes {
+		best := math.Inf(1)
+		for rep := 0; rep < 40; rep++ {
+			start := time.Now()
+			for _, q := range cl.qs {
+				eng.ERIShellScratch(q[0], q[1], q[2], q[3], out, vector, nil, scratch)
 			}
-			ratios[i] = best / cl.predicted
+			best = math.Min(best, float64(time.Since(start).Nanoseconds()))
 		}
-		sorted := append([]float64(nil), ratios...)
-		sort.Float64s(sorted)
-		machine := (sorted[7] + sorted[8]) / 2
-		for i, cl := range classes {
-			if r := ratios[i] / machine; r < 0.5 || r > 2 {
-				bad = append(bad, fmt.Sprintf("class %v: measured %.0f ns vs predicted %.0f (machine factor %.2f): off by %.2f×",
-					cl.l, ratios[i]*cl.predicted/8, cl.predicted/8, machine, r))
-			}
-		}
-		return bad
+		ratios[i] = best / cl.predicted
 	}
-	var bad []string
-	for attempt := 0; attempt < 3; attempt++ {
-		atStackDepth(7*attempt, func() { bad = offBand() })
-		if len(bad) == 0 {
-			return
+	sorted := append([]float64(nil), ratios...)
+	sort.Float64s(sorted)
+	machine := (sorted[7] + sorted[8]) / 2
+	for i, cl := range classes {
+		if r := ratios[i] / machine; r < 0.5 || r > 2 {
+			t.Errorf("class %v: measured %.0f ns vs predicted %.0f (machine factor %.2f): off by %.2f×",
+				cl.l, ratios[i]*cl.predicted/8, cl.predicted/8, machine, r)
 		}
 	}
-	t.Errorf("model off the 0.5–2× band in three measurements in a row:\n%s", strings.Join(bad, "\n"))
-}
-
-// atStackDepth calls f beneath depth extra stack frames.
-//
-//go:noinline
-func atStackDepth(depth int, f func()) {
-	if depth > 0 {
-		atStackDepth(depth-1, f)
-		return
-	}
-	f()
 }

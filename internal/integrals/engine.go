@@ -15,9 +15,9 @@ import (
 // cache entries are published with atomic pointers.
 type Engine struct {
 	Basis *basis.Set
-	// Vector enables the QPX-style 4-wide batched Boys evaluation inside
-	// the ERI kernel (see package qpx); results are identical, the point
-	// is the kernel structure and its performance accounting.
+	// Vector makes ERIShell account every quartet's gathered primitive
+	// list as QPX-style 4-lane batches (see package qpx). The kernel runs
+	// the same batch pipeline either way and results are identical.
 	Vector bool
 
 	// pairCache memoises the Hermite term tables of every shell pair
@@ -183,7 +183,9 @@ func nuclearBlock(sa, sb *basis.Shell, set *basis.Set) []float64 {
 	ca, cb := Components(sa.L), Components(sb.L)
 	out := make([]float64, len(ca)*len(cb))
 	ltot := sa.L + sb.L
-	fn := make([]float64, ltot+1)
+	n := ltot + 1
+	fn := make([]float64, n)
+	r := make([]float64, rSize(ltot))
 	ab := [3]float64{
 		sa.Center[0] - sb.Center[0],
 		sa.Center[1] - sb.Center[1],
@@ -205,8 +207,7 @@ func nuclearBlock(sa, sb *basis.Shell, set *basis.Set) []float64 {
 				pc := [3]float64{px - atom.Pos[0], py - atom.Pos[1], pz - atom.Pos[2]}
 				r2 := pc[0]*pc[0] + pc[1]*pc[1] + pc[2]*pc[2]
 				boys.Eval(ltot, p*r2, fn)
-				rSeeds(fn, p, 1)
-				rt := buildRTensor(ltot, pc, fn, nil)
+				buildR(ltot, fn, p, 1, pc[0], pc[1], pc[2], r)
 				z := -float64(atom.El)
 				for a, compA := range ca {
 					na := componentNorm(compA)
@@ -228,7 +229,7 @@ func nuclearBlock(sa, sb *basis.Shell, set *basis.Set) []float64 {
 									if ez == 0 {
 										continue
 									}
-									v += ex * ey * ez * rt.at(t, u, w)
+									v += ex * ey * ez * r[(t*n+u)*n+w]
 								}
 							}
 						}

@@ -12,6 +12,13 @@ import (
 	"hfxmd/internal/qpx"
 )
 
+// KernelRevision names the arithmetic of the ERI kernel (Boys
+// interpolation, R recurrence, contraction order). Bump it whenever a
+// change can move a computed block in its last bits: whatever persists
+// blocks (the hfx ERI spill images) keys them by it, so that stored bits
+// are only ever replayed into a build that would recompute the same ones.
+const KernelRevision = 14
+
 // primPair holds the per-primitive-pair scalars of a shell pair: combined
 // exponent p, Gaussian-product centre P, and ss — the contraction
 // coefficients over p times E_0^{00,x}·E_0^{00,y}·E_0^{00,z}, the only
@@ -151,13 +158,12 @@ func QuartetOps(la, lb, lc, ld int) (perPrim, perBraPrim int) {
 // warm-up build its buffers stop growing and the hot loop performs no
 // heap allocations.
 type Scratch struct {
-	jobs    []primJob
-	tvals   []float64 // Boys arguments, padded to whole 4-lane batches
-	fn      []float64 // F_0..F_ltot of every primitive quartet, job-major
-	fnBatch [boys.MaxOrder + 1]qpx.Vec4
-	rsc     rScratch
-	g       []float64 // Hermite intermediate G[cd][tuv] of one bra primitive
-	hoff    []int32   // R-tensor offset of every Hermite index at this ltot
+	soa  []float64 // stage-1 gather, six runs: T, α, pref, (Q−P)x, (Q−P)y, (Q−P)z
+	fn   []float64 // F_0..F_ltot of every primitive quartet, job-major
+	r    []float64 // R program buffer of one primitive quartet
+	g    []float64 // Hermite intermediate G[cd][tuv] of one bra primitive
+	hoff []int32   // R-tensor offset of every Hermite index at this ltot
+	koff []int32   // R-tensor offset of every ket term
 }
 
 // NewScratch returns a ready-to-use ERI scratch.
@@ -183,67 +189,26 @@ func (e *Engine) ERIShell(a, b, c, d int, out []float64, stats *qpx.Stats) {
 	eriPool.Put(scratch)
 }
 
-// ERIShellScratch is ERIShell with the Boys evaluation mode and working
-// set scoped to the caller: vector picks the QPX-batched Boys evaluation
-// regardless of the engine-wide Vector flag, and scratch supplies the
-// reusable buffers. This is the entry point for persistent worker pools
-// (package hfx) — two pools sharing one engine can select different
-// modes without stomping each other, and a per-worker scratch keeps the
-// steady state allocation-free.
+// ERIShellScratch is ERIShell with the lane accounting and working set
+// scoped to the caller: vector decides whether the quartet's primitive
+// list is accounted to stats as 4-lane batches, regardless of the
+// engine-wide Vector flag (the block computed is the same bit for bit),
+// and scratch supplies the reusable buffers. This is the entry point for
+// persistent worker pools (package hfx) — two pools sharing one engine
+// can account differently without stomping each other, and a per-worker
+// scratch keeps the steady state allocation-free.
 func (e *Engine) ERIShellScratch(a, b, c, d int, out []float64, vector bool, stats *qpx.Stats, scratch *Scratch) {
 	eriQuartet(e.pairDataFor(a, b), e.pairDataFor(c, d), out, vector, stats, scratch)
 }
 
-// evalBoys fills s.fn with F_0..F_m of the nq gathered arguments
-// s.tvals[:nq], job-major, and returns it. With vector set the arguments go
-// through qpx.BoysBatch four lanes at a time over the whole list (only the
-// last batch can be ragged) and the lane accounting is flushed to stats
-// once; otherwise boys.Eval takes them one by one.
-func (s *Scratch) evalBoys(m, nq int, vector bool, stats *qpx.Stats) []float64 {
-	m1 := m + 1
-	s.fn = grow(s.fn, nq*m1)
-	fn, tvals := s.fn, s.tvals
-	if !vector {
-		for q := 0; q < nq; q++ {
-			boys.Eval(m, tvals[q], fn[q*m1:(q+1)*m1])
-		}
-		return fn
-	}
-	for q := nq; q < len(tvals); q++ {
-		tvals[q] = 0 // idle lanes of the ragged last batch
-	}
-	fnBatch := s.fnBatch[:m1]
-	for base := 0; base < nq; base += qpx.Width {
-		qpx.BoysBatch(m, qpx.Vec4(tvals[base:base+qpx.Width]), fnBatch)
-		for lane := 0; lane < min(qpx.Width, nq-base); lane++ {
-			f := fn[(base+lane)*m1:]
-			for k := range fnBatch {
-				f[k] = fnBatch[k][lane]
-			}
-		}
-	}
-	if stats != nil {
-		stats.Record(len(tvals)/qpx.Width, nq)
-	}
-	return fn
-}
-
-// primJob is one primitive bra×ket combination: the reduced exponent
-// α = pq/(p+q), the prefactor 2π^{5/2}/√(p+q) (its 1/(pq) lives in the pair
-// tables) and the separation Q−P.
-type primJob struct {
-	alpha, pref float64
-	qp          [3]float64
-}
-
-// eriQuartet is the one contraction core, shared by the engine's scalar
-// and QPX-batched modes and by the Schwarz bound computation. It works in
-// Hermite space in three stages:
+// eriQuartet is the one contraction core, shared by the engine's two
+// accounting modes and by the Schwarz bound computation. It works in
+// Hermite space as a batch pipeline over flat arrays:
 //
-//  1. every bra×ket primitive combination is gathered and its Boys values
-//     F_0..F_ltot evaluated — four lanes at a time through qpx.BoysBatch
-//     when vector is set, one by one through boys.Eval otherwise (the two
-//     agree bit for bit, so nothing downstream depends on the mode);
+//  1. every bra×ket primitive combination is gathered into
+//     structure-of-arrays scratch (T, α, pref, Q−P) and boys.EvalBatch
+//     fills F_0..F_ltot for the whole list; vector only decides whether
+//     the list is accounted to stats as 4-lane batches;
 //  2. per bra primitive, the ket primitives are contracted into the
 //     Hermite intermediate G[cd][tuv] = Σ_ket Σ_k E_k^{cd}·R[tuv+k], reading
 //     the ket's cached term table (R offsets are additive). R is built at
@@ -258,13 +223,16 @@ func eriQuartet(bra, ket *pairData, out []float64, vector bool, stats *qpx.Stats
 	nq := len(bra.prims) * nkp
 	ltot := bra.l + ket.l
 	m1 := ltot + 1
-	s.tvals = grow(s.tvals, (nq+qpx.Width-1)/qpx.Width*qpx.Width)
-	tvals := s.tvals
+	if vector && stats != nil {
+		stats.Record((nq+qpx.Width-1)/qpx.Width, nq)
+	}
+	s.soa = grow(s.soa, 6*nq)
+	s.fn = grow(s.fn, nq*m1)
+	tvals, fn := s.soa[:nq], s.fn
 
 	if ltot == 0 {
 		// ssss closed form; this class dominates screened pair lists.
-		s.g = grow(s.g, nq)
-		w := s.g
+		w := s.soa[nq : 2*nq]
 		q := 0
 		for i := range bra.prims {
 			bp := &bra.prims[i]
@@ -277,7 +245,7 @@ func eriQuartet(bra, ket *pairData, out []float64, vector bool, stats *qpx.Stats
 				q++
 			}
 		}
-		fn := s.evalBoys(0, nq, vector, stats)
+		boys.EvalBatch(0, tvals, fn)
 		var acc float64
 		for q, f := range fn {
 			acc += w[q] * f
@@ -287,23 +255,23 @@ func eriQuartet(bra, ket *pairData, out []float64, vector bool, stats *qpx.Stats
 	}
 
 	// Stage 1: gather, then Boys over the whole primitive list.
-	s.jobs = grow(s.jobs, nq)
-	jobs := s.jobs
+	alpha, pref := s.soa[nq:2*nq], s.soa[2*nq:3*nq]
+	qx, qy, qz := s.soa[3*nq:4*nq], s.soa[4*nq:5*nq], s.soa[5*nq:6*nq]
 	q := 0
 	for i := range bra.prims {
 		bp := &bra.prims[i]
 		for j := range ket.prims {
 			kp := &ket.prims[j]
 			inv := 1 / (bp.p + kp.p)
-			job := &jobs[q]
-			job.alpha = bp.p * kp.p * inv
-			job.pref = twoPi52 * math.Sqrt(inv)
-			job.qp = [3]float64{kp.px[0] - bp.px[0], kp.px[1] - bp.px[1], kp.px[2] - bp.px[2]}
-			tvals[q] = job.alpha * (job.qp[0]*job.qp[0] + job.qp[1]*job.qp[1] + job.qp[2]*job.qp[2])
+			a := bp.p * kp.p * inv
+			x, y, z := kp.px[0]-bp.px[0], kp.px[1]-bp.px[1], kp.px[2]-bp.px[2]
+			alpha[q], pref[q] = a, twoPi52*math.Sqrt(inv)
+			qx[q], qy[q], qz[q] = x, y, z
+			tvals[q] = a * (x*x + y*y + z*z)
 			q++
 		}
 	}
-	fn := s.evalBoys(ltot, nq, vector, stats)
+	boys.EvalBatch(ltot, tvals, fn)
 
 	nkc := ket.ncomp
 	nh := hermCount[bra.l]
@@ -311,12 +279,17 @@ func eriQuartet(bra, ket *pairData, out []float64, vector bool, stats *qpx.Stats
 	for i := range out {
 		out[i] = 0
 	}
+	s.r = grow(s.r, rSize(ltot))
 	s.g = grow(s.g, nkc*nh)
 	s.hoff = grow(s.hoff, hermCount[max(bra.l, ket.l)])
-	g, hoff := s.g, s.hoff
+	s.koff = grow(s.koff, len(ket.hidx))
+	r, g, hoff, koff := s.r, s.g, s.hoff, s.koff
 	for h := range hoff {
 		tuv := hermTUV[h]
 		hoff[h] = int32((int(tuv[0])*m1+int(tuv[1]))*m1 + int(tuv[2]))
+	}
+	for k, h := range ket.hidx {
+		koff[k] = hoff[h]
 	}
 	hoffB := hoff[:nh]
 	for i := range bra.prims {
@@ -326,18 +299,27 @@ func eriQuartet(bra, ket *pairData, out []float64, vector bool, stats *qpx.Stats
 		}
 		for j := 0; j < nkp; j++ {
 			q := i*nkp + j
-			job := &jobs[q]
-			f := fn[q*m1 : (q+1)*m1]
-			rSeeds(f, job.alpha, job.pref)
-			r := buildRTensor(ltot, job.qp, f, &s.rsc).data
+			buildR(ltot, fn[q*m1:(q+1)*m1], alpha[q], pref[q], qx[q], qy[q], qz[q], r)
 			off := ket.off[j*nkc : (j+1)*nkc+1]
+			if nh == 1 {
+				// (ss| bra: G has one Hermite index per ket component.
+				for c := range g {
+					ko, val := koff[off[c]:off[c+1]], ket.val[off[c]:off[c+1]]
+					var v float64
+					for k, o := range ko {
+						v += val[k] * r[o]
+					}
+					g[c] += v
+				}
+				continue
+			}
 			for c := 0; c < nkc; c++ {
-				gc := g[c*nh:][:nh]
-				for k := off[c]; k < off[c+1]; k++ {
-					coef := ket.val[k]
-					rk := r[hoff[ket.hidx[k]]:]
-					for h, o := range hoffB {
-						gc[h] += coef * rk[o]
+				gc := g[c*nh : (c+1)*nh]
+				ko, val := koff[off[c]:off[c+1]], ket.val[off[c]:off[c+1]]
+				for k, o := range ko {
+					coef, rk := val[k], r[o:]
+					for h, ob := range hoffB {
+						gc[h] += coef * rk[ob]
 					}
 				}
 			}

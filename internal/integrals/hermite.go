@@ -1,6 +1,9 @@
 package integrals
 
-import "math"
+import (
+	"math"
+	"sync"
+)
 
 func sqrt(x float64) float64 { return math.Sqrt(x) }
 
@@ -78,28 +81,35 @@ func (e *eTable) build(imax, jmax int, ab, a, b float64) {
 	}
 }
 
-// maxHermL is the highest Hermite degree t+u+v one shell pair can reach.
-const maxHermL = 2 * maxSupportedL
+// maxHermL is the highest Hermite degree t+u+v one shell pair can reach,
+// maxRL the highest a shell quartet's R tensor can.
+const (
+	maxHermL = 2 * maxSupportedL
+	maxRL    = 2 * maxHermL
+)
 
 // The Hermite index (t,u,v) of a shell pair is stored compactly: hermTUV
-// enumerates every triple with t+u+v ≤ maxHermL by increasing degree, so
-// the triples a pair of total angular momentum l can produce are the
-// prefix hermTUV[:hermCount[l]] and one byte names a term's triple.
+// enumerates every triple with t+u+v ≤ maxRL by increasing degree, so the
+// triples a pair of total angular momentum l can produce are the prefix
+// hermTUV[:hermCount[l]] and one byte names a term's triple (hermIndex,
+// degrees ≤ maxHermL; hermPos computes the index at any degree).
 // hermSign[h] = (−1)^{t+u+v} is the relative phase of the bra and ket
 // expansions (see eriQuartet).
 var (
 	hermTUV   [][3]uint8
-	hermCount [maxHermL + 1]int
+	hermCount [maxRL + 1]int
 	hermIndex [maxHermL + 1][maxHermL + 1][maxHermL + 1]uint8
 	hermSign  []float64
 )
 
 func init() {
-	for l := 0; l <= maxHermL; l++ {
+	for l := 0; l <= maxRL; l++ {
 		sign := 1.0 - 2*float64(l&1)
 		for t := l; t >= 0; t-- {
 			for u := l - t; u >= 0; u-- {
-				hermIndex[t][u][l-t-u] = uint8(len(hermTUV))
+				if l <= maxHermL {
+					hermIndex[t][u][l-t-u] = uint8(len(hermTUV))
+				}
 				hermTUV = append(hermTUV, [3]uint8{uint8(t), uint8(u), uint8(l - t - u)})
 				hermSign = append(hermSign, sign)
 			}
@@ -108,98 +118,139 @@ func init() {
 	}
 }
 
-// rTensor computes the Hermite Coulomb auxiliary integrals
+// hermPos returns the index of (t,u,v) in hermTUV.
+func hermPos(t, u, v int) int {
+	d := t + u + v
+	pos := (d-t)*(d-t+1)/2 + v
+	if d > 0 {
+		pos += hermCount[d-1]
+	}
+	return pos
+}
+
+// The Hermite Coulomb auxiliary integrals
 //
-//	R^0_{tuv}(p, PC) with t+u+v ≤ ltot
+//	R^0_{tuv}(p, X) with t+u+v ≤ l
 //
-// from the Boys values F_n(p·|PC|²). The result is stored flat
-// with stride (ltot+1) per dimension, so the offset of (t+t', u+u', v+v')
-// is the sum of the offsets of the two triples; entries with t+u+v > ltot
-// are garbage and never read.
-//
-// Recurrences:
+// follow from the Boys values F_n(p·|X|²) by
 //
 //	R^n_{000}      = (−2p)^n F_n(T)
-//	R^n_{t+1,u,v}  = t·R^{n+1}_{t−1,u,v} + X_PC·R^{n+1}_{tuv}   (etc.)
-type rTensor struct {
-	ltot int
-	data []float64
+//	R^n_{t+1,u,v}  = t·R^{n+1}_{t−1,u,v} + X_x·R^{n+1}_{tuv}   (etc.)
+//
+// lowering each triple along its first nonzero axis. The order-0 tensor is
+// stored flat with stride l+1 per dimension, so the offset of
+// (t+t', u+u', v+v') is the sum of the offsets of the two triples; entries
+// with t+u+v > l are garbage and never read.
+
+// rStep is one recurrence step of an R program:
+// w[dst] = X[axis]·w[src1] + weight·w[src2]. A triple at 1 along its axis
+// has no second term: its weight is zero and src2 aliases src1.
+type rStep struct {
+	dst, src1, src2 uint16
+	axis            uint8
+	weight          float64
 }
 
-func (r *rTensor) at(t, u, v int) float64 {
-	n := r.ltot + 1
-	return r.data[(t*n+u)*n+v]
+// rProgram is the recurrence for one l, unrolled into steps over a single
+// buffer of size floats: the order-0 cube first, then for every auxiliary
+// order n = 1..l its hermCount[l−n] entries of degree ≤ l−n, indexed like
+// hermTUV (so the seed R^n_{000} leads its order). Steps run from order l−1
+// down to 0, so a step's sources are final when it runs.
+type rProgram struct {
+	once  sync.Once
+	size  int
+	steps []rStep
 }
 
-// rScratch provides two reusable ping-pong buffers for buildRTensor; it
-// removes the dominant allocation of the primitive-quartet loop. The
-// recurrence for auxiliary order m only reads order m+1, so two buffers
-// of alternating parity suffice.
-type rScratch struct {
-	bufs [2][]float64
-	rt   rTensor
-}
+var rPrograms [maxRL + 1]rProgram
 
-// rSeeds turns the Boys values fn[m] = F_m(T) in place into the R-tensor
-// seeds R^m_{000} = scale·(−2p)^m·F_m(T). R is linear in its seeds, so a
-// prefactor folded in here multiplies the whole tensor.
-func rSeeds(fn []float64, p, scale float64) {
-	for m := range fn {
-		fn[m] *= scale
-		scale *= -2 * p
-	}
-}
-
-// buildRTensor computes the order-0 Hermite Coulomb tensor from the seeds
-// R^m_{000}, m ≤ ltot (see rSeeds). The returned tensor aliases the scratch
-// buffers: it is valid only until the next buildRTensor call with the same
-// scratch. Entries with t+u+v > ltot are never written and must not be
-// read. A nil scratch allocates fresh buffers (used by the cold
-// one-electron path).
-func buildRTensor(ltot int, pc [3]float64, seed []float64, sc *rScratch) *rTensor {
-	if sc == nil {
-		sc = new(rScratch)
-	}
-	n := ltot + 1
-	su, st := n, n*n
-	size := st * n
-
-	var cur []float64
-	for m := ltot; m >= 0; m-- {
-		up := cur
-		sc.bufs[m&1] = grow(sc.bufs[m&1], size)
-		cur = sc.bufs[m&1]
-		cur[0] = seed[m]
-		// Order m needs the triples of degree ≤ deg; each is lowered
-		// along its first nonzero axis, so the three axes are three
-		// branch-free loop nests over the order-(m+1) tensor.
-		deg := ltot - m
-		// A triple at 1 along its axis has no second term: its weight is
-		// zero and its second source aliases the first.
-		for v := 1; v <= deg; v++ {
-			cur[v] = pc[2]*up[v-1] + float64(v-1)*up[max(v-2, 0)]
+// rProgramFor returns the program of total angular momentum l, building
+// it on first use (a few KiB for the s/p/d classes).
+func rProgramFor(l int) *rProgram {
+	p := &rPrograms[l]
+	p.once.Do(func() {
+		n := l + 1
+		base := make([]int, l+2) // first slot of every auxiliary order
+		base[1] = n * n * n
+		for m := 1; m <= l; m++ {
+			base[m+1] = base[m] + hermCount[l-m]
 		}
-		for u := 1; u <= deg; u++ {
-			o, w := u*su, float64(u-1)
-			o1 := o - su
-			o2 := max(o1-su, 0)
-			for v := 0; v <= deg-u; v++ {
-				cur[o+v] = pc[1]*up[o1+v] + w*up[o2+v]
+		p.size = base[l+1]
+		slot := func(m int, tuv [3]int) uint16 {
+			if m == 0 {
+				return uint16((tuv[0]*n+tuv[1])*n + tuv[2])
 			}
+			return uint16(base[m] + hermPos(tuv[0], tuv[1], tuv[2]))
 		}
-		for t := 1; t <= deg; t++ {
-			w := float64(t - 1)
-			for u := 0; u <= deg-t; u++ {
-				o := t*st + u*su
-				o1 := o - st
-				o2 := max(o1-st, u*su)
-				for v := 0; v <= deg-t-u; v++ {
-					cur[o+v] = pc[0]*up[o1+v] + w*up[o2+v]
+		for m := l - 1; m >= 0; m-- {
+			for h := 1; h < hermCount[l-m]; h++ {
+				tuv := [3]int{int(hermTUV[h][0]), int(hermTUV[h][1]), int(hermTUV[h][2])}
+				axis := 0
+				for tuv[axis] == 0 {
+					axis++
 				}
+				st := rStep{dst: slot(m, tuv), axis: uint8(axis), weight: float64(tuv[axis] - 1)}
+				tuv[axis]--
+				st.src1 = slot(m+1, tuv)
+				st.src2 = st.src1
+				if tuv[axis] > 0 {
+					tuv[axis]--
+					st.src2 = slot(m+1, tuv)
+				}
+				p.steps = append(p.steps, st)
 			}
 		}
+	})
+	return p
+}
+
+// rSize returns the buffer length buildR needs at total angular momentum l.
+func rSize(l int) int {
+	if l <= 2 {
+		return (l + 1) * (l + 1) * (l + 1)
 	}
-	sc.rt.ltot = ltot
-	sc.rt.data = cur
-	return &sc.rt
+	return rProgramFor(l).size
+}
+
+// buildR writes the order-0 Hermite Coulomb tensor at separation (x, y, z)
+// into w (length ≥ rSize(l)) from the Boys values f[m] = F_m(T), m ≤ l,
+// seeding with R^m_{000} = scale·(−2p)^m·f[m]: R is linear in its seeds, so
+// the prefactor folded in here multiplies the whole tensor. l = 1 and 2 —
+// 4 and 10 live entries, the bulk of an s/p census — are written out; the
+// rest run their rProgram.
+func buildR(l int, f []float64, p, scale, x, y, z float64, w []float64) {
+	p2 := -2 * p
+	switch l {
+	case 0:
+		w[0] = scale * f[0]
+	case 1:
+		w = w[:8]
+		s1 := f[1] * (scale * p2)
+		w[0] = f[0] * scale
+		w[1], w[2], w[4] = z*s1, y*s1, x*s1
+	case 2:
+		w = w[:27]
+		scale1 := scale * p2
+		s1, s2 := f[1]*scale1, f[2]*(scale1*p2)
+		az, ay, ax := z*s2, y*s2, x*s2 // R^1 at degree 1
+		w[0] = f[0] * scale
+		w[1], w[3], w[9] = z*s1, y*s1, x*s1
+		w[2], w[6], w[18] = z*az+s1, y*ay+s1, x*ax+s1
+		w[4], w[10], w[12] = y*az, x*az, x*ay
+	default:
+		prog := rProgramFor(l)
+		w = w[:prog.size]
+		xyz := [3]float64{x, y, z}
+		w[0] = f[0] * scale
+		o := (l + 1) * (l + 1) * (l + 1)
+		for m := 1; m <= l; m++ {
+			scale *= p2
+			w[o] = f[m] * scale
+			o += hermCount[l-m]
+		}
+		for i := range prog.steps {
+			st := &prog.steps[i]
+			w[st.dst] = xyz[st.axis]*w[st.src1] + st.weight*w[st.src2]
+		}
+	}
 }

@@ -116,7 +116,7 @@ func TestServerCalibratedAdmissionPricing(t *testing.T) {
 // with very different Retry-After once one of them has learned that
 // class-0 blocks run 64x slower than the raw model claims.
 func TestRetryAfterUsesCalibratedCosts(t *testing.T) {
-	chain := JobRequest{Kind: KindBuildJK, XYZ: hChainXYZ(20)}
+	chain := JobRequest{Kind: KindBuildJK, XYZ: hChainXYZ(40)}
 
 	retryFor := func(cal *steal.Calibrator) time.Duration {
 		block := make(chan struct{})
@@ -162,8 +162,9 @@ func TestRetryAfterUsesCalibratedCosts(t *testing.T) {
 	slow := steal.NewCalibrator(0)
 	slow.SetFactor(0, 64)
 	calRetry := retryFor(slow)
-	// Raw model: ~0.1 s of predicted work, clamped up to the 1 s floor.
-	// Calibrated: ~7.5 s of predicted work, an honest multi-second hint.
+	// Raw model: ~0.13 s of predicted work on the 40-atom chain, clamped up
+	// to the 1 s floor. Calibrated: ~8.5 s of predicted work, an honest
+	// multi-second hint.
 	if calRetry <= rawRetry {
 		t.Fatalf("calibrated Retry-After %v not above raw %v", calRetry, rawRetry)
 	}

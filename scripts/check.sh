@@ -8,12 +8,14 @@
 # backpressure, drain, no goroutine leak), the hfxd end-to-end smoke test,
 # and — first, while the guest is rested — the Fock bench regression gate:
 # a fresh scripts/bench_fock.sh run (fastest of five per configuration, as
-# the baseline was recorded) must not regress semi-direct ns/op by >20%
-# against the committed BENCH_fock.json baseline. The ERI kernel gets a package-level race pass
-# (naive-reference sweep, vector == scalar bitwise, alloc guard), one pass
-# of its per-class micro-benchmark, and the cost model's measured 2x band
-# run alone without the detector. The mprt runtime gets its own race pass (the
-# collectives and the bitwise-pinned distributed build), a model gate
+# the baseline was recorded) must not regress semi-direct ns/op by >20%,
+# nor the direct pooled build's ns/op or any ERI class's ns/primquartet by
+# >25%, against the committed BENCH_fock.json baseline. The ERI kernel
+# gets a package-level race pass (naive-reference sweep, R programs ==
+# recurrence, batched Boys == scalar bitwise, alloc guard) and the cost
+# model's measured 2x band run alone without the detector. The mprt
+# runtime gets its own race pass (the collectives and the
+# bitwise-pinned distributed build), a model gate
 # (TestMeasuredStepsMatchModel fails when the measured collective step
 # counters diverge from the bgq machine-model prediction), and a 4-rank
 # hfxscale d1 smoke run (expD1 itself aborts on model divergence).
@@ -59,19 +61,30 @@ go build ./...
 fresh="$(mktemp)"
 trap 'rm -f "$fresh"' EXIT
 scripts/bench_fock.sh "$fresh"
-extract_ns() {
-	sed -n 's/.*"BenchmarkBuildJKSemiDirect": {"ns_per_op": \([0-9.e+]*\).*/\1/p' "$1"
+# extract NAME FIELD FILE prints FIELD of benchmark NAME in a
+# bench_fock.sh output file.
+extract() {
+	sed -n 's|.*"'"$1"'": {.*"'"$2"'": \([0-9.e+]*\).*|\1|p' "$3"
 }
-base_ns="$(extract_ns BENCH_fock.json)"
-new_ns="$(extract_ns "$fresh")"
-test -n "$base_ns" && test -n "$new_ns"
-awk -v base="$base_ns" -v new="$new_ns" 'BEGIN {
-	if (new > 1.2 * base) {
-		printf "FAIL: semi-direct Fock build regressed: %.0f ns/op vs baseline %.0f (>20%%)\n", new, base
-		exit 1
-	}
-	printf "semi-direct Fock build: %.0f ns/op vs baseline %.0f (ok)\n", new, base
-}'
+# gate NAME FIELD PERCENT: the fresh run's FIELD of benchmark NAME must
+# not exceed the committed baseline's by more than PERCENT.
+gate() {
+	base="$(extract "$1" "$2" BENCH_fock.json)"
+	new="$(extract "$1" "$2" "$fresh")"
+	test -n "$base" && test -n "$new"
+	awk -v name="$1 $2" -v pct="$3" -v base="$base" -v new="$new" 'BEGIN {
+		if (new > (1 + pct / 100) * base) {
+			printf "FAIL: %s regressed: %.4g vs baseline %.4g (>%d%%)\n", name, new, base, pct
+			exit 1
+		}
+		printf "%s: %.4g vs baseline %.4g (ok)\n", name, new, base
+	}'
+}
+gate BenchmarkBuildJKSemiDirect ns_per_op 20
+gate BenchmarkBuildJKPooled ns_per_op 25
+for class in $(sed -n 's|.*"\(BenchmarkERIClass/[a-z]*\)".*|\1|p' BENCH_fock.json); do
+	gate "$class" ns_per_primquartet 25
+done
 
 go test -race ./...
 # Semi-direct/early-exit correctness under the race detector, explicitly.
@@ -80,12 +93,12 @@ go test -race -count=1 ./internal/hfx/ -run 'SemiDirect|EarlyExit|Cache|SteadySt
 # on warm-cache misses, and the allocs/op column must read 0.
 go test ./internal/hfx/ -run '^$' -bench 'BenchmarkBuildJK(Pooled|SemiDirect)$' -benchtime 1x
 go test -race -count=1 ./internal/server/ ./internal/trace/
-# ERI kernel: the whole integrals and qpx packages under the race detector
-# (naive-reference sweep ssss..dddd, vector == scalar bitwise, warm-Scratch
-# alloc guard), then the per-class micro-benchmark once — its allocs/op
-# column must read 0 and ns/primquartet is the number to watch.
-go test -race -count=1 ./internal/integrals/ ./internal/qpx/
-go test ./internal/integrals/ -run '^$' -bench 'BenchmarkERIClass' -benchtime 1x
+# ERI kernel: the whole integrals, boys and qpx packages under the race
+# detector (naive-reference sweep ssss..dddd, R programs == recurrence,
+# batched Boys == scalar bitwise, warm-Scratch alloc guard). Its per-class
+# micro-benchmark ran in the Fock gate above, where the allocs/op column
+# must read 0.
+go test -race -count=1 ./internal/integrals/ ./internal/boys/ ./internal/qpx/
 # The cost model's measured-vs-predicted 2x band is opt-in (wall-clock,
 # and the race detector distorts the kernel's cost shape): run it here,
 # alone on the CPUs.
