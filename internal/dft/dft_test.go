@@ -49,13 +49,82 @@ func TestLebedevUnsupportedPanics(t *testing.T) {
 func TestBeckeWeightsPartitionUnity(t *testing.T) {
 	mol := chem.Water()
 	pts := []chem.Vec3{{0.3, 0.1, 0.5}, {1.5, -0.2, 0.9}, {-2, 1, 0}}
+	part := newBecke(mol)
 	for _, p := range pts {
 		var sum float64
 		for a := range mol.Atoms {
-			sum += beckeWeight(mol, a, p)
+			sum += part.weight(a, p)
 		}
 		if math.Abs(sum-1) > 1e-12 {
 			t.Fatalf("Becke weights at %v sum to %g", p, sum)
+		}
+	}
+}
+
+// beckeWeightReference is the partition weight as the parent commit
+// computed it: every distance recomputed inside the double loop, both
+// orders of every pair evaluated.
+func beckeWeightReference(mol *chem.Molecule, ia int, p chem.Vec3) float64 {
+	n := mol.NAtoms()
+	if n == 1 {
+		return 1
+	}
+	cells := make([]float64, n)
+	for i := 0; i < n; i++ {
+		cells[i] = 1
+	}
+	for i := 0; i < n; i++ {
+		ri := p.Sub(mol.Atoms[i].Pos).Norm()
+		for j := 0; j < n; j++ {
+			if i == j {
+				continue
+			}
+			rj := p.Sub(mol.Atoms[j].Pos).Norm()
+			rij := mol.Atoms[j].Pos.Sub(mol.Atoms[i].Pos).Norm()
+			mu := (ri - rj) / rij
+			f := mu
+			for it := 0; it < 3; it++ {
+				f = 1.5*f - 0.5*f*f*f
+			}
+			cells[i] *= 0.5 * (1 - f)
+		}
+	}
+	var total float64
+	for _, c := range cells {
+		total += c
+	}
+	if total <= 0 {
+		return 0
+	}
+	return cells[ia] / total
+}
+
+// The precomputed-distance partition must reproduce the reference bit for
+// bit for every atom at every grid point, so the grid itself is unchanged:
+// point counts and weight sums are the parent commit's.
+func TestBeckeWeightsMatchReferenceBitwise(t *testing.T) {
+	for _, tc := range []struct {
+		mol    *chem.Molecule
+		points int
+		weight float64
+	}{
+		{chem.Water(), 2476, 1801087675.6404181},
+		{chem.WaterCluster(2, 1), 4899, 1325851785.9466872},
+	} {
+		part := newBecke(tc.mol)
+		g := BuildGrid(tc.mol, DefaultGridSpec())
+		var sum float64
+		for _, pt := range g.Points {
+			sum += pt.W
+			for a := range tc.mol.Atoms {
+				if got, want := part.weight(a, pt.Pos), beckeWeightReference(tc.mol, a, pt.Pos); got != want {
+					t.Fatalf("%s atom %d at %v: weight %.17g, reference %.17g", tc.mol.Formula(), a, pt.Pos, got, want)
+				}
+			}
+		}
+		if len(g.Points) != tc.points || sum != tc.weight {
+			t.Fatalf("%s: %d points of total weight %.17g, want %d and %.17g",
+				tc.mol.Formula(), len(g.Points), sum, tc.points, tc.weight)
 		}
 	}
 }
@@ -99,7 +168,7 @@ func TestGridElectronCountFromDensityMatrix(t *testing.T) {
 	g := BuildGrid(mol, GridSpec{NRadial: 48, NAngular: 14})
 	p := linalg.NewSquare(set.NBasis)
 	p.Set(0, 0, 2)
-	res := Integrate(LDA{}, set, g, p)
+	res := NewIntegrator(LDA{}, set, g).Integrate(p)
 	if math.Abs(res.NElec-2) > 1e-4 {
 		t.Fatalf("grid electron count %g want 2", res.NElec)
 	}
@@ -246,16 +315,5 @@ func TestGridSpecDefaults(t *testing.T) {
 	g := BuildGrid(chem.Helium(), GridSpec{})
 	if len(g.Points) == 0 {
 		t.Fatal("empty default grid")
-	}
-}
-
-func BenchmarkIntegrateLDAWater(b *testing.B) {
-	mol := chem.Water()
-	set := basis.MustBuild("STO-3G", mol)
-	g := BuildGrid(mol, GridSpec{NRadial: 24, NAngular: 14})
-	p := linalg.Identity(set.NBasis)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Integrate(LDA{}, set, g, p)
 	}
 }

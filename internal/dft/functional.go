@@ -4,9 +4,8 @@ import "math"
 
 // Functional is a closed-shell semilocal exchange–correlation functional
 // f(ρ, γ) with γ = |∇ρ|². Eval returns the energy density per volume and
-// its partial derivatives (∂f/∂ρ analytic where practical; GGA gradient
-// derivatives by central finite differences, which is accurate to ~1e-9
-// at the scales encountered and keeps the implementation auditable).
+// its partial derivatives, all in closed form; the finite-difference
+// evaluation they replaced survives in the tests as their oracle.
 type Functional interface {
 	// Name identifies the functional in reports.
 	Name() string
@@ -80,26 +79,34 @@ func (LDA) Eval(rho, gamma float64) (float64, float64, float64) {
 	return fx + rho*ec, vx + vc, 0
 }
 
+// VWN5 paramagnetic parameters and the constants derived from them.
+const (
+	vwnA  = 0.0310907
+	vwnX0 = -0.10498
+	vwnB  = 3.72744
+	vwnC  = 12.9352
+	vwnX  = vwnX0*vwnX0 + vwnB*vwnX0 + vwnC // X(x0)
+)
+
+var vwnQ = math.Sqrt(4*vwnC - vwnB*vwnB)
+
 // vwn5 returns the VWN5 paramagnetic correlation energy per electron ε_c
 // and potential v_c = ε_c − (rs/3)·dε_c/drs.
 func vwn5(rho float64) (ec, vc float64) {
-	const (
-		a  = 0.0310907
-		x0 = -0.10498
-		b  = 3.72744
-		c  = 12.9352
-	)
-	rs := math.Cbrt(3 / (4 * math.Pi * rho))
-	x := math.Sqrt(rs)
-	xx := func(y float64) float64 { return y*y + b*y + c }
-	q := math.Sqrt(4*c - b*b)
-	fx0 := xx(x0)
+	return vwn5x(math.Sqrt(math.Cbrt(3 / (4 * math.Pi * rho))))
+}
+
+// vwn5x is vwn5 as a function of x = √rs.
+func vwn5x(x float64) (ec, vc float64) {
+	const a, x0, b, fx0 = vwnA, vwnX0, vwnB, vwnX
+	q := vwnQ
+	xx := x*x + b*x + vwnC
 	atn := math.Atan(q / (2*x + b))
-	ec = a * (math.Log(x*x/xx(x)) + 2*b/q*atn -
-		b*x0/fx0*(math.Log((x-x0)*(x-x0)/xx(x))+2*(b+2*x0)/q*atn))
+	ec = a * (math.Log(x*x/xx) + 2*b/q*atn -
+		b*x0/fx0*(math.Log((x-x0)*(x-x0)/xx)+2*(b+2*x0)/q*atn))
 	// dε_c/dx via the standard closed form.
-	dec := a * (2/x - (2*x+b)/xx(x) - 4*b/(q*q+(2*x+b)*(2*x+b)) -
-		b*x0/fx0*(2/(x-x0)-(2*x+b)/xx(x)-4*(b+2*x0)/(q*q+(2*x+b)*(2*x+b))))
+	dec := a * (2/x - (2*x+b)/xx - 4*b/(q*q+(2*x+b)*(2*x+b)) -
+		b*x0/fx0*(2/(x-x0)-(2*x+b)/xx-4*(b+2*x0)/(q*q+(2*x+b)*(2*x+b))))
 	// v_c = ε_c − (x/6)·dε_c/dx  (since rs = x² and v = ε − rs/3·dε/drs).
 	vc = ec - x/6*dec
 	return ec, vc
@@ -124,62 +131,70 @@ func (PBE) NeedsGrid() bool { return true }
 func (PBE) NeedsGradient() bool { return true }
 
 // Eval implements Functional.
-func (PBE) Eval(rho, gamma float64) (float64, float64, float64) {
-	return evalNumeric(pbeEnergyDensity, rho, gamma)
-}
+func (PBE) Eval(rho, gamma float64) (float64, float64, float64) { return pbeXC(rho, gamma, 0) }
 
-// pbeEnergyDensity returns the PBE exchange+correlation energy per volume.
-func pbeEnergyDensity(rho, gamma float64) float64 {
-	if rho < rhoFloor {
-		return 0
-	}
-	const (
-		kappa = 0.804
-		mu    = 0.2195149727645171
-		beta  = 0.06672455060314922
-	)
-	gammaC := (1 - math.Ln2) / (math.Pi * math.Pi)
+const (
+	pbeKappa = 0.804
+	pbeMu    = 0.2195149727645171
+	pbeBeta  = 0.06672455060314922
+	pbeGamma = (1 - math.Ln2) / (math.Pi * math.Pi)
+)
 
-	grad := math.Sqrt(math.Max(gamma, 0))
-	kf := math.Cbrt(3 * math.Pi * math.Pi * rho)
-	// Exchange: f_x = −cx ρ^{4/3} F_x(s), s = |∇ρ|/(2 k_f ρ).
-	s := grad / (2 * kf * rho)
-	fxEnh := 1 + kappa - kappa/(1+mu*s*s/kappa)
-	ex := -cx * rho * math.Cbrt(rho) * fxEnh
+var (
+	kfCoef = math.Cbrt(3 * math.Pi * math.Pi) // k_f = kfCoef·ρ^{1/3}
+	rsCoef = math.Cbrt(3 / (4 * math.Pi))     // r_s = rsCoef·ρ^{-1/3}
+)
 
-	// Correlation: ε_c^PBE = ε_c^LDA + H(rs, t).
-	ecLDA, _ := vwn5(rho)
-	ks := math.Sqrt(4 * kf / math.Pi)
-	t := grad / (2 * ks * rho)
-	expo := math.Exp(-ecLDA / gammaC)
-	var aTerm float64
-	if expo > 1 {
-		aTerm = beta / gammaC / (expo - 1)
-	} else {
-		aTerm = 1e30 // ε_c ≥ 0 cannot happen for VWN, guard anyway
-	}
-	t2 := t * t
-	num := 1 + aTerm*t2
-	den := 1 + aTerm*t2 + aTerm*aTerm*t2*t2
-	h := gammaC * math.Log(1+beta/gammaC*t2*num/den)
-	return ex + rho*(ecLDA+h)
-}
-
-// evalNumeric computes the derivatives of an energy-density function by
-// central differences with relative steps; used by the GGA functionals.
-func evalNumeric(f func(rho, gamma float64) float64, rho, gamma float64) (float64, float64, float64) {
+// pbeXC returns the PBE energy per volume with the exchange part scaled
+// by 1−ax (ax = 0 is PBE, ¼ the semilocal part of PBE0), and its partial
+// derivatives with respect to ρ and γ, from one pass that shares ρ^{1/3}
+// between exchange, VWN5 and H:
+//
+//	f = (1−ax)·e_x^LDA(ρ)·F_x(s²) + ρ·(ε_c(ρ) + H(ε_c, t²)),
+//	F_x = 1 + κ − κ/(1 + μs²/κ),     s² = γ/(4k_f²ρ²) ∝ γρ^{-8/3},
+//	H = γ_c·ln(1 + (β/γ_c)·g),        t² = πγ/(16k_fρ²) ∝ γρ^{-7/3},
+//	g = t²·b(b+t²)/(b²+bt²+t⁴),       b = 1/A = (γ_c/β)·(e^{−ε_c/γ_c} − 1).
+//
+// Writing H in b rather than A keeps every term finite as ε_c → 0⁻
+// (b → 0⁺, g → 0), and nothing divides by γ, so γ = 0 returns the
+// analytic limit ∂f/∂γ = (1−ax)·e_x^LDA·μ·∂s²/∂γ + ρβ·∂t²/∂γ.
+// ε_c is VWN5, as in LDA, not the PW92 fit of the PBE paper.
+func pbeXC(rho, gamma, ax float64) (f, dfdrho, dfdgamma float64) {
 	if rho < rhoFloor {
 		return 0, 0, 0
 	}
-	v := f(rho, gamma)
-	hr := 1e-6 * rho
-	dfdrho := (f(rho+hr, gamma) - f(rho-hr, gamma)) / (2 * hr)
-	var dfdgamma float64
-	if gamma > 1e-20 {
-		hg := 1e-6 * gamma
-		dfdgamma = (f(rho, gamma+hg) - f(rho, gamma-hg)) / (2 * hg)
+	if gamma < 0 {
+		gamma = 0
 	}
-	return v, dfdrho, dfdgamma
+	r13 := math.Cbrt(rho)
+	kf := kfCoef * r13
+
+	exLDA := -(1 - ax) * cx * rho * r13
+	ds2 := 1 / (4 * kf * kf * rho * rho) // ∂s²/∂γ
+	s2 := gamma * ds2
+	d := 1 + pbeMu*s2/pbeKappa
+	fx := 1 + pbeKappa - pbeKappa/d
+	dfx := pbeMu / (d * d) // dF_x/ds²
+	f = exLDA * fx
+	dfdrho = exLDA / rho * (4.0/3*fx - 8.0/3*s2*dfx)
+	dfdgamma = exLDA * dfx * ds2
+
+	ec, vc := vwn5x(math.Sqrt(rsCoef / r13))
+	dt2 := math.Pi / (16 * kf * rho * rho) // ∂t²/∂γ
+	t2 := gamma * dt2
+	b := pbeGamma / pbeBeta * math.Expm1(-ec/pbeGamma)
+	p := b*b + b*t2 + t2*t2
+	g := t2 * b * (b + t2) / p
+	h := pbeGamma * math.Log1p(pbeBeta/pbeGamma*g)
+	dhdg := pbeBeta / (1 + pbeBeta/pbeGamma*g)
+	dhdt2 := dhdg * b * b * b * (b + 2*t2) / (p * p)
+	// ∂H/∂ε_c = ∂H/∂g · ∂g/∂b · db/dε_c, with db/dε_c = −(1/β + b/γ_c).
+	dhdec := -dhdg * t2 * t2 * t2 * (2*b + t2) / (p * p) * (1/pbeBeta + b/pbeGamma)
+	f += rho * (ec + h)
+	// ρ·dε_c/dρ = v_c − ε_c and ρ·∂t²/∂ρ = −(7/3)t².
+	dfdrho += vc + h - 7.0/3*t2*dhdt2 + dhdec*(vc-ec)
+	dfdgamma += rho * dhdt2 * dt2
+	return f, dfdrho, dfdgamma
 }
 
 // ---------------------------------------------------------------------------
@@ -203,29 +218,7 @@ func (PBE0) NeedsGradient() bool { return true }
 
 // Eval implements Functional. The semilocal part is ¾ of PBE exchange
 // plus the full PBE correlation.
-func (PBE0) Eval(rho, gamma float64) (float64, float64, float64) {
-	return evalNumeric(func(r, g float64) float64 {
-		full := pbeEnergyDensity(r, g)
-		exOnly := pbeExchangeOnly(r, g)
-		return full - 0.25*exOnly
-	}, rho, gamma)
-}
-
-// pbeExchangeOnly returns just the PBE exchange energy density.
-func pbeExchangeOnly(rho, gamma float64) float64 {
-	if rho < rhoFloor {
-		return 0
-	}
-	const (
-		kappa = 0.804
-		mu    = 0.2195149727645171
-	)
-	grad := math.Sqrt(math.Max(gamma, 0))
-	kf := math.Cbrt(3 * math.Pi * math.Pi * rho)
-	s := grad / (2 * kf * rho)
-	fxEnh := 1 + kappa - kappa/(1+mu*s*s/kappa)
-	return -cx * rho * math.Cbrt(rho) * fxEnh
-}
+func (PBE0) Eval(rho, gamma float64) (float64, float64, float64) { return pbeXC(rho, gamma, 0.25) }
 
 // ByName returns a functional by its report name.
 func ByName(name string) (Functional, bool) {

@@ -161,6 +161,7 @@ func BuildGrid(mol *chem.Molecule, spec GridSpec) *Grid {
 	}
 	angPts, angW := lebedev(spec.NAngular)
 	g := &Grid{}
+	part := newBecke(mol)
 	for ai, atom := range mol.Atoms {
 		rm := beckeRM(atom.El)
 		n := spec.NRadial
@@ -182,7 +183,7 @@ func BuildGrid(mol *chem.Molecule, spec GridSpec) *Grid {
 					atom.Pos[1] + r*u[1],
 					atom.Pos[2] + r*u[2],
 				}
-				w := wRad * angW[k] * beckeWeight(mol, ai, p)
+				w := wRad * angW[k] * part.weight(ai, p)
 				if w > 1e-16 {
 					g.Points = append(g.Points, GridPoint{Pos: p, W: w})
 				}
@@ -192,41 +193,58 @@ func BuildGrid(mol *chem.Molecule, spec GridSpec) *Grid {
 	return g
 }
 
-// beckeWeight returns the Becke fuzzy-Voronoi partition weight of grid
-// point p belonging to atom ia (3 iterations of the smoothing polynomial).
-func beckeWeight(mol *chem.Molecule, ia int, p chem.Vec3) float64 {
+// becke evaluates Becke fuzzy-Voronoi partition weights for one molecule:
+// the interatomic distances are computed once, the point–atom distances
+// once per point, and the scratch is reused from point to point.
+type becke struct {
+	atoms   []chem.Atom
+	dist    []float64 // |R_i − R_j|, n × n
+	r, cell []float64 // per-point scratch
+}
+
+func newBecke(mol *chem.Molecule) *becke {
 	n := mol.NAtoms()
+	b := &becke{atoms: mol.Atoms, dist: make([]float64, n*n), r: make([]float64, n), cell: make([]float64, n)}
+	for i, ai := range mol.Atoms {
+		for j, aj := range mol.Atoms {
+			b.dist[i*n+j] = aj.Pos.Sub(ai.Pos).Norm()
+		}
+	}
+	return b
+}
+
+// weight returns the partition weight of grid point p belonging to atom
+// ia (3 iterations of the smoothing polynomial).
+func (b *becke) weight(ia int, p chem.Vec3) float64 {
+	n := len(b.atoms)
 	if n == 1 {
 		return 1
 	}
-	cells := make([]float64, n)
-	for i := 0; i < n; i++ {
-		cells[i] = 1
+	for i, a := range b.atoms {
+		b.r[i] = p.Sub(a.Pos).Norm()
+		b.cell[i] = 1
 	}
+	// The smoothing polynomial is odd in μ_ij = −μ_ji, so one evaluation
+	// serves both cells of a pair; each cell still collects its factors
+	// in ascending order of the other atom.
 	for i := 0; i < n; i++ {
-		ri := p.Sub(mol.Atoms[i].Pos).Norm()
-		for j := 0; j < n; j++ {
-			if i == j {
-				continue
-			}
-			rj := p.Sub(mol.Atoms[j].Pos).Norm()
-			rij := mol.Atoms[j].Pos.Sub(mol.Atoms[i].Pos).Norm()
-			mu := (ri - rj) / rij
-			f := mu
+		for j := i + 1; j < n; j++ {
+			f := (b.r[i] - b.r[j]) / b.dist[i*n+j]
 			for it := 0; it < 3; it++ {
 				f = 1.5*f - 0.5*f*f*f
 			}
-			cells[i] *= 0.5 * (1 - f)
+			b.cell[i] *= 0.5 * (1 - f)
+			b.cell[j] *= 0.5 * (1 + f)
 		}
 	}
 	var total float64
-	for _, c := range cells {
+	for _, c := range b.cell {
 		total += c
 	}
 	if total <= 0 {
 		return 0
 	}
-	return cells[ia] / total
+	return b.cell[ia] / total
 }
 
 // NumberOfElectrons integrates a density callback over the grid — the

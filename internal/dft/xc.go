@@ -4,6 +4,7 @@ import (
 	"math"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"hfxmd/internal/basis"
 	"hfxmd/internal/chem"
@@ -21,148 +22,226 @@ type XCResult struct {
 	NElec float64
 }
 
-// EvalBasis computes every basis-function value and gradient at point r.
-// vals and grads must have length set.NBasis.
+// EvalBasis computes every basis-function value and, unless grads is nil,
+// gradient at point r. vals and grads must have length set.NBasis.
 func EvalBasis(set *basis.Set, r chem.Vec3, vals []float64, grads [][3]float64) {
-	for i := range vals {
-		vals[i] = 0
-		grads[i] = [3]float64{}
-	}
 	for si := range set.Shells {
 		sh := &set.Shells[si]
 		d := [3]float64{r[0] - sh.Center[0], r[1] - sh.Center[1], r[2] - sh.Center[2]}
 		r2 := d[0]*d[0] + d[1]*d[1] + d[2]*d[2]
-		comps := integrals.Components(sh.L)
-		for ci, comp := range comps {
+		// Radial sums shared by every component of the shell, one exp per
+		// primitive: R0 = Σ c·e^{−αr²} and R1 = Σ c·α·e^{−αr²}.
+		var rad0, rad1 float64
+		for pi, alpha := range sh.Exps {
+			e := sh.Coefs[pi] * math.Exp(-alpha*r2)
+			rad0 += e
+			rad1 += alpha * e
+		}
+		for ci, comp := range integrals.Components(sh.L) {
+			// m[k] = x_k^l and dm[k] = l·x_k^{l−1}, built up by the product rule.
+			m, dm := [3]float64{1, 1, 1}, [3]float64{}
+			for k, l := range [3]int{comp.X, comp.Y, comp.Z} {
+				for ; l > 0; l-- {
+					dm[k] = dm[k]*d[k] + m[k]
+					m[k] *= d[k]
+				}
+			}
 			norm := integrals.ComponentNorm(comp)
-			idx := sh.Index + ci
-			pows := [3]int{comp.X, comp.Y, comp.Z}
-			// Angular part and its derivative factors.
-			ang := powi(d[0], pows[0]) * powi(d[1], pows[1]) * powi(d[2], pows[2])
-			for pi, alpha := range sh.Exps {
-				c := sh.Coefs[pi] * norm
-				g := c * math.Exp(-alpha*r2)
-				vals[idx] += g * ang
-				for k := 0; k < 3; k++ {
-					// d/dx [x^l e^{-αr²}] = (l x^{l-1} − 2αx·x^l) e^{-αr²}.
-					var dAng float64
-					if pows[k] > 0 {
-						dAng = float64(pows[k]) * powi(d[k], pows[k]-1)
-						for j := 0; j < 3; j++ {
-							if j != k {
-								dAng *= powi(d[j], pows[j])
-							}
-						}
-					}
-					grads[idx][k] += g * (dAng - 2*alpha*d[k]*ang)
+			ang := m[0] * m[1] * m[2]
+			vals[sh.Index+ci] = norm * ang * rad0
+			if grads != nil {
+				// ∇[ang·e^{−αr²}] = (∇ang − 2α·(r−R)·ang)·e^{−αr²}.
+				a1 := 2 * ang * rad1
+				grads[sh.Index+ci] = [3]float64{
+					norm * (dm[0]*m[1]*m[2]*rad0 - a1*d[0]),
+					norm * (m[0]*dm[1]*m[2]*rad0 - a1*d[1]),
+					norm * (m[0]*m[1]*dm[2]*rad0 - a1*d[2]),
 				}
 			}
 		}
 	}
 }
 
-func powi(x float64, n int) float64 {
-	r := 1.0
-	for i := 0; i < n; i++ {
-		r *= x
-	}
-	return r
+const (
+	// xcChunks is the number of pieces the grid is cut into. It is fixed,
+	// not derived from the worker count, and the pieces' partial sums are
+	// merged in index order, so the result does not depend on how many
+	// workers shared them out.
+	xcChunks = 16
+	// xcBlock is the number of grid points processed together.
+	xcBlock = 32
+)
+
+// Integrator evaluates the semilocal XC energy and Kohn–Sham matrix of one
+// functional on one geometry's grid, once per SCF iteration. It tabulates
+// the basis functions (and, for a GGA, their gradients) at every grid
+// point when it is built — point-major rows, so a block of consecutive
+// points is one contiguous panel of Φ and one of ∇Φ — and owns every
+// buffer Integrate needs.
+type Integrator struct {
+	f    Functional
+	n    int
+	pts  []GridPoint
+	phi  []float64    // points × n
+	dphi [][3]float64 // points × n; nil unless f.NeedsGradient()
+
+	chunks []xcChunk
+	res    XCResult
+
+	// State of the Integrate call in flight.
+	p    *linalg.Matrix
+	next atomic.Int32
+	wg   sync.WaitGroup
+	work func() // drain + wg.Done, bound once so that `go` allocates nothing
 }
 
-// Integrate evaluates the semilocal XC energy and matrix for density p
-// over the grid, parallelising over grid points with per-worker private
-// matrices (the same private-buffer + tree-merge pattern as package hfx).
-func Integrate(f Functional, set *basis.Set, g *Grid, p *linalg.Matrix) XCResult {
-	n := set.NBasis
-	nw := runtime.GOMAXPROCS(0)
-	if nw > len(g.Points) {
-		nw = 1
+// xcChunk is a contiguous range of grid points with its partial sums.
+type xcChunk struct {
+	lo, hi        int
+	v             []float64 // n × n; the chunk's share of V is (v + vᵀ)/2
+	t             []float64 // xcBlock × n scratch
+	energy, nelec float64
+}
+
+// NewIntegrator tabulates set on g for functional f.
+func NewIntegrator(f Functional, set *basis.Set, g *Grid) *Integrator {
+	n, np := set.NBasis, len(g.Points)
+	it := &Integrator{f: f, n: n, pts: g.Points, phi: make([]float64, np*n), res: XCResult{V: linalg.NewSquare(n)}}
+	if f.NeedsGradient() {
+		it.dphi = make([][3]float64, np*n)
 	}
-	type partial struct {
-		v      *linalg.Matrix
-		energy float64
-		nelec  float64
-	}
-	parts := make([]partial, nw)
-	var wg sync.WaitGroup
-	chunk := (len(g.Points) + nw - 1) / nw
-	for w := 0; w < nw; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			lo := w * chunk
-			hi := lo + chunk
-			if hi > len(g.Points) {
-				hi = len(g.Points)
-			}
-			vals := make([]float64, n)
-			grads := make([][3]float64, n)
-			v := linalg.NewSquare(n)
-			var energy, nelec float64
-			needGrad := f.NeedsGradient()
-			for _, pt := range g.Points[lo:hi] {
-				EvalBasis(set, pt.Pos, vals, grads)
-				// ρ = Σ_{μν} P_{μν} φ_μ φ_ν ; ∇ρ = 2 Σ P φ_μ ∇φ_ν.
-				var rho float64
-				var grho [3]float64
-				for i := 0; i < n; i++ {
-					if vals[i] == 0 && grads[i] == ([3]float64{}) {
-						continue
-					}
-					row := p.Row(i)
-					var t float64
-					for j := 0; j < n; j++ {
-						t += row[j] * vals[j]
-					}
-					rho += t * vals[i]
-					if needGrad {
-						for k := 0; k < 3; k++ {
-							grho[k] += 2 * t * grads[i][k]
-						}
-					}
-				}
-				if rho < rhoFloor {
-					continue
-				}
-				gamma := grho[0]*grho[0] + grho[1]*grho[1] + grho[2]*grho[2]
-				fv, dfdrho, dfdgamma := f.Eval(rho, gamma)
-				energy += pt.W * fv
-				nelec += pt.W * rho
-				// V_{μν} += w [ ∂f/∂ρ φμφν + 2 ∂f/∂γ ∇ρ·(φμ∇φν + φν∇φμ) ].
-				for i := 0; i < n; i++ {
-					fi := vals[i]
-					wi := pt.W * dfdrho * fi
-					var gi float64
-					if needGrad && dfdgamma != 0 {
-						gi = 2 * pt.W * dfdgamma *
-							(grho[0]*grads[i][0] + grho[1]*grads[i][1] + grho[2]*grads[i][2])
-					}
-					row := v.Row(i)
-					for j := 0; j < n; j++ {
-						row[j] += wi * vals[j]
-						if gi != 0 {
-							row[j] += gi * vals[j]
-						}
-						if needGrad && dfdgamma != 0 {
-							row[j] += 2 * pt.W * dfdgamma * fi *
-								(grho[0]*grads[j][0] + grho[1]*grads[j][1] + grho[2]*grads[j][2])
-						}
-					}
-				}
-			}
-			parts[w] = partial{v: v, energy: energy, nelec: nelec}
-		}(w)
-	}
-	wg.Wait()
-	res := XCResult{V: linalg.NewSquare(n)}
-	for _, pt := range parts {
-		if pt.v == nil {
-			continue
+	for i, pt := range g.Points {
+		var grads [][3]float64
+		if it.dphi != nil {
+			grads = it.dphi[i*n : (i+1)*n]
 		}
-		res.V.AXPY(1, pt.v)
-		res.Energy += pt.energy
-		res.NElec += pt.nelec
+		EvalBasis(set, pt.Pos, it.phi[i*n:(i+1)*n], grads)
 	}
-	res.V.Symmetrize()
-	return res
+	size := (np + xcChunks - 1) / xcChunks
+	size = (size + xcBlock - 1) / xcBlock * xcBlock
+	for lo := 0; lo < np; lo += size {
+		it.chunks = append(it.chunks, xcChunk{
+			lo: lo, hi: min(lo+size, np),
+			v: make([]float64, n*n), t: make([]float64, xcBlock*n),
+		})
+	}
+	it.work = func() {
+		defer it.wg.Done()
+		it.drain()
+	}
+	return it
+}
+
+// Integrate evaluates the XC energy and matrix for density p. The
+// returned V is the integrator's own buffer, valid until the next call;
+// an Integrator serves one caller at a time.
+func (it *Integrator) Integrate(p *linalg.Matrix) XCResult {
+	it.p = p
+	it.next.Store(0)
+	for w := min(runtime.GOMAXPROCS(0), len(it.chunks)); w > 1; w-- {
+		it.wg.Add(1)
+		go it.work()
+	}
+	it.drain()
+	it.wg.Wait()
+
+	v := it.res.V
+	v.Zero()
+	it.res.Energy, it.res.NElec = 0, 0
+	for ci := range it.chunks {
+		c := &it.chunks[ci]
+		for i, x := range c.v {
+			v.Data[i] += x
+		}
+		it.res.Energy += c.energy
+		it.res.NElec += c.nelec
+	}
+	v.Symmetrize()
+	return it.res
+}
+
+// drain integrates chunks until none are left.
+func (it *Integrator) drain() {
+	for {
+		ci := int(it.next.Add(1)) - 1
+		if ci >= len(it.chunks) {
+			return
+		}
+		it.integrateChunk(&it.chunks[ci])
+	}
+}
+
+// integrateChunk forms the chunk's partial sums block by block in the
+// standard GGA shape: T = Φ·P; ρ = Σ T∘Φ; ∇ρ = 2 Σ T∘∇Φ; then
+// v += Φᵀ·A with A = w·∂f/∂ρ·Φ + 4w·∂f/∂γ·(∇ρ·∇Φ), whose symmetrisation
+// (v + vᵀ)/2 is w[∂f/∂ρ·φμφν + 2∂f/∂γ·∇ρ·∇(φμφν)].
+func (it *Integrator) integrateChunk(c *xcChunk) {
+	n := it.n
+	clear(c.v)
+	c.energy, c.nelec = 0, 0
+	for lo := c.lo; lo < c.hi; lo += xcBlock {
+		nb := min(xcBlock, c.hi-lo)
+		phi := it.phi[lo*n : (lo+nb)*n]
+		t := c.t[:nb*n]
+		clear(t)
+		for mu := 0; mu < n; mu++ {
+			row := it.p.Row(mu)
+			for b := 0; b < nb; b++ {
+				if pm := phi[b*n+mu]; pm != 0 {
+					tb := t[b*n:][:len(row)]
+					for nu, x := range row {
+						tb[nu] += pm * x
+					}
+				}
+			}
+		}
+		// Per point: density, functional, and the row of A over T's.
+		for b := 0; b < nb; b++ {
+			tb, pb := t[b*n:(b+1)*n], phi[b*n:(b+1)*n]
+			var rho float64
+			for nu, x := range tb {
+				rho += x * pb[nu]
+			}
+			var grho [3]float64
+			var gb [][3]float64
+			if it.dphi != nil {
+				gb = it.dphi[(lo+b)*n : (lo+b+1)*n]
+				for nu, x := range tb {
+					grho[0] += x * gb[nu][0]
+					grho[1] += x * gb[nu][1]
+					grho[2] += x * gb[nu][2]
+				}
+				grho = [3]float64{2 * grho[0], 2 * grho[1], 2 * grho[2]}
+			}
+			if rho < rhoFloor {
+				clear(tb)
+				continue
+			}
+			w := it.pts[lo+b].W
+			fv, dfdrho, dfdgamma := it.f.Eval(rho, grho[0]*grho[0]+grho[1]*grho[1]+grho[2]*grho[2])
+			c.energy += w * fv
+			c.nelec += w * rho
+			ar, ag := w*dfdrho, 4*w*dfdgamma
+			for nu := range tb {
+				tb[nu] = ar * pb[nu]
+			}
+			if gb != nil {
+				gx, gy, gz := ag*grho[0], ag*grho[1], ag*grho[2]
+				for nu := range tb {
+					tb[nu] += gx*gb[nu][0] + gy*gb[nu][1] + gz*gb[nu][2]
+				}
+			}
+		}
+		for mu := 0; mu < n; mu++ {
+			row := c.v[mu*n : (mu+1)*n]
+			for b := 0; b < nb; b++ {
+				if pm := phi[b*n+mu]; pm != 0 {
+					ab := t[b*n:][:len(row)]
+					for nu := range row {
+						row[nu] += pm * ab[nu]
+					}
+				}
+			}
+		}
+	}
 }

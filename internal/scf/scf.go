@@ -228,9 +228,9 @@ func Run(mol *chem.Molecule, cfg Config) (*Result, error) {
 		defer builder.Close()
 	}
 
-	var grid *dft.Grid
+	var xcInt *dft.Integrator
 	if cfg.Functional.NeedsGrid() {
-		grid = dft.BuildGrid(mol, cfg.Grid)
+		xcInt = dft.NewIntegrator(cfg.Functional, set, dft.BuildGrid(mol, cfg.Grid))
 	}
 
 	res := &Result{Set: set, NOcc: nocc, ENuclear: mol.NuclearRepulsion()}
@@ -293,8 +293,8 @@ func Run(mol *chem.Molecule, cfg Config) (*Result, error) {
 			f.AXPY(-0.5*aX, k)
 		}
 		var exc float64
-		if grid != nil {
-			xc := dft.Integrate(cfg.Functional, set, grid, p)
+		if xcInt != nil {
+			xc := xcInt.Integrate(p)
 			f.AXPY(1, xc.V)
 			exc = xc.Energy
 			res.GridElectrons = xc.NElec

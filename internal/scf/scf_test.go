@@ -501,3 +501,39 @@ func TestInitialDensityGuess(t *testing.T) {
 		t.Fatal("dimension-mismatched initial density must be rejected")
 	}
 }
+
+// The tabulated integrator and the closed-form PBE potential replaced a
+// per-iteration basis evaluation and a finite-difference potential; the
+// converged energies and grid electron counts below are what the replaced
+// code produced with these tolerances on the default grid, recorded
+// before it was removed. (The commutator tolerance is the tightest
+// LiH/PBE reaches before DIIS stalls, with either potential.)
+func TestXCEnergiesPinnedToFiniteDifferencePotential(t *testing.T) {
+	for _, tc := range []struct {
+		mol           *chem.Molecule
+		f             dft.Functional
+		energy, nelec float64
+	}{
+		{chem.Water(), dft.LDA{}, -74.740589753330, 10.02530760030579},
+		{chem.Water(), dft.PBE{}, -75.237645427952, 10.02515801992357},
+		{chem.Water(), dft.PBE0{}, -75.255494972237, 10.02523316610485},
+		{chem.LithiumHydride(), dft.LDA{}, -7.792587925280, 3.99161896152869},
+		{chem.LithiumHydride(), dft.PBE{}, -7.921764892445, 3.99207425463536},
+		{chem.LithiumHydride(), dft.PBE0{}, -7.928555742522, 3.99196180822600},
+	} {
+		res, err := Run(tc.mol, Config{Functional: tc.f, EnergyTol: 1e-11, CommutatorTol: 2e-7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		name := tc.mol.Formula() + "/" + tc.f.Name()
+		if !res.Converged {
+			t.Fatalf("%s did not converge in %d iterations", name, res.Iterations)
+		}
+		if d := math.Abs(res.Energy - tc.energy); d > 1e-8 {
+			t.Fatalf("%s: energy %.12f, want %.12f (off by %.2g)", name, res.Energy, tc.energy, d)
+		}
+		if d := math.Abs(res.GridElectrons - tc.nelec); d > 1e-10 {
+			t.Fatalf("%s: grid electrons %.14f, want %.14f (off by %.2g)", name, res.GridElectrons, tc.nelec, d)
+		}
+	}
+}

@@ -9,8 +9,10 @@
 # and — first, while the guest is rested — the Fock bench regression gate:
 # a fresh scripts/bench_fock.sh run (fastest of five per configuration, as
 # the baseline was recorded) must not regress semi-direct ns/op by >20%,
-# nor the direct pooled build's ns/op or any ERI class's ns/primquartet by
-# >25%, against the committed BENCH_fock.json baseline. The ERI kernel
+# nor the direct pooled build's ns/op, any ERI class's ns/primquartet or
+# the PBE0 XC integration's / tabulation's ns/op by >25% (and XC
+# integration must stay at 0 allocs/op), against the committed
+# BENCH_fock.json baseline. The ERI kernel
 # gets a package-level race pass (naive-reference sweep, R programs ==
 # recurrence, batched Boys == scalar bitwise, alloc guard) and the cost
 # model's measured 2x band run alone without the detector. The mprt
@@ -84,6 +86,14 @@ gate BenchmarkBuildJKSemiDirect ns_per_op 20
 gate BenchmarkBuildJKPooled ns_per_op 25
 for class in $(sed -n 's|.*"\(BenchmarkERIClass/[a-z]*\)".*|\1|p' BENCH_fock.json); do
 	gate "$class" ns_per_primquartet 25
+done
+# XC rows: one PBE0 integration per SCF iteration and the once-per-geometry
+# tabulation. A steady-state Integrate owns all its scratch, so the fresh
+# run's allocs/op column must read 0.
+for row in $(sed -n -e 's|.*"\(BenchmarkIntegratePBE0/[A-Za-z0-9]*\)".*|\1|p' \
+	-e 's|.*"\(BenchmarkXCTabulate/[A-Za-z0-9]*\)".*|\1|p' BENCH_fock.json); do
+	gate "$row" ns_per_op 25
+	case "$row" in BenchmarkIntegratePBE0/*) test "$(extract "$row" allocs_per_op "$fresh")" = 0 ;; esac
 done
 
 go test -race ./...
