@@ -371,10 +371,17 @@ func RunRESPA(mol *Molecule, full RespaEvaluator, cheap RespaForceField, opts Re
 
 // RespaFDEvaluator lifts a PotentialFunc into a full-surface evaluator
 // via central finite differences (the same displacement order RunMD
-// uses, so k=1 RESPA matches plain BOMD step for step).
+// uses, so k=1 RESPA matches plain BOMD step for step) — for potentials
+// that are not a closed-shell SCF; those have RespaSCFEvaluator.
 func RespaFDEvaluator(pot PotentialFunc, h float64, workers int) RespaEvaluator {
 	return respa.FDEvaluator(pot, h, workers)
 }
+
+// RespaSCFEvaluator is the state-free full-surface evaluator of an SCF
+// model chemistry: a cold SCF plus its analytic gradient per call, a pure
+// function of the geometry, so a checkpointed trajectory resumes bitwise.
+// An MDSession's Forces is the warm-started alternative.
+func RespaSCFEvaluator(cfg SCFConfig) RespaEvaluator { return md.SCFForces(cfg) }
 
 // BuildRespaReference resolves a named cheap-force mode ("spring",
 // "loose", "baseline") against the initial geometry and model
@@ -397,14 +404,6 @@ type MDSessionStats = md.SessionStats
 
 // NewMDSession prepares a reuse session for one model chemistry.
 func NewMDSession(cfg SCFConfig, opt MDSessionOptions) *MDSession { return md.NewSession(cfg, opt) }
-
-// ForcesNSeeded computes central finite-difference forces with every
-// displaced SCF warm-started from the central converged density.
-// Returns the forces, the central result and the displaced-run SCF
-// iteration total.
-func ForcesNSeeded(mol *Molecule, cfg SCFConfig, h float64, workers int) ([]Vec3, *SCFResult, int64, error) {
-	return md.ForcesNSeeded(mol, cfg, h, workers)
-}
 
 // ---------------------------------------------------------------------------
 // Checkpoint/restart layer.

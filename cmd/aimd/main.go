@@ -53,7 +53,7 @@ func main() {
 		respaK = flag.Int("k", 1, "RESPA inner steps per full-force evaluation (1 = plain velocity Verlet; with k>1, -steps counts outer steps and -dt is the inner timestep)")
 		ref    = flag.String("ref", "spring", "RESPA cheap reference force: spring|loose|baseline (only with -k > 1)")
 
-		storeDir = flag.String("store-dir", "", "tiered store directory: each SCF warm-starts from the previous step's converged density (same tolerance, different bits than a cold run)")
+		storeDir = flag.String("store-dir", "", "tiered store directory: each SCF warm-starts from the previous step's converged density (same tolerance, different bits than a cold run; plain MD only — with -k > 1 every full-surface evaluation is cold)")
 
 		ckptDir   = flag.String("ckpt-dir", "", "checkpoint directory (empty disables checkpointing)")
 		ckptEvery = flag.Int64("ckpt-every", 10, "snapshot cadence in steps (journal covers the gaps)")
@@ -142,14 +142,15 @@ func main() {
 	var traj *hfxmd.Trajectory
 	var err error
 	if *respaK > 1 {
-		// Multiple time stepping: the full surface (FD forces on the SCF
-		// potential, including any store-seeded variant) every k-th step,
-		// the named cheap reference in between.
+		// Multiple time stepping: the full surface (a cold SCF plus its
+		// analytic gradient — a pure function of the geometry, so a resumed
+		// run lands on the uninterrupted one's bits) every k-th step, the
+		// named cheap reference in between.
 		cheap, label, rerr := hfxmd.BuildRespaReference(*ref, mol, scfCfg, 0, 0)
 		if rerr != nil {
 			log.Fatal(rerr)
 		}
-		traj, err = hfxmd.RunRESPA(mol, hfxmd.RespaFDEvaluator(pot, 0, 0), cheap, hfxmd.RespaOptions{
+		traj, err = hfxmd.RunRESPA(mol, hfxmd.RespaSCFEvaluator(scfCfg), cheap, hfxmd.RespaOptions{
 			Steps: *steps, K: *respaK, Dt: *dt, TemperatureK: *temp,
 			Thermostat: *thermostat, Seed: *seed, RefLabel: label,
 			Ckpt: opts.Ckpt, Resume: opts.Resume,

@@ -62,6 +62,35 @@ func TestNuclearRepulsionH2(t *testing.T) {
 	}
 }
 
+// The gradient must be the derivative of NuclearRepulsion itself, open
+// boundary and under the minimum-image convention alike (in the periodic
+// box some pairs interact through an image).
+func TestNuclearRepulsionGradient(t *testing.T) {
+	for _, mol := range []*Molecule{PropyleneCarbonate(), PeriodicWaterBox(2, 1)} {
+		g := mol.NuclearRepulsionGradient()
+		var sum Vec3
+		for a := range mol.Atoms {
+			sum = sum.Add(g[a])
+			for k := 0; k < 3; k++ {
+				energy := func(x float64) float64 {
+					m := mol.Clone()
+					m.Atoms[a].Pos[k] += x
+					return m.NuclearRepulsion()
+				}
+				const h = 1e-3
+				d1 := (energy(h) - energy(-h)) / (2 * h)
+				d2 := (energy(h/2) - energy(-h/2)) / h
+				if want := (4*d2 - d1) / 3; math.Abs(g[a][k]-want) > 1e-8 {
+					t.Fatalf("%s atom %d axis %d: gradient %.10g, FD %.10g", mol.Name, a, k, g[a][k], want)
+				}
+			}
+		}
+		if sum.Norm() > 1e-10 {
+			t.Fatalf("%s: gradient sums to %.3g", mol.Name, sum.Norm())
+		}
+	}
+}
+
 func TestXYZRoundTrip(t *testing.T) {
 	m := PropyleneCarbonate()
 	var buf bytes.Buffer

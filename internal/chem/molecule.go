@@ -128,6 +128,23 @@ func (m *Molecule) NuclearRepulsion() float64 {
 	return e
 }
 
+// NuclearRepulsionGradient returns ∂NuclearRepulsion/∂R for every atom,
+// under the same displacement convention as the energy (minimum image when
+// the molecule has a periodic cell).
+func (m *Molecule) NuclearRepulsionGradient() []Vec3 {
+	g := make([]Vec3, len(m.Atoms))
+	for i := 0; i < len(m.Atoms); i++ {
+		for j := i + 1; j < len(m.Atoms); j++ {
+			d := m.Displacement(i, j)
+			r := d.Norm()
+			f := d.Scale(float64(m.Atoms[i].El) * float64(m.Atoms[j].El) / (r * r * r))
+			g[i] = g[i].Add(f)
+			g[j] = g[j].Sub(f)
+		}
+	}
+	return g
+}
+
 // CenterOfMass returns the mass-weighted centre in bohr.
 func (m *Molecule) CenterOfMass() Vec3 {
 	var com Vec3

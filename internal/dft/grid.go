@@ -17,10 +17,12 @@ import (
 )
 
 // GridPoint is one quadrature node with its combined weight (radial ×
-// angular × Becke partition).
+// angular × Becke partition). Atom is the atom whose sphere the node
+// belongs to: the node moves rigidly with it.
 type GridPoint struct {
-	Pos chem.Vec3
-	W   float64
+	Pos  chem.Vec3
+	W    float64
+	Atom int
 }
 
 // Grid is a molecular integration grid.
@@ -185,7 +187,7 @@ func BuildGrid(mol *chem.Molecule, spec GridSpec) *Grid {
 				}
 				w := wRad * angW[k] * part.weight(ai, p)
 				if w > 1e-16 {
-					g.Points = append(g.Points, GridPoint{Pos: p, W: w})
+					g.Points = append(g.Points, GridPoint{Pos: p, W: w, Atom: ai})
 				}
 			}
 		}
@@ -216,10 +218,20 @@ func newBecke(mol *chem.Molecule) *becke {
 // weight returns the partition weight of grid point p belonging to atom
 // ia (3 iterations of the smoothing polynomial).
 func (b *becke) weight(ia int, p chem.Vec3) float64 {
-	n := len(b.atoms)
-	if n == 1 {
+	if len(b.atoms) == 1 {
 		return 1
 	}
+	total := b.cells(p)
+	if total <= 0 {
+		return 0
+	}
+	return b.cell[ia] / total
+}
+
+// cells fills b.r with the distances from point p to every atom and b.cell
+// with the atoms' unnormalised cell functions at p, and returns their sum.
+func (b *becke) cells(p chem.Vec3) float64 {
+	n := len(b.atoms)
 	for i, a := range b.atoms {
 		b.r[i] = p.Sub(a.Pos).Norm()
 		b.cell[i] = 1
@@ -241,10 +253,7 @@ func (b *becke) weight(ia int, p chem.Vec3) float64 {
 	for _, c := range b.cell {
 		total += c
 	}
-	if total <= 0 {
-		return 0
-	}
-	return b.cell[ia] / total
+	return total
 }
 
 // NumberOfElectrons integrates a density callback over the grid — the

@@ -80,6 +80,7 @@ const (
 // buffer Integrate needs.
 type Integrator struct {
 	f    Functional
+	set  *basis.Set
 	n    int
 	pts  []GridPoint
 	phi  []float64    // points × n
@@ -87,12 +88,14 @@ type Integrator struct {
 
 	chunks []xcChunk
 	res    XCResult
+	grad   *xcGradTables // nil until the first Gradient
 
-	// State of the Integrate call in flight.
-	p    *linalg.Matrix
-	next atomic.Int32
-	wg   sync.WaitGroup
-	work func() // drain + wg.Done, bound once so that `go` allocates nothing
+	// State of the Integrate or Gradient call in flight.
+	p        *linalg.Matrix
+	gradient bool // drain differentiates the chunks instead of integrating them
+	next     atomic.Int32
+	wg       sync.WaitGroup
+	work     func() // drain + wg.Done, bound once so that `go` allocates nothing
 }
 
 // xcChunk is a contiguous range of grid points with its partial sums.
@@ -101,12 +104,13 @@ type xcChunk struct {
 	v             []float64 // n × n; the chunk's share of V is (v + vᵀ)/2
 	t             []float64 // xcBlock × n scratch
 	energy, nelec float64
+	grad          *xcGradScratch // nil until the first Gradient
 }
 
 // NewIntegrator tabulates set on g for functional f.
 func NewIntegrator(f Functional, set *basis.Set, g *Grid) *Integrator {
 	n, np := set.NBasis, len(g.Points)
-	it := &Integrator{f: f, n: n, pts: g.Points, phi: make([]float64, np*n), res: XCResult{V: linalg.NewSquare(n)}}
+	it := &Integrator{f: f, set: set, n: n, pts: g.Points, phi: make([]float64, np*n), res: XCResult{V: linalg.NewSquare(n)}}
 	if f.NeedsGradient() {
 		it.dphi = make([][3]float64, np*n)
 	}
@@ -136,14 +140,7 @@ func NewIntegrator(f Functional, set *basis.Set, g *Grid) *Integrator {
 // returned V is the integrator's own buffer, valid until the next call;
 // an Integrator serves one caller at a time.
 func (it *Integrator) Integrate(p *linalg.Matrix) XCResult {
-	it.p = p
-	it.next.Store(0)
-	for w := min(runtime.GOMAXPROCS(0), len(it.chunks)); w > 1; w-- {
-		it.wg.Add(1)
-		go it.work()
-	}
-	it.drain()
-	it.wg.Wait()
+	it.run(p, false)
 
 	v := it.res.V
 	v.Zero()
@@ -160,14 +157,31 @@ func (it *Integrator) Integrate(p *linalg.Matrix) XCResult {
 	return it.res
 }
 
-// drain integrates chunks until none are left.
+// run integrates (or, for a gradient, differentiates) every chunk for
+// density p, sharing the chunks out over up to GOMAXPROCS goroutines.
+func (it *Integrator) run(p *linalg.Matrix, gradient bool) {
+	it.p, it.gradient = p, gradient
+	it.next.Store(0)
+	for w := min(runtime.GOMAXPROCS(0), len(it.chunks)); w > 1; w-- {
+		it.wg.Add(1)
+		go it.work()
+	}
+	it.drain()
+	it.wg.Wait()
+}
+
+// drain works through chunks until none are left.
 func (it *Integrator) drain() {
 	for {
 		ci := int(it.next.Add(1)) - 1
 		if ci >= len(it.chunks) {
 			return
 		}
-		it.integrateChunk(&it.chunks[ci])
+		if it.gradient {
+			it.gradientChunk(&it.chunks[ci])
+		} else {
+			it.integrateChunk(&it.chunks[ci])
+		}
 	}
 }
 

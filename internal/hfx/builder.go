@@ -207,7 +207,8 @@ type pool struct {
 	eriBufs [][]float64
 	scratch []*integrals.Scratch
 	reg     *trace.Registry
-	cache   *eriCache // nil when Options.CacheBudgetBytes admitted nothing
+	cache   *eriCache  // nil when Options.CacheBudgetBytes admitted nothing
+	grad    *gradState // nil until the first Gradient
 
 	// Per-build state, written by the coordinator before workers are
 	// woken (the wake-channel send establishes the happens-before edge).
@@ -235,6 +236,7 @@ type pool struct {
 const (
 	phaseCompute = iota
 	phaseReduce
+	phaseGradient
 )
 
 // NewBuilder prepares the task decomposition, allocates the per-worker
@@ -364,6 +366,8 @@ func (pl *pool) worker(w int) {
 			pl.compute(w)
 		case phaseReduce:
 			pl.reduce(w)
+		case phaseGradient:
+			pl.gradient(w)
 		}
 		pl.done.Done()
 	}
@@ -380,8 +384,7 @@ func (pl *pool) broadcast() {
 }
 
 // compute zeroes this worker's accumulators and runs its share of the
-// task list — the static assignment, or the shared cost-ordered queue
-// when Dynamic is on.
+// task list.
 func (pl *pool) compute(w int) {
 	t0 := time.Now()
 	pl.jBufs[w].Zero()
@@ -390,21 +393,32 @@ func (pl *pool) compute(w int) {
 	pl.reg.Counter("pool.zero_ns").Add(dz.Nanoseconds())
 	pl.reg.Timer.Charge("zero", dz)
 
-	jw, kw := pl.jBufs[w], pl.kBufs[w]
-	buf := pl.eriBufs[w]
-	sc := pl.scratch[w]
+	pl.drain(w)
+}
+
+// drain runs worker w's share of the task list in the current phase — the
+// static assignment, or the shared cost-ordered queue when Dynamic is on.
+func (pl *pool) drain(w int) {
 	if pl.order != nil {
 		for {
 			i := int(pl.next.Add(1)) - 1
 			if i >= len(pl.order) {
 				return
 			}
-			pl.runTaskObserved(pl.order[i], jw, kw, buf, sc)
+			pl.runPhaseTask(w, pl.order[i])
 		}
 	}
 	for _, ti := range pl.asn.Workers[w] {
-		pl.runTaskObserved(ti, jw, kw, buf, sc)
+		pl.runPhaseTask(w, ti)
 	}
+}
+
+func (pl *pool) runPhaseTask(w, ti int) {
+	if pl.phase == phaseGradient {
+		pl.gradTask(w, ti)
+		return
+	}
+	pl.runTaskObserved(ti, pl.jBufs[w], pl.kBufs[w], pl.eriBufs[w], pl.scratch[w])
 }
 
 // runTaskObserved wraps runTask with a per-task wall measurement folded
@@ -495,19 +509,25 @@ func (pl *pool) prepareBuild(p *linalg.Matrix) {
 	if builds.Value() > 1 {
 		pl.reg.Counter("pool.reuse_hits").Add(1)
 	}
-	pl.p = p
 	pl.computed.Store(0)
 	pl.screened.Store(0)
-	pl.next.Store(0)
 	pl.qstats.Reset()
 	pl.cacheHits.Store(0)
 	pl.cacheMisses.Store(0)
 	pl.cacheFillBytes.Store(0)
+	pl.setDensity(p)
+}
+
+// setDensity points the workers at density P, rewinds the dynamic queue
+// and refreshes the global density bound of the density-weighted screen.
+func (pl *pool) setDensity(p *linalg.Matrix) {
+	pl.p = p
+	pl.next.Store(0)
 	pl.pmaxAll = 0
 	if pl.opts.DensityWeighted {
 		// One pass over P gives a global density bound; with the ket list
 		// sorted by descending Q it turns the density-weighted test into a
-		// monotone early-exit pre-check (see runTask).
+		// monotone early-exit pre-check (see screenQuartet).
 		for _, v := range p.Data {
 			if v < 0 {
 				v = -v
@@ -639,6 +659,23 @@ func init() {
 	}
 }
 
+// screenQuartet applies the quartet-level screen. rest reports that every
+// later ket of the task's range fails too: the range ascends through pairs
+// sorted by descending Q, so the Schwarz product only shrinks, and once the
+// plain test — or, density-weighted, the conservative global-density bound —
+// fails, every remaining quartet fails the (tighter) local test as well.
+func (pl *pool) screenQuartet(bra, ket screen.Pair) (ok, rest bool) {
+	if !pl.opts.DensityWeighted {
+		ok = pl.scr.QuartetSurvives(bra, ket)
+		return ok, !ok && !pl.opts.NoEarlyExit
+	}
+	if !pl.opts.NoEarlyExit && !pl.scr.QuartetSurvivesWeighted(bra, ket, pl.pmaxAll) {
+		return false, true
+	}
+	pmax := screen.MaxDensityAbsQuartet(pl.eng.Basis, pl.p, bra.A, bra.B, ket.A, ket.B)
+	return pl.scr.QuartetSurvivesWeighted(bra, ket, pmax), false
+}
+
 // runTask executes one task: loops its quartets, applies the quartet-level
 // screen with an early exit over the Q-sorted ket range, fetches or
 // evaluates surviving blocks (semi-direct replay when cached), and scatters
@@ -654,31 +691,15 @@ func (pl *pool) runTask(ti int, jw, kw *linalg.Matrix, buf []float64, sc *integr
 		slots = pl.cache.taskSlots[ti]
 		shard = &pl.cache.shards[pl.cache.taskShard[ti]]
 	}
-	dw := pl.opts.DensityWeighted
-	noEarly := pl.opts.NoEarlyExit
 	for ji := t.KetLo; ji < t.KetHi; ji++ {
 		ket := pl.scr.Pairs[ji]
-		if dw {
-			// The ket range ascends through pairs sorted by descending Q,
-			// so the Schwarz product only shrinks: once the conservative
-			// global-density bound fails, every remaining quartet fails
-			// the (tighter) local test too.
-			if !noEarly && !pl.scr.QuartetSurvivesWeighted(bra, ket, pl.pmaxAll) {
+		if ok, rest := pl.screenQuartet(bra, ket); !ok {
+			if rest {
 				pl.screened.Add(int64(t.KetHi - ji))
 				break
 			}
-			pmax := screen.MaxDensityAbsQuartet(set, p, bra.A, bra.B, ket.A, ket.B)
-			if !pl.scr.QuartetSurvivesWeighted(bra, ket, pmax) {
-				pl.screened.Add(1)
-				continue
-			}
-		} else if !pl.scr.QuartetSurvives(bra, ket) {
-			if noEarly {
-				pl.screened.Add(1)
-				continue
-			}
-			pl.screened.Add(int64(t.KetHi - ji))
-			break
+			pl.screened.Add(1)
+			continue
 		}
 		pl.computed.Add(1)
 		a, b, c, d := bra.A, bra.B, ket.A, ket.B

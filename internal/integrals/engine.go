@@ -24,6 +24,10 @@ type Engine struct {
 	// (indexed a·NShells+b), built lazily on first use.
 	pairInit  sync.Once
 	pairCache []atomic.Pointer[pairData]
+	// derivCache does the same for the derivative tables (see deriv.go),
+	// which only a gradient build asks for.
+	derivInit  sync.Once
+	derivCache []atomic.Pointer[pairData]
 }
 
 // NewEngine returns an integral engine over the given basis.

@@ -1,14 +1,15 @@
 // Package md implements Born–Oppenheimer molecular dynamics on the SCF
-// potential-energy surface: velocity-Verlet integration with central
-// finite-difference Hellmann–Feynman forces, a Berendsen thermostat, and
-// the constrained reaction-coordinate scans used for the Li/air
-// electrolyte-degradation study (paper experiment E8).
+// potential-energy surface: velocity-Verlet integration, a Berendsen
+// thermostat, and the constrained reaction-coordinate scans used for the
+// Li/air electrolyte-degradation study (paper experiment E8).
 //
-// Finite-difference forces substitute for the analytic integral
-// derivatives of the production code: on the cluster models driven here
-// they are accurate to ~1e-6 hartree/bohr and exercise the identical SCF
-// machinery (the paper's point is the cost of each SCF energy, which is
-// dominated by HFX).
+// Forces come in two kinds. A closed-shell SCF surface has analytic ones
+// — scf.RunForces: one SCF plus one gradient build — which Session.Forces
+// (warm-started across steps) and SCFForces (state-free) serve to RESPA
+// trajectories. Run, the scans and package opt take any PotentialFunc and
+// difference it centrally (Forces/ForcesN, 6N energies per step): that
+// serves model surfaces and UHF, and is the oracle the analytic forces are
+// tested against.
 package md
 
 import (

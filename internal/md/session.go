@@ -1,9 +1,9 @@
 package md
 
 import (
+	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"hfxmd/internal/basis"
 	"hfxmd/internal/chem"
@@ -36,18 +36,20 @@ type SessionOptions struct {
 
 // SessionStats counts the session's reuse traffic.
 type SessionStats struct {
-	// Runs counts central SCF evaluations; WarmStarts of them were
-	// seeded from the previous step's density, StoreSeeds from a
-	// persisted prefix density, ColdStarts from the SAD guess.
+	// Runs counts SCF evaluations (one per Run or Forces call);
+	// WarmStarts of them were seeded from the previous step's density,
+	// StoreSeeds from a persisted prefix density, ColdStarts from the
+	// SAD guess.
 	Runs, WarmStarts, StoreSeeds, ColdStarts int64
 	// PairListBuilds/PairListReuses count screening decisions;
 	// a build replaces the builder, a reuse rebinds it in place.
 	PairListBuilds, PairListReuses int64
 	// SCFIterations accumulates iterations over every SCF the session
-	// ran (central and displaced), the machine-independent cost metric
-	// BENCH_mts gates on.
+	// ran, the machine-independent cost metric BENCH_mts gates on.
 	SCFIterations int64
-	// DisplacedRuns counts finite-difference displacement SCFs.
+	// DisplacedRuns counted the finite-difference displacement SCFs of
+	// a force evaluation. Forces are analytic now, so it stays 0; the
+	// field remains for the readers of these stats.
 	DisplacedRuns int64
 	// Fallbacks counts seeded runs that failed and were retried cold.
 	Fallbacks int64
@@ -61,7 +63,8 @@ type SessionStats struct {
 //
 // A seeded SCF converges to the same tolerance but not the same bits as
 // a cold one, so session trajectories are not bitwise comparable to
-// cold ones — the integrator's checkpoint/resume stays bitwise because
+// cold ones (SCFForces is the state-free evaluator to use where they
+// must be) — the integrator's checkpoint/resume stays bitwise because
 // forces are stored, not recomputed, across a restore.
 //
 // All methods are safe for concurrent use; evaluations are serialized
@@ -123,14 +126,23 @@ func (s *Session) Stats() SessionStats {
 func (s *Session) Run(m *chem.Molecule) (*scf.Result, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.runLocked(m)
+	res, _, err := s.runLocked(m, scfOnly)
+	return res, err
 }
 
-func (s *Session) runLocked(m *chem.Molecule) (*scf.Result, error) {
+// scfOnly is scf.Run in the shape of scf.RunForces.
+func scfOnly(m *chem.Molecule, cfg scf.Config) (*scf.Result, []chem.Vec3, error) {
+	res, err := scf.Run(m, cfg)
+	return res, nil, err
+}
+
+// runLocked evaluates geometry m with solve (scfOnly or scf.RunForces)
+// under the session's shortcuts.
+func (s *Session) runLocked(m *chem.Molecule, solve func(*chem.Molecule, scf.Config) (*scf.Result, []chem.Vec3, error)) (*scf.Result, []chem.Vec3, error) {
 	s.stats.Runs++
 	set, err := basis.Build(s.cfg.Basis, m)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	eng := integrals.NewEngine(set)
 
@@ -181,7 +193,10 @@ func (s *Session) runLocked(m *chem.Molecule) (*scf.Result, error) {
 		s.stats.ColdStarts++
 	}
 
-	res, err := scf.Run(m, run)
+	res, f, err := solve(m, run)
+	if res != nil {
+		s.stats.SCFIterations += int64(res.Iterations)
+	}
 	if err != nil && seeded && (s.cfg.Ctx == nil || s.cfg.Ctx.Err() == nil) {
 		// A stale seed must never fail the trajectory: retry cold on the
 		// same builder (its cache blocks are already at this geometry).
@@ -189,13 +204,13 @@ func (s *Session) runLocked(m *chem.Molecule) (*scf.Result, error) {
 		cold := s.cfg
 		cold.Screening = s.scr
 		cold.ExternalBuilder = s.builder
-		res, err = scf.Run(m, cold)
+		res, f, err = solve(m, cold)
+		if res != nil {
+			s.stats.SCFIterations += int64(res.Iterations)
+		}
 	}
 	if err != nil {
-		return res, err
-	}
-	if res.Iterations > 0 {
-		s.stats.SCFIterations += int64(res.Iterations)
+		return res, nil, err
 	}
 	if res.Converged {
 		s.prevP = res.P // scf returns a fresh clone; safe to retain
@@ -204,7 +219,7 @@ func (s *Session) runLocked(m *chem.Molecule) (*scf.Result, error) {
 			s.opt.Store.Put(key, store.EncodeMatrix(set.NBasis, res.P.Data))
 		}
 	}
-	return res, nil
+	return res, f, nil
 }
 
 // Potential adapts the session into a PotentialFunc: energy with every
@@ -222,93 +237,45 @@ func (s *Session) Potential() PotentialFunc {
 	}
 }
 
-// Forces evaluates the full surface at m — energy plus central
-// finite-difference forces — with the two-level warm start: the central
-// SCF seeds from the previous step's density (session state), and every
-// displaced SCF seeds from the central converged density, sharing the
-// session's pair list. This is the per-outer-step evaluation a RESPA
-// trajectory makes.
+// Forces evaluates the full surface at m — energy plus the analytic
+// forces of the converged SCF (scf.RunForces) — as one warm-started SCF
+// and one gradient build on the session's pair list and builder. This is
+// the per-outer-step evaluation a RESPA trajectory makes. h and workers
+// configured the finite-difference evaluation this replaced and are
+// unused; an SCF that does not converge (after the cold retry of a seeded
+// run) is an error, never a force.
 func (s *Session) Forces(m *chem.Molecule, h float64, workers int) ([]chem.Vec3, float64, error) {
 	s.mu.Lock()
-	res, err := s.runLocked(m)
-	if err == nil && !res.Converged {
-		err = fmt.Errorf("md: SCF not converged at this geometry")
-	}
-	var base scf.Config
-	var scr *screen.Result
-	if err == nil {
-		base = s.cfg
-		scr = s.scr
-	}
-	s.mu.Unlock()
+	defer s.mu.Unlock()
+	res, f, err := s.runLocked(m, scf.RunForces)
 	if err != nil {
-		return nil, 0, err
-	}
-	f, iters, derr := seededForces(m, base, scr, res.P, h, workers)
-	s.mu.Lock()
-	s.stats.SCFIterations += iters
-	s.stats.DisplacedRuns += int64(6 * m.NAtoms())
-	s.mu.Unlock()
-	if derr != nil {
-		return nil, 0, derr
+		return nil, 0, notConverged(err)
 	}
 	return f, res.Energy, nil
 }
 
-// ForcesNSeeded is the standalone form of the displaced-run warm start:
-// one cold central SCF, then the 6N finite-difference displacements
-// each seeded from the central converged density with incremental ΔP
-// builds (instead of rebuilding SCF from scratch per displacement).
-// Forces agree with the cold path to finite-difference accuracy — the
-// seeded runs converge to the same tolerance, not the same bits — and
-// the returned iteration count is the displaced-run total, measurably
-// below the cold path's. The central result is returned so callers can
-// reuse its energy and density.
-func ForcesNSeeded(mol *chem.Molecule, cfg scf.Config, h float64, workers int) ([]chem.Vec3, *scf.Result, int64, error) {
-	central, err := scf.Run(mol, cfg)
-	if err != nil {
-		return nil, nil, 0, err
+// SCFForces adapts an scf.Config into a state-free full-surface evaluator:
+// a cold SCF plus its analytic gradient, a pure function of the geometry.
+// Trajectories that must reproduce bit for bit across a checkpoint/resume
+// boundary or between processes use it instead of a Session, whose warm
+// starts make every step depend on the ones before.
+func SCFForces(cfg scf.Config) func(*chem.Molecule) (epot float64, f []chem.Vec3, err error) {
+	return func(m *chem.Molecule) (float64, []chem.Vec3, error) {
+		res, f, err := scf.RunForces(m, cfg)
+		if err != nil {
+			return 0, nil, notConverged(err)
+		}
+		return res.Energy, f, nil
 	}
-	if !central.Converged {
-		return nil, central, 0, fmt.Errorf("md: central SCF not converged")
-	}
-	f, iters, err := seededForces(mol, cfg, nil, central.P, h, workers)
-	if err != nil {
-		return nil, central, iters, err
-	}
-	return f, central, iters, nil
 }
 
-// seededForces runs ForcesN with a potential whose SCF starts from the
-// central density (and optionally shares a pair list built at the
-// central geometry — valid for FD-sized displacements). Returns the
-// total displaced-run SCF iterations.
-func seededForces(mol *chem.Molecule, cfg scf.Config, scr *screen.Result, centralP *linalg.Matrix, h float64, workers int) ([]chem.Vec3, int64, error) {
-	var iters atomic.Int64
-	pot := func(dm *chem.Molecule) (float64, error) {
-		run := cfg
-		run.Screening = scr
-		run.InitialDensity = centralP // scf clones it; shared read-only
-		run.Incremental = true
-		res, err := scf.Run(dm, run)
-		if err != nil || !res.Converged {
-			if cfg.Ctx != nil && cfg.Ctx.Err() != nil {
-				return 0, err
-			}
-			// Seed rejected at this displacement: pay the cold price.
-			res, err = scf.Run(dm, cfg)
-			if err != nil {
-				return 0, err
-			}
-		}
-		iters.Add(int64(res.Iterations))
-		if !res.Converged {
-			return res.Energy, fmt.Errorf("md: SCF not converged at displaced geometry")
-		}
-		return res.Energy, nil
+// notConverged rewords scf.ErrNotConverged as the error this package has
+// always reported for an unconverged geometry; other errors pass through.
+func notConverged(err error) error {
+	if errors.Is(err, scf.ErrNotConverged) {
+		return fmt.Errorf("md: SCF not converged at this geometry: %w", err)
 	}
-	f, err := ForcesN(mol, pot, h, workers)
-	return f, iters.Load(), err
+	return err
 }
 
 func positionsOf(m *chem.Molecule) []chem.Vec3 {

@@ -1,10 +1,14 @@
 package md
 
 import (
+	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"hfxmd/internal/chem"
+	"hfxmd/internal/dft"
+	"hfxmd/internal/hfx"
 	"hfxmd/internal/scf"
 )
 
@@ -111,73 +115,84 @@ func TestSessionCompositionChange(t *testing.T) {
 	}
 }
 
-// TestForcesNSeeded is the FD warm-start satellite gate: displaced SCFs
-// seeded from the central converged density must (a) reproduce the
-// cold-path forces within finite-difference accuracy and (b) take
-// measurably fewer SCF iterations than the cold displaced runs.
-func TestForcesNSeeded(t *testing.T) {
-	mol := chem.LithiumHydride()
-	cfg := sessionCfg()
-	h := 5e-3
-
-	// Cold reference: plain ForcesN, counting iterations by hand.
-	var coldIters int64
-	coldPot := func(dm *chem.Molecule) (float64, error) {
-		res, err := scf.Run(dm, cfg)
-		if err != nil {
-			return 0, err
-		}
-		coldIters += int64(res.Iterations)
-		return res.Energy, nil
-	}
-	coldF, err := ForcesN(mol, coldPot, h, 1)
+// coldFDForces is the oracle of the analytic evaluators: central
+// finite differences over cold SCFs, tightly converged so that the
+// quotient's noise (energy residual over h) stays below the comparison.
+func coldFDForces(t *testing.T, mol *chem.Molecule, cfg scf.Config) []chem.Vec3 {
+	t.Helper()
+	cfg.EnergyTol, cfg.CommutatorTol = 1e-11, 1e-8
+	f, err := ForcesN(mol, SCFPotential(cfg), 2e-3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return f
+}
 
-	seedF, central, seedIters, err := ForcesNSeeded(mol, cfg, h, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !central.Converged {
-		t.Fatal("central SCF did not converge")
-	}
-	for i := range coldF {
+func requireForcesClose(t *testing.T, what string, got, want []chem.Vec3, tol float64) {
+	t.Helper()
+	for i := range want {
 		for c := 0; c < 3; c++ {
-			// Both paths converge to EnergyTol; the FD quotient divides the
-			// residual by h, so agreement is gated at tol/h-scale.
-			if d := math.Abs(seedF[i][c] - coldF[i][c]); d > 1e-5 {
-				t.Fatalf("force[%d][%d]: seeded %g vs cold %g (d=%.3e)", i, c, seedF[i][c], coldF[i][c], d)
+			if d := math.Abs(got[i][c] - want[i][c]); d > tol {
+				t.Fatalf("%s force[%d][%d]: %g vs cold FD %g (|Δ| %.3e)", what, i, c, got[i][c], want[i][c], d)
 			}
 		}
 	}
-	if seedIters >= coldIters {
-		t.Fatalf("seeded displaced runs took %d iterations, cold %d — no reduction", seedIters, coldIters)
-	}
-	t.Logf("displaced-run SCF iterations: seeded %d vs cold %d", seedIters, coldIters)
 }
 
-// TestSessionForcesMatchColdForces: the session's two-level warm start
-// (ΔP across steps, central density into displacements, shared pair
-// list) must not change the physics — forces at a fresh geometry agree
-// with the cold path.
-func TestSessionForcesMatchColdForces(t *testing.T) {
-	mol := chem.Hydrogen(1.5)
+// TestSCFForcesMatchColdFD: the state-free evaluator — a cold SCF plus
+// its analytic gradient — agrees with finite differences over cold SCFs
+// at the served tolerances, returns the cold energy, and is a pure
+// function of the geometry: two calls agree to the bit.
+func TestSCFForcesMatchColdFD(t *testing.T) {
+	mol := chem.LithiumHydride()
 	cfg := sessionCfg()
-	h := 5e-3
-	coldF, err := ForcesN(mol, SCFPotential(cfg), h, 1)
+	cfg.Functional = dft.PBE0{}
+	eval := SCFForces(cfg)
+	epot, f, err := eval(mol)
 	if err != nil {
 		t.Fatal(err)
 	}
+	requireForcesClose(t, "state-free", f, coldFDForces(t, mol, cfg), 2e-5)
+	cres, err := scf.Run(mol, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if epot != cres.Energy {
+		t.Fatalf("state-free energy %.17g, cold SCF %.17g", epot, cres.Energy)
+	}
+	epot2, f2, err := eval(mol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if epot2 != epot {
+		t.Fatalf("second evaluation energy %.17g != %.17g", epot2, epot)
+	}
+	for i := range f {
+		if f2[i] != f[i] {
+			t.Fatalf("second evaluation force[%d] %v != %v", i, f2[i], f[i])
+		}
+	}
+}
+
+// TestSessionForcesMatchColdForces: the session's shortcuts (ΔP across
+// steps, rebound pair list and builder) must not change the physics —
+// analytic forces on the warm path agree with finite differences over
+// cold SCFs, for one SCF and no displaced run.
+func TestSessionForcesMatchColdForces(t *testing.T) {
+	mol := nudged(0.02)
+	cfg := sessionCfg()
+	cfg.Functional = dft.PBE0{}
+	coldF := coldFDForces(t, mol, cfg)
 
 	s := NewSession(cfg, SessionOptions{})
 	defer s.Close()
 	// Prime the session at a neighbouring geometry so the test exercises
 	// the warm path, not the first cold run.
-	if _, err := s.Run(chem.Hydrogen(1.48)); err != nil {
+	if _, err := s.Run(nudged(0)); err != nil {
 		t.Fatal(err)
 	}
-	f, epot, err := s.Forces(mol, h, 1)
+	before := s.Stats()
+	f, epot, err := s.Forces(mol, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,14 +203,63 @@ func TestSessionForcesMatchColdForces(t *testing.T) {
 	if d := math.Abs(epot - cres.Energy); d > 1e-7 {
 		t.Fatalf("session energy off by %.3e Eh", d)
 	}
-	for i := range coldF {
-		for c := 0; c < 3; c++ {
-			if d := math.Abs(f[i][c] - coldF[i][c]); d > 1e-5 {
-				t.Fatalf("force[%d][%d]: session %g vs cold %g", i, c, f[i][c], coldF[i][c])
-			}
+	requireForcesClose(t, "session", f, coldF, 2e-5)
+	st := s.Stats()
+	if st.DisplacedRuns != 0 || st.Runs != before.Runs+1 || st.WarmStarts != before.WarmStarts+1 ||
+		st.PairListReuses != before.PairListReuses+1 {
+		t.Fatalf("stats %+v after %+v: want one warm, rebound SCF and no displaced run", st, before)
+	}
+	if iters := st.SCFIterations - before.SCFIterations; iters >= int64(cres.Iterations) {
+		t.Fatalf("warm force evaluation took %d SCF iterations, a cold SCF %d", iters, cres.Iterations)
+	}
+}
+
+// TestSessionForcesRefuseUnconverged: when neither the seeded SCF nor its
+// cold retry converges, Forces reports the geometry as unconverged — the
+// error md has always returned — and no force.
+func TestSessionForcesRefuseUnconverged(t *testing.T) {
+	cfg := sessionCfg()
+	cfg.MaxIter = 2
+	s := NewSession(cfg, SessionOptions{})
+	defer s.Close()
+	f, _, err := s.Forces(chem.LithiumHydride(), 0, 1)
+	if f != nil || !errors.Is(err, scf.ErrNotConverged) || !strings.Contains(err.Error(), "md: SCF not converged at this geometry") {
+		t.Fatalf("forces %v, err %v", f, err)
+	}
+}
+
+// TestSessionForcesSteadyStateAllocs: on a warm session a force evaluation
+// allocates per SCF iteration and per shell pair, not per quartet or per
+// grid block — its allocation count does not grow with the gradient's
+// quartet and grid loops, which own all their buffers after the first call.
+func TestSessionForcesSteadyStateAllocs(t *testing.T) {
+	cfg := sessionCfg()
+	cfg.Functional = dft.PBE0{}
+	cfg.HFX = hfx.DefaultOptions()
+	cfg.HFX.Threads = 1
+	s := NewSession(cfg, SessionOptions{})
+	defer s.Close()
+	mol := chem.LithiumHydride()
+	if _, _, err := s.Forces(mol, 0, 1); err != nil {
+		t.Fatal(err)
+	}
+	var scfOnly, withForces float64
+	scfOnly = testing.AllocsPerRun(3, func() {
+		if _, err := s.Run(mol); err != nil {
+			t.Fatal(err)
 		}
+	})
+	withForces = testing.AllocsPerRun(3, func() {
+		if _, _, err := s.Forces(mol, 0, 1); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// LiH has 55 quartets and 52 grid blocks of 32 points: one allocation
+	// in either loop would add ≥ 50 to the ~115 of the once-per-evaluation
+	// set-up (result slices, derivative tables of the ten shell pairs, the
+	// ∇∇φ table of the new grid).
+	if extra := withForces - scfOnly; extra > 150 {
+		t.Fatalf("gradient adds %.0f allocations to a warm SCF (%.0f vs %.0f)", extra, withForces, scfOnly)
 	}
-	if st := s.Stats(); st.DisplacedRuns != int64(6*mol.NAtoms()) {
-		t.Fatalf("stats %+v: want %d displaced runs", st, 6*mol.NAtoms())
-	}
+	t.Logf("allocations: warm SCF %.0f, warm SCF + gradient %.0f", scfOnly, withForces)
 }

@@ -312,7 +312,9 @@ func slowForce(full, cheap []chem.Vec3) []chem.Vec3 {
 // FDEvaluator adapts a PotentialFunc into the full-surface Evaluator:
 // central finite-difference forces over a bounded worker group (6N
 // evaluations) plus one central energy, exactly the per-step work
-// md.Run does.
+// md.Run does. It serves potentials that are not a closed-shell SCF
+// (model surfaces, UHF) and, in tests, as the oracle for the analytic
+// evaluators md.SCFForces and md.Session.Forces.
 func FDEvaluator(pot md.PotentialFunc, h float64, workers int) Evaluator {
 	return func(m *chem.Molecule) (float64, []chem.Vec3, error) {
 		f, err := md.ForcesN(m, pot, h, workers)
@@ -328,8 +330,10 @@ func FDEvaluator(pot md.PotentialFunc, h float64, workers int) Evaluator {
 }
 
 // FDReference adapts a PotentialFunc into a cheap ForceField by central
-// finite differences — the "FD on a loose SCF" and "PBE-style baseline"
-// reference modes.
+// finite differences — the "FD on a loose SCF" reference mode, whose SCF
+// is deliberately left unconverged: its density is not stationary, so the
+// analytic gradient formula does not apply to it and differencing its
+// energy is the only consistent force.
 func FDReference(pot md.PotentialFunc, h float64, workers int) ForceField {
 	return func(m *chem.Molecule) ([]chem.Vec3, error) {
 		return md.ForcesN(m, pot, h, workers)
@@ -385,7 +389,9 @@ func SpringReference(mol *chem.Molecule, bondScale, kSpring float64) ForceField 
 // LooseSCF derives the loosened solver settings for a reference surface
 // from a production config: convergence three orders of magnitude
 // coarser and a tighter iteration cap, enough for forces that only have
-// to track the cheap part of the dynamics between HFX corrections.
+// to track the cheap part of the dynamics between HFX corrections. Its
+// forces stay finite differences of the energy (FDReference): the analytic
+// gradient assumes a stationary density, which this solver does not reach.
 func LooseSCF(cfg scf.Config) scf.Config {
 	loose := cfg
 	loose.EnergyTol = 1e-5
@@ -415,10 +421,10 @@ const (
 
 // BuildReference resolves a named cheap-force mode against the initial
 // geometry and production SCF config: "spring" (analytic harmonic
-// bonds), "loose" (FD forces on a loosened SCF) or "baseline" (FD
-// forces on the PBE baseline surface). fdStep and workers configure the
-// finite-difference modes; the returned label goes into
-// Options.RefLabel.
+// bonds), "loose" (FD forces on a loosened SCF) or "baseline" (analytic
+// forces of the converged PBE baseline surface, each evaluation cold).
+// fdStep and workers configure the finite-difference mode; the returned
+// label goes into Options.RefLabel.
 func BuildReference(mode string, mol *chem.Molecule, cfg scf.Config, fdStep float64, workers int) (ForceField, string, error) {
 	switch mode {
 	case RefSpring, "":
@@ -426,7 +432,11 @@ func BuildReference(mode string, mol *chem.Molecule, cfg scf.Config, fdStep floa
 	case RefLoose:
 		return FDReference(md.SCFPotential(LooseSCF(cfg)), fdStep, workers), RefLoose, nil
 	case RefBaseline:
-		return FDReference(md.SCFPotential(BaselineSCF(cfg)), fdStep, workers), RefBaseline, nil
+		baseline := md.SCFForces(BaselineSCF(cfg))
+		return func(m *chem.Molecule) ([]chem.Vec3, error) {
+			_, f, err := baseline(m)
+			return f, err
+		}, RefBaseline, nil
 	default:
 		return nil, "", fmt.Errorf("respa: unknown reference mode %q (want %s, %s or %s)",
 			mode, RefSpring, RefLoose, RefBaseline)

@@ -192,32 +192,39 @@ func RunContext(ctx context.Context, mol *chem.Molecule, cfg Config) (*Result, e
 
 // Run performs the SCF for the molecule under the given configuration.
 func Run(mol *chem.Molecule, cfg Config) (*Result, error) {
+	res, _, err := run(mol, cfg, false)
+	return res, err
+}
+
+// run is Run, followed by the gradient of the converged energy when
+// forces is set.
+func run(mol *chem.Molecule, cfg Config, forces bool) (*Result, []chem.Vec3, error) {
 	cfg.fillDefaults()
 	ne := mol.NElectrons()
 	if ne <= 0 {
-		return nil, fmt.Errorf("scf: molecule has %d electrons", ne)
+		return nil, nil, fmt.Errorf("scf: molecule has %d electrons", ne)
 	}
 	if ne%2 != 0 {
-		return nil, errors.New("scf: restricted SCF requires an even electron count")
+		return nil, nil, errors.New("scf: restricted SCF requires an even electron count")
 	}
 	nocc := ne / 2
 
 	set, err := basis.Build(cfg.Basis, mol)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	eng := integrals.NewEngine(set)
 	s := eng.Overlap()
 	h := eng.CoreHamiltonian()
 	x := linalg.LowdinOrthogonalizer(s, 1e-9)
 	if x.Cols < nocc {
-		return nil, fmt.Errorf("scf: basis too linearly dependent: %d independent functions for %d occupied orbitals", x.Cols, nocc)
+		return nil, nil, fmt.Errorf("scf: basis too linearly dependent: %d independent functions for %d occupied orbitals", x.Cols, nocc)
 	}
 
 	builder := cfg.ExternalBuilder
 	if builder != nil {
 		if nb := builder.NBasis(); nb != set.NBasis {
-			return nil, fmt.Errorf("scf: external builder is bound to %d basis functions, geometry needs %d", nb, set.NBasis)
+			return nil, nil, fmt.Errorf("scf: external builder is bound to %d basis functions, geometry needs %d", nb, set.NBasis)
 		}
 	} else {
 		scr := cfg.Screening
@@ -243,7 +250,7 @@ func Run(mol *chem.Molecule, cfg Config) (*Result, error) {
 	switch {
 	case cfg.InitialDensity != nil:
 		if cfg.InitialDensity.Rows != n || cfg.InitialDensity.Cols != n {
-			return nil, fmt.Errorf("scf: initial density is %dx%d, basis needs %dx%d",
+			return nil, nil, fmt.Errorf("scf: initial density is %dx%d, basis needs %dx%d",
 				cfg.InitialDensity.Rows, cfg.InitialDensity.Cols, n, n)
 		}
 		p.CopyFrom(cfg.InitialDensity)
@@ -253,7 +260,7 @@ func Run(mol *chem.Molecule, cfg Config) (*Result, error) {
 	case cfg.Guess == "sad":
 		sadGuess(set, p)
 	default:
-		return nil, fmt.Errorf("scf: unknown guess %q (want sad or core)", cfg.Guess)
+		return nil, nil, fmt.Errorf("scf: unknown guess %q (want sad or core)", cfg.Guess)
 	}
 
 	var lastE float64
@@ -264,7 +271,7 @@ func Run(mol *chem.Molecule, cfg Config) (*Result, error) {
 	for iter := 1; iter <= cfg.MaxIter; iter++ {
 		if cfg.Ctx != nil {
 			if err := cfg.Ctx.Err(); err != nil {
-				return res, fmt.Errorf("scf: cancelled before iteration %d: %w", iter, err)
+				return res, nil, fmt.Errorf("scf: cancelled before iteration %d: %w", iter, err)
 			}
 		}
 		var j, k *linalg.Matrix
@@ -342,7 +349,13 @@ func Run(mol *chem.Molecule, cfg Config) (*Result, error) {
 		}
 		lastE = energy
 	}
-	return res, nil
+	if !forces {
+		return res, nil, nil
+	}
+	if !res.Converged {
+		return res, nil, fmt.Errorf("%w after %d iterations", ErrNotConverged, res.Iterations)
+	}
+	return res, forcesOf(mol, builder, xcInt, res.P, c, eps[:nocc], aX), nil
 }
 
 // sadGuess fills p with a superposition of (spherically averaged) neutral

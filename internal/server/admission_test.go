@@ -423,3 +423,25 @@ func TestCanonicalKeyAndPriceRequest(t *testing.T) {
 		t.Fatal("PriceRequest must validate")
 	}
 }
+
+// TestTrajectoryPricedAsSCFPlusGradient: an outer step is one SCF and one
+// analytic gradient build, whatever the atom count — not the 6N+1 SCFs of
+// a finite-difference force, which priced LiH 13× and propylene carbonate
+// 79× too dear and kept campaigns that fit out of the queue.
+func TestTrajectoryPricedAsSCFPlusGradient(t *testing.T) {
+	for _, system := range []string{"lih", "pc"} {
+		_, scfNS, err := PriceRequest(JobRequest{Kind: KindSCF, System: system}, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const steps = 7
+		_, trajNS, err := PriceRequest(JobRequest{Kind: KindTrajectory, System: system, MaxSteps: steps, RespaK: 2}, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := steps * scfNS * (scfIterationsEstimate + gradientBuildsEstimate) / scfIterationsEstimate
+		if math.Abs(trajNS-want) > 1e-9*want {
+			t.Fatalf("%s: %d-step trajectory priced %g ns, want %g (SCF job %g)", system, steps, trajNS, want, scfNS)
+		}
+	}
+}

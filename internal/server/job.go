@@ -244,9 +244,9 @@ func (r *JobRequest) validate() error {
 const maxJobRanks = 64
 
 // maxTrajectorySteps and maxTrajectoryK bound a trajectory campaign:
-// every outer step costs 6N+1 SCF runs, so an unbounded request could
-// pin a worker for hours. Long campaigns belong in cmd/aimd, where
-// checkpointing makes them resumable.
+// every outer step costs an SCF run and a gradient build, so an unbounded
+// request could pin a worker for hours. Long campaigns belong in cmd/aimd,
+// where checkpointing makes them resumable.
 const (
 	maxTrajectorySteps = 64
 	maxTrajectoryK     = 16
@@ -479,6 +479,16 @@ type prepared struct {
 // SCF job: admission ordering needs relative, not absolute, accuracy.
 const scfIterationsEstimate = 15
 
+// gradientBuildsEstimate prices the analytic gradient of a converged SCF
+// in Fock builds. Its exchange phase walks the build's own screened
+// quartets and contracts up to twelve derivative blocks one Hermite degree
+// higher for each (six when one of the two pairs sits on a single atom);
+// measured on one thread against a direct BuildJK it costs 1.1× (LiH),
+// 1.8× (H2O), 3.1× ((H2O)2), 3.3× ((H2O)3) and 3.8× (propylene carbonate)
+// in STO-3G and 1.6× for H2O/6-31G*, rising as fewer pairs share an atom,
+// and the one-electron and XC terms add a few tenths of a build.
+const gradientBuildsEstimate = 4
+
 // prepare resolves, screens and prices a normalized request. The
 // returned predicted cost is in cost-model nanoseconds. A non-nil
 // calibrator sharpens the raw cost model with the per-class correction
@@ -518,12 +528,11 @@ func prepare(req *JobRequest, threads int, sopts screen.Options, cal *steal.Cali
 	case KindSolventScan:
 		predicted *= scfIterationsEstimate * float64(req.Points)
 	case KindTrajectory:
-		// Each outer step evaluates the full surface once centrally plus
-		// 6N finite-difference displacements, each an SCF. Inner cheap
-		// steps are priced at zero (the spring reference literally is;
-		// the SCF references are bounded by the same term).
-		predicted *= scfIterationsEstimate *
-			float64(req.MaxSteps) * float64(6*mol.NAtoms()+1)
+		// Each outer step evaluates the full surface once: one SCF and
+		// its analytic gradient. Inner cheap steps are priced at zero (the
+		// spring reference literally is; the SCF references are bounded by
+		// the same term).
+		predicted *= (scfIterationsEstimate + gradientBuildsEstimate) * float64(req.MaxSteps)
 	case KindScreen:
 		// All the work already happened here at admission.
 		predicted = 0

@@ -48,9 +48,9 @@ type TrajSummary struct {
 	FinalTotal     float64        `json:"finalTotal"`
 	FinalTempK     float64        `json:"finalTempK"`
 	Steps          []TrajStepJSON `json:"steps"`
-	// SCFIterations is the session total across central and displaced
-	// runs; WarmStarts/PairListReuses/PairListBuilds expose the
-	// cross-step ΔP and screening reuse that priced the campaign.
+	// SCFIterations is the session total (one SCF per outer step, its
+	// forces analytic); WarmStarts/PairListReuses/PairListBuilds expose
+	// the cross-step ΔP and screening reuse the campaign ran on.
 	SCFIterations  int64 `json:"scfIterations"`
 	WarmStarts     int64 `json:"warmStarts"`
 	StoreSeeds     int64 `json:"storeSeeds,omitempty"`

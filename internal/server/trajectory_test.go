@@ -87,8 +87,10 @@ func TestServerTrajectoryCancelNamesStep(t *testing.T) {
 	defer ts.Close()
 	defer s.Shutdown(context.Background())
 
-	req := JobRequest{Kind: KindTrajectory, System: "water", MaxSteps: 32, RespaK: 2,
-		Ref: "spring", TimeoutMS: 300}
+	// (H2O)2 at one SCF plus one gradient per outer step runs some 60 ms
+	// a step: the full campaign outlasts the deadline more than tenfold.
+	req := JobRequest{Kind: KindTrajectory, System: "watercluster", NWater: 2,
+		MaxSteps: maxTrajectorySteps, RespaK: 2, Ref: "spring", TimeoutMS: 300}
 	res := submit(t, ts, req)
 	if res.State != StateCancelled {
 		t.Fatalf("state %q, want cancelled (err %q)", res.State, res.Error)

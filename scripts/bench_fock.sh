@@ -1,17 +1,18 @@
 #!/bin/sh
 # Benchmark the three Fock-build configurations — direct pooled, warm
 # semi-direct (full ERI cache replay), and incremental+semi-direct (ΔP
-# build on a warm cache) — the ERI kernel per angular-momentum class, and
-# the PBE0 XC integration per SCF iteration with its once-per-geometry
-# tabulation, and emit BENCH_fock.json: ns/op, quartets computed per
-# build, cache hit ratio and allocs/op per configuration; ns per primitive
-# quartet and allocs/op per class; ns/op, ns per grid point and allocs/op
-# per XC row. Each is run COUNT times and the fastest run is the
-# one recorded: the guest drifts by up to 1.6x with its neighbours' load,
-# and the minimum is the estimate least moved by it. This file is the
+# build on a warm cache) — the ERI kernel per angular-momentum class, the
+# PBE0 XC integration per SCF iteration with its once-per-geometry
+# tabulation, and the analytic gradient build whole and by phase, and emit
+# BENCH_fock.json: ns/op, quartets computed per build, cache hit ratio and
+# allocs/op per configuration; ns per primitive quartet and allocs/op per
+# class; ns/op, ns per grid point and allocs/op per XC row; ns/op and
+# allocs/op per gradient row. Each is run COUNT times and the fastest run
+# is the one recorded: the guest drifts by up to 1.6x with its neighbours'
+# load, and the minimum is the estimate least moved by it. This file is the
 # committed bench baseline; scripts/check.sh fails when the semi-direct
-# ns/op regresses >20%, or the direct pooled build, any kernel class or
-# any XC row >25%, against it.
+# ns/op regresses >20%, or the direct pooled build, any kernel class, any
+# XC row or any gradient row >25%, against it.
 #
 # Usage: scripts/bench_fock.sh [output.json]
 # BENCHTIME overrides -benchtime (default 3x), COUNT overrides -count
@@ -31,9 +32,13 @@ go test ./internal/integrals/ -run '^$' -bench 'BenchmarkERIClass' \
 # anywhere between the one- and the two-thread time.
 go test ./internal/dft/ -run '^$' -bench 'Benchmark(IntegratePBE0|XCTabulate)' -cpu 1 \
 	-benchtime "${CLASSTIME:-0.2s}" -count "${COUNT:-5}" | tee -a "$raw"
+# The gradient of a converged SCF on warm objects, by phase (see
+# BenchmarkGradient); one builder thread, as in the served AIMD step.
+go test ./internal/scf/ -run '^$' -bench 'BenchmarkGradient' -cpu 1 \
+	-benchtime "${CLASSTIME:-0.2s}" -count "${COUNT:-5}" | tee -a "$raw"
 
 awk '
-/^Benchmark(BuildJK|ERIClass|IntegratePBE0|XCTabulate)/ {
+/^Benchmark(BuildJK|ERIClass|IntegratePBE0|XCTabulate|Gradient)/ {
 	name = $1; sub(/-[0-9]+$/, "", name)
 	ns = "null"; q = "null"; hr = "null"; al = "null"; pq = "null"; pp = "null"
 	for (i = 2; i < NF; i++) {
@@ -51,6 +56,8 @@ awk '
 		lines[idx[name]] = sprintf("  \"%s\": {\"ns_per_primquartet\": %s, \"allocs_per_op\": %s}", name, pq, al)
 	else if (name ~ /IntegratePBE0|XCTabulate/)
 		lines[idx[name]] = sprintf("  \"%s\": {\"ns_per_op\": %s, \"ns_per_point\": %s, \"allocs_per_op\": %s}", name, ns, pp, al)
+	else if (name ~ /Gradient/)
+		lines[idx[name]] = sprintf("  \"%s\": {\"ns_per_op\": %s, \"allocs_per_op\": %s}", name, ns, al)
 	else
 		lines[idx[name]] = sprintf("  \"%s\": {\"ns_per_op\": %s, \"quartets_per_op\": %s, \"cache_hit_ratio\": %s, \"allocs_per_op\": %s}", name, ns, q, hr, al)
 }

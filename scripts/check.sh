@@ -9,13 +9,13 @@
 # and — first, while the guest is rested — the Fock bench regression gate:
 # a fresh scripts/bench_fock.sh run (fastest of five per configuration, as
 # the baseline was recorded) must not regress semi-direct ns/op by >20%,
-# nor the direct pooled build's ns/op, any ERI class's ns/primquartet or
-# the PBE0 XC integration's / tabulation's ns/op by >25% (and XC
-# integration must stay at 0 allocs/op), against the committed
-# BENCH_fock.json baseline. The ERI kernel
-# gets a package-level race pass (naive-reference sweep, R programs ==
-# recurrence, batched Boys == scalar bitwise, alloc guard) and the cost
-# model's measured 2x band run alone without the detector. The mprt
+# nor the direct pooled build's ns/op, any ERI class's ns/primquartet,
+# the PBE0 XC integration's / tabulation's ns/op or any analytic-gradient
+# row's ns/op (whole build and per phase) by >25% (and XC integration must
+# stay at 0 allocs/op), against the committed BENCH_fock.json baseline.
+# The ERI kernel gets a package-level race pass (naive-reference sweep, R
+# programs == recurrence, batched Boys == scalar bitwise, alloc guard) and
+# the cost model's measured 2x band run alone without the detector. The mprt
 # runtime gets its own race pass (the collectives and the
 # bitwise-pinned distributed build), a model gate
 # (TestMeasuredStepsMatchModel fails when the measured collective step
@@ -43,7 +43,8 @@
 # error must stay within 1.75x of the raw cost model's.
 # The RESPA multiple-time-step layer gets a race pass (the k-sweep drift
 # gates, bitwise resume on and between outer boundaries, the cross-step
-# session's warm-start/invalidation tests, the hfxd trajectory job),
+# session's warm-start/invalidation tests and its analytic forces against
+# cold finite differences, the hfxd trajectory job),
 # a SIGKILL crash-restart smoke over a k=2 campaign (scripts/smoke_mts.sh,
 # resume must land bitwise on the uninterrupted reference), and the full
 # m1 gate run: the k=4 drift must stay within the committed k^2 bound of
@@ -94,6 +95,12 @@ for row in $(sed -n -e 's|.*"\(BenchmarkIntegratePBE0/[A-Za-z0-9]*\)".*|\1|p' \
 	-e 's|.*"\(BenchmarkXCTabulate/[A-Za-z0-9]*\)".*|\1|p' BENCH_fock.json); do
 	gate "$row" ns_per_op 25
 	case "$row" in BenchmarkIntegratePBE0/*) test "$(extract "$row" allocs_per_op "$fresh")" = 0 ;; esac
+done
+# Analytic gradient rows: the whole build on warm objects and its phases
+# (ERI-derivative contraction, XC pass with and without the ∇∇φ
+# tabulation, one-electron terms) on LiH, H2O and (H2O)2.
+for row in $(sed -n 's|.*"\(BenchmarkGradient/[A-Za-z0-9/-]*\)".*|\1|p' BENCH_fock.json); do
+	gate "$row" ns_per_op 25
 done
 
 go test -race ./...
@@ -188,10 +195,12 @@ rm -f "$w1_json"
 # RESPA multiple time stepping: race pass over the integrator (drift
 # across k, bitwise resume on and between outer boundaries, split
 # fingerprint rejection), the cross-step session (ΔP warm start,
-# pair-list invalidation bound, seeded FD displacements), and the hfxd
+# pair-list invalidation bound, analytic forces == cold finite differences
+# with no displaced run, the state-free evaluator, the typed refusal of an
+# unconverged SCF, the per-evaluation allocation guard), and the hfxd
 # trajectory job (streamed steps, cancel-names-step, journal replay).
 go test -race -count=1 ./internal/respa/
-go test -race -count=1 ./internal/md/ -run 'TestSession|TestForcesNSeeded'
+go test -race -count=1 ./internal/md/ -run 'TestSession|TestSCFForcesMatchColdFD'
 go test -race -count=1 ./internal/ckpt/ -run 'TestRespa|TestPlainStateImageUnchanged'
 go test -race -count=1 ./internal/server/ -run 'TestServerTrajectory'
 # SIGKILL crash-restart smoke over a k=2 campaign: the resumed run's
