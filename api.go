@@ -391,7 +391,7 @@ func BuildRespaReference(mode string, mol *Molecule, cfg SCFConfig, fdStep float
 }
 
 // MDSession carries SCF state across the consecutive geometries of one
-// trajectory: ΔP warm starts from the previous step's density,
+// trajectory: SCF seeds extrapolated from the previous steps' densities,
 // screening-pair-list reuse under a max-displacement invalidation
 // bound, and in-place exchange-builder rebinding.
 type MDSession = md.Session

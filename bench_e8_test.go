@@ -197,6 +197,7 @@ func BenchmarkE8PeroxideDynamics(b *testing.B) {
 	b.ReportMetric(float64(wall.Milliseconds())/n, "ms/outer-step")
 	b.ReportMetric(float64(iters)/n, "scf-iters/outer-step")
 	b.ReportMetric(drift, "drift-Eh/atom")
+	b.ReportMetric(float64(fallbacks), "cold-fallbacks")
 	once("e8c", func() {
 		fmt.Printf("\n[E8] (c) PC + Li2O2 dynamics (PBE0/STO-3G, RESPA k=%d, spring reference, 300 K, %d outer steps)\n", respaK, len(steps))
 		fmt.Printf("%10s %16s %14s %10s %10s\n", "t[fs]", "E_total[Eh]", "min O…C[bohr]", "wall[s]", "SCF iters")
@@ -205,7 +206,7 @@ func BenchmarkE8PeroxideDynamics(b *testing.B) {
 		}
 		fmt.Printf("drift %.2e Eh/atom; one SCF + one gradient build per outer step (finite differences: 103 SCFs)\n", drift)
 		if fallbacks > 0 {
-			fmt.Printf("%d of %d force evaluations: the ΔP-warm-started SCF ran out of iterations and the session recomputed the step cold\n",
+			fmt.Printf("%d of %d force evaluations: the seeded SCF ran out of iterations and the session recomputed the step cold\n",
 				fallbacks, len(steps)+1)
 		}
 	})

@@ -33,7 +33,7 @@ var (
 //  1. MTS sweep — the same simulated time span (m1Steps inner steps of
 //     m1Dt fs) integrated at k ∈ {1, 2, 4}: the full SCF surface every
 //     k-th step, the analytic spring reference in between, the
-//     cross-step session (ΔP warm start + pair-list rebind) feeding
+//     cross-step session (density predictor + pair-list rebind) feeding
 //     every full evaluation — one SCF plus one analytic gradient. The
 //     cost metric is SCF iterations per inner step — machine-independent,
 //     unlike wall clock. Gate: the k=4 per-atom energy drift stays within
@@ -61,7 +61,7 @@ const (
 	m1DriftFloor = 1e-6
 	// m1DriftCeiling is the absolute per-atom drift ceiling at any k.
 	m1DriftCeiling = 5e-4
-	// m1ReuseMax is the committed warm/cold cost ratio: the ΔP +
+	// m1ReuseMax is the committed warm/cold cost ratio: the predictor +
 	// pair-list session must shave at least 10% of the SCF iterations
 	// per step off the cold-per-step baseline.
 	m1ReuseMax = 0.9

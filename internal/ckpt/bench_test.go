@@ -80,7 +80,7 @@ func benchJournalAppend(b *testing.B, fsync bool) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Step = int64(i)
-		if _, err := j.append(s); err != nil {
+		if _, err := j.writeRaw(frame(EncodeState(s))); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -101,7 +101,7 @@ func BenchmarkResumeReplay(b *testing.B) {
 	}
 	for step := int64(1); step <= 100; step++ {
 		s.Step = step
-		if _, err := j.append(s); err != nil {
+		if _, err := j.writeRaw(frame(EncodeState(s))); err != nil {
 			b.Fatal(err)
 		}
 	}

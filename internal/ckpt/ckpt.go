@@ -41,6 +41,19 @@
 // and is discarded. The journal is truncated after every durable
 // snapshot, bounding its size to Every records.
 //
+// # Write-behind
+//
+// Writer.OnStep encodes and frames the step's record, hands it to a
+// goroutine that writes and fsyncs it, and returns: the trajectory
+// computes step n+1 while record n goes to disk. OnStep(n+1), a snapshot
+// and Close first wait for record n, so at most one record is ever in
+// flight, a failed write is reported by the next of those calls, and the
+// goroutine has exited by the time Close returns. Records still reach the
+// file whole and in order, so whatever instant the process dies at, the
+// journal is a CRC-framed prefix of the run: the resume point is the last
+// step handed over or the one before it, and either way the resumed
+// trajectory is the uninterrupted one.
+//
 // # Resume invariant
 //
 // Load picks the most advanced durable state: the last valid journal

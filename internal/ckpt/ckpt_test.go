@@ -6,7 +6,10 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
+	"time"
 
 	"hfxmd/internal/chem"
 )
@@ -253,5 +256,96 @@ func TestWriterMetrics(t *testing.T) {
 	}
 	if reg.Timer.Get("ckpt.snapshot_write") <= 0 {
 		t.Fatal("snapshot_write wall not charged")
+	}
+}
+
+// TestJournalWriteBehind: OnStep returns once the record is handed over,
+// before it is on disk. A process killed in that window leaves the journal
+// it had — a valid prefix ending at the previous record, which restores bit
+// for bit — the next OnStep and Close each wait for the record in flight,
+// a failed write surfaces at the next call, and no goroutine outlives Close.
+func TestJournalWriteBehind(t *testing.T) {
+	before := runtime.NumGoroutine()
+	dir := t.TempDir()
+	w, err := NewWriter(Config{Dir: dir, Every: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for step := int64(0); step <= 3; step++ {
+		if err := w.OnStep(testState(step, 2)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Hold record 4 back between hand-off and write (record 3 must have
+	// landed first: its goroutine would read the hook too).
+	if err := w.settle(); err != nil {
+		t.Fatal(err)
+	}
+	reached, release := make(chan struct{}), make(chan struct{})
+	w.beforeWrite = func() {
+		close(reached)
+		<-release
+	}
+	if err := w.OnStep(testState(4, 2)); err != nil {
+		t.Fatal(err)
+	}
+	<-reached
+	w.beforeWrite = nil
+	// What a SIGKILL at this instant leaves behind.
+	killed := t.TempDir()
+	img, err := os.ReadFile(journalPath(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(journalPath(killed), img, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	r, err := Load(killed, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.JournalStep != 3 || len(img) != validPrefixLen(img) {
+		t.Fatalf("killed in flight: journal ends at step %d, %d of %d bytes valid", r.JournalStep, validPrefixLen(img), len(img))
+	}
+	sameState(t, r.State, testState(3, 2))
+
+	// The next step waits for record 4, and Close for record 5.
+	close(release)
+	if err := w.OnStep(testState(5, 2)); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := readJournal(journalPath(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 6 {
+		t.Fatalf("journal holds %d records after Close, want 6", len(recs))
+	}
+	for i, rec := range recs {
+		sameState(t, rec, testState(int64(i), 2))
+	}
+
+	// A write that fails is reported by the call that waits for it.
+	w2, err := NewWriter(Config{Dir: t.TempDir(), Every: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w2.j.f.Close() // the record in flight will find the file gone
+	if err := w2.OnStep(testState(0, 2)); err != nil {
+		t.Fatalf("hand-off reported %v", err)
+	}
+	if err := w2.OnStep(testState(1, 2)); err == nil || !strings.Contains(err.Error(), "journal append step 0") {
+		t.Fatalf("step 1 did not report step 0's failed write: %v", err)
+	}
+	w2.Close()
+
+	for i := 0; runtime.NumGoroutine() > before; i++ {
+		if i == 1000 {
+			t.Fatalf("%d goroutines after Close, %d before", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

@@ -97,11 +97,6 @@ func frame(payload []byte) []byte {
 	return append(b, payload...)
 }
 
-// append durably adds one state record.
-func (j *journal) append(s *MDState) (int, error) {
-	return j.writeRaw(frame(EncodeState(s)))
-}
-
 // writeRaw appends bytes (possibly a deliberately torn prefix, for the
 // fault plan) and syncs.
 func (j *journal) writeRaw(b []byte) (int, error) {

@@ -54,11 +54,24 @@ type Config struct {
 
 // Writer persists an MD trajectory: one journal record per step and a
 // ring of periodic snapshots. Not safe for concurrent use — MD steps
-// are sequential by construction.
+// are sequential by construction. Journal records are written behind
+// the trajectory (see the package comment): between OnStep calls a
+// goroutine of the Writer's may own the journal.
 type Writer struct {
 	cfg      Config
 	j        *journal
 	lastSnap string
+
+	// The record in flight: written carries its outcome once inFlight
+	// is set, and the journal belongs to the writing goroutine until
+	// that outcome has been received.
+	written      chan error
+	inFlight     bool
+	inFlightStep int64
+	// beforeWrite, if set, runs on the writing goroutine before the
+	// record reaches the file — the tests' window between hand-off and
+	// write.
+	beforeWrite func()
 }
 
 // NewWriter opens a checkpoint directory for writing.
@@ -79,7 +92,7 @@ func NewWriter(cfg Config) (*Writer, error) {
 	if err != nil {
 		return nil, err
 	}
-	w := &Writer{cfg: cfg, j: j}
+	w := &Writer{cfg: cfg, j: j, written: make(chan error, 1)}
 	if steps, err := ListSnapshots(cfg.Dir); err == nil && len(steps) > 0 {
 		w.lastSnap = filepath.Join(cfg.Dir, SnapshotName(steps[len(steps)-1]))
 	}
@@ -97,14 +110,33 @@ func (w *Writer) reg() *trace.Registry {
 	return w.cfg.Registry
 }
 
-// OnStep makes one completed MD step durable: a journal record always,
-// plus a snapshot (and journal reset) every cfg.Every steps. Fault-plan
-// crashes surface as ErrInjectedCrash after the injected damage is on
-// disk.
+// settle waits for the journal record in flight, if any, and reports
+// its outcome.
+func (w *Writer) settle() error {
+	if !w.inFlight {
+		return nil
+	}
+	w.inFlight = false
+	if err := <-w.written; err != nil {
+		return fmt.Errorf("ckpt: journal append step %d: %w", w.inFlightStep, err)
+	}
+	return nil
+}
+
+// OnStep persists one completed MD step: a journal record always, plus
+// a snapshot (and journal reset) every cfg.Every steps. The record is
+// encoded before OnStep returns and written behind it; OnStep first
+// waits for the previous step's record, whose failure it reports.
+// Fault-plan crashes surface as ErrInjectedCrash after the injected
+// damage is on disk.
 func (w *Writer) OnStep(s *MDState) error {
 	reg := w.reg()
 	crash := w.cfg.Plan != nil && w.cfg.Plan.CrashAtStep > 0 && s.Step == w.cfg.Plan.CrashAtStep
 
+	t0 := time.Now()
+	if err := w.settle(); err != nil {
+		return err
+	}
 	if crash && w.cfg.Plan.TornWrite {
 		fr := frame(EncodeState(s))
 		if _, err := w.j.writeRaw(fr[:len(fr)/2]); err != nil {
@@ -113,16 +145,28 @@ func (w *Writer) OnStep(s *MDState) error {
 		return fmt.Errorf("journal record for step %d torn: %w", s.Step, ErrInjectedCrash)
 	}
 
-	t0 := time.Now()
-	n, err := w.j.append(s)
-	if err != nil {
-		return fmt.Errorf("ckpt: journal append step %d: %w", s.Step, err)
+	rec := frame(EncodeState(s))
+	w.inFlight, w.inFlightStep = true, s.Step
+	go func() {
+		if w.beforeWrite != nil {
+			w.beforeWrite()
+		}
+		_, err := w.j.writeRaw(rec)
+		w.written <- err
+	}()
+	reg.Counter("ckpt.journal_appends").Add(1)
+	reg.Counter("ckpt.journal_bytes").Add(int64(len(rec)))
+
+	// A snapshot resets the journal and a planned crash leaves it to be
+	// read: both need this record on disk first.
+	snap := s.Step > 0 && s.Step%w.cfg.Every == 0
+	if snap || crash {
+		if err := w.settle(); err != nil {
+			return err
+		}
 	}
 	reg.Timer.Charge("ckpt.journal_append", time.Since(t0))
-	reg.Counter("ckpt.journal_appends").Add(1)
-	reg.Counter("ckpt.journal_bytes").Add(int64(n))
-
-	if s.Step > 0 && s.Step%w.cfg.Every == 0 {
+	if snap {
 		if err := w.snapshot(s); err != nil {
 			return err
 		}
@@ -161,12 +205,16 @@ func (w *Writer) snapshot(s *MDState) error {
 	return nil
 }
 
-// Close releases the journal handle. The directory remains resumable.
+// Close waits for the record in flight and releases the journal handle.
+// The directory remains resumable.
 func (w *Writer) Close() error {
 	if w.j == nil {
 		return nil
 	}
-	err := w.j.close()
+	err := w.settle()
+	if cerr := w.j.close(); err == nil {
+		err = cerr
+	}
 	w.j = nil
 	return err
 }

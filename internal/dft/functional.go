@@ -182,7 +182,7 @@ func pbeXC(rho, gamma, ax float64) (f, dfdrho, dfdgamma float64) {
 	ec, vc := vwn5x(math.Sqrt(rsCoef / r13))
 	dt2 := math.Pi / (16 * kf * rho * rho) // ∂t²/∂γ
 	t2 := gamma * dt2
-	b := pbeGamma / pbeBeta * math.Expm1(-ec/pbeGamma)
+	b := pbeGamma / pbeBeta * expm1(-ec/pbeGamma)
 	p := b*b + b*t2 + t2*t2
 	g := t2 * b * (b + t2) / p
 	h := pbeGamma * math.Log1p(pbeBeta/pbeGamma*g)
@@ -195,6 +195,15 @@ func pbeXC(rho, gamma, ax float64) (f, dfdrho, dfdgamma float64) {
 	dfdrho += vc + h - 7.0/3*t2*dhdt2 + dhdec*(vc-ec)
 	dfdgamma += rho * dhdt2 * dt2
 	return f, dfdrho, dfdgamma
+}
+
+// expm1 is e^x − 1. Above ½ the subtraction loses under one bit, and
+// math.Expm1's extra care costs more than math.Exp.
+func expm1(x float64) float64 {
+	if x > 0.5 {
+		return math.Exp(x) - 1
+	}
+	return math.Expm1(x)
 }
 
 // ---------------------------------------------------------------------------

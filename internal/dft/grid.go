@@ -162,7 +162,7 @@ func BuildGrid(mol *chem.Molecule, spec GridSpec) *Grid {
 		spec.NAngular = DefaultGridSpec().NAngular
 	}
 	angPts, angW := lebedev(spec.NAngular)
-	g := &Grid{}
+	g := &Grid{Points: make([]GridPoint, 0, mol.NAtoms()*spec.NRadial*len(angPts))}
 	part := newBecke(mol)
 	for ai, atom := range mol.Atoms {
 		rm := beckeRM(atom.El)
@@ -206,13 +206,20 @@ type becke struct {
 
 func newBecke(mol *chem.Molecule) *becke {
 	n := mol.NAtoms()
-	b := &becke{atoms: mol.Atoms, dist: make([]float64, n*n), r: make([]float64, n), cell: make([]float64, n)}
+	b := &becke{dist: make([]float64, n*n), r: make([]float64, n), cell: make([]float64, n)}
+	b.bind(mol)
+	return b
+}
+
+// bind points b at mol, a molecule of as many atoms as b was sized for.
+func (b *becke) bind(mol *chem.Molecule) {
+	n := mol.NAtoms()
+	b.atoms = mol.Atoms
 	for i, ai := range mol.Atoms {
 		for j, aj := range mol.Atoms {
 			b.dist[i*n+j] = aj.Pos.Sub(ai.Pos).Norm()
 		}
 	}
-	return b
 }
 
 // weight returns the partition weight of grid point p belonging to atom

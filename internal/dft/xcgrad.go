@@ -1,11 +1,7 @@
 package dft
 
 import (
-	"math"
-
-	"hfxmd/internal/basis"
 	"hfxmd/internal/chem"
-	"hfxmd/internal/integrals"
 	"hfxmd/internal/linalg"
 )
 
@@ -26,15 +22,6 @@ import (
 // The result is the exact derivative of what Integrate computes on a grid
 // rebuilt at the displaced geometry, not of the continuum integral.
 
-// xcGradTables is what Gradient needs beyond Integrate's tables. It is
-// built by the first Gradient call, so an integrator that only ever serves
-// SCF iterations never carries it.
-type xcGradTables struct {
-	dphi   [][3]float64 // ∇φ, points × n: the integrator's own table for a GGA
-	hphi   [][6]float64 // ∇∇φ (xx, xy, xz, yy, yz, zz), points × n; nil for an LDA
-	fnAtom []int        // atom of every basis function
-}
-
 // xcGradScratch is one chunk's working set and partial gradient.
 type xcGradScratch struct {
 	g     []float64 // 3 × atoms
@@ -43,36 +30,47 @@ type xcGradScratch struct {
 	u, dw []chem.Vec3
 }
 
+// bindGradScratch points the chunks' Becke partitions at the bound
+// molecule, (re)allocating every chunk's gradient scratch — one slab each
+// for the floats and the vectors — when the atom count or basis size moved.
+func (it *Integrator) bindGradScratch() {
+	mol, n := it.set.Mol, it.n
+	natoms := mol.NAtoms()
+	first := &it.slab[0].grad
+	if len(first.g) != 3*natoms || len(first.t) != n {
+		floats := make([]float64, xcChunks*(5*natoms+2*n)+natoms*natoms)
+		vecs := make([]chem.Vec3, xcChunks*2*natoms)
+		cut := func(k int) []float64 {
+			s := floats[:k:k]
+			floats = floats[k:]
+			return s
+		}
+		dist := cut(natoms * natoms)
+		for ci := range it.slab {
+			s := &it.slab[ci].grad
+			s.g, s.t, s.a = cut(3*natoms), cut(n), cut(n)
+			s.part = becke{dist: dist, r: cut(natoms), cell: cut(natoms)}
+			s.u, s.dw = vecs[:natoms:natoms], vecs[natoms:2*natoms:2*natoms]
+			vecs = vecs[2*natoms:]
+		}
+	}
+	first.part.bind(mol) // dist is shared by all the chunks
+	for ci := range it.slab {
+		it.slab[ci].grad.part.atoms = mol.Atoms
+	}
+}
+
 // Gradient returns the nuclear-coordinate gradient of the XC energy
 // Integrate(p).Energy at fixed density p, one vector per atom. The chunks'
 // partial gradients are merged in index order, so like Integrate the bits
-// do not depend on GOMAXPROCS. After the first call on an integrator it
+// do not depend on GOMAXPROCS. On an integrator bound for forces it
 // allocates only its result.
 func (it *Integrator) Gradient(p *linalg.Matrix) []chem.Vec3 {
-	natoms := it.set.Mol.NAtoms()
-	if it.grad == nil {
-		it.grad = newXCGradTables(it)
-		// One slab each for all the chunks' scratch.
-		scratch := make([]xcGradScratch, len(it.chunks))
-		shared := newBecke(it.set.Mol)
-		floats := make([]float64, len(it.chunks)*(5*natoms+2*it.n))
-		vecs := make([]chem.Vec3, len(it.chunks)*2*natoms)
-		cut := func(n int) []float64 {
-			s := floats[:n:n]
-			floats = floats[n:]
-			return s
-		}
-		for ci := range it.chunks {
-			s := &scratch[ci]
-			s.g, s.t, s.a = cut(3*natoms), cut(it.n), cut(it.n)
-			s.part = becke{atoms: shared.atoms, dist: shared.dist, r: cut(natoms), cell: cut(natoms)}
-			s.u, s.dw = vecs[:natoms:natoms], vecs[natoms:2*natoms:2*natoms]
-			vecs = vecs[2*natoms:]
-			it.chunks[ci].grad = s
-		}
+	if !it.forces {
+		it.Rebind(it.f, it.set, it.grid, true)
 	}
 	it.run(p, true)
-	out := make([]chem.Vec3, natoms)
+	out := make([]chem.Vec3, it.set.Mol.NAtoms())
 	for ci := range it.chunks {
 		g := it.chunks[ci].grad.g
 		for a := range out {
@@ -84,85 +82,12 @@ func (it *Integrator) Gradient(p *linalg.Matrix) []chem.Vec3 {
 	return out
 }
 
-func newXCGradTables(it *Integrator) *xcGradTables {
-	set, n, np := it.set, it.n, len(it.pts)
-	gt := &xcGradTables{dphi: it.dphi, fnAtom: make([]int, n)}
-	for si := range set.Shells {
-		sh := &set.Shells[si]
-		for k := 0; k < sh.NFuncs(); k++ {
-			gt.fnAtom[sh.Index+k] = sh.Atom
-		}
-	}
-	if gt.dphi == nil {
-		gt.dphi = make([][3]float64, np*n)
-		vals := make([]float64, n)
-		for i, pt := range it.pts {
-			EvalBasis(set, pt.Pos, vals, gt.dphi[i*n:(i+1)*n])
-		}
-	} else {
-		gt.hphi = make([][6]float64, np*n)
-		for i, pt := range it.pts {
-			evalBasisHessian(set, pt.Pos, gt.hphi[i*n:(i+1)*n])
-		}
-	}
-	return gt
-}
-
-// evalBasisHessian computes the second derivatives of every basis function
-// at point r, in the order xx, xy, xz, yy, yz, zz. hess must have length
-// set.NBasis.
-func evalBasisHessian(set *basis.Set, r chem.Vec3, hess [][6]float64) {
-	for si := range set.Shells {
-		sh := &set.Shells[si]
-		d := [3]float64{r[0] - sh.Center[0], r[1] - sh.Center[1], r[2] - sh.Center[2]}
-		r2 := d[0]*d[0] + d[1]*d[1] + d[2]*d[2]
-		// Radial sums R_k = Σ c·α^k·e^{−αr²}.
-		var rad0, rad1, rad2 float64
-		for pi, alpha := range sh.Exps {
-			e := sh.Coefs[pi] * math.Exp(-alpha*r2)
-			rad0 += e
-			rad1 += alpha * e
-			rad2 += alpha * alpha * e
-		}
-		for ci, comp := range integrals.Components(sh.L) {
-			// m = x^l, dm = l·x^{l−1}, ddm = l(l−1)·x^{l−2} per axis.
-			m, dm, ddm := [3]float64{1, 1, 1}, [3]float64{}, [3]float64{}
-			for k, l := range [3]int{comp.X, comp.Y, comp.Z} {
-				for ; l > 0; l-- {
-					ddm[k] = ddm[k]*d[k] + 2*dm[k]
-					dm[k] = dm[k]*d[k] + m[k]
-					m[k] *= d[k]
-				}
-			}
-			ang := m[0] * m[1] * m[2]
-			da := [3]float64{dm[0] * m[1] * m[2], m[0] * dm[1] * m[2], m[0] * m[1] * dm[2]}
-			norm := integrals.ComponentNorm(comp)
-			// ∂_i∂_j[ang·R(r²)] = ∂_i∂_j ang·R_0 − 2(d_j·∂_i ang + d_i·∂_j ang + δ_ij·ang)·R_1 + 4d_i·d_j·ang·R_2.
-			second := func(i, j int, dda float64) float64 {
-				v := dda*rad0 - 2*(d[j]*da[i]+d[i]*da[j])*rad1 + 4*d[i]*d[j]*ang*rad2
-				if i == j {
-					v -= 2 * ang * rad1
-				}
-				return norm * v
-			}
-			hess[sh.Index+ci] = [6]float64{
-				second(0, 0, ddm[0]*m[1]*m[2]),
-				second(0, 1, dm[0]*dm[1]*m[2]),
-				second(0, 2, dm[0]*m[1]*dm[2]),
-				second(1, 1, m[0]*ddm[1]*m[2]),
-				second(1, 2, m[0]*dm[1]*dm[2]),
-				second(2, 2, m[0]*m[1]*ddm[2]),
-			}
-		}
-	}
-}
-
 // gradientChunk accumulates the chunk's share of the gradient.
 func (it *Integrator) gradientChunk(c *xcChunk) {
-	gt, s, n := it.grad, c.grad, it.n
+	s, n, gga := &c.grad, it.n, it.f.NeedsGradient()
 	clear(s.g)
 	for i := c.lo; i < c.hi; i++ {
-		phi, dphi := it.phi[i*n:(i+1)*n], gt.dphi[i*n:(i+1)*n]
+		phi, dphi := it.phi[i*n:(i+1)*n], it.dphi[i*n:(i+1)*n]
 		var rho float64
 		for mu := range s.t {
 			var v float64
@@ -176,7 +101,7 @@ func (it *Integrator) gradientChunk(c *xcChunk) {
 			continue
 		}
 		var grho [3]float64
-		if gt.hphi != nil {
+		if gga {
 			for mu, x := range s.t {
 				grho[0] += x * dphi[mu][0]
 				grho[1] += x * dphi[mu][1]
@@ -193,7 +118,7 @@ func (it *Integrator) gradientChunk(c *xcChunk) {
 			s.a[nu] = ar*phi[nu] + ag*(grho[0]*dphi[nu][0]+grho[1]*dphi[nu][1]+grho[2]*dphi[nu][2])
 		}
 		own := s.g[3*pt.Atom : 3*pt.Atom+3]
-		for mu, atom := range gt.fnAtom {
+		for mu, atom := range it.fnAtom {
 			if atom == pt.Atom {
 				continue // moves with the point
 			}
@@ -202,8 +127,8 @@ func (it *Integrator) gradientChunk(c *xcChunk) {
 				q += x * s.a[nu]
 			}
 			v := [3]float64{dphi[mu][0] * q, dphi[mu][1] * q, dphi[mu][2] * q}
-			if gt.hphi != nil {
-				h, tg := &gt.hphi[i*n+mu], ag*s.t[mu]
+			if gga {
+				h, tg := &it.hphi[i*n+mu], ag*s.t[mu]
 				v[0] += tg * (h[0]*grho[0] + h[1]*grho[1] + h[2]*grho[2])
 				v[1] += tg * (h[1]*grho[0] + h[3]*grho[1] + h[4]*grho[2])
 				v[2] += tg * (h[2]*grho[0] + h[4]*grho[1] + h[5]*grho[2])

@@ -7,6 +7,7 @@ import (
 
 	"hfxmd/internal/basis"
 	"hfxmd/internal/chem"
+	"hfxmd/internal/dft"
 	"hfxmd/internal/hfx"
 	"hfxmd/internal/integrals"
 	"hfxmd/internal/linalg"
@@ -29,17 +30,17 @@ type SessionOptions struct {
 	// persisted prefix density (the same "density:" namespace hfxd and
 	// StoredSCFPotential share) and persists each converged density
 	// back, so trajectories warm-start across processes and fleet
-	// instances. Within a session the in-memory previous-step density
-	// always wins — it is one step old, the best seed there is.
+	// instances. Within a session the predictor's own history always
+	// wins — it is one step old, the best seed there is.
 	Store *store.Store
 }
 
 // SessionStats counts the session's reuse traffic.
 type SessionStats struct {
 	// Runs counts SCF evaluations (one per Run or Forces call);
-	// WarmStarts of them were seeded from the previous step's density,
-	// StoreSeeds from a persisted prefix density, ColdStarts from the
-	// SAD guess.
+	// WarmStarts of them were seeded by the density predictor from the
+	// steps before, StoreSeeds from a persisted prefix density,
+	// ColdStarts from the SAD guess.
 	Runs, WarmStarts, StoreSeeds, ColdStarts int64
 	// PairListBuilds/PairListReuses count screening decisions;
 	// a build replaces the builder, a reuse rebinds it in place.
@@ -53,13 +54,23 @@ type SessionStats struct {
 	DisplacedRuns int64
 	// Fallbacks counts seeded runs that failed and were retried cold.
 	Fallbacks int64
+	// PredictorOrder is the extrapolation order of the latest run's seed
+	// (0 when it was not seeded from the trajectory's own history).
+	PredictorOrder int
+	// XCPasses counts the passes over the XC tables, one per SCF
+	// iteration plus one per gradient. LivePoints of the latest
+	// geometry's GridPoints carried any basis amplitude and are all those
+	// passes touch.
+	XCPasses               int64
+	LivePoints, GridPoints int
 }
 
 // Session carries SCF state across the consecutive geometries of one
-// trajectory: the previous step's converged density (ΔP warm start),
-// the screening pair list under a max-displacement invalidation bound,
-// and a persistent hfx.Builder rebound in place so the semi-direct
-// cache's admission plan and slab memory survive from step to step.
+// trajectory: a density predictor over the last few converged steps, the
+// screening pair list under a max-displacement invalidation bound, a
+// persistent hfx.Builder rebound in place so the semi-direct cache's
+// admission plan and slab memory survive from step to step, and the XC
+// integrator with its tables.
 //
 // A seeded SCF converges to the same tolerance but not the same bits as
 // a cold one, so session trajectories are not bitwise comparable to
@@ -74,7 +85,8 @@ type Session struct {
 	opt SessionOptions
 
 	mu      sync.Mutex
-	prevP   *linalg.Matrix
+	pred    predictor
+	xc      dft.Integrator
 	scr     *screen.Result
 	builder *hfx.Builder
 	refPos  []chem.Vec3 // geometry the pair list was built at
@@ -119,10 +131,11 @@ func (s *Session) Stats() SessionStats {
 }
 
 // Run performs one SCF at the given geometry with every cross-step
-// shortcut the session has banked: ΔP warm start from the previous
-// converged density, pair-list reuse within the displacement bound, and
-// in-place builder rebinding. A failed seeded run falls back to a cold
-// one (unless the failure is a context cancellation, which propagates).
+// shortcut the session has banked: a seed extrapolated from the previous
+// converged densities, pair-list reuse within the displacement bound, and
+// in-place builder and integrator rebinding. A failed seeded run falls back
+// to a cold one (unless the failure is a context cancellation, which
+// propagates).
 func (s *Session) Run(m *chem.Molecule) (*scf.Result, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -148,11 +161,15 @@ func (s *Session) runLocked(m *chem.Molecule, solve func(*chem.Molecule, scf.Con
 
 	// Screening-list reuse, guarded by composition identity and the
 	// max-displacement invalidation bound.
-	reuse := s.builder != nil && s.sameComposition(m) &&
-		screen.MaxDisplacement(s.refPos, m) <= s.opt.MaxDisplacement
+	same := s.builder != nil && s.sameComposition(m)
+	if !same {
+		s.pred.clear()
+	}
+	reuse := same && screen.MaxDisplacement(s.refPos, m) <= s.opt.MaxDisplacement
 	if reuse {
 		reuse = s.builder.Rebind(eng) == nil
 	}
+	pos := positionsOf(m)
 	if reuse {
 		s.stats.PairListReuses++
 	} else {
@@ -161,32 +178,30 @@ func (s *Session) runLocked(m *chem.Molecule, solve func(*chem.Molecule, scf.Con
 		}
 		s.scr = screen.BuildPairList(eng, s.cfg.Screen)
 		s.builder = hfx.NewBuilder(eng, s.scr, s.cfg.HFX)
-		s.refPos = positionsOf(m)
+		s.refPos = pos
 		s.refEl = elementsOf(m)
 		s.stats.PairListBuilds++
 	}
 
-	run := s.cfg
-	run.Screening = s.scr
-	run.ExternalBuilder = s.builder
-	seeded := false
+	cold := s.cfg
+	cold.Screening = s.scr
+	cold.ExternalBuilder = s.builder
+	cold.ExternalIntegrator = &s.xc
+	run := cold
+	overlap := eng.Overlap()
+	run.InitialDensity, s.stats.PredictorOrder = s.pred.seed(overlap, pos)
 	switch {
-	case s.prevP != nil && s.prevP.Rows == set.NBasis:
-		run.InitialDensity = s.prevP
-		run.Incremental = true
-		seeded = true
+	case run.InitialDensity != nil:
 		s.stats.WarmStarts++
 	case s.opt.Store != nil:
 		key := densityKeyPrefix + scf.DensityPrefixKey(s.cfg, m)
 		if b, ok := s.opt.Store.Get(key); ok {
 			if n, data, err := store.DecodeMatrix(b); err == nil && n == set.NBasis {
 				run.InitialDensity = &linalg.Matrix{Rows: n, Cols: n, Data: data}
-				run.Incremental = true
-				seeded = true
 				s.stats.StoreSeeds++
 			}
 		}
-		if !seeded {
+		if run.InitialDensity == nil {
 			s.stats.ColdStarts++
 		}
 	default:
@@ -197,27 +212,27 @@ func (s *Session) runLocked(m *chem.Molecule, solve func(*chem.Molecule, scf.Con
 	if res != nil {
 		s.stats.SCFIterations += int64(res.Iterations)
 	}
-	if err != nil && seeded && (s.cfg.Ctx == nil || s.cfg.Ctx.Err() == nil) {
+	if err != nil && run.InitialDensity != nil && (s.cfg.Ctx == nil || s.cfg.Ctx.Err() == nil) {
 		// A stale seed must never fail the trajectory: retry cold on the
-		// same builder (its cache blocks are already at this geometry).
+		// same builder (its cache blocks are already at this geometry),
+		// and let the history that produced the seed go.
 		s.stats.Fallbacks++
-		cold := s.cfg
-		cold.Screening = s.scr
-		cold.ExternalBuilder = s.builder
+		s.pred.clear()
 		res, f, err = solve(m, cold)
 		if res != nil {
 			s.stats.SCFIterations += int64(res.Iterations)
 		}
 	}
-	if err != nil {
+	s.stats.XCPasses = s.xc.Passes()
+	s.stats.LivePoints, s.stats.GridPoints = s.xc.Points()
+	if err != nil || !res.Converged {
+		s.pred.clear()
 		return res, nil, err
 	}
-	if res.Converged {
-		s.prevP = res.P // scf returns a fresh clone; safe to retain
-		if s.opt.Store != nil {
-			key := densityKeyPrefix + scf.DensityPrefixKey(s.cfg, m)
-			s.opt.Store.Put(key, store.EncodeMatrix(set.NBasis, res.P.Data))
-		}
+	s.pred.record(res.P, overlap, res.C, res.NOcc, pos)
+	if s.opt.Store != nil {
+		key := densityKeyPrefix + scf.DensityPrefixKey(s.cfg, m)
+		s.opt.Store.Put(key, store.EncodeMatrix(set.NBasis, res.P.Data))
 	}
 	return res, f, nil
 }

@@ -9,7 +9,9 @@ import (
 
 	"hfxmd/internal/chem"
 	"hfxmd/internal/ckpt"
+	"hfxmd/internal/dft"
 	"hfxmd/internal/md"
+	"hfxmd/internal/scf"
 )
 
 // springEval is an analytic all-pairs harmonic surface with exact
@@ -318,4 +320,47 @@ func TestSpringReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// sessionIterations runs a RESPA campaign whose full surface is a warm
+// md.Session and returns the session's counters.
+func sessionIterations(t *testing.T, mol *chem.Molecule, cfg scf.Config, opts Options) md.SessionStats {
+	t.Helper()
+	sess := md.NewSession(cfg, md.SessionOptions{})
+	defer sess.Close()
+	full := Evaluator(func(m *chem.Molecule) (float64, []chem.Vec3, error) {
+		f, e, err := sess.Forces(m, 0, 1)
+		return e, f, err
+	})
+	if _, err := Run(mol, full, SpringReference(mol, 0, 0), opts); err != nil {
+		t.Fatal(err)
+	}
+	return sess.Stats()
+}
+
+// TestSessionIterationsPerInnerStep gates the cost Mandal et al. count —
+// SCF iterations per simulated step — on the m1 campaign (LiH/HF, 16 inner
+// steps from rest) at the values committed before the session carried a
+// density predictor, and on a short (H2O)2/PBE0 campaign at what the
+// unprojected previous density needed there. No run may fall back cold.
+func TestSessionIterationsPerInnerStep(t *testing.T) {
+	const inner = 16
+	for _, tc := range []struct {
+		k     int
+		bound float64
+	}{{1, 5.4}, {2, 3.1}, {4, 1.9}} {
+		st := sessionIterations(t, chem.LithiumHydride(), scf.Config{},
+			Options{Steps: inner / tc.k, K: tc.k, Dt: 0.25})
+		per := float64(st.SCFIterations) / inner
+		if per > tc.bound || st.Fallbacks != 0 {
+			t.Errorf("LiH k=%d: %.2f SCF iterations per inner step (bound %.1f), %d fallbacks", tc.k, per, tc.bound, st.Fallbacks)
+		}
+		t.Logf("LiH k=%d: %.2f iterations per inner step", tc.k, per)
+	}
+	st := sessionIterations(t, chem.WaterCluster(2, 1), scf.Config{Functional: dft.PBE0{}},
+		Options{Steps: 6, K: 2, TemperatureK: 300, Seed: 1})
+	if st.SCFIterations > 62 || st.Fallbacks != 0 {
+		t.Errorf("(H2O)2/PBE0: %d SCF iterations over %d runs (bound 62), %d fallbacks", st.SCFIterations, st.Runs, st.Fallbacks)
+	}
+	t.Logf("(H2O)2/PBE0: %d iterations over %d runs", st.SCFIterations, st.Runs)
 }

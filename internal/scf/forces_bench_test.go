@@ -13,12 +13,12 @@ import (
 
 // BenchmarkGradient times one analytic gradient build on the converged
 // density of three systems, whole and by phase, on warm objects (engine
-// with its derivative tables, builder, integrator with its ∇∇φ table):
+// with its derivative tables, builder, integrator bound for forces):
 // total is what RunForces adds to a converged SCF apart from those
 // first-use tables, eri the exchange builder's gradient phase, xc the
-// grid pass, xc-first the same pass on a new integrator (so it includes
-// the once-per-geometry ∇∇φ tabulation), and one-electron the overlap,
-// kinetic and nuclear-attraction terms. The
+// grid pass, xc-first the same pass after rebinding the integrator (so it
+// includes the once-per-geometry φ/∇φ/∇∇φ tabulation), and one-electron
+// the overlap, kinetic and nuclear-attraction terms. The
 // builder runs one thread, as in the gated aimd_traj workload.
 func BenchmarkGradient(b *testing.B) {
 	for _, sys := range []struct {
@@ -39,17 +39,16 @@ func BenchmarkGradient(b *testing.B) {
 		set := basis.MustBuild("STO-3G", sys.mol)
 		eng := integrals.NewEngine(set)
 		builder := hfx.NewBuilder(eng, screen.BuildPairList(eng, screen.DefaultOptions()), cfg.HFX)
-		newIntegrator := func() *dft.Integrator {
-			if !sys.f.NeedsGrid() {
-				return nil
-			}
-			return dft.NewIntegrator(sys.f, set, dft.BuildGrid(sys.mol, cfg.Grid))
+		var xcInt *dft.Integrator
+		grid := dft.BuildGrid(sys.mol, cfg.Grid)
+		if sys.f.NeedsGrid() {
+			xcInt = new(dft.Integrator)
+			xcInt.Rebind(sys.f, set, grid, true)
 		}
-		xcInt := newIntegrator()
 		aX := sys.f.ExactExchangeFraction()
 		eps := res.OrbitalEnergies[:res.NOcc]
 		total := func() { forcesOf(sys.mol, builder, xcInt, res.P, res.C, eps, aX) }
-		total() // first use builds the derivative and ∇∇φ tables
+		total() // first use builds the derivative tables
 		type phase struct {
 			name string
 			run  func()
@@ -74,10 +73,8 @@ func BenchmarkGradient(b *testing.B) {
 			b.Run(sys.name+"/xc-first", func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					b.StopTimer()
-					fresh := newIntegrator()
-					b.StartTimer()
-					fresh.Gradient(res.P) // ∇∇φ tabulation + the xc row's pass
+					xcInt.Rebind(sys.f, set, grid, true)
+					xcInt.Gradient(res.P)
 				}
 			})
 		}

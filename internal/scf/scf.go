@@ -97,6 +97,11 @@ type Config struct {
 	// ERI blocks of the previous one. Implies Screening (the builder's
 	// pair list is used).
 	ExternalBuilder *hfx.Builder
+	// ExternalIntegrator, when non-nil, is the XC integrator a DFT run
+	// rebinds to its geometry instead of allocating one: its tables and
+	// scratch then survive from one MD step to the next. The caller owns it
+	// and must not share it between concurrent runs.
+	ExternalIntegrator *dft.Integrator
 }
 
 func (c *Config) fillDefaults() {
@@ -237,7 +242,10 @@ func run(mol *chem.Molecule, cfg Config, forces bool) (*Result, []chem.Vec3, err
 
 	var xcInt *dft.Integrator
 	if cfg.Functional.NeedsGrid() {
-		xcInt = dft.NewIntegrator(cfg.Functional, set, dft.BuildGrid(mol, cfg.Grid))
+		if xcInt = cfg.ExternalIntegrator; xcInt == nil {
+			xcInt = new(dft.Integrator)
+		}
+		xcInt.Rebind(cfg.Functional, set, dft.BuildGrid(mol, cfg.Grid), forces)
 	}
 
 	res := &Result{Set: set, NOcc: nocc, ENuclear: mol.NuclearRepulsion()}

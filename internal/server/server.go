@@ -553,8 +553,8 @@ func (s *Server) finish(j *job, res *JobResult) {
 	res.PredictedCostNS = j.predicted
 	switch res.State {
 	case StateDone:
+		s.cache.put(j.key, *res) // before the counter: whoever saw it move may resubmit and must hit
 		s.reg.Counter("jobs.done").Add(1)
-		s.cache.put(j.key, *res)
 		s.reg.Gauge("cache.entries").Set(int64(s.cache.entries()))
 		s.reg.Gauge("cache.bytes").Set(s.cache.bytes())
 	case StateFailed:

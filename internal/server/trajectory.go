@@ -50,12 +50,15 @@ type TrajSummary struct {
 	Steps          []TrajStepJSON `json:"steps"`
 	// SCFIterations is the session total (one SCF per outer step, its
 	// forces analytic); WarmStarts/PairListReuses/PairListBuilds expose
-	// the cross-step ΔP and screening reuse the campaign ran on.
+	// the cross-step density prediction and screening reuse the campaign
+	// ran on.
 	SCFIterations  int64 `json:"scfIterations"`
 	WarmStarts     int64 `json:"warmStarts"`
 	StoreSeeds     int64 `json:"storeSeeds,omitempty"`
 	PairListBuilds int64 `json:"pairListBuilds"`
 	PairListReuses int64 `json:"pairListReuses"`
+	// Fallbacks counts seeded SCFs that failed and were rerun cold.
+	Fallbacks int64 `json:"fallbacks,omitempty"`
 	// FinalStateSha256 hashes the canonical encoding of the complete
 	// restartable state (ckpt.EncodeState, version 2), the bitwise
 	// identity of the campaign's end point.
@@ -64,11 +67,11 @@ type TrajSummary struct {
 
 // runTrajectory executes a RESPA AIMD campaign (kind trajectory): the
 // cheap reference force every inner step, the full HFX-bearing surface
-// every k-th, with an md.Session carrying ΔP, the screening pair list
-// and the builder across consecutive geometries. The job context is
-// threaded into every SCF (scf.Config.Ctx) and polled between inner
-// steps, so cancellation lands between steps with a typed *md.StepError
-// naming the step it struck.
+// every k-th, with an md.Session carrying the density predictor, the
+// screening pair list, the builder and the XC integrator across
+// consecutive geometries. The job context is threaded into every SCF
+// (scf.Config.Ctx) and polled between inner steps, so cancellation lands
+// between steps with a typed *md.StepError naming the step it struck.
 func (s *Server) runTrajectory(j *job) *JobResult {
 	req := &j.req
 	cfg := s.scfConfig(req)
@@ -93,6 +96,7 @@ func (s *Server) runTrajectory(j *job) *JobResult {
 		Ref:        refLabel,
 	}
 	stepStart := time.Now()
+	var published md.SessionStats
 	opts := respa.Options{
 		Steps:        req.MaxSteps,
 		K:            req.RespaK,
@@ -119,6 +123,9 @@ func (s *Server) runTrajectory(j *job) *JobResult {
 			stepStart = now
 			s.reg.Counter("traj.outer_steps").Add(1)
 			s.reg.Gauge("traj.last_step").Set(int64(f.Step))
+			st := sess.Stats()
+			s.publishSession(st, published)
+			published = st
 		},
 	}
 	traj, err := respa.Run(j.prep.mol, fullEval, cheap, opts)
@@ -133,6 +140,22 @@ func (s *Server) runTrajectory(j *job) *JobResult {
 	return &JobResult{State: StateDone, Traj: sum}
 }
 
+// predictorOrderEdges buckets the density predictor's order, 0 (no
+// history) to 6, one bucket each.
+var predictorOrderEdges = []float64{0, 1, 2, 3, 4, 5, 6}
+
+// publishSession adds the session counters' movement since prev to the
+// metrics surface: cold fallbacks and XC table passes as counters (per
+// step against traj.outer_steps), the step's predictor order as a
+// histogram, and the live share of the latest XC grid as gauges.
+func (s *Server) publishSession(st, prev md.SessionStats) {
+	s.reg.Counter("md.session_fallbacks").Add(st.Fallbacks - prev.Fallbacks)
+	s.reg.Counter("md.xc_passes").Add(st.XCPasses - prev.XCPasses)
+	s.reg.Histogram("md.predictor_order", predictorOrderEdges).Observe(float64(st.PredictorOrder))
+	s.reg.Gauge("dft.live_points").Set(int64(st.LivePoints))
+	s.reg.Gauge("dft.grid_points").Set(int64(st.GridPoints))
+}
+
 // fillTrajSummary folds the trajectory result and session counters into
 // the wire summary (also on the error path, so a cancelled campaign
 // reports the steps it completed).
@@ -142,6 +165,7 @@ func fillTrajSummary(sum *TrajSummary, traj *md.Trajectory, st md.SessionStats) 
 	sum.StoreSeeds = st.StoreSeeds
 	sum.PairListBuilds = st.PairListBuilds
 	sum.PairListReuses = st.PairListReuses
+	sum.Fallbacks = st.Fallbacks
 	if traj == nil {
 		return
 	}

@@ -58,6 +58,38 @@ func TestServerTrajectoryJob(t *testing.T) {
 	}
 }
 
+// TestServerTrajectorySessionMetrics: a PBE0 campaign publishes the session's
+// trajectory-state counters — cold fallbacks, XC table passes, the predictor
+// order of every outer step, the live share of the XC grid.
+func TestServerTrajectorySessionMetrics(t *testing.T) {
+	s := mustNew(t, Config{Workers: 1})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	defer s.Shutdown(context.Background())
+
+	req := JobRequest{Kind: KindTrajectory, System: "lih", Functional: "PBE0", MaxSteps: 4, RespaK: 2, Ref: "spring"}
+	res := submit(t, ts, req)
+	if res.State != StateDone || res.Traj == nil || res.Traj.Fallbacks != 0 {
+		t.Fatalf("state %q (err %q), traj %+v", res.State, res.Error, res.Traj)
+	}
+	if got := counter(s, "md.session_fallbacks"); got != 0 {
+		t.Fatalf("md.session_fallbacks = %d", got)
+	}
+	// One Integrate per SCF iteration and one Gradient per evaluation.
+	if got, want := counter(s, "md.xc_passes"), res.Traj.SCFIterations+5; got != want {
+		t.Fatalf("md.xc_passes = %d, want %d", got, want)
+	}
+	reg := s.Metrics()
+	orders := reg.Histogram("md.predictor_order", predictorOrderEdges)
+	if counts := orders.Counts(); orders.Total() != 4 || counts[0] != 0 || counts[4] != 1 {
+		t.Fatalf("md.predictor_order buckets %v: want four seeded steps reaching order 4", counts)
+	}
+	live, total := reg.Gauge("dft.live_points").Value(), reg.Gauge("dft.grid_points").Value()
+	if live <= 0 || live >= total {
+		t.Fatalf("dft.live_points %d of dft.grid_points %d", live, total)
+	}
+}
+
 func TestServerTrajectoryValidation(t *testing.T) {
 	s := mustNew(t, Config{Workers: 1})
 	ts := httptest.NewServer(s.Handler())

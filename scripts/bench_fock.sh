@@ -3,20 +3,24 @@
 # semi-direct (full ERI cache replay), and incremental+semi-direct (ΔP
 # build on a warm cache) — the ERI kernel per angular-momentum class, the
 # PBE0 XC integration per SCF iteration with its once-per-geometry
-# tabulation, and the analytic gradient build whole and by phase, and emit
-# BENCH_fock.json: ns/op, quartets computed per build, cache hit ratio and
-# allocs/op per configuration; ns per primitive quartet and allocs/op per
-# class; ns/op, ns per grid point and allocs/op per XC row; ns/op and
-# allocs/op per gradient row. Each is run COUNT times and the fastest run
+# tabulation, the analytic gradient build whole and by phase, and one outer
+# step of a served trajectory (md.Session.Forces on consecutive geometries),
+# and emit BENCH_fock.json: ns/op, quartets computed per build, cache hit
+# ratio and allocs/op per configuration; ns per primitive quartet and
+# allocs/op per class; ns/op, ns per grid point and allocs/op per XC row;
+# ns/op and allocs/op per gradient row; ns/op, SCF iterations, XC table
+# passes, live share of the grid and allocs/op per session-step row. Each
+# is run COUNT times and the fastest run
 # is the one recorded: the guest drifts by up to 1.6x with its neighbours'
 # load, and the minimum is the estimate least moved by it. This file is the
 # committed bench baseline; scripts/check.sh fails when the semi-direct
 # ns/op regresses >20%, or the direct pooled build, any kernel class, any
-# XC row or any gradient row >25%, against it.
+# XC row, any gradient row or any session-step row >25%, against it.
 #
 # Usage: scripts/bench_fock.sh [output.json]
 # BENCHTIME overrides -benchtime (default 3x), COUNT overrides -count
-# (default 5).
+# (default 5), STEPS the session steps timed per run (default 24x, one
+# period of the benchmark's path, so the iteration counts repeat exactly).
 set -eu
 cd "$(dirname "$0")/.."
 out="${1:-BENCH_fock.json}"
@@ -37,10 +41,15 @@ go test ./internal/dft/ -run '^$' -bench 'Benchmark(IntegratePBE0|XCTabulate)' -
 go test ./internal/scf/ -run '^$' -bench 'BenchmarkGradient' -cpu 1 \
 	-benchtime "${CLASSTIME:-0.2s}" -count "${COUNT:-5}" | tee -a "$raw"
 
+# One outer step of a trajectory on a warm session, builder on one thread.
+go test ./internal/md/ -run '^$' -bench 'BenchmarkSessionStep' -cpu 1 \
+	-benchtime "${STEPS:-24x}" -count "${COUNT:-5}" | tee -a "$raw"
+
 awk '
-/^Benchmark(BuildJK|ERIClass|IntegratePBE0|XCTabulate|Gradient)/ {
+/^Benchmark(BuildJK|ERIClass|IntegratePBE0|XCTabulate|Gradient|SessionStep)/ {
 	name = $1; sub(/-[0-9]+$/, "", name)
 	ns = "null"; q = "null"; hr = "null"; al = "null"; pq = "null"; pp = "null"
+	si = "null"; xp = "null"; lr = "null"
 	for (i = 2; i < NF; i++) {
 		if ($(i+1) == "ns/op")          ns = $i
 		if ($(i+1) == "quartets/op")    q  = $i
@@ -48,6 +57,9 @@ awk '
 		if ($(i+1) == "allocs/op")      al = $i
 		if ($(i+1) == "ns/primquartet") pq = $i
 		if ($(i+1) == "ns/point")       pp = $i
+		if ($(i+1) == "scf-iters/step") si = $i
+		if ($(i+1) == "xc-passes/step") xp = $i
+		if ($(i+1) == "live-ratio")     lr = $i
 	}
 	if (!(name in idx)) idx[name] = ++n
 	else if (ns + 0 >= best[name]) next
@@ -56,6 +68,8 @@ awk '
 		lines[idx[name]] = sprintf("  \"%s\": {\"ns_per_primquartet\": %s, \"allocs_per_op\": %s}", name, pq, al)
 	else if (name ~ /IntegratePBE0|XCTabulate/)
 		lines[idx[name]] = sprintf("  \"%s\": {\"ns_per_op\": %s, \"ns_per_point\": %s, \"allocs_per_op\": %s}", name, ns, pp, al)
+	else if (name ~ /SessionStep/)
+		lines[idx[name]] = sprintf("  \"%s\": {\"ns_per_op\": %s, \"scf_iters_per_step\": %s, \"xc_passes_per_step\": %s, \"live_ratio\": %s, \"allocs_per_op\": %s}", name, ns, si, xp, lr, al)
 	else if (name ~ /Gradient/)
 		lines[idx[name]] = sprintf("  \"%s\": {\"ns_per_op\": %s, \"allocs_per_op\": %s}", name, ns, al)
 	else

@@ -10,9 +10,10 @@
 # a fresh scripts/bench_fock.sh run (fastest of five per configuration, as
 # the baseline was recorded) must not regress semi-direct ns/op by >20%,
 # nor the direct pooled build's ns/op, any ERI class's ns/primquartet,
-# the PBE0 XC integration's / tabulation's ns/op or any analytic-gradient
-# row's ns/op (whole build and per phase) by >25% (and XC integration must
-# stay at 0 allocs/op), against the committed BENCH_fock.json baseline.
+# the PBE0 XC integration's / tabulation's ns/op, any analytic-gradient
+# row's ns/op (whole build and per phase) or a served trajectory's outer
+# step (BenchmarkSessionStep) by >25% (and XC integration must stay at 0
+# allocs/op), against the committed BENCH_fock.json baseline.
 # The ERI kernel gets a package-level race pass (naive-reference sweep, R
 # programs == recurrence, batched Boys == scalar bitwise, alloc guard) and
 # the cost model's measured 2x band run alone without the detector. The mprt
@@ -100,6 +101,11 @@ done
 # (ERI-derivative contraction, XC pass with and without the ∇∇φ
 # tabulation, one-electron terms) on LiH, H2O and (H2O)2.
 for row in $(sed -n 's|.*"\(BenchmarkGradient/[A-Za-z0-9/-]*\)".*|\1|p' BENCH_fock.json); do
+	gate "$row" ns_per_op 25
+done
+# Session-step rows: one outer step of a served trajectory (warm-started
+# SCF + analytic gradient) on LiH and (H2O)2 / PBE0.
+for row in $(sed -n 's|.*"\(BenchmarkSessionStep/[A-Za-z0-9/-]*\)".*|\1|p' BENCH_fock.json); do
 	gate "$row" ns_per_op 25
 done
 
@@ -200,7 +206,7 @@ rm -f "$w1_json"
 # unconverged SCF, the per-evaluation allocation guard), and the hfxd
 # trajectory job (streamed steps, cancel-names-step, journal replay).
 go test -race -count=1 ./internal/respa/
-go test -race -count=1 ./internal/md/ -run 'TestSession|TestSCFForcesMatchColdFD'
+go test -race -count=1 ./internal/md/ -run 'TestSession|TestPredictor|TestSCFForcesMatchColdFD'
 go test -race -count=1 ./internal/ckpt/ -run 'TestRespa|TestPlainStateImageUnchanged'
 go test -race -count=1 ./internal/server/ -run 'TestServerTrajectory'
 # SIGKILL crash-restart smoke over a k=2 campaign: the resumed run's
