@@ -130,6 +130,8 @@ func BenchmarkE4ScreeningAccuracy(b *testing.B) {
 	type row struct {
 		eps      float64
 		err      float64
+		tail     float64 // reported bound on what the primitive-level cut dropped
+		skip     float64 // share of primitive quartets it dropped
 		computed int64
 		screened int64
 	}
@@ -140,7 +142,7 @@ func BenchmarkE4ScreeningAccuracy(b *testing.B) {
 		for _, eps := range []float64{1e-4, 1e-6, 1e-8, 1e-10} {
 			k, rep := build(eps)
 			e := linalg.MaxAbsDiff(k, exact)
-			rows = append(rows, row{eps, e, rep.QuartetsComputed, rep.QuartetsScreened})
+			rows = append(rows, row{eps, e, rep.Prim.TailBound, rep.Prim.SkipRatio(), rep.QuartetsComputed, rep.QuartetsScreened})
 			if eps == 1e-8 {
 				err8 = e
 			}
@@ -148,10 +150,10 @@ func BenchmarkE4ScreeningAccuracy(b *testing.B) {
 	}
 	b.ReportMetric(err8, "maxK-err@1e-8")
 	once("e4", func() {
-		fmt.Printf("\n[E4] screening accuracy, (H2O)2/STO-3G\n%10s %14s %12s %12s\n",
-			"ε", "max|ΔK|", "computed", "screened")
+		fmt.Printf("\n[E4] screening accuracy, (H2O)2/STO-3G\n%10s %14s %14s %10s %12s %12s\n",
+			"ε", "max|ΔK|", "prim tail Σqq", "prim skip", "computed", "screened")
 		for _, r := range rows {
-			fmt.Printf("%10.0e %14.3e %12d %12d\n", r.eps, r.err, r.computed, r.screened)
+			fmt.Printf("%10.0e %14.3e %14.3e %10.3f %12d %12d\n", r.eps, r.err, r.tail, r.skip, r.computed, r.screened)
 		}
 	})
 }

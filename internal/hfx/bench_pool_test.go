@@ -3,8 +3,11 @@ package hfx
 import (
 	"testing"
 
+	"hfxmd/internal/basis"
 	"hfxmd/internal/chem"
+	"hfxmd/internal/integrals"
 	"hfxmd/internal/linalg"
+	"hfxmd/internal/screen"
 )
 
 // BenchmarkBuildJKPooled measures the steady-state Fock build on the
@@ -23,6 +26,41 @@ func BenchmarkBuildJKPooled(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		builder.BuildJK(p)
+	}
+}
+
+// BenchmarkDirectBuild is the fully direct build hfxd's buildjk jobs run —
+// one thread, default options, ε = 1e-8 — on the bench's cold_fock system
+// and on a split-valence basis with d shells, with what the
+// primitive-level cut made of it: primitive quartets evaluated per build
+// and the share of the surviving shell quartets' primitive quartets it
+// skipped. Must stay 0 allocs/op.
+func BenchmarkDirectBuild(b *testing.B) {
+	for _, sys := range []struct {
+		name, basis string
+		waters      int
+	}{
+		{"H2O3-STO3G", "STO-3G", 3},
+		{"H2O2-631Gs", "6-31G*", 2},
+	} {
+		b.Run(sys.name, func(b *testing.B) {
+			eng := integrals.NewEngine(basis.MustBuild(sys.basis, chem.WaterCluster(sys.waters, 1)))
+			scr := screen.BuildPairList(eng, screen.DefaultOptions())
+			p := testDensity(eng.Basis.NBasis, 1)
+			opts := DefaultOptions()
+			opts.Threads = 1
+			builder := NewBuilder(eng, scr, opts)
+			defer builder.Close()
+			_, _, rep := builder.BuildJK(p) // warm-up: size scratch
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				builder.BuildJK(p)
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(rep.Prim.Evaluated), "primquartets/op")
+			b.ReportMetric(rep.Prim.SkipRatio(), "skipratio")
+		})
 	}
 }
 

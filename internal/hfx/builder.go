@@ -112,6 +112,14 @@ type Report struct {
 	// Cache summarises the semi-direct ERI block cache for this build.
 	// Cache.Enabled is false for fully direct builders.
 	Cache CacheStats
+	// Prim counts the primitive quartets behind the shell quartets this
+	// build evaluated: a surviving shell quartet drops the primitive
+	// quartets whose Schwarz bound q_i·q_j is below ε over its primitive
+	// count (see primCut), and Prim.TailBound — Σ q_i·q_j over what was
+	// dropped — is the screening error bound of the blocks evaluated here.
+	// Blocks replayed from the ERI cache were accounted by the build that
+	// filled them.
+	Prim integrals.PrimStats
 }
 
 // PoolStats describes the persistent worker pool behind a Builder.
@@ -139,8 +147,9 @@ type PoolStats struct {
 
 // String renders a one-line summary.
 func (r Report) String() string {
-	return fmt.Sprintf("tasks=%d quartets=%d screened=%d balance=%.4f wall=%v reduce=%d lanes=%.2f",
-		r.NTasks, r.QuartetsComputed, r.QuartetsScreened, r.BalanceRatio, r.Wall, r.ReduceDepth, r.LaneUtilization)
+	return fmt.Sprintf("tasks=%d quartets=%d screened=%d prims=%d prim-skip=%.3f prim-tail=%.2e balance=%.4f wall=%v reduce=%d lanes=%.2f",
+		r.NTasks, r.QuartetsComputed, r.QuartetsScreened, r.Prim.Evaluated, r.Prim.SkipRatio(), r.Prim.TailBound,
+		r.BalanceRatio, r.Wall, r.ReduceDepth, r.LaneUtilization)
 }
 
 // PhaseTable renders a per-phase accounting table: the wall-clock phases
@@ -214,6 +223,7 @@ type pool struct {
 	// woken (the wake-channel send establishes the happens-before edge).
 	p        *linalg.Matrix
 	pmaxAll  float64    // max |P| over the whole density (density-weighted runs)
+	pmaxBlk  []float64  // max |P| over shell block (s1, s2), at s1·NShells+s2 (likewise)
 	stats    *qpx.Stats // points at qstats when Vector, else nil
 	qstats   qpx.Stats
 	computed atomic.Int64
@@ -248,7 +258,7 @@ func NewBuilder(eng *integrals.Engine, scr *screen.Result, opts Options) *Builde
 	if opts.Cost == (CostModel{}) {
 		opts.Cost = DefaultCostModel()
 	}
-	tasks := GenerateTasks(eng.Basis, scr.Pairs, opts.Cost, opts.Granule)
+	tasks := BuilderTasks(eng, scr, opts.Cost, opts.Granule)
 	costs := TaskCosts(tasks)
 	asn := sched.Balance(opts.Balancer, costs, opts.Threads)
 	b := &Builder{Eng: eng, Scr: scr, Opts: opts}
@@ -295,13 +305,17 @@ func newPool(eng *integrals.Engine, scr *screen.Result, opts Options,
 	if opts.Vector {
 		pl.stats = &pl.qstats
 	}
+	if opts.DensityWeighted {
+		ns := eng.Basis.NShells()
+		pl.pmaxBlk = make([]float64, ns*ns)
+	}
 	if opts.Calibrator != nil {
 		pl.classes = TaskClasses(eng.Basis, scr.Pairs, tasks)
 		pl.calib = opts.Calibrator
 	}
 	if opts.CacheBudgetBytes > 0 {
 		pl.cache = newERICache(eng.Basis, scr.Pairs, pl.tasks, pl.asn,
-			opts.Cost, opts.CacheBudgetBytes)
+			newBuilderPricer(opts.Cost, eng, scr), opts.CacheBudgetBytes)
 	}
 
 	// Pre-create every counter the hot path touches so steady-state
@@ -511,6 +525,7 @@ func (pl *pool) prepareBuild(p *linalg.Matrix) {
 	}
 	pl.computed.Store(0)
 	pl.screened.Store(0)
+	pl.takePrimStats() // a gradient phase may have run on the same scratch
 	pl.qstats.Reset()
 	pl.cacheHits.Store(0)
 	pl.cacheMisses.Store(0)
@@ -519,21 +534,43 @@ func (pl *pool) prepareBuild(p *linalg.Matrix) {
 }
 
 // setDensity points the workers at density P, rewinds the dynamic queue
-// and refreshes the global density bound of the density-weighted screen.
+// and refreshes the density bounds of the density-weighted screen.
 func (pl *pool) setDensity(p *linalg.Matrix) {
 	pl.p = p
 	pl.next.Store(0)
 	pl.pmaxAll = 0
-	if pl.opts.DensityWeighted {
-		// One pass over P gives a global density bound; with the ket list
-		// sorted by descending Q it turns the density-weighted test into a
-		// monotone early-exit pre-check (see screenQuartet).
-		for _, v := range p.Data {
-			if v < 0 {
-				v = -v
+	if !pl.opts.DensityWeighted {
+		return
+	}
+	// One pass over P gives max |P| of every shell block — the quartet
+	// bound of screenQuartet becomes seven lookups — and their maximum, the
+	// global bound that, with the ket list sorted by descending Q, turns
+	// the density-weighted test into a monotone early-exit pre-check.
+	shells := pl.eng.Basis.Shells
+	ns := len(shells)
+	for s1 := range shells {
+		sh1 := &shells[s1]
+		blk := pl.pmaxBlk[s1*ns : (s1+1)*ns]
+		clear(blk)
+		for i := sh1.Index; i < sh1.Index+sh1.NFuncs(); i++ {
+			row := p.Row(i)
+			for s2 := range shells {
+				sh2 := &shells[s2]
+				m := blk[s2]
+				for _, v := range row[sh2.Index : sh2.Index+sh2.NFuncs()] {
+					if v < 0 {
+						v = -v
+					}
+					if v > m {
+						m = v
+					}
+				}
+				blk[s2] = m
 			}
-			if v > pl.pmaxAll {
-				pl.pmaxAll = v
+		}
+		for _, m := range blk {
+			if m > pl.pmaxAll {
+				pl.pmaxAll = m
 			}
 		}
 	}
@@ -566,6 +603,7 @@ func (pl *pool) buildReport(start time.Time, depth int) Report {
 	if pl.opts.Vector {
 		rep.LaneUtilization = pl.qstats.Utilization()
 	}
+	rep.Prim = pl.takePrimStats()
 	rep.Cache.BudgetBytes = pl.opts.CacheBudgetBytes
 	if pl.cache != nil {
 		pl.reg.Counter("ericache.hits").Add(pl.cacheHits.Load())
@@ -672,8 +710,26 @@ func (pl *pool) screenQuartet(bra, ket screen.Pair) (ok, rest bool) {
 	if !pl.opts.NoEarlyExit && !pl.scr.QuartetSurvivesWeighted(bra, ket, pl.pmaxAll) {
 		return false, true
 	}
-	pmax := screen.MaxDensityAbsQuartet(pl.eng.Basis, pl.p, bra.A, bra.B, ket.A, ket.B)
-	return pl.scr.QuartetSurvivesWeighted(bra, ket, pmax), false
+	return pl.scr.QuartetSurvivesWeighted(bra, ket, pl.pmaxQuartet(bra.A, bra.B, ket.A, ket.B)), false
+}
+
+// pmaxQuartet is screen.MaxDensityAbsQuartet for the current density — the
+// largest |P| over the seven shell blocks that multiply (ab|cd) in J and K
+// — as seven lookups in the block table setDensity filled.
+func (pl *pool) pmaxQuartet(a, b, c, d int) float64 {
+	ns := pl.eng.Basis.NShells()
+	ra, rb, rc := pl.pmaxBlk[a*ns:], pl.pmaxBlk[b*ns:], pl.pmaxBlk[c*ns:]
+	return max(ra[c], ra[d], rb[c], rb[d], ra[b], rc[b], rc[d])
+}
+
+// takePrimStats collects and resets the workers' primitive-quartet
+// counters.
+func (pl *pool) takePrimStats() integrals.PrimStats {
+	var st integrals.PrimStats
+	for _, sc := range pl.scratch {
+		st.Add(sc.TakePrimStats())
+	}
+	return st
 }
 
 // runTask executes one task: loops its quartets, applies the quartet-level
@@ -685,6 +741,7 @@ func (pl *pool) runTask(ti int, jw, kw *linalg.Matrix, buf []float64, sc *integr
 	set := pl.eng.Basis
 	p := pl.p
 	bra := pl.scr.Pairs[t.Bra]
+	braPrims := set.Shells[bra.A].NPrims() * set.Shells[bra.B].NPrims()
 	var slots []int32
 	var shard *cacheShard
 	if pl.cache != nil {
@@ -703,6 +760,7 @@ func (pl *pool) runTask(ti int, jw, kw *linalg.Matrix, buf []float64, sc *integr
 		}
 		pl.computed.Add(1)
 		a, b, c, d := bra.A, bra.B, ket.A, ket.B
+		cut := primCut(pl.scr.Opts.Threshold, braPrims*set.Shells[c].NPrims()*set.Shells[d].NPrims())
 		if shard != nil {
 			if slot := slots[ji-t.KetLo]; slot >= 0 {
 				off := shard.offs[slot]
@@ -712,7 +770,7 @@ func (pl *pool) runTask(ti int, jw, kw *linalg.Matrix, buf []float64, sc *integr
 				} else {
 					// Fill on first compute: evaluate straight into the
 					// slab so the scatter below reads the cached copy.
-					pl.eng.ERIShellScratch(a, b, c, d, blk, pl.opts.Vector, pl.stats, sc)
+					pl.eng.ERIShellCut(a, b, c, d, blk, cut, pl.opts.Vector, pl.stats, sc)
 					shard.filled[slot] = true
 					pl.cache.filled.Add(1)
 					pl.cacheFillBytes.Add(int64(len(blk)) * 8)
@@ -724,7 +782,7 @@ func (pl *pool) runTask(ti int, jw, kw *linalg.Matrix, buf []float64, sc *integr
 			pl.cacheMisses.Add(1)
 		}
 		blk := buf[:eriBlockLen(set, a, b, c, d)]
-		pl.eng.ERIShellScratch(a, b, c, d, blk, pl.opts.Vector, pl.stats, sc)
+		pl.eng.ERIShellCut(a, b, c, d, blk, cut, pl.opts.Vector, pl.stats, sc)
 		scatterBlock(set, a, b, c, d, blk, p, jw, kw)
 	}
 }

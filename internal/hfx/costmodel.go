@@ -60,22 +60,85 @@ func DefaultCostModel() CostModel {
 	return CostModel{PerQuartet: 60, PerPrimSS: 10, PerPrim: 25, PerOp: 1}
 }
 
-// Quartet returns the predicted cost of the quartet (ab|cd).
+// Quartet returns the predicted cost of the quartet (ab|cd) with every
+// primitive quartet evaluated — the exact kernel.
 func (cm CostModel) Quartet(sa, sb, sc, sd *basis.Shell) float64 {
-	braPrims := float64(sa.NPrims() * sb.NPrims())
-	prims := braPrims * float64(sc.NPrims()*sd.NPrims())
-	perPrim, perBraPrim := integrals.QuartetOps(sa.L, sb.L, sc.L, sd.L)
-	if perPrim == 0 {
-		return cm.PerQuartet + cm.PerPrimSS*prims
-	}
-	return cm.PerQuartet + prims*(cm.PerPrim+cm.PerOp*float64(perPrim)) +
-		braPrims*cm.PerOp*float64(perBraPrim)
+	bra, ket := shellPairClass(sa, sb), shellPairClass(sc, sd)
+	return cm.price(bra, ket, bra.Prims*ket.Prims, bra.Prims, ket.Prims)
 }
 
-// PairPair returns the predicted cost of the quartet formed by two
-// screened pairs.
-func (cm CostModel) PairPair(set *basis.Set, p1, p2 screen.Pair) float64 {
-	return cm.Quartet(&set.Shells[p1.A], &set.Shells[p1.B], &set.Shells[p2.A], &set.Shells[p2.B])
+func shellPairClass(sa, sb *basis.Shell) integrals.PairClass {
+	return integrals.ClassOf(sa.L, sb.L, sa.NPrims()*sb.NPrims())
+}
+
+// price is the model: a quartet of the given pair classes of which the
+// kernel evaluates nq primitive quartets, held by nbra bra and nket ket
+// primitive pairs, in the orientation the kernel takes.
+func (cm CostModel) price(bra, ket integrals.PairClass, nq, nbra, nket int) float64 {
+	perPrim, perBraPrim, swapped := integrals.QuartetOps(bra, ket)
+	if perPrim == 0 {
+		return cm.PerQuartet + cm.PerPrimSS*float64(nq)
+	}
+	if swapped {
+		nbra = nket // the kernel evaluates (cd|ab)
+	}
+	return cm.PerQuartet + float64(nq)*(cm.PerPrim+cm.PerOp*float64(perPrim)) +
+		float64(nbra)*cm.PerOp*float64(perBraPrim)
+}
+
+// primCut is the primitive-level Schwarz cut of a shell quartet of nprim
+// primitive quartets under the screening threshold eps: those with
+// q_i·q_j < eps/nprim are not evaluated, so the neglected tail of every
+// integral of the block is below eps — the bound the shell-quartet test
+// already accepts — at any density, which is what lets a block cached or
+// spilled under one density serve every later one. The builders evaluate
+// by it (pool.runTask) and the cost model counts by it (pricer).
+func primCut(eps float64, nprim int) float64 { return eps / float64(nprim) }
+
+// pricer prices the quartets of one screened pair list. For a builder on
+// (eng, scr) it prices quartet (i|j) as the builder evaluates it: nothing
+// when the pair of pairs fails the shell-level Schwarz test, else the
+// primitive quartets primCut leaves (integrals.PrimSurvivors over the
+// engine's primitive factor lists) and the primitive pairs that hold them.
+// Without an engine (scr nil) every primitive quartet of every quartet is
+// priced — the exact kernel.
+type pricer struct {
+	cm      CostModel
+	scr     *screen.Result
+	classes []integrals.PairClass
+	q       [][]float64
+}
+
+func newPricer(cm CostModel, set *basis.Set, pairs []screen.Pair) *pricer {
+	pr := &pricer{cm: cm, classes: make([]integrals.PairClass, len(pairs))}
+	for i, p := range pairs {
+		pr.classes[i] = shellPairClass(&set.Shells[p.A], &set.Shells[p.B])
+	}
+	return pr
+}
+
+func newBuilderPricer(cm CostModel, eng *integrals.Engine, scr *screen.Result) *pricer {
+	pr := newPricer(cm, eng.Basis, scr.Pairs)
+	pr.scr = scr
+	pr.q = make([][]float64, len(scr.Pairs))
+	for i, p := range scr.Pairs {
+		pr.q[i] = eng.PrimSchwarz(p.A, p.B)
+	}
+	return pr
+}
+
+// quartet returns the predicted cost of the quartet of pairs i and j.
+func (pr *pricer) quartet(i, j int) float64 {
+	bra, ket := pr.classes[i], pr.classes[j]
+	if pr.scr == nil {
+		return pr.cm.price(bra, ket, bra.Prims*ket.Prims, bra.Prims, ket.Prims)
+	}
+	if !pr.scr.QuartetSurvives(pr.scr.Pairs[i], pr.scr.Pairs[j]) {
+		return 0
+	}
+	cut := primCut(pr.scr.Opts.Threshold, bra.Prims*ket.Prims)
+	nq, nbra, nket := integrals.PrimSurvivors(pr.q[i], pr.q[j], cut)
+	return pr.cm.price(bra, ket, nq, nbra, nket)
 }
 
 // Calibrate measures this machine's speed on the most expensive diagonal

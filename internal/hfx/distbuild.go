@@ -103,6 +103,8 @@ type DistReport struct {
 	NTasks           int
 	QuartetsComputed int64
 	QuartetsScreened int64
+	// Prim is Report.Prim summed over the ranks.
+	Prim integrals.PrimStats
 
 	// RankRestarts counts ranks that died (fault injection) during this
 	// build's compute phase and had their task block re-executed.
@@ -187,7 +189,7 @@ func NewDistBuilder(eng *integrals.Engine, scr *screen.Result, dopts DistOptions
 	}
 	dopts.Shape = world.Shape()
 
-	tasks := GenerateTasks(eng.Basis, scr.Pairs, opts.Cost, opts.Granule)
+	tasks := BuilderTasks(eng, scr, opts.Cost, opts.Granule)
 	costs := TaskCosts(tasks)
 	placed := costs
 	if dopts.Calibrator != nil || dopts.Noise != nil {
@@ -352,6 +354,7 @@ func (d *DistBuilder) BuildJK(p *linalg.Matrix) (j, k *linalg.Matrix, rep DistRe
 		rep.Hops += rep.RankHops[r]
 		rep.QuartetsComputed += d.pools[r].computed.Load()
 		rep.QuartetsScreened += d.pools[r].screened.Load()
+		rep.Prim.Add(d.pools[r].takePrimStats())
 	}
 	rep.MeasuredSteps = reg.Counter("mprt.reducescatter.steps").Value() +
 		reg.Counter("mprt.allgatherv.steps").Value() - steps0

@@ -78,7 +78,7 @@ type cacheCand struct {
 // newERICache plans the admission and allocates the shard slabs. Returns
 // nil when the budget cannot hold even the slot index plus one block.
 func newERICache(set *basis.Set, pairs []screen.Pair, tasks []Task,
-	asn *sched.Assignment, cm CostModel, budget int64) *eriCache {
+	asn *sched.Assignment, pr *pricer, budget int64) *eriCache {
 	nq := 0
 	for i := range tasks {
 		nq += tasks[i].QuartetsInTask
@@ -104,7 +104,7 @@ func newERICache(set *basis.Set, pairs []screen.Pair, tasks []Task,
 				task: int32(ti),
 				koff: int32(ji - t.KetLo),
 				blen: int32(eriBlockLen(set, bra.A, bra.B, ket.A, ket.B)),
-				prio: bra.Q * ket.Q * cm.PairPair(set, bra, ket),
+				prio: bra.Q * ket.Q * pr.quartet(t.Bra, ji),
 			})
 		}
 	}

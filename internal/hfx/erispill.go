@@ -18,13 +18,14 @@ const eriSpillMagic = "HFXERI\x01"
 // layoutHash fingerprints everything the spill format depends on: the
 // revision of the ERI kernel that computed the blocks (rev — a kernel
 // change moves their last bits, and an image must replay bit for bit what
-// the importer would recompute), the basis size, the screened shell-pair
-// list (indices and Schwarz norms, which fold in the screening
-// parameters), the admission outcome and the per-shard slot layout. Two builders agree on the hash iff a slab
-// image from one drops bit-exactly into the other. Deliberately
-// independent of the density, SCF settings, and result cache key: the
-// same geometry requested with a different maxIter shares spills.
-func (c *eriCache) layoutHash(rev uint64, nbasis int, pairs []screenPairView) uint64 {
+// the importer would recompute), the screening threshold eps (the
+// primitive-level cut of every block is derived from it), the basis size,
+// the screened shell-pair list (indices and Schwarz norms), the admission
+// outcome and the per-shard slot layout. Two builders agree on the hash
+// iff a slab image from one drops bit-exactly into the other.
+// Deliberately independent of the density, SCF settings, and result cache
+// key: the same geometry requested with a different maxIter shares spills.
+func (c *eriCache) layoutHash(rev uint64, eps float64, nbasis int, pairs []screenPairView) uint64 {
 	h := fnv.New64a()
 	var b [8]byte
 	w := func(v uint64) {
@@ -32,6 +33,7 @@ func (c *eriCache) layoutHash(rev uint64, nbasis int, pairs []screenPairView) ui
 		h.Write(b[:])
 	}
 	w(rev)
+	w(math.Float64bits(eps))
 	w(uint64(nbasis))
 	w(uint64(c.budget))
 	w(uint64(c.admitted))
@@ -75,12 +77,12 @@ func (b *Builder) layoutHashAt(rev uint64) uint64 {
 	for i, p := range pl.scr.Pairs {
 		pairs[i] = screenPairView{a: p.A, b: p.B, q: p.Q}
 	}
-	return pl.cache.layoutHash(rev, pl.eng.Basis.NBasis, pairs)
+	return pl.cache.layoutHash(rev, pl.scr.Opts.Threshold, pl.eng.Basis.NBasis, pairs)
 }
 
 // SpillKey returns the content-address of this builder's ERI cache
-// image: a hash of (ERI kernel revision, basis size, shell-pair list,
-// screening-derived Schwarz norms, admission layout). Builders with equal
+// image: a hash of (ERI kernel revision, screening threshold, basis size,
+// shell-pair list, Schwarz norms, admission layout). Builders with equal
 // keys can exchange spill images losslessly. Empty for fully direct
 // builders.
 func (b *Builder) SpillKey() string {

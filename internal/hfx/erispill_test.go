@@ -157,6 +157,33 @@ func TestSpillImportRejectsMismatch(t *testing.T) {
 	}
 }
 
+// TestSpillKeyFollowsThreshold: the primitive-level cut of every cached
+// block is derived from ε, so two builders over the same pair list but
+// different thresholds hold different bits and must not exchange images.
+func TestSpillKeyFollowsThreshold(t *testing.T) {
+	opts := DefaultOptions()
+	opts.CacheBudgetBytes = 64 << 20
+	var keys [2]string
+	var imgs [2][]byte
+	var builders [2]*Builder
+	for i, eps := range []float64{1e-8, 1e-10} {
+		eng, scr := setup(t, chem.Water(), eps)
+		if len(scr.Pairs) != 15 {
+			t.Fatalf("ε=%g: %d of water's 15 shell pairs survive; the test wants identical pair lists", eps, len(scr.Pairs))
+		}
+		b := NewBuilder(eng, scr, opts)
+		defer b.Close()
+		b.BuildJK(testDensity(eng.Basis.NBasis, 1))
+		builders[i], keys[i], imgs[i] = b, b.SpillKey(), b.ExportERICache()
+	}
+	if keys[0] == keys[1] {
+		t.Fatalf("spill key %s ignores the screening threshold", keys[0])
+	}
+	if _, err := builders[1].ImportERICache(imgs[0]); err == nil {
+		t.Fatal("an image cut under another ε must be refused")
+	}
+}
+
 // TestSpillEmptyExport: a cold cache exports nothing.
 func TestSpillEmptyExport(t *testing.T) {
 	eng, scr := setup(t, chem.WaterCluster(2, 1), 1e-8)

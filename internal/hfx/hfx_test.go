@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"os"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -540,5 +541,90 @@ func TestCostModelTracksKernel(t *testing.T) {
 			t.Errorf("class %v: measured %.0f ns vs predicted %.0f (machine factor %.2f): off by %.2f×",
 				cl.l, ratios[i]*cl.predicted/8, cl.predicted/8, machine, r)
 		}
+	}
+}
+
+// TestBlockDensityTableMatchesOracle: the per-build shell-block |P|max
+// table answers every quartet exactly as screen.MaxDensityAbsQuartet scans
+// it — also for a density that is not symmetric — and its overall maximum
+// is the global bound of the early exit.
+func TestBlockDensityTableMatchesOracle(t *testing.T) {
+	eng := integrals.NewEngine(basis.MustBuild("6-31G*", chem.Water()))
+	scr := screen.BuildPairList(eng, screen.DefaultOptions())
+	b := NewBuilder(eng, scr, DefaultOptions())
+	defer b.Close()
+	n := eng.Basis.NBasis
+	p := testDensity(n, 9)
+	p.Set(1, n-1, -7.5) // asymmetric, negative, and the global maximum
+	b.pl.setDensity(p)
+	if b.pl.pmaxAll != 7.5 {
+		t.Fatalf("global bound %g, want 7.5", b.pl.pmaxAll)
+	}
+	ns := eng.Basis.NShells()
+	for a := 0; a < ns; a++ {
+		for bb := 0; bb < ns; bb++ {
+			for c := 0; c < ns; c++ {
+				for d := 0; d < ns; d++ {
+					want := screen.MaxDensityAbsQuartet(eng.Basis, p, a, bb, c, d)
+					if got := b.pl.pmaxQuartet(a, bb, c, d); got != want {
+						t.Fatalf("(%d %d|%d %d): table says %g, the scan %g", a, bb, c, d, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestBuilderTasksPriceWhatTheBuilderEvaluates: BuilderTasks covers the
+// canonical quartets GenerateTasks covers, none of its tasks is free, it
+// prices a quartet by the primitive quartets the builder's cut leaves —
+// per task the sum over its surviving quartets of the model at the
+// kernel's own count — and with ε = 0, where nothing is cut or screened,
+// it is GenerateTasks.
+func TestBuilderTasksPriceWhatTheBuilderEvaluates(t *testing.T) {
+	eng, scr := setup(t, chem.WaterCluster(3, 1), 1e-8)
+	cm := DefaultCostModel()
+	exact := GenerateTasks(eng.Basis, scr.Pairs, cm, 0)
+	tasks := BuilderTasks(eng, scr, cm, 0)
+	if TotalQuartets(tasks) != TotalQuartets(exact) {
+		t.Fatalf("%d quartets in the builder's tasks, %d canonical ones", TotalQuartets(tasks), TotalQuartets(exact))
+	}
+	out := make([]float64, eng.MaxERIBufLen())
+	s := integrals.NewScratch()
+	set := eng.Basis
+	var total, totalExact float64
+	for _, tk := range exact {
+		totalExact += tk.Cost
+	}
+	for ti, tk := range tasks {
+		if tk.Cost <= 0 {
+			t.Fatalf("task %d is free", ti)
+		}
+		var want float64
+		bra := scr.Pairs[tk.Bra]
+		for j := tk.KetLo; j < tk.KetHi; j++ {
+			ket := scr.Pairs[j]
+			if !scr.QuartetSurvives(bra, ket) {
+				continue
+			}
+			cb := shellPairClass(&set.Shells[bra.A], &set.Shells[bra.B])
+			ck := shellPairClass(&set.Shells[ket.A], &set.Shells[ket.B])
+			eng.ERIShellCut(bra.A, bra.B, ket.A, ket.B, out, primCut(1e-8, cb.Prims*ck.Prims), false, nil, s)
+			st := s.TakePrimStats()
+			_, nb, nk := integrals.PrimSurvivors(eng.PrimSchwarz(bra.A, bra.B), eng.PrimSchwarz(ket.A, ket.B), primCut(1e-8, cb.Prims*ck.Prims))
+			want += cm.price(cb, ck, int(st.Evaluated), nb, nk)
+		}
+		if math.Abs(tk.Cost-want) > 1e-9*want {
+			t.Fatalf("task %d priced %g, its surviving quartets at the kernel's count cost %g", ti, tk.Cost, want)
+		}
+		total += tk.Cost
+	}
+	if total >= 0.7*totalExact {
+		t.Fatalf("builder price %g not well below the exact kernel's %g on (H2O)3", total, totalExact)
+	}
+
+	eng0, scr0 := setup(t, chem.Water(), 0)
+	if got, want := BuilderTasks(eng0, scr0, cm, 0), GenerateTasks(eng0.Basis, scr0.Pairs, cm, 0); !reflect.DeepEqual(got, want) {
+		t.Fatalf("ε = 0: builder tasks %+v, exact tasks %+v", got, want)
 	}
 }

@@ -83,6 +83,8 @@ type StealReport struct {
 	Units            int
 	QuartetsComputed int64
 	QuartetsScreened int64
+	// Prim is Report.Prim summed over the units, wherever they executed.
+	Prim integrals.PrimStats
 
 	// Steal traffic of this build (per-build deltas of the lifetime
 	// steal.* counters).
@@ -101,7 +103,8 @@ type StealReport struct {
 
 	// Calibration state of this build (zero when no calibrator):
 	// CalibMeanAbsErr is the mean |measured − calibrated prediction| /
-	// calibrated prediction over this build's task observations;
+	// calibrated prediction over this build's task observations (each
+	// capped at 1, see steal.Calibrator);
 	// CalibRawAbsErr is the same over the raw (factor-1) model. Jitter
 	// hits both alike, so CalibMeanAbsErr < CalibRawAbsErr is the signal
 	// that calibration is removing systematic model bias.
@@ -199,7 +202,7 @@ func NewStealBuilder(eng *integrals.Engine, scr *screen.Result, sopts StealOptio
 	}
 	sopts.Shape = world.Shape()
 
-	tasks := GenerateTasks(eng.Basis, scr.Pairs, opts.Cost, opts.Granule)
+	tasks := BuilderTasks(eng, scr, opts.Cost, opts.Granule)
 	costs := TaskCosts(tasks)
 
 	b := &StealBuilder{Eng: eng, Scr: scr, sopts: sopts, world: world}
@@ -456,6 +459,7 @@ func (b *StealBuilder) BuildJK(p *linalg.Matrix) (j, k *linalg.Matrix, rep Steal
 	}
 	rep.QuartetsComputed = pl.computed.Load()
 	rep.QuartetsScreened = pl.screened.Load()
+	rep.Prim = pl.takePrimStats()
 	rep.StealsAttempted = reg.Counter(steal.CounterAttempted).Value() - attempted0
 	rep.StealsSucceeded = reg.Counter(steal.CounterSucceeded).Value() - succeeded0
 	rep.BlocksMigrated = reg.Counter(steal.CounterMigrated).Value() - migrated0

@@ -2,6 +2,7 @@ package hfx
 
 import (
 	"hfxmd/internal/basis"
+	"hfxmd/internal/integrals"
 	"hfxmd/internal/screen"
 )
 
@@ -20,18 +21,32 @@ type Task struct {
 // cost is at most granule (one bra pair never splits below a single ket).
 // A granule of 0 picks a default that yields ~64 tasks per modern core on
 // small systems while keeping millions of tasks available for the machine
-// simulation on large ones.
+// simulation on large ones. Without an engine it prices every primitive
+// quartet of a quartet — the exact kernel; the builders run BuilderTasks.
 func GenerateTasks(set *basis.Set, pairs []screen.Pair, cm CostModel, granule float64) []Task {
+	return generateTasks(newPricer(cm, set, pairs), granule)
+}
+
+// BuilderTasks is GenerateTasks priced the way a builder on (eng, scr)
+// evaluates under scr's threshold: nothing for a quartet that fails the
+// shell-level Schwarz test, and no primitive quartet below the
+// primitive-level cut. It is the decomposition NewBuilder, NewDistBuilder
+// and NewStealBuilder schedule, and what admission prices a job by.
+func BuilderTasks(eng *integrals.Engine, scr *screen.Result, cm CostModel, granule float64) []Task {
+	return generateTasks(newBuilderPricer(cm, eng, scr), granule)
+}
+
+func generateTasks(pr *pricer, granule float64) []Task {
 	if granule <= 0 {
 		granule = 250_000 // ~0.25 ms of quartet work per task
 	}
 	var tasks []Task
-	for i := range pairs {
+	for i := range pr.classes {
 		lo := 0
 		var acc float64
 		var count int
 		for j := 0; j <= i; j++ {
-			c := cm.PairPair(set, pairs[i], pairs[j])
+			c := pr.quartet(i, j)
 			if acc+c > granule && count > 0 {
 				tasks = append(tasks, Task{Bra: i, KetLo: lo, KetHi: j, Cost: acc, QuartetsInTask: count})
 				lo, acc, count = j, 0, 0

@@ -325,7 +325,10 @@ func (e *Engine) nuclearGradient(p *linalg.Matrix, gBasis, gOp []chem.Vec3) {
 		for ip := range plain.prims {
 			pr := &plain.prims[ip]
 			offP := plain.off[ip*plain.ncomp : (ip+1)*plain.ncomp+1]
-			offD := deriv.off[ip*deriv.ncomp : (ip+1)*deriv.ncomp+1]
+			// The plain table is stored by descending Schwarz factor, the
+			// derivative table in contraction order.
+			id := int(plain.order[ip])
+			offD := deriv.off[id*deriv.ncomp : (id+1)*deriv.ncomp+1]
 			for ci, atom := range set.Mol.Atoms {
 				x, y, z := pr.px[0]-atom.Pos[0], pr.px[1]-atom.Pos[1], pr.px[2]-atom.Pos[2]
 				boys.Eval(l, pr.p*(x*x+y*y+z*z), fn)

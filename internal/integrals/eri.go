@@ -13,11 +13,12 @@ import (
 )
 
 // KernelRevision names the arithmetic of the ERI kernel (Boys
-// interpolation, R recurrence, contraction order). Bump it whenever a
-// change can move a computed block in its last bits: whatever persists
-// blocks (the hfx ERI spill images) keys them by it, so that stored bits
-// are only ever replayed into a build that would recompute the same ones.
-const KernelRevision = 14
+// interpolation, R recurrence, contraction order, primitive-level cut).
+// Bump it whenever a change can move a computed block in its last bits:
+// whatever persists blocks (the hfx ERI spill images) keys them by it, so
+// that stored bits are only ever replayed into a build that would
+// recompute the same ones.
+const KernelRevision = 15
 
 // primPair holds the per-primitive-pair scalars of a shell pair: combined
 // exponent p, Gaussian-product centre P, and ss — the contraction
@@ -37,13 +38,31 @@ type primPair struct {
 // of the flat hidx/val arrays — 9 bytes a term, no pointers, and the E
 // tables they were read from do not outlive buildPairData. The same table
 // serves as bra or ket; the relative phase hermSign is applied at use.
+//
+// Primitive pairs are stored by descending Schwarz factor
+//
+//	q[i] = √max_c (i_c i_c|i_c i_c),
+//
+// the primitive-level analogue of the shell-pair norm with the contraction
+// coefficients folded in: every element of the primitive quartet block of
+// bra primitive i and ket primitive j is bounded by q[i]·q[j], so a kernel
+// that drops the quartets below a cut leaves both sorted lists early (see
+// eriQuartetCut). qtail[i] = Σ_{k≥i} q[k] prices what it dropped without
+// visiting it. order[i] is the (ia, ib) position ia·nb+ib of stored
+// primitive i, for code that walks a second table in contraction order.
+// Derivative tables keep contraction order and carry no q: they only ever
+// run uncut.
 type pairData struct {
 	l     int // la+lb: Hermite degrees reach l
 	ncomp int // na·nb
+	terms int // pairTerms[la][lb]: Hermite terms per primitive at a general geometry
 	prims []primPair
 	off   []int32
 	hidx  []uint8
 	val   []float64
+	q     []float64
+	qtail []float64
+	order []int32
 }
 
 // pairDataFor returns the (cached) Hermite-space data of a shell pair.
@@ -62,9 +81,58 @@ func (e *Engine) pairDataFor(a, b int) *pairData {
 	return slot.Load()
 }
 
+// PrimSchwarz returns the primitive-level Schwarz factors of shell pair
+// (a, b) in descending order: q_i = √max_c (i_c i_c|i_c i_c) with the
+// contraction coefficients folded in, so that every element of the
+// primitive quartet (i|j) of two pairs is at most q_i·q_j in magnitude.
+// The slice is the cached table's own: read-only.
+func (e *Engine) PrimSchwarz(a, b int) []float64 { return e.pairDataFor(a, b).q }
+
+// pairBuilder is the reusable working set of buildPairData: the table in
+// contraction order and the kernel scratch and block its Schwarz factors
+// are evaluated with.
+type pairBuilder struct {
+	ets     [3]eTable
+	prims   []primPair
+	off     []int32
+	hidx    []uint8
+	val     []float64
+	blk     []float64
+	scratch Scratch
+}
+
+// pairBuilders is the free list of working sets: one per goroutine that
+// has ever built tables at the same time, a few KiB each. A plain list
+// rather than a sync.Pool, which empties at every GC cycle (and at random
+// under the race detector): every geometry of a trajectory builds its
+// tables afresh, and they should find the buffers of the one before.
+var pairBuilders struct {
+	sync.Mutex
+	free []*pairBuilder
+}
+
+func getPairBuilder() *pairBuilder {
+	pairBuilders.Lock()
+	defer pairBuilders.Unlock()
+	if n := len(pairBuilders.free); n > 0 {
+		pb := pairBuilders.free[n-1]
+		pairBuilders.free = pairBuilders.free[:n-1]
+		return pb
+	}
+	return new(pairBuilder)
+}
+
+func putPairBuilder(pb *pairBuilder) {
+	pairBuilders.Lock()
+	pairBuilders.free = append(pairBuilders.free, pb)
+	pairBuilders.Unlock()
+}
+
 // buildPairData enumerates the primitive pairs of two shells and their
-// Hermite term tables.
+// Hermite term tables, bounds every primitive pair and stores them by
+// descending bound.
 func buildPairData(sa, sb *basis.Shell) *pairData {
+	pb := getPairBuilder()
 	ab := [3]float64{
 		sa.Center[0] - sb.Center[0],
 		sa.Center[1] - sb.Center[1],
@@ -73,16 +141,12 @@ func buildPairData(sa, sb *basis.Shell) *pairData {
 	ca, cb := Components(sa.L), Components(sb.L)
 	normA, normB := cartNorms[sa.L], cartNorms[sb.L]
 	nprim := len(sa.Exps) * len(sb.Exps)
-	pd := &pairData{
-		l:     sa.L + sb.L,
-		ncomp: len(ca) * len(cb),
-		prims: make([]primPair, 0, nprim),
-	}
-	pd.off = make([]int32, 1, nprim*pd.ncomp+1)
-	bound := nprim * pairTerms[sa.L][sb.L]
-	pd.hidx = make([]uint8, 0, bound)
-	pd.val = make([]float64, 0, bound)
-	var ets [3]eTable
+	ncomp := len(ca) * len(cb)
+
+	// Pass 1: the table in contraction order, in the builder's buffers.
+	prims, off := pb.prims[:0], append(pb.off[:0], 0)
+	hidx, val := pb.hidx[:0], pb.val[:0]
+	ets := &pb.ets
 	for ia, ea := range sa.Exps {
 		for ib, eb := range sb.Exps {
 			p := ea + eb
@@ -91,7 +155,7 @@ func buildPairData(sa, sb *basis.Shell) *pairData {
 			for d := 0; d < 3; d++ {
 				ets[d].build(sa.L, sb.L, ab[d], ea, eb)
 			}
-			pd.prims = append(pd.prims, primPair{
+			prims = append(prims, primPair{
 				p: p,
 				px: [3]float64{
 					(ea*sa.Center[0] + eb*sb.Center[0]) / p,
@@ -118,45 +182,150 @@ func buildPairData(sa, sb *basis.Shell) *pairData {
 								if ez == 0 {
 									continue
 								}
-								pd.hidx = append(pd.hidx, hermIndex[t][u][v])
-								pd.val = append(pd.val, scale*ex*ey*ez)
+								hidx = append(hidx, hermIndex[t][u][v])
+								val = append(val, scale*ex*ey*ez)
 							}
 						}
 					}
-					pd.off = append(pd.off, int32(len(pd.val)))
+					off = append(off, int32(len(val)))
 				}
 			}
 		}
 	}
-	if len(pd.val) < bound {
-		// Coincident centres zero about half the terms; the tables live
-		// as long as the engine, so give the slack back.
-		pd.hidx = append([]uint8(nil), pd.hidx...)
-		pd.val = append([]float64(nil), pd.val...)
+
+	// Pass 2: bound every primitive pair by its own diagonal quartet — the
+	// kernel itself on a one-primitive view of the table (slices, no copy)
+	// — and order the pairs by descending bound, contraction order among
+	// equals. The table proper is allocated once, at its final size.
+	floats := make([]float64, len(val)+2*nprim+1)
+	ints := make([]int32, nprim*ncomp+1+nprim)
+	pd := &pairData{
+		l: sa.L + sb.L, ncomp: ncomp, terms: pairTerms[sa.L][sb.L],
+		prims: make([]primPair, nprim),
+		off:   ints[:nprim*ncomp+1],
+		hidx:  make([]uint8, len(hidx)),
+		val:   floats[:len(val):len(val)],
+		q:     floats[len(val) : len(val)+nprim : len(val)+nprim],
+		qtail: floats[len(val)+nprim:],
+		order: ints[nprim*ncomp+1:],
 	}
+	blk := grow(pb.blk, ncomp*ncomp)
+	view := pairData{l: pd.l, ncomp: ncomp, hidx: hidx, val: val}
+	for i := range prims {
+		view.prims = prims[i : i+1]
+		view.off = off[i*ncomp : (i+1)*ncomp+1]
+		eriQuartet(&view, &view, blk, false, nil, &pb.scratch)
+		var m float64
+		for c := 0; c < ncomp; c++ {
+			m = max(m, blk[c*ncomp+c])
+		}
+		// Insertion into the descending list: nprim is at most a few dozen.
+		qi := math.Sqrt(m)
+		k := i
+		for ; k > 0 && pd.q[k-1] < qi; k-- {
+			pd.q[k], pd.order[k] = pd.q[k-1], pd.order[k-1]
+		}
+		pd.q[k], pd.order[k] = qi, int32(i)
+	}
+	for i := nprim - 1; i >= 0; i-- {
+		pd.qtail[i] = pd.qtail[i+1] + pd.q[i]
+	}
+	for i, from := range pd.order {
+		pd.prims[i] = prims[from]
+		src := off[int(from)*ncomp : (int(from)+1)*ncomp+1]
+		dst := pd.off[i*ncomp : (i+1)*ncomp+1]
+		shift := dst[0] - src[0]
+		for c, o := range src[1:] {
+			dst[c+1] = o + shift
+		}
+		copy(pd.hidx[dst[0]:], hidx[src[0]:src[ncomp]])
+		copy(pd.val[dst[0]:], val[src[0]:src[ncomp]])
+	}
+	pb.prims, pb.off, pb.hidx, pb.val, pb.blk = prims, off, hidx, val, blk
+	putPairBuilder(pb)
 	return pd
 }
 
+// PairClass is what the kernel's operation counts depend on in a shell
+// pair: its total angular momentum, the Hermite terms of one primitive
+// pair at a general geometry (pairTerms), its Cartesian component pairs
+// and its primitive pairs.
+type PairClass struct{ L, Terms, Comp, Prims int }
+
+// ClassOf returns the class of an (la lb| pair of nprims primitive pairs.
+func ClassOf(la, lb, nprims int) PairClass {
+	return PairClass{L: la + lb, Terms: pairTerms[la][lb], Comp: NCart(la) * NCart(lb), Prims: nprims}
+}
+
+func (pd *pairData) class() PairClass {
+	return PairClass{L: pd.l, Terms: pd.terms, Comp: pd.ncomp, Prims: len(pd.prims)}
+}
+
+// stageOps returns the Hermite-space multiply-adds of the kernel's stages
+// 2 and 3 for one orientation: perPrim per primitive quartet — the ket
+// terms times the bra's Hermite count — and perBraPrim per bra primitive
+// pair — the bra terms times the ket's component count.
+func stageOps(bra, ket PairClass) (perPrim, perBraPrim int) {
+	return ket.Terms * hermCount[bra.L], bra.Terms * ket.Comp
+}
+
 // QuartetOps returns the Hermite-space multiply-add count of the kernel
-// for one (la lb|lc ld) shell quartet, the quantity a cost model prices:
-// perPrim per primitive quartet — the C(L+4,4) R-tensor entries plus the
-// ket terms times the bra's Hermite count (stage 2) — and perBraPrim per
-// bra primitive pair — the bra terms times the ket's component count
-// (stage 3). The all-s class takes the closed form: both are zero.
-func QuartetOps(la, lb, lc, ld int) (perPrim, perBraPrim int) {
-	l := la + lb + lc + ld
+// for one shell quartet, the quantity a cost model prices, in the
+// orientation the kernel takes: perPrim per primitive quartet — the
+// C(L+4,4) R-tensor entries plus the ket terms times the bra's Hermite
+// count (stage 2) — and perBraPrim per primitive pair of the side
+// evaluated as bra — its terms times the other side's component count
+// (stage 3). swapped reports that this side is the ket: the block is
+// evaluated as (cd|ab) and transposed, because that is cheaper. The
+// contraction is not symmetric in its two sides — the ket's term table is
+// walked once per primitive quartet against every Hermite index of the
+// bra, the bra's once per bra primitive — so (ss|pp) would pay 33 ket terms
+// per primitive quartet where (pp|ss) pays 10. The all-s class takes the
+// closed form: both counts are zero.
+func QuartetOps(bra, ket PairClass) (perPrim, perBraPrim int, swapped bool) {
+	l := bra.L + ket.L
 	if l == 0 {
-		return 0, 0
+		return 0, 0, false
 	}
-	rEntries := (l + 1) * (l + 2) * (l + 3) * (l + 4) / 24
-	return rEntries + pairTerms[lc][ld]*hermCount[la+lb], pairTerms[la][lb] * NCart(lc) * NCart(ld)
+	r := (l + 1) * (l + 2) * (l + 3) * (l + 4) / 24
+	p, b := stageOps(bra, ket)
+	ps, bs := stageOps(ket, bra)
+	if nq := bra.Prims * ket.Prims; nq*ps+ket.Prims*bs < nq*p+bra.Prims*b {
+		return r + ps, bs, true
+	}
+	return r + p, b, false
+}
+
+// PrimStats counts the primitive quartets a kernel scratch has seen since
+// it was last read: Evaluated went through Boys and the contraction,
+// Skipped fell below the cut of their shell quartet, and TailBound is
+// Σ q_i·q_j over the skipped ones — a rigorous bound on the sum of what
+// every integral evaluated on this scratch is missing.
+type PrimStats struct {
+	Evaluated, Skipped int64
+	TailBound          float64
+}
+
+// Add folds o into s.
+func (s *PrimStats) Add(o PrimStats) {
+	s.Evaluated += o.Evaluated
+	s.Skipped += o.Skipped
+	s.TailBound += o.TailBound
+}
+
+// SkipRatio returns Skipped/(Evaluated+Skipped), or 0 for an idle scratch.
+func (s PrimStats) SkipRatio() float64 {
+	if tot := s.Evaluated + s.Skipped; tot > 0 {
+		return float64(s.Skipped) / float64(tot)
+	}
+	return 0
 }
 
 // Scratch is the reusable working set of the ERI kernel. A Scratch is
 // not safe for concurrent use; give each worker goroutine its own (via
 // NewScratch) and reuse it across quartets and SCF iterations — after a
 // warm-up build its buffers stop growing and the hot loop performs no
-// heap allocations.
+// heap allocation.
 type Scratch struct {
 	soa  []float64 // stage-1 gather, six runs: T, α, pref, (Q−P)x, (Q−P)y, (Q−P)z
 	fn   []float64 // F_0..F_ltot of every primitive quartet, job-major
@@ -164,10 +333,21 @@ type Scratch struct {
 	g    []float64 // Hermite intermediate G[cd][tuv] of one bra primitive
 	hoff []int32   // R-tensor offset of every Hermite index at this ltot
 	koff []int32   // R-tensor offset of every ket term
+	cnt  []int32   // surviving ket primitives of every bra primitive
+	tr   []float64 // the (cd|ab) block of a quartet evaluated transposed
+	prim PrimStats
 }
 
 // NewScratch returns a ready-to-use ERI scratch.
 func NewScratch() *Scratch { return new(Scratch) }
+
+// TakePrimStats returns the primitive-quartet counters accumulated on this
+// scratch and resets them.
+func (s *Scratch) TakePrimStats() PrimStats {
+	st := s.prim
+	s.prim = PrimStats{}
+	return st
+}
 
 // grow returns buf resliced to n elements, reallocating when too small.
 func grow[T any](buf []T, n int) []T {
@@ -193,23 +373,122 @@ func (e *Engine) ERIShell(a, b, c, d int, out []float64, stats *qpx.Stats) {
 // scoped to the caller: vector decides whether the quartet's primitive
 // list is accounted to stats as 4-lane batches, regardless of the
 // engine-wide Vector flag (the block computed is the same bit for bit),
-// and scratch supplies the reusable buffers. This is the entry point for
-// persistent worker pools (package hfx) — two pools sharing one engine
-// can account differently without stomping each other, and a per-worker
-// scratch keeps the steady state allocation-free.
+// and scratch supplies the reusable buffers. Every primitive quartet is
+// evaluated: this is ERIShellCut at cut 0.
 func (e *Engine) ERIShellScratch(a, b, c, d int, out []float64, vector bool, stats *qpx.Stats, scratch *Scratch) {
-	eriQuartet(e.pairDataFor(a, b), e.pairDataFor(c, d), out, vector, stats, scratch)
+	e.ERIShellCut(a, b, c, d, out, 0, vector, stats, scratch)
 }
 
-// eriQuartet is the one contraction core, shared by the engine's two
-// accounting modes and by the Schwarz bound computation. It works in
-// Hermite space as a batch pipeline over flat arrays:
+// ERIShellCut is the entry point of persistent worker pools (package
+// hfx): the block (ab|cd) without the primitive quartets whose Schwarz
+// bound q_i·q_j is below cut. A caller that passes ε over the quartet's
+// primitive-quartet count gets every integral to within ε of its exact
+// value — the neglected tail is a sum of at most that many terms, each
+// below the cut — whatever density the block is later contracted with;
+// what was skipped and the bound on it accumulate on scratch
+// (TakePrimStats). The block is evaluated in the cheaper of its two
+// orientations (QuartetOps) and written as (ab|cd) either way.
+func (e *Engine) ERIShellCut(a, b, c, d int, out []float64, cut float64, vector bool, stats *qpx.Stats, scratch *Scratch) {
+	bra, ket := e.pairDataFor(a, b), e.pairDataFor(c, d)
+	if _, _, swapped := QuartetOps(bra.class(), ket.class()); !swapped {
+		eriQuartetCut(bra, ket, out, cut, vector, stats, scratch)
+		return
+	}
+	nb, nk := bra.ncomp, ket.ncomp
+	scratch.tr = grow(scratch.tr, nb*nk)
+	tr := scratch.tr
+	eriQuartetCut(ket, bra, tr, cut, vector, stats, scratch)
+	for k := 0; k < nk; k++ {
+		for i, v := range tr[k*nb : (k+1)*nb] {
+			out[i*nk+k] = v
+		}
+	}
+}
+
+// keep is the primitive-level Schwarz test, written once: of the first hi
+// entries of the descending factor list kq it returns how many pass
+// q·kq[j] ≥ cut — a prefix, because rounded multiplication is monotone.
+func keep(q float64, kq []float64, hi int, cut float64) int {
+	for hi > 0 && q*kq[hi-1] < cut {
+		hi--
+	}
+	return hi
+}
+
+// PrimSurvivors counts what a kernel run at cut evaluates of the quartet
+// of two pairs with primitive factor lists bq and kq (Engine.PrimSchwarz,
+// descending): nq primitive quartets, held by the first nb entries of bq
+// and the first nk of kq. It is the count eriQuartetCut gathers by, for a
+// cost model that prices the quartet without evaluating it.
+func PrimSurvivors(bq, kq []float64, cut float64) (nq, nb, nk int) {
+	k := len(kq)
+	for _, qi := range bq {
+		if k = keep(qi, kq, k, cut); k == 0 {
+			break
+		}
+		if nb == 0 {
+			nk = k
+		}
+		nb++
+		nq += k
+	}
+	return nq, nb, nk
+}
+
+// survivors is stage 0 of eriQuartetCut: it fills s.cnt with the number of
+// ket primitives every bra primitive keeps under the cut, accounts what
+// was dropped, and returns the number of bra primitives that keep any and
+// the number of primitive quartets kept.
+func (s *Scratch) survivors(bra, ket *pairData, cut float64) (nb, nq int) {
+	nbp, nkp := len(bra.prims), len(ket.prims)
+	s.cnt = grow(s.cnt, nbp)
+	cnt := s.cnt
+	nb, nq = nbp, nbp*nkp
+	if cut > 0 {
+		nq = 0
+		tail := 0.0
+		nk := nkp
+		for i, qi := range bra.q {
+			if nk = keep(qi, ket.q, nk, cut); nk == 0 {
+				nb = i
+				tail += bra.qtail[i] * ket.qtail[0]
+				break
+			}
+			cnt[i] = int32(nk)
+			nq += nk
+			tail += qi * ket.qtail[nk]
+		}
+		s.prim.Skipped += int64(nbp*nkp - nq)
+		s.prim.TailBound += tail
+	} else {
+		for i := range cnt {
+			cnt[i] = int32(nkp)
+		}
+	}
+	s.prim.Evaluated += int64(nq)
+	return nb, nq
+}
+
+// eriQuartet is eriQuartetCut with every primitive quartet evaluated: the
+// form the Schwarz norms, the primitive-pair bounds and the derivative
+// blocks are computed in.
+func eriQuartet(bra, ket *pairData, out []float64, vector bool, stats *qpx.Stats, s *Scratch) {
+	eriQuartetCut(bra, ket, out, 0, vector, stats, s)
+}
+
+// eriQuartetCut is the one contraction core, shared by the engine's two
+// accounting modes, the Schwarz bound computation and the derivative
+// blocks. It works in Hermite space as a batch pipeline over flat arrays:
 //
-//  1. every bra×ket primitive combination is gathered into
-//     structure-of-arrays scratch (T, α, pref, Q−P) and boys.EvalBatch
-//     fills F_0..F_ltot for the whole list; vector only decides whether
-//     the list is accounted to stats as 4-lane batches;
-//  2. per bra primitive, the ket primitives are contracted into the
+//  0. the bra×ket primitive combinations with q_i·q_j ≥ cut are counted:
+//     both lists descend in q, so the survivors of bra primitive i are a
+//     prefix of the ket list no longer than that of i−1, and the first
+//     bra primitive without one ends the bra list (cut 0: all of them);
+//  1. the survivors are gathered into structure-of-arrays scratch (T, α,
+//     pref, Q−P) and boys.EvalBatch fills F_0..F_ltot for the whole list;
+//     vector only decides whether the list is accounted to stats as
+//     4-lane batches;
+//  2. per bra primitive, its ket primitives are contracted into the
 //     Hermite intermediate G[cd][tuv] = Σ_ket Σ_k E_k^{cd}·R[tuv+k], reading
 //     the ket's cached term table (R offsets are additive). R is built at
 //     Q−P with pref folded into its seeds: R_{tuv}(−X) = (−1)^{t+u+v}·R_{tuv}(X)
@@ -218,11 +497,11 @@ func (e *Engine) ERIShellScratch(a, b, c, d int, out []float64, vector bool, sta
 //     primitive — not once per primitive quartet.
 //
 // The all-s class skips stages 2–3: its block is Σ pref·ss_bra·ss_ket·F_0.
-func eriQuartet(bra, ket *pairData, out []float64, vector bool, stats *qpx.Stats, s *Scratch) {
-	nkp := len(ket.prims)
-	nq := len(bra.prims) * nkp
+func eriQuartetCut(bra, ket *pairData, out []float64, cut float64, vector bool, stats *qpx.Stats, s *Scratch) {
 	ltot := bra.l + ket.l
 	m1 := ltot + 1
+	nb, nq := s.survivors(bra, ket, cut)
+	cnt := s.cnt
 	if vector && stats != nil {
 		stats.Record((nq+qpx.Width-1)/qpx.Width, nq)
 	}
@@ -234,9 +513,9 @@ func eriQuartet(bra, ket *pairData, out []float64, vector bool, stats *qpx.Stats
 		// ssss closed form; this class dominates screened pair lists.
 		w := s.soa[nq : 2*nq]
 		q := 0
-		for i := range bra.prims {
+		for i := 0; i < nb; i++ {
 			bp := &bra.prims[i]
-			for j := range ket.prims {
+			for j := range ket.prims[:cnt[i]] {
 				kp := &ket.prims[j]
 				inv := 1 / (bp.p + kp.p)
 				dx, dy, dz := bp.px[0]-kp.px[0], bp.px[1]-kp.px[1], bp.px[2]-kp.px[2]
@@ -258,9 +537,9 @@ func eriQuartet(bra, ket *pairData, out []float64, vector bool, stats *qpx.Stats
 	alpha, pref := s.soa[nq:2*nq], s.soa[2*nq:3*nq]
 	qx, qy, qz := s.soa[3*nq:4*nq], s.soa[4*nq:5*nq], s.soa[5*nq:6*nq]
 	q := 0
-	for i := range bra.prims {
+	for i := 0; i < nb; i++ {
 		bp := &bra.prims[i]
-		for j := range ket.prims {
+		for j := range ket.prims[:cnt[i]] {
 			kp := &ket.prims[j]
 			inv := 1 / (bp.p + kp.p)
 			a := bp.p * kp.p * inv
@@ -279,27 +558,34 @@ func eriQuartet(bra, ket *pairData, out []float64, vector bool, stats *qpx.Stats
 	for i := range out {
 		out[i] = 0
 	}
+	if nb == 0 {
+		return
+	}
+	// The ket terms any bra primitive reads are those of the first cnt[0]
+	// ket primitives (a one-primitive view starts past the table's origin).
+	klo, khi := int(ket.off[0]), int(ket.off[int(cnt[0])*nkc])
 	s.r = grow(s.r, rSize(ltot))
 	s.g = grow(s.g, nkc*nh)
 	s.hoff = grow(s.hoff, hermCount[max(bra.l, ket.l)])
-	s.koff = grow(s.koff, len(ket.hidx))
+	s.koff = grow(s.koff, khi)
 	r, g, hoff, koff := s.r, s.g, s.hoff, s.koff
 	for h := range hoff {
 		tuv := hermTUV[h]
 		hoff[h] = int32((int(tuv[0])*m1+int(tuv[1]))*m1 + int(tuv[2]))
 	}
-	for k, h := range ket.hidx {
-		koff[k] = hoff[h]
+	for k := klo; k < khi; k++ {
+		koff[k] = hoff[ket.hidx[k]]
 	}
 	hoffB := hoff[:nh]
-	for i := range bra.prims {
+	q = 0
+	for i := 0; i < nb; i++ {
 		// Stage 2: contract the ket primitives into G.
 		for x := range g {
 			g[x] = 0
 		}
-		for j := 0; j < nkp; j++ {
-			q := i*nkp + j
+		for j, nk := 0, int(cnt[i]); j < nk; j++ {
 			buildR(ltot, fn[q*m1:(q+1)*m1], alpha[q], pref[q], qx[q], qy[q], qz[q], r)
+			q++
 			off := ket.off[j*nkc : (j+1)*nkc+1]
 			if nh == 1 {
 				// (ss| bra: G has one Hermite index per ket component.
@@ -374,7 +660,7 @@ func (e *Engine) SchwarzMatrixThreads(threads int) *linalg.Matrix {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var buf []float64
+			var blk []float64
 			scratch := eriPool.Get().(*Scratch)
 			defer eriPool.Put(scratch)
 			for {
@@ -384,14 +670,16 @@ func (e *Engine) SchwarzMatrixThreads(threads int) *linalg.Matrix {
 				}
 				sa := &e.Basis.Shells[a]
 				for b := a; b < ns; b++ {
+					pd := e.pairDataFor(a, b)
+					if len(pd.prims) == 1 {
+						// The table's own bound is this very quartet.
+						q.Set(a, b, pd.q[0])
+						q.Set(b, a, pd.q[0])
+						continue
+					}
 					sb := &e.Basis.Shells[b]
 					na, nb := sa.NFuncs(), sb.NFuncs()
-					need := na * nb * na * nb
-					if cap(buf) < need {
-						buf = make([]float64, need)
-					}
-					blk := buf[:need]
-					pd := e.pairDataFor(a, b)
+					blk = grow(blk, na*nb*na*nb)
 					eriQuartet(pd, pd, blk, false, nil, scratch)
 					var m float64
 					for i := 0; i < na; i++ {

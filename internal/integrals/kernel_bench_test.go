@@ -64,3 +64,18 @@ func BenchmarkERIClass(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkPairTables times what a new geometry pays before its first
+// quartet: the Hermite term tables of every canonical shell pair of
+// (H2O)3 / STO-3G, with their primitive-pair Schwarz factors and the sort.
+func BenchmarkPairTables(b *testing.B) {
+	set := basis.MustBuild("STO-3G", chem.WaterCluster(3, 1))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for a := range set.Shells {
+			for c := a; c < len(set.Shells); c++ {
+				buildPairData(&set.Shells[a], &set.Shells[c])
+			}
+		}
+	}
+}

@@ -332,7 +332,8 @@ func TestKernelPermutationSymmetryD(t *testing.T) {
 }
 
 // TestERIKernelSteadyStateAllocs: on a warm Scratch the kernel performs
-// no heap allocation with or without lane accounting, and the lane accounting of a
+// no heap allocation with or without lane accounting, under a primitive
+// cut and in either orientation, and the lane accounting of a
 // gathered list reaches the shared Stats in one flush.
 func TestERIKernelSteadyStateAllocs(t *testing.T) {
 	e := NewEngine(basis.MustBuild("6-31G*", chem.Water()))
@@ -345,6 +346,7 @@ func TestERIKernelSteadyStateAllocs(t *testing.T) {
 			for c := 0; c < ns; c++ {
 				e.ERIShellScratch(a, (a+1)%ns, c, (c+2)%ns, out, false, nil, s)
 				e.ERIShellScratch(a, (a+1)%ns, c, (c+2)%ns, out, true, &stats, s)
+				e.ERIShellCut(a, (a+1)%ns, c, (c+2)%ns, out, 1e-10, false, nil, s)
 			}
 		}
 	}
@@ -358,7 +360,8 @@ func TestERIKernelSteadyStateAllocs(t *testing.T) {
 }
 
 // TestQuartetOpsCountsTermTables: the operation count handed to the cost
-// model is the size of the real term tables at a general geometry.
+// model is the size of the real term tables at a general geometry, in the
+// orientation the kernel takes — the cheaper of the two.
 func TestQuartetOpsCountsTermTables(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for la := 0; la <= 2; la++ {
@@ -369,15 +372,36 @@ func TestQuartetOpsCountsTermTables(t *testing.T) {
 			if got, want := len(pd.val), len(pd.prims)*pairTerms[la][lb]; got != want {
 				t.Fatalf("(%d %d| pair: %d terms, pairTerms predicts %d", la, lb, got, want)
 			}
-			perPrim, perBraPrim := QuartetOps(la, lb, 1, 0)
+			if pd.terms != pairTerms[la][lb] {
+				t.Fatalf("(%d %d| pair carries terms = %d, want %d", la, lb, pd.terms, pairTerms[la][lb])
+			}
+			const nbra, nket = 9, 9
+			perPrim, perBraPrim, swapped := QuartetOps(ClassOf(la, lb, nbra), ClassOf(1, 0, nket))
 			l := la + lb + 1
-			wantPrim := (l+1)*(l+2)*(l+3)*(l+4)/24 + pairTerms[1][0]*hermCount[la+lb]
-			if perPrim != wantPrim || perBraPrim != 3*pairTerms[la][lb] {
-				t.Fatalf("QuartetOps(%d,%d,1,0) = %d, %d", la, lb, perPrim, perBraPrim)
+			r := (l + 1) * (l + 2) * (l + 3) * (l + 4) / 24
+			asIs := [2]int{r + pairTerms[1][0]*hermCount[la+lb], 3 * pairTerms[la][lb]}
+			turned := [2]int{r + pairTerms[la][lb]*hermCount[1], NCart(la) * NCart(lb) * pairTerms[1][0]}
+			want := asIs
+			if swapped {
+				want = turned
+			}
+			if perPrim != want[0] || perBraPrim != want[1] {
+				t.Fatalf("QuartetOps(%d,%d,1,0) = %d, %d (swapped %v), want %v", la, lb, perPrim, perBraPrim, swapped, want)
+			}
+			total := func(o [2]int) int { return nbra*nket*o[0] + nbra*o[1] }
+			if other := map[bool][2]int{false: turned, true: asIs}[swapped]; total(want) > total(other) {
+				t.Fatalf("QuartetOps(%d,%d,1,0) took the dearer orientation: %d ops against %d", la, lb, total(want), total(other))
+			}
+			// The roadmap's example: (ss|pp) is evaluated as (pp|ss).
+			if _, _, sw := QuartetOps(ClassOf(0, 0, nbra), ClassOf(1, 1, nket)); !sw {
+				t.Fatal("(ss|pp) must be evaluated as (pp|ss)")
+			}
+			if _, _, sw := QuartetOps(ClassOf(1, 1, nbra), ClassOf(0, 0, nket)); sw {
+				t.Fatal("(pp|ss) must be evaluated as it stands")
 			}
 		}
 	}
-	if a, b := QuartetOps(0, 0, 0, 0); a != 0 || b != 0 {
+	if a, b, _ := QuartetOps(ClassOf(0, 0, 9), ClassOf(0, 0, 9)); a != 0 || b != 0 {
 		t.Fatalf("ssss takes the closed form, got %d, %d ops", a, b)
 	}
 }

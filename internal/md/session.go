@@ -10,7 +10,6 @@ import (
 	"hfxmd/internal/dft"
 	"hfxmd/internal/hfx"
 	"hfxmd/internal/integrals"
-	"hfxmd/internal/linalg"
 	"hfxmd/internal/scf"
 	"hfxmd/internal/screen"
 	"hfxmd/internal/store"
@@ -196,8 +195,8 @@ func (s *Session) runLocked(m *chem.Molecule, solve func(*chem.Molecule, scf.Con
 	case s.opt.Store != nil:
 		key := densityKeyPrefix + scf.DensityPrefixKey(s.cfg, m)
 		if b, ok := s.opt.Store.Get(key); ok {
-			if n, data, err := store.DecodeMatrix(b); err == nil && n == set.NBasis {
-				run.InitialDensity = &linalg.Matrix{Rows: n, Cols: n, Data: data}
+			if p, _ := scf.DecodeSeed(b, m); p != nil && p.Rows == set.NBasis {
+				run.InitialDensity = p
 				s.stats.StoreSeeds++
 			}
 		}
@@ -232,7 +231,7 @@ func (s *Session) runLocked(m *chem.Molecule, solve func(*chem.Molecule, scf.Con
 	s.pred.record(res.P, overlap, res.C, res.NOcc, pos)
 	if s.opt.Store != nil {
 		key := densityKeyPrefix + scf.DensityPrefixKey(s.cfg, m)
-		s.opt.Store.Put(key, store.EncodeMatrix(set.NBasis, res.P.Data))
+		s.opt.Store.Put(key, scf.EncodeSeed(m, set.NBasis, res.P.Data))
 	}
 	return res, f, nil
 }

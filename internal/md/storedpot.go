@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"hfxmd/internal/chem"
-	"hfxmd/internal/linalg"
 	"hfxmd/internal/scf"
 	"hfxmd/internal/store"
 )
@@ -38,8 +37,8 @@ func StoredSCFPotential(cfg scf.Config, st *store.Store) PotentialFunc {
 		key := densityKeyPrefix + scf.DensityPrefixKey(cfg, m)
 		run := cfg
 		if b, ok := st.Get(key); ok {
-			if n, data, err := store.DecodeMatrix(b); err == nil {
-				run.InitialDensity = &linalg.Matrix{Rows: n, Cols: n, Data: data}
+			if p, status := scf.DecodeSeed(b, m); status == scf.SeedHit {
+				run.InitialDensity = p
 				run.Incremental = true
 				st.Registry().Counter("md.density_seeded").Add(1)
 			}
@@ -57,7 +56,7 @@ func StoredSCFPotential(cfg scf.Config, st *store.Store) PotentialFunc {
 		if !res.Converged {
 			return res.Energy, fmt.Errorf("md: SCF not converged at this geometry")
 		}
-		st.Put(key, store.EncodeMatrix(res.Set.NBasis, res.P.Data))
+		st.Put(key, scf.EncodeSeed(m, res.Set.NBasis, res.P.Data))
 		return res.Energy, nil
 	}
 }

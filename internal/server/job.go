@@ -506,7 +506,7 @@ func prepare(req *JobRequest, threads int, sopts screen.Options, cal *steal.Cali
 	eng := integrals.NewEngine(set)
 	scr := screen.BuildPairList(eng, sopts)
 	cm := hfx.DefaultCostModel()
-	tasks := hfx.GenerateTasks(set, scr.Pairs, cm, 0)
+	tasks := hfx.BuilderTasks(eng, scr, cm, 0)
 	costs := hfx.TaskCosts(tasks)
 	if cal != nil {
 		costs = cal.Scale(hfx.TaskClasses(set, scr.Pairs, tasks), costs)

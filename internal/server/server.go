@@ -15,7 +15,7 @@ import (
 	"hfxmd/internal/chem"
 	"hfxmd/internal/dft"
 	"hfxmd/internal/hfx"
-	"hfxmd/internal/linalg"
+	"hfxmd/internal/integrals"
 	"hfxmd/internal/mprt"
 	"hfxmd/internal/scf"
 	"hfxmd/internal/screen"
@@ -189,7 +189,7 @@ func New(cfg Config) (*Server, error) {
 		"journal.appends", "journal.bytes", "journal.replayed",
 		"journal.compactions", "journal.append_errors", "journal.replay_dropped",
 		"eri.spills", "eri.spill_bytes", "eri.warmed_builders", "eri.warmed_blocks",
-		"prefix.density_hits", "prefix.density_misses", "prefix.density_stored",
+		"prefix.density_hits", "prefix.density_misses", "prefix.density_rejected", "prefix.density_stored",
 		"calib.restored", "calib.persisted",
 		// Pre-created so a restarted server that answers everything from
 		// the store visibly reports zero Fock builds (the smoke test's
@@ -618,30 +618,39 @@ func (s *Server) scfConfig(req *JobRequest) scf.Config {
 
 // seedDensity applies partial-hit prefix reuse to an SCF config: when
 // the store holds a converged density for the same model-chemistry and
-// composition prefix (a neighbouring scan point, an earlier MD step, a
-// different geometry of the same system), SCF starts from it with the
-// incremental ΔP build path instead of a cold SAD guess. Returns the
-// store key under which this run's converged density belongs.
+// composition prefix that was converged at a neighbouring geometry (the
+// previous scan point, an earlier MD step — scf.DecodeSeed draws the
+// line), SCF starts from it instead of the cold SAD guess. A stored
+// density of some other geometry of the same composition is counted as
+// rejected and the run starts from SAD. Returns the store key under which
+// this run's converged density belongs.
 func (s *Server) seedDensity(cfg *scf.Config, mol *chem.Molecule, nbasis int) string {
 	key := densityKeyPrefix + scf.DensityPrefixKey(*cfg, mol)
+	status := scf.SeedMiss
 	if b, ok := s.store.Get(key); ok {
-		if n, data, err := store.DecodeMatrix(b); err == nil && n == nbasis {
-			cfg.InitialDensity = &linalg.Matrix{Rows: n, Cols: n, Data: data}
-			cfg.Incremental = true
-			s.reg.Counter("prefix.density_hits").Add(1)
-			return key
-		}
+		cfg.InitialDensity, status = scf.DecodeSeed(b, mol)
 	}
-	s.reg.Counter("prefix.density_misses").Add(1)
+	if status == scf.SeedHit && cfg.InitialDensity.Rows != nbasis {
+		cfg.InitialDensity, status = nil, scf.SeedMiss // written under other basis data
+	}
+	switch status {
+	case scf.SeedHit:
+		s.reg.Counter("prefix.density_hits").Add(1)
+	case scf.SeedRejected:
+		s.reg.Counter("prefix.density_rejected").Add(1)
+	default:
+		s.reg.Counter("prefix.density_misses").Add(1)
+	}
 	return key
 }
 
-// storeDensity records a converged density under its prefix key.
+// storeDensity records a converged density, with its geometry, under its
+// prefix key.
 func (s *Server) storeDensity(key string, res *scf.Result) {
 	if !res.Converged {
 		return
 	}
-	if err := s.store.Put(key, store.EncodeMatrix(res.Set.NBasis, res.P.Data)); err == nil {
+	if err := s.store.Put(key, scf.EncodeSeed(res.Set.Mol, res.Set.NBasis, res.P.Data)); err == nil {
 		s.reg.Counter("prefix.density_stored").Add(1)
 	}
 }
@@ -777,6 +786,7 @@ func (s *Server) mergeReport(rep hfx.Report) {
 	s.reg.Counter("hfx.fock_builds").Add(max64(rep.Pool.Builds, 1))
 	s.reg.Counter("hfx.quartets_computed").Add(rep.QuartetsComputed)
 	s.reg.Counter("hfx.quartets_screened").Add(rep.QuartetsScreened)
+	s.mergePrimStats(rep.Prim)
 	s.reg.Counter("hfx.zero_ns").Add(int64(rep.Pool.ZeroTime))
 	s.reg.Counter("hfx.screen_wall_ns").Add(rep.ScreeningStats.Wall().Nanoseconds())
 	if rep.Cache.Enabled {
@@ -790,6 +800,16 @@ func (s *Server) mergeReport(rep hfx.Report) {
 	}
 }
 
+// mergePrimStats folds a build's primitive-level screening into the
+// registry: the primitive quartets evaluated and skipped accumulate, and
+// the gauge holds the latest build's screening error bound — Σ q_i·q_j over
+// what it skipped — in units of 1e-15.
+func (s *Server) mergePrimStats(st integrals.PrimStats) {
+	s.reg.Counter("hfx.prim_quartets").Add(st.Evaluated)
+	s.reg.Counter("hfx.prim_skipped").Add(st.Skipped)
+	s.reg.Gauge("hfx.prim_tail_bound_femto").Set(int64(st.TailBound * 1e15))
+}
+
 // mergeDistReport folds one distributed build into the registry: the
 // aggregate build counters, the collective-traffic totals, and the
 // per-rank compute/comm phase walls, so /metrics exposes the rank
@@ -798,6 +818,7 @@ func (s *Server) mergeDistReport(rep hfx.DistReport) {
 	s.reg.Counter("hfx.fock_builds").Add(1)
 	s.reg.Counter("hfx.quartets_computed").Add(rep.QuartetsComputed)
 	s.reg.Counter("hfx.quartets_screened").Add(rep.QuartetsScreened)
+	s.mergePrimStats(rep.Prim)
 	s.reg.Counter("mprt.comm_bytes").Add(rep.CommBytes)
 	s.reg.Counter("mprt.sends").Add(rep.Sends)
 	s.reg.Counter("mprt.hops").Add(rep.Hops)

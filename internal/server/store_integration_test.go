@@ -11,6 +11,7 @@ import (
 	"hfxmd/internal/basis"
 	"hfxmd/internal/chem"
 	"hfxmd/internal/scf"
+	"hfxmd/internal/store"
 )
 
 // ---------------------------------------------------------------------------
@@ -184,8 +185,11 @@ func TestDensityChainsAcrossGeometries(t *testing.T) {
 	if keyB != keyA {
 		t.Fatalf("perturbed geometry changed the prefix key: %s vs %s", keyB, keyA)
 	}
-	if cfgB.InitialDensity == nil || !cfgB.Incremental {
+	if cfgB.InitialDensity == nil {
 		t.Fatal("neighbouring geometry's density should seed the next point")
+	}
+	if cfgB.Incremental {
+		t.Fatal("a seeded scf job must run full builds: ΔP builds lose to them whenever the ERI cache holds the run's integrals")
 	}
 	resB, err := scf.Run(molB, cfgB)
 	if err != nil {
@@ -197,5 +201,95 @@ func TestDensityChainsAcrossGeometries(t *testing.T) {
 	}
 	if got := counter(s, "prefix.density_hits"); got != 1 {
 		t.Fatalf("prefix.density_hits = %d, want 1", got)
+	}
+}
+
+// TestSeedGuardRejectsOtherGeometries: a stored density seeds only the
+// geometry it nearly belongs to. A rotated copy of the molecule and the
+// same molecule with its atoms listed in another order share the prefix
+// key (same composition) but not the density — its rows are basis
+// functions in atom order — so both fall back to the SAD guess, are
+// counted as rejected, and converge in no more iterations than a cold run.
+func TestSeedGuardRejectsOtherGeometries(t *testing.T) {
+	s := mustNew(t, Config{Workers: 1, StoreDir: filepath.Join(t.TempDir(), "store")})
+	defer s.Shutdown(context.Background())
+
+	req := JobRequest{Kind: KindSCF, System: "water"}
+	req.normalize()
+	mol := chem.Water()
+	run := func(m *chem.Molecule) (*scf.Result, scf.Config) {
+		t.Helper()
+		cfg := s.scfConfig(&req)
+		set, err := basis.Build(req.Basis, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		key := s.seedDensity(&cfg, m, set.NBasis)
+		res, err := scf.Run(m, cfg)
+		if err != nil || !res.Converged {
+			t.Fatalf("scf: %v", err)
+		}
+		s.storeDensity(key, res)
+		return res, cfg
+	}
+	cold, cfg := run(mol)
+	if cfg.InitialDensity != nil || counter(s, "prefix.density_misses") != 1 {
+		t.Fatal("empty store must be a miss")
+	}
+
+	near := chem.Water()
+	near.Atoms[1].Pos[0] += 0.1 // well inside scf.SeedMaxShift
+	res, cfg := run(near)
+	if cfg.InitialDensity == nil || counter(s, "prefix.density_hits") != 1 {
+		t.Fatal("a geometry within the shift bound must be seeded")
+	}
+	if res.Iterations > cold.Iterations {
+		t.Fatalf("near seed took %d iterations, cold %d", res.Iterations, cold.Iterations)
+	}
+	s.storeDensity(densityKeyPrefix+scf.DensityPrefixKey(cfg, mol), cold) // the reference geometry again
+
+	rotated := chem.Water()
+	for i := range rotated.Atoms { // quarter turn about x: (x, y, z) → (x, −z, y)
+		p := rotated.Atoms[i].Pos
+		rotated.Atoms[i].Pos = chem.Vec3{p[0], -p[2], p[1]}
+	}
+	permuted := chem.Water()
+	permuted.Atoms[0], permuted.Atoms[2] = permuted.Atoms[2], permuted.Atoms[0]
+	for i, m := range []*chem.Molecule{rotated, permuted} {
+		cfg := s.scfConfig(&req)
+		set, err := basis.Build(req.Basis, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if key := s.seedDensity(&cfg, m, set.NBasis); key != densityKeyPrefix+scf.DensityPrefixKey(cfg, mol) {
+			t.Fatalf("case %d: same composition must share the prefix key", i)
+		}
+		if cfg.InitialDensity != nil || cfg.Incremental {
+			t.Fatalf("case %d: a density of another geometry must not seed", i)
+		}
+		if got := counter(s, "prefix.density_rejected"); got != int64(i+1) {
+			t.Fatalf("case %d: prefix.density_rejected = %d, want %d", i, got, i+1)
+		}
+		res, err := scf.Run(m, cfg)
+		if err != nil || !res.Converged {
+			t.Fatalf("case %d: %v", i, err)
+		}
+		if res.Iterations > cold.Iterations {
+			t.Fatalf("case %d: SAD fallback took %d iterations, cold run %d", i, res.Iterations, cold.Iterations)
+		}
+		if math.Abs(res.Energy-cold.Energy) > 1e-7 {
+			t.Fatalf("case %d: energy %.10f, reference %.10f", i, res.Energy, cold.Energy)
+		}
+	}
+
+	// An entry without a geometry (the pre-guard format) is a miss.
+	cfg = s.scfConfig(&req)
+	key := densityKeyPrefix + scf.DensityPrefixKey(cfg, mol)
+	if err := s.store.Put(key, store.EncodeMatrix(cold.Set.NBasis, cold.P.Data)); err != nil {
+		t.Fatal(err)
+	}
+	misses := counter(s, "prefix.density_misses")
+	if s.seedDensity(&cfg, mol, cold.Set.NBasis); cfg.InitialDensity != nil || counter(s, "prefix.density_misses") != misses+1 {
+		t.Fatal("an entry stored without its geometry must be a miss")
 	}
 }

@@ -25,7 +25,8 @@ type Calibrator struct {
 	obs     map[int]int64
 	// errEMA tracks |measured − calibrated prediction| / calibrated
 	// prediction, updated *before* each factor update: the residual error
-	// of the model as it was when the prediction was made.
+	// of the model as it was when the prediction was made. A sample's
+	// error is capped at maxSampleErr.
 	errEMA  float64
 	errInit bool
 	epoch   uint64
@@ -41,6 +42,15 @@ type Calibrator struct {
 
 // DefaultAlpha is the EMA weight used when NewCalibrator gets 0.
 const DefaultAlpha = 0.25
+
+// maxSampleErr caps the relative error one sample contributes to the
+// error EMA and the window means: past a factor of two the prediction has
+// simply missed. A task lasts tens of microseconds, so a descheduled one
+// measures 20–100× slow; uncapped, |m − c|/c charges that one sample 1/f
+// times more to the calibrated model than to a raw model that over-predicts
+// the class (factor f < 1, its own error bounded by 1), and a single
+// preemption outweighs a build's worth of samples in either mean.
+const maxSampleErr = 1
 
 // NewCalibrator returns an empty calibrator (all factors 1).
 func NewCalibrator(alpha float64) *Calibrator {
@@ -81,6 +91,7 @@ func (c *Calibrator) Observe(class int, predictedNS, measuredNS float64) {
 	if e < 0 {
 		e = -e
 	}
+	e = min(e, maxSampleErr)
 	if !c.errInit {
 		c.errEMA, c.errInit = e, true
 	} else {
@@ -90,6 +101,7 @@ func (c *Calibrator) Observe(class int, predictedNS, measuredNS float64) {
 	if eRaw < 0 {
 		eRaw = -eRaw
 	}
+	eRaw = min(eRaw, maxSampleErr)
 	c.winCal += e
 	c.winRaw += eRaw
 	c.winN++
@@ -172,7 +184,8 @@ func (c *Calibrator) BeginWindow() {
 
 // WindowErr returns the mean absolute relative prediction error of the
 // calibrated and the raw (uncalibrated) model over the samples observed
-// since BeginWindow, plus the sample count. Zero errors when the window
+// since BeginWindow (each sample's error capped at maxSampleErr), plus the
+// sample count. Zero errors when the window
 // is empty.
 func (c *Calibrator) WindowErr() (cal, raw float64, n int64) {
 	if c == nil {

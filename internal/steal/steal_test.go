@@ -278,3 +278,32 @@ func TestCalibratorEpochAdvances(t *testing.T) {
 		t.Fatal("SetFactor did not advance the epoch")
 	}
 }
+
+// TestCalibratorCapsSampleError: one descheduled task — a sample 50× slow
+// on a class whose raw model over-predicts 4× — counts as a miss (error 1)
+// in both the calibrated and the raw series instead of 199 against 11.5,
+// so it cannot outweigh a window of ordinary samples in either mean.
+func TestCalibratorCapsSampleError(t *testing.T) {
+	c := NewCalibrator(0.5)
+	for i := 0; i < 9; i++ {
+		c.Observe(0, 1000, 250)
+	}
+	c.BeginWindow()
+	for i := 0; i < 9; i++ {
+		c.Observe(0, 1000, 250)
+	}
+	c.Observe(0, 1000, 12500)
+	cal, raw, n := c.WindowErr()
+	if n != 10 {
+		t.Fatalf("%d samples in the window, want 10", n)
+	}
+	if want := 0.1; math.Abs(cal-want) > 1e-9 {
+		t.Fatalf("calibrated window error %g, want %g (nine exact samples and one capped miss)", cal, want)
+	}
+	if want := (9*0.75 + 1) / 10; math.Abs(raw-want) > 1e-9 {
+		t.Fatalf("raw window error %g, want %g", raw, want)
+	}
+	if c.MeanAbsErr() > 1 {
+		t.Fatalf("error EMA %g above the cap", c.MeanAbsErr())
+	}
+}

@@ -26,17 +26,27 @@ func EncodeMatrix(n int, data []float64) []byte {
 
 // DecodeMatrix parses an EncodeMatrix payload back to (n, data).
 func DecodeMatrix(b []byte) (int, []float64, error) {
+	n, data, rest, err := DecodeMatrixPrefix(b)
+	if err == nil && len(rest) != 0 {
+		return 0, nil, fmt.Errorf("store: %d bytes after a matrix payload of n=%d", len(rest), n)
+	}
+	return n, data, err
+}
+
+// DecodeMatrixPrefix parses an EncodeMatrix payload at the front of b and
+// returns what follows it, for payloads that append their own trailer.
+func DecodeMatrixPrefix(b []byte) (n int, data []float64, rest []byte, err error) {
 	if len(b) < len(matMagic)+4 || string(b[:len(matMagic)]) != matMagic {
-		return 0, nil, fmt.Errorf("store: not a matrix payload")
+		return 0, nil, nil, fmt.Errorf("store: not a matrix payload")
 	}
-	n := int(binary.LittleEndian.Uint32(b[len(matMagic):]))
+	n = int(binary.LittleEndian.Uint32(b[len(matMagic):]))
 	body := b[len(matMagic)+4:]
-	if n < 0 || len(body) != 8*n*n {
-		return 0, nil, fmt.Errorf("store: matrix payload length %d does not match n=%d", len(body), n)
+	if n < 0 || n > 1<<15 || len(body) < 8*n*n {
+		return 0, nil, nil, fmt.Errorf("store: matrix payload length %d does not match n=%d", len(body), n)
 	}
-	data := make([]float64, n*n)
+	data = make([]float64, n*n)
 	for i := range data {
 		data[i] = math.Float64frombits(binary.LittleEndian.Uint64(body[8*i:]))
 	}
-	return n, data, nil
+	return n, data, body[8*n*n:], nil
 }

@@ -9,7 +9,8 @@
 # and — first, while the guest is rested — the Fock bench regression gate:
 # a fresh scripts/bench_fock.sh run (fastest of five per configuration, as
 # the baseline was recorded) must not regress semi-direct ns/op by >20%,
-# nor the direct pooled build's ns/op, any ERI class's ns/primquartet,
+# nor the direct pooled build's or the served one-thread direct build's
+# (BenchmarkDirectBuild) ns/op, any ERI class's ns/primquartet,
 # the PBE0 XC integration's / tabulation's ns/op, any analytic-gradient
 # row's ns/op (whole build and per phase) or a served trajectory's outer
 # step (BenchmarkSessionStep) by >25% (and XC integration must stay at 0
@@ -86,6 +87,12 @@ gate() {
 }
 gate BenchmarkBuildJKSemiDirect ns_per_op 20
 gate BenchmarkBuildJKPooled ns_per_op 25
+# The served direct build, (H2O)3/STO-3G and (H2O)2/6-31G*, one thread;
+# allocation-free like the pooled build.
+for row in $(sed -n 's|.*"\(BenchmarkDirectBuild/[A-Za-z0-9-]*\)".*|\1|p' BENCH_fock.json); do
+	gate "$row" ns_per_op 25
+	test "$(extract "$row" allocs_per_op "$fresh")" = 0
+done
 for class in $(sed -n 's|.*"\(BenchmarkERIClass/[a-z]*\)".*|\1|p' BENCH_fock.json); do
 	gate "$class" ns_per_primquartet 25
 done
