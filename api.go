@@ -181,7 +181,8 @@ func NewExchangeBuilder(mol *Molecule, basisName string, sopts ScreeningOptions,
 	return &ExchangeBuilder{b: hfx.NewBuilder(eng, scr, opts)}, nil
 }
 
-// BuildJK evaluates the Coulomb and exchange matrices for density p.
+// BuildJK evaluates the Coulomb and exchange matrices for density p, which
+// must be symmetric (as every density is); J and K come back symmetric.
 //
 // WARNING: the returned matrices ALIAS the builder's persistent pool
 // buffers — they are valid only until the next BuildJK on this builder,

@@ -108,6 +108,33 @@ func BenchmarkBuildJKSemiDirect(b *testing.B) {
 	b.ReportMetric(rep.Cache.HitRatio(), "hitratio")
 }
 
+// BenchmarkBuildJKSemiDirect631Gs is the warm-cache replay on a basis with
+// d shells, (H2O)2/6-31G* on one thread, where the blocks the digestion
+// walks run to 6⁴ integrals. Must stay 0 allocs/op.
+func BenchmarkBuildJKSemiDirect631Gs(b *testing.B) {
+	eng := integrals.NewEngine(basis.MustBuild("6-31G*", chem.WaterCluster(2, 1)))
+	scr := screen.BuildPairList(eng, screen.DefaultOptions())
+	p := testDensity(eng.Basis.NBasis, 1)
+	opts := DefaultOptions()
+	opts.Threads = 1
+	opts.CacheBudgetBytes = 256 << 20
+	builder := NewBuilder(eng, scr, opts)
+	defer builder.Close()
+	builder.BuildJK(p) // warm-up 1: fill the cache
+	_, _, rep := builder.BuildJK(p)
+	if rep.Cache.Misses != 0 {
+		b.Fatalf("warm cache still misses %d quartets; raise the budget", rep.Cache.Misses)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, _, rep = builder.BuildJK(p)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(rep.QuartetsComputed), "quartets/op")
+	b.ReportMetric(rep.Cache.HitRatio(), "hitratio")
+}
+
 // BenchmarkBuildJKIncrementalSemiDirect measures the ΔP build an
 // incremental SCF issues on a warm cache: the small difference density
 // screens away most quartets (density-weighted test) and the survivors

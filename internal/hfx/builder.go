@@ -210,20 +210,18 @@ type pool struct {
 	classes []int
 	calib   *steal.Calibrator
 
-	nw      int
-	jBufs   []*linalg.Matrix
-	kBufs   []*linalg.Matrix
-	eriBufs [][]float64
-	scratch []*integrals.Scratch
-	reg     *trace.Registry
-	cache   *eriCache  // nil when Options.CacheBudgetBytes admitted nothing
-	grad    *gradState // nil until the first Gradient
+	nw    int
+	slots []slot
+	reg   *trace.Registry
+	cache *eriCache  // nil when Options.CacheBudgetBytes admitted nothing
+	grad  *gradState // nil until the first Gradient
 
 	// Per-build state, written by the coordinator before workers are
 	// woken (the wake-channel send establishes the happens-before edge).
 	p        *linalg.Matrix
 	pmaxAll  float64    // max |P| over the whole density (density-weighted runs)
 	pmaxBlk  []float64  // max |P| over shell block (s1, s2), at s1·NShells+s2 (likewise)
+	pairP    []float64  // pmaxBlk of every screened pair, by pair index (likewise)
 	stats    *qpx.Stats // points at qstats when Vector, else nil
 	qstats   qpx.Stats
 	computed atomic.Int64
@@ -241,6 +239,17 @@ type pool struct {
 	wake []chan struct{}
 	done sync.WaitGroup
 	quit chan struct{}
+}
+
+// slot is one leaf of the reduction tree — a pool worker, or a steal unit —
+// with everything a task running in it writes: the private J and K
+// accumulators, an ERI block buffer, the kernel scratch and the
+// density-weighted screen's per-task row of block maxima (see braRows).
+type slot struct {
+	j, k *linalg.Matrix
+	eri  []float64
+	sc   *integrals.Scratch
+	rowP []float64 // NShells floats; density-weighted builders only
 }
 
 const (
@@ -291,16 +300,13 @@ func newPool(eng *integrals.Engine, scr *screen.Result, opts Options,
 	nw := pl.asn.NWorkers()
 	pl.nw = nw
 	n := eng.Basis.NBasis
-	pl.jBufs = make([]*linalg.Matrix, nw)
-	pl.kBufs = make([]*linalg.Matrix, nw)
-	pl.eriBufs = make([][]float64, nw)
-	pl.scratch = make([]*integrals.Scratch, nw)
+	pl.slots = make([]slot, nw)
 	buflen := eng.MaxERIBufLen()
-	for w := 0; w < nw; w++ {
-		pl.jBufs[w] = linalg.NewSquare(n)
-		pl.kBufs[w] = linalg.NewSquare(n)
-		pl.eriBufs[w] = make([]float64, buflen)
-		pl.scratch[w] = integrals.NewScratch()
+	for w := range pl.slots {
+		s := &pl.slots[w]
+		s.j, s.k = linalg.NewSquare(n), linalg.NewSquare(n)
+		s.eri = make([]float64, buflen)
+		s.sc = integrals.NewScratch()
 	}
 	if opts.Vector {
 		pl.stats = &pl.qstats
@@ -308,6 +314,10 @@ func newPool(eng *integrals.Engine, scr *screen.Result, opts Options,
 	if opts.DensityWeighted {
 		ns := eng.Basis.NShells()
 		pl.pmaxBlk = make([]float64, ns*ns)
+		pl.pairP = make([]float64, len(scr.Pairs))
+		for w := range pl.slots {
+			pl.slots[w].rowP = make([]float64, ns)
+		}
 	}
 	if opts.Calibrator != nil {
 		pl.classes = TaskClasses(eng.Basis, scr.Pairs, tasks)
@@ -397,17 +407,20 @@ func (pl *pool) broadcast() {
 	pl.done.Wait()
 }
 
-// compute zeroes this worker's accumulators and runs its share of the
-// task list.
+// compute zeroes this worker's accumulators, runs its share of the task
+// list and symmetrizes the accumulators into its J and K (see digest).
 func (pl *pool) compute(w int) {
+	s := &pl.slots[w]
 	t0 := time.Now()
-	pl.jBufs[w].Zero()
-	pl.kBufs[w].Zero()
+	s.j.Zero()
+	s.k.Zero()
 	dz := time.Since(t0)
 	pl.reg.Counter("pool.zero_ns").Add(dz.Nanoseconds())
 	pl.reg.Timer.Charge("zero", dz)
 
 	pl.drain(w)
+	s.j.Symmetrize()
+	s.k.Symmetrize()
 }
 
 // drain runs worker w's share of the task list in the current phase — the
@@ -432,19 +445,19 @@ func (pl *pool) runPhaseTask(w, ti int) {
 		pl.gradTask(w, ti)
 		return
 	}
-	pl.runTaskObserved(ti, pl.jBufs[w], pl.kBufs[w], pl.eriBufs[w], pl.scratch[w])
+	pl.runTaskObserved(ti, &pl.slots[w])
 }
 
 // runTaskObserved wraps runTask with a per-task wall measurement folded
 // into the calibrator as a (class, raw predicted, measured) sample. With
 // no calibrator the hot path stays untimed.
-func (pl *pool) runTaskObserved(ti int, jw, kw *linalg.Matrix, buf []float64, sc *integrals.Scratch) {
+func (pl *pool) runTaskObserved(ti int, s *slot) {
 	if pl.calib == nil {
-		pl.runTask(ti, jw, kw, buf, sc)
+		pl.runTask(ti, s)
 		return
 	}
 	t0 := time.Now()
-	pl.runTask(ti, jw, kw, buf, sc)
+	pl.runTask(ti, s)
 	pl.calib.Observe(pl.classes[ti], pl.tasks[ti].Cost, float64(time.Since(t0).Nanoseconds()))
 }
 
@@ -454,8 +467,8 @@ func (pl *pool) runTaskObserved(ti int, jw, kw *linalg.Matrix, buf []float64, sc
 func (pl *pool) reduce(w int) {
 	s := pl.stride
 	if w%(2*s) == 0 && w+s < pl.nw {
-		pl.jBufs[w].AXPY(1, pl.jBufs[w+s])
-		pl.kBufs[w].AXPY(1, pl.kBufs[w+s])
+		pl.slots[w].j.AXPY(1, pl.slots[w+s].j)
+		pl.slots[w].k.AXPY(1, pl.slots[w+s].k)
 	}
 }
 
@@ -464,6 +477,9 @@ func (pl *pool) reduce(w int) {
 //	J[μν] = Σ_{λσ} P[λσ] (μν|λσ),   K[μν] = Σ_{λσ} P[λσ] (μλ|νσ).
 //
 // Both are assembled in one pass over the screened canonical quartets.
+// P must be symmetric (every density is): the pass digests half of each
+// quartet's images and symmetrizes the rest in (see digest), so J and K
+// come back exactly symmetric.
 //
 // The returned matrices alias the pool's persistent accumulators: they
 // are valid until the next BuildJK on this builder, which overwrites
@@ -473,7 +489,7 @@ func (b *Builder) BuildJK(p *linalg.Matrix) (j, k *linalg.Matrix, rep Report) {
 	pl := b.pl
 	start := time.Now()
 	depth := pl.runBuild(p)
-	j, k = pl.jBufs[0], pl.kBufs[0]
+	j, k = pl.slots[0].j, pl.slots[0].k
 	rep = pl.buildReport(start, depth)
 	// Keep the builder (and thus its finalizer) from being collected
 	// while a build is mid-flight on the pool it owns.
@@ -482,7 +498,7 @@ func (b *Builder) BuildJK(p *linalg.Matrix) (j, k *linalg.Matrix, rep Report) {
 }
 
 // runBuild executes one compute+reduce cycle on the pool and returns the
-// reduction depth. On return jBufs[0]/kBufs[0] hold the pool's J and K
+// reduction depth. On return slots[0] holds the pool's J and K
 // (the full matrices for a Builder, this rank's partials for a
 // DistBuilder rank pool).
 func (pl *pool) runBuild(p *linalg.Matrix) (depth int) {
@@ -542,8 +558,8 @@ func (pl *pool) setDensity(p *linalg.Matrix) {
 	if !pl.opts.DensityWeighted {
 		return
 	}
-	// One pass over P gives max |P| of every shell block — the quartet
-	// bound of screenQuartet becomes seven lookups — and their maximum, the
+	// One pass over P gives max |P| of every shell block — what braRows and
+	// the per-pair maxima of screenQuartet read — and their maximum, the
 	// global bound that, with the ket list sorted by descending Q, turns
 	// the density-weighted test into a monotone early-exit pre-check.
 	shells := pl.eng.Basis.Shells
@@ -573,6 +589,9 @@ func (pl *pool) setDensity(p *linalg.Matrix) {
 				pl.pmaxAll = m
 			}
 		}
+	}
+	for i, pr := range pl.scr.Pairs {
+		pl.pairP[i] = pl.pmaxBlk[pr.A*ns+pr.B]
 	}
 }
 
@@ -621,88 +640,32 @@ func (pl *pool) buildReport(start time.Time, depth int) Report {
 	return rep
 }
 
-// slot mappings of the 8 index permutations of a quartet (a,b,c,d) that
-// leave the integral invariant: position k of the image takes the
-// function index of original slot perm[k].
-var eriPerms = [8][4]int{
-	{0, 1, 2, 3}, // abcd
-	{1, 0, 2, 3}, // bacd
-	{0, 1, 3, 2}, // abdc
-	{1, 0, 3, 2}, // badc
-	{2, 3, 0, 1}, // cdab
-	{2, 3, 1, 0}, // cdba
-	{3, 2, 0, 1}, // dcab
-	{3, 2, 1, 0}, // dcba
-}
-
-// scatterPerm is one distinct permutation image of a quartet symmetry
-// class, prepared for the flat scatter kernel: the image contributes
-// J[g(s0),g(s1)] += P[g(s2),g(in)]·v and K[g(s0),g(s2)] += P[g(s1),g(in)]·v,
-// where slot in = perm[3] is kept innermost so both updates become dot
-// products over a contiguous P row. o0 < o1 < o2 are the remaining slots.
-type scatterPerm struct {
-	s0, s1, s2, in int
-	o0, o1, o2     int
-}
-
-// classScatter holds the deduplicated permutation images per quartet
-// symmetry class, computed once at package init instead of per quartet per
-// build. With canonical pairs (A ≤ B, guaranteed by screen.BuildPairList)
-// the duplicate structure of the 8 images depends only on three booleans:
-// a==b (bit 0), c==d (bit 1), (a,b)==(c,d) (bit 2).
-var classScatter [8][]scatterPerm
-
-func init() {
-	for ci := range classScatter {
-		// Representative shell tuple for the class: distinct values except
-		// for the equalities the class encodes.
-		a, b, c, d := 0, 1, 2, 3
-		if ci&1 != 0 {
-			b = a
-		}
-		if ci&2 != 0 {
-			d = c
-		}
-		if ci&4 != 0 {
-			c, d = a, b
-		}
-		rep := [4]int{a, b, c, d}
-		var images [8][4]int
-		nimg := 0
-		for _, perm := range eriPerms {
-			img := [4]int{rep[perm[0]], rep[perm[1]], rep[perm[2]], rep[perm[3]]}
-			dup := false
-			for i := 0; i < nimg; i++ {
-				if images[i] == img {
-					dup = true
-					break
-				}
-			}
-			if dup {
-				continue
-			}
-			images[nimg] = img
-			nimg++
-			sp := scatterPerm{s0: perm[0], s1: perm[1], s2: perm[2], in: perm[3]}
-			outs := [3]*int{&sp.o0, &sp.o1, &sp.o2}
-			oi := 0
-			for s := 0; s < 4; s++ {
-				if s != sp.in {
-					*outs[oi] = s
-					oi++
-				}
-			}
-			classScatter[ci] = append(classScatter[ci], sp)
-		}
+// braRows fills row, the density-weighted screen's per-task state, for a
+// task whose bra is (a,b): row[s] = max(|P|(a,s), |P|(b,s), |P|(a,b)), |P|(x,y)
+// the block maxima of setDensity. A no-op for plain screening.
+func (pl *pool) braRows(bra screen.Pair, row []float64) {
+	if !pl.opts.DensityWeighted {
+		return
+	}
+	ns := len(row)
+	ra, rb := pl.pmaxBlk[bra.A*ns:][:ns], pl.pmaxBlk[bra.B*ns:][:ns]
+	pab := ra[bra.B]
+	for s := range row {
+		row[s] = max(ra[s], rb[s], pab)
 	}
 }
 
-// screenQuartet applies the quartet-level screen. rest reports that every
-// later ket of the task's range fails too: the range ascends through pairs
-// sorted by descending Q, so the Schwarz product only shrinks, and once the
-// plain test — or, density-weighted, the conservative global-density bound —
+// screenQuartet applies the quartet-level screen to the bra of the task
+// whose braRows are row and the ket pair ji. rest reports that every later
+// ket of the task's range fails too: the range ascends through pairs sorted
+// by descending Q, so the Schwarz product only shrinks, and once the plain
+// test — or, density-weighted, the conservative global-density bound —
 // fails, every remaining quartet fails the (tighter) local test as well.
-func (pl *pool) screenQuartet(bra, ket screen.Pair) (ok, rest bool) {
+//
+// The density-weighted bound max(row[c], row[d], |P|(c,d)) is the largest
+// |P| over the seven shell blocks that multiply (ab|cd) in J and K —
+// screen.MaxDensityAbsQuartet — for symmetric P, where |P|(c,b) = |P|(b,c).
+func (pl *pool) screenQuartet(bra, ket screen.Pair, ji int, row []float64) (ok, rest bool) {
 	if !pl.opts.DensityWeighted {
 		ok = pl.scr.QuartetSurvives(bra, ket)
 		return ok, !ok && !pl.opts.NoEarlyExit
@@ -710,153 +673,159 @@ func (pl *pool) screenQuartet(bra, ket screen.Pair) (ok, rest bool) {
 	if !pl.opts.NoEarlyExit && !pl.scr.QuartetSurvivesWeighted(bra, ket, pl.pmaxAll) {
 		return false, true
 	}
-	return pl.scr.QuartetSurvivesWeighted(bra, ket, pl.pmaxQuartet(bra.A, bra.B, ket.A, ket.B)), false
-}
-
-// pmaxQuartet is screen.MaxDensityAbsQuartet for the current density — the
-// largest |P| over the seven shell blocks that multiply (ab|cd) in J and K
-// — as seven lookups in the block table setDensity filled.
-func (pl *pool) pmaxQuartet(a, b, c, d int) float64 {
-	ns := pl.eng.Basis.NShells()
-	ra, rb, rc := pl.pmaxBlk[a*ns:], pl.pmaxBlk[b*ns:], pl.pmaxBlk[c*ns:]
-	return max(ra[c], ra[d], rb[c], rb[d], ra[b], rc[b], rc[d])
+	return pl.scr.QuartetSurvivesWeighted(bra, ket, max(row[ket.A], row[ket.B], pl.pairP[ji])), false
 }
 
 // takePrimStats collects and resets the workers' primitive-quartet
 // counters.
 func (pl *pool) takePrimStats() integrals.PrimStats {
 	var st integrals.PrimStats
-	for _, sc := range pl.scratch {
-		st.Add(sc.TakePrimStats())
+	for i := range pl.slots {
+		st.Add(pl.slots[i].sc.TakePrimStats())
 	}
 	return st
 }
 
-// runTask executes one task: loops its quartets, applies the quartet-level
-// screen with an early exit over the Q-sorted ket range, fetches or
-// evaluates surviving blocks (semi-direct replay when cached), and scatters
-// them into the private J/K buffers.
-func (pl *pool) runTask(ti int, jw, kw *linalg.Matrix, buf []float64, sc *integrals.Scratch) {
+// runTask executes one task in slot s: loops its quartets, applies the
+// quartet-level screen with an early exit over the Q-sorted ket range,
+// fetches or evaluates surviving blocks (semi-direct replay when cached),
+// and digests them into the slot's J/K accumulators. The loop's counts are
+// kept locally and published once per task.
+func (pl *pool) runTask(ti int, s *slot) {
 	t := &pl.tasks[ti]
 	set := pl.eng.Basis
-	p := pl.p
 	bra := pl.scr.Pairs[t.Bra]
-	braPrims := set.Shells[bra.A].NPrims() * set.Shells[bra.B].NPrims()
+	pl.braRows(bra, s.rowP)
 	var slots []int32
 	var shard *cacheShard
 	if pl.cache != nil {
 		slots = pl.cache.taskSlots[ti]
 		shard = &pl.cache.shards[pl.cache.taskShard[ti]]
 	}
+	var computed, screened, hits, fills, fillBytes int64
 	for ji := t.KetLo; ji < t.KetHi; ji++ {
 		ket := pl.scr.Pairs[ji]
-		if ok, rest := pl.screenQuartet(bra, ket); !ok {
+		if ok, rest := pl.screenQuartet(bra, ket, ji, s.rowP); !ok {
 			if rest {
-				pl.screened.Add(int64(t.KetHi - ji))
+				screened += int64(t.KetHi - ji)
 				break
 			}
-			pl.screened.Add(1)
+			screened++
 			continue
 		}
-		pl.computed.Add(1)
+		computed++
 		a, b, c, d := bra.A, bra.B, ket.A, ket.B
-		cut := primCut(pl.scr.Opts.Threshold, braPrims*set.Shells[c].NPrims()*set.Shells[d].NPrims())
-		if shard != nil {
-			if slot := slots[ji-t.KetLo]; slot >= 0 {
-				off := shard.offs[slot]
-				blk := shard.slab[off : off+int64(shard.lens[slot])]
-				if shard.filled[slot] {
-					pl.cacheHits.Add(1)
-				} else {
-					// Fill on first compute: evaluate straight into the
-					// slab so the scatter below reads the cached copy.
-					pl.eng.ERIShellCut(a, b, c, d, blk, cut, pl.opts.Vector, pl.stats, sc)
-					shard.filled[slot] = true
-					pl.cache.filled.Add(1)
-					pl.cacheFillBytes.Add(int64(len(blk)) * 8)
-					pl.cacheMisses.Add(1)
-				}
-				scatterBlock(set, a, b, c, d, blk, p, jw, kw)
+		var blk []float64
+		if shard != nil && slots[ji-t.KetLo] >= 0 {
+			slot := slots[ji-t.KetLo]
+			blk = shard.slab[shard.offs[slot]:][:shard.lens[slot]]
+			if shard.filled[slot] {
+				hits++
+				digest(set, a, b, c, d, blk, pl.p, s.j, s.k)
 				continue
 			}
-			pl.cacheMisses.Add(1)
+			// Fill on first compute: evaluate straight into the slab so
+			// the digestion below reads the cached copy.
+			shard.filled[slot] = true
+			fills++
+			fillBytes += int64(len(blk)) * 8
+		} else {
+			blk = s.eri[:eriBlockLen(set, a, b, c, d)]
 		}
-		blk := buf[:eriBlockLen(set, a, b, c, d)]
-		pl.eng.ERIShellCut(a, b, c, d, blk, cut, pl.opts.Vector, pl.stats, sc)
-		scatterBlock(set, a, b, c, d, blk, p, jw, kw)
+		nprim := set.Shells[a].NPrims() * set.Shells[b].NPrims() * set.Shells[c].NPrims() * set.Shells[d].NPrims()
+		pl.eng.ERIShellCut(a, b, c, d, blk, primCut(pl.scr.Opts.Threshold, nprim), pl.opts.Vector, pl.stats, s.sc)
+		digest(set, a, b, c, d, blk, pl.p, s.j, s.k)
+	}
+	pl.computed.Add(computed)
+	pl.screened.Add(screened)
+	if shard != nil { // every quartet the task computed was a hit or a miss
+		pl.cacheHits.Add(hits)
+		pl.cacheMisses.Add(computed - hits)
+		pl.cache.filled.Add(fills)
+		pl.cacheFillBytes.Add(fillBytes)
 	}
 }
 
-// scatterBlock adds the contributions of the evaluated (ab|cd) block to J
-// and K for every distinct permutation image of the quartet's symmetry
-// class. The inner loop runs over original slot in = perm[3], which fixes
-// the J and K target elements, so both updates reduce to dot products of
-// the block row against hoisted P-row slices — no per-element At/Add calls.
-func scatterBlock(set *basis.Set, a, b, c, d int, blk []float64,
-	p, jw, kw *linalg.Matrix) {
-	ci := 0
-	if a == b {
-		ci |= 1
+// digest adds the evaluated canonical block (ab|cd) to the accumulators jw
+// and kw in one pass: per integral v = (μν|λσ), with μ∈a, ν∈b, λ∈c, σ∈d,
+//
+//	J'[μν] += w_J·P[λσ]·v   J'[λσ] += w_J·P[μν]·v
+//	K'[μλ] += w_K·P[νσ]·v   K'[νλ] += w_K·P[μσ]·v
+//	K'[μσ] += w_K·P[νλ]·v   K'[νσ] += w_K·P[μλ]·v
+//
+// and the leaf that owns the accumulators symmetrizes them once per build,
+// J = (J' + J'ᵀ)/2 and K likewise (linalg.Matrix.Symmetrize), which supplies
+// the transposed images: for symmetric P, J[νμ] and K[λμ] take the same
+// terms as J[μν] and K[μλ]. The weights count images, doubled for the
+// halving. For four distinct shells two of the eight permutation images add
+// P[λσ]·v to J[μν] and one adds P[νσ]·v to K[μλ], so w_J = 4 and w_K = 2.
+// Coinciding shells leave s = 2^([a≠b]+[c≠d]+[(ab)≠(cd)]) distinct images,
+// and the block then holds every ordering of the coinciding functions, so
+// w_J = s/2 and w_K = s/4: powers of two, which makes the halving exact.
+// The P[λσ]·v, P[νσ]·v and P[μσ]·v sums run in registers over the block's
+// contiguous σ rows; the other three are row updates.
+func digest(set *basis.Set, a, b, c, d int, blk []float64, p, jw, kw *linalg.Matrix) {
+	s := 1.0
+	if a != b {
+		s *= 2
 	}
-	if c == d {
-		ci |= 2
+	if c != d {
+		s *= 2
 	}
-	if a == c && b == d {
-		ci |= 4
+	if a != c || b != d {
+		s *= 2
 	}
-	perms := classScatter[ci]
-
-	sha, shb := &set.Shells[a], &set.Shells[b]
-	shc, shd := &set.Shells[c], &set.Shells[d]
-	offs := [4]int{sha.Index, shb.Index, shc.Index, shd.Index}
-
+	wj, wk := s/2, s/4
+	sa, sb, sc, sd := &set.Shells[a], &set.Shells[b], &set.Shells[c], &set.Shells[d]
+	ia, ib, ic, id := sa.Index, sb.Index, sc.Index, sd.Index
+	na, nb, nc, nd := sa.NFuncs(), sb.NFuncs(), sc.NFuncs(), sd.NFuncs()
+	n := p.Cols
+	pd, jd, kd := p.Data, jw.Data, kw.Data
 	if len(blk) == 1 {
-		// ssss fast path: one integral, direct scalar updates.
-		v := blk[0]
-		for i := range perms {
-			sp := &perms[i]
-			jw.Row(offs[sp.s0])[offs[sp.s1]] += p.Row(offs[sp.s2])[offs[sp.in]] * v
-			kw.Row(offs[sp.s0])[offs[sp.s2]] += p.Row(offs[sp.s1])[offs[sp.in]] * v
-		}
+		// (ss|ss): the loop nest below for its one integral, same order.
+		x := blk[0]
+		mu, nu, la := ia*n, ib*n, ic*n
+		jd[la+id] += wj * pd[mu+ib] * x
+		kd[mu+id] += wk * pd[nu+ic] * x
+		kd[nu+id] += wk * pd[mu+ic] * x
+		kd[mu+ic] += wk * (pd[nu+id] * x)
+		kd[nu+ic] += wk * (pd[mu+id] * x)
+		jd[mu+ib] += wj * (pd[la+id] * x)
 		return
 	}
-
-	ns := [4]int{sha.NFuncs(), shb.NFuncs(), shc.NFuncs(), shd.NFuncs()}
-	st := [4]int{ns[1] * ns[2] * ns[3], ns[2] * ns[3], ns[3], 1}
-	for i := range perms {
-		sp := &perms[i]
-		o0, o1, o2, in := sp.o0, sp.o1, sp.o2, sp.in
-		nin, stin, offin := ns[in], st[in], offs[in]
-		var g [4]int
-		for f0 := 0; f0 < ns[o0]; f0++ {
-			g[o0] = offs[o0] + f0
-			base0 := f0 * st[o0]
-			for f1 := 0; f1 < ns[o1]; f1++ {
-				g[o1] = offs[o1] + f1
-				base1 := base0 + f1*st[o1]
-				for f2 := 0; f2 < ns[o2]; f2++ {
-					g[o2] = offs[o2] + f2
-					bi := base1 + f2*st[o2]
-					pj := p.Row(g[sp.s2])[offin : offin+nin]
-					pk := p.Row(g[sp.s1])[offin : offin+nin]
-					var js, ks float64
-					if stin == 1 {
-						for f, v := range blk[bi : bi+nin] {
-							js += pj[f] * v
-							ks += pk[f] * v
-						}
-					} else {
-						for f := 0; f < nin; f++ {
-							v := blk[bi]
-							bi += stin
-							js += pj[f] * v
-							ks += pk[f] * v
-						}
-					}
-					jw.Row(g[sp.s0])[g[sp.s1]] += js
-					kw.Row(g[sp.s0])[g[sp.s2]] += ks
+	v := 0
+	for fa := 0; fa < na; fa++ {
+		mu := (ia + fa) * n
+		pmu := pd[mu : mu+n]
+		pmuD := pmu[id:][:nd]
+		kmuC, kmuD := kd[mu+ic:][:nc], kd[mu+id:][:nd]
+		for fb := 0; fb < nb; fb++ {
+			nu := (ib + fb) * n
+			pnu := pd[nu : nu+n]
+			pnuD := pnu[id:][:nd]
+			knuC, knuD := kd[nu+ic:][:nc], kd[nu+id:][:nd]
+			pmn := wj * pmu[ib+fb]
+			var jmn float64
+			for fc := 0; fc < nc; fc++ {
+				la := (ic + fc) * n
+				plaD := pd[la+id:][:nd]
+				jlaD := jd[la+id:][:nd]
+				pml, pnl := wk*pmu[ic+fc], wk*pnu[ic+fc]
+				var kml, knl float64
+				row := blk[v:][:nd]
+				v += nd
+				for fd, x := range row {
+					jmn += plaD[fd] * x
+					jlaD[fd] += pmn * x
+					kml += pnuD[fd] * x
+					knl += pmuD[fd] * x
+					kmuD[fd] += pnl * x
+					knuD[fd] += pml * x
 				}
+				kmuC[fc] += wk * kml
+				knuC[fc] += wk * knl
 			}
+			jd[mu+ib+fb] += wj * jmn
 		}
 	}
 }

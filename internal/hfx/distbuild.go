@@ -126,8 +126,9 @@ func (r DistReport) String() string {
 // the screened task list is priced by the sched cost model and balanced
 // once over Ranks×ThreadsPerRank global worker slots; each rank owns the
 // contiguous block of ThreadsPerRank slots at rank×ThreadsPerRank and
-// runs it on its own persistent pool; partial J/K are combined over the
-// mprt world as one fused [J‖K] vector via ReduceScatter + Allgatherv.
+// runs it on its own persistent pool; the partial J/K, exactly symmetric,
+// are combined over the mprt world as one fused vector of their upper
+// triangles via ReduceScatter + Allgatherv.
 //
 // Bitwise contract: the result is identical — every bit of J and K — to
 // a single-rank Builder with Threads = Ranks×ThreadsPerRank, for any
@@ -147,7 +148,7 @@ type DistBuilder struct {
 	asn   *sched.Assignment // global, over Ranks×ThreadsPerRank slots
 
 	counts []int       // fused-vector segment counts for reduce-scatter
-	fused  [][]float64 // per-rank fused [J‖K] staging buffers
+	fused  [][]float64 // per-rank staging of the J and K upper triangles
 	jOut   *linalg.Matrix
 	kOut   *linalg.Matrix
 
@@ -214,22 +215,55 @@ func NewDistBuilder(eng *integrals.Engine, scr *screen.Result, dopts DistOptions
 	}
 
 	n := eng.Basis.NBasis
-	nn := n * n
-	d.counts = make([]int, dopts.Ranks)
-	for r := range d.counts {
-		d.counts[r] = 2 * nn / dopts.Ranks
-		if r < 2*nn%dopts.Ranks {
-			d.counts[r]++
-		}
-	}
-	d.fused = make([][]float64, dopts.Ranks)
-	for r := range d.fused {
-		d.fused[r] = make([]float64, 2*nn)
-	}
+	d.counts, d.fused = newFusedJK(dopts.Ranks, n)
 	d.jOut = linalg.NewSquare(n)
 	d.kOut = linalg.NewSquare(n)
 	runtime.SetFinalizer(d, (*DistBuilder).Close)
 	return d, nil
+}
+
+// newFusedJK sizes the per-rank staging of the cross-rank J/K reduction.
+// Every leaf symmetrizes its accumulators before the reduction tree, so
+// the partials are exactly symmetric and only their upper triangles,
+// diagonal included, are reduced: n(n+1) elements per rank instead of 2n²,
+// split into near-equal reduce-scatter segments.
+func newFusedJK(ranks, n int) (counts []int, fused [][]float64) {
+	m := n * (n + 1)
+	counts = make([]int, ranks)
+	fused = make([][]float64, ranks)
+	for r := range counts {
+		counts[r] = m / ranks
+		if r < m%ranks {
+			counts[r]++
+		}
+		fused[r] = make([]float64, m)
+	}
+	return counts, fused
+}
+
+// packJK stages the upper triangles of j and then k, row by row, in dst.
+func packJK(dst []float64, j, k *linalg.Matrix) {
+	for _, m := range [2]*linalg.Matrix{j, k} {
+		n := m.Rows
+		for i := 0; i < n; i++ {
+			dst = dst[copy(dst, m.Data[i*n+i:(i+1)*n]):]
+		}
+	}
+}
+
+// unpackJK is the inverse of packJK: it writes the triangles in src back
+// into j and k and mirrors them below the diagonal.
+func unpackJK(j, k *linalg.Matrix, src []float64) {
+	for _, m := range [2]*linalg.Matrix{j, k} {
+		n := m.Rows
+		for i := 0; i < n; i++ {
+			row := m.Data[i*n+i : (i+1)*n]
+			src = src[copy(row, src):]
+			for c, v := range row[1:] {
+				m.Data[(i+1+c)*n+i] = v
+			}
+		}
+	}
 }
 
 // Close stops every rank pool and the mprt world. Idempotent; a
@@ -265,7 +299,6 @@ func (d *DistBuilder) Assignment() *sched.Assignment { return d.asn }
 // recovered build equals a fault-free one bit for bit.
 func (d *DistBuilder) BuildJK(p *linalg.Matrix) (j, k *linalg.Matrix, rep DistReport, err error) {
 	R := d.dopts.Ranks
-	nn := d.Eng.Basis.NBasis * d.Eng.Basis.NBasis
 	start := time.Now()
 	d.builds++
 
@@ -291,9 +324,7 @@ func (d *DistBuilder) BuildJK(p *linalg.Matrix) (j, k *linalg.Matrix, rep DistRe
 		pl := d.pools[r]
 		t0 := time.Now()
 		pl.runBuild(p)
-		fused := d.fused[r]
-		copy(fused[:nn], pl.jBufs[0].Data)
-		copy(fused[nn:], pl.kBufs[0].Data)
+		packJK(d.fused[r], pl.slots[0].j, pl.slots[0].k)
 		wall := time.Since(t0)
 		if delay := d.dopts.Noise.StragglerDelay(r, wall); delay > 0 {
 			time.Sleep(delay)
@@ -339,8 +370,7 @@ func (d *DistBuilder) BuildJK(p *linalg.Matrix) (j, k *linalg.Matrix, rep DistRe
 		rep.RankHops[r] = c.HopsSent() - h0
 
 		if r == 0 {
-			copy(d.jOut.Data, full[:nn])
-			copy(d.kOut.Data, full[nn:])
+			unpackJK(d.jOut, d.kOut, full)
 		}
 		return nil
 	})

@@ -80,17 +80,19 @@ func (pl *pool) gradient(w int) {
 }
 
 // gradTask is runTask for the gradient phase: the same quartet loop and
-// screen, with the scatter into J and K replaced by the contraction of the
+// screen, with the digestion into J and K replaced by the contraction of the
 // quartet's derivative blocks against its two-particle density.
 func (pl *pool) gradTask(w, ti int) {
 	t := &pl.tasks[ti]
 	set := pl.eng.Basis
 	gs := pl.grad
-	gw, blk, sc := gs.g[w], gs.blk[w], pl.scratch[w]
+	s := &pl.slots[w]
+	gw, blk, sc := gs.g[w], gs.blk[w], s.sc
 	bra := pl.scr.Pairs[t.Bra]
+	pl.braRows(bra, s.rowP)
 	for ji := t.KetLo; ji < t.KetHi; ji++ {
 		ket := pl.scr.Pairs[ji]
-		if ok, rest := pl.screenQuartet(bra, ket); !ok {
+		if ok, rest := pl.screenQuartet(bra, ket, ji, s.rowP); !ok {
 			if rest {
 				break
 			}

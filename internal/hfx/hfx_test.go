@@ -1,6 +1,7 @@
 package hfx
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
@@ -170,18 +171,58 @@ func TestBaselineProducesSameMatrixWorseBalance(t *testing.T) {
 	}
 }
 
+// TestSymmetryOfJK: J and K come back bitwise symmetric from every
+// placement — the pool at 1, 2 and 4 threads, the rank-distributed and the
+// stealing builders — and from semi-direct cache replay and ΔP builds.
 func TestSymmetryOfJK(t *testing.T) {
-	eng, scr := setup(t, chem.Water(), 1e-12)
-	p := testDensity(eng.Basis.NBasis, 8)
-	opts := DefaultOptions()
-	opts.Threads = 4
-	j, k, _ := NewBuilder(eng, scr, opts).BuildJK(p)
-	if !j.IsSymmetric(1e-9) {
-		t.Fatal("J not symmetric")
+	eng, scr := setup(t, chem.WaterCluster(2, 8), 1e-8)
+	n := eng.Basis.NBasis
+	p := testDensity(n, 8)
+	dp := testDensity(n, 9)
+	for i := range dp.Data {
+		dp.Data[i] *= 1e-4
 	}
-	if !k.IsSymmetric(1e-9) {
-		t.Fatal("K not symmetric")
+	check := func(name string, ms ...*linalg.Matrix) {
+		t.Helper()
+		for _, m := range ms {
+			for i := 0; i < n; i++ {
+				for j := i + 1; j < n; j++ {
+					if m.At(i, j) != m.At(j, i) {
+						t.Fatalf("%s: element (%d,%d) = %x, (%d,%d) = %x", name, i, j, m.At(i, j), j, i, m.At(j, i))
+					}
+				}
+			}
+		}
 	}
+	for _, threads := range []int{1, 2, 4} {
+		opts := DefaultOptions()
+		opts.Threads = threads
+		opts.CacheBudgetBytes = 64 << 20
+		b := NewBuilder(eng, scr, opts)
+		for _, step := range []struct {
+			name string
+			p    *linalg.Matrix
+		}{{"direct", p}, {"replay", p}, {"ΔP", dp}} {
+			j, k, _ := b.BuildJK(step.p)
+			check(fmt.Sprintf("pool T=%d %s", threads, step.name), j, k)
+		}
+		b.Close()
+	}
+	j, k, _, err := DistributedBuild(eng, scr, DistOptions{Ranks: 3, ThreadsPerRank: 2, Opts: DefaultOptions()}, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("dist R=3 T=2", j, k)
+	sb, err := NewStealBuilder(eng, scr, StealOptions{Ranks: 2, UnitsPerThread: 2, Opts: DefaultOptions(), Steal: true, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sb.Close()
+	j, k, _, err = sb.BuildJK(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("steal R=2 U=2", j, k)
 }
 
 func TestEnergyHelpers(t *testing.T) {
@@ -546,8 +587,10 @@ func TestCostModelTracksKernel(t *testing.T) {
 
 // TestBlockDensityTableMatchesOracle: the per-build shell-block |P|max
 // table answers every quartet exactly as screen.MaxDensityAbsQuartet scans
-// it — also for a density that is not symmetric — and its overall maximum
-// is the global bound of the early exit.
+// it — read as the screen reads it, a task's braRows against the per-pair
+// maxima of its kets, for every bra and ket of the pair list (both orders,
+// not only the canonical ones) — and its overall maximum is the global
+// bound of the early exit.
 func TestBlockDensityTableMatchesOracle(t *testing.T) {
 	eng := integrals.NewEngine(basis.MustBuild("6-31G*", chem.Water()))
 	scr := screen.BuildPairList(eng, screen.DefaultOptions())
@@ -555,21 +598,22 @@ func TestBlockDensityTableMatchesOracle(t *testing.T) {
 	defer b.Close()
 	n := eng.Basis.NBasis
 	p := testDensity(n, 9)
-	p.Set(1, n-1, -7.5) // asymmetric, negative, and the global maximum
+	p.Set(1, n-1, -7.5) // negative, and the global maximum
+	p.Set(n-1, 1, -7.5)
 	b.pl.setDensity(p)
 	if b.pl.pmaxAll != 7.5 {
 		t.Fatalf("global bound %g, want 7.5", b.pl.pmaxAll)
 	}
-	ns := eng.Basis.NShells()
-	for a := 0; a < ns; a++ {
-		for bb := 0; bb < ns; bb++ {
-			for c := 0; c < ns; c++ {
-				for d := 0; d < ns; d++ {
-					want := screen.MaxDensityAbsQuartet(eng.Basis, p, a, bb, c, d)
-					if got := b.pl.pmaxQuartet(a, bb, c, d); got != want {
-						t.Fatalf("(%d %d|%d %d): table says %g, the scan %g", a, bb, c, d, got, want)
-					}
-				}
+	if want := eng.Basis.NShells() * (eng.Basis.NShells() + 1) / 2; len(scr.Pairs) != want {
+		t.Fatalf("%d pairs survive, want all %d shell pairs", len(scr.Pairs), want)
+	}
+	row := b.pl.slots[0].rowP
+	for _, bra := range scr.Pairs {
+		b.pl.braRows(bra, row)
+		for ji, ket := range scr.Pairs {
+			want := screen.MaxDensityAbsQuartet(eng.Basis, p, bra.A, bra.B, ket.A, ket.B)
+			if got := max(row[ket.A], row[ket.B], b.pl.pairP[ji]); got != want {
+				t.Fatalf("(%d %d|%d %d): table says %g, the scan %g", bra.A, bra.B, ket.A, ket.B, got, want)
 			}
 		}
 	}

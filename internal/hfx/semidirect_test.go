@@ -134,6 +134,48 @@ func TestEarlyExitMatchesExhaustive(t *testing.T) {
 	}
 }
 
+// TestQuartetAccountingPinned pins the quartet loop's bookkeeping on
+// (H2O)4/STO-3G at ε = 1e-8, two threads and a cache budget that admits
+// about a quarter of the surviving quartets: QuartetsComputed,
+// QuartetsScreened, Cache.Hits and Cache.Misses of a cold build, a warm
+// build and a ΔP build, for plain and density-weighted screening, with and
+// without the early exit. Every screening decision and every cache lookup
+// shows in these counts, so they may only move with the screen itself.
+func TestQuartetAccountingPinned(t *testing.T) {
+	eng, scr := setup(t, chem.WaterCluster(4, 1), 1e-8)
+	n := eng.Basis.NBasis
+	p := testDensity(n, 1)
+	dp := testDensity(n, 2)
+	for i := range dp.Data {
+		dp.Data[i] *= 1e-4
+	}
+	budget := int64(TotalQuartets(BuilderTasks(eng, scr, DefaultCostModel(), 0)))*cacheSlotIndexBytes + 256<<10
+	plain := [3][4]int64{{15746, 3560, 0, 15746}, {15746, 3560, 3936, 11810}, {15746, 3560, 3936, 11810}}
+	weighted := [3][4]int64{{15148, 4158, 0, 15148}, {15148, 4158, 3936, 11212}, {6213, 13093, 3936, 2277}}
+	for _, dw := range []bool{false, true} {
+		want := plain
+		if dw {
+			want = weighted
+		}
+		for _, noExit := range []bool{false, true} {
+			opts := DefaultOptions()
+			opts.Threads = 2
+			opts.DensityWeighted = dw
+			opts.NoEarlyExit = noExit
+			opts.CacheBudgetBytes = budget
+			b := NewBuilder(eng, scr, opts)
+			for i, d := range []*linalg.Matrix{p, p, dp} {
+				_, _, rep := b.BuildJK(d)
+				got := [4]int64{rep.QuartetsComputed, rep.QuartetsScreened, rep.Cache.Hits, rep.Cache.Misses}
+				if got != want[i] {
+					t.Errorf("dw=%v noEarlyExit=%v build %d: computed/screened/hits/misses %v, want %v", dw, noExit, i, got, want[i])
+				}
+			}
+			b.Close()
+		}
+	}
+}
+
 // TestCacheBudgetAdmission: a tight budget admits only the top-priority
 // quartets, stays within the byte budget, and partial replay still
 // matches the direct build.

@@ -222,18 +222,7 @@ func NewStealBuilder(eng *integrals.Engine, scr *screen.Result, sopts StealOptio
 	b.pl = newPool(eng, scr, opts, tasks, costs, asn)
 
 	n := eng.Basis.NBasis
-	nn := n * n
-	b.counts = make([]int, sopts.Ranks)
-	for r := range b.counts {
-		b.counts[r] = 2 * nn / sopts.Ranks
-		if r < 2*nn%sopts.Ranks {
-			b.counts[r]++
-		}
-	}
-	b.fused = make([][]float64, sopts.Ranks)
-	for r := range b.fused {
-		b.fused[r] = make([]float64, 2*nn)
-	}
+	b.counts, b.fused = newFusedJK(sopts.Ranks, n)
 	b.jOut = linalg.NewSquare(n)
 	b.kOut = linalg.NewSquare(n)
 	runtime.SetFinalizer(b, (*StealBuilder).Close)
@@ -278,7 +267,6 @@ func (b *StealBuilder) BuildJK(p *linalg.Matrix) (j, k *linalg.Matrix, rep Steal
 	R := b.sopts.Ranks
 	T := b.sopts.ThreadsPerRank
 	spr := T * b.sopts.UnitsPerThread // slots (units) per rank
-	nn := b.Eng.Basis.NBasis * b.Eng.Basis.NBasis
 	start := time.Now()
 	reg := b.world.Registry()
 
@@ -332,8 +320,9 @@ func (b *StealBuilder) BuildJK(p *linalg.Matrix) (j, k *linalg.Matrix, rep Steal
 	// its own deque front-first (most expensive own unit next); when a
 	// rank runs dry and stealing is on, it takes the cheapest outstanding
 	// unit of the first non-empty victim in its seeded probe order. Every
-	// unit executes sequentially into its own J/K buffers, so migration
-	// changes wall-clock attribution but never summation order.
+	// unit executes sequentially into its own J/K buffers and symmetrizes
+	// them after its last task, so migration changes wall-clock attribution
+	// but never summation order.
 	runErr := b.world.Run(func(c *mprt.Comm) error {
 		r := c.Rank()
 		t0 := time.Now()
@@ -355,12 +344,14 @@ func (b *StealBuilder) BuildJK(p *linalg.Matrix) (j, k *linalg.Matrix, rep Steal
 						return
 					}
 					u0 := time.Now()
-					jw, kw := pl.jBufs[u], pl.kBufs[u]
-					jw.Zero()
-					kw.Zero()
+					s := &pl.slots[u]
+					s.j.Zero()
+					s.k.Zero()
 					for _, ti := range b.plan.Units[u].Tasks {
-						pl.runTaskObserved(ti, jw, kw, pl.eriBufs[u], pl.scratch[u])
+						pl.runTaskObserved(ti, s)
 					}
+					s.j.Symmetrize()
+					s.k.Symmetrize()
 					wall := time.Since(u0)
 					if stolen {
 						reg.Counter(steal.CounterReclaimedNS).Add(wall.Nanoseconds())
@@ -410,8 +401,8 @@ func (b *StealBuilder) BuildJK(p *linalg.Matrix) (j, k *linalg.Matrix, rep Steal
 			}
 			switch r {
 			case ex:
-				c.Send(home, 2*u, pl.jBufs[u].Data)
-				c.Send(home, 2*u+1, pl.kBufs[u].Data)
+				c.Send(home, 2*u, pl.slots[u].j.Data)
+				c.Send(home, 2*u+1, pl.slots[u].k.Data)
 			case home:
 				// The received slices are the unit's own buffers (the world
 				// is in-process and the executor was the sole writer), so
@@ -430,22 +421,19 @@ func (b *StealBuilder) BuildJK(p *linalg.Matrix) (j, k *linalg.Matrix, rep Steal
 		for stride := 1; stride < spr; stride *= 2 {
 			for w := 0; w < spr; w += 2 * stride {
 				if w+stride < spr {
-					pl.jBufs[base+w].AXPY(1, pl.jBufs[base+w+stride])
-					pl.kBufs[base+w].AXPY(1, pl.kBufs[base+w+stride])
+					pl.slots[base+w].j.AXPY(1, pl.slots[base+w+stride].j)
+					pl.slots[base+w].k.AXPY(1, pl.slots[base+w+stride].k)
 				}
 			}
 		}
-		fused := b.fused[r]
-		copy(fused[:nn], pl.jBufs[base].Data)
-		copy(fused[nn:], pl.kBufs[base].Data)
+		packJK(b.fused[r], pl.slots[base].j, pl.slots[base].k)
 
-		seg := c.ReduceScatter(fused, b.counts)
+		seg := c.ReduceScatter(b.fused[r], b.counts)
 		full := c.Allgatherv(seg, b.counts)
 		rep.RankComm[r] = time.Since(t0)
 		rep.RankBytes[r] = c.BytesSent() - b0
 		if r == 0 {
-			copy(b.jOut.Data, full[:nn])
-			copy(b.kOut.Data, full[nn:])
+			unpackJK(b.jOut, b.kOut, full)
 		}
 		return nil
 	})

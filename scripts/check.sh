@@ -9,12 +9,14 @@
 # and — first, while the guest is rested — the Fock bench regression gate:
 # a fresh scripts/bench_fock.sh run (fastest of five per configuration, as
 # the baseline was recorded) must not regress semi-direct ns/op by >20%,
-# nor the direct pooled build's or the served one-thread direct build's
+# nor the d-shell replay's (BenchmarkBuildJKSemiDirect631Gs), the direct
+# pooled build's or the served one-thread direct build's
 # (BenchmarkDirectBuild) ns/op, any ERI class's ns/primquartet,
 # the PBE0 XC integration's / tabulation's ns/op, any analytic-gradient
 # row's ns/op (whole build and per phase) or a served trajectory's outer
-# step (BenchmarkSessionStep) by >25% (and XC integration must stay at 0
-# allocs/op), against the committed BENCH_fock.json baseline.
+# step (BenchmarkSessionStep) by >25% (and the d-shell replay and XC
+# integration must stay at 0 allocs/op), against the committed
+# BENCH_fock.json baseline. BenchmarkE5OnNodeThreading runs once.
 # The ERI kernel gets a package-level race pass (naive-reference sweep, R
 # programs == recurrence, batched Boys == scalar bitwise, alloc guard) and
 # the cost model's measured 2x band run alone without the detector. The mprt
@@ -87,6 +89,10 @@ gate() {
 }
 gate BenchmarkBuildJKSemiDirect ns_per_op 20
 gate BenchmarkBuildJKPooled ns_per_op 25
+# The replay on (H2O)2/6-31G*, one thread: the J/K digestion of d blocks;
+# allocation-free like the other replay.
+gate BenchmarkBuildJKSemiDirect631Gs ns_per_op 25
+test "$(extract BenchmarkBuildJKSemiDirect631Gs allocs_per_op "$fresh")" = 0
 # The served direct build, (H2O)3/STO-3G and (H2O)2/6-31G*, one thread;
 # allocation-free like the pooled build.
 for row in $(sed -n 's|.*"\(BenchmarkDirectBuild/[A-Za-z0-9-]*\)".*|\1|p' BENCH_fock.json); do
@@ -122,6 +128,10 @@ go test -race -count=1 ./internal/hfx/ -run 'SemiDirect|EarlyExit|Cache|SteadySt
 # Alloc guards: one iteration is enough — the benchmarks fail themselves
 # on warm-cache misses, and the allocs/op column must read 0.
 go test ./internal/hfx/ -run '^$' -bench 'BenchmarkBuildJK(Pooled|SemiDirect)$' -benchtime 1x
+# E5 times a thread-count sweep of real builds by hand (a testing.Benchmark
+# nested in a running benchmark deadlocks); one iteration here keeps the
+# experiment from hanging unnoticed.
+go test -run '^$' -bench 'BenchmarkE5' -benchtime 1x .
 go test -race -count=1 ./internal/server/ ./internal/trace/
 # ERI kernel: the whole integrals, boys and qpx packages under the race
 # detector (naive-reference sweep ssss..dddd, R programs == recurrence,
