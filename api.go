@@ -202,7 +202,7 @@ func (e *ExchangeBuilder) BuildJKCopy(p *Matrix) (j, k *Matrix, rep ExchangeRepo
 	return jj.Clone(), kk.Clone(), rep
 }
 
-// Close stops the builder's persistent worker pool. Optional (a
+// Close stops the builder's persistent executors. Optional (a
 // finalizer covers forgotten builders) but releases goroutines promptly.
 func (e *ExchangeBuilder) Close() { e.b.Close() }
 
@@ -244,7 +244,7 @@ type DistExchangeBuilder struct {
 }
 
 // NewDistExchangeBuilder prepares the screened decomposition, the mprt
-// world and the per-rank pools for a molecule and basis.
+// world and the per-rank executors for a molecule and basis.
 func NewDistExchangeBuilder(mol *Molecule, basisName string, sopts ScreeningOptions, dopts DistExchangeOptions) (*DistExchangeBuilder, error) {
 	set, err := basis.Build(basisName, mol)
 	if err != nil {
@@ -268,7 +268,7 @@ func (e *DistExchangeBuilder) BuildJK(p *Matrix) (j, k *Matrix, rep DistExchange
 	return e.d.BuildJK(p)
 }
 
-// Close stops the rank pools and the mprt world.
+// Close stops the executors and the mprt world.
 func (e *DistExchangeBuilder) Close() { e.d.Close() }
 
 // NBasis returns the basis dimension of the builder.

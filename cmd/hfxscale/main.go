@@ -218,15 +218,17 @@ func expD1(_, _ *hfxmd.MachineWorkload) {
 			for i := 0; i < eng.Basis.NBasis; i++ {
 				p.Set(i, i, 1)
 			}
-			_, _, rep, err := hfx.DistributedBuild(eng, scr, hfx.DistOptions{
+			d, err := hfx.NewDistBuilder(eng, scr, hfx.DistOptions{
 				Ranks:          r,
 				ThreadsPerRank: d1Tpr,
 				Schedule:       schedAlg,
 				Opts:           hfx.DefaultOptions(),
-			}, p)
+			})
 			if err != nil {
 				log.Fatal(err)
 			}
+			_, _, rep := d.Builder.BuildJK(p)
+			d.Close()
 			rows = append(rows, row{r, rep})
 		}
 		return rows

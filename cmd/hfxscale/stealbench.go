@@ -242,15 +242,15 @@ func expW1(_, _ *hfxmd.MachineWorkload) {
 	if w1Builds < 3 {
 		log.Fatalf("calibration: -w1-builds %d leaves no settled build to gate on (need >= 3)", w1Builds)
 	}
-	cal := steal.NewCalibrator(0.5)
+	opts := hfx.DefaultOptions()
+	opts.Calibrator = steal.NewCalibrator(0.5)
 	cb, err := hfx.NewStealBuilder(eng, scr, hfx.StealOptions{
 		Ranks:          w1Ranks,
 		ThreadsPerRank: w1Tpr,
 		UnitsPerThread: w1Upt,
 		Schedule:       mprt.DimExchange,
-		Opts:           hfx.DefaultOptions(),
+		Opts:           opts,
 		Steal:          true,
-		Calibrator:     cal,
 		Seed:           w1Seed,
 	})
 	if err != nil {

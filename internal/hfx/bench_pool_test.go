@@ -64,23 +64,6 @@ func BenchmarkDirectBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkBuildJKPooledDynamic is the same guard for the dynamic-queue
-// dispatch path.
-func BenchmarkBuildJKPooledDynamic(b *testing.B) {
-	eng, scr := setup(b, chem.WaterCluster(4, 1), 1e-8)
-	p := testDensity(eng.Basis.NBasis, 1)
-	opts := DefaultOptions()
-	opts.Dynamic = true
-	builder := NewBuilder(eng, scr, opts)
-	defer builder.Close()
-	builder.BuildJK(p)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		builder.BuildJK(p)
-	}
-}
-
 // BenchmarkBuildJKSemiDirect measures the warm-cache semi-direct build on
 // the same system as BenchmarkBuildJKPooled: every surviving quartet is
 // resident after the warm-up, so the timed builds replay cached ERI blocks

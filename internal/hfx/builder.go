@@ -3,7 +3,6 @@ package hfx
 import (
 	"fmt"
 	"runtime"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -12,17 +11,19 @@ import (
 	"hfxmd/internal/basis"
 	"hfxmd/internal/integrals"
 	"hfxmd/internal/linalg"
+	"hfxmd/internal/mprt"
 	"hfxmd/internal/qpx"
 	"hfxmd/internal/sched"
 	"hfxmd/internal/screen"
 	"hfxmd/internal/steal"
+	"hfxmd/internal/torus"
 	"hfxmd/internal/trace"
 )
 
 // Options configures a Builder.
 type Options struct {
-	// Threads is the number of worker goroutines ("hardware threads" in
-	// the paper's terms). Zero means GOMAXPROCS.
+	// Threads is the number of executors ("hardware threads" in the
+	// paper's terms) of a single-rank Builder. Zero means GOMAXPROCS.
 	Threads int
 	// Balancer selects the static load-balancing algorithm. The paper's
 	// scheme is sched.LPT; sched.Block reproduces the naive layout.
@@ -37,12 +38,6 @@ type Options struct {
 	// flag is scoped to this builder: two builders sharing one integrals.Engine
 	// may disagree on it without affecting each other.
 	Vector bool
-	// Dynamic replaces the static assignment with a shared work queue
-	// drained by the workers — the paper's work-stealing fallback for
-	// when cost predictions are off. Tasks are dispatched in the static
-	// balancer's cost order, so the static schedule remains the
-	// performance model of record.
-	Dynamic bool
 	// Cost overrides the cost model (zero value = DefaultCostModel).
 	Cost CostModel
 	// CacheBudgetBytes enables semi-direct builds: up to this many bytes
@@ -57,10 +52,13 @@ type Options struct {
 	// normally terminates the whole ket range). Ablation/testing knob; the
 	// results are bitwise identical either way.
 	NoEarlyExit bool
-	// Calibrator, when non-nil, makes the pool time every task it executes
-	// and fold (work class, raw predicted cost, measured wall) samples into
-	// the calibrator's per-class correction factors. The hot path stays
-	// untimed when nil.
+	// Calibrator, when non-nil, makes the executors time every task of a
+	// J/K build and fold (work class, raw predicted cost, measured wall)
+	// samples into the calibrator's per-class correction factors. A
+	// stealing placement also prices its schedule with those factors and
+	// re-balances before a build whenever the calibrator's epoch moved
+	// (the task→slot grouping, and so the bits, follow the placement). The
+	// hot path stays untimed when nil.
 	Calibrator *steal.Calibrator
 }
 
@@ -85,33 +83,19 @@ func BaselineOptions() Options {
 	}
 }
 
-// Report describes one Fock-build execution.
+// Report describes one Fock build, whatever its placement. Its slices are
+// owned by the builder and, like J and K, valid until the next build.
 type Report struct {
+	// The placement: Ranks×ThreadsPerRank executors over Units =
+	// Ranks×ThreadsPerRank×UnitsPerThread slots.
+	Ranks, ThreadsPerRank, UnitsPerThread int
+	Schedule                              mprt.Schedule
+	Shape                                 torus.Shape
+
 	NTasks           int
+	Units            int
 	QuartetsComputed int64
 	QuartetsScreened int64
-	BalanceRatio     float64
-	TheoreticalEff   float64
-	Wall             time.Duration
-	ReduceDepth      int
-	LaneUtilization  float64 // 0 when Vector is off
-	ScreeningStats   screen.Stats
-	TaskCostStats    sched.CostStats
-	// Timings charges wall-clock to the per-build phases ("zero",
-	// "compute", "reduce"). The timer is owned by the builder's pool and
-	// is reset at the start of every BuildJK, so the snapshot is valid
-	// until the next build.
-	Timings *trace.Timer
-	// Metrics is the builder's lifetime metrics registry: buffer
-	// allocation counts and bytes, build and reuse counts, cumulative
-	// zeroing time, and the screening wall time. Counters persist across
-	// builds (only the Timer inside is per-build).
-	Metrics *trace.Registry
-	// Pool summarises the persistent worker pool's state.
-	Pool PoolStats
-	// Cache summarises the semi-direct ERI block cache for this build.
-	// Cache.Enabled is false for fully direct builders.
-	Cache CacheStats
 	// Prim counts the primitive quartets behind the shell quartets this
 	// build evaluated: a surviving shell quartet drops the primitive
 	// quartets whose Schwarz bound q_i·q_j is below ε over its primitive
@@ -119,26 +103,93 @@ type Report struct {
 	// dropped — is the screening error bound of the blocks evaluated here.
 	// Blocks replayed from the ERI cache were accounted by the build that
 	// filled them.
-	Prim integrals.PrimStats
+	Prim            integrals.PrimStats
+	Wall            time.Duration
+	LaneUtilization float64 // 0 when Vector is off
+	ScreeningStats  screen.Stats
+	TaskCostStats   sched.CostStats
+
+	// BalanceRatio (max/mean) and TheoreticalEff describe the static
+	// schedule over the slots.
+	BalanceRatio   float64
+	TheoreticalEff float64
+	// RankLoads is the per-rank cost under the placement model the
+	// balancer saw; BalanceRatioPredicted is max/mean of those loads and
+	// BalanceRatioMeasured max/mean of the unit walls each rank executed
+	// (straggler delays included), so mispredict damage shows as the two
+	// diverging — and stealing as it pulling the measured ratio back.
+	RankLoads             []float64
+	BalanceRatioPredicted float64
+	BalanceRatioMeasured  float64
+	// RankCompute is each rank's compute-phase wall, RankComm its wall in
+	// the cross-rank reduction (zero on one rank).
+	RankCompute []time.Duration
+	RankComm    []time.Duration
+
+	// Cross-rank traffic of this build: bytes, messages, torus hops, and
+	// the reduce-scatter + allgather schedule steps measured against the
+	// analytic count for the shape and schedule (3·L+1 for L tree levels),
+	// the quantity the bgq machine model prices. Zero on one rank.
+	CommBytes, Sends, Hops int64
+	MeasuredSteps          int64
+	PredictedSteps         int
+
+	// RankRestarts counts ranks that died (fault injection) during the
+	// compute phase and had their units re-executed.
+	RankRestarts int
+
+	// Steal traffic: units that ran away from their home rank, and the
+	// wall the thieves spent computing them (straggler delays excluded).
+	StealsSucceeded int64
+	BlocksMigrated  int64
+	IdleReclaimed   time.Duration
+
+	// Calibration state (zero without a calibrator, and on placements that
+	// do not steal: a calibrator shared by several builders cannot give
+	// each of them a private error window): CalibMeanAbsErr is
+	// the mean |measured − calibrated prediction| / calibrated prediction
+	// over this build's task observations (each capped at 1, see
+	// steal.Calibrator), CalibRawAbsErr the same over the raw (factor-1)
+	// model. Jitter hits both alike, so CalibMeanAbsErr < CalibRawAbsErr
+	// is the signal that calibration is removing systematic model bias.
+	// Rebalanced reports that this build recomputed the placement from a
+	// moved calibrator epoch.
+	CalibMeanAbsErr   float64
+	CalibRawAbsErr    float64
+	CalibObservations int64
+	Rebalanced        bool
+
+	// Timings charges wall-clock to the per-build phases ("zero",
+	// "compute", "reduce"); the timer is reset at the start of every
+	// BuildJK. Metrics is the builder's lifetime registry: buffer
+	// allocation counts and bytes, build and reuse counts, cumulative
+	// zeroing time, the screening wall, and the mprt and steal counters.
+	Timings *trace.Timer
+	Metrics *trace.Registry
+	// Pool summarises the builder's persistent state.
+	Pool PoolStats
+	// Cache summarises the semi-direct ERI block cache for this build.
+	// Cache.Enabled is false for fully direct builders.
+	Cache CacheStats
 }
 
-// PoolStats describes the persistent worker pool behind a Builder.
+// PoolStats describes the persistent state behind a Builder.
 type PoolStats struct {
-	// Workers is the number of persistent worker goroutines.
+	// Workers is the number of persistent executors.
 	Workers int
-	// BuffersAllocated counts the long-lived buffers the pool owns
-	// (per-worker J/K accumulators and ERI blocks), all allocated once
-	// in NewBuilder.
+	// BuffersAllocated counts the long-lived buffers the builder owns
+	// (per-slot J/K accumulators, per-executor ERI blocks and cache
+	// shards), all allocated once at construction.
 	BuffersAllocated int64
 	// BufferBytes is the total size of those buffers.
 	BufferBytes int64
 	// Builds is the number of BuildJK calls served so far.
 	Builds int64
-	// ReuseHits counts builds that reused the pool's buffers (every
-	// build after the first).
+	// ReuseHits counts builds that reused the buffers (every build after
+	// the first).
 	ReuseHits int64
-	// ZeroTime is the cumulative CPU time workers spent zeroing their
-	// accumulators across all builds (summed over workers).
+	// ZeroTime is the cumulative CPU time spent zeroing accumulators
+	// across all builds (summed over executors).
 	ZeroTime time.Duration
 	// CacheSlabBytes is the payload capacity of the semi-direct ERI cache
 	// slabs (0 when the cache is disabled). Included in BufferBytes.
@@ -147,13 +198,13 @@ type PoolStats struct {
 
 // String renders a one-line summary.
 func (r Report) String() string {
-	return fmt.Sprintf("tasks=%d quartets=%d screened=%d prims=%d prim-skip=%.3f prim-tail=%.2e balance=%.4f wall=%v reduce=%d lanes=%.2f",
+	return fmt.Sprintf("tasks=%d quartets=%d screened=%d prims=%d prim-skip=%.3f prim-tail=%.2e balance=%.4f wall=%v lanes=%.2f placement=%dx%dx%d",
 		r.NTasks, r.QuartetsComputed, r.QuartetsScreened, r.Prim.Evaluated, r.Prim.SkipRatio(), r.Prim.TailBound,
-		r.BalanceRatio, r.Wall, r.ReduceDepth, r.LaneUtilization)
+		r.BalanceRatio, r.Wall, r.LaneUtilization, r.Ranks, r.ThreadsPerRank, r.UnitsPerThread)
 }
 
 // PhaseTable renders a per-phase accounting table: the wall-clock phases
-// of the build followed by the pool's lifetime counters.
+// of the build followed by the builder's lifetime counters.
 func (r Report) PhaseTable() string {
 	var sb strings.Builder
 	if r.Timings != nil {
@@ -176,12 +227,18 @@ func (r Report) PhaseTable() string {
 // reused across SCF/MD iterations; BuildJK is safe to call repeatedly
 // but not concurrently with itself.
 //
-// The builder owns a persistent worker pool: worker goroutines, their
-// J/K accumulation matrices, ERI scratch and dispatch order are all
-// allocated once in NewBuilder and reused (zeroed, not reallocated) by
-// every BuildJK, so the steady-state build performs no heap allocation.
-// Call Close when done to stop the workers; a finalizer stops them if
-// the builder is garbage-collected without Close.
+// Builder is the one execution core behind every placement (see
+// Placement): S slots — the leaves of the reduction tree, each owning
+// only its accumulators — executed by R×T persistent executors, each
+// owning its ERI buffer, kernel scratch and density row, and combined by
+// one canonical pairwise tree over slot indices. NewBuilder is one rank
+// of Threads executors over Threads slots; NewDistBuilder and
+// NewStealBuilder place the same core over mprt ranks. Everything a build
+// touches is allocated at construction and reused (zeroed, not
+// reallocated), so a steady-state single-rank build performs no heap
+// allocation and spawns no goroutine. Call Close when done to stop the
+// executors; a finalizer stops them if the builder is garbage-collected
+// without Close.
 type Builder struct {
 	Eng  *integrals.Engine
 	Scr  *screen.Result
@@ -191,44 +248,55 @@ type Builder struct {
 	closeOnce sync.Once
 }
 
-// pool holds everything the persistent workers touch. The workers
-// reference the pool, not the Builder, so an abandoned Builder can still
-// be collected and its finalizer can shut the workers down.
+// pool holds everything the executors touch. The executors reference the
+// pool, not the Builder, so an abandoned Builder can still be collected
+// and its finalizer can shut them down.
 type pool struct {
 	eng       *integrals.Engine
 	scr       *screen.Result
 	opts      Options
+	pm        Placement
 	tasks     []Task
 	costs     []float64
-	asn       *sched.Assignment
+	classes   []int // per-task work class; set when a calibrator or noise prices the placement
 	costStats sched.CostStats
-	// order is the dynamic-dispatch order (descending cost), computed
-	// once; nil when Dynamic is off.
-	order []int
-	// classes and calib are set when Options.Calibrator is non-nil: tasks
-	// are timed and observed into the calibrator per work class.
-	classes []int
-	calib   *steal.Calibrator
 
-	nw    int
+	// The placement: the static schedule over the slots under the
+	// placement model, the steal plan and deques over it, and the per-rank
+	// predicted loads; placedEpoch is the calibrator epoch it was priced at.
+	asn         *sched.Assignment
+	plan        *steal.Plan
+	deques      *steal.Deques
+	rankLoads   []float64
+	placedEpoch uint64
+
 	slots []slot
+	execs []executor
 	reg   *trace.Registry
-	cache *eriCache  // nil when Options.CacheBudgetBytes admitted nothing
-	grad  *gradState // nil until the first Gradient
+	cache *eriCache // nil when Options.CacheBudgetBytes admitted nothing
 
-	// Per-build state, written by the coordinator before workers are
-	// woken (the wake-channel send establishes the happens-before edge).
+	// The cross-rank reduction (nil world on one rank): fused-vector
+	// segment counts, per-rank staging of the J and K triangles, and the
+	// assembled result.
+	world      *mprt.World
+	counts     []int
+	fused      [][]float64
+	jOut, kOut *linalg.Matrix
+
+	// Per-build state, written by the coordinator before the executors
+	// are woken (the wake-channel send establishes the happens-before edge).
 	p        *linalg.Matrix
 	pmaxAll  float64    // max |P| over the whole density (density-weighted runs)
 	pmaxBlk  []float64  // max |P| over shell block (s1, s2), at s1·NShells+s2 (likewise)
 	pairP    []float64  // pmaxBlk of every screened pair, by pair index (likewise)
 	stats    *qpx.Stats // points at qstats when Vector, else nil
 	qstats   qpx.Stats
+	phase    int
+	aX       float64   // exchange fraction of the gradient phase
+	dead     int       // rank the fault plan kills in this build, or -1
+	t0       time.Time // start of the executor phase
 	computed atomic.Int64
 	screened atomic.Int64
-	next     atomic.Int64
-	phase    int
-	stride   int
 
 	// Per-build cache traffic, folded into the ericache.* counters and
 	// Report.Cache at the end of BuildJK.
@@ -236,135 +304,150 @@ type pool struct {
 	cacheMisses    atomic.Int64
 	cacheFillBytes atomic.Int64
 
-	wake []chan struct{}
+	// Per-rank walls and executed load of the last build (Report slices).
+	rankCompute, rankComm []time.Duration
+	rankBusy              []float64
+
 	done sync.WaitGroup
 	quit chan struct{}
 }
 
-// slot is one leaf of the reduction tree — a pool worker, or a steal unit —
-// with everything a task running in it writes: the private J and K
-// accumulators, an ERI block buffer, the kernel scratch and the
-// density-weighted screen's per-task row of block maxima (see braRows).
+// slot is one leaf of the reduction tree: the accumulators the tasks of
+// one steal unit write, wherever the unit runs.
 type slot struct {
 	j, k *linalg.Matrix
-	eri  []float64
-	sc   *integrals.Scratch
-	rowP []float64 // NShells floats; density-weighted builders only
+	g    []float64 // 3·NAtoms gradient accumulator, allocated by the first Gradient
+	prim integrals.PrimStats
+}
+
+// executor is one persistent worker goroutine of a rank, with the scratch
+// a task running on it uses: an ERI block buffer, the kernel scratch, the
+// density-weighted screen's row of block maxima (see braRows) and, once a
+// gradient ran, one derivative block and the quartet's two-particle
+// density in both layouts.
+type executor struct {
+	rank      int
+	wake      chan struct{}
+	eri       []float64
+	sc        *integrals.Scratch
+	rowP      []float64 // NShells floats; density-weighted builders only
+	dblk, gam []float64
+
+	// Written by the executor during a phase, read after it joined.
+	busy, reclaimed time.Duration // executed unit walls, and the stolen share
+	end             time.Duration // offset of the executor's last unit from the phase start
 }
 
 const (
 	phaseCompute = iota
-	phaseReduce
 	phaseGradient
 )
 
-// NewBuilder prepares the task decomposition, allocates the per-worker
-// buffers and starts the persistent worker pool.
+// NewBuilder prepares the task decomposition, allocates the per-slot and
+// per-executor buffers and starts Threads persistent executors on one
+// rank.
 func NewBuilder(eng *integrals.Engine, scr *screen.Result, opts Options) *Builder {
 	if opts.Threads <= 0 {
 		opts.Threads = runtime.GOMAXPROCS(0)
 	}
+	return newBuilder(eng, scr, Placement{Ranks: 1, ThreadsPerRank: opts.Threads, UnitsPerThread: 1, Opts: opts}, nil)
+}
+
+// newBuilder builds the core for a normalized placement; world is the
+// mprt world of a multi-rank placement (nil on one rank).
+func newBuilder(eng *integrals.Engine, scr *screen.Result, pm Placement, world *mprt.World) *Builder {
+	opts := pm.Opts
+	if world == nil {
+		pm.Shape, _ = torus.ShapeForNodes(1)
+	}
 	if opts.Cost == (CostModel{}) {
 		opts.Cost = DefaultCostModel()
 	}
-	tasks := BuilderTasks(eng, scr, opts.Cost, opts.Granule)
-	costs := TaskCosts(tasks)
-	asn := sched.Balance(opts.Balancer, costs, opts.Threads)
-	b := &Builder{Eng: eng, Scr: scr, Opts: opts}
-	b.pl = newPool(eng, scr, opts, tasks, costs, asn)
-	runtime.SetFinalizer(b, (*Builder).Close)
-	return b
-}
-
-// newPool allocates the per-worker buffers and starts the persistent
-// workers for an already-prepared task decomposition. The assignment may
-// be a rank-local slice of a larger global schedule (see DistBuilder), so
-// the pool takes the decomposition as inputs instead of computing it.
-func newPool(eng *integrals.Engine, scr *screen.Result, opts Options,
-	tasks []Task, costs []float64, asn *sched.Assignment) *pool {
-	pl := &pool{eng: eng, scr: scr, opts: opts, reg: trace.NewRegistry()}
-	pl.tasks = tasks
-	pl.costs = costs
-	pl.asn = asn
-	pl.costStats = sched.Summarize(pl.costs)
-	if opts.Dynamic {
-		pl.order = make([]int, len(pl.tasks))
-		for i := range pl.order {
-			pl.order[i] = i
-		}
-		sort.Slice(pl.order, func(x, y int) bool {
-			return pl.tasks[pl.order[x]].Cost > pl.tasks[pl.order[y]].Cost
-		})
+	pl := &pool{eng: eng, scr: scr, opts: opts, pm: pm, world: world, dead: -1, quit: make(chan struct{})}
+	if world != nil {
+		pl.reg = world.Registry()
+	} else {
+		pl.reg = trace.NewRegistry()
 	}
+	pl.tasks = BuilderTasks(eng, scr, opts.Cost, opts.Granule)
+	pl.costs = TaskCosts(pl.tasks)
+	pl.costStats = sched.Summarize(pl.costs)
+	if opts.Calibrator != nil || pm.Noise != nil {
+		pl.classes = TaskClasses(eng.Basis, scr.Pairs, pl.tasks)
+	}
+	R, T := pm.Ranks, pm.ThreadsPerRank
+	pl.slots = make([]slot, R*T*pm.UnitsPerThread)
+	pl.place()
 
-	nw := pl.asn.NWorkers()
-	pl.nw = nw
-	n := eng.Basis.NBasis
-	pl.slots = make([]slot, nw)
+	n, ns := eng.Basis.NBasis, eng.Basis.NShells()
+	for i := range pl.slots {
+		pl.slots[i].j, pl.slots[i].k = linalg.NewSquare(n), linalg.NewSquare(n)
+	}
 	buflen := eng.MaxERIBufLen()
-	for w := range pl.slots {
-		s := &pl.slots[w]
-		s.j, s.k = linalg.NewSquare(n), linalg.NewSquare(n)
-		s.eri = make([]float64, buflen)
-		s.sc = integrals.NewScratch()
+	pl.execs = make([]executor, R*T)
+	for i := range pl.execs {
+		x := &pl.execs[i]
+		x.rank, x.wake = i/T, make(chan struct{}, 1)
+		x.eri = make([]float64, buflen)
+		x.sc = integrals.NewScratch()
+		if opts.DensityWeighted {
+			x.rowP = make([]float64, ns)
+		}
 	}
 	if opts.Vector {
 		pl.stats = &pl.qstats
 	}
 	if opts.DensityWeighted {
-		ns := eng.Basis.NShells()
 		pl.pmaxBlk = make([]float64, ns*ns)
 		pl.pairP = make([]float64, len(scr.Pairs))
-		for w := range pl.slots {
-			pl.slots[w].rowP = make([]float64, ns)
-		}
-	}
-	if opts.Calibrator != nil {
-		pl.classes = TaskClasses(eng.Basis, scr.Pairs, tasks)
-		pl.calib = opts.Calibrator
 	}
 	if opts.CacheBudgetBytes > 0 {
 		pl.cache = newERICache(eng.Basis, scr.Pairs, pl.tasks, pl.asn,
 			newBuilderPricer(opts.Cost, eng, scr), opts.CacheBudgetBytes)
 	}
+	pl.rankCompute, pl.rankComm, pl.rankBusy = make([]time.Duration, R), make([]time.Duration, R), make([]float64, R)
+	if world != nil {
+		pl.counts, pl.fused = newFusedJK(R, n)
+		pl.jOut, pl.kOut = linalg.NewSquare(n), linalg.NewSquare(n)
+	}
 
 	// Pre-create every counter the hot path touches so steady-state
 	// lookups never insert into the registry map.
-	pl.reg.Counter("pool.buffers_alloc").Add(int64(3 * nw))
-	pl.reg.Counter("pool.buffer_bytes").Add(int64(nw * (2*n*n + buflen) * 8))
-	pl.reg.Counter("pool.builds")
-	pl.reg.Counter("pool.reuse_hits")
-	pl.reg.Counter("pool.zero_ns")
+	pl.reg.Counter("pool.buffers_alloc").Add(int64(2*len(pl.slots) + len(pl.execs)))
+	pl.reg.Counter("pool.buffer_bytes").Add(int64(2*len(pl.slots)*n*n+len(pl.execs)*buflen) * 8)
+	for _, c := range []string{"pool.builds", "pool.reuse_hits", "pool.zero_ns", "mprt.rank_restarts"} {
+		pl.reg.Counter(c)
+	}
 	pl.reg.Counter("screen.wall_ns").Add(scr.Stats.Wall().Nanoseconds())
 	if pl.cache != nil {
 		pl.reg.Counter("pool.buffers_alloc").Add(int64(len(pl.cache.shards)))
 		pl.reg.Counter("pool.buffer_bytes").Add(pl.cache.slabBytes())
-		pl.reg.Counter("ericache.hits")
-		pl.reg.Counter("ericache.misses")
-		pl.reg.Counter("ericache.bytes")
-		pl.reg.Counter("ericache.evictions")
+		for _, c := range []string{"ericache.hits", "ericache.misses", "ericache.bytes", "ericache.evictions"} {
+			pl.reg.Counter(c)
+		}
 		pl.reg.Counter("ericache.admitted").Add(pl.cache.admitted)
 	}
 
-	pl.wake = make([]chan struct{}, nw)
-	pl.quit = make(chan struct{})
-	for w := 0; w < nw; w++ {
-		pl.wake[w] = make(chan struct{}, 1)
-		go pl.worker(w)
+	for i := range pl.execs {
+		go pl.worker(&pl.execs[i])
 	}
-	return pl
+	b := &Builder{Eng: eng, Scr: scr, Opts: opts, pl: pl}
+	runtime.SetFinalizer(b, (*Builder).Close)
+	return b
 }
 
-// close stops the pool's persistent workers. Idempotence is the owner's
-// responsibility (Builder.Close, DistBuilder.Close).
-func (pl *pool) close() { close(pl.quit) }
-
-// Close stops the persistent worker pool. It is idempotent and must not
-// be called concurrently with BuildJK. A finalizer calls Close if the
-// builder is collected without it, so forgetting Close leaks nothing
-// permanently — but calling it promptly releases the goroutines sooner.
+// Close stops the executors (and releases the mprt world). It is
+// idempotent and must not be called concurrently with BuildJK. A finalizer
+// calls Close if the builder is collected without it, so forgetting Close
+// leaks nothing permanently — but calling it promptly releases the
+// goroutines sooner.
 func (b *Builder) Close() {
-	b.closeOnce.Do(func() { b.pl.close() })
+	b.closeOnce.Do(func() {
+		close(b.pl.quit)
+		if b.pl.world != nil {
+			b.pl.world.Close()
+		}
+	})
 	runtime.SetFinalizer(b, nil)
 }
 
@@ -372,103 +455,128 @@ func (b *Builder) Close() {
 // simulator.
 func (b *Builder) Tasks() []Task { return b.pl.tasks }
 
-// Assignment exposes the static schedule (read-only).
-func (b *Builder) Assignment() *sched.Assignment { return b.pl.asn }
-
-// worker is the persistent loop of one pool worker. It sleeps on its
-// wake channel, executes the phase the coordinator selected, and
-// signals completion through the pool WaitGroup.
-func (pl *pool) worker(w int) {
+// worker is the persistent loop of one executor: it sleeps on its wake
+// channel, executes the phase the coordinator selected, and signals
+// completion through the pool WaitGroup.
+func (pl *pool) worker(x *executor) {
 	for {
 		select {
 		case <-pl.quit:
 			return
-		case <-pl.wake[w]:
+		case <-x.wake:
 		}
-		switch pl.phase {
-		case phaseCompute:
-			pl.compute(w)
-		case phaseReduce:
-			pl.reduce(w)
-		case phaseGradient:
-			pl.gradient(w)
+		x.busy, x.reclaimed = 0, 0
+		if x.rank != pl.dead {
+			for {
+				u, stolen := pl.deques.PopOwn(x.rank), false
+				if u < 0 && pl.pm.Steal {
+					u, stolen = pl.deques.Steal(x.rank), true
+				}
+				if u < 0 {
+					break
+				}
+				pl.runUnit(x, u, stolen)
+			}
 		}
+		x.end = time.Since(pl.t0)
 		pl.done.Done()
 	}
 }
 
-// broadcast wakes every worker for the current phase and waits for all
-// of them to finish it.
-func (pl *pool) broadcast() {
-	pl.done.Add(pl.nw)
-	for w := 0; w < pl.nw; w++ {
-		pl.wake[w] <- struct{}{}
+// run executes one phase: every unit once, each rank's executors draining
+// its deque front-first (most expensive own unit next) and, with stealing
+// on, then taking the cheapest outstanding unit of the first non-empty
+// victim in their seeded probe order. A rank the fault plan killed runs
+// nothing; its units stay queued and are re-executed here once the others
+// joined — the static plan makes the re-executed partials bitwise
+// identical to the originals.
+func (pl *pool) run(phase int) {
+	pl.phase = phase
+	pl.deques.Reset()
+	pl.t0 = time.Now()
+	pl.done.Add(len(pl.execs))
+	for i := range pl.execs {
+		pl.execs[i].wake <- struct{}{}
 	}
 	pl.done.Wait()
-}
-
-// compute zeroes this worker's accumulators, runs its share of the task
-// list and symmetrizes the accumulators into its J and K (see digest).
-func (pl *pool) compute(w int) {
-	s := &pl.slots[w]
-	t0 := time.Now()
-	s.j.Zero()
-	s.k.Zero()
-	dz := time.Since(t0)
-	pl.reg.Counter("pool.zero_ns").Add(dz.Nanoseconds())
-	pl.reg.Timer.Charge("zero", dz)
-
-	pl.drain(w)
-	s.j.Symmetrize()
-	s.k.Symmetrize()
-}
-
-// drain runs worker w's share of the task list in the current phase — the
-// static assignment, or the shared cost-ordered queue when Dynamic is on.
-func (pl *pool) drain(w int) {
-	if pl.order != nil {
-		for {
-			i := int(pl.next.Add(1)) - 1
-			if i >= len(pl.order) {
-				return
-			}
-			pl.runPhaseTask(w, pl.order[i])
+	if r := pl.dead; r >= 0 {
+		x := &pl.execs[r*pl.pm.ThreadsPerRank]
+		for u := pl.deques.PopOwn(r); u >= 0; u = pl.deques.PopOwn(r) {
+			pl.runUnit(x, u, false)
 		}
-	}
-	for _, ti := range pl.asn.Workers[w] {
-		pl.runPhaseTask(w, ti)
+		x.end = time.Since(pl.t0)
+		pl.reg.Counter("mprt.rank_restarts").Add(1)
 	}
 }
 
-func (pl *pool) runPhaseTask(w, ti int) {
-	if pl.phase == phaseGradient {
-		pl.gradTask(w, ti)
-		return
-	}
-	pl.runTaskObserved(ti, &pl.slots[w])
-}
-
-// runTaskObserved wraps runTask with a per-task wall measurement folded
-// into the calibrator as a (class, raw predicted, measured) sample. With
-// no calibrator the hot path stays untimed.
-func (pl *pool) runTaskObserved(ti int, s *slot) {
-	if pl.calib == nil {
-		pl.runTask(ti, s)
-		return
-	}
+// runUnit executes unit u's tasks in order on executor x into slot u: the
+// slot is zeroed first and, in a J/K build, symmetrized after the last
+// task (see digest). Where a unit runs therefore moves wall-clock, never
+// bits. With a calibrator, J/K tasks are timed and observed as (class, raw
+// predicted, measured) samples.
+func (pl *pool) runUnit(x *executor, u int, stolen bool) {
+	s := &pl.slots[u]
 	t0 := time.Now()
-	pl.runTask(ti, s)
-	pl.calib.Observe(pl.classes[ti], pl.tasks[ti].Cost, float64(time.Since(t0).Nanoseconds()))
+	jk := pl.phase == phaseCompute
+	if jk {
+		s.j.Zero()
+		s.k.Zero()
+		dz := time.Since(t0)
+		pl.reg.Counter("pool.zero_ns").Add(dz.Nanoseconds())
+		pl.reg.Timer.Charge("zero", dz)
+	} else {
+		clear(s.g)
+	}
+	cal := pl.opts.Calibrator
+	for _, ti := range pl.plan.Units[u].Tasks {
+		if !jk || cal == nil {
+			pl.runTask(ti, x, s)
+			continue
+		}
+		t := time.Now()
+		pl.runTask(ti, x, s)
+		cal.Observe(pl.classes[ti], pl.tasks[ti].Cost, float64(time.Since(t).Nanoseconds()))
+	}
+	if jk {
+		s.j.Symmetrize()
+		s.k.Symmetrize()
+	}
+	s.prim = x.sc.TakePrimStats()
+	wall := time.Since(t0)
+	if stolen {
+		x.reclaimed += wall
+	}
+	if d := pl.pm.Noise.StragglerDelay(x.rank, wall); d > 0 {
+		time.Sleep(d)
+		wall += d
+	}
+	x.busy += wall
+	if pl.pm.Steal {
+		// Yield between units so executors interleave even on a single
+		// hardware thread: otherwise one rank can drain every deque before
+		// the others are scheduled at all.
+		runtime.Gosched()
+	}
 }
 
-// reduce performs this worker's merge step of the pairwise reduction
-// tree at the coordinator-set stride: worker w absorbs worker w+stride
-// when w is a tree parent at this level.
-func (pl *pool) reduce(w int) {
-	s := pl.stride
-	if w%(2*s) == 0 && w+s < pl.nw {
-		pl.slots[w].j.AXPY(1, pl.slots[w+s].j)
-		pl.slots[w].k.AXPY(1, pl.slots[w+s].k)
+// reduce folds slots into slots[0] along the canonical pairwise tree: at
+// stride s = 1, 2, 4, … slot w absorbs slot w+s when w is a multiple of
+// 2s. Applied to a power-of-two aligned block of the slots it runs exactly
+// the global tree's strides below the block size, which is what lets the
+// rank-local trees compose with the cross-rank reduction.
+func (pl *pool) reduce(slots []slot) {
+	for s := 1; s < len(slots); s *= 2 {
+		for w := 0; w+s < len(slots); w += 2 * s {
+			dst, src := &slots[w], &slots[w+s]
+			if pl.phase == phaseGradient {
+				for i, v := range src.g {
+					dst.g[i] += v
+				}
+				continue
+			}
+			dst.j.AXPY(1, src.j)
+			dst.k.AXPY(1, src.k)
+		}
 	}
 }
 
@@ -479,81 +587,72 @@ func (pl *pool) reduce(w int) {
 // Both are assembled in one pass over the screened canonical quartets.
 // P must be symmetric (every density is): the pass digests half of each
 // quartet's images and symmetrizes the rest in (see digest), so J and K
-// come back exactly symmetric.
+// come back exactly symmetric. The bits depend on the slot count and the
+// placement model, never on which executor or rank ran a unit.
 //
-// The returned matrices alias the pool's persistent accumulators: they
+// The returned matrices alias the builder's persistent accumulators: they
 // are valid until the next BuildJK on this builder, which overwrites
 // them. Callers that need both an old and a new result simultaneously
 // must copy (linalg.Matrix.Clone or CopyFrom) before rebuilding.
 func (b *Builder) BuildJK(p *linalg.Matrix) (j, k *linalg.Matrix, rep Report) {
 	pl := b.pl
 	start := time.Now()
-	depth := pl.runBuild(p)
-	j, k = pl.slots[0].j, pl.slots[0].k
-	rep = pl.buildReport(start, depth)
-	// Keep the builder (and thus its finalizer) from being collected
-	// while a build is mid-flight on the pool it owns.
-	runtime.KeepAlive(b)
-	return j, k, rep
-}
-
-// runBuild executes one compute+reduce cycle on the pool and returns the
-// reduction depth. On return slots[0] holds the pool's J and K
-// (the full matrices for a Builder, this rank's partials for a
-// DistBuilder rank pool).
-func (pl *pool) runBuild(p *linalg.Matrix) (depth int) {
-	pl.prepareBuild(p)
-
-	pl.phase = phaseCompute
-	t0 := time.Now()
-	pl.broadcast()
-	pl.reg.Timer.Charge("compute", time.Since(t0))
-
-	// Hierarchical pairwise reduction (binary tree), mirroring the
-	// machine-scale K allreduce over the torus. The same persistent
-	// workers execute the merge steps.
-	t0 = time.Now()
-	for stride := 1; stride < pl.nw; stride *= 2 {
-		depth++
-		pl.phase = phaseReduce
-		pl.stride = stride
-		pl.broadcast()
-	}
-	pl.reg.Timer.Charge("reduce", time.Since(t0))
-	pl.p = nil
-	return depth
-}
-
-// prepareBuild resets the pool's per-build state for density P: timers,
-// traffic counters, the shared density pointer and the global density
-// bound. Callers that drive the workers themselves (StealBuilder)
-// use it without broadcast.
-func (pl *pool) prepareBuild(p *linalg.Matrix) {
-	n := pl.eng.Basis.NBasis
-	if p.Rows != n || p.Cols != n {
-		panic("hfx: density dimension mismatch")
-	}
 	pl.reg.Timer.Reset()
 	builds := pl.reg.Counter("pool.builds")
 	builds.Add(1)
 	if builds.Value() > 1 {
 		pl.reg.Counter("pool.reuse_hits").Add(1)
 	}
+	rebalanced := false
+	if pl.pm.Steal && pl.opts.Calibrator.Epoch() != pl.placedEpoch {
+		pl.place()
+		rebalanced = true
+	}
+	if fp := pl.pm.FaultPlan; fp != nil && int64(fp.Build) == builds.Value() {
+		pl.dead = fp.Rank
+	}
 	pl.computed.Store(0)
 	pl.screened.Store(0)
-	pl.takePrimStats() // a gradient phase may have run on the same scratch
 	pl.qstats.Reset()
 	pl.cacheHits.Store(0)
 	pl.cacheMisses.Store(0)
 	pl.cacheFillBytes.Store(0)
+	if pl.pm.Steal {
+		pl.opts.Calibrator.BeginWindow()
+	}
 	pl.setDensity(p)
+	comm0 := pl.commTotals()
+
+	t0 := time.Now()
+	pl.run(phaseCompute)
+	pl.reg.Timer.Charge("compute", time.Since(t0))
+	t0 = time.Now()
+	if pl.world == nil {
+		pl.reduce(pl.slots)
+		j, k = pl.slots[0].j, pl.slots[0].k
+	} else {
+		j, k = pl.reduceRanks()
+	}
+	pl.reg.Timer.Charge("reduce", time.Since(t0))
+	pl.p = nil
+
+	rep = pl.report(start, comm0)
+	rep.Rebalanced = rebalanced
+	pl.dead = -1
+	// Keep the builder (and thus its finalizer) from being collected
+	// while a build is mid-flight on the executors it owns.
+	runtime.KeepAlive(b)
+	return j, k, rep
 }
 
-// setDensity points the workers at density P, rewinds the dynamic queue
-// and refreshes the density bounds of the density-weighted screen.
+// setDensity points the executors at density P and refreshes the density
+// bounds of the density-weighted screen.
 func (pl *pool) setDensity(p *linalg.Matrix) {
+	n := pl.eng.Basis.NBasis
+	if p.Rows != n || p.Cols != n {
+		panic("hfx: density dimension mismatch")
+	}
 	pl.p = p
-	pl.next.Store(0)
 	pl.pmaxAll = 0
 	if !pl.opts.DensityWeighted {
 		return
@@ -595,39 +694,71 @@ func (pl *pool) setDensity(p *linalg.Matrix) {
 	}
 }
 
-// buildReport assembles the Report for the build cycle that just ran.
-func (pl *pool) buildReport(start time.Time, depth int) Report {
-	builds := pl.reg.Counter("pool.builds")
+// report assembles the Report for the build that just ran.
+func (pl *pool) report(start time.Time, comm0 [5]int64) Report {
+	reg := pl.reg
 	rep := Report{
-		NTasks:           len(pl.tasks),
-		QuartetsComputed: pl.computed.Load(),
-		QuartetsScreened: pl.screened.Load(),
-		BalanceRatio:     pl.asn.BalanceRatio(),
-		TheoreticalEff:   pl.asn.TheoreticalEfficiency(),
-		Wall:             time.Since(start),
-		ReduceDepth:      depth,
-		ScreeningStats:   pl.scr.Stats,
-		TaskCostStats:    pl.costStats,
-		Timings:          pl.reg.Timer,
-		Metrics:          pl.reg,
+		Ranks: pl.pm.Ranks, ThreadsPerRank: pl.pm.ThreadsPerRank, UnitsPerThread: pl.pm.UnitsPerThread,
+		Schedule: pl.pm.Schedule, Shape: pl.pm.Shape,
+		NTasks:                len(pl.tasks),
+		Units:                 len(pl.slots),
+		QuartetsComputed:      pl.computed.Load(),
+		QuartetsScreened:      pl.screened.Load(),
+		ScreeningStats:        pl.scr.Stats,
+		TaskCostStats:         pl.costStats,
+		BalanceRatio:          pl.asn.BalanceRatio(),
+		TheoreticalEff:        pl.asn.TheoreticalEfficiency(),
+		RankLoads:             pl.rankLoads,
+		BalanceRatioPredicted: maxMeanRatio(pl.rankLoads),
+		RankCompute:           pl.rankCompute,
+		RankComm:              pl.rankComm,
+		BlocksMigrated:        int64(pl.deques.Migrated()),
+		Timings:               reg.Timer,
+		Metrics:               reg,
 		Pool: PoolStats{
-			Workers:          pl.nw,
-			BuffersAllocated: pl.reg.Counter("pool.buffers_alloc").Value(),
-			BufferBytes:      pl.reg.Counter("pool.buffer_bytes").Value(),
-			Builds:           builds.Value(),
-			ReuseHits:        pl.reg.Counter("pool.reuse_hits").Value(),
-			ZeroTime:         time.Duration(pl.reg.Counter("pool.zero_ns").Value()),
+			Workers:          len(pl.execs),
+			BuffersAllocated: reg.Counter("pool.buffers_alloc").Value(),
+			BufferBytes:      reg.Counter("pool.buffer_bytes").Value(),
+			Builds:           reg.Counter("pool.builds").Value(),
+			ReuseHits:        reg.Counter("pool.reuse_hits").Value(),
+			ZeroTime:         time.Duration(reg.Counter("pool.zero_ns").Value()),
 		},
+	}
+	rep.StealsSucceeded = rep.BlocksMigrated
+	if pl.dead >= 0 {
+		rep.RankRestarts = 1
+	}
+	for i := range pl.slots {
+		rep.Prim.Add(pl.slots[i].prim)
+	}
+	clear(pl.rankCompute)
+	clear(pl.rankBusy)
+	for i := range pl.execs {
+		x := &pl.execs[i]
+		pl.rankCompute[x.rank] = max(pl.rankCompute[x.rank], x.end)
+		pl.rankBusy[x.rank] += float64(x.busy)
+		rep.IdleReclaimed += x.reclaimed
+	}
+	rep.BalanceRatioMeasured = maxMeanRatio(pl.rankBusy)
+	reg.Counter(steal.CounterReclaimedNS).Add(rep.IdleReclaimed.Nanoseconds())
+	if pl.world != nil {
+		d := pl.commTotals()
+		rep.CommBytes, rep.Sends, rep.Hops = d[0]-comm0[0], d[1]-comm0[1], d[2]-comm0[2]
+		rep.MeasuredSteps = d[3] + d[4] - comm0[3] - comm0[4]
+		rep.PredictedSteps = 3*pl.world.PredictedReduceSteps() + 1
+	}
+	if cal := pl.opts.Calibrator; cal != nil && pl.pm.Steal {
+		rep.CalibMeanAbsErr, rep.CalibRawAbsErr, _ = cal.WindowErr()
+		rep.CalibObservations = cal.Observations()
 	}
 	if pl.opts.Vector {
 		rep.LaneUtilization = pl.qstats.Utilization()
 	}
-	rep.Prim = pl.takePrimStats()
 	rep.Cache.BudgetBytes = pl.opts.CacheBudgetBytes
 	if pl.cache != nil {
-		pl.reg.Counter("ericache.hits").Add(pl.cacheHits.Load())
-		pl.reg.Counter("ericache.misses").Add(pl.cacheMisses.Load())
-		pl.reg.Counter("ericache.bytes").Add(pl.cacheFillBytes.Load())
+		reg.Counter("ericache.hits").Add(pl.cacheHits.Load())
+		reg.Counter("ericache.misses").Add(pl.cacheMisses.Load())
+		reg.Counter("ericache.bytes").Add(pl.cacheFillBytes.Load())
 		rep.Cache.Enabled = true
 		rep.Cache.UsedBytes = pl.cache.usedBytes
 		rep.Cache.AdmittedQuartets = pl.cache.admitted
@@ -637,6 +768,7 @@ func (pl *pool) buildReport(start time.Time, depth int) Report {
 		rep.Cache.Evictions = pl.cache.evictions.Load()
 		rep.Pool.CacheSlabBytes = pl.cache.slabBytes()
 	}
+	rep.Wall = time.Since(start)
 	return rep
 }
 
@@ -676,36 +808,28 @@ func (pl *pool) screenQuartet(bra, ket screen.Pair, ji int, row []float64) (ok, 
 	return pl.scr.QuartetSurvivesWeighted(bra, ket, max(row[ket.A], row[ket.B], pl.pairP[ji])), false
 }
 
-// takePrimStats collects and resets the workers' primitive-quartet
-// counters.
-func (pl *pool) takePrimStats() integrals.PrimStats {
-	var st integrals.PrimStats
-	for i := range pl.slots {
-		st.Add(pl.slots[i].sc.TakePrimStats())
-	}
-	return st
-}
-
-// runTask executes one task in slot s: loops its quartets, applies the
-// quartet-level screen with an early exit over the Q-sorted ket range,
-// fetches or evaluates surviving blocks (semi-direct replay when cached),
-// and digests them into the slot's J/K accumulators. The loop's counts are
-// kept locally and published once per task.
-func (pl *pool) runTask(ti int, s *slot) {
+// runTask executes one task on executor x into slot s: it loops the task's
+// quartets, applies the quartet-level screen with an early exit over the
+// Q-sorted ket range, and hands every surviving quartet to the phase — in
+// a J/K build it fetches or evaluates the block (semi-direct replay when
+// cached) and digests it into the slot's J/K, in the gradient phase it
+// contracts the quartet's derivative blocks into the slot's gradient. The
+// loop's counts are kept locally and published once per task.
+func (pl *pool) runTask(ti int, x *executor, s *slot) {
 	t := &pl.tasks[ti]
 	set := pl.eng.Basis
 	bra := pl.scr.Pairs[t.Bra]
-	pl.braRows(bra, s.rowP)
-	var slots []int32
+	pl.braRows(bra, x.rowP)
+	var entries []int32
 	var shard *cacheShard
-	if pl.cache != nil {
-		slots = pl.cache.taskSlots[ti]
+	if pl.cache != nil && pl.phase == phaseCompute {
+		entries = pl.cache.taskSlots[ti]
 		shard = &pl.cache.shards[pl.cache.taskShard[ti]]
 	}
 	var computed, screened, hits, fills, fillBytes int64
 	for ji := t.KetLo; ji < t.KetHi; ji++ {
 		ket := pl.scr.Pairs[ji]
-		if ok, rest := pl.screenQuartet(bra, ket, ji, s.rowP); !ok {
+		if ok, rest := pl.screenQuartet(bra, ket, ji, x.rowP); !ok {
 			if rest {
 				screened += int64(t.KetHi - ji)
 				break
@@ -715,25 +839,29 @@ func (pl *pool) runTask(ti int, s *slot) {
 		}
 		computed++
 		a, b, c, d := bra.A, bra.B, ket.A, ket.B
+		if pl.phase == phaseGradient {
+			pl.gradQuartet(x, s.g, a, b, c, d)
+			continue
+		}
 		var blk []float64
-		if shard != nil && slots[ji-t.KetLo] >= 0 {
-			slot := slots[ji-t.KetLo]
-			blk = shard.slab[shard.offs[slot]:][:shard.lens[slot]]
-			if shard.filled[slot] {
+		if shard != nil && entries[ji-t.KetLo] >= 0 {
+			e := entries[ji-t.KetLo]
+			blk = shard.slab[shard.offs[e]:][:shard.lens[e]]
+			if shard.filled[e] {
 				hits++
 				digest(set, a, b, c, d, blk, pl.p, s.j, s.k)
 				continue
 			}
 			// Fill on first compute: evaluate straight into the slab so
 			// the digestion below reads the cached copy.
-			shard.filled[slot] = true
+			shard.filled[e] = true
 			fills++
 			fillBytes += int64(len(blk)) * 8
 		} else {
-			blk = s.eri[:eriBlockLen(set, a, b, c, d)]
+			blk = x.eri[:eriBlockLen(set, a, b, c, d)]
 		}
 		nprim := set.Shells[a].NPrims() * set.Shells[b].NPrims() * set.Shells[c].NPrims() * set.Shells[d].NPrims()
-		pl.eng.ERIShellCut(a, b, c, d, blk, primCut(pl.scr.Opts.Threshold, nprim), pl.opts.Vector, pl.stats, s.sc)
+		pl.eng.ERIShellCut(a, b, c, d, blk, primCut(pl.scr.Opts.Threshold, nprim), pl.opts.Vector, pl.stats, x.sc)
 		digest(set, a, b, c, d, blk, pl.p, s.j, s.k)
 	}
 	pl.computed.Add(computed)

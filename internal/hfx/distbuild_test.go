@@ -4,9 +4,24 @@ import (
 	"testing"
 
 	"hfxmd/internal/chem"
+	"hfxmd/internal/integrals"
+	"hfxmd/internal/linalg"
 	"hfxmd/internal/mprt"
+	"hfxmd/internal/screen"
 	"hfxmd/internal/steal"
 )
+
+// distBuild runs one J/K build on a fresh DistBuilder and closes it.
+func distBuild(t testing.TB, eng *integrals.Engine, scr *screen.Result, pm DistOptions, p *linalg.Matrix) (j, k *linalg.Matrix, rep DistReport) {
+	t.Helper()
+	d, err := NewDistBuilder(eng, scr, pm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	j, k, rep, _ = d.BuildJK(p)
+	return j, k, rep
+}
 
 // TestDistributedBuildMatchesSingleRank is the acceptance gate for the
 // distributed build: for every rank count, thread count and collective
@@ -26,15 +41,12 @@ func TestDistributedBuildMatchesSingleRank(t *testing.T) {
 				jRef, kRef, _ := sb.BuildJK(p)
 
 				for _, sched := range []mprt.Schedule{mprt.Binomial, mprt.DimExchange} {
-					j, k, rep, err := DistributedBuild(eng, scr, DistOptions{
+					j, k, rep := distBuild(t, eng, scr, DistOptions{
 						Ranks:          ranks,
 						ThreadsPerRank: tpr,
 						Schedule:       sched,
 						Opts:           opts,
 					}, p)
-					if err != nil {
-						t.Fatal(err)
-					}
 					for i, v := range jRef.Data {
 						if j.Data[i] != v {
 							t.Fatalf("dw=%v ranks=%d tpr=%d %v: J[%d] = %x, single-rank %x",
@@ -110,18 +122,19 @@ func TestDistBuilderReuse(t *testing.T) {
 	_, _ = k1, k2
 }
 
-// TestDistBuilderRejectsInvalid pins the option validation: dynamic
-// dispatch and non-power-of-two thread counts break the bitwise
-// contract, so they must be refused up front.
+// TestDistBuilderRejectsInvalid pins the option validation: a
+// non-power-of-two thread count breaks the bitwise contract, so it must be
+// refused up front, and the stealing knobs belong to NewStealBuilder.
 func TestDistBuilderRejectsInvalid(t *testing.T) {
 	eng, scr := setup(t, chem.Water(), 1e-12)
-	bad := DefaultOptions()
-	bad.Dynamic = true
-	if _, err := NewDistBuilder(eng, scr, DistOptions{Ranks: 2, Opts: bad}); err == nil {
-		t.Fatal("expected error for Dynamic")
-	}
 	if _, err := NewDistBuilder(eng, scr, DistOptions{Ranks: 2, ThreadsPerRank: 3}); err == nil {
 		t.Fatal("expected error for non-power-of-two threads per rank")
+	}
+	if _, err := NewDistBuilder(eng, scr, DistOptions{Ranks: 2, Steal: true}); err == nil {
+		t.Fatal("expected error for a stealing rank-distributed build")
+	}
+	if _, err := NewDistBuilder(eng, scr, DistOptions{Ranks: 2, UnitsPerThread: 4}); err == nil {
+		t.Fatal("expected error for units per thread on a rank-distributed build")
 	}
 	if _, err := NewDistBuilder(eng, scr, DistOptions{Ranks: 0}); err == nil {
 		t.Fatal("expected error for 0 ranks")
@@ -201,27 +214,21 @@ func TestDistReportBalanceRatiosDivergeUnderNoise(t *testing.T) {
 	eng, scr := setup(t, chem.WaterCluster(2, 6), 1e-12)
 	p := testDensity(eng.Basis.NBasis, 11)
 
-	_, _, clean, err := DistributedBuild(eng, scr, DistOptions{
-		Ranks: 4, Opts: DefaultOptions(),
-	}, p)
-	if err != nil {
-		t.Fatal(err)
+	_, _, clean := distBuild(t, eng, scr, DistOptions{Ranks: 4, Opts: DefaultOptions()}, p)
+	if clean.BalanceRatioPredicted < 1 || clean.BalanceRatioMeasured < 1 || len(clean.RankLoads) != 4 {
+		t.Fatalf("balance ratios not populated: predicted %.4f, measured %.4f, %d rank loads",
+			clean.BalanceRatioPredicted, clean.BalanceRatioMeasured, len(clean.RankLoads))
 	}
+	// One slot per rank: the slot schedule is the rank schedule.
 	if clean.BalanceRatio != clean.BalanceRatioPredicted {
 		t.Fatalf("BalanceRatio %.4f must keep the predicted meaning (%.4f)",
 			clean.BalanceRatio, clean.BalanceRatioPredicted)
 	}
-	if clean.BalanceRatioMeasured <= 0 {
-		t.Fatal("measured balance ratio not populated")
-	}
 
-	_, _, noisy, err := DistributedBuild(eng, scr, DistOptions{
+	_, _, noisy := distBuild(t, eng, scr, DistOptions{
 		Ranks: 4, Opts: DefaultOptions(),
 		Noise: &steal.NoisePlan{Seed: 9, Pct: 0.3, StragglerRank: 1, StragglerSlow: 4.0},
 	}, p)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// The placement model cannot see the straggler, so the predicted
 	// ratio stays modest while the measured one blows up.
 	if noisy.BalanceRatioPredicted > 2 {

@@ -14,13 +14,14 @@ import (
 // computed and replayed on later builds so the re-contraction against a new
 // density skips ERI evaluation entirely.
 //
-// The cache is sharded by the static assignment: every task belongs to
-// exactly one shard (the worker the balancer gave it to), and a quartet's
-// slot is only ever written by the worker executing that task. Builds are
+// The cache is sharded by the construction-time static assignment: every
+// task belongs to exactly one shard (the slot the balancer first gave it
+// to), and a quartet's entry is only ever written by the executor running
+// that task, which runs once per build wherever its unit lands. After a
+// calibrator re-places a stealing build the shards no longer match the
+// units, but each entry still has a single writer per build. Builds are
 // barrier-separated, so the hot path needs no locks and performs no
-// allocation. This holds under Dynamic dispatch too — the shard comes from
-// the static assignment, which is always computed, and a slot is still
-// touched by at most one worker per build.
+// allocation.
 //
 // Admission is decided once, at NewBuilder time, in descending priority
 // order (Schwarz bound × predicted block cost): the quartets most likely to
@@ -45,8 +46,11 @@ type eriCache struct {
 	evictions atomic.Int64 // lifetime blocks dropped by InvalidateCache
 }
 
-// cacheShard is one worker's private slice of the cache. offs/lens/filled
-// are indexed by slot; slab holds the concatenated block payloads.
+// cacheShard is the slice of the cache holding the tasks of one
+// construction-time slot. Shards are not owned by an executor: each entry
+// belongs to one task, and only the executor running that task in a build
+// touches it. offs/lens/filled are indexed by entry; slab holds the
+// concatenated block payloads.
 type cacheShard struct {
 	slab   []float64
 	offs   []int64

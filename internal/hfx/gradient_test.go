@@ -10,6 +10,7 @@ import (
 	"hfxmd/internal/integrals"
 	"hfxmd/internal/linalg"
 	"hfxmd/internal/screen"
+	"hfxmd/internal/steal"
 )
 
 // referenceTwoElectronEnergy is ½Tr(P·J[P]) − ¼aₓTr(P·K[P]) by the
@@ -144,5 +145,51 @@ func TestGradientSteadyStateAllocs(t *testing.T) {
 	b.Gradient(p, 0.25)
 	if allocs := testing.AllocsPerRun(5, func() { b.Gradient(p, 0.25) }); allocs > 1 {
 		t.Fatalf("steady-state Gradient allocates %.0f objects per build, want the result slice only", allocs)
+	}
+}
+
+// TestGradientBitwiseAcrossPlacements: the gradient phase runs on the same
+// core as BuildJK, so every placement over four slots — one rank of four
+// executors, two ranks of two, two ranks of one executor over two stealing
+// units each with a straggler rank driving migration — returns the same
+// bits, for both screening modes.
+func TestGradientBitwiseAcrossPlacements(t *testing.T) {
+	eng, scr := setup(t, chem.WaterCluster(2, 5), 1e-10)
+	p := testDensity(eng.Basis.NBasis, 9)
+	for _, dw := range []bool{false, true} {
+		opts := DefaultOptions()
+		opts.DensityWeighted = dw
+		opts.Threads = 4
+		pool := NewBuilder(eng, scr, opts)
+		want := pool.Gradient(p, 0.25)
+		pool.Close()
+		dist, err := NewDistBuilder(eng, scr, DistOptions{Ranks: 2, ThreadsPerRank: 2, Opts: opts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		stolen, err := NewStealBuilder(eng, scr, StealOptions{
+			Ranks: 2, UnitsPerThread: 2, Opts: opts, Steal: true, Seed: 7,
+			Noise: &steal.NoisePlan{StragglerRank: 1, StragglerSlow: 4},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		migrated := 0
+		for i := 0; i < 3; i++ {
+			for name, b := range map[string]*Builder{"dist": dist.Builder, "steal": stolen.Builder} {
+				got := b.Gradient(p, 0.25)
+				for a := range want {
+					if got[a] != want[a] {
+						t.Fatalf("dw=%v %s run %d atom %d: %v, pool %v", dw, name, i, a, got[a], want[a])
+					}
+				}
+			}
+			migrated += stolen.pl.deques.Migrated()
+		}
+		if migrated == 0 {
+			t.Errorf("dw=%v: the straggler never drove a unit off its home rank", dw)
+		}
+		dist.Close()
+		stolen.Close()
 	}
 }

@@ -208,20 +208,14 @@ func TestSymmetryOfJK(t *testing.T) {
 		}
 		b.Close()
 	}
-	j, k, _, err := DistributedBuild(eng, scr, DistOptions{Ranks: 3, ThreadsPerRank: 2, Opts: DefaultOptions()}, p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	j, k, _ := distBuild(t, eng, scr, DistOptions{Ranks: 3, ThreadsPerRank: 2, Opts: DefaultOptions()}, p)
 	check("dist R=3 T=2", j, k)
 	sb, err := NewStealBuilder(eng, scr, StealOptions{Ranks: 2, UnitsPerThread: 2, Opts: DefaultOptions(), Steal: true, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sb.Close()
-	j, k, _, err = sb.BuildJK(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	j, k, _, _ = sb.BuildJK(p)
 	check("steal R=2 U=2", j, k)
 }
 
@@ -357,32 +351,6 @@ func BenchmarkBuildKWater4(b *testing.B) {
 	}
 }
 
-func TestDynamicExecutionMatchesStatic(t *testing.T) {
-	eng, scr := setup(t, chem.WaterCluster(3, 17), 1e-12)
-	p := testDensity(eng.Basis.NBasis, 9)
-	static := DefaultOptions()
-	static.Threads = 4
-	static.Vector = false
-	js, ks, _ := NewBuilder(eng, scr, static).BuildJK(p)
-
-	engD := integrals.NewEngine(eng.Basis)
-	dyn := DefaultOptions()
-	dyn.Threads = 4
-	dyn.Vector = false
-	dyn.Dynamic = true
-	jd, kd, rep := NewBuilder(engD, scr, dyn).BuildJK(p)
-
-	if d := linalg.MaxAbsDiff(js, jd); d > 1e-12 {
-		t.Fatalf("dynamic J differs by %g", d)
-	}
-	if d := linalg.MaxAbsDiff(ks, kd); d > 1e-12 {
-		t.Fatalf("dynamic K differs by %g", d)
-	}
-	if rep.QuartetsComputed == 0 {
-		t.Fatal("dynamic run computed nothing")
-	}
-}
-
 // TestSharedEngineBuilders creates two builders with opposite Vector
 // settings on the SAME engine: the kernel selection must be scoped to
 // each builder, and the engine's own flag must be left alone.
@@ -454,30 +422,6 @@ func TestPooledRepeatMatchesFresh(t *testing.T) {
 		}
 		if rep.Pool.ReuseHits != int64(it) {
 			t.Fatalf("build %d: pool reports %d reuse hits", it, rep.Pool.ReuseHits)
-		}
-	}
-}
-
-// TestPooledDynamicRepeatIsStable exercises the persistent pool with the
-// dynamic queue: repeated builds with the same density must agree with
-// the first to roundoff, whatever worker claimed which task.
-func TestPooledDynamicRepeatIsStable(t *testing.T) {
-	eng, scr := setup(t, chem.WaterCluster(2, 5), 1e-12)
-	opts := DefaultOptions()
-	opts.Threads = 4
-	opts.Dynamic = true
-	b := NewBuilder(eng, scr, opts)
-	defer b.Close()
-	p := testDensity(eng.Basis.NBasis, 41)
-	j0, k0, _ := b.BuildJK(p)
-	j0, k0 = j0.Clone(), k0.Clone() // results alias pool buffers
-	for i := 0; i < 3; i++ {
-		j, k, _ := b.BuildJK(p)
-		if d := linalg.MaxAbsDiff(j, j0); d > 1e-12 {
-			t.Fatalf("rebuild %d: dynamic J drifted by %g", i, d)
-		}
-		if d := linalg.MaxAbsDiff(k, k0); d > 1e-12 {
-			t.Fatalf("rebuild %d: dynamic K drifted by %g", i, d)
 		}
 	}
 }
@@ -607,7 +551,7 @@ func TestBlockDensityTableMatchesOracle(t *testing.T) {
 	if want := eng.Basis.NShells() * (eng.Basis.NShells() + 1) / 2; len(scr.Pairs) != want {
 		t.Fatalf("%d pairs survive, want all %d shell pairs", len(scr.Pairs), want)
 	}
-	row := b.pl.slots[0].rowP
+	row := b.pl.execs[0].rowP
 	for _, bra := range scr.Pairs {
 		b.pl.braRows(bra, row)
 		for ji, ket := range scr.Pairs {

@@ -245,31 +245,3 @@ func TestCacheInvalidate(t *testing.T) {
 		t.Fatalf("cache did not refill after invalidate: misses=%d", rep3.Cache.Misses)
 	}
 }
-
-// TestCacheDynamicDispatch: the shard comes from the static assignment, so
-// semi-direct replay must also work (lock-free, correct) under the dynamic
-// work queue where a task may run on a different worker each build.
-func TestCacheDynamicDispatch(t *testing.T) {
-	eng, scr := setup(t, chem.WaterCluster(2, 1), 1e-8)
-	p := testDensity(eng.Basis.NBasis, 1)
-	opts := DefaultOptions()
-	direct := NewBuilder(eng, scr, opts)
-	defer direct.Close()
-	opts.CacheBudgetBytes = 256 << 20
-	opts.Dynamic = true
-	opts.Threads = 4
-	semi := NewBuilder(eng, scr, opts)
-	defer semi.Close()
-	jd, kd, _ := direct.BuildJK(p)
-	semi.BuildJK(p)
-	js, ks, rep := semi.BuildJK(p)
-	if rep.Cache.Misses != 0 {
-		t.Fatalf("dynamic warm build missed %d quartets", rep.Cache.Misses)
-	}
-	if diff := linalg.MaxAbsDiff(jd, js); diff > 1e-12 {
-		t.Fatalf("dynamic semi-direct J diff %g", diff)
-	}
-	if diff := linalg.MaxAbsDiff(kd, ks); diff > 1e-12 {
-		t.Fatalf("dynamic semi-direct K diff %g", diff)
-	}
-}

@@ -268,12 +268,12 @@ func calibrationRun(t *testing.T, cost CostModel, builds int) (calErr, rawErr fl
 	t.Helper()
 	eng, scr := setup(t, chem.WaterCluster(2, 6), 1e-12)
 	p := testDensity(eng.Basis.NBasis, 11)
-	cal := steal.NewCalibrator(0.5)
 	opts := DefaultOptions()
 	opts.Cost = cost
+	opts.Calibrator = steal.NewCalibrator(0.5)
 	b, err := NewStealBuilder(eng, scr, StealOptions{
 		Ranks: 2, UnitsPerThread: 4, Opts: opts,
-		Steal: true, Calibrator: cal, Seed: 7,
+		Steal: true, Seed: 7,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -340,11 +340,6 @@ func TestStealBuilderCalibrationLearnsClassBias(t *testing.T) {
 // TestStealBuilderRejectsInvalid pins the option validation.
 func TestStealBuilderRejectsInvalid(t *testing.T) {
 	eng, scr := setup(t, chem.Water(), 1e-12)
-	bad := DefaultOptions()
-	bad.Dynamic = true
-	if _, err := NewStealBuilder(eng, scr, StealOptions{Ranks: 2, Opts: bad}); err == nil {
-		t.Fatal("expected error for Dynamic")
-	}
 	if _, err := NewStealBuilder(eng, scr, StealOptions{Ranks: 2, ThreadsPerRank: 3}); err == nil {
 		t.Fatal("expected error for non-power-of-two threads per rank")
 	}
@@ -353,5 +348,39 @@ func TestStealBuilderRejectsInvalid(t *testing.T) {
 	}
 	if _, err := NewStealBuilder(eng, scr, StealOptions{Ranks: 0}); err == nil {
 		t.Fatal("expected error for 0 ranks")
+	}
+}
+
+// TestDynamicQueueMatchesPooledBitwise: one rank of two executors over
+// eight steal units is the deterministic dynamic queue — which executor
+// takes which unit changes from build to build — and its J and K equal a
+// single-rank Builder with eight threads bit for bit, cold and replayed
+// from the semi-direct cache.
+func TestDynamicQueueMatchesPooledBitwise(t *testing.T) {
+	eng, scr := setup(t, chem.WaterCluster(2, 5), 1e-10)
+	p := testDensity(eng.Basis.NBasis, 41)
+	opts := DefaultOptions()
+	opts.Threads = 8
+	ref := NewBuilder(eng, scr, opts)
+	defer ref.Close()
+	jRef, kRef, _ := ref.BuildJK(p)
+	opts.CacheBudgetBytes = 64 << 20
+	b, err := NewStealBuilder(eng, scr, StealOptions{
+		Ranks: 1, ThreadsPerRank: 2, UnitsPerThread: 4, Opts: opts, Steal: true, Seed: 7,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	for build := 1; build <= 3; build++ {
+		j, k, rep, _ := b.BuildJK(p)
+		if build > 1 && rep.Cache.Misses != 0 {
+			t.Fatalf("build %d: warm cache missed %d quartets", build, rep.Cache.Misses)
+		}
+		for i := range jRef.Data {
+			if j.Data[i] != jRef.Data[i] || k.Data[i] != kRef.Data[i] {
+				t.Fatalf("build %d diverged from the 8-thread pool at element %d", build, i)
+			}
+		}
 	}
 }

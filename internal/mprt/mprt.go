@@ -16,10 +16,10 @@
 // trace.Registry, which is what lets the d1 experiment validate measured
 // collective traffic against the analytic bgq.AllreduceTime model.
 //
-// Determinism rule (load-bearing for hfx.DistributedBuild): every
+// Determinism rule (load-bearing for the hfx execution core): every
 // reduction sums in the canonical binary-tree order over rank indices —
-// the same ((r0+r1)+(r2+r3))+… association as the HFX worker pool's
-// stride-doubling reduce — regardless of schedule. The two schedules
+// the same ((r0+r1)+(r2+r3))+… association as the hfx execution core's
+// stride-doubling slot tree — regardless of schedule. The two schedules
 // move the data along different partner sequences, but the DimExchange
 // embedding produced by torus.ShapeForNodes keeps every dimension except
 // the slowest at a power-of-two length, which makes its nested
@@ -29,7 +29,6 @@
 package mprt
 
 import (
-	"errors"
 	"fmt"
 	"math/bits"
 	"sync"
@@ -37,15 +36,6 @@ import (
 	"hfxmd/internal/torus"
 	"hfxmd/internal/trace"
 )
-
-// ErrRankKilled marks a rank function that terminated by fault injection
-// rather than by finishing its work: the in-process analogue of a node
-// dying mid-job. Drivers match it with errors.Is, re-execute the dead
-// rank's work, and re-form the collective (see hfx.DistBuilder.BuildJK).
-// A rank must only die *between* collectives — a rank that vanishes
-// mid-collective would strand its partners on channel receives, exactly
-// as a real torus partition wedges when a node stops acknowledging.
-var ErrRankKilled = errors.New("mprt: rank killed by fault injection")
 
 // Schedule selects the collective communication schedule.
 type Schedule int

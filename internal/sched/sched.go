@@ -64,31 +64,6 @@ func (a *Assignment) BalanceRatio() float64 {
 // Imbalance returns (max-mean)/mean, i.e. BalanceRatio-1.
 func (a *Assignment) Imbalance() float64 { return a.BalanceRatio() - 1 }
 
-// Slice returns the sub-assignment of workers [lo, hi): the view a rank
-// has of a global schedule whose worker slots are partitioned into
-// contiguous per-rank blocks. The slices alias the original assignment.
-func (a *Assignment) Slice(lo, hi int) *Assignment {
-	if lo < 0 || hi > len(a.Workers) || lo > hi {
-		panic(fmt.Sprintf("sched: slice [%d,%d) outside %d workers", lo, hi, len(a.Workers)))
-	}
-	return &Assignment{Workers: a.Workers[lo:hi], Loads: a.Loads[lo:hi]}
-}
-
-// GroupLoads sums per-worker loads over consecutive groups of groupSize
-// workers — the per-rank predicted cost when a global schedule of
-// ranks×threads worker slots is partitioned into contiguous rank blocks.
-// The worker count must be a multiple of groupSize.
-func (a *Assignment) GroupLoads(groupSize int) []float64 {
-	if groupSize < 1 || len(a.Loads)%groupSize != 0 {
-		panic(fmt.Sprintf("sched: group size %d does not divide %d workers", groupSize, len(a.Loads)))
-	}
-	out := make([]float64, len(a.Loads)/groupSize)
-	for w, l := range a.Loads {
-		out[w/groupSize] += l
-	}
-	return out
-}
-
 // Algorithm names a balancing strategy.
 type Algorithm int
 

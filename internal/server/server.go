@@ -15,7 +15,6 @@ import (
 	"hfxmd/internal/chem"
 	"hfxmd/internal/dft"
 	"hfxmd/internal/hfx"
-	"hfxmd/internal/integrals"
 	"hfxmd/internal/mprt"
 	"hfxmd/internal/scf"
 	"hfxmd/internal/screen"
@@ -388,16 +387,15 @@ func (s *Server) Store() *store.Store { return s.store }
 
 // workerState is the long-lived per-worker builder cache: a worker keeps
 // its most recent hfx.Builder (and the basis/engine it is bound to)
-// alive across jobs, so consecutive jobs on the same geometry and method
-// reuse the persistent pool instead of re-allocating it.
+// alive across jobs, so consecutive jobs on the same geometry, method and
+// rank count reuse the persistent executors instead of re-allocating them.
 type workerState struct {
 	key     string
 	builder *hfx.Builder
-	dist    *hfx.DistBuilder
 	prep    *prepared
 }
 
-// close releases the cached builders, if any, spilling the semi-direct
+// close releases the cached builder, if any, spilling the semi-direct
 // ERI cache to the store first: builder eviction is exactly when the
 // integral work it holds would otherwise be lost.
 func (st *workerState) close(s *Server) {
@@ -405,11 +403,6 @@ func (st *workerState) close(s *Server) {
 		s.spillERI(st.builder)
 		st.builder.Close()
 		st.builder = nil
-		s.reg.Gauge("builders.open").Add(-1)
-	}
-	if st.dist != nil {
-		st.dist.Close()
-		st.dist = nil
 		s.reg.Gauge("builders.open").Add(-1)
 	}
 }
@@ -452,12 +445,17 @@ func (s *Server) warmERI(b *hfx.Builder) {
 }
 
 // builderFor returns a builder for the job's prepared state, reusing the
-// cached one when the builder key matches. A replacement builder with a
-// semi-direct cache is warmed from any spilled image in the store.
-func (st *workerState) builderFor(j *job, s *Server) *hfx.Builder {
+// cached one when the builder key (which carries the rank count) matches.
+// A request with ranks > 1 gets the rank-distributed placement of the same
+// core, one executor per rank: its bits equal a single-rank builder with
+// that many threads, so ranks stay out of the result cache key. The
+// calibrator only observes (a non-stealing placement is never re-priced).
+// A replacement builder with a semi-direct cache is warmed from any
+// spilled image in the store.
+func (st *workerState) builderFor(j *job, s *Server) (*hfx.Builder, error) {
 	if st.builder != nil && st.key == j.prep.builderKey {
 		s.reg.Counter("builders.reused").Add(1)
-		return st.builder
+		return st.builder, nil
 	}
 	st.close(s)
 	opts := hfx.DefaultOptions()
@@ -465,46 +463,21 @@ func (st *workerState) builderFor(j *job, s *Server) *hfx.Builder {
 	opts.DensityWeighted = *j.req.DensityWeighted
 	opts.CacheBudgetBytes = int64(j.req.CacheMB) << 20
 	opts.Calibrator = s.cfg.Calibrator
-	st.builder = hfx.NewBuilder(j.prep.eng, j.prep.scr, opts)
-	st.key = j.prep.builderKey
-	st.prep = j.prep
+	var b *hfx.Builder
+	if j.req.Ranks > 1 {
+		d, err := hfx.NewDistBuilder(j.prep.eng, j.prep.scr, hfx.DistOptions{Ranks: j.req.Ranks, Schedule: mprt.DimExchange, Opts: opts})
+		if err != nil {
+			return nil, err
+		}
+		b = d.Builder
+	} else {
+		b = hfx.NewBuilder(j.prep.eng, j.prep.scr, opts)
+	}
+	st.builder, st.key, st.prep = b, j.prep.builderKey, j.prep
 	s.reg.Counter("builders.created").Add(1)
 	s.reg.Gauge("builders.open").Add(1)
-	s.warmERI(st.builder)
-	return st.builder
-}
-
-// distBuilderFor is builderFor's multi-rank counterpart: it caches a
-// DistBuilder under the same builder key (which includes the rank
-// count, so single-rank and distributed builders never collide). The
-// distributed build is bitwise identical to the single-rank one; only
-// the wall-time decomposition and the traffic metrics change.
-func (st *workerState) distBuilderFor(j *job, s *Server) (*hfx.DistBuilder, error) {
-	if st.dist != nil && st.key == j.prep.builderKey {
-		s.reg.Counter("builders.reused").Add(1)
-		return st.dist, nil
-	}
-	st.close(s)
-	opts := hfx.DefaultOptions()
-	opts.DensityWeighted = *j.req.DensityWeighted
-	// No calibrator here: calibrated placement would regroup the partial
-	// sums and drift the distributed bits away from the single-rank build,
-	// violating the invariant that lets ranks stay out of the result cache
-	// key. The single-rank builders feed the calibrator instead.
-	d, err := hfx.NewDistBuilder(j.prep.eng, j.prep.scr, hfx.DistOptions{
-		Ranks:    j.req.Ranks,
-		Schedule: mprt.DimExchange,
-		Opts:     opts,
-	})
-	if err != nil {
-		return nil, err
-	}
-	st.dist = d
-	st.key = j.prep.builderKey
-	st.prep = j.prep
-	s.reg.Counter("builders.created").Add(1)
-	s.reg.Gauge("builders.open").Add(1)
-	return d, nil
+	s.warmERI(b)
+	return b, nil
 }
 
 // worker is the persistent job loop: pop, execute, finish; on drain it
@@ -666,20 +639,23 @@ func (s *Server) runSCF(j *job) *JobResult {
 		}
 		return &JobResult{State: state, Error: err.Error()}
 	}
-	s.mergeReport(res.HFXReport)
+	s.mergeReport(res.HFXReport, res.HFXReport.Pool.Builds)
 	s.storeDensity(dkey, res)
 	return &JobResult{State: StateDone, SCF: SummarizeSCF(res)}
 }
 
+// runBuildJK runs one J/K build on the worker's cached builder. With
+// ranks > 1 the build runs on the in-process mprt runtime, and the summary
+// carries the rank count and the collective traffic.
 func (s *Server) runBuildJK(st *workerState, j *job) *JobResult {
-	if j.req.Ranks > 1 {
-		return s.runDistBuildJK(st, j)
+	b, err := st.builderFor(j, s)
+	if err != nil {
+		return &JobResult{State: StateFailed, Error: err.Error()}
 	}
-	b := st.builderFor(j, s)
 	p := scf.SADDensity(j.prep.set)
 	jm, km, rep := b.BuildJK(p)
-	s.mergeReport(rep)
-	return &JobResult{State: StateDone, Build: &BuildSummary{
+	s.mergeReport(rep, 1)
+	sum := &BuildSummary{
 		NBasis:           j.prep.set.NBasis,
 		NTasks:           rep.NTasks,
 		QuartetsComputed: rep.QuartetsComputed,
@@ -691,37 +667,13 @@ func (s *Server) runBuildJK(st *workerState, j *job) *JobResult {
 		ExchangeEnergy:   hfx.ExchangeEnergy(p, km),
 		EriCacheHits:     rep.Cache.Hits,
 		EriCacheMisses:   rep.Cache.Misses,
-	}}
-}
-
-// runDistBuildJK is the ranks > 1 path of a buildjk job: the build runs
-// on the in-process mprt runtime, and the per-rank compute/comm phase
-// walls plus the collective traffic land in the /metrics registry.
-func (s *Server) runDistBuildJK(st *workerState, j *job) *JobResult {
-	d, err := st.distBuilderFor(j, s)
-	if err != nil {
-		return &JobResult{State: StateFailed, Error: err.Error()}
-	}
-	p := scf.SADDensity(j.prep.set)
-	jm, km, rep, err := d.BuildJK(p)
-	if err != nil {
-		return &JobResult{State: StateFailed, Error: err.Error()}
-	}
-	s.mergeDistReport(rep)
-	return &JobResult{State: StateDone, Build: &BuildSummary{
-		NBasis:           j.prep.set.NBasis,
-		NTasks:           rep.NTasks,
-		QuartetsComputed: rep.QuartetsComputed,
-		QuartetsScreened: rep.QuartetsScreened,
-		BalanceRatio:     rep.BalanceRatio,
-		WallNS:           rep.Wall.Nanoseconds(),
-		JNorm:            frobenius(jm),
-		KNorm:            frobenius(km),
-		ExchangeEnergy:   hfx.ExchangeEnergy(p, km),
-		Ranks:            rep.Ranks,
 		CommBytes:        rep.CommBytes,
 		ReduceSteps:      rep.MeasuredSteps,
-	}}
+	}
+	if rep.Ranks > 1 {
+		sum.Ranks = rep.Ranks
+	}
+	return &JobResult{State: StateDone, Build: sum}
 }
 
 func (s *Server) runScreen(j *job) *JobResult {
@@ -766,7 +718,7 @@ func (s *Server) runScan(j *job) *JobResult {
 			}
 			return &JobResult{State: StateFailed, Error: err.Error(), Scan: sum}
 		}
-		s.mergeReport(res.HFXReport)
+		s.mergeReport(res.HFXReport, res.HFXReport.Pool.Builds)
 		s.storeDensity(dkey, res)
 		if i == 0 {
 			ref = res.Energy
@@ -779,14 +731,22 @@ func (s *Server) runScan(j *job) *JobResult {
 	return &JobResult{State: StateDone, Scan: sum}
 }
 
-// mergeReport folds one builder execution report into the server-level
-// registry: the pool/phase counters of the per-job builders become
-// cumulative service metrics next to the queue/cache gauges.
-func (s *Server) mergeReport(rep hfx.Report) {
-	s.reg.Counter("hfx.fock_builds").Add(max64(rep.Pool.Builds, 1))
+// mergeReport folds a builder's report into the server-level registry:
+// builds is how many Fock builds the job ran (the report's Pool.Builds
+// counts the builder's lifetime, which spans jobs when a worker reuses
+// it). The phase and traffic counters of the per-job builders become
+// cumulative service metrics next to the queue/cache gauges; a
+// multi-rank build adds its collective traffic and per-rank
+// compute/comm walls.
+func (s *Server) mergeReport(rep hfx.Report, builds int64) {
+	s.reg.Counter("hfx.fock_builds").Add(builds)
 	s.reg.Counter("hfx.quartets_computed").Add(rep.QuartetsComputed)
 	s.reg.Counter("hfx.quartets_screened").Add(rep.QuartetsScreened)
-	s.mergePrimStats(rep.Prim)
+	s.reg.Counter("hfx.prim_quartets").Add(rep.Prim.Evaluated)
+	s.reg.Counter("hfx.prim_skipped").Add(rep.Prim.Skipped)
+	// The latest build's screening error bound, Σ q_i·q_j over the
+	// primitive quartets it skipped, in units of 1e-15.
+	s.reg.Gauge("hfx.prim_tail_bound_femto").Set(int64(rep.Prim.TailBound * 1e15))
 	s.reg.Counter("hfx.zero_ns").Add(int64(rep.Pool.ZeroTime))
 	s.reg.Counter("hfx.screen_wall_ns").Add(rep.ScreeningStats.Wall().Nanoseconds())
 	if rep.Cache.Enabled {
@@ -798,42 +758,16 @@ func (s *Server) mergeReport(rep hfx.Report) {
 			s.reg.Timer.Charge("hfx."+p.Name, p.D)
 		}
 	}
-}
-
-// mergePrimStats folds a build's primitive-level screening into the
-// registry: the primitive quartets evaluated and skipped accumulate, and
-// the gauge holds the latest build's screening error bound — Σ q_i·q_j over
-// what it skipped — in units of 1e-15.
-func (s *Server) mergePrimStats(st integrals.PrimStats) {
-	s.reg.Counter("hfx.prim_quartets").Add(st.Evaluated)
-	s.reg.Counter("hfx.prim_skipped").Add(st.Skipped)
-	s.reg.Gauge("hfx.prim_tail_bound_femto").Set(int64(st.TailBound * 1e15))
-}
-
-// mergeDistReport folds one distributed build into the registry: the
-// aggregate build counters, the collective-traffic totals, and the
-// per-rank compute/comm phase walls, so /metrics exposes the rank
-// decomposition of every distributed job.
-func (s *Server) mergeDistReport(rep hfx.DistReport) {
-	s.reg.Counter("hfx.fock_builds").Add(1)
-	s.reg.Counter("hfx.quartets_computed").Add(rep.QuartetsComputed)
-	s.reg.Counter("hfx.quartets_screened").Add(rep.QuartetsScreened)
-	s.mergePrimStats(rep.Prim)
-	s.reg.Counter("mprt.comm_bytes").Add(rep.CommBytes)
-	s.reg.Counter("mprt.sends").Add(rep.Sends)
-	s.reg.Counter("mprt.hops").Add(rep.Hops)
-	s.reg.Counter("mprt.reduce_steps").Add(rep.MeasuredSteps)
-	for r := range rep.RankCompute {
-		s.reg.Timer.Charge(fmt.Sprintf("dist.rank%d.compute", r), rep.RankCompute[r])
-		s.reg.Timer.Charge(fmt.Sprintf("dist.rank%d.comm", r), rep.RankComm[r])
+	if rep.Ranks > 1 {
+		s.reg.Counter("mprt.comm_bytes").Add(rep.CommBytes)
+		s.reg.Counter("mprt.sends").Add(rep.Sends)
+		s.reg.Counter("mprt.hops").Add(rep.Hops)
+		s.reg.Counter("mprt.reduce_steps").Add(rep.MeasuredSteps)
+		for r := range rep.RankCompute {
+			s.reg.Timer.Charge(fmt.Sprintf("dist.rank%d.compute", r), rep.RankCompute[r])
+			s.reg.Timer.Charge(fmt.Sprintf("dist.rank%d.comm", r), rep.RankComm[r])
+		}
 	}
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // ---------------------------------------------------------------------------

@@ -300,6 +300,11 @@ func TestServerScreenAndBuildJKWithBuilderReuse(t *testing.T) {
 	if created, reused := counter(s, "builders.created"), counter(s, "builders.reused"); created != 1 || reused != 1 {
 		t.Fatalf("builder lifecycle: created=%d reused=%d, want 1/1", created, reused)
 	}
+	// Each job ran one build; the reused builder's lifetime count must not
+	// be charged again.
+	if got := counter(s, "hfx.fock_builds"); got != 2 {
+		t.Fatalf("hfx.fock_builds %d after two buildjk jobs, want 2", got)
+	}
 	if b1.Build.KNorm != b2.Build.KNorm {
 		t.Fatal("repeated build on the same density must be identical")
 	}

@@ -12,8 +12,8 @@
 //
 // The package is physics-agnostic: it plans, queues and calibrates
 // abstract units identified by task-cost arrays and integer work classes.
-// hfx.StealBuilder supplies the quartet execution and the mprt
-// collectives.
+// The hfx execution core (hfx.Builder, in every placement) supplies the
+// quartet execution and the mprt collectives.
 package steal
 
 import (
@@ -28,7 +28,7 @@ import (
 )
 
 // Counter names the runtime records into its trace.Registry. They appear
-// in DistReport metrics and, via the hfxd registry merge, in /metrics.
+// in hfx.Report metrics.
 const (
 	CounterAttempted   = "steal.attempted"         // steal probes (incl. empty victims)
 	CounterSucceeded   = "steal.succeeded"         // probes that took a unit
@@ -60,15 +60,11 @@ type Plan struct {
 }
 
 // NewPlan slices a global assignment over ranks×slotsPerRank worker
-// slots into steal units. The assignment must have exactly
-// ranks×slotsPerRank workers.
-func NewPlan(asn *sched.Assignment, ranks int, seed uint64) (*Plan, error) {
-	if ranks < 1 {
-		return nil, fmt.Errorf("steal: need at least 1 rank, got %d", ranks)
-	}
-	if asn.NWorkers()%ranks != 0 {
-		return nil, fmt.Errorf("steal: %d worker slots do not divide into %d ranks",
-			asn.NWorkers(), ranks)
+// slots into steal units. The assignment must have a positive multiple of
+// ranks workers; anything else is a caller bug and panics.
+func NewPlan(asn *sched.Assignment, ranks int, seed uint64) *Plan {
+	if ranks < 1 || asn.NWorkers()%ranks != 0 {
+		panic(fmt.Sprintf("steal: %d worker slots do not divide into %d ranks", asn.NWorkers(), ranks))
 	}
 	spr := asn.NWorkers() / ranks
 	p := &Plan{
@@ -85,7 +81,7 @@ func NewPlan(asn *sched.Assignment, ranks int, seed uint64) (*Plan, error) {
 			Home:  s / spr,
 		}
 	}
-	return p, nil
+	return p
 }
 
 // PredLoads returns the per-rank predicted load under the plan's
@@ -140,13 +136,16 @@ func pairHash(seed uint64, thief, victim int) uint64 {
 // ordered by descending predicted cost (LPT execution order), popped
 // from the front by the owner and from the back — cheapest first, the
 // classic steal heuristic that keeps migration units small — by thieves.
+// The order is fixed by the plan, so Reset only rewinds indices and a
+// build's queue traffic allocates nothing.
 type Deques struct {
 	plan   *Plan
 	reg    *trace.Registry
 	orders [][]int // victim probe order per thief, precomputed
+	own    [][]int // each rank's units in execution order, precomputed
 
-	mu sync.Mutex
-	q  [][]int // unit indices per rank; front = next own, back = next stolen
+	mu     sync.Mutex
+	lo, hi []int // rank r's outstanding units are own[r][lo[r]:hi[r]]
 
 	exec []atomic.Int32 // executor rank per unit, written by whoever runs it
 }
@@ -161,11 +160,25 @@ func NewDeques(p *Plan, reg *trace.Registry) *Deques {
 		plan:   p,
 		reg:    reg,
 		orders: make([][]int, p.Ranks),
-		q:      make([][]int, p.Ranks),
+		own:    make([][]int, p.Ranks),
+		lo:     make([]int, p.Ranks),
+		hi:     make([]int, p.Ranks),
 		exec:   make([]atomic.Int32, len(p.Units)),
 	}
 	for r := 0; r < p.Ranks; r++ {
 		d.orders[r] = VictimOrder(p.Seed, r, p.Ranks)
+	}
+	for u := range p.Units {
+		d.own[p.Units[u].Home] = append(d.own[p.Units[u].Home], u)
+	}
+	for _, q := range d.own {
+		sort.Slice(q, func(i, j int) bool {
+			ui, uj := &p.Units[q[i]], &p.Units[q[j]]
+			if ui.Pred != uj.Pred {
+				return ui.Pred > uj.Pred
+			}
+			return ui.Slot < uj.Slot
+		})
 	}
 	for _, name := range []string{CounterAttempted, CounterSucceeded, CounterMigrated, CounterReclaimedNS} {
 		reg.Counter(name)
@@ -174,32 +187,17 @@ func NewDeques(p *Plan, reg *trace.Registry) *Deques {
 	return d
 }
 
-// Registry exposes the steal counters.
-func (d *Deques) Registry() *trace.Registry { return d.reg }
-
 // Reset refills every rank's deque from the plan: own units in
 // descending predicted cost (slot index breaks ties), executor map
 // cleared to the homes.
 func (d *Deques) Reset() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	for r := range d.q {
-		d.q[r] = d.q[r][:0]
+	for r, q := range d.own {
+		d.lo[r], d.hi[r] = 0, len(q)
 	}
 	for u := range d.plan.Units {
-		home := d.plan.Units[u].Home
-		d.q[home] = append(d.q[home], u)
-		d.exec[u].Store(int32(home))
-	}
-	for r := range d.q {
-		q := d.q[r]
-		sort.Slice(q, func(i, j int) bool {
-			ui, uj := &d.plan.Units[q[i]], &d.plan.Units[q[j]]
-			if ui.Pred != uj.Pred {
-				return ui.Pred > uj.Pred
-			}
-			return ui.Slot < uj.Slot
-		})
+		d.exec[u].Store(int32(d.plan.Units[u].Home))
 	}
 }
 
@@ -208,13 +206,11 @@ func (d *Deques) Reset() {
 func (d *Deques) PopOwn(rank int) int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	q := d.q[rank]
-	if len(q) == 0 {
+	if d.lo[rank] == d.hi[rank] {
 		return -1
 	}
-	u := q[0]
-	d.q[rank] = q[1:]
-	return u
+	d.lo[rank]++
+	return d.own[rank][d.lo[rank]-1]
 }
 
 // Steal probes the thief's victim order and takes the cheapest
@@ -225,12 +221,11 @@ func (d *Deques) Steal(thief int) int {
 	defer d.mu.Unlock()
 	for _, v := range d.orders[thief] {
 		d.reg.Counter(CounterAttempted).Add(1)
-		q := d.q[v]
-		if len(q) == 0 {
+		if d.lo[v] == d.hi[v] {
 			continue
 		}
-		u := q[len(q)-1]
-		d.q[v] = q[:len(q)-1]
+		d.hi[v]--
+		u := d.own[v][d.hi[v]]
 		d.exec[u].Store(int32(thief))
 		d.reg.Counter(CounterSucceeded).Add(1)
 		d.reg.Counter(CounterMigrated).Add(1)

@@ -17,11 +17,7 @@ func testPlan(t *testing.T, nTasks, ranks, slotsPerRank int) *Plan {
 		costs[i] = float64(1 + i%7)
 	}
 	asn := sched.Balance(sched.LPT, costs, ranks*slotsPerRank)
-	p, err := NewPlan(asn, ranks, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return p
+	return NewPlan(asn, ranks, 42)
 }
 
 func TestPlanCoversEveryTaskOnce(t *testing.T) {

@@ -3,7 +3,10 @@
 # allocation guards (BenchmarkBuildJKPooled and BenchmarkBuildJKSemiDirect
 # must report 0 allocs/op — enforced in-suite by TestSteadyStateBuildAllocs
 # and TestSemiDirectReplayAllocs, surfaced here for inspection), an
-# explicit race pass over the semi-direct cache correctness tests and the
+# explicit package-level race pass over the Fock execution core and the
+# steal runtime (every placement's bitwise pins: dist == single-rank,
+# steal == static under noise, rank-fault recovery, spill-warm == donor,
+# the semi-direct cache and the allocation guards) and over the
 # hfxd job service (its concurrency criteria: >= 8 parallel jobs, queue
 # backpressure, drain, no goroutine leak), the hfxd end-to-end smoke test,
 # and — first, while the guest is rested — the Fock bench regression gate:
@@ -20,8 +23,7 @@
 # The ERI kernel gets a package-level race pass (naive-reference sweep, R
 # programs == recurrence, batched Boys == scalar bitwise, alloc guard) and
 # the cost model's measured 2x band run alone without the detector. The mprt
-# runtime gets its own race pass (the collectives and the
-# bitwise-pinned distributed build), a model gate
+# runtime gets its own race pass (the collectives), a model gate
 # (TestMeasuredStepsMatchModel fails when the measured collective step
 # counters diverge from the bgq machine-model prediction), and a 4-rank
 # hfxscale d1 smoke run (expD1 itself aborts on model divergence).
@@ -38,13 +40,12 @@
 # zero Fock builds on the restarted daemon), and a fast bench_store.sh
 # run whose in-run gates enforce the tier latency ordering, the bitwise
 # ERI spill round trip, and the shared-store fleet hit-ratio gain.
-# The work-stealing runtime gets a race pass (deques, victim order,
-# bitwise steal-vs-static pin under noise, calibrator convergence, the
-# calibrated admission/routing seams) and the full w1 gate run: stealing
-# must beat static measured balance under >=20% mispredicts plus a
-# straggler rank (median of three builds per arm), every arm must stay
-# bitwise identical, and over the settled builds the calibrated prediction
-# error must stay within 1.75x of the raw cost model's.
+# The calibrated admission/routing seams get a race pass and the full
+# w1 gate run: stealing must beat static measured balance under >=20%
+# mispredicts plus a straggler rank (median of three builds per arm),
+# every arm must stay bitwise identical, and over the settled builds the
+# calibrated prediction error must stay within 1.75x of the raw cost
+# model's.
 # The RESPA multiple-time-step layer gets a race pass (the k-sweep drift
 # gates, bitwise resume on and between outer boundaries, the cross-step
 # session's warm-start/invalidation tests and its analytic forces against
@@ -123,8 +124,9 @@ for row in $(sed -n 's|.*"\(BenchmarkSessionStep/[A-Za-z0-9/-]*\)".*|\1|p' BENCH
 done
 
 go test -race ./...
-# Semi-direct/early-exit correctness under the race detector, explicitly.
-go test -race -count=1 ./internal/hfx/ -run 'SemiDirect|EarlyExit|Cache|SteadyState'
+# The Fock execution core (every placement: pool, rank-distributed,
+# stealing) and the steal runtime under the race detector, explicitly.
+go test -race -count=1 ./internal/hfx/ ./internal/steal/
 # Alloc guards: one iteration is enough — the benchmarks fail themselves
 # on warm-cache misses, and the allocs/op column must read 0.
 go test ./internal/hfx/ -run '^$' -bench 'BenchmarkBuildJK(Pooled|SemiDirect)$' -benchtime 1x
@@ -143,10 +145,8 @@ go test -race -count=1 ./internal/integrals/ ./internal/boys/ ./internal/qpx/
 # and the race detector distorts the kernel's cost shape): run it here,
 # alone on the CPUs.
 HFXMD_TIMED_TESTS=1 go test -count=1 ./internal/hfx/ -run 'TestCostModelTracksKernel'
-# mprt runtime and the rank-distributed build: race pass over the
-# collectives, the bitwise single-rank pin, and the torus embedding.
+# mprt runtime: race pass over the collectives and the torus embedding.
 go test -race -count=1 ./internal/mprt/ ./internal/torus/
-go test -race -count=1 ./internal/hfx/ -run 'TestDistributedBuildMatchesSingleRank|TestDistBuilder'
 # Model gate: measured collective steps must equal the bgq machine-model
 # prediction for both schedules on every tested world size.
 go test -count=1 ./internal/mprt/ -run 'TestMeasuredStepsMatchModel'
@@ -156,11 +156,9 @@ go run ./cmd/hfxscale -exp d1 -d1-ranks 1,4 -d1-waters 1
 scripts/smoke_hfxd.sh
 # Checkpoint/restart: race pass over the durability layer, the bitwise
 # resume tests (every fault mode: clean crash, torn journal write,
-# corrupt snapshot section), the rank-fault recovery pin, and the hfxd
-# job-journal boot replay.
+# corrupt snapshot section) and the hfxd job-journal boot replay.
 go test -race -count=1 ./internal/ckpt/
 go test -race -count=1 ./internal/md/ -run 'TestResume|TestStepError|TestSCFNonConvergence'
-go test -race -count=1 ./internal/hfx/ -run 'TestDistBuilderRankFaultRecovery'
 go test -race -count=1 ./internal/server/ -run 'TestJobJournal|TestServerRestoresJournaledJobsOnBoot|TestServerJournalsLiveJobs'
 # Crash-restart smoke: SIGKILL a checkpointed aimd run, resume it, and
 # require the resumed final state hash to equal the uninterrupted
@@ -186,7 +184,6 @@ rm -f "$rep1" "$rep2"
 # integration (restart disk-warm hit, ERI spill/warm, prefix density
 # seeding, store/journal dir validation), and the shared-store fleet pin.
 go test -race -count=1 ./internal/store/
-go test -race -count=1 ./internal/hfx/ -run 'TestSpill'
 go test -race -count=1 ./internal/server/ -run 'TestStoreDir|TestRestartAnswersFromDisk|TestERISpillWarms|TestPrefixDensity|TestDensityChains|TestCacheByteBudget'
 go test -race -count=1 ./internal/fleet/ -run 'TestClusterSharedStore'
 # SIGKILL kill-and-restart smoke: disk-warm hit, zero Fock builds.
@@ -197,13 +194,10 @@ store_json="$(mktemp)"
 S1_FAST=1 scripts/bench_store.sh "$store_json"
 rm -f "$store_json"
 
-# Work-stealing runtime: race pass over the deque/victim-order unit
-# tests, the bitwise steal-vs-static pins (including injected mispredict
-# noise across rank counts), the calibration loop, the pathological
-# Balance property tests, and the calibrated admission/routing seams in
-# the server and fleet.
-go test -race -count=1 ./internal/steal/ ./internal/sched/
-go test -race -count=1 ./internal/hfx/ -run 'TestStealBuild|TestStealRecoversBalance|TestStealBuilder'
+# Work stealing beyond the core: race pass over the pathological Balance
+# property tests and the calibrated admission/routing seams in the
+# server and fleet.
+go test -race -count=1 ./internal/sched/
 go test -race -count=1 ./internal/server/ -run 'TestPriceRequestCalibrated|TestServerCalibrated|TestRetryAfterUsesCalibratedCosts|TestServerCalibratorPersists'
 go test -race -count=1 ./internal/fleet/ -run 'TestFleetPriceMemo|TestFleetRoutingShifts'
 # W1 gate run: aborts itself if any arm's J/K checksum diverges, if
