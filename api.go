@@ -307,15 +307,6 @@ type StoreOptions = store.Options
 // rebuilding the index from the segment files on disk.
 func OpenStore(opts StoreOptions) (*Store, error) { return store.Open(opts) }
 
-// StoredSCFPotential is SCFPotential with partial-hit prefix reuse
-// through a tiered store: each SCF starts from the stored converged
-// density of the previous same-composition geometry (the prior MD step)
-// and stores its own back. Seeded runs converge to the same tolerance
-// but not the same bits as cold ones. A nil store is the cold potential.
-func StoredSCFPotential(cfg SCFConfig, st *Store) PotentialFunc {
-	return md.StoredSCFPotential(cfg, st)
-}
-
 // RunMD integrates a Born–Oppenheimer trajectory.
 func RunMD(mol *Molecule, pot PotentialFunc, opts MDOptions) (*Trajectory, error) {
 	return md.Run(mol, pot, opts)

@@ -7,21 +7,26 @@
 //	aimd -system h2 -steps 20 -dt 0.4 -functional HF
 //	aimd -system water -steps 10 -functional PBE0 -temp 300
 //
-// Multiple time stepping (r-RESPA): the full surface every k-th step,
-// a cheap reference force in between. -steps then counts outer steps:
+// Every trajectory is r-RESPA: an SCF plus its analytic gradient every
+// k-th step, a cheap reference force between (-steps counts outer steps);
+// at the default -k 1 it is plain velocity Verlet. With -store-dir each
+// SCF warm-starts from a density predictor over the previous steps, the
+// first from the density a previous run stored:
 //
 //	aimd -system h2 -steps 10 -k 4 -ref spring -functional PBE0
+//	aimd -system lih -steps 20 -functional PBE0 -store-dir st
 //
 // Checkpointed trajectory, killed and resumed:
 //
 //	aimd -system h2 -steps 200 -ckpt-dir run1 -ckpt-every 10   # SIGKILL it
 //	aimd -system h2 -steps 200 -ckpt-dir run1 -resume          # continues
 //
-// The resumed trajectory is bitwise identical to an uninterrupted one:
-// every completed step is journaled before the next begins, and the
-// integrator re-executes deterministically from any durable state. The
-// -json summary's finalStateSha256 fingerprints the complete final MD
-// state, so two runs agree on it iff they agree on every bit.
+// Without -store-dir (every SCF cold) the resumed trajectory is bitwise
+// identical to an uninterrupted one: every completed step is journaled
+// before the next begins, and the integrator re-executes
+// deterministically from any durable state. The -json summary's
+// finalStateSha256 fingerprints the complete final MD state. With
+// -store-dir a resume agrees to SCF tolerance, not bitwise.
 package main
 
 import (
@@ -50,10 +55,10 @@ func main() {
 		thermostat = flag.Bool("thermostat", false, "enable Berendsen thermostat")
 		seed       = flag.Int64("seed", 7, "velocity-initialisation seed")
 
-		respaK = flag.Int("k", 1, "RESPA inner steps per full-force evaluation (1 = plain velocity Verlet; with k>1, -steps counts outer steps and -dt is the inner timestep)")
-		ref    = flag.String("ref", "spring", "RESPA cheap reference force: spring|loose|baseline (only with -k > 1)")
+		respaK = flag.Int("k", 1, "RESPA inner steps per full-force evaluation (1 = plain velocity Verlet; -steps counts outer steps and -dt is the inner timestep)")
+		ref    = flag.String("ref", "spring", "RESPA cheap reference force: spring|loose|baseline (ignored at -k 1)")
 
-		storeDir = flag.String("store-dir", "", "tiered store directory: each SCF warm-starts from the previous step's converged density (same tolerance, different bits than a cold run; plain MD only — with -k > 1 every full-surface evaluation is cold)")
+		storeDir = flag.String("store-dir", "", "tiered store directory: each SCF warm-starts from a density predictor over the previous steps, the first from the density a previous run stored (same tolerance, different bits than a cold run; a resume is tolerance-equal, not bitwise)")
 
 		ckptDir   = flag.String("ckpt-dir", "", "checkpoint directory (empty disables checkpointing)")
 		ckptEvery = flag.Int64("ckpt-every", 10, "snapshot cadence in steps (journal covers the gaps)")
@@ -80,20 +85,31 @@ func main() {
 		log.Fatalf("unknown functional %q", *functional)
 	}
 	scfCfg := hfxmd.SCFConfig{Basis: *basisName, Functional: f}
-	pot := hfxmd.SCFPotential(scfCfg)
-	var st *hfxmd.Store
+	full := hfxmd.RespaSCFEvaluator(scfCfg)
+	var sess *hfxmd.MDSession
 	if *storeDir != "" {
-		var err error
-		st, err = hfxmd.OpenStore(hfxmd.StoreOptions{Dir: *storeDir})
+		st, err := hfxmd.OpenStore(hfxmd.StoreOptions{Dir: *storeDir})
 		if err != nil {
 			log.Fatal(err)
 		}
 		defer st.Close()
-		pot = hfxmd.StoredSCFPotential(scfCfg, st)
+		sess = hfxmd.NewMDSession(scfCfg, hfxmd.MDSessionOptions{Store: st})
+		defer sess.Close()
+		full = func(m *hfxmd.Molecule) (float64, []hfxmd.Vec3, error) {
+			frc, e, err := sess.Forces(m, 0, 0)
+			return e, frc, err
+		}
 	}
-
-	opts := hfxmd.MDOptions{
-		Steps: *steps, Dt: *dt, TemperatureK: *temp, Thermostat: *thermostat, Seed: *seed,
+	if *respaK <= 1 { // the reference cancels from the force sum
+		*ref = hfxmd.RespaRefSpring
+	}
+	cheap, label, err := hfxmd.BuildRespaReference(*ref, mol, scfCfg, 0, 0)
+	if err != nil {
+		log.Fatal(err)
+	}
+	opts := hfxmd.RespaOptions{
+		Steps: *steps, K: *respaK, Dt: *dt, TemperatureK: *temp,
+		Thermostat: *thermostat, Seed: *seed, RefLabel: label,
 	}
 
 	reg := hfxmd.NewTraceRegistry()
@@ -139,25 +155,7 @@ func main() {
 	}
 
 	t0 := time.Now()
-	var traj *hfxmd.Trajectory
-	var err error
-	if *respaK > 1 {
-		// Multiple time stepping: the full surface (a cold SCF plus its
-		// analytic gradient — a pure function of the geometry, so a resumed
-		// run lands on the uninterrupted one's bits) every k-th step, the
-		// named cheap reference in between.
-		cheap, label, rerr := hfxmd.BuildRespaReference(*ref, mol, scfCfg, 0, 0)
-		if rerr != nil {
-			log.Fatal(rerr)
-		}
-		traj, err = hfxmd.RunRESPA(mol, hfxmd.RespaSCFEvaluator(scfCfg), cheap, hfxmd.RespaOptions{
-			Steps: *steps, K: *respaK, Dt: *dt, TemperatureK: *temp,
-			Thermostat: *thermostat, Seed: *seed, RefLabel: label,
-			Ckpt: opts.Ckpt, Resume: opts.Resume,
-		})
-	} else {
-		traj, err = hfxmd.RunMD(mol, pot, opts)
-	}
+	traj, err := hfxmd.RunRESPA(mol, full, cheap, opts)
 	if err != nil {
 		var se *hfxmd.MDStepError
 		if errors.As(err, &se) {
@@ -197,10 +195,10 @@ func main() {
 			fr.Step, fr.TimeFS, fr.Potential, fr.Kinetic, fr.Total, fr.TempK)
 	}
 	fmt.Printf("\nenergy drift (peak-to-peak per atom): %.3e Eh\n", traj.EnergyDrift())
-	if st != nil {
-		fmt.Printf("store: %d SCF calls density-seeded, %d fallbacks (%s)\n",
-			st.Registry().Counter("md.density_seeded").Value(),
-			st.Registry().Counter("md.seed_fallbacks").Value(), *storeDir)
+	if sess != nil {
+		ss := sess.Stats()
+		fmt.Printf("store: %d store seeds, %d predictor warm starts, %d fallbacks (%s)\n",
+			ss.StoreSeeds, ss.WarmStarts, ss.Fallbacks, *storeDir)
 	}
 	if *ckptDir != "" {
 		fmt.Printf("checkpoints: %d snapshots (%d bytes), %d journal appends (%d bytes) in %s\n",

@@ -16,8 +16,8 @@ type MDCampaign struct {
 	Steps int
 	// TimestepFS is the MD timestep in femtoseconds (reporting only).
 	TimestepFS float64
-	// SCFItersPerStep is the SCF cycles per step; with incremental (ΔP)
-	// Fock builds and a good extrapolated guess this is small (4–8).
+	// SCFItersPerStep is the SCF cycles per step; with a good
+	// extrapolated guess this is small (4–8).
 	SCFItersPerStep int
 	// Workload is the per-build HFX work.
 	Workload *Workload

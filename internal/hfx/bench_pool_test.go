@@ -118,34 +118,6 @@ func BenchmarkBuildJKSemiDirect631Gs(b *testing.B) {
 	b.ReportMetric(rep.Cache.HitRatio(), "hitratio")
 }
 
-// BenchmarkBuildJKIncrementalSemiDirect measures the ΔP build an
-// incremental SCF issues on a warm cache: the small difference density
-// screens away most quartets (density-weighted test) and the survivors
-// replay from the cache.
-func BenchmarkBuildJKIncrementalSemiDirect(b *testing.B) {
-	eng, scr := setup(b, chem.WaterCluster(4, 1), 1e-8)
-	n := eng.Basis.NBasis
-	p := testDensity(n, 1)
-	dp := testDensity(n, 2)
-	for i := range dp.Data {
-		dp.Data[i] *= 1e-4
-	}
-	opts := DefaultOptions()
-	opts.CacheBudgetBytes = 256 << 20
-	builder := NewBuilder(eng, scr, opts)
-	defer builder.Close()
-	builder.BuildJK(p) // warm-up: fill the cache with the full-density survivors
-	var rep Report
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, _, rep = builder.BuildJK(dp)
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(rep.QuartetsComputed), "quartets/op")
-	b.ReportMetric(rep.Cache.HitRatio(), "hitratio")
-}
-
 // TestSemiDirectReplayAllocs guards the replay hot path: once the cache
 // is warm, a semi-direct BuildJK must not allocate.
 func TestSemiDirectReplayAllocs(t *testing.T) {

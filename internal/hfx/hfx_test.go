@@ -144,6 +144,27 @@ func TestDensityWeightedScreeningStillAccurate(t *testing.T) {
 	}
 }
 
+// TestDensityWeightedScreensSmallDensitiesHarder: the density-weighted
+// screen bounds each quartet by its Schwarz product times the density
+// it meets, so a density scaled by 1e-4 screens at least as many
+// quartets as the density itself.
+func TestDensityWeightedScreensSmallDensitiesHarder(t *testing.T) {
+	eng, scr := setup(t, chem.WaterCluster(2, 3), 1e-8)
+	p := testDensity(eng.Basis.NBasis, 1)
+	small := p.Clone()
+	small.Scale(1e-4)
+	opts := DefaultOptions()
+	opts.DensityWeighted = true
+	b := NewBuilder(eng, scr, opts)
+	defer b.Close()
+	_, _, full := b.BuildJK(p)
+	_, _, scaled := b.BuildJK(small)
+	if scaled.QuartetsScreened < full.QuartetsScreened {
+		t.Fatalf("1e-4·P screened %d quartets, P %d", scaled.QuartetsScreened, full.QuartetsScreened)
+	}
+	t.Logf("quartets screened: P %d, 1e-4·P %d", full.QuartetsScreened, scaled.QuartetsScreened)
+}
+
 func TestBaselineProducesSameMatrixWorseBalance(t *testing.T) {
 	eng, scr := setup(t, chem.WaterCluster(4, 11), 1e-10)
 	p := testDensity(eng.Basis.NBasis, 6)

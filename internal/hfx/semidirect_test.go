@@ -10,7 +10,7 @@ import (
 
 // TestSemiDirectMatchesDirect: cached replay must agree with direct builds
 // to machine precision across several SCF-like iterations (fresh densities
-// and small ΔP difference densities), for both screening modes. The replay
+// and one small-norm density), for both screening modes. The replay
 // scatters the exact block bytes the direct path computed, so the matrices
 // should in fact be bitwise identical; ≤1e-12 is the acceptance bound.
 func TestSemiDirectMatchesDirect(t *testing.T) {
@@ -27,8 +27,8 @@ func TestSemiDirectMatchesDirect(t *testing.T) {
 			semi := NewBuilder(eng, scr, sopts)
 			defer semi.Close()
 
-			// Iterations 0..2: fresh densities. Iteration 3: a small
-			// difference density, the shape Incremental SCF feeds BuildJK.
+			// Iterations 0..2: fresh densities. Iteration 3: a density
+			// scaled by 1e-5, which the density-weighted screen thins out.
 			densities := []*linalg.Matrix{
 				testDensity(n, 1), testDensity(n, 2), testDensity(n, 3),
 			}

@@ -26,13 +26,18 @@ type SessionOptions struct {
 	// ~1e-2 bohr, so one list typically serves tens of steps.
 	MaxDisplacement float64
 	// Store, if non-nil, seeds the *first* step of a session from a
-	// persisted prefix density (the same "density:" namespace hfxd and
-	// StoredSCFPotential share) and persists each converged density
-	// back, so trajectories warm-start across processes and fleet
-	// instances. Within a session the predictor's own history always
-	// wins — it is one step old, the best seed there is.
+	// persisted prefix density (the "density:" namespace hfxd's scf jobs
+	// also read and write) and persists each converged density back, so
+	// trajectories warm-start across processes and fleet instances.
+	// Within a session the predictor's own history always wins — it is
+	// one step old, the best seed there is.
 	Store *store.Store
 }
+
+// densityKeyPrefix is the store namespace for converged densities; it
+// matches internal/server's, so an aimd trajectory and an hfxd instance
+// pointed at the same store directory seed each other.
+const densityKeyPrefix = "density:"
 
 // SessionStats counts the session's reuse traffic.
 type SessionStats struct {
@@ -234,21 +239,6 @@ func (s *Session) runLocked(m *chem.Molecule, solve func(*chem.Molecule, scf.Con
 		s.opt.Store.Put(key, scf.EncodeSeed(m, set.NBasis, res.P.Data))
 	}
 	return res, f, nil
-}
-
-// Potential adapts the session into a PotentialFunc: energy with every
-// cross-step shortcut applied.
-func (s *Session) Potential() PotentialFunc {
-	return func(m *chem.Molecule) (float64, error) {
-		res, err := s.Run(m)
-		if err != nil {
-			return 0, err
-		}
-		if !res.Converged {
-			return res.Energy, fmt.Errorf("md: SCF not converged at this geometry")
-		}
-		return res.Energy, nil
-	}
 }
 
 // Forces evaluates the full surface at m — energy plus the analytic

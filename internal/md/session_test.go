@@ -10,6 +10,7 @@ import (
 	"hfxmd/internal/dft"
 	"hfxmd/internal/hfx"
 	"hfxmd/internal/scf"
+	"hfxmd/internal/store"
 )
 
 func sessionCfg() scf.Config { return scf.Config{Basis: "STO-3G"} }
@@ -25,7 +26,7 @@ func nudged(dz float64) *chem.Molecule {
 
 // TestSessionWarmStartReducesIterations drives a session through a
 // sequence of MD-sized geometry steps and checks the two cross-step
-// claims: the ΔP-seeded SCFs converge in measurably fewer iterations
+// claims: the predictor-seeded SCFs converge in measurably fewer iterations
 // than cold ones at the same geometries, to energies that agree with
 // the cold answers to convergence tolerance; and the screening pair
 // list is built once and rebound thereafter.
@@ -174,8 +175,8 @@ func TestSCFForcesMatchColdFD(t *testing.T) {
 	}
 }
 
-// TestSessionForcesMatchColdForces: the session's shortcuts (ΔP across
-// steps, rebound pair list and builder) must not change the physics —
+// TestSessionForcesMatchColdForces: the session's shortcuts (predicted
+// seeds across steps, rebound pair list and builder) must not change the physics —
 // analytic forces on the warm path agree with finite differences over
 // cold SCFs, for one SCF and no displaced run.
 func TestSessionForcesMatchColdForces(t *testing.T) {
@@ -211,6 +212,75 @@ func TestSessionForcesMatchColdForces(t *testing.T) {
 	}
 	if iters := st.SCFIterations - before.SCFIterations; iters >= int64(cres.Iterations) {
 		t.Fatalf("warm force evaluation took %d SCF iterations, a cold SCF %d", iters, cres.Iterations)
+	}
+}
+
+// TestSessionStoreSeedsFreshSession: a session with a Store persists each
+// converged density, and a fresh session sharing the store (another
+// process, the next aimd run) starts its first SCF from it — in fewer
+// iterations than cold, to the state-free evaluator's energy and forces.
+// An entry whose atoms list the elements in another order shares the
+// prefix key but cannot seed: that session starts cold.
+func TestSessionStoreSeedsFreshSession(t *testing.T) {
+	st, err := store.Open(store.Options{}) // memory-only
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	cfg := sessionCfg()
+	forces := func(m *chem.Molecule) SessionStats {
+		t.Helper()
+		s := NewSession(cfg, SessionOptions{Store: st})
+		defer s.Close()
+		if _, _, err := s.Forces(m, 0, 1); err != nil {
+			t.Fatal(err)
+		}
+		return s.Stats()
+	}
+
+	if s1 := forces(nudged(0)); s1.ColdStarts != 1 || s1.StoreSeeds != 0 {
+		t.Fatalf("first session on an empty store: %+v", s1)
+	}
+	if _, ok := st.Get(densityKeyPrefix + scf.DensityPrefixKey(cfg, nudged(0))); !ok {
+		t.Fatal("first session persisted no density")
+	}
+
+	mol := nudged(0.02)
+	s2 := NewSession(cfg, SessionOptions{Store: st})
+	defer s2.Close()
+	f, epot, err := s2.Forces(mol, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st2 := s2.Stats(); st2.StoreSeeds != 1 || st2.ColdStarts != 0 || st2.Fallbacks != 0 {
+		t.Fatalf("fresh session at a nudged geometry: %+v, want one store seed", st2)
+	}
+	cres, err := scf.Run(mol, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if iters := s2.Stats().SCFIterations; iters >= int64(cres.Iterations) {
+		t.Fatalf("store-seeded SCF took %d iterations, cold %d", iters, cres.Iterations)
+	}
+	eCold, fCold, err := SCFForces(cfg)(mol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := math.Abs(epot - eCold); d > 1e-8 {
+		t.Fatalf("store-seeded energy off by %.3e Eh from cold", d)
+	}
+	for i := range fCold {
+		for c := 0; c < 3; c++ {
+			if d := math.Abs(f[i][c] - fCold[i][c]); d > 1e-6 {
+				t.Fatalf("force[%d][%d]: %g vs cold %g", i, c, f[i][c], fCold[i][c])
+			}
+		}
+	}
+
+	swapped := nudged(0.02)
+	swapped.Atoms[0], swapped.Atoms[1] = swapped.Atoms[1], swapped.Atoms[0]
+	if s3 := forces(swapped); s3.ColdStarts != 1 || s3.StoreSeeds != 0 {
+		t.Fatalf("entry for another atom order seeded the SCF: %+v", s3)
 	}
 }
 

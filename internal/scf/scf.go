@@ -62,17 +62,9 @@ type Config struct {
 	// starting density (row-major n×n, matching the built basis). This is
 	// the prefix-reuse path: a converged density stored for a related
 	// geometry (a neighbouring scan point or MD step) restarts SCF close
-	// to the solution, typically pairing with Incremental so the first
-	// rebuilt ΔP is already small. The matrix is cloned, not aliased.
+	// to the solution in a few iterations. The matrix is cloned, not
+	// aliased.
 	InitialDensity *linalg.Matrix
-	// Incremental enables difference-density Fock builds: after the first
-	// iteration J and K are updated with ΔP = P − P_prev instead of being
-	// rebuilt from scratch. Combined with density-weighted screening this
-	// is the standard acceleration for MD, where ΔP shrinks every step;
-	// a full rebuild every RebuildEvery iterations (default 8) bounds
-	// accumulation error.
-	Incremental  bool
-	RebuildEvery int
 	// Ctx, if non-nil, is polled once per SCF iteration; when it is
 	// cancelled (deadline exceeded, client disconnect, server drain)
 	// the driver stops between iterations and returns the context error
@@ -128,9 +120,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.Guess == "" {
 		c.Guess = "sad"
-	}
-	if c.RebuildEvery == 0 {
-		c.RebuildEvery = 8
 	}
 	// Only a fully zero HFX config means "unset". Comparing individual
 	// fields here used to misfire: hfx.BaselineOptions() has Balancer ==
@@ -273,33 +262,13 @@ func run(mol *chem.Molecule, cfg Config, forces bool) (*Result, []chem.Vec3, err
 
 	var lastE float64
 	aX := cfg.Functional.ExactExchangeFraction()
-	// Incremental-build state: accumulated J/K and the density they
-	// correspond to.
-	var jAcc, kAcc, pPrev *linalg.Matrix
 	for iter := 1; iter <= cfg.MaxIter; iter++ {
 		if cfg.Ctx != nil {
 			if err := cfg.Ctx.Err(); err != nil {
 				return res, nil, fmt.Errorf("scf: cancelled before iteration %d: %w", iter, err)
 			}
 		}
-		var j, k *linalg.Matrix
-		var rep hfx.Report
-		if cfg.Incremental && jAcc != nil && (iter-1)%cfg.RebuildEvery != 0 {
-			dp := p.Clone()
-			dp.AXPY(-1, pPrev)
-			dj, dk, drep := builder.BuildJK(dp)
-			jAcc.AXPY(1, dj)
-			kAcc.AXPY(1, dk)
-			pPrev.CopyFrom(p)
-			j, k, rep = jAcc, kAcc, drep
-		} else {
-			j, k, rep = builder.BuildJK(p)
-			if cfg.Incremental {
-				jAcc, kAcc = j.Clone(), k.Clone()
-				pPrev = p.Clone()
-				j, k = jAcc, kAcc
-			}
-		}
+		j, k, rep := builder.BuildJK(p)
 		res.HFXReport = rep
 
 		f := h.Clone()

@@ -280,91 +280,35 @@ func TestLevelShiftStillConverges(t *testing.T) {
 	}
 }
 
-func TestIncrementalFockMatchesDirect(t *testing.T) {
+func TestSemiDirectSCFMatchesDirect(t *testing.T) {
+	// Semi-direct builds (hfx.Options.CacheBudgetBytes) replay cached ERI
+	// blocks instead of re-evaluating them; the SCF trajectory must be
+	// unchanged to machine precision.
+	cached := hfx.DefaultOptions()
+	cached.CacheBudgetBytes = 64 << 20
 	direct, err := Run(chem.Water(), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	incr, err := Run(chem.Water(), Config{Incremental: true})
+	semi, err := Run(chem.Water(), Config{HFX: cached})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !incr.Converged {
-		t.Fatal("incremental SCF did not converge")
+	if !semi.Converged {
+		t.Fatal("semi-direct SCF did not converge")
 	}
-	if math.Abs(direct.Energy-incr.Energy) > 1e-6 {
-		t.Fatalf("incremental %f vs direct %f", incr.Energy, direct.Energy)
+	if d := math.Abs(direct.Energy - semi.Energy); d > 1e-12 {
+		t.Fatalf("semi-direct energy differs by %g", d)
 	}
-}
-
-func TestSemiDirectSCFMatchesDirect(t *testing.T) {
-	// Semi-direct builds (hfx.Options.CacheBudgetBytes) replay cached ERI
-	// blocks instead of re-evaluating them; the SCF trajectory must be
-	// unchanged to machine precision, with and without Incremental.
-	cached := hfx.DefaultOptions()
-	cached.CacheBudgetBytes = 64 << 20
-	for _, inc := range []bool{false, true} {
-		direct, err := Run(chem.Water(), Config{Incremental: inc})
-		if err != nil {
-			t.Fatal(err)
-		}
-		semi, err := Run(chem.Water(), Config{Incremental: inc, HFX: cached})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !semi.Converged {
-			t.Fatalf("inc=%v: semi-direct SCF did not converge", inc)
-		}
-		if d := math.Abs(direct.Energy - semi.Energy); d > 1e-12 {
-			t.Fatalf("inc=%v: semi-direct energy differs by %g", inc, d)
-		}
-		if semi.Iterations != direct.Iterations {
-			t.Fatalf("inc=%v: iteration count diverged: %d vs %d",
-				inc, semi.Iterations, direct.Iterations)
-		}
-		rep := semi.HFXReport
-		if !rep.Cache.Enabled {
-			t.Fatalf("inc=%v: cache not enabled in final report", inc)
-		}
-		// The final incremental iteration may screen away every quartet
-		// (ΔP→0), so check the lifetime hit counter, not the last build's.
-		if rep.Metrics.Counter("ericache.hits").Value() == 0 {
-			t.Fatalf("inc=%v: SCF never replayed from the cache", inc)
-		}
+	if semi.Iterations != direct.Iterations {
+		t.Fatalf("iteration count diverged: %d vs %d", semi.Iterations, direct.Iterations)
 	}
-}
-
-func TestIncrementalScreensMoreAsSCFConverges(t *testing.T) {
-	// The whole point of ΔP builds: the density-weighted screen discards
-	// more quartets in later iterations because ΔP shrinks.
-	var first, last int64
-	seen := 0
-	_, err := Run(chem.WaterCluster(2, 3), Config{
-		Incremental: true,
-		OnIteration: func(iter int, e, d float64) { seen = iter },
-	})
-	if err != nil {
-		t.Fatal(err)
+	rep := semi.HFXReport
+	if !rep.Cache.Enabled {
+		t.Fatal("cache not enabled in final report")
 	}
-	_ = seen
-	// Re-run capturing per-iteration screening via the report: the last
-	// iteration of a converged incremental run must screen at least as
-	// many quartets as a from-scratch build of the same system.
-	resD, err := Run(chem.WaterCluster(2, 3), Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resI, err := Run(chem.WaterCluster(2, 3), Config{Incremental: true, RebuildEvery: 1000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	first = resD.HFXReport.QuartetsScreened
-	last = resI.HFXReport.QuartetsScreened
-	if last < first {
-		t.Fatalf("incremental final build screened %d < direct %d", last, first)
-	}
-	if math.Abs(resD.Energy-resI.Energy) > 1e-5 {
-		t.Fatalf("energy drift: direct %f vs incremental %f", resD.Energy, resI.Energy)
+	if rep.Metrics.Counter("ericache.hits").Value() == 0 {
+		t.Fatal("SCF never replayed from the cache")
 	}
 }
 
@@ -475,7 +419,7 @@ func TestInitialDensityGuess(t *testing.T) {
 	if err != nil || !cold.Converged {
 		t.Fatalf("cold run: %v (converged=%v)", err, cold != nil && cold.Converged)
 	}
-	warm, err := Run(mol, Config{InitialDensity: cold.P, Incremental: true})
+	warm, err := Run(mol, Config{InitialDensity: cold.P})
 	if err != nil || !warm.Converged {
 		t.Fatalf("warm run: %v", err)
 	}

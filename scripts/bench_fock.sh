@@ -1,8 +1,8 @@
 #!/bin/sh
 # Benchmark the Fock-build configurations — direct pooled, warm
 # semi-direct (full ERI cache replay, on (H2O)4/STO-3G and, one thread, on
-# (H2O)2/6-31G*), and incremental+semi-direct (ΔP build on a warm cache) —
-# the served one-thread direct build with its primitive-level screening, the ERI kernel per angular-momentum class, the
+# (H2O)2/6-31G*) — the served one-thread direct build with its
+# primitive-level screening, the ERI kernel per angular-momentum class, the
 # PBE0 XC integration per SCF iteration with its once-per-geometry
 # tabulation, the analytic gradient build whole and by phase, and one outer
 # step of a served trajectory (md.Session.Forces on consecutive geometries),
@@ -31,7 +31,7 @@ raw="$(mktemp)"
 trap 'rm -f "$raw"' EXIT
 
 go test ./internal/hfx/ -run '^$' \
-	-bench 'BenchmarkBuildJK(Pooled|SemiDirect|SemiDirect631Gs|IncrementalSemiDirect)$' \
+	-bench 'BenchmarkBuildJK(Pooled|SemiDirect|SemiDirect631Gs)$' \
 	-benchtime "${BENCHTIME:-3x}" -count "${COUNT:-5}" | tee "$raw"
 # The served direct build (one thread) with its primitive-level screening.
 go test ./internal/hfx/ -run '^$' -bench 'BenchmarkDirectBuild' -cpu 1 \

@@ -211,7 +211,7 @@ rm -f "$w1_json"
 
 # RESPA multiple time stepping: race pass over the integrator (drift
 # across k, bitwise resume on and between outer boundaries, split
-# fingerprint rejection), the cross-step session (ΔP warm start,
+# fingerprint rejection), the cross-step session (predictor warm start,
 # pair-list invalidation bound, analytic forces == cold finite differences
 # with no displaced run, the state-free evaluator, the typed refusal of an
 # unconverged SCF, the per-evaluation allocation guard), and the hfxd

@@ -5,6 +5,10 @@
 # directory it left behind, and require the resumed run's
 # finalStateSha256 — a hash of the complete final MD state — to equal
 # that of an uninterrupted reference run. Bitwise, or the smoke fails.
+# Then the warm-started -store-dir path, without a kill: a second run on
+# the store the first one filled must seed its first SCF from it, fall
+# back to a cold SCF nowhere, and end on the first run's potential to
+# SCF tolerance.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -13,7 +17,9 @@ trap 'rm -rf "$tmp"' EXIT
 
 go build -o "$tmp/aimd" ./cmd/aimd
 
-STEPS=400
+# A cold h2 step with analytic forces takes well under a millisecond:
+# enough steps that the victim still runs when its first snapshot lands.
+STEPS=2000
 ARGS="-system h2 -steps $STEPS -dt 0.4 -temp 300 -seed 7"
 
 # Reference: the same trajectory, never interrupted, no checkpointing.
@@ -53,3 +59,23 @@ if [ "$res_sha" != "$ref_sha" ]; then
 	exit 1
 fi
 echo "smoke_ckpt: ok — killed at >= step $from, resumed to step $STEPS, final state $ref_sha"
+
+# Store-seeded runs: "store: S store seeds, W predictor warm starts,
+# F fallbacks (DIR)" and the last frame's E_pot.
+"$tmp/aimd" -system h2 -steps 20 -store-dir "$tmp/st" > "$tmp/st1.log"
+"$tmp/aimd" -system h2 -steps 20 -store-dir "$tmp/st" > "$tmp/st2.log"
+field() { sed -n 's/^store: \([0-9]*\) store seeds, [0-9]* predictor warm starts, \([0-9]*\) fallbacks.*/\'"$2"'/p' "$1"; }
+epot() { awk '$1 == 20 { print $3 }' "$1"; }
+seeds="$(field "$tmp/st2.log" 1)"
+fallbacks="$(field "$tmp/st2.log" 2)"
+e1="$(epot "$tmp/st1.log")"
+e2="$(epot "$tmp/st2.log")"
+test -n "$seeds" && test -n "$fallbacks" && test -n "$e1" && test -n "$e2" ||
+	{ echo "smoke_ckpt: store run printed no store line or final frame" >&2; exit 1; }
+if [ "$seeds" -lt 1 ] || [ "$fallbacks" -ne 0 ]; then
+	echo "smoke_ckpt: FAIL: second store run: $seeds store seeds, $fallbacks fallbacks" >&2
+	exit 1
+fi
+awk -v a="$e1" -v b="$e2" 'BEGIN { d = a - b; if (d < 0) d = -d; exit !(d < 1e-6) }' ||
+	{ echo "smoke_ckpt: FAIL: store-seeded final E_pot $e2 vs first run $e1" >&2; exit 1; }
+echo "smoke_ckpt: ok — store-seeded rerun: $seeds store seed, 0 fallbacks, final E_pot $e2 (first run $e1)"
