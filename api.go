@@ -277,9 +277,6 @@ func (e *DistExchangeBuilder) NBasis() int { return e.d.Eng.Basis.NBasis }
 // ---------------------------------------------------------------------------
 // Dynamics layer.
 
-// MDOptions configures a BOMD trajectory.
-type MDOptions = md.Options
-
 // Trajectory is an MD run result.
 type Trajectory = md.Trajectory
 
@@ -289,11 +286,24 @@ type Frame = md.Frame
 // ScanPoint is one point of a reaction-coordinate profile.
 type ScanPoint = md.ScanPoint
 
-// PotentialFunc maps a geometry to an energy.
+// Surface maps a geometry to its energy and forces: what trajectories
+// (RunRESPA) and relaxations (Optimize) consume.
+type Surface = md.Surface
+
+// PotentialFunc maps a geometry to an energy: the input of scans and of
+// FDSurface.
 type PotentialFunc = md.PotentialFunc
 
-// SCFPotential adapts an SCF configuration into an MD potential.
+// SCFPotential adapts an SCF configuration into an energy-only potential.
 func SCFPotential(cfg SCFConfig) PotentialFunc { return md.SCFPotential(cfg) }
+
+// FDSurface lifts a PotentialFunc into a Surface by central finite
+// differences with step h over at most workers goroutines — for
+// potentials without analytic forces (model surfaces, UHF); a
+// closed-shell SCF has RespaSCFEvaluator.
+func FDSurface(pot PotentialFunc, h float64, workers int) Surface {
+	return md.FDSurface(pot, h, workers)
+}
 
 // Store is the two-tier content-addressed store: a byte-budgeted hot
 // in-memory LRU over CRC-framed on-disk segments. hfxd, aimd and the
@@ -307,11 +317,6 @@ type StoreOptions = store.Options
 // rebuilding the index from the segment files on disk.
 func OpenStore(opts StoreOptions) (*Store, error) { return store.Open(opts) }
 
-// RunMD integrates a Born–Oppenheimer trajectory.
-func RunMD(mol *Molecule, pot PotentialFunc, opts MDOptions) (*Trajectory, error) {
-	return md.Run(mol, pot, opts)
-}
-
 // DistanceScan computes a constrained approach/dissociation profile.
 func DistanceScan(mol *Molecule, pot PotentialFunc, i, j, fragStart int, coords []float64) ([]ScanPoint, error) {
 	return md.DistanceScan(mol, pot, i, j, fragStart, coords)
@@ -323,9 +328,10 @@ type OptimizeOptions = opt.Options
 // OptimizeResult is a relaxed structure.
 type OptimizeResult = opt.Result
 
-// Optimize relaxes a geometry on the given potential surface (FIRE).
-func Optimize(mol *Molecule, pot PotentialFunc, opts OptimizeOptions) (*OptimizeResult, error) {
-	return opt.Minimize(mol, pot, opts)
+// Optimize relaxes a geometry on the given surface (FIRE), one surface
+// call per step.
+func Optimize(mol *Molecule, surf Surface, opts OptimizeOptions) (*OptimizeResult, error) {
+	return opt.Minimize(mol, surf, opts)
 }
 
 // MDStepError reports a trajectory failure — SCF non-convergence, a
@@ -355,18 +361,11 @@ const (
 
 // RunRESPA integrates an r-RESPA trajectory: inner velocity Verlet on
 // the cheap force at δt, the slow correction F_full − F_cheap applied
-// every K-th step. Checkpoint/resume composes with CkptWriter exactly
-// as RunMD's does and stays bitwise across boundaries.
+// every K-th step; K = 1 is plain velocity Verlet on the full surface.
+// Checkpoint/resume composes with CkptWriter and stays bitwise across
+// boundaries.
 func RunRESPA(mol *Molecule, full RespaEvaluator, cheap RespaForceField, opts RespaOptions) (*Trajectory, error) {
 	return respa.Run(mol, full, cheap, opts)
-}
-
-// RespaFDEvaluator lifts a PotentialFunc into a full-surface evaluator
-// via central finite differences (the same displacement order RunMD
-// uses, so k=1 RESPA matches plain BOMD step for step) — for potentials
-// that are not a closed-shell SCF; those have RespaSCFEvaluator.
-func RespaFDEvaluator(pot PotentialFunc, h float64, workers int) RespaEvaluator {
-	return respa.FDEvaluator(pot, h, workers)
 }
 
 // RespaSCFEvaluator is the state-free full-surface evaluator of an SCF
@@ -406,7 +405,7 @@ type CkptConfig = ckpt.Config
 
 // CkptWriter makes every completed MD step durable: a write-ahead
 // journal record per step plus a periodic ring of full snapshots. Set it
-// as MDOptions.Ckpt.
+// as RespaOptions.Ckpt.
 type CkptWriter = ckpt.Writer
 
 // CkptResume is a restored checkpoint: the most advanced durable state

@@ -281,9 +281,15 @@ func BenchmarkE7PBE0(b *testing.B) {
 			rows = append(rows, row{fn, res.Energy, res.Iterations})
 		}
 	}
-	// BOMD conservation on H2 (HF surface).
-	traj, err := hfxmd.RunMD(hfxmd.Hydrogen(1.5), hfxmd.SCFPotential(hfxmd.SCFConfig{}),
-		hfxmd.MDOptions{Steps: 5, Dt: 0.4})
+	// BOMD conservation on H2 (HF surface, analytic forces): RESPA at
+	// K = 1 is plain velocity Verlet, the spring reference cancels.
+	h2 := hfxmd.Hydrogen(1.5)
+	cheap, label, err := hfxmd.BuildRespaReference(hfxmd.RespaRefSpring, h2, hfxmd.SCFConfig{}, 0, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	traj, err := hfxmd.RunRESPA(h2, hfxmd.RespaSCFEvaluator(hfxmd.SCFConfig{}), cheap,
+		hfxmd.RespaOptions{Steps: 5, K: 1, Dt: 0.4, RefLabel: label})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -74,7 +74,7 @@ import (
 )
 
 // MDState is the complete, restartable state of an MD trajectory after
-// a given step: everything md.Run needs to continue bit-for-bit.
+// a given step: everything the integrator needs to continue bit-for-bit.
 type MDState struct {
 	// Step is the last completed MD step. For a RESPA trajectory it
 	// counts *inner* steps, so Step mod k locates the state within the

@@ -1,35 +1,35 @@
-package md
+package md_test
 
 import (
 	"bytes"
 	"errors"
 	"math"
-	"sync/atomic"
 	"testing"
 
 	"hfxmd/internal/chem"
 	"hfxmd/internal/ckpt"
+	"hfxmd/internal/md"
+	"hfxmd/internal/respa"
 	"hfxmd/internal/scf"
 )
 
 // ckptOpts is the shared trajectory configuration for the resume tests:
-// a thermostatted water-cluster run on the analytic spring surface, so
-// every integrator feature (velocity init, Berendsen, drift extrema) is
+// a thermostatted water-cluster run on the spring surface, so every
+// integrator feature (velocity init, Berendsen, drift extrema) is
 // exercised without paying for SCF.
-func ckptOpts(steps int) Options {
-	return Options{
-		Steps: steps, Dt: 0.5, TemperatureK: 300, Thermostat: true, TauFS: 5,
-		FDStep: 1e-4, Seed: 11,
+func ckptOpts(steps int) respa.Options {
+	return respa.Options{
+		Steps: steps, Dt: 0.5, TemperatureK: 300, Thermostat: true, TauFS: 5, Seed: 11,
 	}
 }
 
 func ckptMol() *chem.Molecule { return chem.WaterCluster(2, 3) }
-func ckptPot() PotentialFunc  { return springPot(0.1, 2.0) }
+func ckptSurf() md.Surface    { return md.FDSurface(springPot(0.1, 2.0), 1e-4, 0) }
 
 // runUninterrupted is the reference: one continuous trajectory.
-func runUninterrupted(t *testing.T, steps int) *Trajectory {
+func runUninterrupted(t *testing.T, steps int) *md.Trajectory {
 	t.Helper()
-	traj, err := Run(ckptMol(), ckptPot(), ckptOpts(steps))
+	traj, err := verlet(ckptMol(), ckptSurf(), ckptOpts(steps))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,23 +49,23 @@ func assertBitwiseEqual(t *testing.T, got, want *ckpt.MDState) {
 	}
 }
 
-// crashAndResume runs with the given fault plan until the injected
-// crash, then resumes from the checkpoint directory and returns the
-// completed trajectory.
-func crashAndResume(t *testing.T, steps int, plan *ckpt.FaultPlan, every int64) *Trajectory {
+// crashAndResume runs mol on surf with the given fault plan until the
+// injected crash, then resumes from the checkpoint directory and returns
+// the completed trajectory.
+func crashAndResume(t *testing.T, mol *chem.Molecule, surf md.Surface, opts respa.Options, plan *ckpt.FaultPlan, every int64) *md.Trajectory {
 	t.Helper()
 	dir := t.TempDir()
 	w, err := ckpt.NewWriter(ckpt.Config{Dir: dir, Every: every, Keep: 3, Plan: plan})
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := ckptOpts(steps)
-	opts.Ckpt = w
-	_, err = Run(ckptMol(), ckptPot(), opts)
+	o := opts
+	o.Ckpt = w
+	_, err = verlet(mol, surf, o)
 	if !errors.Is(err, ckpt.ErrInjectedCrash) {
 		t.Fatalf("want injected crash, got %v", err)
 	}
-	var se *StepError
+	var se *md.StepError
 	if !errors.As(err, &se) || int64(se.Step) != plan.CrashAtStep {
 		t.Fatalf("crash should surface as StepError at step %d, got %v", plan.CrashAtStep, err)
 	}
@@ -80,10 +80,10 @@ func crashAndResume(t *testing.T, steps int, plan *ckpt.FaultPlan, every int64) 
 		t.Fatal(err)
 	}
 	defer w2.Close()
-	opts = ckptOpts(steps)
-	opts.Ckpt = w2
-	opts.Resume = res.State
-	traj, err := Run(ckptMol(), ckptPot(), opts)
+	o = opts
+	o.Ckpt = w2
+	o.Resume = res.State
+	traj, err := verlet(mol, surf, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func crashAndResume(t *testing.T, steps int, plan *ckpt.FaultPlan, every int64) 
 func TestResumeBitwiseIdenticalCleanCrash(t *testing.T) {
 	const steps = 30
 	ref := runUninterrupted(t, steps)
-	got := crashAndResume(t, steps, &ckpt.FaultPlan{CrashAtStep: 17}, 8)
+	got := crashAndResume(t, ckptMol(), ckptSurf(), ckptOpts(steps), &ckpt.FaultPlan{CrashAtStep: 17}, 8)
 	assertBitwiseEqual(t, got.Final, ref.Final)
 	if got.EnergyDrift() != ref.EnergyDrift() {
 		t.Fatalf("drift differs: %x vs %x",
@@ -106,7 +106,8 @@ func TestResumeBitwiseIdenticalTornWrite(t *testing.T) {
 	ref := runUninterrupted(t, steps)
 	// The torn record for step 17 must be discarded; resume restarts
 	// from step 16 and still lands on the identical final state.
-	got := crashAndResume(t, steps, &ckpt.FaultPlan{CrashAtStep: 17, TornWrite: true}, 8)
+	got := crashAndResume(t, ckptMol(), ckptSurf(), ckptOpts(steps),
+		&ckpt.FaultPlan{CrashAtStep: 17, TornWrite: true}, 8)
 	assertBitwiseEqual(t, got.Final, ref.Final)
 	if got.EnergyDrift() != ref.EnergyDrift() {
 		t.Fatal("drift differs after torn-write resume")
@@ -119,7 +120,7 @@ func TestResumeBitwiseIdenticalCorruptSnapshot(t *testing.T) {
 	// Crash exactly at a snapshot step with the fresh snapshot (step 16)
 	// corrupted: the journal was just reset, so resume must fall back to
 	// the previous ring entry (step 8) and re-integrate forward.
-	got := crashAndResume(t, steps,
+	got := crashAndResume(t, ckptMol(), ckptSurf(), ckptOpts(steps),
 		&ckpt.FaultPlan{CrashAtStep: 16, CorruptSection: ckpt.SectionVelocities}, 8)
 	assertBitwiseEqual(t, got.Final, ref.Final)
 	if got.EnergyDrift() != ref.EnergyDrift() {
@@ -133,35 +134,13 @@ func TestResumeBitwiseIdenticalCorruptSnapshot(t *testing.T) {
 func TestResumeEnergyConservationAcrossBoundary(t *testing.T) {
 	// NVE (no thermostat): the drift of a resumed run must equal the
 	// uninterrupted drift to the last ulp, and stay physically small.
-	const steps = 200
-	opts := Options{Steps: steps, Dt: 0.25, FDStep: 1e-4}
-	ref, err := Run(chem.Hydrogen(1.5), springPot(0.35, 1.4), opts)
+	mol, surf := chem.Hydrogen(1.5), md.FDSurface(springPot(0.35, 1.4), 1e-4, 0)
+	opts := respa.Options{Steps: 200, Dt: 0.25}
+	ref, err := verlet(mol, surf, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	dir := t.TempDir()
-	w, err := ckpt.NewWriter(ckpt.Config{Dir: dir, Every: 25, Keep: 2,
-		Plan: &ckpt.FaultPlan{CrashAtStep: 90}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	o := opts
-	o.Ckpt = w
-	if _, err := Run(chem.Hydrogen(1.5), springPot(0.35, 1.4), o); !errors.Is(err, ckpt.ErrInjectedCrash) {
-		t.Fatalf("want injected crash, got %v", err)
-	}
-	w.Close()
-	res, err := ckpt.Load(dir, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o = opts
-	o.Resume = res.State
-	got, err := Run(chem.Hydrogen(1.5), springPot(0.35, 1.4), o)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := crashAndResume(t, mol, surf, opts, &ckpt.FaultPlan{CrashAtStep: 90}, 25)
 	assertBitwiseEqual(t, got.Final, ref.Final)
 	if gd, rd := got.EnergyDrift(), ref.EnergyDrift(); math.Float64bits(gd) != math.Float64bits(rd) {
 		t.Fatalf("drift across resume boundary: %g (%x) vs %g (%x)",
@@ -172,54 +151,53 @@ func TestResumeEnergyConservationAcrossBoundary(t *testing.T) {
 	}
 }
 
+// TestResumeRejectsMismatchedParams covers the fingerprint fields the
+// RESPA split test does not: the thermostat settings and the system.
 func TestResumeRejectsMismatchedParams(t *testing.T) {
-	dir := t.TempDir()
-	w, err := ckpt.NewWriter(ckpt.Config{Dir: dir, Every: 5, Keep: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := ckptOpts(10)
-	opts.Ckpt = w
-	if _, err := Run(ckptMol(), ckptPot(), opts); err != nil {
-		t.Fatal(err)
-	}
-	w.Close()
-	res, err := ckpt.Load(dir, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad := ckptOpts(20)
-	bad.Dt = 0.4 // different timestep: different dynamics
-	bad.Resume = res.State
-	if _, err := Run(ckptMol(), ckptPot(), bad); err == nil {
-		t.Fatal("resume with a different timestep must be rejected")
+	st := runUninterrupted(t, 10).Final
+	for name, mut := range map[string]func(*respa.Options){
+		"thermostat": func(o *respa.Options) { o.Thermostat = false },
+		"tau":        func(o *respa.Options) { o.TauFS = 7 },
+	} {
+		bad := ckptOpts(20)
+		mut(&bad)
+		bad.Resume = st
+		if _, err := verlet(ckptMol(), ckptSurf(), bad); err == nil {
+			t.Fatalf("resume with a different %s must be rejected", name)
+		}
 	}
 	// Different molecule: atom count mismatch.
 	other := ckptOpts(20)
-	other.Resume = res.State
-	if _, err := Run(chem.Hydrogen(1.4), ckptPot(), other); err == nil {
+	other.Resume = st
+	if _, err := verlet(chem.Hydrogen(1.4), ckptSurf(), other); err == nil {
 		t.Fatal("resume with a different molecule must be rejected")
 	}
 }
 
-func TestStepErrorCarriesStepIndex(t *testing.T) {
-	// A potential that dies mid-trajectory must surface a typed
-	// StepError with the failing step, not a bare string.
-	fail := errors.New("md test: potential blew up")
-	var calls atomic.Int64 // ForcesN evaluates displacements concurrently
-	pot := func(m *chem.Molecule) (float64, error) {
-		if calls.Add(1) > 30 { // initial Forces+pot plus a few steps
-			return 0, fail
+// failingAfter serves good for the first n surface calls and bad after.
+func failingAfter(n int, good, bad md.Surface) md.Surface {
+	calls := 0
+	return func(m *chem.Molecule) (float64, []chem.Vec3, error) {
+		if calls++; calls > n {
+			return bad(m)
 		}
-		return springPot(0.35, 1.4)(m)
+		return good(m)
 	}
-	_, err := Run(chem.Hydrogen(1.5), pot, Options{Steps: 50, Dt: 0.25, FDStep: 1e-4})
-	var se *StepError
+}
+
+func TestStepErrorCarriesStepIndex(t *testing.T) {
+	// A surface that dies mid-trajectory must surface a typed StepError
+	// with the failing step, not a bare string. Call 1 is step 0.
+	fail := errors.New("md test: potential blew up")
+	surf := failingAfter(3, md.FDSurface(springPot(0.35, 1.4), 1e-4, 0),
+		func(*chem.Molecule) (float64, []chem.Vec3, error) { return 0, nil, fail })
+	_, err := verlet(chem.Hydrogen(1.5), surf, respa.Options{Steps: 50, Dt: 0.25})
+	var se *md.StepError
 	if !errors.As(err, &se) {
 		t.Fatalf("want *StepError, got %T: %v", err, err)
 	}
-	if se.Step <= 0 {
-		t.Fatalf("StepError.Step = %d, want mid-trajectory step", se.Step)
+	if se.Step != 3 {
+		t.Fatalf("StepError.Step = %d, want 3", se.Step)
 	}
 	if !errors.Is(err, fail) {
 		t.Fatal("StepError must unwrap to the underlying cause")
@@ -229,25 +207,17 @@ func TestStepErrorCarriesStepIndex(t *testing.T) {
 func TestSCFNonConvergenceSurfacesAsStepError(t *testing.T) {
 	// An SCF that converges at the initial geometry but not later must
 	// produce a StepError carrying the failing step so a driver can
-	// resume from the last snapshot and retry. The first few potential
-	// evaluations (initial energy + finite-difference forces) use the
-	// analytic spring; later calls hit a real SCF capped at one
-	// iteration, which cannot converge.
-	var calls atomic.Int64
-	good := springPot(0.35, 1.4)
-	diverge := SCFPotential(scf.Config{MaxIter: 1})
-	pot := func(m *chem.Molecule) (float64, error) {
-		if calls.Add(1) > 30 {
-			return diverge(m)
-		}
-		return good(m)
-	}
-	_, err := Run(chem.Hydrogen(1.5), pot, Options{Steps: 50, Dt: 0.25, FDStep: 1e-4})
-	var se *StepError
+	// resume from the last snapshot and retry. The first surface calls
+	// use the spring; later ones hit a real SCF capped at one iteration,
+	// which cannot converge.
+	surf := failingAfter(3, md.FDSurface(springPot(0.35, 1.4), 1e-4, 0),
+		md.SCFForces(scf.Config{MaxIter: 1}))
+	_, err := verlet(chem.Hydrogen(1.5), surf, respa.Options{Steps: 50, Dt: 0.25})
+	var se *md.StepError
 	if !errors.As(err, &se) {
 		t.Fatalf("want *StepError, got %T: %v", err, err)
 	}
-	if se.Step <= 0 {
-		t.Fatalf("StepError.Step = %d, want mid-trajectory step", se.Step)
+	if se.Step != 3 || !errors.Is(err, scf.ErrNotConverged) {
+		t.Fatalf("want step 3 wrapping scf.ErrNotConverged, got %v", err)
 	}
 }

@@ -1,9 +1,10 @@
-package md
+package md_test
 
 import (
 	"testing"
 
 	"hfxmd/internal/chem"
+	"hfxmd/internal/md"
 	"hfxmd/internal/scf"
 )
 
@@ -14,12 +15,12 @@ import (
 func TestForcesNDeterministic(t *testing.T) {
 	mol := chem.WaterCluster(2, 6)
 	pot := springPot(0.35, 1.4)
-	serial, err := ForcesN(mol, pot, 1e-4, 1)
+	serial, err := md.ForcesN(mol, pot, 1e-4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 3, 4, 100} {
-		par, err := ForcesN(mol, pot, 1e-4, workers)
+		par, err := md.ForcesN(mol, pot, 1e-4, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -39,12 +40,12 @@ func TestForcesNDeterministic(t *testing.T) {
 // test fast.
 func TestForcesNDeterministicSCF(t *testing.T) {
 	mol := chem.Hydrogen(1.4)
-	pot := SCFPotential(scf.Config{})
-	serial, err := ForcesN(mol, pot, 5e-3, 1)
+	pot := md.SCFPotential(scf.Config{})
+	serial, err := md.ForcesN(mol, pot, 5e-3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := ForcesN(mol, pot, 5e-3, 3)
+	par, err := md.ForcesN(mol, pot, 5e-3, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +62,7 @@ func TestForcesNDeterministicSCF(t *testing.T) {
 // error through the worker group.
 func TestForcesNErrorPropagation(t *testing.T) {
 	failing := func(m *chem.Molecule) (float64, error) { return 0, errTest }
-	if _, err := ForcesN(chem.Water(), failing, 1e-4, 4); err == nil {
+	if _, err := md.ForcesN(chem.Water(), failing, 1e-4, 4); err == nil {
 		t.Fatal("expected propagated error")
 	}
 }

@@ -1,17 +1,19 @@
-package md
+package md_test
 
 import (
-	"fmt"
+	"errors"
 	"math"
 	"testing"
 
 	"hfxmd/internal/chem"
+	"hfxmd/internal/md"
+	"hfxmd/internal/respa"
 	"hfxmd/internal/scf"
 )
 
 // springPot is an analytic pairwise harmonic potential used to test the
 // integrator without paying for SCF at every step.
-func springPot(k, r0 float64) PotentialFunc {
+func springPot(k, r0 float64) md.PotentialFunc {
 	return func(m *chem.Molecule) (float64, error) {
 		var e float64
 		for i := 0; i < m.NAtoms(); i++ {
@@ -25,19 +27,30 @@ func springPot(k, r0 float64) PotentialFunc {
 }
 
 // morsePot is an analytic Morse potential between atoms 0 and 1.
-func morsePot(de, a, r0 float64) PotentialFunc {
+func morsePot(de, a, r0 float64) md.PotentialFunc {
 	return func(m *chem.Molecule) (float64, error) {
 		x := math.Exp(-a * (m.Distance(0, 1) - r0))
 		return de * (1 - x) * (1 - x), nil
 	}
 }
 
+// verlet integrates a plain velocity-Verlet trajectory: respa.Run at
+// K = 1, where the spring reference cancels from the force sum.
+func verlet(mol *chem.Molecule, full md.Surface, opts respa.Options) (*md.Trajectory, error) {
+	opts.K = 1
+	opts.RefLabel = respa.RefSpring
+	return respa.Run(mol, full, respa.SpringReference(mol, 0, 0), opts)
+}
+
 func TestForcesMatchAnalyticSpring(t *testing.T) {
 	mol := chem.Hydrogen(1.6) // stretched: force pulls atoms together
 	k, r0 := 0.35, 1.4
-	f, err := Forces(mol, springPot(k, r0), 1e-4)
+	e, f, err := md.FDSurface(springPot(k, r0), 1e-4, 0)(mol)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if want := 0.5 * k * 0.2 * 0.2; math.Abs(e-want) > 1e-12 {
+		t.Fatalf("energy %g want %g", e, want)
 	}
 	// Analytic force on atom 1 (at +z): −k(r−r0) along +z... the bond is
 	// stretched so the force on atom 1 points towards atom 0 (−z).
@@ -52,9 +65,8 @@ func TestForcesMatchAnalyticSpring(t *testing.T) {
 
 func TestVerletConservesEnergyHarmonic(t *testing.T) {
 	mol := chem.Hydrogen(1.5)
-	traj, err := Run(mol, springPot(0.35, 1.4), Options{
-		Steps: 200, Dt: 0.25, TemperatureK: 0, FDStep: 1e-4,
-	})
+	traj, err := verlet(mol, md.FDSurface(springPot(0.35, 1.4), 1e-4, 0),
+		respa.Options{Steps: 200, Dt: 0.25})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,9 +94,8 @@ func TestVerletConservesEnergyHarmonic(t *testing.T) {
 
 func TestThermostatEquilibrates(t *testing.T) {
 	mol := chem.WaterCluster(2, 3)
-	traj, err := Run(mol, springPot(0.1, 2.0), Options{
-		Steps: 400, Dt: 0.5, TemperatureK: 300, Thermostat: true, TauFS: 5,
-		FDStep: 1e-4, Seed: 1,
+	traj, err := verlet(mol, md.FDSurface(springPot(0.1, 2.0), 1e-4, 0), respa.Options{
+		Steps: 400, Dt: 0.5, TemperatureK: 300, Thermostat: true, TauFS: 5, Seed: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -104,12 +115,9 @@ func TestThermostatEquilibrates(t *testing.T) {
 
 func TestInitVelocitiesTemperatureAndCOM(t *testing.T) {
 	mol := chem.WaterCluster(3, 5)
-	masses := make([]float64, mol.NAtoms())
-	for i, a := range mol.Atoms {
-		masses[i] = a.El.Mass() * 1822.888
-	}
-	vel := initVelocities(mol, masses, 300, newRNG(42))
-	if got := temperature(kinetic(vel, masses), mol.NAtoms()); math.Abs(got-300) > 1e-9 {
+	masses := md.AtomicMasses(mol)
+	vel, _ := md.DrawVelocities(mol, masses, 300, 42)
+	if got := md.Temperature(md.Kinetic(vel, masses), mol.NAtoms()); math.Abs(got-300) > 1e-9 {
 		t.Fatalf("initial temperature %g", got)
 	}
 	var p chem.Vec3
@@ -120,7 +128,7 @@ func TestInitVelocitiesTemperatureAndCOM(t *testing.T) {
 		t.Fatalf("net momentum %v", p)
 	}
 	// Zero temperature: all velocities zero.
-	vz := initVelocities(mol, masses, 0, newRNG(1))
+	vz, _ := md.DrawVelocities(mol, masses, 0, 1)
 	for _, v := range vz {
 		if v.Norm() != 0 {
 			t.Fatal("nonzero velocity at T=0")
@@ -129,7 +137,7 @@ func TestInitVelocitiesTemperatureAndCOM(t *testing.T) {
 }
 
 func TestRunValidation(t *testing.T) {
-	if _, err := Run(chem.Hydrogen(1.4), springPot(1, 1), Options{Steps: 0}); err == nil {
+	if _, err := verlet(chem.Hydrogen(1.4), md.FDSurface(springPot(1, 1), 0, 0), respa.Options{Steps: 0}); err == nil {
 		t.Fatal("expected error for zero steps")
 	}
 }
@@ -138,8 +146,7 @@ func TestSCFMDShortTrajectory(t *testing.T) {
 	if testing.Short() {
 		t.Skip("SCF MD is slow")
 	}
-	pot := SCFPotential(scf.Config{})
-	traj, err := Run(chem.Hydrogen(1.5), pot, Options{Steps: 4, Dt: 0.4})
+	traj, err := verlet(chem.Hydrogen(1.5), md.SCFForces(scf.Config{}), respa.Options{Steps: 4, Dt: 0.4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +166,7 @@ func TestDistanceScanMorse(t *testing.T) {
 	mol := chem.Hydrogen(4.0)
 	pot := morsePot(0.17, 1.0, 1.4)
 	coords := []float64{4.0, 3.0, 2.2, 1.7, 1.4, 1.2}
-	pts, err := DistanceScan(mol, pot, 0, 1, 1, coords)
+	pts, err := md.DistanceScan(mol, pot, 0, 1, 1, coords)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,10 +184,10 @@ func TestDistanceScanMorse(t *testing.T) {
 	}
 	// Binding: end of scan approaches the well from the repulsive side,
 	// reaction energy relative to separated limit is negative at r0.
-	if ReactionEnergy(pts[:5]) >= 0 {
+	if md.ReactionEnergy(pts[:5]) >= 0 {
 		t.Fatal("Morse approach should be downhill to the minimum")
 	}
-	if BarrierHeight(pts) <= 0 {
+	if md.BarrierHeight(pts) <= 0 {
 		t.Fatal("repulsive wall should register as a positive max")
 	}
 }
@@ -188,49 +195,46 @@ func TestDistanceScanMorse(t *testing.T) {
 func TestDistanceScanValidation(t *testing.T) {
 	mol := chem.Hydrogen(1.4)
 	pot := springPot(1, 1)
-	if _, err := DistanceScan(mol, pot, 0, 9, 1, []float64{1}); err == nil {
+	if _, err := md.DistanceScan(mol, pot, 0, 9, 1, []float64{1}); err == nil {
 		t.Fatal("expected range error")
 	}
-	if _, err := DistanceScan(mol, pot, 0, 1, 0, []float64{1}); err == nil {
+	if _, err := md.DistanceScan(mol, pot, 0, 1, 0, []float64{1}); err == nil {
 		t.Fatal("expected fragment error")
 	}
 	bad := chem.Hydrogen(0)
-	if _, err := DistanceScan(bad, pot, 0, 1, 1, []float64{1}); err == nil {
+	if _, err := md.DistanceScan(bad, pot, 0, 1, 1, []float64{1}); err == nil {
 		t.Fatal("expected coincident-atom error")
 	}
 }
 
 func TestEnergyDriftEmpty(t *testing.T) {
-	tr := &Trajectory{Mol: chem.Hydrogen(1.4)}
-	if tr.EnergyDrift() != 0 {
+	if md.NewTrajectory(chem.Hydrogen(1.4)).EnergyDrift() != 0 {
 		t.Fatal("empty trajectory drift should be 0")
 	}
 }
 
-var errTest = fmt.Errorf("md: injected test failure")
+var errTest = errors.New("md: injected test failure")
 
 func TestSCFPotentialPropagatesNonConvergence(t *testing.T) {
 	// MaxIter 1 cannot converge: the potential must surface an error so
 	// MD/optimizers never silently integrate a garbage surface.
-	pot := SCFPotential(scf.Config{MaxIter: 1})
+	pot := md.SCFPotential(scf.Config{MaxIter: 1})
 	if _, err := pot(chem.Hydrogen(1.4)); err == nil {
 		t.Fatal("expected non-convergence error")
 	}
 	// And a basis error propagates too.
-	bad := SCFPotential(scf.Config{Basis: "NOPE"})
+	bad := md.SCFPotential(scf.Config{Basis: "NOPE"})
 	if _, err := bad(chem.Hydrogen(1.4)); err == nil {
 		t.Fatal("expected basis error")
 	}
 }
 
 func TestForcesErrorPropagation(t *testing.T) {
-	failing := func(m *chem.Molecule) (float64, error) {
-		return 0, errTest
+	failing := func(m *chem.Molecule) (float64, error) { return 0, errTest }
+	if _, _, err := md.FDSurface(failing, 1e-4, 0)(chem.Hydrogen(1.4)); !errors.Is(err, errTest) {
+		t.Fatalf("expected propagated error, got %v", err)
 	}
-	if _, err := Forces(chem.Hydrogen(1.4), failing, 1e-4); err == nil {
-		t.Fatal("expected propagated error")
-	}
-	if _, err := Run(chem.Hydrogen(1.4), failing, Options{Steps: 2}); err == nil {
-		t.Fatal("expected run error")
+	if _, err := verlet(chem.Hydrogen(1.4), md.FDSurface(failing, 1e-4, 0), respa.Options{Steps: 2}); !errors.Is(err, errTest) {
+		t.Fatalf("expected run error, got %v", err)
 	}
 }

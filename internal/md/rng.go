@@ -4,9 +4,8 @@ import "math"
 
 // rng is the velocity-initialisation random source: xorshift64* with a
 // Box–Muller second-variate cache. Unlike math/rand it is fully
-// serializable — state() and setState() round-trip every bit — which is
-// what lets a checkpoint capture the generator mid-stream and a resumed
-// run continue the identical sequence.
+// serializable — state() captures every bit — which is what lets a
+// checkpoint capture the generator mid-stream.
 type rng struct {
 	s        uint64
 	gauss    float64
@@ -67,11 +66,4 @@ func (r *rng) state() [3]uint64 {
 		h = 1
 	}
 	return [3]uint64{r.s, math.Float64bits(r.gauss), h}
-}
-
-// setState restores a serialised generator.
-func (r *rng) setState(st [3]uint64) {
-	r.s = st[0]
-	r.gauss = math.Float64frombits(st[1])
-	r.hasGauss = st[2] != 0
 }

@@ -263,7 +263,7 @@ func (s *Session) Forces(m *chem.Molecule, h float64, workers int) ([]chem.Vec3,
 // Trajectories that must reproduce bit for bit across a checkpoint/resume
 // boundary or between processes use it instead of a Session, whose warm
 // starts make every step depend on the ones before.
-func SCFForces(cfg scf.Config) func(*chem.Molecule) (epot float64, f []chem.Vec3, err error) {
+func SCFForces(cfg scf.Config) Surface {
 	return func(m *chem.Molecule) (float64, []chem.Vec3, error) {
 		res, f, err := scf.RunForces(m, cfg)
 		if err != nil {

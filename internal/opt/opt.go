@@ -1,7 +1,9 @@
-// Package opt provides geometry optimization on any potential-energy
-// surface exposed through md.PotentialFunc, using the FIRE (Fast Inertial
-// Relaxation Engine) algorithm — the standard structural relaxer for the
-// encounter complexes and degradation products of the Li/air study.
+// Package opt provides geometry optimization on any energy-and-forces
+// surface (md.Surface: analytic SCF forces from md.SCFForces, or
+// md.FDSurface over an energy-only potential), using the FIRE (Fast
+// Inertial Relaxation Engine) algorithm — the standard structural
+// relaxer for the encounter complexes and degradation products of the
+// Li/air study. Each FIRE step makes one surface call.
 package opt
 
 import (
@@ -19,9 +21,6 @@ type Options struct {
 	// ForceTol is the convergence threshold on max |F| in hartree/bohr
 	// (default 5e-4).
 	ForceTol float64
-	// FDStep is the finite-difference displacement for forces (default
-	// as in package md).
-	FDStep float64
 	// MaxStepLength caps the per-step atomic displacement in bohr
 	// (default 0.3) to keep the SCF in its convergence basin.
 	MaxStepLength float64
@@ -56,8 +55,8 @@ const (
 	fireDtMaxF = 10.0 // dtMax = fireDtMaxF × DtInit
 )
 
-// Minimize relaxes the molecule on the given potential surface with FIRE.
-func Minimize(mol *chem.Molecule, pot md.PotentialFunc, opts Options) (*Result, error) {
+// Minimize relaxes the molecule on the given surface with FIRE.
+func Minimize(mol *chem.Molecule, surf md.Surface, opts Options) (*Result, error) {
 	if opts.MaxSteps <= 0 {
 		opts.MaxSteps = 200
 	}
@@ -81,11 +80,7 @@ func Minimize(mol *chem.Molecule, pot md.PotentialFunc, opts Options) (*Result, 
 	alpha := fireAStart
 	nPos := 0
 
-	frc, err := md.Forces(m, pot, opts.FDStep)
-	if err != nil {
-		return nil, err
-	}
-	energy, err := pot(m)
+	energy, frc, err := surf(m)
 	if err != nil {
 		return nil, err
 	}
@@ -128,11 +123,7 @@ func Minimize(mol *chem.Molecule, pot md.PotentialFunc, opts Options) (*Result, 
 			m.Atoms[i].Pos = m.Atoms[i].Pos.Add(d)
 		}
 
-		frc, err = md.Forces(m, pot, opts.FDStep)
-		if err != nil {
-			return res, err
-		}
-		energy, err = pot(m)
+		energy, frc, err = surf(m)
 		if err != nil {
 			return res, err
 		}

@@ -5,20 +5,23 @@ import (
 	"testing"
 
 	"hfxmd/internal/chem"
+	"hfxmd/internal/md"
 	"hfxmd/internal/scf"
 )
 
-// morse is an analytic Morse potential between atoms 0 and 1.
-func morse(de, a, r0 float64) func(*chem.Molecule) (float64, error) {
-	return func(m *chem.Molecule) (float64, error) {
+// morse is an analytic Morse surface between atoms 0 and 1, with
+// finite-difference forces.
+func morse(de, a, r0 float64) md.Surface {
+	return md.FDSurface(func(m *chem.Molecule) (float64, error) {
 		x := math.Exp(-a * (m.Distance(0, 1) - r0))
 		return de * (1 - x) * (1 - x), nil
-	}
+	}, 1e-5, 0)
 }
 
-// ljCluster is a Lennard-Jones potential over all pairs.
-func ljCluster(eps, sigma float64) func(*chem.Molecule) (float64, error) {
-	return func(m *chem.Molecule) (float64, error) {
+// ljCluster is a Lennard-Jones surface over all pairs, with
+// finite-difference forces.
+func ljCluster(eps, sigma float64) md.Surface {
+	return md.FDSurface(func(m *chem.Molecule) (float64, error) {
 		var e float64
 		for i := 0; i < m.NAtoms(); i++ {
 			for j := i + 1; j < m.NAtoms(); j++ {
@@ -28,12 +31,12 @@ func ljCluster(eps, sigma float64) func(*chem.Molecule) (float64, error) {
 			}
 		}
 		return e, nil
-	}
+	}, 1e-5, 0)
 }
 
 func TestMinimizeMorseBond(t *testing.T) {
 	mol := chem.Hydrogen(2.2) // start stretched
-	res, err := Minimize(mol, morse(0.17, 1.0, 1.4), Options{FDStep: 1e-5})
+	res, err := Minimize(mol, morse(0.17, 1.0, 1.4), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +59,7 @@ func TestMinimizeLJTrimer(t *testing.T) {
 		{El: chem.He, Pos: chem.Vec3{1.2, 2.4, 0.2}},
 	}}
 	sigma := 2.0
-	res, err := Minimize(mol, ljCluster(0.05, sigma), Options{FDStep: 1e-5, MaxSteps: 500})
+	res, err := Minimize(mol, ljCluster(0.05, sigma), Options{MaxSteps: 500})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +79,7 @@ func TestMinimizeLJTrimer(t *testing.T) {
 func TestMinimizeDoesNotMutateInput(t *testing.T) {
 	mol := chem.Hydrogen(2.0)
 	orig := mol.Atoms[1].Pos
-	if _, err := Minimize(mol, morse(0.1, 1, 1.4), Options{FDStep: 1e-5}); err != nil {
+	if _, err := Minimize(mol, morse(0.1, 1, 1.4), Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if mol.Atoms[1].Pos != orig {
@@ -90,34 +93,46 @@ func TestMinimizeValidation(t *testing.T) {
 	}
 }
 
+// TestMinimizeH2SCF relaxes H2 on analytic SCF forces at one surface
+// call per FIRE step (plus the starting point), and lands where a
+// relaxation on finite differences of the SCF energy does.
 func TestMinimizeH2SCF(t *testing.T) {
 	if testing.Short() {
 		t.Skip("SCF optimization is slow")
 	}
-	// RHF/STO-3G H2 equilibrium bond: 1.346 a0 (Szabo–Ostlund).
-	pot := func(m *chem.Molecule) (float64, error) {
-		res, err := scf.Run(m, scf.Config{})
-		if err != nil {
-			return 0, err
-		}
-		return res.Energy, nil
-	}
-	res, err := Minimize(chem.Hydrogen(1.8), pot, Options{ForceTol: 2e-4, MaxSteps: 120})
+	opts := Options{ForceTol: 2e-4, MaxSteps: 120}
+	analytic := md.SCFForces(scf.Config{})
+	calls := 0
+	res, err := Minimize(chem.Hydrogen(1.8), func(m *chem.Molecule) (float64, []chem.Vec3, error) {
+		calls++
+		return analytic(m)
+	}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Converged {
+	if !res.Converged || res.MaxForce >= opts.ForceTol {
 		t.Fatalf("H2 optimization not converged (fmax %g)", res.MaxForce)
 	}
-	if r := res.Mol.Distance(0, 1); math.Abs(r-1.346) > 0.01 {
+	if calls != res.Steps+1 {
+		t.Fatalf("%d surface calls over %d steps, want one per step plus the start", calls, res.Steps)
+	}
+	// RHF/STO-3G H2 equilibrium bond: 1.346 a0 (Szabo–Ostlund).
+	r := res.Mol.Distance(0, 1)
+	if math.Abs(r-1.346) > 0.01 {
 		t.Fatalf("optimized H2 bond %g want 1.346", r)
+	}
+	fd, err := Minimize(chem.Hydrogen(1.8), md.FDSurface(md.SCFPotential(scf.Config{}), 1e-4, 1), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := math.Abs(fd.Mol.Distance(0, 1) - r); !fd.Converged || d > 1e-3 {
+		t.Fatalf("analytic bond %g vs finite-difference %g (converged %v)", r, fd.Mol.Distance(0, 1), fd.Converged)
 	}
 }
 
 func TestOnStepCallback(t *testing.T) {
 	calls := 0
 	_, err := Minimize(chem.Hydrogen(1.8), morse(0.1, 1, 1.4), Options{
-		FDStep: 1e-5,
 		OnStep: func(step int, e, f float64) { calls++ },
 	})
 	if err != nil {

@@ -35,9 +35,9 @@ import (
 	"hfxmd/internal/scf"
 )
 
-// Evaluator returns the potential energy and forces −∂E/∂R of a
-// geometry — the full (slow) surface.
-type Evaluator func(m *chem.Molecule) (epot float64, f []chem.Vec3, err error)
+// Evaluator is the full (slow) surface: potential energy and forces
+// −∂E/∂R of a geometry.
+type Evaluator = md.Surface
 
 // ForceField returns only the forces of a geometry — the cheap (fast)
 // reference surface, evaluated every inner step, where its energy is
@@ -81,9 +81,10 @@ type Options struct {
 	OnOuterStep func(outer int, f md.Frame)
 }
 
-// paramsHash fingerprints the run configuration, mirroring md.Run's but
-// tagged with the RESPA split (K, reference label) so plain-MD and
-// RESPA checkpoints can never resume each other.
+// paramsHash fingerprints the run configuration and system identity —
+// everything that must match for a checkpoint to be resumable by this
+// run — tagged with the RESPA split (K, reference label). Positions are
+// excluded: they evolve.
 func paramsHash(m *chem.Molecule, opts *Options) uint64 {
 	h := fnv.New64a()
 	h.Write([]byte("respa\x00" + opts.RefLabel + "\x00"))
@@ -105,7 +106,7 @@ func paramsHash(m *chem.Molecule, opts *Options) uint64 {
 	w(math.Float64bits(opts.TauFS))
 	w(uint64(opts.Seed))
 	// Steps is excluded: extending the horizon changes no per-step
-	// arithmetic, exactly as in md.Run.
+	// arithmetic.
 	w(uint64(int64(m.Charge)))
 	w(uint64(m.NAtoms()))
 	for _, a := range m.Atoms {
@@ -309,37 +310,6 @@ func slowForce(full, cheap []chem.Vec3) []chem.Vec3 {
 	return fs
 }
 
-// FDEvaluator adapts a PotentialFunc into the full-surface Evaluator:
-// central finite-difference forces over a bounded worker group (6N
-// evaluations) plus one central energy, exactly the per-step work
-// md.Run does. It serves potentials that are not a closed-shell SCF
-// (model surfaces, UHF) and, in tests, as the oracle for the analytic
-// evaluators md.SCFForces and md.Session.Forces.
-func FDEvaluator(pot md.PotentialFunc, h float64, workers int) Evaluator {
-	return func(m *chem.Molecule) (float64, []chem.Vec3, error) {
-		f, err := md.ForcesN(m, pot, h, workers)
-		if err != nil {
-			return 0, nil, err
-		}
-		e, err := pot(m)
-		if err != nil {
-			return 0, nil, err
-		}
-		return e, f, nil
-	}
-}
-
-// FDReference adapts a PotentialFunc into a cheap ForceField by central
-// finite differences — the "FD on a loose SCF" reference mode, whose SCF
-// is deliberately left unconverged: its density is not stationary, so the
-// analytic gradient formula does not apply to it and differencing its
-// energy is the only consistent force.
-func FDReference(pot md.PotentialFunc, h float64, workers int) ForceField {
-	return func(m *chem.Molecule) ([]chem.Vec3, error) {
-		return md.ForcesN(m, pot, h, workers)
-	}
-}
-
 // SpringReference builds an analytic harmonic-bond reference from the
 // initial geometry: every pair the covalent-radius heuristic calls
 // bonded (scale factor bondScale, default 1.3) becomes a spring of
@@ -372,7 +342,7 @@ func SpringReference(mol *chem.Molecule, bondScale, kSpring float64) ForceField 
 		f := make([]chem.Vec3, m.NAtoms())
 		for b, p := range pairs {
 			i, j := p[0], p[1]
-			d := m.Atoms[j].Pos.Sub(m.Atoms[i].Pos)
+			d := m.Displacement(i, j)
 			r := d.Norm()
 			if r == 0 {
 				continue
@@ -390,7 +360,7 @@ func SpringReference(mol *chem.Molecule, bondScale, kSpring float64) ForceField 
 // from a production config: convergence three orders of magnitude
 // coarser and a tighter iteration cap, enough for forces that only have
 // to track the cheap part of the dynamics between HFX corrections. Its
-// forces stay finite differences of the energy (FDReference): the analytic
+// forces stay finite differences of the energy (md.ForcesN): the analytic
 // gradient assumes a stationary density, which this solver does not reach.
 func LooseSCF(cfg scf.Config) scf.Config {
 	loose := cfg
@@ -430,7 +400,10 @@ func BuildReference(mode string, mol *chem.Molecule, cfg scf.Config, fdStep floa
 	case RefSpring, "":
 		return SpringReference(mol, 0, 0), RefSpring, nil
 	case RefLoose:
-		return FDReference(md.SCFPotential(LooseSCF(cfg)), fdStep, workers), RefLoose, nil
+		loose := md.SCFPotential(LooseSCF(cfg))
+		return func(m *chem.Molecule) ([]chem.Vec3, error) {
+			return md.ForcesN(m, loose, fdStep, workers)
+		}, RefLoose, nil
 	case RefBaseline:
 		baseline := md.SCFForces(BaselineSCF(cfg))
 		return func(m *chem.Molecule) ([]chem.Vec3, error) {

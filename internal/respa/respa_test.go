@@ -11,6 +11,7 @@ import (
 	"hfxmd/internal/ckpt"
 	"hfxmd/internal/dft"
 	"hfxmd/internal/md"
+	"hfxmd/internal/phys"
 	"hfxmd/internal/scf"
 )
 
@@ -124,38 +125,60 @@ func TestDriftAcrossK(t *testing.T) {
 	}
 }
 
+// plainVerlet is the oracle of TestKOneMatchesPlainVerlet: velocity
+// Verlet on the full surface from the same velocity draw, returning the
+// conserved total energy after the last step.
+func plainVerlet(t *testing.T, mol *chem.Molecule, full md.Surface, o Options) float64 {
+	t.Helper()
+	m := mol.Clone()
+	masses := md.AtomicMasses(m)
+	vel, _ := md.DrawVelocities(m, masses, o.TemperatureK, o.Seed)
+	dt := o.Dt * phys.FemtosecondToAtomicTime
+	epot, f, err := full(m)
+	for s := 0; s < o.Steps && err == nil; s++ {
+		for i := range vel {
+			vel[i] = vel[i].Add(f[i].Scale(0.5 * dt / masses[i]))
+			m.Atoms[i].Pos = m.Atoms[i].Pos.Add(vel[i].Scale(dt))
+		}
+		if epot, f, err = full(m); err == nil {
+			for i := range vel {
+				vel[i] = vel[i].Add(f[i].Scale(0.5 * dt / masses[i]))
+			}
+		}
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return epot + md.Kinetic(vel, masses)
+}
+
 // TestKOneMatchesPlainVerlet: at k=1 the split degenerates to velocity
-// Verlet on the full surface (the two half-kicks are applied in two
-// additions instead of one, so agreement is to rounding, not bitwise).
+// Verlet on the full surface (the cheap force enters and cancels, and the
+// kicks are grouped differently, so agreement is to rounding, not
+// bitwise). Both sides difference the same energy with the same step, so
+// the per-step forces agree and only the integrator arithmetic differs.
 func TestKOneMatchesPlainVerlet(t *testing.T) {
-	const steps = 64
 	pot := func(m *chem.Molecule) (float64, error) {
 		e, _, err := springEval(fullK, bondR0)(m)
 		return e, err
 	}
-	// FDEvaluator with the same displacement makes the per-step forces
-	// identical to md.Run's, isolating the integrator arithmetic.
-	opts := respaOpts(steps, 1)
-	traj, err := Run(respaMol(), FDEvaluator(pot, 1e-5, 1), springField(cheapK, bondR0), opts)
+	full := md.FDSurface(pot, 1e-5, 1)
+	opts := respaOpts(64, 1)
+	traj, err := Run(respaMol(), full, springField(cheapK, bondR0), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := md.Run(respaMol(), pot,
-		md.Options{Steps: steps, Dt: 0.25, TemperatureK: 300, Seed: 11, FDStep: 1e-5})
-	if err != nil {
-		t.Fatal(err)
+	if last := traj.Frames[len(traj.Frames)-1]; last.Step != opts.Steps {
+		t.Fatalf("last frame at step %d, want %d", last.Step, opts.Steps)
 	}
-	last, rlast := traj.Frames[len(traj.Frames)-1], ref.Frames[len(ref.Frames)-1]
-	if last.Step != rlast.Step {
-		t.Fatalf("step mismatch: %d vs %d", last.Step, rlast.Step)
-	}
-	if d := math.Abs(last.Total - rlast.Total); d > 1e-6 {
+	want := plainVerlet(t, respaMol(), full, opts)
+	if d := math.Abs(traj.Frames[len(traj.Frames)-1].Total - want); d > 1e-6 {
 		t.Fatalf("k=1 total energy deviates from plain Verlet by %.3e Eh", d)
 	}
 }
 
-// crashAndResume mirrors the md-layer harness: run with an injected
-// crash, reload the most advanced durable state, finish the trajectory.
+// crashAndResume runs with an injected crash, reloads the most advanced
+// durable state and finishes the trajectory.
 func crashAndResume(t *testing.T, totalInner, k int, plan *ckpt.FaultPlan, every int64) *md.Trajectory {
 	t.Helper()
 	dir := t.TempDir()
@@ -235,6 +258,25 @@ func TestResumeBitwiseMidCycle(t *testing.T) {
 	}
 }
 
+// TestResumeBitwiseFaultedCheckpoint: a torn journal record and a
+// corrupt fresh snapshot mid-campaign still resume to the uninterrupted
+// bits; the corrupt one falls back to the previous ring entry.
+func TestResumeBitwiseFaultedCheckpoint(t *testing.T) {
+	const totalInner, k = 32, 4
+	ref := runRESPA(t, totalInner, k, nil)
+	got := crashAndResume(t, totalInner, k, &ckpt.FaultPlan{CrashAtStep: 18, TornWrite: true}, 8)
+	assertBitwiseEqual(t, got.Final, ref.Final)
+	got = crashAndResume(t, totalInner, k,
+		&ckpt.FaultPlan{CrashAtStep: 16, CorruptSection: ckpt.SectionVelocities}, 8)
+	assertBitwiseEqual(t, got.Final, ref.Final)
+	if first := got.Frames[0].Step; first != 8 {
+		t.Fatalf("corrupt-snapshot resume should restart from the ring fallback at 8, got %d", first)
+	}
+	if got.EnergyDrift() != ref.EnergyDrift() {
+		t.Fatal("drift differs after faulted resume")
+	}
+}
+
 // TestResumeRejectsPlainMDState: a version-1 checkpoint (no slow force)
 // must be refused, not silently integrated with a zero correction.
 func TestResumeRejectsPlainMDState(t *testing.T) {
@@ -248,21 +290,24 @@ func TestResumeRejectsPlainMDState(t *testing.T) {
 	}
 }
 
-// TestResumeRejectsDifferentSplit: the params fingerprint covers K and
-// the reference label, so a checkpoint from one split cannot seed
-// another.
+// TestResumeRejectsDifferentSplit: the params fingerprint covers K, the
+// reference label and the dynamics (timestep, temperature, seed), so a
+// checkpoint from one configuration cannot seed another.
 func TestResumeRejectsDifferentSplit(t *testing.T) {
 	ref := runRESPA(t, 8, 2, nil)
-	opts := respaOpts(8, 4)
-	opts.Resume = ref.Final
-	if _, err := Run(respaMol(), springEval(fullK, bondR0), springField(cheapK, bondR0), opts); err == nil {
-		t.Fatal("k=2 checkpoint must not resume a k=4 run")
-	}
-	opts = respaOpts(8, 2)
-	opts.RefLabel = "other"
-	opts.Resume = ref.Final
-	if _, err := Run(respaMol(), springEval(fullK, bondR0), springField(cheapK, bondR0), opts); err == nil {
-		t.Fatal("checkpoint must not resume under a different reference label")
+	for name, mut := range map[string]func(*Options){
+		"k":           func(o *Options) { o.K, o.Steps = 4, 2 },
+		"reference":   func(o *Options) { o.RefLabel = "other" },
+		"timestep":    func(o *Options) { o.Dt = 0.2 },
+		"temperature": func(o *Options) { o.TemperatureK = 250 },
+		"seed":        func(o *Options) { o.Seed = 12 },
+	} {
+		opts := respaOpts(8, 2)
+		mut(&opts)
+		opts.Resume = ref.Final
+		if _, err := Run(respaMol(), springEval(fullK, bondR0), springField(cheapK, bondR0), opts); err == nil {
+			t.Fatalf("checkpoint must not resume a run with a different %s", name)
+		}
 	}
 }
 
@@ -336,6 +381,37 @@ func sessionIterations(t *testing.T, mol *chem.Molecule, cfg scf.Config, opts Op
 		t.Fatal(err)
 	}
 	return sess.Stats()
+}
+
+// TestSpringReferenceMinimumImage: under a periodic cell the spring
+// captures r0 and applies its force along the same minimum-image
+// displacement, so a water dimer wrapped across the cell faces feels no
+// reference force at its starting geometry.
+func TestSpringReferenceMinimumImage(t *testing.T) {
+	box := chem.WaterCluster(2, 1)
+	box.Cell = &chem.Cell{L: chem.Vec3{12, 12, 12}}
+	for i := range box.Atoms {
+		box.Atoms[i].Pos = box.Cell.Wrap(box.Atoms[i].Pos)
+	}
+	bonds := box.Bonds(1.3)
+	split := 0
+	for _, p := range bonds {
+		if raw := box.Atoms[p[1]].Pos.Sub(box.Atoms[p[0]].Pos).Norm(); raw > box.Distance(p[0], p[1])+1 {
+			split++
+		}
+	}
+	if len(bonds) != 4 || split == 0 {
+		t.Fatalf("want 4 O–H bonds with at least one across a face, got %d bonds, %d split", len(bonds), split)
+	}
+	f, err := SpringReference(box, 0, 0)(box)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, fi := range f {
+		if fi != (chem.Vec3{}) {
+			t.Fatalf("atom %d: reference force %v at the captured geometry", i, fi)
+		}
+	}
 }
 
 // TestSessionIterationsPerInnerStep gates the cost Mandal et al. count —

@@ -52,7 +52,7 @@ func (r *UnrestrictedResult) S2Exact() float64 {
 // spin-polarised semilocal functionals are outside this reproduction's
 // scope and return an error. There is no analytic gradient for it either
 // (RunForces is closed-shell): forces on a UHF surface come from
-// differencing its energy (md.ForcesN).
+// differencing its energy (md.FDSurface).
 func RunUnrestricted(mol *chem.Molecule, cfg Config, multiplicity int) (*UnrestrictedResult, error) {
 	cfg.fillDefaults()
 	if cfg.Functional.NeedsGrid() {

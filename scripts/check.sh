@@ -154,11 +154,10 @@ go test -count=1 ./internal/mprt/ -run 'TestMeasuredStepsMatchModel'
 # step counters diverge from the model.
 go run ./cmd/hfxscale -exp d1 -d1-ranks 1,4 -d1-waters 1
 scripts/smoke_hfxd.sh
-# Checkpoint/restart: race pass over the durability layer, the bitwise
-# resume tests (every fault mode: clean crash, torn journal write,
-# corrupt snapshot section) and the hfxd job-journal boot replay.
+# Checkpoint/restart: race pass over the durability layer and the hfxd
+# job-journal boot replay (the bitwise resume tests run with ./internal/md/
+# below).
 go test -race -count=1 ./internal/ckpt/
-go test -race -count=1 ./internal/md/ -run 'TestResume|TestStepError|TestSCFNonConvergence'
 go test -race -count=1 ./internal/server/ -run 'TestJobJournal|TestServerRestoresJournaledJobsOnBoot|TestServerJournalsLiveJobs'
 # Crash-restart smoke: SIGKILL a checkpointed aimd run, resume it, and
 # require the resumed final state hash to equal the uninterrupted
@@ -209,15 +208,16 @@ w1_json="$(mktemp)"
 go run ./cmd/hfxscale -exp w1 -w1-out "$w1_json"
 rm -f "$w1_json"
 
-# RESPA multiple time stepping: race pass over the integrator (drift
-# across k, bitwise resume on and between outer boundaries, split
-# fingerprint rejection), the cross-step session (predictor warm start,
-# pair-list invalidation bound, analytic forces == cold finite differences
-# with no displaced run, the state-free evaluator, the typed refusal of an
-# unconverged SCF, the per-evaluation allocation guard), and the hfxd
-# trajectory job (streamed steps, cancel-names-step, journal replay).
+# Trajectories: race pass over the integrator (drift across k, bitwise
+# resume on and between outer boundaries under every fault mode, split
+# fingerprint rejection), the md layer (the k = 1 resume and step-error
+# tests, predictor warm start, pair-list invalidation bound, analytic
+# forces == cold finite differences, the typed refusal of an unconverged
+# SCF, the per-evaluation allocation guard), the relaxer on analytic
+# forces, and the hfxd trajectory job (streamed steps, cancel-names-step,
+# journal replay).
 go test -race -count=1 ./internal/respa/
-go test -race -count=1 ./internal/md/ -run 'TestSession|TestPredictor|TestSCFForcesMatchColdFD'
+go test -race -count=1 ./internal/md/ ./internal/opt/
 go test -race -count=1 ./internal/ckpt/ -run 'TestRespa|TestPlainStateImageUnchanged'
 go test -race -count=1 ./internal/server/ -run 'TestServerTrajectory'
 # SIGKILL crash-restart smoke over a k=2 campaign: the resumed run's
