@@ -72,11 +72,10 @@ func (LDA) Eval(rho, gamma float64) (float64, float64, float64) {
 		return 0, 0, 0
 	}
 	// Slater exchange: f_x = −cx·ρ^{4/3}, v_x = −(4/3)cx·ρ^{1/3}.
-	r13 := math.Cbrt(rho)
-	fx := -cx * rho * r13
-	vx := -4.0 / 3.0 * cx * r13
-	ec, vc := vwn5(rho)
-	return fx + rho*ec, vx + vc, 0
+	t := lookupRhoTerms(rho)
+	fx := -cx * rho * t.r13
+	vx := -4.0 / 3.0 * cx * t.r13
+	return fx + rho*t.ec, vx + t.vc, 0
 }
 
 // VWN5 paramagnetic parameters and the constants derived from them.
@@ -90,23 +89,27 @@ const (
 
 var vwnQ = math.Sqrt(4*vwnC - vwnB*vwnB)
 
-// vwn5 returns the VWN5 paramagnetic correlation energy per electron ε_c
-// and potential v_c = ε_c − (rs/3)·dε_c/drs.
-func vwn5(rho float64) (ec, vc float64) {
-	return vwn5x(math.Sqrt(math.Cbrt(3 / (4 * math.Pi * rho))))
-}
-
-// vwn5x is vwn5 as a function of x = √rs.
+// vwn5x returns the VWN5 paramagnetic correlation energy per electron ε_c
+// and potential v_c = ε_c − (rs/3)·dε_c/drs as functions of x = √rs.
+//
+// At low density (x → ∞) both logarithms tend to 0 and the terms of ε_c
+// and dε_c/dx cancel to leading order, so ln(x²/X) and ln((x−x0)²/X) are
+// taken as log1p of their arguments' distance from 1, and 2/x − X'/X,
+// 2/(x−x0) − X'/X over a common denominator: ε_c keeps its relative
+// accuracy down to rhoFloor, which the density table relies on.
 func vwn5x(x float64) (ec, vc float64) {
-	const a, x0, b, fx0 = vwnA, vwnX0, vwnB, vwnX
+	const a, x0, b, c, fx0 = vwnA, vwnX0, vwnB, vwnC, vwnX
 	q := vwnQ
-	xx := x*x + b*x + vwnC
+	xx := x*x + b*x + c
 	atn := math.Atan(q / (2*x + b))
-	ec = a * (math.Log(x*x/xx) + 2*b/q*atn -
-		b*x0/fx0*(math.Log((x-x0)*(x-x0)/xx)+2*(b+2*x0)/q*atn))
+	l1 := -math.Log1p((b*x + c) / (x * x))          // ln(x²/X)
+	l2 := math.Log1p((x0*x0 - c - (2*x0+b)*x) / xx) // ln((x−x0)²/X)
+	ec = a * (l1 + 2*b/q*atn - b*x0/fx0*(l2+2*(b+2*x0)/q*atn))
 	// dε_c/dx via the standard closed form.
-	dec := a * (2/x - (2*x+b)/xx - 4*b/(q*q+(2*x+b)*(2*x+b)) -
-		b*x0/fx0*(2/(x-x0)-(2*x+b)/xx-4*(b+2*x0)/(q*q+(2*x+b)*(2*x+b))))
+	qq := q*q + (2*x+b)*(2*x+b)
+	d1 := (b*x + 2*c) / (x * xx)                      // 2/x − (2x+b)/X
+	d2 := ((b+2*x0)*x + 2*c + b*x0) / ((x - x0) * xx) // 2/(x−x0) − (2x+b)/X
+	dec := a * (d1 - 4*b/qq - b*x0/fx0*(d2-4*(b+2*x0)/qq))
 	// v_c = ε_c − (x/6)·dε_c/dx  (since rs = x² and v = ε − rs/3·dε/drs).
 	vc = ec - x/6*dec
 	return ec, vc
@@ -147,8 +150,16 @@ var (
 
 // pbeXC returns the PBE energy per volume with the exchange part scaled
 // by 1−ax (ax = 0 is PBE, ¼ the semilocal part of PBE0), and its partial
-// derivatives with respect to ρ and γ, from one pass that shares ρ^{1/3}
-// between exchange, VWN5 and H:
+// derivatives with respect to ρ and γ. Every factor of ρ alone comes from
+// one table lookup; pbeTerms does the rest.
+func pbeXC(rho, gamma, ax float64) (f, dfdrho, dfdgamma float64) {
+	if rho < rhoFloor {
+		return 0, 0, 0
+	}
+	return pbeTerms(lookupRhoTerms(rho), rho, gamma, ax)
+}
+
+// pbeTerms is pbeXC given the density-only factors r of ρ:
 //
 //	f = (1−ax)·e_x^LDA(ρ)·F_x(s²) + ρ·(ε_c(ρ) + H(ε_c, t²)),
 //	F_x = 1 + κ − κ/(1 + μs²/κ),     s² = γ/(4k_f²ρ²) ∝ γρ^{-8/3},
@@ -159,17 +170,13 @@ var (
 // (b → 0⁺, g → 0), and nothing divides by γ, so γ = 0 returns the
 // analytic limit ∂f/∂γ = (1−ax)·e_x^LDA·μ·∂s²/∂γ + ρβ·∂t²/∂γ.
 // ε_c is VWN5, as in LDA, not the PW92 fit of the PBE paper.
-func pbeXC(rho, gamma, ax float64) (f, dfdrho, dfdgamma float64) {
-	if rho < rhoFloor {
-		return 0, 0, 0
-	}
+func pbeTerms(r rhoTerms, rho, gamma, ax float64) (f, dfdrho, dfdgamma float64) {
 	if gamma < 0 {
 		gamma = 0
 	}
-	r13 := math.Cbrt(rho)
-	kf := kfCoef * r13
+	kf := kfCoef * r.r13
 
-	exLDA := -(1 - ax) * cx * rho * r13
+	exLDA := -(1 - ax) * cx * rho * r.r13
 	ds2 := 1 / (4 * kf * kf * rho * rho) // ∂s²/∂γ
 	s2 := gamma * ds2
 	d := 1 + pbeMu*s2/pbeKappa
@@ -179,10 +186,9 @@ func pbeXC(rho, gamma, ax float64) (f, dfdrho, dfdgamma float64) {
 	dfdrho = exLDA / rho * (4.0/3*fx - 8.0/3*s2*dfx)
 	dfdgamma = exLDA * dfx * ds2
 
-	ec, vc := vwn5x(math.Sqrt(rsCoef / r13))
+	ec, vc, b := r.ec, r.vc, r.b
 	dt2 := math.Pi / (16 * kf * rho * rho) // ∂t²/∂γ
 	t2 := gamma * dt2
-	b := pbeGamma / pbeBeta * expm1(-ec/pbeGamma)
 	p := b*b + b*t2 + t2*t2
 	g := t2 * b * (b + t2) / p
 	h := pbeGamma * math.Log1p(pbeBeta/pbeGamma*g)

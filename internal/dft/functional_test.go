@@ -9,6 +9,11 @@ import (
 // verbatim as the test oracle (including its γ ≤ 1e-20 and expo ≤ 1
 // guards, which the closed form does not need).
 
+// vwn5 is VWN5's ε_c and v_c in closed form, with rs from ρ directly.
+func vwn5(rho float64) (ec, vc float64) {
+	return vwn5x(math.Sqrt(math.Cbrt(3 / (4 * math.Pi * rho))))
+}
+
 // pbeEnergyDensity returns the PBE exchange+correlation energy per volume.
 func pbeEnergyDensity(rho, gamma float64) float64 {
 	if rho < rhoFloor {
@@ -90,15 +95,21 @@ func TestPBEXCMatchesNumericOracle(t *testing.T) {
 	for e := -24; e <= 6; e += 2 {
 		gammas = append(gammas, math.Pow(10, float64(e)))
 	}
+	// The density table's whole range, from just above rhoFloor (so that
+	// the oracle's ρ − h stays above it too) into the closed-form fallback
+	// above 2^rhoMaxExp.
+	rhos := []float64{rhoFloor * (1 + 1e-5)}
+	for e := -11.75; e <= 4.5; e += 0.25 {
+		rhos = append(rhos, math.Pow(10, e))
+	}
 	const fdStep = 1e-6 // evalNumeric's relative step
 	for _, ax := range []float64{0, 0.25} {
 		oracle := pbeOracle(ax)
-		for e := -10.0; e <= 2; e += 0.25 {
-			rho := math.Pow(10, e)
+		for _, rho := range rhos {
 			for _, gamma := range gammas {
 				f, dr, dg := pbeXC(rho, gamma, ax)
 				fo, dro, dgo := evalNumeric(oracle, rho, gamma)
-				// f shares no rounding with the oracle (one cbrt, expm1,
+				// f shares no rounding with the oracle (table lookup,
 				// log1p): equal to a few ulp.
 				if math.Abs(f-fo) > 1e-13*math.Abs(fo) {
 					t.Fatalf("ax=%g ρ=%g γ=%g: f %.17g oracle %.17g", ax, rho, gamma, f, fo)

@@ -286,6 +286,39 @@ func BenchmarkIntegratePBE0(b *testing.B) {
 	}
 }
 
+// BenchmarkPBE0Eval times one PBE0 point on the sweep of the bench probe
+// dft.pbe0_eval_ns (ρ = 1e-3 + 1e-4·i over 2^16 points, γ = 0.3ρ): "table"
+// is the production PBE0.Eval, "closed" the same point with the density
+// factors in closed form.
+func BenchmarkPBE0Eval(b *testing.B) {
+	const points = 1 << 16
+	paths := []struct {
+		name string
+		eval func(rho, gamma float64) (float64, float64, float64)
+	}{
+		{"table", PBE0{}.Eval},
+		{"closed", func(rho, gamma float64) (float64, float64, float64) {
+			return pbeTerms(closedRhoTerms(rho), rho, gamma, 0.25)
+		}},
+	}
+	for _, path := range paths {
+		b.Run(path.name, func(b *testing.B) {
+			var sink float64
+			for i := 0; i < b.N; i++ {
+				for j := 0; j < points; j++ {
+					rho := 1e-3 + 1e-4*float64(j)
+					f, _, _ := path.eval(rho, 0.3*rho)
+					sink += f
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/points, "ns/point")
+			if math.IsNaN(sink) {
+				b.Fatal("NaN")
+			}
+		})
+	}
+}
+
 // BenchmarkXCTabulate times what a force evaluation pays once per geometry:
 // rebinding a warm integrator, φ, ∇φ and ∇∇φ tabulated and compacted to the
 // live points.

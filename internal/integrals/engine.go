@@ -259,9 +259,9 @@ func (e *Engine) Dipole(c [3]float64) [3]*linalg.Matrix {
 	return out
 }
 
-// dipoleBlock computes ⟨a|x_dim − c|b⟩ using the Hermite identity
-// ⟨i|x_P|j⟩ = E_1^{ij}·√(π/p)·??? — we use the simpler shift
-// x − c = (x − A) + (A_x − c), i.e. raise the bra angular momentum.
+// dipoleBlock computes ⟨a|x_dim − c|b⟩ by the shift
+// x − c = (x − A) + (A_x − c): the first term raises the bra's power in
+// dim by one, the second is A_x − c times the plain overlap.
 func dipoleBlock(sa, sb *basis.Shell, dim int, c float64) []float64 {
 	ca, cb := Components(sa.L), Components(sb.L)
 	out := make([]float64, len(ca)*len(cb))
