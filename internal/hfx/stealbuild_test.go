@@ -1,6 +1,7 @@
 package hfx
 
 import (
+	"os"
 	"sort"
 	"testing"
 
@@ -197,9 +198,12 @@ func TestStealBuildReuseStableAcrossStealPatterns(t *testing.T) {
 }
 
 // TestStealRecoversBalanceUnderStraggler is the load-recovery gate: with
-// a straggler rank and mispredicted costs, the static placement's
-// measured balance degrades (the predicted ratio stays blind to it)
-// while stealing pulls work off the slow rank and recovers it.
+// a straggler rank and mispredicted costs, the static placement never
+// migrates work while stealing pulls blocks off the slow rank. When
+// HFXMD_TIMED_TESTS is set and the race detector is off it also compares
+// walls: static measured balance degrades (the predicted ratio stays
+// blind to it) and stealing recovers it. Those walls last milliseconds,
+// so busy neighbours decide them; scripts/check.sh runs them alone.
 func TestStealRecoversBalanceUnderStraggler(t *testing.T) {
 	eng, scr := setup(t, chem.WaterCluster(2, 6), 1e-12)
 	p := testDensity(eng.Basis.NBasis, 11)
@@ -244,6 +248,9 @@ func TestStealRecoversBalanceUnderStraggler(t *testing.T) {
 	}
 	if stolen.IdleReclaimed <= 0 {
 		t.Fatal("no idle wall reclaimed by stealing")
+	}
+	if os.Getenv("HFXMD_TIMED_TESTS") == "" || raceEnabled {
+		return
 	}
 	// The straggler runs 5x slow; static-only measured imbalance must be
 	// far above the predicted ratio, and stealing must claw most of it

@@ -50,7 +50,8 @@ type SessionStats struct {
 	// a build replaces the builder, a reuse rebinds it in place.
 	PairListBuilds, PairListReuses int64
 	// SCFIterations accumulates iterations over every SCF the session
-	// ran, the machine-independent cost metric BENCH_mts gates on.
+	// ran: the machine-independent cost metric the respa session tests
+	// gate on and the benchmark reports as scf_iters_per_step.
 	SCFIterations int64
 	// DisplacedRuns counted the finite-difference displacement SCFs of
 	// a force evaluation. Forces are analytic now, so it stays 0; the

@@ -110,19 +110,65 @@ func TestDriftAcrossK(t *testing.T) {
 	if drifts[1] > 3e-5 {
 		t.Fatalf("k=1 baseline drift %.3e Eh/atom too large", drifts[1])
 	}
-	// The slow component sees an effective timestep of k·δt, so its
-	// drift contribution grows ~k². Gate each split against that scaling
-	// law with 2x headroom (a sign error or a missed half-kick lands
-	// orders of magnitude above it) plus an absolute ceiling.
+	assertK2Drift(t, drifts)
+}
+
+// assertK2Drift gates every split against the k=1 baseline. The slow
+// component sees an effective timestep of k·δt, so its drift
+// contribution grows ~k²: each drift must stay within that scaling law
+// with 2x headroom (a sign error or a missed half-kick lands orders of
+// magnitude above it) and under an absolute ceiling.
+func assertK2Drift(t *testing.T, drifts map[int]float64) {
+	t.Helper()
 	floor := math.Max(drifts[1], 1e-6)
-	for _, k := range []int{2, 4, 8} {
-		if bound := 2 * float64(k*k) * floor; drifts[k] > bound {
-			t.Fatalf("k=%d drift %.3e exceeds the k^2 scaling bound %.3e", k, drifts[k], bound)
+	for k, d := range drifts {
+		if bound := 2 * float64(k*k) * floor; d > bound {
+			t.Errorf("k=%d drift %.3e exceeds the k^2 scaling bound %.3e", k, d, bound)
 		}
-		if drifts[k] > 5e-4 {
-			t.Fatalf("k=%d drift %.3e Eh/atom above the absolute ceiling", k, drifts[k])
+		if d > 5e-4 {
+			t.Errorf("k=%d drift %.3e Eh/atom above the absolute ceiling", k, d)
 		}
 	}
+}
+
+// TestSessionDriftAcrossK holds the same law on an SCF surface: LiH/STO-3G
+// RHF from rest, 16 inner steps of 0.25 fs on the spring reference, the
+// full surface a warm md.Session, at k ∈ {1, 2, 4}. At k = 1 the session
+// must also spend at most 0.9× the SCF iterations of the same campaign
+// evaluated cold, with scf.RunForces at every step.
+func TestSessionDriftAcrossK(t *testing.T) {
+	const inner = 16
+	mol := chem.LithiumHydride()
+	cfg := scf.Config{Basis: "STO-3G"}
+	opts := func(k int) Options { return Options{Steps: inner / k, K: k, Dt: 0.25} }
+	drifts := map[int]float64{}
+	var warm int64
+	for _, k := range []int{1, 2, 4} {
+		traj, st := sessionRun(t, mol, cfg, opts(k))
+		drifts[k] = traj.EnergyDrift()
+		if k == 1 {
+			warm = st.SCFIterations
+		}
+		t.Logf("k=%d drift %.3e Eh/atom, %d SCF iterations", k, drifts[k], st.SCFIterations)
+	}
+	assertK2Drift(t, drifts)
+
+	var cold int64
+	coldFull := Evaluator(func(m *chem.Molecule) (float64, []chem.Vec3, error) {
+		res, f, err := scf.RunForces(m, cfg)
+		if err != nil {
+			return 0, nil, err
+		}
+		cold += int64(res.Iterations)
+		return res.Energy, f, nil
+	})
+	if _, err := Run(mol, coldFull, SpringReference(mol, 0, 0), opts(1)); err != nil {
+		t.Fatal(err)
+	}
+	if float64(warm) > 0.9*float64(cold) {
+		t.Fatalf("k=1 session took %d SCF iterations, cold %d: above 0.9x", warm, cold)
+	}
+	t.Logf("k=1 SCF iterations: warm %d, cold %d", warm, cold)
 }
 
 // plainVerlet is the oracle of TestKOneMatchesPlainVerlet: velocity
@@ -367,9 +413,9 @@ func TestSpringReference(t *testing.T) {
 	}
 }
 
-// sessionIterations runs a RESPA campaign whose full surface is a warm
-// md.Session and returns the session's counters.
-func sessionIterations(t *testing.T, mol *chem.Molecule, cfg scf.Config, opts Options) md.SessionStats {
+// sessionRun runs a RESPA campaign whose full surface is a warm
+// md.Session and returns the trajectory and the session's counters.
+func sessionRun(t *testing.T, mol *chem.Molecule, cfg scf.Config, opts Options) (*md.Trajectory, md.SessionStats) {
 	t.Helper()
 	sess := md.NewSession(cfg, md.SessionOptions{})
 	defer sess.Close()
@@ -377,10 +423,11 @@ func sessionIterations(t *testing.T, mol *chem.Molecule, cfg scf.Config, opts Op
 		f, e, err := sess.Forces(m, 0, 1)
 		return e, f, err
 	})
-	if _, err := Run(mol, full, SpringReference(mol, 0, 0), opts); err != nil {
+	traj, err := Run(mol, full, SpringReference(mol, 0, 0), opts)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return sess.Stats()
+	return traj, sess.Stats()
 }
 
 // TestSpringReferenceMinimumImage: under a periodic cell the spring
@@ -425,7 +472,7 @@ func TestSessionIterationsPerInnerStep(t *testing.T) {
 		k     int
 		bound float64
 	}{{1, 5.4}, {2, 3.1}, {4, 1.9}} {
-		st := sessionIterations(t, chem.LithiumHydride(), scf.Config{},
+		_, st := sessionRun(t, chem.LithiumHydride(), scf.Config{},
 			Options{Steps: inner / tc.k, K: tc.k, Dt: 0.25})
 		per := float64(st.SCFIterations) / inner
 		if per > tc.bound || st.Fallbacks != 0 {
@@ -433,7 +480,7 @@ func TestSessionIterationsPerInnerStep(t *testing.T) {
 		}
 		t.Logf("LiH k=%d: %.2f iterations per inner step", tc.k, per)
 	}
-	st := sessionIterations(t, chem.WaterCluster(2, 1), scf.Config{Functional: dft.PBE0{}},
+	_, st := sessionRun(t, chem.WaterCluster(2, 1), scf.Config{Functional: dft.PBE0{}},
 		Options{Steps: 6, K: 2, TemperatureK: 300, Seed: 1})
 	if st.SCFIterations > 62 || st.Fallbacks != 0 {
 		t.Errorf("(H2O)2/PBE0: %d SCF iterations over %d runs (bound 62), %d fallbacks", st.SCFIterations, st.Runs, st.Fallbacks)

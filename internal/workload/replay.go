@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
-	"sort"
-	"time"
 
 	"hfxmd/internal/fleet"
 	"hfxmd/internal/server"
@@ -19,12 +17,6 @@ type ClassReport struct {
 	Failed    int `json:"failed"`
 	Errors    int `json:"errors"` // submissions that never produced a result
 	CacheHits int `json:"cacheHits"`
-	// Latency/throughput fields are live-mode only: serial replay
-	// measures counts and signatures, not time.
-	P50MS        float64 `json:"p50Ms,omitempty"`
-	P95MS        float64 `json:"p95Ms,omitempty"`
-	MeanMS       float64 `json:"meanMs,omitempty"`
-	ThroughputHz float64 `json:"throughputHz,omitempty"`
 }
 
 // InstanceReport is one instance's share of a run.
@@ -38,29 +30,24 @@ type InstanceReport struct {
 // Report summarises one trace replay against a fleet.
 type Report struct {
 	Policy string `json:"policy"`
-	Mode   string `json:"mode"` // serial | live
 	Events int    `json:"events"`
 	// Classes maps SLO class -> aggregate; ClassOrder preserves
 	// first-seen trace order for stable rendering.
 	Classes    map[string]*ClassReport `json:"classes"`
 	ClassOrder []string                `json:"classOrder"`
 	Instances  []InstanceReport        `json:"instances"`
-	// Fairness is the Jain index over per-client completions: 1 when
-	// every client got equal service, 1/n when one client got it all.
-	Fairness float64 `json:"fairness"`
 	// Rejected429 and RetrySweeps are the router's backpressure
 	// counters for the run.
-	Rejected429 int64   `json:"rejected429"`
-	RetrySweeps int64   `json:"retrySweeps"`
-	WallMS      float64 `json:"wallMs"`
+	Rejected429 int64 `json:"rejected429"`
+	RetrySweeps int64 `json:"retrySweeps"`
 	// Digest folds (seq, class, instance, hit, state, payload signature)
 	// over the whole run: serial replays of the same trace through the
 	// same policy must agree on it exactly. SigDigest folds only
 	// (seq, state, payload signature) — routing-independent — so it must
 	// agree across *policies* too: the proof that routing never changes
-	// answers. Both are empty in live mode.
-	Digest    string `json:"digest,omitempty"`
-	SigDigest string `json:"sigDigest,omitempty"`
+	// answers.
+	Digest    string `json:"digest"`
+	SigDigest string `json:"sigDigest"`
 }
 
 // resultSignature fingerprints the numerical payload of a result:
@@ -137,33 +124,16 @@ func resultSignature(res *server.JobResult) uint64 {
 	return h.Sum64()
 }
 
-// jain returns the Jain fairness index (Σx)²/(n·Σx²) of the non-empty
-// allocation vector, 1 for an empty one.
-func jain(xs []float64) float64 {
-	var sum, sq float64
-	for _, x := range xs {
-		sum += x
-		sq += x * x
-	}
-	if sq == 0 {
-		return 1
-	}
-	return sum * sum / (float64(len(xs)) * sq)
-}
-
 // RunSerial replays a trace against the fleet one event at a time, in
 // trace order, ignoring arrival times. With exactly one job in flight
 // the routing decision, cache behaviour and result of every event are
 // functions of the trace alone, so two serial replays of the same trace
-// agree event for event — counts, per-instance routing, digest. This is
-// the mode determinism checks and cross-policy comparisons use; live
-// timing numbers come from RunLive.
+// agree event for event — counts, per-instance routing, digest — and
+// the routing-independent signature digest agrees across policies.
 func RunSerial(ctx context.Context, c *fleet.Cluster, tr *Trace) (*Report, error) {
-	rep := newReport(c, tr, "serial")
-	t0 := time.Now()
+	rep := newReport(c, tr)
 	digest := fnv.New64a()
 	sigDigest := fnv.New64a()
-	perClient := make([]float64, tr.Spec.Clients)
 	for i := range tr.Events {
 		ev := &tr.Events[i]
 		cr := rep.Classes[ev.Class]
@@ -179,9 +149,6 @@ func RunSerial(ctx context.Context, c *fleet.Cluster, tr *Trace) (*Report, error
 			switch res.State {
 			case server.StateDone:
 				cr.Done++
-				if ev.Client < len(perClient) {
-					perClient[ev.Client]++
-				}
 			default:
 				cr.Failed++
 			}
@@ -197,122 +164,15 @@ func RunSerial(ctx context.Context, c *fleet.Cluster, tr *Trace) (*Report, error
 		fmt.Fprintf(digest, "%d|%s|%d|%v|%s|%016x\n", ev.Seq, ev.Class, inst, hit, state, sig)
 		fmt.Fprintf(sigDigest, "%d|%s|%016x\n", ev.Seq, state, sig)
 	}
-	rep.finish(c, perClient, time.Since(t0))
+	rep.finish(c)
 	rep.Digest = fmt.Sprintf("%016x", digest.Sum64())
 	rep.SigDigest = fmt.Sprintf("%016x", sigDigest.Sum64())
 	return rep, nil
 }
 
-// LiveOptions tunes RunLive.
-type LiveOptions struct {
-	// TimeScale maps trace time to wall time (0.1 plays a trace at 10×
-	// speed; default 1).
-	TimeScale float64
-	// Timeout bounds the whole run (default 5m).
-	Timeout time.Duration
-}
-
-// RunLive replays a trace as a live client population: one goroutine
-// per client, each pacing its own events by their arrival offsets. The
-// interesting outputs are the time-domain ones — per-class latency
-// percentiles and throughput, Jain fairness across clients, the
-// router's 429/retry counters — which are real measurements and
-// therefore NOT deterministic across runs; use RunSerial for the
-// deterministic counts.
-func RunLive(ctx context.Context, c *fleet.Cluster, tr *Trace, opts LiveOptions) (*Report, error) {
-	if opts.TimeScale == 0 {
-		opts.TimeScale = 1
-	}
-	if opts.Timeout == 0 {
-		opts.Timeout = 5 * time.Minute
-	}
-	ctx, cancel := context.WithTimeout(ctx, opts.Timeout)
-	defer cancel()
-
-	rep := newReport(c, tr, "live")
-	byClient := make([][]*Event, tr.Spec.Clients)
-	for i := range tr.Events {
-		ev := &tr.Events[i]
-		k := ev.Client % len(byClient)
-		byClient[k] = append(byClient[k], ev)
-	}
-
-	type outcome struct {
-		ev        *Event
-		res       *server.JobResult
-		err       error
-		latencyMS float64
-	}
-	out := make(chan outcome, len(tr.Events))
-	start := time.Now()
-	for _, evs := range byClient {
-		go func(evs []*Event) {
-			for _, ev := range evs {
-				due := start.Add(time.Duration(float64(ev.At()) * opts.TimeScale))
-				if d := time.Until(due); d > 0 {
-					select {
-					case <-time.After(d):
-					case <-ctx.Done():
-					}
-				}
-				t0 := time.Now()
-				res, _, err := c.Submit(ctx, ev.Request)
-				out <- outcome{ev, res, err, float64(time.Since(t0)) / float64(time.Millisecond)}
-			}
-		}(evs)
-	}
-
-	latencies := map[string][]float64{}
-	perClient := make([]float64, tr.Spec.Clients)
-	for n := 0; n < len(tr.Events); n++ {
-		o := <-out
-		cr := rep.Classes[o.ev.Class]
-		cr.Count++
-		if o.err != nil {
-			cr.Errors++
-			continue
-		}
-		latencies[o.ev.Class] = append(latencies[o.ev.Class], o.latencyMS)
-		switch o.res.State {
-		case server.StateDone:
-			cr.Done++
-			perClient[o.ev.Client]++
-		default:
-			cr.Failed++
-		}
-		if o.res.CacheHit {
-			cr.CacheHits++
-		}
-	}
-	wall := time.Since(start)
-	for class, ls := range latencies {
-		sort.Float64s(ls)
-		cr := rep.Classes[class]
-		cr.P50MS = quantile(ls, 0.5)
-		cr.P95MS = quantile(ls, 0.95)
-		var sum float64
-		for _, l := range ls {
-			sum += l
-		}
-		cr.MeanMS = sum / float64(len(ls))
-		cr.ThroughputHz = float64(cr.Done) / wall.Seconds()
-	}
-	rep.finish(c, perClient, wall)
-	return rep, nil
-}
-
-func quantile(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	i := int(q * float64(len(sorted)-1))
-	return sorted[i]
-}
-
-func newReport(c *fleet.Cluster, tr *Trace, mode string) *Report {
+func newReport(c *fleet.Cluster, tr *Trace) *Report {
 	rep := &Report{
 		Policy:     c.Policy().String(),
-		Mode:       mode,
 		Events:     len(tr.Events),
 		Classes:    map[string]*ClassReport{},
 		ClassOrder: tr.Classes(),
@@ -324,8 +184,8 @@ func newReport(c *fleet.Cluster, tr *Trace, mode string) *Report {
 }
 
 // finish folds the fleet's state into the report: per-instance routing
-// and cache counters, backpressure totals, fairness, wall time.
-func (rep *Report) finish(c *fleet.Cluster, perClient []float64, wall time.Duration) {
+// and cache counters, backpressure totals.
+func (rep *Report) finish(c *fleet.Cluster) {
 	reg := c.Registry()
 	for i, inst := range c.Instances() {
 		m := inst.Srv.Metrics()
@@ -341,20 +201,4 @@ func (rep *Report) finish(c *fleet.Cluster, perClient []float64, wall time.Durat
 	}
 	rep.Rejected429 = reg.Counter("fleet.rejected_busy").Value()
 	rep.RetrySweeps = reg.Counter("fleet.retry_sweeps").Value()
-	rep.Fairness = jain(perClient)
-	rep.WallMS = float64(wall) / float64(time.Millisecond)
-}
-
-// WarmHitRatio is the fleet-wide cache hit ratio of the run — the
-// headline number cache-affinity routing is meant to move.
-func (rep *Report) WarmHitRatio() float64 {
-	var hits, total int64
-	for _, ir := range rep.Instances {
-		hits += ir.CacheHits
-		total += ir.CacheHits + ir.CacheMisses
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(hits) / float64(total)
 }

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"time"
 
 	"hfxmd/internal/server"
 )
@@ -63,8 +62,7 @@ type Spec struct {
 type Event struct {
 	// Seq is the 0-based position in the trace.
 	Seq int `json:"seq"`
-	// Client is the submitting client (0-based); live replay paces each
-	// client's events independently.
+	// Client is the submitting client, in [0, Spec.Clients).
 	Client int `json:"client"`
 	// AtNS is the arrival offset from trace start, trace-time ns.
 	AtNS int64 `json:"atNs"`
@@ -74,9 +72,6 @@ type Event struct {
 	// Request is the concrete job (template + key-pool variation).
 	Request server.JobRequest `json:"request"`
 }
-
-// At returns the arrival offset as a duration.
-func (e *Event) At() time.Duration { return time.Duration(e.AtNS) }
 
 // Trace is a recorded client population: the generating spec plus the
 // concrete event sequence.
@@ -182,9 +177,36 @@ func LoadTrace(path string) (*Trace, error) {
 	if err != nil {
 		return nil, err
 	}
+	tr, err := DecodeTrace(b)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return tr, nil
+}
+
+// DecodeTrace parses a JSON trace and rejects any that Generate could
+// not have produced in shape: at least one client, every event's client
+// in range, events numbered by position, and arrival offsets
+// non-negative and non-decreasing.
+func DecodeTrace(b []byte) (*Trace, error) {
 	var tr Trace
 	if err := json.Unmarshal(b, &tr); err != nil {
-		return nil, fmt.Errorf("workload: parse %s: %w", path, err)
+		return nil, fmt.Errorf("workload: parse trace: %w", err)
+	}
+	if tr.Spec.Clients < 1 {
+		return nil, fmt.Errorf("workload: trace has %d clients, need >= 1", tr.Spec.Clients)
+	}
+	var prev int64
+	for i, ev := range tr.Events {
+		switch {
+		case ev.Seq != i:
+			return nil, fmt.Errorf("workload: event %d has seq %d", i, ev.Seq)
+		case ev.Client < 0 || ev.Client >= tr.Spec.Clients:
+			return nil, fmt.Errorf("workload: event %d client %d outside [0, %d)", i, ev.Client, tr.Spec.Clients)
+		case ev.AtNS < prev:
+			return nil, fmt.Errorf("workload: event %d arrives at %d ns, before %d ns", i, ev.AtNS, prev)
+		}
+		prev = ev.AtNS
 	}
 	return &tr, nil
 }

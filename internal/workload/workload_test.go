@@ -2,6 +2,7 @@ package workload
 
 import (
 	"context"
+	"encoding/json"
 	"math"
 	"path/filepath"
 	"reflect"
@@ -155,6 +156,23 @@ func TestTraceSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
+func TestDecodeTraceRejectsMalformed(t *testing.T) {
+	bad := map[string]string{
+		"no clients":       `{"spec":{"clients":0},"events":[]}`,
+		"negative client":  `{"spec":{"clients":2},"events":[{"seq":0,"client":-1}]}`,
+		"client too large": `{"spec":{"clients":2},"events":[{"seq":0,"client":2}]}`,
+		"seq not index":    `{"spec":{"clients":1},"events":[{"seq":1}]}`,
+		"negative arrival": `{"spec":{"clients":1},"events":[{"seq":0,"atNs":-1}]}`,
+		"arrivals go back": `{"spec":{"clients":1},"events":[{"seq":0,"atNs":5},{"seq":1,"atNs":4}]}`,
+		"not json":         `{"spec":`,
+	}
+	for name, b := range bad {
+		if _, err := DecodeTrace([]byte(b)); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
 func TestGenerateRejectsBadSpecs(t *testing.T) {
 	bad := []Spec{
 		{Phases: []PhaseSpec{{Events: 1, RateHz: 1}}}, // no mix
@@ -169,7 +187,7 @@ func TestGenerateRejectsBadSpecs(t *testing.T) {
 	}
 }
 
-func newTestCluster(t *testing.T, policy fleet.Policy, instances int) *fleet.Cluster {
+func newTestCluster(t testing.TB, policy fleet.Policy, instances int) *fleet.Cluster {
 	t.Helper()
 	c, err := fleet.New(fleet.Options{
 		Instances: instances, Policy: policy,
@@ -251,49 +269,48 @@ func TestSerialReplaySignaturesMatchAcrossPolicies(t *testing.T) {
 	}
 }
 
-// TestLiveReplaySmoke plays a small trace at high speed and checks the
-// time-domain report is populated and self-consistent.
-func TestLiveReplaySmoke(t *testing.T) {
-	tr, err := Generate(specFixture(5))
+// FuzzDecodeTrace feeds arbitrary bytes to the trace decoder. Every
+// accepted trace must survive a JSON round trip unchanged and replay
+// through RunSerial on a one-instance fleet without panicking. The
+// replay keeps each event's sequence, client, class and arrival but
+// submits one cheap screening job for all of them: what a job request
+// may cost is the server's to bound, not the trace decoder's.
+func FuzzDecodeTrace(f *testing.F) {
+	f.Add([]byte(`{"spec":{"clients":-1},"events":[]}`))
+	f.Add([]byte(`{"spec":{"clients":1},"events":[{"seq":0,"client":-1,"class":"c",` +
+		`"request":{"kind":"screen","system":"h2"}}]}`))
+	gen, err := Generate(specFixture(13))
 	if err != nil {
-		t.Fatal(err)
+		f.Fatal(err)
 	}
-	c := newTestCluster(t, fleet.LeastLoaded, 2)
-	rep, err := RunLive(context.Background(), c, tr, LiveOptions{TimeScale: 0.01, Timeout: 2 * time.Minute})
+	b, err := json.Marshal(gen)
 	if err != nil {
-		t.Fatal(err)
+		f.Fatal(err)
 	}
-	var total, done int
-	for _, cr := range rep.Classes {
-		total += cr.Count
-		done += cr.Done
-		if cr.Errors != 0 {
-			t.Fatalf("live replay errored: %+v", cr)
-		}
+	if got, err := DecodeTrace(b); err != nil || !reflect.DeepEqual(got, gen) {
+		f.Fatalf("generated trace did not round-trip: %v", err)
 	}
-	if total != len(tr.Events) || done != len(tr.Events) {
-		t.Fatalf("accounted %d/%d of %d events", total, done, len(tr.Events))
-	}
-	if rep.Fairness <= 0 || rep.Fairness > 1 {
-		t.Fatalf("fairness %g out of (0,1]", rep.Fairness)
-	}
-	ic := rep.Classes["interactive"]
-	if ic.P95MS < ic.P50MS || ic.MeanMS <= 0 || ic.ThroughputHz <= 0 {
-		t.Fatalf("latency summary inconsistent: %+v", ic)
-	}
-	if rep.WallMS <= 0 {
-		t.Fatal("wall time not recorded")
-	}
-}
+	f.Add(b)
 
-func TestJainIndex(t *testing.T) {
-	if j := jain([]float64{3, 3, 3}); math.Abs(j-1) > 1e-12 {
-		t.Fatalf("equal allocation: %g, want 1", j)
-	}
-	if j := jain([]float64{9, 0, 0}); math.Abs(j-1.0/3) > 1e-12 {
-		t.Fatalf("single hog: %g, want 1/3", j)
-	}
-	if j := jain(nil); j != 1 {
-		t.Fatalf("empty allocation: %g, want 1", j)
-	}
+	c := newTestCluster(f, fleet.CacheAffinity, 1)
+	probe := server.JobRequest{Kind: server.KindScreen, System: "h2"}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		tr, err := DecodeTrace(b)
+		if err != nil {
+			return
+		}
+		enc, err := json.Marshal(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if back, err := DecodeTrace(enc); err != nil || !reflect.DeepEqual(back, tr) {
+			t.Fatalf("accepted trace did not round-trip: %v", err)
+		}
+		for i := range tr.Events {
+			tr.Events[i].Request = probe
+		}
+		if _, err := RunSerial(context.Background(), c, tr); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
