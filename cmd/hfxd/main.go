@@ -37,7 +37,6 @@ import (
 	"time"
 
 	"hfxmd/internal/server"
-	"hfxmd/internal/steal"
 )
 
 func main() {
@@ -54,7 +53,6 @@ func main() {
 		drain    = flag.Duration("drain", 30*time.Second, "graceful shutdown drain budget")
 		aging    = flag.Float64("aging", 1e8, "queue starvation aging (predicted ns per queued second)")
 		journal  = flag.String("journal", "", "crash-safe job journal path (empty disables); queued and running jobs are re-enqueued on boot")
-		calib    = flag.Bool("calibrate", true, "learn per-class cost factors from measured block walls; admission prices and Retry-After move to measured units (persists under -store-dir)")
 
 		submit  = flag.Bool("submit", false, "client mode: submit one job and print the JSON result")
 		url     = flag.String("url", "http://127.0.0.1:8080", "server URL for -submit")
@@ -81,12 +79,7 @@ func main() {
 	if *cacheMB < 0 {
 		cacheBytes = -1
 	}
-	var cal *steal.Calibrator
-	if *calib {
-		cal = steal.NewCalibrator(0.5)
-	}
 	srv, err := server.New(server.Config{
-		Calibrator:     cal,
 		Workers:        *workers,
 		QueueCap:       *queueCap,
 		CacheBytes:     cacheBytes,

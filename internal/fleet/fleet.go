@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"hfxmd/internal/server"
-	"hfxmd/internal/steal"
 	"hfxmd/internal/store"
 	"hfxmd/internal/trace"
 )
@@ -52,14 +51,6 @@ type Options struct {
 	// Registry receives the router's counters (fleet.*); one is created
 	// when nil.
 	Registry *trace.Registry
-	// Calibrator, when set, is shared by the router and every instance:
-	// the instances observe measured block walls into it as they run Fock
-	// builds, and both their admission pricing and the router's
-	// CostWeighted price memo use the calibrated cost model. The memo is
-	// keyed by the calibrator's epoch, so a job is automatically re-priced
-	// after the factors move — the mechanism that lets routing decisions
-	// shift once measurements contradict the raw model.
-	Calibrator *steal.Calibrator
 }
 
 func (o *Options) fillDefaults() {
@@ -116,18 +107,9 @@ type Cluster struct {
 	cursor atomic.Int64 // round-robin state
 
 	// prices memoises PriceRequest by canonical key: the router prices
-	// each distinct job once per calibrator epoch, not once per
-	// submission. A memo entry from an older epoch is stale — the
-	// calibrated cost model has moved — and is re-priced on next use.
+	// each distinct job once, not once per submission.
 	priceMu sync.Mutex
-	prices  map[string]memoPrice
-}
-
-// memoPrice is one memoised job price plus the calibrator epoch it was
-// computed under (always 0 without a calibrator).
-type memoPrice struct {
-	epoch uint64
-	ns    float64
+	prices  map[string]float64
 }
 
 // New boots the instances — each on its own 127.0.0.1 port — and
@@ -138,11 +120,7 @@ func New(opts Options) (*Cluster, error) {
 		return nil, fmt.Errorf("fleet: WorkersPerInstance has %d entries for %d instances",
 			len(opts.WorkersPerInstance), opts.Instances)
 	}
-	c := &Cluster{opts: opts, reg: opts.Registry, prices: make(map[string]memoPrice)}
-	if opts.Calibrator != nil {
-		opts.Server.Calibrator = opts.Calibrator
-		c.opts = opts
-	}
+	c := &Cluster{opts: opts, reg: opts.Registry, prices: make(map[string]float64)}
 	if opts.StoreDir != "" {
 		st, err := store.Open(store.Options{
 			Dir:      opts.StoreDir,
@@ -158,7 +136,7 @@ func New(opts Options) (*Cluster, error) {
 	}
 	for _, name := range []string{
 		"fleet.submitted", "fleet.cache_hits", "fleet.failover_draining",
-		"fleet.rejected_busy", "fleet.retry_sweeps", "fleet.repriced",
+		"fleet.rejected_busy", "fleet.retry_sweeps",
 	} {
 		c.reg.Counter(name)
 	}
@@ -281,22 +259,18 @@ func (c *Cluster) price(req server.JobRequest) (string, float64, error) {
 		if err != nil {
 			return "", 0, err
 		}
-		epoch := c.opts.Calibrator.Epoch() // 0 with no calibrator
 		c.priceMu.Lock()
-		p, ok := c.prices[key]
+		ns, ok := c.prices[key]
 		c.priceMu.Unlock()
-		if ok && p.epoch == epoch {
-			return key, p.ns, nil
-		}
 		if ok {
-			c.reg.Counter("fleet.repriced").Add(1)
+			return key, ns, nil
 		}
-		_, ns, err := server.PriceRequestCalibrated(req, c.opts.Server.BuilderThreads, c.opts.Calibrator)
+		_, ns, err = server.PriceRequest(req, c.opts.Server.BuilderThreads)
 		if err != nil {
 			return "", 0, err
 		}
 		c.priceMu.Lock()
-		c.prices[key] = memoPrice{epoch: epoch, ns: ns}
+		c.prices[key] = ns
 		c.priceMu.Unlock()
 		return key, ns, nil
 	default:

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -398,5 +399,102 @@ func TestClusterSharedStoreCrossInstanceHits(t *testing.T) {
 	}
 	if !r3.CacheHit {
 		t.Fatal("rebooted fleet missed the disk tier")
+	}
+}
+
+func hChainXYZ(n int) string {
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "%d\nhydrogen chain\n", n)
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&sb, "H %.3f 0.0 0.0\n", float64(i)*0.9)
+	}
+	return sb.String()
+}
+
+// TestFleetPriceMemoPricesOnce pins the memo contract: a CostWeighted
+// router prices each key once and serves the memoised price after.
+func TestFleetPriceMemoPricesOnce(t *testing.T) {
+	c := mustCluster(t, Options{Policy: CostWeighted})
+	chain := server.JobRequest{Kind: server.KindBuildJK, XYZ: hChainXYZ(10)}
+	_, p1, err := c.price(chain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, p2, _ := c.price(chain); p2 != p1 {
+		t.Fatalf("memoised price moved: %g != %g", p2, p1)
+	}
+	if len(c.prices) != 1 {
+		t.Fatalf("memo holds %d entries after pricing one key twice, want 1", len(c.prices))
+	}
+}
+
+// TestFleetCostWeightedRoutesToCheaperInflight parks one water build on
+// instance 0 and one H10-chain build on instance 1 (each held in flight
+// by a worker gate), then routes a probe job on a two-instance
+// CostWeighted fleet. The held jobs' in-flight predicted costs are the
+// only load signal, so the probe joins the instance whose parked job the
+// cost model prices cheaper: water (1.6e6 cost-model ns) against the
+// chain (5.6e6), instance 0.
+func TestFleetCostWeightedRoutesToCheaperInflight(t *testing.T) {
+	water := server.JobRequest{Kind: server.KindBuildJK, System: "water"}
+	chain := server.JobRequest{Kind: server.KindBuildJK, XYZ: hChainXYZ(10)}
+	_, waterNS, err := server.PriceRequest(water, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, chainNS, err := server.PriceRequest(chain, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if waterNS >= chainNS {
+		t.Fatalf("precondition: water %g must undercut the chain %g", waterNS, chainNS)
+	}
+
+	gate := make(chan struct{})
+	c := mustCluster(t, Options{
+		Instances: 2,
+		Policy:    CostWeighted,
+		Server: server.Config{
+			Workers: 1, CacheBytes: -1,
+			BeforeRun: func(kind string) { <-gate },
+		},
+	})
+	held := make(chan error, 2)
+	go func() {
+		_, err := c.Instances()[0].Client.Submit(context.Background(), water)
+		held <- err
+	}()
+	go func() {
+		_, err := c.Instances()[1].Client.Submit(context.Background(), chain)
+		held <- err
+	}()
+	waitFor(t, "held jobs in flight", func() bool {
+		return c.Instances()[0].Srv.InflightCostNS() > 0 &&
+			c.Instances()[1].Srv.InflightCostNS() > 0
+	})
+
+	probeDone := make(chan int, 1)
+	go func() {
+		_, idx, err := c.Submit(context.Background(), screenReq("he"))
+		if err != nil {
+			t.Errorf("probe: %v", err)
+			idx = -1
+		}
+		probeDone <- idx
+	}()
+	// Only release the workers once the probe is routed and queued on its
+	// chosen instance — the decision must see the parked loads.
+	waitFor(t, "probe queued", func() bool {
+		return c.Instances()[0].Srv.QueueDepth()+c.Instances()[1].Srv.QueueDepth() == 1
+	})
+	close(gate)
+	idx := <-probeDone
+	for i := 0; i < 2; i++ {
+		if err := <-held; err != nil {
+			t.Fatalf("held job: %v", err)
+		}
+	}
+	if idx != 0 {
+		t.Fatalf("probe routed to %d, want 0 (the parked water build is cheaper)", idx)
 	}
 }

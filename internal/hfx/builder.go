@@ -52,14 +52,6 @@ type Options struct {
 	// normally terminates the whole ket range). Ablation/testing knob; the
 	// results are bitwise identical either way.
 	NoEarlyExit bool
-	// Calibrator, when non-nil, makes the executors time every task of a
-	// J/K build and fold (work class, raw predicted cost, measured wall)
-	// samples into the calibrator's per-class correction factors. A
-	// stealing placement also prices its schedule with those factors and
-	// re-balances before a build whenever the calibrator's epoch moved
-	// (the task→slot grouping, and so the bits, follow the placement). The
-	// hot path stays untimed when nil.
-	Calibrator *steal.Calibrator
 }
 
 // DefaultOptions returns the paper's production configuration.
@@ -143,21 +135,6 @@ type Report struct {
 	StealsSucceeded int64
 	BlocksMigrated  int64
 	IdleReclaimed   time.Duration
-
-	// Calibration state (zero without a calibrator, and on placements that
-	// do not steal: a calibrator shared by several builders cannot give
-	// each of them a private error window): CalibMeanAbsErr is
-	// the mean |measured − calibrated prediction| / calibrated prediction
-	// over this build's task observations (each capped at 1, see
-	// steal.Calibrator), CalibRawAbsErr the same over the raw (factor-1)
-	// model. Jitter hits both alike, so CalibMeanAbsErr < CalibRawAbsErr
-	// is the signal that calibration is removing systematic model bias.
-	// Rebalanced reports that this build recomputed the placement from a
-	// moved calibrator epoch.
-	CalibMeanAbsErr   float64
-	CalibRawAbsErr    float64
-	CalibObservations int64
-	Rebalanced        bool
 
 	// Timings charges wall-clock to the per-build phases ("zero",
 	// "compute", "reduce"); the timer is reset at the start of every
@@ -258,17 +235,16 @@ type pool struct {
 	pm        Placement
 	tasks     []Task
 	costs     []float64
-	classes   []int // per-task work class; set when a calibrator or noise prices the placement
+	classes   []int // per-task work class; set when a noise plan distorts the placement
 	costStats sched.CostStats
 
 	// The placement: the static schedule over the slots under the
 	// placement model, the steal plan and deques over it, and the per-rank
-	// predicted loads; placedEpoch is the calibrator epoch it was priced at.
-	asn         *sched.Assignment
-	plan        *steal.Plan
-	deques      *steal.Deques
-	rankLoads   []float64
-	placedEpoch uint64
+	// predicted loads.
+	asn       *sched.Assignment
+	plan      *steal.Plan
+	deques    *steal.Deques
+	rankLoads []float64
 
 	slots []slot
 	execs []executor
@@ -372,7 +348,7 @@ func newBuilder(eng *integrals.Engine, scr *screen.Result, pm Placement, world *
 	pl.tasks = BuilderTasks(eng, scr, opts.Cost, opts.Granule)
 	pl.costs = TaskCosts(pl.tasks)
 	pl.costStats = sched.Summarize(pl.costs)
-	if opts.Calibrator != nil || pm.Noise != nil {
+	if pm.Noise != nil {
 		pl.classes = TaskClasses(eng.Basis, scr.Pairs, pl.tasks)
 	}
 	R, T := pm.Ranks, pm.ThreadsPerRank
@@ -512,8 +488,7 @@ func (pl *pool) run(phase int) {
 // runUnit executes unit u's tasks in order on executor x into slot u: the
 // slot is zeroed first and, in a J/K build, symmetrized after the last
 // task (see digest). Where a unit runs therefore moves wall-clock, never
-// bits. With a calibrator, J/K tasks are timed and observed as (class, raw
-// predicted, measured) samples.
+// bits.
 func (pl *pool) runUnit(x *executor, u int, stolen bool) {
 	s := &pl.slots[u]
 	t0 := time.Now()
@@ -527,15 +502,8 @@ func (pl *pool) runUnit(x *executor, u int, stolen bool) {
 	} else {
 		clear(s.g)
 	}
-	cal := pl.opts.Calibrator
 	for _, ti := range pl.plan.Units[u].Tasks {
-		if !jk || cal == nil {
-			pl.runTask(ti, x, s)
-			continue
-		}
-		t := time.Now()
 		pl.runTask(ti, x, s)
-		cal.Observe(pl.classes[ti], pl.tasks[ti].Cost, float64(time.Since(t).Nanoseconds()))
 	}
 	if jk {
 		s.j.Symmetrize()
@@ -603,11 +571,6 @@ func (b *Builder) BuildJK(p *linalg.Matrix) (j, k *linalg.Matrix, rep Report) {
 	if builds.Value() > 1 {
 		pl.reg.Counter("pool.reuse_hits").Add(1)
 	}
-	rebalanced := false
-	if pl.pm.Steal && pl.opts.Calibrator.Epoch() != pl.placedEpoch {
-		pl.place()
-		rebalanced = true
-	}
 	if fp := pl.pm.FaultPlan; fp != nil && int64(fp.Build) == builds.Value() {
 		pl.dead = fp.Rank
 	}
@@ -617,9 +580,6 @@ func (b *Builder) BuildJK(p *linalg.Matrix) (j, k *linalg.Matrix, rep Report) {
 	pl.cacheHits.Store(0)
 	pl.cacheMisses.Store(0)
 	pl.cacheFillBytes.Store(0)
-	if pl.pm.Steal {
-		pl.opts.Calibrator.BeginWindow()
-	}
 	pl.setDensity(p)
 	comm0 := pl.commTotals()
 
@@ -637,7 +597,6 @@ func (b *Builder) BuildJK(p *linalg.Matrix) (j, k *linalg.Matrix, rep Report) {
 	pl.p = nil
 
 	rep = pl.report(start, comm0)
-	rep.Rebalanced = rebalanced
 	pl.dead = -1
 	// Keep the builder (and thus its finalizer) from being collected
 	// while a build is mid-flight on the executors it owns.
@@ -746,10 +705,6 @@ func (pl *pool) report(start time.Time, comm0 [5]int64) Report {
 		rep.CommBytes, rep.Sends, rep.Hops = d[0]-comm0[0], d[1]-comm0[1], d[2]-comm0[2]
 		rep.MeasuredSteps = d[3] + d[4] - comm0[3] - comm0[4]
 		rep.PredictedSteps = 3*pl.world.PredictedReduceSteps() + 1
-	}
-	if cal := pl.opts.Calibrator; cal != nil && pl.pm.Steal {
-		rep.CalibMeanAbsErr, rep.CalibRawAbsErr, _ = cal.WindowErr()
-		rep.CalibObservations = cal.Observations()
 	}
 	if pl.opts.Vector {
 		rep.LaneUtilization = pl.qstats.Utilization()

@@ -54,8 +54,8 @@ type CostModel struct {
 // classes of (H2O)2/STO-3G the prediction stays within 0.85–1.1× of the
 // measured time (0.85 µs for ssss to 34 µs for pppp), and single-primitive
 // 6-31G quartets (0.04–0.8 µs) fix the split between the per-quartet and
-// the per-primitive price. Only the ratios matter to placement;
-// steal.Calibrator learns the machine's per-class corrections on top.
+// the per-primitive price. Only the ratios matter to placement; every
+// admission price, Retry-After hint and routing score is in these units.
 func DefaultCostModel() CostModel {
 	return CostModel{PerQuartet: 60, PerPrimSS: 10, PerPrim: 25, PerOp: 1}
 }

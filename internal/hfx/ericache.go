@@ -17,9 +17,7 @@ import (
 // The cache is sharded by the construction-time static assignment: every
 // task belongs to exactly one shard (the slot the balancer first gave it
 // to), and a quartet's entry is only ever written by the executor running
-// that task, which runs once per build wherever its unit lands. After a
-// calibrator re-places a stealing build the shards no longer match the
-// units, but each entry still has a single writer per build. Builds are
+// that task, which runs once per build wherever its unit lands. Builds are
 // barrier-separated, so the hot path needs no locks and performs no
 // allocation.
 //

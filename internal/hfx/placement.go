@@ -27,8 +27,8 @@ import (
 //
 // Bitwise contract: J, K and the gradient are identical — every bit — to
 // a single-rank Builder with Threads = S, for any rank count, thread
-// count, collective schedule and steal pattern, as long as the placement
-// model (Noise, or a calibrator when stealing) leaves the schedule alone.
+// count, collective schedule and steal pattern, as long as no Noise plan
+// distorts the placement model.
 type Placement struct {
 	// Ranks is the number of mprt ranks (required, ≥ 1).
 	Ranks int
@@ -145,15 +145,10 @@ func newPlaced(eng *integrals.Engine, scr *screen.Result, pm Placement) (*DistBu
 }
 
 // place computes the static schedule over the slots under the placement
-// model — the raw task costs, sharpened by the calibrator when stealing
-// and distorted by the noise plan — and the steal plan over it.
+// model — the cost-model task costs, distorted by the noise plan — and the
+// steal plan over it.
 func (pl *pool) place() {
-	pl.placedEpoch = pl.opts.Calibrator.Epoch()
-	costs := pl.costs
-	if pl.pm.Steal {
-		costs = pl.opts.Calibrator.Scale(pl.classes, costs)
-	}
-	costs = pl.pm.Noise.Perturb(costs, pl.classes)
+	costs := pl.pm.Noise.Perturb(pl.costs, pl.classes)
 	pl.asn = sched.Balance(pl.opts.Balancer, costs, len(pl.slots))
 	pl.plan = steal.NewPlan(pl.asn, pl.pm.Ranks, pl.pm.Seed)
 	pl.deques = steal.NewDeques(pl.plan, pl.reg)

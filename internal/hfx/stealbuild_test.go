@@ -265,85 +265,6 @@ func TestStealRecoversBalanceUnderStraggler(t *testing.T) {
 	}
 }
 
-// calibrationRun drives the online feedback loop on (H2O)2: builds
-// successive builds on one stealing builder observe measured walls and
-// move the calibrator's per-class factors, and every build after the first
-// must re-balance. It returns the calibrated and raw (factor-1) mean
-// absolute prediction errors summed over the builds after the first two,
-// once the factors have settled.
-func calibrationRun(t *testing.T, cost CostModel, builds int) (calErr, rawErr float64) {
-	t.Helper()
-	eng, scr := setup(t, chem.WaterCluster(2, 6), 1e-12)
-	p := testDensity(eng.Basis.NBasis, 11)
-	opts := DefaultOptions()
-	opts.Cost = cost
-	opts.Calibrator = steal.NewCalibrator(0.5)
-	b, err := NewStealBuilder(eng, scr, StealOptions{
-		Ranks: 2, UnitsPerThread: 4, Opts: opts,
-		Steal: true, Seed: 7,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-
-	var seen int64
-	for build := 0; build < builds; build++ {
-		_, _, rep, err := b.BuildJK(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if build == 0 && rep.Rebalanced {
-			t.Fatal("first build claims a re-balance")
-		}
-		if build > 0 && !rep.Rebalanced {
-			t.Fatalf("build %d did not re-balance after calibration moved", build+1)
-		}
-		if rep.CalibObservations <= seen {
-			t.Fatalf("build %d: observations did not accumulate (%d after %d)",
-				build+1, rep.CalibObservations, seen)
-		}
-		seen = rep.CalibObservations
-		if build >= 2 {
-			calErr += rep.CalibMeanAbsErr
-			rawErr += rep.CalibRawAbsErr
-		}
-	}
-	return calErr, rawErr
-}
-
-// TestStealBuilderCalibrationReducesError runs the feedback loop on the
-// served configuration (DefaultOptions, hfxd's α = 0.5). The default cost
-// model is fitted to the kernel, so how much bias is left for the
-// per-class factors to remove depends on how far this machine runs from
-// the one it was fitted on: anything from 2× (calibrated error a third of
-// the raw one) to nothing. With nothing to learn an α = 0.5 moving
-// average still chases per-task jitter and costs up to √(1+α/(2−α)) ≈
-// 1.15× the raw error, so over six settled builds the calibrated error
-// must stay below the raw error plus that noise margin — calibration may
-// not make the served predictions materially worse.
-func TestStealBuilderCalibrationReducesError(t *testing.T) {
-	calErr, rawErr := calibrationRun(t, DefaultOptions().Cost, 8)
-	t.Logf("served model: calibrated %.4f, raw %.4f (ratio %.2f)", calErr/6, rawErr/6, calErr/rawErr)
-	if calErr > 1.25*rawErr {
-		t.Fatalf("calibration made prediction worse: calibrated %.4f, raw %.4f", calErr/6, rawErr/6)
-	}
-}
-
-// TestStealBuilderCalibrationLearnsClassBias is the same loop started
-// from a cold model that prices every shell quartet alike, whatever its
-// angular momenta and contraction lengths — a systematic per-class bias
-// the factors must learn away: scheduling jitter hits both error series
-// identically, so here the calibrated error must undercut the raw one
-// outright.
-func TestStealBuilderCalibrationLearnsClassBias(t *testing.T) {
-	calErr, rawErr := calibrationRun(t, CostModel{PerQuartet: 5000}, 6)
-	t.Logf("cold model: calibrated %.4f, raw %.4f (ratio %.2f)", calErr/4, rawErr/4, calErr/rawErr)
-	if calErr >= rawErr {
-		t.Fatalf("calibration did not reduce prediction error: calibrated %.4f, raw %.4f", calErr/4, rawErr/4)
-	}
-}
-
 // TestStealBuilderRejectsInvalid pins the option validation.
 func TestStealBuilderRejectsInvalid(t *testing.T) {
 	eng, scr := setup(t, chem.Water(), 1e-12)

@@ -65,7 +65,7 @@ func generateTasks(pr *pricer, granule float64) []Task {
 // the bra pair's shells, packed as La·16+Lb. Quartet cost scales steeply
 // with the bra's angular structure (primitive counts, block sizes, the
 // recurrence depth of the Boys chain), so the bra class is the natural
-// granularity for steal.Calibrator correction factors.
+// granularity for the per-class skew of a steal.NoisePlan.
 func TaskClasses(set *basis.Set, pairs []screen.Pair, tasks []Task) []int {
 	classes := make([]int, len(tasks))
 	for i := range tasks {

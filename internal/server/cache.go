@@ -9,7 +9,9 @@ import (
 // Store key namespaces. One store directory holds three kinds of
 // content-addressed entries, distinguished by prefix: finished job
 // results, converged densities for prefix reuse, and spilled ERI cache
-// images (whose "eri:" prefix is minted by hfx.Builder.SpillKey).
+// images (whose "eri:" prefix is minted by hfx.Builder.SpillKey). A store
+// written by an older server may also hold a "calib:model" entry; nothing
+// reads it.
 const (
 	resultKeyPrefix  = "result:"
 	densityKeyPrefix = "density:"

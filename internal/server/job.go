@@ -31,7 +31,6 @@ import (
 	"hfxmd/internal/scf"
 	"hfxmd/internal/sched"
 	"hfxmd/internal/screen"
-	"hfxmd/internal/steal"
 )
 
 // The job kinds hfxd serves.
@@ -490,11 +489,8 @@ const scfIterationsEstimate = 15
 const gradientBuildsEstimate = 4
 
 // prepare resolves, screens and prices a normalized request. The
-// returned predicted cost is in cost-model nanoseconds. A non-nil
-// calibrator sharpens the raw cost model with the per-class correction
-// factors learned from measured block walls, so admission ordering and
-// the Retry-After hint track what jobs actually cost on this machine.
-func prepare(req *JobRequest, threads int, sopts screen.Options, cal *steal.Calibrator) (*prepared, float64, error) {
+// returned predicted cost is in cost-model nanoseconds.
+func prepare(req *JobRequest, threads int, sopts screen.Options) (*prepared, float64, error) {
 	mol, err := req.resolveMolecule()
 	if err != nil {
 		return nil, 0, err
@@ -508,9 +504,6 @@ func prepare(req *JobRequest, threads int, sopts screen.Options, cal *steal.Cali
 	cm := hfx.DefaultCostModel()
 	tasks := hfx.BuilderTasks(eng, scr, cm, 0)
 	costs := hfx.TaskCosts(tasks)
-	if cal != nil {
-		costs = cal.Scale(hfx.TaskClasses(set, scr.Pairs, tasks), costs)
-	}
 	p := &prepared{
 		mol: mol, set: set, eng: eng, scr: scr, tasks: tasks,
 		totalNS:    sched.TotalCost(costs),
@@ -605,24 +598,13 @@ func CanonicalKey(req JobRequest) (string, error) {
 // router calls it once per distinct key and scores instances by
 // predicted completion time. The request is normalized on a copy.
 func PriceRequest(req JobRequest, threads int) (key string, predictedNS float64, err error) {
-	return PriceRequestCalibrated(req, threads, nil)
-}
-
-// PriceRequestCalibrated is PriceRequest with the measured cost model: a
-// non-nil calibrator rescales every task's raw cost-model prediction by
-// its angular-momentum-class correction factor before the makespan is
-// computed. A router sharing the calibrator with its instances therefore
-// prices jobs in the same units as the servers' queued/in-flight load
-// signals, and re-prices automatically when the factors move (see
-// Calibrator.Epoch).
-func PriceRequestCalibrated(req JobRequest, threads int, cal *steal.Calibrator) (key string, predictedNS float64, err error) {
 	req.normalize()
 	if err := req.validate(); err != nil {
 		return "", 0, err
 	}
 	sopts := screen.DefaultOptions()
 	sopts.Threshold = req.Screen
-	prep, predicted, err := prepare(&req, max(threads, 1), sopts, cal)
+	prep, predicted, err := prepare(&req, max(threads, 1), sopts)
 	if err != nil {
 		return "", 0, err
 	}

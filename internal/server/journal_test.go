@@ -2,10 +2,12 @@ package server
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -236,4 +238,59 @@ func waitCounter(t *testing.T, s *Server, name string, want int64) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	t.Fatalf("counter %s never reached %d (at %d)", name, want, s.reg.Counter(name).Value())
+}
+
+// FuzzScanRecords feeds arbitrary bytes to the journal decoder. It must
+// never panic, its valid prefix must lie inside the input, and whatever
+// it accepts must survive re-framing: the decoded records, framed again
+// and scanned again, come back unchanged and fill the re-framed bytes
+// exactly.
+func FuzzScanRecords(f *testing.F) {
+	frame := func(recs ...journalRecord) []byte {
+		var b []byte
+		for _, r := range recs {
+			fr, err := frameRecord(r)
+			if err != nil {
+				f.Fatal(err)
+			}
+			b = append(b, fr...)
+		}
+		return b
+	}
+	req := JobRequest{Kind: KindBuildJK, System: "water", Screen: 1e-8}
+	valid := frame(
+		journalRecord{Op: "submit", ID: "job-000001", Req: &req},
+		journalRecord{Op: "finish", ID: "job-000001"},
+		journalRecord{Op: "submit", ID: "job-000002"},
+	)
+	f.Add(valid)
+	f.Add(valid[:len(valid)-3]) // torn tail
+	badCRC := append([]byte(nil), valid...)
+	badCRC[4] ^= 0xff
+	f.Add(badCRC)
+	huge := append([]byte(nil), valid...)
+	binary.LittleEndian.PutUint32(huge, ^uint32(0)) // size overflows the buffer
+	f.Add(huge)
+
+	f.Fuzz(func(t *testing.T, b []byte) {
+		recs, n := scanRecords(b)
+		if n < 0 || n > len(b) {
+			t.Fatalf("valid length %d outside [0, %d]", n, len(b))
+		}
+		var again []byte
+		for _, r := range recs {
+			fr, err := frameRecord(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			again = append(again, fr...)
+		}
+		back, m := scanRecords(again)
+		if m != len(again) {
+			t.Fatalf("re-framed records scan %d of %d bytes", m, len(again))
+		}
+		if !reflect.DeepEqual(back, recs) {
+			t.Fatalf("re-framed records decode differently:\n got %+v\nwant %+v", back, recs)
+		}
+	})
 }

@@ -18,7 +18,6 @@ import (
 	"hfxmd/internal/mprt"
 	"hfxmd/internal/scf"
 	"hfxmd/internal/screen"
-	"hfxmd/internal/steal"
 	"hfxmd/internal/store"
 	"hfxmd/internal/trace"
 )
@@ -64,15 +63,6 @@ type Config struct {
 	// execution with the job kind — an observability seam also used by
 	// the lifecycle tests to hold workers at a known point.
 	BeforeRun func(kind string)
-	// Calibrator, if non-nil, closes the cost-model feedback loop: every
-	// Fock build the workers run observes its measured per-class block
-	// walls into it, and admission pricing (queue ordering, the 429
-	// Retry-After hint, the /v1/jobs predicted cost) scales the raw cost
-	// model by the learned factors. Share one calibrator across a fleet's
-	// instances so the router and the servers price in the same units.
-	// When the server owns a persistent store (StoreDir), the calibrator
-	// state is restored from it at boot and saved at shutdown.
-	Calibrator *steal.Calibrator
 	// JournalPath, if non-empty, makes job admission crash-safe: every
 	// accepted job is recorded in a framed write-ahead journal before it
 	// runs and struck out when it finishes. On boot, submits without a
@@ -137,6 +127,10 @@ type Server struct {
 // latencyEdgesMS are the request-latency histogram buckets.
 var latencyEdgesMS = []float64{1, 2.5, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000, 30000}
 
+// ratioEdges are the buckets of the measured/predicted run-time
+// histogram; the first holds only zero ratios.
+var ratioEdges = []float64{0, 0.125, 0.25, 0.5, 0.75, 1, 1.5, 2, 4, 8, 16, 64}
+
 // New starts a server: the worker pool runs immediately; attach
 // Handler() to an http.Server to accept jobs. With Config.JournalPath
 // set, jobs left queued or running by a previous process are re-enqueued
@@ -175,7 +169,6 @@ func New(cfg Config) (*Server, error) {
 		s.ownStore = true
 	}
 	s.cache = &resultCache{st: s.store}
-	s.restoreCalibrator()
 	s.mux.HandleFunc("/v1/jobs", s.handleJobs)
 	s.mux.HandleFunc("/v1/systems", s.handleSystems)
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
@@ -189,7 +182,6 @@ func New(cfg Config) (*Server, error) {
 		"journal.compactions", "journal.append_errors", "journal.replay_dropped",
 		"eri.spills", "eri.spill_bytes", "eri.warmed_builders", "eri.warmed_blocks",
 		"prefix.density_hits", "prefix.density_misses", "prefix.density_rejected", "prefix.density_stored",
-		"calib.restored", "calib.persisted",
 		// Pre-created so a restarted server that answers everything from
 		// the store visibly reports zero Fock builds (the smoke test's
 		// disk-warm assertion).
@@ -200,7 +192,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	for _, g := range []string{
 		"jobs.queued", "jobs.running", "builders.open", "cache.entries", "cache.bytes",
-		"calib.epoch", "calib.observations", "calib.err_milli", "traj.last_step",
+		"traj.last_step",
 	} {
 		s.reg.Gauge(g)
 	}
@@ -253,7 +245,7 @@ func (s *Server) replayJournal() {
 		}
 		sopts := screen.DefaultOptions()
 		sopts.Threshold = req.Screen
-		prep, predicted, err := prepare(&req, s.cfg.BuilderThreads, sopts, s.cfg.Calibrator)
+		prep, predicted, err := prepare(&req, s.cfg.BuilderThreads, sopts)
 		if err != nil {
 			drop(err)
 			continue
@@ -275,43 +267,6 @@ func (s *Server) replayJournal() {
 			continue
 		}
 		s.reg.Counter("journal.replayed").Add(1)
-	}
-}
-
-// calibStoreKey is the store key of the persisted calibrator state. It
-// shares the store's namespace with results, densities and ERI images,
-// so one fleet-wide store carries one fleet-wide cost model.
-const calibStoreKey = "calib:model"
-
-// restoreCalibrator warm-starts the configured calibrator from the
-// store, when a previous process persisted one: a restarted server (or
-// another fleet instance on the same store) prices with the learned
-// factors from the first request instead of re-learning from scratch.
-func (s *Server) restoreCalibrator() {
-	if s.cfg.Calibrator == nil {
-		return
-	}
-	b, ok := s.store.Get(calibStoreKey)
-	if !ok {
-		return
-	}
-	if err := s.cfg.Calibrator.UnmarshalBinary(b); err == nil {
-		s.reg.Counter("calib.restored").Add(1)
-	}
-}
-
-// persistCalibrator saves the calibrator state to the store, so the
-// factors learned by this process survive a restart.
-func (s *Server) persistCalibrator() {
-	if s.cfg.Calibrator == nil || s.cfg.Calibrator.Observations() == 0 {
-		return
-	}
-	b, err := s.cfg.Calibrator.MarshalBinary()
-	if err != nil {
-		return
-	}
-	if err := s.store.Put(calibStoreKey, b); err == nil {
-		s.reg.Counter("calib.persisted").Add(1)
 	}
 }
 
@@ -361,7 +316,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	go func() { s.workerWG.Wait(); close(done) }()
 	select {
 	case <-done:
-		s.persistCalibrator()
 		var err error
 		if s.journal != nil {
 			err = s.journal.close()
@@ -448,9 +402,8 @@ func (s *Server) warmERI(b *hfx.Builder) {
 // cached one when the builder key (which carries the rank count) matches.
 // A request with ranks > 1 gets the rank-distributed placement of the same
 // core, one executor per rank: its bits equal a single-rank builder with
-// that many threads, so ranks stay out of the result cache key. The
-// calibrator only observes (a non-stealing placement is never re-priced).
-// A replacement builder with a semi-direct cache is warmed from any
+// that many threads, so ranks stay out of the result cache key. A
+// replacement builder with a semi-direct cache is warmed from any
 // spilled image in the store.
 func (st *workerState) builderFor(j *job, s *Server) (*hfx.Builder, error) {
 	if st.builder != nil && st.key == j.prep.builderKey {
@@ -462,7 +415,6 @@ func (st *workerState) builderFor(j *job, s *Server) (*hfx.Builder, error) {
 	opts.Threads = s.cfg.BuilderThreads
 	opts.DensityWeighted = *j.req.DensityWeighted
 	opts.CacheBudgetBytes = int64(j.req.CacheMB) << 20
-	opts.Calibrator = s.cfg.Calibrator
 	var b *hfx.Builder
 	if j.req.Ranks > 1 {
 		d, err := hfx.NewDistBuilder(j.prep.eng, j.prep.scr, hfx.DistOptions{Ranks: j.req.Ranks, Schedule: mprt.DimExchange, Opts: opts})
@@ -513,6 +465,11 @@ func (s *Server) worker() {
 		s.inflightNS.Add(-int64(j.predicted))
 		s.reg.Counter("jobs.executed").Add(1)
 		s.reg.Histogram("job.run_ms", latencyEdgesMS).Observe(res.RunMS)
+		if j.predicted > 0 {
+			// The cost model's live prediction error: measured over predicted
+			// run time. Nothing feeds back into pricing.
+			s.reg.Histogram("job.run_over_predicted", ratioEdges).Observe(res.RunMS / (j.predicted / 1e6))
+		}
 		s.finish(j, res)
 	}
 }
@@ -579,7 +536,6 @@ func (s *Server) scfConfig(req *JobRequest) scf.Config {
 	hopts.Threads = s.cfg.BuilderThreads
 	hopts.DensityWeighted = *req.DensityWeighted
 	hopts.CacheBudgetBytes = int64(req.CacheMB) << 20
-	hopts.Calibrator = s.cfg.Calibrator
 	return scf.Config{
 		Basis:      req.Basis,
 		Functional: f,
@@ -829,7 +785,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	// the pair list (the paper's predictability claim, repurposed).
 	sopts := screen.DefaultOptions()
 	sopts.Threshold = req.Screen
-	prep, predicted, err := prepare(&req, s.cfg.BuilderThreads, sopts, s.cfg.Calibrator)
+	prep, predicted, err := prepare(&req, s.cfg.BuilderThreads, sopts)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
@@ -933,13 +889,6 @@ func (s *Server) snapshot() metricsSnapshot {
 		Phases:     map[string]float64{},
 	}
 	s.reg.Gauge("jobs.queued").Set(int64(snap.QueueDepth))
-	if cal := s.cfg.Calibrator; cal != nil {
-		// The calibration gauges: model version, total samples, and the
-		// residual-error EMA in thousandths (gauges are integral).
-		s.reg.Gauge("calib.epoch").Set(int64(cal.Epoch()))
-		s.reg.Gauge("calib.observations").Set(cal.Observations())
-		s.reg.Gauge("calib.err_milli").Set(int64(cal.MeanAbsErr() * 1000))
-	}
 	for _, c := range s.reg.Counters() {
 		snap.Counters[c.Name] = c.Value
 	}

@@ -463,6 +463,11 @@ func TestServerValidationAndMethods(t *testing.T) {
 		t.Fatalf("GET /v1/jobs: %d, want 405", res.StatusCode)
 	}
 
+	// One executed job feeds the cost model's live error series.
+	if r := submit(t, ts, JobRequest{Kind: KindBuildJK, System: "water"}); r.State != StateDone {
+		t.Fatalf("buildjk job: %+v", r)
+	}
+
 	// Metrics render in both formats.
 	mres, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
@@ -480,6 +485,13 @@ func TestServerValidationAndMethods(t *testing.T) {
 	if _, ok := m["counters"]; !ok {
 		t.Fatalf("json metrics missing counters: %v", m)
 	}
+	h, _ := m["histograms"].(map[string]any)["job.run_over_predicted"].(map[string]any)
+	if h == nil || h["total"] != 1.0 {
+		t.Fatalf("job.run_over_predicted after one buildjk job: %v, want one observation", h)
+	}
+	if zero := h["counts"].([]any)[0]; zero != 0.0 {
+		t.Fatalf("job.run_over_predicted observed a zero ratio: %v", h)
+	}
 }
 
 // TestServerLifecycle is the drain/backpressure/cancellation test of the
@@ -492,8 +504,8 @@ func TestServerLifecycle(t *testing.T) {
 	block := make(chan struct{})
 	running := make(chan string, 16)
 	s := mustNew(t, Config{
-		Workers:  1,
-		QueueCap: 1,
+		Workers:    1,
+		QueueCap:   1,
 		CacheBytes: -1,
 		BeforeRun: func(kind string) {
 			running <- kind

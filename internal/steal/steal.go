@@ -10,7 +10,7 @@
 // decisions (which are timing-dependent) can only move wall-clock, never
 // bits.
 //
-// The package is physics-agnostic: it plans, queues and calibrates
+// The package is physics-agnostic: it plans, queues and perturbs
 // abstract units identified by task-cost arrays and integer work classes.
 // The hfx execution core (hfx.Builder, in every placement) supplies the
 // quartet execution and the mprt collectives.
@@ -39,7 +39,7 @@ const (
 // Unit is one steal unit: a virtual worker slot of the global static
 // schedule. Slot is its canonical reduction position, Tasks the task
 // indices it executes in order, Pred its predicted cost under the
-// placement model (which may be noisy or calibrated), Home the rank the
+// placement model (which may be noisy), Home the rank the
 // static schedule assigned it to.
 type Unit struct {
 	Slot  int

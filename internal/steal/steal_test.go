@@ -1,7 +1,6 @@
 package steal
 
 import (
-	"math"
 	"sync"
 	"testing"
 	"time"
@@ -191,115 +190,5 @@ func TestNoisePerturbDeterministicAndBounded(t *testing.T) {
 	}
 	if d := (&NoisePlan{StragglerRank: 1, StragglerSlow: 1.5}).StragglerDelay(0, time.Second); d != 0 {
 		t.Fatalf("non-straggler delayed by %v", d)
-	}
-}
-
-func TestCalibratorConvergesAndReducesError(t *testing.T) {
-	c := NewCalibrator(0.5)
-	// The "machine" runs class 0 at 3x the raw prediction.
-	var lastErr float64
-	for i := 0; i < 20; i++ {
-		c.Observe(0, 1000, 3000)
-		lastErr = c.MeanAbsErr()
-	}
-	if f := c.Factor(0); math.Abs(f-3) > 1e-6 {
-		t.Fatalf("factor converged to %g, want 3", f)
-	}
-	if lastErr > 0.01 {
-		t.Fatalf("residual error %g did not decay", lastErr)
-	}
-	got := c.Scale([]int{0, 1}, []float64{10, 10})
-	if math.Abs(got[0]-30) > 1e-9 || got[1] != 10 {
-		t.Fatalf("Scale = %v, want [30 10]", got)
-	}
-	if c.Observations() != 20 {
-		t.Fatalf("observations = %d, want 20", c.Observations())
-	}
-}
-
-func TestCalibratorOutlierClamp(t *testing.T) {
-	c := NewCalibrator(0.5)
-	c.Observe(0, 1, 1e12) // absurd ratio must clamp at 64
-	if f := c.Factor(0); f > 64 {
-		t.Fatalf("outlier ratio not clamped: %g", f)
-	}
-	c.Observe(1, 0, 100) // non-positive predictions are ignored
-	if f := c.Factor(1); f != 1 {
-		t.Fatalf("bad observation changed factor to %g", f)
-	}
-}
-
-func TestCalibratorSerializationRoundTrip(t *testing.T) {
-	c := NewCalibrator(0.3)
-	c.Observe(0, 1000, 2000)
-	c.Observe(5, 1000, 500)
-	c.Observe(5, 1000, 600)
-	blob, err := c.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := NewCalibrator(0)
-	if err := r.UnmarshalBinary(blob); err != nil {
-		t.Fatal(err)
-	}
-	for _, class := range []int{0, 5, 99} {
-		if a, b := c.Factor(class), r.Factor(class); a != b {
-			t.Fatalf("class %d factor %g != restored %g", class, a, b)
-		}
-	}
-	if c.MeanAbsErr() != r.MeanAbsErr() {
-		t.Fatal("error EMA not restored")
-	}
-	if c.Epoch() != r.Epoch() {
-		t.Fatal("epoch not restored")
-	}
-	if c.Observations() != r.Observations() {
-		t.Fatal("observation counts not restored")
-	}
-	if err := r.UnmarshalBinary([]byte("{bad")); err == nil {
-		t.Fatal("corrupt blob must fail")
-	}
-}
-
-func TestCalibratorEpochAdvances(t *testing.T) {
-	c := NewCalibrator(0)
-	e0 := c.Epoch()
-	c.Observe(0, 100, 200)
-	if c.Epoch() == e0 {
-		t.Fatal("Observe did not advance the epoch")
-	}
-	e1 := c.Epoch()
-	c.SetFactor(2, 1.5)
-	if c.Epoch() == e1 {
-		t.Fatal("SetFactor did not advance the epoch")
-	}
-}
-
-// TestCalibratorCapsSampleError: one descheduled task — a sample 50× slow
-// on a class whose raw model over-predicts 4× — counts as a miss (error 1)
-// in both the calibrated and the raw series instead of 199 against 11.5,
-// so it cannot outweigh a window of ordinary samples in either mean.
-func TestCalibratorCapsSampleError(t *testing.T) {
-	c := NewCalibrator(0.5)
-	for i := 0; i < 9; i++ {
-		c.Observe(0, 1000, 250)
-	}
-	c.BeginWindow()
-	for i := 0; i < 9; i++ {
-		c.Observe(0, 1000, 250)
-	}
-	c.Observe(0, 1000, 12500)
-	cal, raw, n := c.WindowErr()
-	if n != 10 {
-		t.Fatalf("%d samples in the window, want 10", n)
-	}
-	if want := 0.1; math.Abs(cal-want) > 1e-9 {
-		t.Fatalf("calibrated window error %g, want %g (nine exact samples and one capped miss)", cal, want)
-	}
-	if want := (9*0.75 + 1) / 10; math.Abs(raw-want) > 1e-9 {
-		t.Fatalf("raw window error %g, want %g", raw, want)
-	}
-	if c.MeanAbsErr() > 1 {
-		t.Fatalf("error EMA %g above the cap", c.MeanAbsErr())
 	}
 }

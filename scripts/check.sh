@@ -12,14 +12,16 @@
 #     direct builds and the XC integration must stay at 0 allocs/op.
 #  3. One race pass over every package: every bitwise pin, fault-injected
 #     resume, concurrency criterion and model gate of the tier-1 suite.
-#  4. The slow suite, alone on the CPUs and without the race detector,
+#  4. Every fuzz target of every package for 10 s each, discovered with
+#     go test -list, so a new Fuzz* function is fuzzed without an edit here.
+#  5. The slow suite, alone on the CPUs and without the race detector,
 #     which distorts costs: every HFXMD_TIMED_TESTS wall-clock gate (the
 #     cost model within 2x of the kernel, stealing recovering balance
 #     under a straggler, the density table's build time), the
 #     steady-state allocation guards BenchmarkBuildJKPooled and
 #     BenchmarkBuildJKSemiDirect (0 allocs/op; the tests enforce it too),
 #     and BenchmarkE5OnNodeThreading once, so it cannot hang unnoticed.
-#  5. Four end-to-end smokes through the real binaries: the hfxd job
+#  6. Four end-to-end smokes through the real binaries: the hfxd job
 #     service, SIGKILL crash-restart of a checkpointed aimd run and of a
 #     k=2 RESPA campaign (the resumed final state must match the
 #     uninterrupted reference bitwise), and SIGKILL restart of a
@@ -93,6 +95,12 @@ for row in $(sed -n 's|.*"\(BenchmarkSessionStep/[A-Za-z0-9/-]*\)".*|\1|p' BENCH
 done
 
 go test -race -count=1 ./...
+
+for pkg in $(go list ./...); do
+	for f in $(go test -list '^Fuzz' "$pkg" | sed -n '/^Fuzz/p'); do
+		go test -run '^$' -fuzz "^$f\$" -fuzztime 10s "$pkg"
+	done
+done
 
 # The slow suite: one iteration of each benchmark is enough, since they
 # fail themselves on warm-cache misses and the allocs/op column must read
