@@ -30,7 +30,7 @@ import (
 // ---------------------------------------------------------------------------
 // Chemistry layer.
 
-// Molecule is a set of atoms with charge and optional periodic cell.
+// Molecule is an open-boundary cluster: a set of atoms with a charge.
 type Molecule = chem.Molecule
 
 // Atom is a nucleus with element and position (bohr).
@@ -42,14 +42,10 @@ type Vec3 = chem.Vec3
 // Element identifies a chemical element.
 type Element = chem.Element
 
-// Cell is an orthorhombic periodic box.
-type Cell = chem.Cell
-
 // Geometry builders for the paper's systems.
 var (
 	Water              = chem.Water
 	WaterCluster       = chem.WaterCluster
-	PeriodicWaterBox   = chem.PeriodicWaterBox
 	Hydrogen           = chem.Hydrogen
 	Helium             = chem.Helium
 	LithiumHydride     = chem.LithiumHydride

@@ -85,17 +85,6 @@ grid:
 	return mol
 }
 
-// PeriodicWaterBox is WaterCluster wrapped in a periodic cell sized to
-// liquid-water density.
-func PeriodicWaterBox(n int, seed int64) *Molecule {
-	mol := WaterCluster(n, seed)
-	side := int(math.Ceil(math.Cbrt(float64(n))))
-	l := float64(side) * aa(3.107)
-	mol.Cell = &Cell{L: Vec3{l, l, l}}
-	mol.Name = fmt.Sprintf("(H2O)%d/pbc", n)
-	return mol
-}
-
 // randomRotate applies a uniformly random proper rotation about the
 // molecule's centre of mass.
 func randomRotate(m *Molecule, rng *rand.Rand) {

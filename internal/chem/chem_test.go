@@ -3,9 +3,9 @@ package chem
 import (
 	"bytes"
 	"math"
+	"strconv"
 	"strings"
 	"testing"
-	"testing/quick"
 
 	"hfxmd/internal/phys"
 )
@@ -62,32 +62,29 @@ func TestNuclearRepulsionH2(t *testing.T) {
 	}
 }
 
-// The gradient must be the derivative of NuclearRepulsion itself, open
-// boundary and under the minimum-image convention alike (in the periodic
-// box some pairs interact through an image).
+// The gradient must be the derivative of NuclearRepulsion itself.
 func TestNuclearRepulsionGradient(t *testing.T) {
-	for _, mol := range []*Molecule{PropyleneCarbonate(), PeriodicWaterBox(2, 1)} {
-		g := mol.NuclearRepulsionGradient()
-		var sum Vec3
-		for a := range mol.Atoms {
-			sum = sum.Add(g[a])
-			for k := 0; k < 3; k++ {
-				energy := func(x float64) float64 {
-					m := mol.Clone()
-					m.Atoms[a].Pos[k] += x
-					return m.NuclearRepulsion()
-				}
-				const h = 1e-3
-				d1 := (energy(h) - energy(-h)) / (2 * h)
-				d2 := (energy(h/2) - energy(-h/2)) / h
-				if want := (4*d2 - d1) / 3; math.Abs(g[a][k]-want) > 1e-8 {
-					t.Fatalf("%s atom %d axis %d: gradient %.10g, FD %.10g", mol.Name, a, k, g[a][k], want)
-				}
+	mol := PropyleneCarbonate()
+	g := mol.NuclearRepulsionGradient()
+	var sum Vec3
+	for a := range mol.Atoms {
+		sum = sum.Add(g[a])
+		for k := 0; k < 3; k++ {
+			energy := func(x float64) float64 {
+				m := mol.Clone()
+				m.Atoms[a].Pos[k] += x
+				return m.NuclearRepulsion()
+			}
+			const h = 1e-3
+			d1 := (energy(h) - energy(-h)) / (2 * h)
+			d2 := (energy(h/2) - energy(-h/2)) / h
+			if want := (4*d2 - d1) / 3; math.Abs(g[a][k]-want) > 1e-8 {
+				t.Fatalf("atom %d axis %d: gradient %.10g, FD %.10g", a, k, g[a][k], want)
 			}
 		}
-		if sum.Norm() > 1e-10 {
-			t.Fatalf("%s: gradient sums to %.3g", mol.Name, sum.Norm())
-		}
+	}
+	if sum.Norm() > 1e-10 {
+		t.Fatalf("gradient sums to %.3g", sum.Norm())
 	}
 }
 
@@ -118,17 +115,51 @@ func TestReadXYZErrors(t *testing.T) {
 	cases := []string{
 		"",
 		"notanumber\ncomment\n",
-		"2\ncomment\nH 0 0 0\n",    // too few atoms
-		"1\ncomment\nQq 0 0 0\n",   // bad element
-		"1\ncomment\nH 0 zero 0\n", // bad coordinate
-		"1\ncomment\nH 0 0\n",      // short line
-		"-1\ncomment\n",            // negative count
+		"2\ncomment\nH 0 0 0\n",     // too few atoms
+		"1\ncomment\nQq 0 0 0\n",    // bad element
+		"1\ncomment\nH 0 zero 0\n",  // bad coordinate
+		"1\ncomment\nH 0 0\n",       // short line
+		"-1\ncomment\n",             // negative count
+		"1\ncomment\nH 0 0 NaN\n",   // NaN coordinate
+		"1\ncomment\nH Inf 0 0\n",   // infinite coordinate
+		"1\ncomment\nH 0 1e308 0\n", // overflows on conversion to bohr
 	}
 	for _, c := range cases {
 		if _, err := ReadXYZ(strings.NewReader(c)); err == nil {
 			t.Fatalf("expected error for %q", c)
 		}
 	}
+}
+
+// FuzzReadXYZ: ReadXYZ never panics, and a molecule it accepts has exactly
+// the declared atom count and only finite coordinates.
+func FuzzReadXYZ(f *testing.F) {
+	var water bytes.Buffer
+	if err := WriteXYZ(&water, Water()); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(water.String())
+	f.Add("2\nh2\nH 0 0 0\nH 0 0 NaN\n")
+	f.Add("2\nh2\nH 0 0 0\nH 0 -Inf 0\n")
+	f.Add("-3\ncomment\n")
+	f.Add("3\nwater\nO 0 0 0\nH 0 0 1\n")
+	f.Fuzz(func(t *testing.T, s string) {
+		mol, err := ReadXYZ(strings.NewReader(s))
+		if err != nil {
+			return
+		}
+		first, _, _ := strings.Cut(s, "\n")
+		if n, _ := strconv.Atoi(strings.TrimSpace(first)); mol.NAtoms() != n {
+			t.Fatalf("declared %d atoms, accepted %d", n, mol.NAtoms())
+		}
+		for i, a := range mol.Atoms {
+			for _, x := range a.Pos {
+				if math.IsNaN(x) || math.IsInf(x, 0) {
+					t.Fatalf("atom %d: non-finite coordinate %v", i, a.Pos)
+				}
+			}
+		}
+	})
 }
 
 func TestWaterClusterCountAndDensity(t *testing.T) {
@@ -157,53 +188,6 @@ func TestWaterClusterCountAndDensity(t *testing.T) {
 	}
 	if same {
 		t.Fatal("WaterCluster ignored the seed")
-	}
-}
-
-func TestPeriodicWaterBoxMinimumImage(t *testing.T) {
-	m := PeriodicWaterBox(8, 1)
-	if m.Cell == nil {
-		t.Fatal("no cell")
-	}
-	l := m.Cell.L[0]
-	// A displacement longer than half the box must be folded back.
-	d := m.Cell.MinimumImage(Vec3{0, 0, 0}, Vec3{0.9 * l, 0, 0})
-	if math.Abs(d[0]+0.1*l) > 1e-10 {
-		t.Fatalf("minimum image got %g want %g", d[0], -0.1*l)
-	}
-}
-
-func TestCellWrap(t *testing.T) {
-	c := Cell{L: Vec3{10, 10, 10}}
-	p := c.Wrap(Vec3{-1, 11, 25})
-	want := Vec3{9, 1, 5}
-	if p.Sub(want).Norm() > 1e-12 {
-		t.Fatalf("wrap got %v want %v", p, want)
-	}
-}
-
-func TestMinimumImageProperty(t *testing.T) {
-	// |minimum image| ≤ L√3/2 for a cubic box.
-	c := Cell{L: Vec3{7, 7, 7}}
-	clamp := func(x float64) float64 {
-		if math.IsNaN(x) || math.IsInf(x, 0) {
-			return 0
-		}
-		return math.Mod(x, 1e6)
-	}
-	f := func(ax, ay, az, bx, by, bz float64) bool {
-		d := c.MinimumImage(
-			Vec3{clamp(ax), clamp(ay), clamp(az)},
-			Vec3{clamp(bx), clamp(by), clamp(bz)})
-		for k := 0; k < 3; k++ {
-			if math.Abs(d[k]) > 3.5+1e-9 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
 	}
 }
 

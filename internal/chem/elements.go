@@ -1,9 +1,8 @@
 // Package chem provides the chemical-structure substrate: elements,
-// molecules, XYZ input/output, periodic simulation cells with
-// minimum-image conventions, and geometry builders for the systems studied
-// in the reproduced paper (water clusters for the scaling workloads,
-// propylene carbonate, dimethyl sulfoxide and lithium peroxide for the
-// Li/air electrolyte chemistry).
+// open-boundary molecules, XYZ input/output, and geometry builders for the
+// systems studied in the reproduced paper (water clusters for the scaling
+// workloads, propylene carbonate, dimethyl sulfoxide and lithium peroxide
+// for the Li/air electrolyte chemistry).
 package chem
 
 import (

@@ -43,47 +43,14 @@ type Atom struct {
 	Pos Vec3
 }
 
-// Molecule is a collection of atoms, an overall charge, and an optional
-// periodic cell. Positions are in bohr.
+// Molecule is an open-boundary cluster: a collection of atoms and an
+// overall charge. Positions are in bohr.
 type Molecule struct {
 	Atoms  []Atom
 	Charge int
-	// Cell, if non-nil, defines an orthorhombic periodic box whose
-	// minimum-image convention is used for condensed-phase screening.
-	Cell *Cell
 	// Name labels the system in reports.
 	Name string
 }
-
-// Cell is an orthorhombic periodic box with edge lengths in bohr.
-type Cell struct {
-	L Vec3
-}
-
-// MinimumImage returns the minimum-image displacement d of b-a under the
-// cell's periodic boundary conditions.
-func (c *Cell) MinimumImage(a, b Vec3) Vec3 {
-	d := b.Sub(a)
-	for k := 0; k < 3; k++ {
-		if c.L[k] > 0 {
-			d[k] -= c.L[k] * math.Round(d[k]/c.L[k])
-		}
-	}
-	return d
-}
-
-// Wrap maps p into the primary cell [0,L).
-func (c *Cell) Wrap(p Vec3) Vec3 {
-	for k := 0; k < 3; k++ {
-		if c.L[k] > 0 {
-			p[k] -= c.L[k] * math.Floor(p[k]/c.L[k])
-		}
-	}
-	return p
-}
-
-// Volume returns the cell volume in bohr³.
-func (c *Cell) Volume() float64 { return c.L[0] * c.L[1] * c.L[2] }
 
 // NAtoms returns the number of atoms.
 func (m *Molecule) NAtoms() int { return len(m.Atoms) }
@@ -97,26 +64,14 @@ func (m *Molecule) NElectrons() int {
 	return n - m.Charge
 }
 
-// Distance returns the distance between atoms i and j, honouring the
-// minimum-image convention when the molecule has a periodic cell.
-func (m *Molecule) Distance(i, j int) float64 {
-	if m.Cell != nil {
-		return m.Cell.MinimumImage(m.Atoms[i].Pos, m.Atoms[j].Pos).Norm()
-	}
-	return m.Atoms[j].Pos.Sub(m.Atoms[i].Pos).Norm()
-}
+// Distance returns the distance between atoms i and j.
+func (m *Molecule) Distance(i, j int) float64 { return m.Displacement(i, j).Norm() }
 
-// Displacement returns r_j − r_i (minimum image if periodic).
-func (m *Molecule) Displacement(i, j int) Vec3 {
-	if m.Cell != nil {
-		return m.Cell.MinimumImage(m.Atoms[i].Pos, m.Atoms[j].Pos)
-	}
-	return m.Atoms[j].Pos.Sub(m.Atoms[i].Pos)
-}
+// Displacement returns r_j − r_i.
+func (m *Molecule) Displacement(i, j int) Vec3 { return m.Atoms[j].Pos.Sub(m.Atoms[i].Pos) }
 
-// NuclearRepulsion returns the classical nucleus-nucleus Coulomb energy in
-// hartree (open boundary; for periodic systems only the minimum images are
-// summed, which is adequate for the neutral cluster models used here).
+// NuclearRepulsion returns the classical nucleus-nucleus Coulomb energy of
+// the open-boundary cluster in hartree.
 func (m *Molecule) NuclearRepulsion() float64 {
 	var e float64
 	for i := 0; i < len(m.Atoms); i++ {
@@ -128,9 +83,7 @@ func (m *Molecule) NuclearRepulsion() float64 {
 	return e
 }
 
-// NuclearRepulsionGradient returns ∂NuclearRepulsion/∂R for every atom,
-// under the same displacement convention as the energy (minimum image when
-// the molecule has a periodic cell).
+// NuclearRepulsionGradient returns ∂NuclearRepulsion/∂R for every atom.
 func (m *Molecule) NuclearRepulsionGradient() []Vec3 {
 	g := make([]Vec3, len(m.Atoms))
 	for i := 0; i < len(m.Atoms); i++ {
@@ -172,15 +125,11 @@ func (m *Molecule) Clone() *Molecule {
 	c := &Molecule{Charge: m.Charge, Name: m.Name}
 	c.Atoms = make([]Atom, len(m.Atoms))
 	copy(c.Atoms, m.Atoms)
-	if m.Cell != nil {
-		cc := *m.Cell
-		c.Cell = &cc
-	}
 	return c
 }
 
 // Merge returns a new molecule containing the atoms of both inputs; the
-// charge is the sum and the cell (if any) is taken from m.
+// charge is the sum.
 func (m *Molecule) Merge(other *Molecule) *Molecule {
 	out := m.Clone()
 	out.Atoms = append(out.Atoms, other.Atoms...)

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 
@@ -11,8 +12,9 @@ import (
 )
 
 // ReadXYZ parses a molecule from standard XYZ format. Coordinates in the
-// file are ångström and are converted to bohr. The comment line is stored
-// as the molecule name.
+// file are ångström and are converted to bohr; one that is not finite in
+// bohr (NaN, ±Inf, or too large to convert) is an error. The comment line
+// is stored as the molecule name.
 func ReadXYZ(r io.Reader) (*Molecule, error) {
 	sc := bufio.NewScanner(r)
 	if !sc.Scan() {
@@ -48,6 +50,9 @@ func ReadXYZ(r io.Reader) (*Molecule, error) {
 				return nil, fmt.Errorf("chem: bad coordinate on line %d: %w", i+1, err)
 			}
 			pos[k] = v * phys.AngstromToBohr
+			if math.IsNaN(pos[k]) || math.IsInf(pos[k], 0) {
+				return nil, fmt.Errorf("chem: non-finite coordinate on line %d: %q", i+1, fields[k+1])
+			}
 		}
 		mol.Atoms = append(mol.Atoms, Atom{El: el, Pos: pos})
 	}

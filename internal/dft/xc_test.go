@@ -173,7 +173,6 @@ func TestLivePointTablesMatchFullTables(t *testing.T) {
 		{"LiH", chem.LithiumHydride()},
 		{"H2O", chem.Water()},
 		{"(H2O)2", chem.WaterCluster(2, 1)},
-		{"periodic (H2O)2", chem.PeriodicWaterBox(2, 1)},
 	} {
 		for _, f := range []Functional{LDA{}, PBE{}, PBE0{}} {
 			live, set := bound(f, sys.mol, false)

@@ -430,37 +430,6 @@ func sessionRun(t *testing.T, mol *chem.Molecule, cfg scf.Config, opts Options) 
 	return traj, sess.Stats()
 }
 
-// TestSpringReferenceMinimumImage: under a periodic cell the spring
-// captures r0 and applies its force along the same minimum-image
-// displacement, so a water dimer wrapped across the cell faces feels no
-// reference force at its starting geometry.
-func TestSpringReferenceMinimumImage(t *testing.T) {
-	box := chem.WaterCluster(2, 1)
-	box.Cell = &chem.Cell{L: chem.Vec3{12, 12, 12}}
-	for i := range box.Atoms {
-		box.Atoms[i].Pos = box.Cell.Wrap(box.Atoms[i].Pos)
-	}
-	bonds := box.Bonds(1.3)
-	split := 0
-	for _, p := range bonds {
-		if raw := box.Atoms[p[1]].Pos.Sub(box.Atoms[p[0]].Pos).Norm(); raw > box.Distance(p[0], p[1])+1 {
-			split++
-		}
-	}
-	if len(bonds) != 4 || split == 0 {
-		t.Fatalf("want 4 O–H bonds with at least one across a face, got %d bonds, %d split", len(bonds), split)
-	}
-	f, err := SpringReference(box, 0, 0)(box)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, fi := range f {
-		if fi != (chem.Vec3{}) {
-			t.Fatalf("atom %d: reference force %v at the captured geometry", i, fi)
-		}
-	}
-}
-
 // TestSessionIterationsPerInnerStep gates the cost Mandal et al. count —
 // SCF iterations per simulated step — on the m1 campaign (LiH/HF, 16 inner
 // steps from rest) at the values committed before the session carried a

@@ -25,10 +25,8 @@ var ErrNotConverged = errors.New("scf: not converged")
 // − ¼aₓP_μλP_νσ. The gradient reuses the run's integral engine, exchange
 // builder (one gradient phase over the same screened quartets) and XC
 // integrator (one pass over the same tabulated grid), so it costs about as
-// much as one SCF iteration. For a periodic molecule the nuclear repulsion
-// is differentiated under the same minimum-image convention the energy
-// uses; the integrals are open-boundary in both. An unconverged run
-// returns its result with an error wrapping ErrNotConverged and no forces.
+// much as one SCF iteration. An unconverged run returns its result with an
+// error wrapping ErrNotConverged and no forces.
 func RunForces(mol *chem.Molecule, cfg Config) (*Result, []chem.Vec3, error) {
 	return run(mol, cfg, true)
 }

@@ -65,10 +65,9 @@ func maxForceDiff(a, b []chem.Vec3) float64 {
 // TestForcesMatchFiniteDifference is the whole-gradient oracle: analytic
 // forces against Richardson-extrapolated central differences of the SCF
 // energy, for HF, PBE and PBE0 on LiH, H2O and (H2O)2 in STO-3G and on
-// H2O in 6-31G* (d shells), and on the periodic (H2O)2 box whose nuclear
-// repulsion goes through minimum images. On the six-atom systems three
-// components stand for the eighteen (the component oracles in integrals,
-// hfx and dft cover every atom). At the served default tolerances the
+// H2O in 6-31G* (d shells). On the six-atom system three components stand
+// for the eighteen (the component oracles in integrals, hfx and dft cover
+// every atom). At the served default tolerances the
 // forces stay within 2e-5 of the tightly converged ones, and the net force
 // vanishes — moving grid included.
 func TestForcesMatchFiniteDifference(t *testing.T) {
@@ -95,7 +94,6 @@ func TestForcesMatchFiniteDifference(t *testing.T) {
 		{"H2O", "STO-3G", water, fs, all(3)},
 		{"(H2O)2", "STO-3G", chem.WaterCluster(2, 1), fs, spread},
 		{"H2O/6-31G*", "6-31G*", water, []dft.Functional{dft.HF{}, dft.PBE0{}}, all(3)},
-		{"(H2O)2/pbc", "STO-3G", chem.PeriodicWaterBox(2, 1), []dft.Functional{dft.PBE0{}}, spread},
 	} {
 		for _, f := range tc.fs {
 			tight := tightConfig(tc.basis, f)

@@ -90,7 +90,7 @@ func EncodeSeed(mol *chem.Molecule, nbasis int, p []float64) []byte {
 // the rows of a density are basis functions in atom order, so the stored
 // geometry must list the same elements atom by atom (which, under one
 // DensityPrefixKey, also makes the dimensions agree), and no atom may have
-// moved more than SeedMaxShift (minimum image under mol's cell).
+// moved more than SeedMaxShift.
 func DecodeSeed(b []byte, mol *chem.Molecule) (*linalg.Matrix, SeedStatus) {
 	n, data, geom, err := store.DecodeMatrixPrefix(b)
 	const atomBytes = 4 + 3*8
@@ -113,11 +113,8 @@ func DecodeSeed(b []byte, mol *chem.Molecule) (*linalg.Matrix, SeedStatus) {
 		for k := range at {
 			at[k] = math.Float64frombits(binary.LittleEndian.Uint64(rec[4+8*k:]))
 		}
-		d := a.Pos.Sub(at)
-		if mol.Cell != nil {
-			d = mol.Cell.MinimumImage(a.Pos, at)
-		}
-		if d.Norm() > SeedMaxShift {
+		// Written so that a NaN stored position is rejected too.
+		if d := a.Pos.Sub(at); !(d.Norm() <= SeedMaxShift) {
 			return nil, SeedRejected
 		}
 	}

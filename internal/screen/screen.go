@@ -5,8 +5,7 @@
 //   - Cauchy–Schwarz shell-pair norms Q_ab = √(ab|ab) provide the rigorous
 //     bound |(ab|cd)| ≤ Q_ab·Q_cd;
 //   - shell-pair extents discard pairs whose Gaussian overlap is
-//     negligible at their separation (real-space cutoff, minimum-image
-//     aware for periodic cells);
+//     negligible at their separation (open-boundary real-space cutoff);
 //   - density weighting tightens the quartet bound by the largest density
 //     matrix element that would multiply the integral in the exchange
 //     contraction.
@@ -35,7 +34,7 @@ type Pair struct {
 	A, B int
 	// Q is the Cauchy–Schwarz norm √(ab|ab).
 	Q float64
-	// R is the inter-centre distance (minimum image when periodic).
+	// R is the inter-centre distance.
 	R float64
 }
 
@@ -128,11 +127,7 @@ func BuildPairList(eng *integrals.Engine, opts Options) *Result {
 	res.Stats.SchwarzWall = time.Since(start)
 
 	start = time.Now()
-	cell := set.Mol.Cell
 	dist := func(a, b *basis.Shell) float64 {
-		if cell != nil {
-			return cell.MinimumImage(a.Center, b.Center).Norm()
-		}
 		d := [3]float64{
 			a.Center[0] - b.Center[0],
 			a.Center[1] - b.Center[1],

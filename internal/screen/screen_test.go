@@ -150,30 +150,6 @@ func TestMaxDensityAbsQuartetMatchesTwoCalls(t *testing.T) {
 	}
 }
 
-func TestPeriodicMinimumImageScreening(t *testing.T) {
-	// In a periodic box, shells near opposite faces are close under the
-	// minimum-image convention: the distance pre-screen must keep them,
-	// whereas the same geometry without a cell drops them.
-	build := func(periodic bool) Stats {
-		m := chem.Water()
-		w2 := chem.Water()
-		l := 40.0
-		w2.Translate(chem.Vec3{l - 1.5, 0, 0}) // 1.5 bohr via minimum image
-		m = m.Merge(w2)
-		if periodic {
-			m.Cell = &chem.Cell{L: chem.Vec3{l, l, l}}
-		}
-		eng := integrals.NewEngine(basis.MustBuild("STO-3G", m))
-		return BuildPairList(eng, DefaultOptions()).Stats
-	}
-	open := build(false)
-	pbc := build(true)
-	if pbc.DistanceSurvived <= open.DistanceSurvived {
-		t.Fatalf("minimum image should keep more pairs through the distance screen: pbc %d vs open %d",
-			pbc.DistanceSurvived, open.DistanceSurvived)
-	}
-}
-
 func TestStatsString(t *testing.T) {
 	s := Stats{TotalPairs: 100, DistanceSurvived: 60, SchwarzSurvived: 40}
 	if got := s.String(); got == "" {

@@ -424,6 +424,23 @@ func TestCanonicalKeyAndPriceRequest(t *testing.T) {
 	}
 }
 
+// TestCanonicalKeyPinned pins the literal cache key of one scf and one
+// buildjk request: a change to the key's canonical form orphans every
+// entry already in a result store, so it must show up here.
+func TestCanonicalKeyPinned(t *testing.T) {
+	for _, tc := range []struct {
+		req  JobRequest
+		want string
+	}{
+		{JobRequest{Kind: KindSCF, System: "water", Functional: "PBE0"}, "c1fb209cb1a46f5649eae044ff119755"},
+		{JobRequest{Kind: KindBuildJK, System: "watercluster", NWater: 2}, "281ee8cdf261306cc14f720248ca136c"},
+	} {
+		if got, err := CanonicalKey(tc.req); err != nil || got != tc.want {
+			t.Errorf("%s %s: key %q, %v; want %q", tc.req.Kind, tc.req.System, got, err, tc.want)
+		}
+	}
+}
+
 // TestTrajectoryPricedAsSCFPlusGradient: an outer step is one SCF and one
 // analytic gradient build, whatever the atom count — not the 6N+1 SCFs of
 // a finite-difference force, which priced LiH 13× and propylene carbonate

@@ -297,7 +297,7 @@ func (r *JobRequest) resolveMolecule() (*chem.Molecule, error) {
 
 // cacheKey returns the canonical hash identifying the *numerical*
 // content of a job: kind, resolved geometry (element + position in bohr
-// at full float precision, charge, cell), basis, functional, screening
+// at full float precision, charge), basis, functional, screening
 // options and the density-weighting flag. Options that cannot change
 // the result — worker threads, balancer, deadline — are deliberately
 // excluded, so e.g. the same job submitted with different timeouts is
@@ -315,9 +315,6 @@ func (r *JobRequest) cacheKey(mol *chem.Molecule) string {
 			r.MaxSteps, r.RespaK, r.DtFS, r.TempK, r.Ref, r.Seed)
 	}
 	fmt.Fprintf(&sb, "charge=%d;", mol.Charge)
-	if mol.Cell != nil {
-		fmt.Fprintf(&sb, "cell=%.17g,%.17g,%.17g;", mol.Cell.L[0], mol.Cell.L[1], mol.Cell.L[2])
-	}
 	for _, a := range mol.Atoms {
 		fmt.Fprintf(&sb, "%d:%.17g,%.17g,%.17g;", int(a.El), a.Pos[0], a.Pos[1], a.Pos[2])
 	}

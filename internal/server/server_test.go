@@ -494,6 +494,36 @@ func TestServerValidationAndMethods(t *testing.T) {
 	}
 }
 
+// TestServerRejectsNonFiniteXYZ: an inline geometry with a NaN or Inf
+// coordinate is a 400 at admission (it once panicked a Schwarz worker
+// goroutine and took the process down), and the server keeps serving.
+func TestServerRejectsNonFiniteXYZ(t *testing.T) {
+	s := mustNew(t, Config{Workers: 1})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	defer s.Shutdown(context.Background())
+
+	for _, x := range []string{"NaN", "Inf", "-inf"} {
+		xyz := "2\nh2\nH 0 0 0\nH 0 0 " + x + "\n"
+		if _, _, err := PriceRequest(JobRequest{Kind: KindSCF, XYZ: xyz}, 1); err == nil {
+			t.Fatalf("PriceRequest accepted a %s coordinate", x)
+		}
+		body, _ := json.Marshal(JobRequest{Kind: KindSCF, XYZ: xyz})
+		res, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(string(body)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.Body.Close()
+		if res.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s coordinate: status %d, want 400", x, res.StatusCode)
+		}
+	}
+	r := submit(t, ts, JobRequest{Kind: KindSCF, XYZ: "2\nh2\nH 0 0 0\nH 0 0 0.74\n"})
+	if r.State != StateDone || r.SCF == nil || !r.SCF.Converged {
+		t.Fatalf("valid job after the rejected ones: %+v", r)
+	}
+}
+
 // TestServerLifecycle is the drain/backpressure/cancellation test of the
 // issue: fill the queue to get a 429, cancel a queued job, then shut
 // down and assert that in-flight work completes, every builder is

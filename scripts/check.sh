@@ -20,7 +20,8 @@
 #     under a straggler, the density table's build time), the
 #     steady-state allocation guards BenchmarkBuildJKPooled and
 #     BenchmarkBuildJKSemiDirect (0 allocs/op; the tests enforce it too),
-#     and BenchmarkE5OnNodeThreading once, so it cannot hang unnoticed.
+#     and every experiment benchmark BenchmarkE1…E8 once, so the
+#     experiment index cannot rot unnoticed.
 #  6. Four end-to-end smokes through the real binaries: the hfxd job
 #     service, SIGKILL crash-restart of a checkpointed aimd run and of a
 #     k=2 RESPA campaign (the resumed final state must match the
@@ -104,9 +105,10 @@ done
 
 # The slow suite: one iteration of each benchmark is enough, since they
 # fail themselves on warm-cache misses and the allocs/op column must read
-# 0. BenchmarkE5 times a thread-count sweep of real builds by hand.
+# 0. The BenchmarkE* experiments (about two minutes on 2 vCPUs, most of it
+# E8's peroxide dynamics) run once each so none can break unnoticed.
 HFXMD_TIMED_TESTS=1 go test -count=1 -p 1 \
-	-bench 'BenchmarkBuildJK(Pooled|SemiDirect)$|BenchmarkE5' -benchtime 1x \
+	-bench 'BenchmarkBuildJK(Pooled|SemiDirect)$|BenchmarkE[0-9]' -benchtime 1x \
 	. ./internal/hfx/ ./internal/dft/
 
 scripts/smoke_hfxd.sh
