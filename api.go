@@ -396,20 +396,22 @@ func NewMDSession(cfg SCFConfig, opt MDSessionOptions) *MDSession { return md.Ne
 // Checkpoint/restart layer.
 
 // CkptConfig configures a trajectory checkpoint writer: directory,
-// snapshot cadence and ring size, optional fault plan and registry.
+// segment cadence and ring size, optional fault plan and registry.
 type CkptConfig = ckpt.Config
 
-// CkptWriter makes every completed MD step durable: a write-ahead
-// journal record per step plus a periodic ring of full snapshots. Set it
+// CkptWriter makes every completed MD step durable: one CRC-framed
+// record of the complete state per step, appended to the newest of a
+// ring of segment files; a new segment opens every Every steps. Set it
 // as RespaOptions.Ckpt.
 type CkptWriter = ckpt.Writer
 
 // CkptResume is a restored checkpoint: the most advanced durable state
-// and how it was reached (snapshot/journal steps, replays, fallbacks).
+// and how it was reached (the segment's opening step, replays,
+// fallbacks).
 type CkptResume = ckpt.Resume
 
-// CkptFaultPlan injects crash, torn-write and corrupt-section faults
-// into a CkptWriter (test and smoke harness).
+// CkptFaultPlan injects crash, torn-write and corrupt-opening-record
+// faults into a CkptWriter (test and smoke harness).
 type CkptFaultPlan = ckpt.FaultPlan
 
 // MDState is the complete restartable state of one MD step.
@@ -423,8 +425,8 @@ var ErrNoCheckpoint = ckpt.ErrNoCheckpoint
 func NewCkptWriter(cfg CkptConfig) (*CkptWriter, error) { return ckpt.NewWriter(cfg) }
 
 // LoadCkpt restores the most advanced durable state from a checkpoint
-// directory: the journal head, or the newest CRC-clean snapshot when the
-// journal is behind; corrupt snapshots are skipped. reg may be nil.
+// directory: the last intact record of the newest segment whose opening
+// record is intact; newer segments are skipped. reg may be nil.
 func LoadCkpt(dir string, reg *TraceRegistry) (*CkptResume, error) { return ckpt.Load(dir, reg) }
 
 // TraceRegistry is the shared counters/gauges/timers registry.

@@ -22,7 +22,7 @@
 //	aimd -system h2 -steps 200 -ckpt-dir run1 -resume          # continues
 //
 // Without -store-dir (every SCF cold) the resumed trajectory is bitwise
-// identical to an uninterrupted one: every completed step is journaled
+// identical to an uninterrupted one: every completed step is recorded
 // before the next begins, and the integrator re-executes
 // deterministically from any durable state. The -json summary's
 // finalStateSha256 fingerprints the complete final MD state. With
@@ -61,8 +61,8 @@ func main() {
 		storeDir = flag.String("store-dir", "", "tiered store directory: each SCF warm-starts from a density predictor over the previous steps, the first from the density a previous run stored (same tolerance, different bits than a cold run; a resume is tolerance-equal, not bitwise)")
 
 		ckptDir   = flag.String("ckpt-dir", "", "checkpoint directory (empty disables checkpointing)")
-		ckptEvery = flag.Int64("ckpt-every", 10, "snapshot cadence in steps (journal covers the gaps)")
-		ckptKeep  = flag.Int("ckpt-keep", 3, "snapshot ring size")
+		ckptEvery = flag.Int64("ckpt-every", 10, "steps per checkpoint segment (every step is recorded)")
+		ckptKeep  = flag.Int("ckpt-keep", 3, "checkpoint segment ring size")
 		resume    = flag.Bool("resume", false, "resume from the most advanced durable state in -ckpt-dir")
 
 		jsonOut = flag.Bool("json", false, "print a JSON summary instead of the frame table")
@@ -148,8 +148,8 @@ func main() {
 				mol.Name, *functional, *basisName, *steps, *dt, *temp, *thermostat)
 		}
 		if res != nil {
-			fmt.Printf("resumed from step %d (snapshot %d, journal %d, %d replayed, %d fallbacks)\n",
-				res.State.Step, res.SnapshotStep, res.JournalStep, res.ReplayedSteps, res.Fallbacks)
+			fmt.Printf("resumed from step %d (segment opened at %d, %d replayed, %d fallbacks)\n",
+				res.State.Step, res.SnapshotStep, res.ReplayedSteps, res.Fallbacks)
 		}
 		fmt.Println()
 	}

@@ -2,7 +2,6 @@ package ckpt
 
 import (
 	"fmt"
-	"path/filepath"
 	"testing"
 
 	"hfxmd/internal/chem"
@@ -40,72 +39,57 @@ func BenchmarkEncodeState(b *testing.B) {
 	}
 }
 
-// BenchmarkSnapshotWrite measures one durable (fsynced) ring snapshot:
-// temp file, fsync, atomic rename, directory sync.
-func BenchmarkSnapshotWrite(b *testing.B) {
-	dir := b.TempDir()
-	s := benchState(64, 0)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Step = int64(i)
-		if _, err := WriteSnapshot(dir, s, true); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	pruneRing(dir, 3)
-}
-
-// BenchmarkJournalAppend measures one durable per-step journal record —
-// the cost added to every MD step when checkpointing is on. The fsync
-// dominates; BenchmarkJournalAppendNoFsync isolates the format cost.
-func BenchmarkJournalAppend(b *testing.B) {
-	benchJournalAppend(b, true)
-}
-
-func BenchmarkJournalAppendNoFsync(b *testing.B) {
-	benchJournalAppend(b, false)
-}
-
-func benchJournalAppend(b *testing.B, fsync bool) {
-	path := filepath.Join(b.TempDir(), "journal.wal")
-	j, err := openJournal(path, fsync)
+// benchOnSteps times OnStep over b.N steps of a 64-atom state on a
+// writer that opens a segment every `every` steps.
+func benchOnSteps(b *testing.B, every int64) {
+	w, err := NewWriter(Config{Dir: b.TempDir(), Every: every})
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer j.close()
 	s := benchState(64, 0)
+	if err := w.OnStep(s); err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for i := 1; i <= b.N; i++ {
 		s.Step = int64(i)
-		if _, err := j.writeRaw(frame(EncodeState(s))); err != nil {
+		if err := w.OnStep(s); err != nil {
 			b.Fatal(err)
 		}
 	}
+	if err := w.Close(); err != nil {
+		b.Fatal(err)
+	}
 }
 
-// BenchmarkResumeReplay measures Load on a directory holding one
-// snapshot plus a 100-record journal ahead of it — the worst-case
-// restore a default cadence (Every=10) never exceeds, padded 10×.
+// BenchmarkSnapshotWrite measures one durable segment opening: temp
+// file, fsync, atomic rename, directory sync, ring trim.
+func BenchmarkSnapshotWrite(b *testing.B) { benchOnSteps(b, 1) }
+
+// BenchmarkJournalAppend measures one durable per-step record appended
+// to the open segment — the cost added to every MD step when
+// checkpointing is on. The fsync, written behind the step and waited for
+// by the next, dominates.
+func BenchmarkJournalAppend(b *testing.B) { benchOnSteps(b, 1<<62) }
+
+// BenchmarkResumeReplay measures Load on one segment of 101 records —
+// the worst-case restore a default cadence (Every=10) never exceeds,
+// padded 10×.
 func BenchmarkResumeReplay(b *testing.B) {
 	dir := b.TempDir()
-	s := benchState(64, 0)
-	if _, err := WriteSnapshot(dir, s, false); err != nil {
-		b.Fatal(err)
-	}
-	j, err := openJournal(journalPath(dir), false)
+	w, err := NewWriter(Config{Dir: dir, Every: 1000})
 	if err != nil {
 		b.Fatal(err)
 	}
-	for step := int64(1); step <= 100; step++ {
+	s := benchState(64, 0)
+	for step := int64(0); step <= 100; step++ {
 		s.Step = step
-		if _, err := j.writeRaw(frame(EncodeState(s))); err != nil {
+		if err := w.OnStep(s); err != nil {
 			b.Fatal(err)
 		}
 	}
-	if err := j.close(); err != nil {
+	if err := w.Close(); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()

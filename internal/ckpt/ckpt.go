@@ -1,32 +1,14 @@
-// Package ckpt is the durability layer for AIMD trajectories: versioned
-// binary snapshots, a per-step write-ahead journal, and fault injection
-// for testing both. The paper's production workload — week-long PBE0
-// dynamics on 96 BG/Q racks — survives node failures by periodically
+// Package ckpt is the durability layer for AIMD trajectories: a ring of
+// journal segments that hold the complete MD state of every step, and
+// fault injection for testing it. The paper's production workload —
+// week-long PBE0 dynamics on 96 BG/Q racks — survives node failures by
 // persisting the full MD state and replaying forward; this package is
 // that mechanism for the md driver.
 //
-// # Snapshot format
+// # Segment format
 //
-// A snapshot file (snap-%012d.ckpt) is
-//
-//	magic   "HFXCKPT\x01"                      (8 bytes)
-//	nsect   uint32 LE                           section count
-//	nsect × sections:
-//	    nameLen uint16 LE, name bytes
-//	    size    uint64 LE                       payload bytes
-//	    crc     uint32 LE                       CRC32 (IEEE) of payload
-//	    payload
-//
-// Every section is independently CRC-checked on read, so a torn write or
-// a flipped bit is detected (and reported as a *CorruptError) rather
-// than silently resumed from. Snapshots are written to a temp file in
-// the same directory, fsynced, and atomically renamed into place; the
-// directory keeps a ring of the last Keep good snapshots.
-//
-// # Journal format
-//
-// The journal (journal.wal) is an append-only sequence of framed
-// records:
+// A checkpoint directory holds segment files step-%012d.wal, each named
+// by the step of its first record:
 //
 //	magic   "HFXJRNL\x01"                      (8 bytes)
 //	records:
@@ -34,40 +16,45 @@
 //	    crc  uint32 LE                          CRC32 (IEEE) of payload
 //	    payload                                 EncodeState bytes
 //
-// Each record carries the *complete* MD state of one step, so replay is
-// a bitwise restore, not a recomputation: the resumed run continues
-// from exactly the floats the crashed run last made durable. A torn
-// tail (short frame or CRC mismatch) marks the end of the valid prefix
-// and is discarded. The journal is truncated after every durable
-// snapshot, bounding its size to Every records.
+// Each record carries the *complete* MD state of one step, so a restore
+// is bitwise, not a recomputation: the resumed run continues from exactly
+// the floats the crashed run last made durable. A segment's first record
+// is its snapshot. The Writer opens a segment on its first step and on
+// every Every-th step, writing it whole (temp file, fsync, atomic rename,
+// directory fsync), and appends every other step's record to the segment
+// it opened. A torn tail (short frame, CRC mismatch, undecodable payload)
+// ends a segment's valid prefix. The directory keeps the newest Keep
+// segments.
 //
 // # Write-behind
 //
 // Writer.OnStep encodes and frames the step's record, hands it to a
-// goroutine that writes and fsyncs it, and returns: the trajectory
-// computes step n+1 while record n goes to disk. OnStep(n+1), a snapshot
-// and Close first wait for record n, so at most one record is ever in
-// flight, a failed write is reported by the next of those calls, and the
-// goroutine has exited by the time Close returns. Records still reach the
-// file whole and in order, so whatever instant the process dies at, the
-// journal is a CRC-framed prefix of the run: the resume point is the last
+// goroutine that appends and fsyncs it, and returns: the trajectory
+// computes step n+1 while record n goes to disk. OnStep(n+1) and Close
+// first wait for record n, so at most one record is ever in flight, a
+// failed write is reported by the next of those calls, and the goroutine
+// has exited by the time Close returns. Records still reach the file
+// whole and in order, so whatever instant the process dies at, the
+// segment is a CRC-framed prefix of the run: the resume point is the last
 // step handed over or the one before it, and either way the resumed
 // trajectory is the uninterrupted one.
 //
 // # Resume invariant
 //
-// Load picks the most advanced durable state: the last valid journal
-// record, or the newest CRC-clean snapshot, whichever carries the
-// higher step. Because velocity-Verlet is deterministic and every state
-// is restored bit-for-bit, a resumed trajectory is bitwise identical to
-// the uninterrupted run from the restore point on — the md tests
-// enforce this to the last ulp for every injected fault mode.
+// Load scans the segments newest first and restores the last record of
+// the first one whose opening record is intact. A Writer never appends to
+// a file it did not create, and opening a segment removes every segment
+// named above it — the abandoned future of a fallback — so the newest
+// segment always continues the trajectory that wrote it. Because
+// velocity-Verlet is deterministic and every state is restored
+// bit-for-bit, a resumed trajectory is bitwise identical to the
+// uninterrupted run from the restore point on — the md tests enforce
+// this to the last ulp for every injected fault mode.
 package ckpt
 
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"math"
 
 	"hfxmd/internal/chem"
@@ -113,22 +100,6 @@ func (s *MDState) Clone() *MDState {
 		c.Slow = append([]chem.Vec3(nil), s.Slow...)
 	}
 	return &c
-}
-
-// CorruptError reports a snapshot or journal frame that failed
-// validation; Load treats it as "this copy does not exist" and falls
-// back to the previous good one.
-type CorruptError struct {
-	Path    string
-	Section string
-	Reason  string
-}
-
-func (e *CorruptError) Error() string {
-	if e.Section != "" {
-		return fmt.Sprintf("ckpt: %s: section %q %s", e.Path, e.Section, e.Reason)
-	}
-	return fmt.Sprintf("ckpt: %s: %s", e.Path, e.Reason)
 }
 
 // ---------------------------------------------------------------------------
@@ -201,11 +172,17 @@ func DecodeState(b []byte) (*MDState, error) {
 	}
 	s := &MDState{}
 	s.Step = int64(u64())
-	n := int(u64())
 	nvec := 3
 	if ver == stateVersionRESPA {
 		nvec = 4
 	}
+	// Bound the atom count by the bytes present before multiplying: a
+	// count near 2^61 would wrap the expected length back into range.
+	n64 := u64()
+	if n64 > uint64((len(b)-10*8)/(nvec*24)) {
+		return nil, fmt.Errorf("ckpt: state image %d bytes too short for %d atoms (version %d)", len(b), n64, ver)
+	}
+	n := int(n64)
 	if want := 10*8 + nvec*24*n; len(b) != want {
 		return nil, fmt.Errorf("ckpt: state image %d bytes, want %d for %d atoms (version %d)", len(b), want, n, ver)
 	}
@@ -231,6 +208,3 @@ func DecodeState(b []byte) (*MDState, error) {
 	}
 	return s, nil
 }
-
-// crcIEEE is the checksum both formats frame payloads with.
-func crcIEEE(b []byte) uint32 { return crc32.ChecksumIEEE(b) }

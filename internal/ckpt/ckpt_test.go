@@ -1,6 +1,8 @@
 package ckpt
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
 	"os"
@@ -39,6 +41,16 @@ func sameState(t *testing.T, got, want *MDState) {
 	}
 }
 
+// overflowImage is a well-formed 80-byte version-1 header claiming 2^61
+// atoms: 80 + 72·2^61 wraps to 80, so only a bound taken before the
+// multiplication rejects it.
+func overflowImage() []byte {
+	b := make([]byte, 10*8)
+	binary.LittleEndian.PutUint64(b, stateVersion)
+	binary.LittleEndian.PutUint64(b[16:], 1<<61)
+	return b
+}
+
 func TestStateEncodeDecodeRoundtrip(t *testing.T) {
 	want := testState(17, 5)
 	got, err := DecodeState(EncodeState(want))
@@ -49,46 +61,60 @@ func TestStateEncodeDecodeRoundtrip(t *testing.T) {
 	if _, err := DecodeState(EncodeState(want)[:40]); err == nil {
 		t.Fatal("truncated image should not decode")
 	}
+	if _, err := DecodeState(overflowImage()); err == nil {
+		t.Fatal("an image claiming 2^61 atoms should not decode")
+	}
 }
 
+// segmentOf frames states into the bytes of one segment file.
+func segmentOf(states ...*MDState) []byte {
+	b := []byte(segMagic)
+	for _, s := range states {
+		b = append(b, Frame(EncodeState(s))...)
+	}
+	return b
+}
+
+// TestSnapshotRoundtripAndCorruption: a segment restores its last intact
+// record; a flipped payload byte, a truncation and a corrupt opening
+// record each end the valid prefix where they sit.
 func TestSnapshotRoundtripAndCorruption(t *testing.T) {
 	dir := t.TempDir()
-	want := testState(8, 3)
-	path, err := WriteSnapshot(dir, want, true)
+	path := filepath.Join(dir, segmentName(8))
+	img := segmentOf(testState(8, 3), testState(9, 3), testState(10, 3))
+	load := func(b []byte) (*Resume, error) {
+		t.Helper()
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return Load(dir, nil)
+	}
+	r, err := load(img)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadSnapshot(path)
-	if err != nil {
+	if r.SnapshotStep != 8 || r.ReplayedSteps != 2 || r.Fallbacks != 0 {
+		t.Fatalf("resume = %+v", r)
+	}
+	sameState(t, r.State, testState(10, 3))
+
+	rec := len(Frame(EncodeState(testState(8, 3))))
+	flipped := append([]byte(nil), img...)
+	flipped[len(segMagic)+rec+8+20] ^= 0xff // a payload byte of record 9
+	if r, err = load(flipped); err != nil || r.State.Step != 8 {
+		t.Fatalf("CRC-bad record 9: resume %+v, %v", r, err)
+	}
+	if r, err = load(img[:len(img)-10]); err != nil || r.State.Step != 9 {
+		t.Fatalf("truncated record 10: resume %+v, %v", r, err)
+	}
+	if _, err := load(img); err != nil {
 		t.Fatal(err)
 	}
-	sameState(t, got, want)
-
-	// Every section must be individually protected by its CRC.
-	for _, sec := range sectionOrder {
-		p, err := WriteSnapshot(dir, testState(9, 3), true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := corruptSection(p, sec); err != nil {
-			t.Fatal(err)
-		}
-		_, err = ReadSnapshot(p)
-		var ce *CorruptError
-		if !errors.As(err, &ce) || ce.Section != sec {
-			t.Fatalf("corrupted section %q: got %v", sec, err)
-		}
-	}
-
-	// Truncation is detected too.
-	b, _ := os.ReadFile(path)
-	trunc := filepath.Join(dir, SnapshotName(99))
-	if err := os.WriteFile(trunc, b[:len(b)-10], 0o644); err != nil {
+	if err := corruptOpening(path); err != nil {
 		t.Fatal(err)
 	}
-	var ce *CorruptError
-	if _, err := ReadSnapshot(trunc); !errors.As(err, &ce) {
-		t.Fatalf("truncated snapshot: got %v", err)
+	if _, err := Load(dir, nil); !errors.Is(err, ErrNoCheckpoint) {
+		t.Fatalf("corrupt opening record: got %v", err)
 	}
 }
 
@@ -106,28 +132,28 @@ func TestWriterRingAndJournal(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Snapshots at 4, 8, 12 with Keep=2 leave {8, 12}.
-	steps, err := ListSnapshots(dir)
+	// Segments open at 0, 4, 8, 12; Keep=2 leaves {8, 12}.
+	steps, err := listSegments(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(steps, []int64{8, 12}) {
 		t.Fatalf("ring = %v, want [8 12]", steps)
 	}
-	// The journal holds only the post-snapshot tail: step 13.
-	recs, err := readJournal(journalPath(dir))
+	// The newest segment holds steps 12 and 13.
+	first, last, n, err := readSegment(filepath.Join(dir, segmentName(12)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 1 || recs[0].Step != 13 {
-		t.Fatalf("journal records = %d (last %v)", len(recs), recs)
+	if n != 2 || first.Step != 12 || last.Step != 13 {
+		t.Fatalf("segment 12 holds %d records, %d..%d", n, first.Step, last.Step)
 	}
 
 	r, err := Load(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.State.Step != 13 || r.SnapshotStep != 12 || r.JournalStep != 13 || r.ReplayedSteps != 1 {
+	if r.State.Step != 13 || r.SnapshotStep != 12 || r.ReplayedSteps != 1 {
 		t.Fatalf("resume = %+v", r)
 	}
 	sameState(t, r.State, testState(13, 2))
@@ -149,7 +175,7 @@ func TestLoadPrefersJournalHead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.State.Step != 5 || r.SnapshotStep != -1 || r.ReplayedSteps != 6 {
+	if r.State.Step != 5 || r.SnapshotStep != 0 || r.ReplayedSteps != 5 {
 		t.Fatalf("resume = %+v", r)
 	}
 }
@@ -166,22 +192,42 @@ func TestLoadFallsBackPastCorruptSnapshot(t *testing.T) {
 		}
 	}
 	w.Close()
-	// Corrupt the newest snapshot (step 8); the journal was just reset,
-	// so the resume must fall back to the snapshot at step 4.
-	if err := corruptSection(filepath.Join(dir, SnapshotName(8)), SectionPositions); err != nil {
+	// Corrupt the newest opening record (step 8): the resume falls back
+	// to the last record of the segment before, step 7.
+	if err := corruptOpening(filepath.Join(dir, segmentName(8))); err != nil {
 		t.Fatal(err)
 	}
 	r, err := Load(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.State.Step != 4 || r.Fallbacks != 1 {
+	if r.State.Step != 7 || r.Fallbacks != 1 {
 		t.Fatalf("resume = %+v", r)
 	}
-	sameState(t, r.State, testState(4, 2))
+	sameState(t, r.State, testState(7, 2))
+
+	// The resumed writer's first step replaces segment 8 and removes any
+	// segment above it: the abandoned future of the fallback.
+	if err := os.WriteFile(filepath.Join(dir, segmentName(12)), []byte(segMagic), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	w2, err := NewWriter(Config{Dir: dir, Every: 4, Keep: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w2.OnStep(testState(8, 2)); err != nil {
+		t.Fatal(err)
+	}
+	w2.Close()
+	if steps, _ := listSegments(dir); !reflect.DeepEqual(steps, []int64{0, 4, 8}) {
+		t.Fatalf("ring after resume = %v, want [0 4 8]", steps)
+	}
+	if r, err = Load(dir, nil); err != nil || r.State.Step != 8 || r.Fallbacks != 0 {
+		t.Fatalf("resume after rewrite = %+v, %v", r, err)
+	}
 }
 
-func TestTornJournalTailIsDiscardedAndTruncated(t *testing.T) {
+func TestTornTailIsDiscarded(t *testing.T) {
 	dir := t.TempDir()
 	w, err := NewWriter(Config{Dir: dir, Every: 100, Keep: 3,
 		Plan: &FaultPlan{CrashAtStep: 3, TornWrite: true}})
@@ -207,22 +253,24 @@ func TestTornJournalTailIsDiscardedAndTruncated(t *testing.T) {
 		t.Fatalf("torn tail not discarded: resumed at %d", r.State.Step)
 	}
 
-	// Re-opening for append must drop the torn bytes so post-resume
-	// records stay reachable.
+	// The resumed writer never appends behind the torn bytes: its first
+	// step opens a segment of its own.
 	w2, err := NewWriter(Config{Dir: dir, Every: 100, Keep: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w2.OnStep(testState(3, 2)); err != nil {
-		t.Fatal(err)
+	for step := int64(3); step <= 4; step++ {
+		if err := w2.OnStep(testState(step, 2)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	w2.Close()
-	recs, err := readJournal(journalPath(dir))
+	r, err = Load(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 4 || recs[3].Step != 3 {
-		t.Fatalf("journal after resume: %d records, last %+v", len(recs), recs[len(recs)-1])
+	if r.State.Step != 4 || r.SnapshotStep != 3 || r.ReplayedSteps != 1 {
+		t.Fatalf("resume after restart = %+v", r)
 	}
 }
 
@@ -245,10 +293,11 @@ func TestWriterMetrics(t *testing.T) {
 	}
 	reg := w.reg()
 	w.Close()
-	if got := reg.Counter("ckpt.journal_appends").Value(); got != 5 {
+	// Steps 0, 2 and 4 open segments; 1 and 3 are appended.
+	if got := reg.Counter("ckpt.journal_appends").Value(); got != 2 {
 		t.Fatalf("journal_appends = %d", got)
 	}
-	if got := reg.Counter("ckpt.snapshots").Value(); got != 2 {
+	if got := reg.Counter("ckpt.snapshots").Value(); got != 3 {
 		t.Fatalf("snapshots = %d", got)
 	}
 	if reg.Counter("ckpt.snapshot_bytes").Value() <= 0 {
@@ -260,13 +309,14 @@ func TestWriterMetrics(t *testing.T) {
 }
 
 // TestJournalWriteBehind: OnStep returns once the record is handed over,
-// before it is on disk. A process killed in that window leaves the journal
+// before it is on disk. A process killed in that window leaves the segment
 // it had — a valid prefix ending at the previous record, which restores bit
 // for bit — the next OnStep and Close each wait for the record in flight,
 // a failed write surfaces at the next call, and no goroutine outlives Close.
 func TestJournalWriteBehind(t *testing.T) {
 	before := runtime.NumGoroutine()
 	dir := t.TempDir()
+	seg := filepath.Join(dir, segmentName(0))
 	w, err := NewWriter(Config{Dir: dir, Every: 100})
 	if err != nil {
 		t.Fatal(err)
@@ -293,19 +343,19 @@ func TestJournalWriteBehind(t *testing.T) {
 	w.beforeWrite = nil
 	// What a SIGKILL at this instant leaves behind.
 	killed := t.TempDir()
-	img, err := os.ReadFile(journalPath(dir))
+	img, err := os.ReadFile(seg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(journalPath(killed), img, 0o644); err != nil {
+	if !bytes.Equal(img, segmentOf(testState(0, 2), testState(1, 2), testState(2, 2), testState(3, 2))) {
+		t.Fatalf("killed in flight: segment is %d bytes, not records 0..3", len(img))
+	}
+	if err := os.WriteFile(filepath.Join(killed, segmentName(0)), img, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	r, err := Load(killed, nil)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if r.JournalStep != 3 || len(img) != validPrefixLen(img) {
-		t.Fatalf("killed in flight: journal ends at step %d, %d of %d bytes valid", r.JournalStep, validPrefixLen(img), len(img))
 	}
 	sameState(t, r.State, testState(3, 2))
 
@@ -317,15 +367,16 @@ func TestJournalWriteBehind(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := readJournal(journalPath(dir))
+	img, err = os.ReadFile(seg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 6 {
-		t.Fatalf("journal holds %d records after Close, want 6", len(recs))
+	var want []*MDState
+	for i := int64(0); i <= 5; i++ {
+		want = append(want, testState(i, 2))
 	}
-	for i, rec := range recs {
-		sameState(t, rec, testState(int64(i), 2))
+	if !bytes.Equal(img, segmentOf(want...)) {
+		t.Fatalf("segment after Close is %d bytes, not records 0..5", len(img))
 	}
 
 	// A write that fails is reported by the call that waits for it.
@@ -333,12 +384,15 @@ func TestJournalWriteBehind(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w2.j.f.Close() // the record in flight will find the file gone
 	if err := w2.OnStep(testState(0, 2)); err != nil {
+		t.Fatal(err)
+	}
+	w2.f.Close() // the record in flight will find the file gone
+	if err := w2.OnStep(testState(1, 2)); err != nil {
 		t.Fatalf("hand-off reported %v", err)
 	}
-	if err := w2.OnStep(testState(1, 2)); err == nil || !strings.Contains(err.Error(), "journal append step 0") {
-		t.Fatalf("step 1 did not report step 0's failed write: %v", err)
+	if err := w2.OnStep(testState(2, 2)); err == nil || !strings.Contains(err.Error(), "journal append step 1") {
+		t.Fatalf("step 2 did not report step 1's failed write: %v", err)
 	}
 	w2.Close()
 
@@ -348,4 +402,45 @@ func TestJournalWriteBehind(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
+}
+
+// FuzzLoad feeds arbitrary bytes to Load as the one segment of a
+// checkpoint directory. Load must never panic; what it restores must be
+// the exact payload of a frame of the input; and a directory it cannot
+// restore from is ErrNoCheckpoint, nothing else.
+func FuzzLoad(f *testing.F) {
+	valid := segmentOf(testState(4, 2), testState(5, 2), respaState(6, 2))
+	f.Add(valid)
+	f.Add(valid[:len(valid)-5]) // torn tail
+	badCRC := append([]byte(nil), valid...)
+	badCRC[len(segMagic)+4] ^= 0xff // the opening record's CRC
+	f.Add(badCRC)
+	f.Add(append([]byte(segMagic), Frame(overflowImage())...))
+
+	// A worker process runs the target sequentially: one directory serves.
+	dir := f.TempDir()
+	f.Fuzz(func(t *testing.T, b []byte) {
+		if err := os.WriteFile(filepath.Join(dir, segmentName(0)), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		r, err := Load(dir, nil)
+		if err != nil {
+			if !errors.Is(err, ErrNoCheckpoint) {
+				t.Fatalf("Load: %v, want ErrNoCheckpoint", err)
+			}
+			return
+		}
+		img := EncodeState(r.State)
+		for off := len(segMagic); off < len(b); {
+			payload, n, _ := NextFrame(b[off:])
+			if n == 0 {
+				break
+			}
+			if bytes.Equal(payload, img) {
+				return
+			}
+			off += n
+		}
+		t.Fatalf("restored step %d is no frame of the input", r.State.Step)
+	})
 }

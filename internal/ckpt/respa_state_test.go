@@ -51,16 +51,26 @@ func TestPlainStateImageUnchanged(t *testing.T) {
 
 func TestRespaSnapshotRoundtrip(t *testing.T) {
 	dir := t.TempDir()
-	want := respaState(8, 3)
-	path, err := WriteSnapshot(dir, want, true)
+	w, err := NewWriter(Config{Dir: dir, Every: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadSnapshot(path)
+	for step := int64(7); step <= 8; step++ {
+		if err := w.OnStep(respaState(step, 3)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := Load(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameState(t, got, want)
+	if r.SnapshotStep != 8 || r.ReplayedSteps != 0 {
+		t.Fatalf("resume = %+v", r)
+	}
+	sameState(t, r.State, respaState(8, 3))
 }
 
 func TestRespaCloneCopiesSlow(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"time"
 
 	"hfxmd/internal/trace"
@@ -26,45 +27,44 @@ type FaultPlan struct {
 	// that step (0 disables; step 0 is never a crash point).
 	CrashAtStep int64
 	// TornWrite, with CrashAtStep, crashes halfway through that step's
-	// journal record: only a prefix of the frame reaches the file.
+	// record: only a prefix of the frame reaches the open segment.
 	TornWrite bool
-	// CorruptSection, with CrashAtStep, flips one byte in the named
-	// section of the newest snapshot after the step completes — the
-	// resume must detect the damage and fall back.
-	CorruptSection string
+	// CorruptSnapshot, with CrashAtStep, flips one payload byte of the
+	// newest segment's opening record after the step completes — the
+	// resume must detect the damage and fall back to the segment before.
+	CorruptSnapshot bool
 }
 
 // Config configures a Writer.
 type Config struct {
 	// Dir is the checkpoint directory (created if absent).
 	Dir string
-	// Every is the snapshot cadence in steps (default 10). The journal
-	// covers the steps in between, so a crash loses nothing.
+	// Every is the segment cadence in steps (default 10): a step with
+	// Step > 0 and Step mod Every = 0 opens a new segment.
 	Every int64
-	// Keep is the snapshot ring size (default 3).
+	// Keep is the segment ring size (default 3).
 	Keep int
-	// NoFsync skips fsync — only for benchmarks measuring the format
-	// cost apart from the disk.
-	NoFsync bool
 	// Plan optionally injects faults.
 	Plan *FaultPlan
 	// Registry receives ckpt.* counters and timers (optional).
 	Registry *trace.Registry
 }
 
-// Writer persists an MD trajectory: one journal record per step and a
-// ring of periodic snapshots. Not safe for concurrent use — MD steps
-// are sequential by construction. Journal records are written behind
-// the trajectory (see the package comment): between OnStep calls a
-// goroutine of the Writer's may own the journal.
+// Writer persists an MD trajectory, one record per step, into a ring of
+// segments (see the package comment). Not safe for concurrent use — MD
+// steps are sequential by construction. Appended records are written
+// behind the trajectory: between OnStep calls a goroutine of the
+// Writer's may own the open segment.
 type Writer struct {
-	cfg      Config
-	j        *journal
-	lastSnap string
+	cfg Config
+	// f is the segment this Writer opened last, at path seg; nil before
+	// the first step.
+	f   *os.File
+	seg string
 
 	// The record in flight: written carries its outcome once inFlight
-	// is set, and the journal belongs to the writing goroutine until
-	// that outcome has been received.
+	// is set, and f belongs to the writing goroutine until that outcome
+	// has been received.
 	written      chan error
 	inFlight     bool
 	inFlightStep int64
@@ -74,7 +74,8 @@ type Writer struct {
 	beforeWrite func()
 }
 
-// NewWriter opens a checkpoint directory for writing.
+// NewWriter prepares a checkpoint directory for writing. Nothing in it
+// is opened: the first step starts a segment of its own.
 func NewWriter(cfg Config) (*Writer, error) {
 	if cfg.Dir == "" {
 		return nil, fmt.Errorf("ckpt: Config.Dir is required")
@@ -88,15 +89,7 @@ func NewWriter(cfg Config) (*Writer, error) {
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, err
 	}
-	j, err := openJournal(journalPath(cfg.Dir), !cfg.NoFsync)
-	if err != nil {
-		return nil, err
-	}
-	w := &Writer{cfg: cfg, j: j, written: make(chan error, 1)}
-	if steps, err := ListSnapshots(cfg.Dir); err == nil && len(steps) > 0 {
-		w.lastSnap = filepath.Join(cfg.Dir, SnapshotName(steps[len(steps)-1]))
-	}
-	return w, nil
+	return &Writer{cfg: cfg, written: make(chan error, 1)}, nil
 }
 
 // Dir returns the checkpoint directory.
@@ -110,8 +103,8 @@ func (w *Writer) reg() *trace.Registry {
 	return w.cfg.Registry
 }
 
-// settle waits for the journal record in flight, if any, and reports
-// its outcome.
+// settle waits for the record in flight, if any, and reports its
+// outcome.
 func (w *Writer) settle() error {
 	if !w.inFlight {
 		return nil
@@ -123,12 +116,12 @@ func (w *Writer) settle() error {
 	return nil
 }
 
-// OnStep persists one completed MD step: a journal record always, plus
-// a snapshot (and journal reset) every cfg.Every steps. The record is
-// encoded before OnStep returns and written behind it; OnStep first
-// waits for the previous step's record, whose failure it reports.
-// Fault-plan crashes surface as ErrInjectedCrash after the injected
-// damage is on disk.
+// OnStep persists one completed MD step. The Writer's first step and
+// every Every-th step open a new segment, written whole before OnStep
+// returns; every other step's record is appended to the open segment
+// behind the trajectory, and OnStep first waits for the previous step's
+// record, whose failure it reports. Fault-plan crashes surface as
+// ErrInjectedCrash after the injected damage is on disk.
 func (w *Writer) OnStep(s *MDState) error {
 	reg := w.reg()
 	crash := w.cfg.Plan != nil && w.cfg.Plan.CrashAtStep > 0 && s.Step == w.cfg.Plan.CrashAtStep
@@ -137,44 +130,54 @@ func (w *Writer) OnStep(s *MDState) error {
 	if err := w.settle(); err != nil {
 		return err
 	}
-	if crash && w.cfg.Plan.TornWrite {
-		fr := frame(EncodeState(s))
-		if _, err := w.j.writeRaw(fr[:len(fr)/2]); err != nil {
-			return err
+	rec := Frame(EncodeState(s))
+	switch {
+	case crash && w.cfg.Plan.TornWrite:
+		// On an opening step the half frame lands on the previous
+		// segment's tail, which Load reads the same way: as a torn tail.
+		if w.f != nil {
+			if _, err := w.f.Write(rec[:len(rec)/2]); err != nil {
+				return err
+			}
+			if err := w.f.Sync(); err != nil {
+				return err
+			}
 		}
-		return fmt.Errorf("journal record for step %d torn: %w", s.Step, ErrInjectedCrash)
-	}
-
-	rec := frame(EncodeState(s))
-	w.inFlight, w.inFlightStep = true, s.Step
-	go func() {
-		if w.beforeWrite != nil {
-			w.beforeWrite()
+		return fmt.Errorf("record for step %d torn: %w", s.Step, ErrInjectedCrash)
+	case w.f == nil || s.Step > 0 && s.Step%w.cfg.Every == 0:
+		if err := w.open(s.Step, rec); err != nil {
+			return fmt.Errorf("ckpt: segment at step %d: %w", s.Step, err)
 		}
-		_, err := w.j.writeRaw(rec)
-		w.written <- err
-	}()
-	reg.Counter("ckpt.journal_appends").Add(1)
-	reg.Counter("ckpt.journal_bytes").Add(int64(len(rec)))
-
-	// A snapshot resets the journal and a planned crash leaves it to be
-	// read: both need this record on disk first.
-	snap := s.Step > 0 && s.Step%w.cfg.Every == 0
-	if snap || crash {
-		if err := w.settle(); err != nil {
-			return err
+		reg.Timer.Charge("ckpt.snapshot_write", time.Since(t0))
+		reg.Counter("ckpt.snapshots").Add(1)
+		reg.Counter("ckpt.snapshot_bytes").Add(int64(len(segMagic) + len(rec)))
+	default:
+		w.inFlight, w.inFlightStep = true, s.Step
+		go func() {
+			if w.beforeWrite != nil {
+				w.beforeWrite()
+			}
+			_, err := w.f.Write(rec)
+			if err == nil {
+				err = w.f.Sync()
+			}
+			w.written <- err
+		}()
+		reg.Counter("ckpt.journal_appends").Add(1)
+		reg.Counter("ckpt.journal_bytes").Add(int64(len(rec)))
+		// A planned crash leaves the segment to be read: the record
+		// must be on disk first.
+		if crash {
+			if err := w.settle(); err != nil {
+				return err
+			}
 		}
-	}
-	reg.Timer.Charge("ckpt.journal_append", time.Since(t0))
-	if snap {
-		if err := w.snapshot(s); err != nil {
-			return err
-		}
+		reg.Timer.Charge("ckpt.journal_append", time.Since(t0))
 	}
 
 	if crash {
-		if sec := w.cfg.Plan.CorruptSection; sec != "" && w.lastSnap != "" {
-			if err := corruptSection(w.lastSnap, sec); err != nil {
+		if w.cfg.Plan.CorruptSnapshot {
+			if err := corruptOpening(w.seg); err != nil {
 				return err
 			}
 		}
@@ -183,39 +186,56 @@ func (w *Writer) OnStep(s *MDState) error {
 	return nil
 }
 
-// snapshot writes one ring snapshot and resets the journal, in that
-// order: the journal is only discarded once its replacement is durable.
-func (w *Writer) snapshot(s *MDState) error {
-	reg := w.reg()
-	t0 := time.Now()
-	path, err := WriteSnapshot(w.cfg.Dir, s, !w.cfg.NoFsync)
+// open writes the segment step opens — the magic and its first record,
+// whole — and makes it the append target. Then it trims the ring:
+// segments named above step are the abandoned future of a fallback, and
+// of the rest only the newest Keep stay.
+func (w *Writer) open(step int64, rec []byte) error {
+	name := segmentName(step)
+	if err := AtomicWriteFile(w.cfg.Dir, name, append([]byte(segMagic), rec...)); err != nil {
+		return err
+	}
+	path := filepath.Join(w.cfg.Dir, name)
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
 	if err != nil {
-		return fmt.Errorf("ckpt: snapshot step %d: %w", s.Step, err)
+		return err
 	}
-	reg.Timer.Charge("ckpt.snapshot_write", time.Since(t0))
-	reg.Counter("ckpt.snapshots").Add(1)
-	if fi, err := os.Stat(path); err == nil {
-		reg.Counter("ckpt.snapshot_bytes").Add(fi.Size())
+	if w.f != nil {
+		w.f.Close()
 	}
-	w.lastSnap = path
-	pruneRing(w.cfg.Dir, w.cfg.Keep)
-	if err := w.j.reset(); err != nil {
-		return fmt.Errorf("ckpt: journal reset after snapshot %d: %w", s.Step, err)
+	w.f, w.seg = f, path
+	steps, err := listSegments(w.cfg.Dir)
+	if err != nil {
+		return err
+	}
+	above := sort.Search(len(steps), func(i int) bool { return steps[i] > step })
+	for i, st := range steps {
+		path := filepath.Join(w.cfg.Dir, segmentName(st))
+		if i >= above {
+			// Load would resume from a future left behind.
+			if err := os.Remove(path); err != nil {
+				return err
+			}
+		} else if i < above-w.cfg.Keep {
+			os.Remove(path) // best effort: a segment left behind costs only space
+		}
+	}
+	if above < len(steps) {
+		SyncDir(w.cfg.Dir) // a removed future must not reappear after a crash
 	}
 	return nil
 }
 
-// Close waits for the record in flight and releases the journal handle.
+// Close waits for the record in flight and releases the open segment.
 // The directory remains resumable.
 func (w *Writer) Close() error {
-	if w.j == nil {
-		return nil
-	}
 	err := w.settle()
-	if cerr := w.j.close(); err == nil {
-		err = cerr
+	if w.f != nil {
+		if cerr := w.f.Close(); err == nil {
+			err = cerr
+		}
+		w.f = nil
 	}
-	w.j = nil
 	return err
 }
 
@@ -224,73 +244,42 @@ func (w *Writer) Close() error {
 type Resume struct {
 	// State is the restored MD state.
 	State *MDState
-	// SnapshotStep is the newest valid snapshot's step (-1 if none).
+	// SnapshotStep is the step of the restoring segment's opening record.
 	SnapshotStep int64
-	// JournalStep is the last valid journal record's step (-1 if none).
-	JournalStep int64
-	// ReplayedSteps counts journal records ahead of the snapshot that
-	// the resume point absorbed.
+	// ReplayedSteps counts the segment's records after the opening one.
 	ReplayedSteps int64
-	// Fallbacks counts corrupt or truncated snapshots that were skipped
-	// before a valid one was found.
+	// Fallbacks counts newer segments skipped because their opening
+	// record was torn or corrupt.
 	Fallbacks int
 }
 
 // Load restores the most advanced durable state from a checkpoint
-// directory: the last valid journal record or, if the journal is behind
-// (or empty), the newest CRC-clean snapshot. Corrupt snapshots are
-// skipped oldest-preferred (newest first, falling back), corrupt
-// journal tails are truncated at the last good record. Registry may be
-// nil.
+// directory: it scans the segments newest first and returns the last
+// record of the valid prefix of the first segment that has one.
+// Registry may be nil.
 func Load(dir string, reg *trace.Registry) (*Resume, error) {
 	if reg == nil {
 		reg = trace.NewRegistry()
 	}
-	r := &Resume{SnapshotStep: -1, JournalStep: -1}
-
-	records, err := readJournal(journalPath(dir))
-	if err != nil {
-		return nil, err
-	}
-	if len(records) > 0 {
-		r.JournalStep = records[len(records)-1].Step
-	}
-
-	steps, err := ListSnapshots(dir)
+	steps, err := listSegments(dir)
 	if err != nil && !os.IsNotExist(err) {
 		return nil, err
 	}
-	var snap *MDState
+	r := &Resume{}
 	for i := len(steps) - 1; i >= 0; i-- {
-		s, err := ReadSnapshot(filepath.Join(dir, SnapshotName(steps[i])))
+		first, last, n, err := readSegment(filepath.Join(dir, segmentName(steps[i])))
 		if err != nil {
-			var ce *CorruptError
-			if errors.As(err, &ce) {
-				r.Fallbacks++
-				reg.Counter("ckpt.fallbacks").Add(1)
-				continue
-			}
 			return nil, err
 		}
-		snap = s
-		r.SnapshotStep = s.Step
-		break
-	}
-
-	switch {
-	case r.JournalStep >= 0 && r.JournalStep >= r.SnapshotStep:
-		r.State = records[len(records)-1]
-		if r.SnapshotStep >= 0 {
-			r.ReplayedSteps = r.JournalStep - r.SnapshotStep
-		} else {
-			r.ReplayedSteps = int64(len(records))
+		if n == 0 {
+			r.Fallbacks++
+			reg.Counter("ckpt.fallbacks").Add(1)
+			continue
 		}
-	case snap != nil:
-		r.State = snap
-	default:
-		return nil, ErrNoCheckpoint
+		r.State, r.SnapshotStep, r.ReplayedSteps = last, first.Step, n-1
+		reg.Counter("ckpt.replayed_steps").Add(r.ReplayedSteps)
+		reg.Counter("ckpt.resumes").Add(1)
+		return r, nil
 	}
-	reg.Counter("ckpt.replayed_steps").Add(r.ReplayedSteps)
-	reg.Counter("ckpt.resumes").Add(1)
-	return r, nil
+	return nil, ErrNoCheckpoint
 }

@@ -117,17 +117,17 @@ func TestResumeBitwiseIdenticalTornWrite(t *testing.T) {
 func TestResumeBitwiseIdenticalCorruptSnapshot(t *testing.T) {
 	const steps = 30
 	ref := runUninterrupted(t, steps)
-	// Crash exactly at a snapshot step with the fresh snapshot (step 16)
-	// corrupted: the journal was just reset, so resume must fall back to
-	// the previous ring entry (step 8) and re-integrate forward.
+	// Crash exactly at a segment opening with its fresh opening record
+	// (step 16) corrupted: resume must fall back to the last record of
+	// the previous segment (step 15) and re-integrate forward.
 	got := crashAndResume(t, ckptMol(), ckptSurf(), ckptOpts(steps),
-		&ckpt.FaultPlan{CrashAtStep: 16, CorruptSection: ckpt.SectionVelocities}, 8)
+		&ckpt.FaultPlan{CrashAtStep: 16, CorruptSnapshot: true}, 8)
 	assertBitwiseEqual(t, got.Final, ref.Final)
 	if got.EnergyDrift() != ref.EnergyDrift() {
 		t.Fatal("drift differs after corrupt-snapshot resume")
 	}
-	if first := got.Frames[0].Step; first != 8 {
-		t.Fatalf("corrupt-snapshot resume should restart from the ring fallback at 8, got %d", first)
+	if first := got.Frames[0].Step; first != 15 {
+		t.Fatalf("corrupt-snapshot resume should restart from the previous segment's last record at 15, got %d", first)
 	}
 }
 

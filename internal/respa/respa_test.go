@@ -224,8 +224,9 @@ func TestKOneMatchesPlainVerlet(t *testing.T) {
 }
 
 // crashAndResume runs with an injected crash, reloads the most advanced
-// durable state and finishes the trajectory.
-func crashAndResume(t *testing.T, totalInner, k int, plan *ckpt.FaultPlan, every int64) *md.Trajectory {
+// durable state and finishes the trajectory. It returns the trajectory
+// and the inner step it resumed from.
+func crashAndResume(t *testing.T, totalInner, k int, plan *ckpt.FaultPlan, every int64) (*md.Trajectory, int64) {
 	t.Helper()
 	dir := t.TempDir()
 	w, err := ckpt.NewWriter(ckpt.Config{Dir: dir, Every: every, Keep: 3, Plan: plan})
@@ -263,7 +264,7 @@ func crashAndResume(t *testing.T, totalInner, k int, plan *ckpt.FaultPlan, every
 	if err != nil {
 		t.Fatal(err)
 	}
-	return traj
+	return traj, res.State.Step
 }
 
 func assertBitwiseEqual(t *testing.T, got, want *ckpt.MDState) {
@@ -283,7 +284,7 @@ func assertBitwiseEqual(t *testing.T, got, want *ckpt.MDState) {
 func TestResumeBitwiseOnOuterBoundary(t *testing.T) {
 	const totalInner, k = 32, 4
 	ref := runRESPA(t, totalInner, k, nil)
-	got := crashAndResume(t, totalInner, k, &ckpt.FaultPlan{CrashAtStep: 16}, 8)
+	got, _ := crashAndResume(t, totalInner, k, &ckpt.FaultPlan{CrashAtStep: 16}, 8)
 	assertBitwiseEqual(t, got.Final, ref.Final)
 	if got.EnergyDrift() != ref.EnergyDrift() {
 		t.Fatal("drift differs after boundary resume")
@@ -297,26 +298,26 @@ func TestResumeBitwiseOnOuterBoundary(t *testing.T) {
 func TestResumeBitwiseMidCycle(t *testing.T) {
 	const totalInner, k = 32, 4
 	ref := runRESPA(t, totalInner, k, nil)
-	got := crashAndResume(t, totalInner, k, &ckpt.FaultPlan{CrashAtStep: 18}, 7)
+	got, _ := crashAndResume(t, totalInner, k, &ckpt.FaultPlan{CrashAtStep: 18}, 7)
 	assertBitwiseEqual(t, got.Final, ref.Final)
 	if got.EnergyDrift() != ref.EnergyDrift() {
 		t.Fatal("drift differs after mid-cycle resume")
 	}
 }
 
-// TestResumeBitwiseFaultedCheckpoint: a torn journal record and a
-// corrupt fresh snapshot mid-campaign still resume to the uninterrupted
-// bits; the corrupt one falls back to the previous ring entry.
+// TestResumeBitwiseFaultedCheckpoint: a torn record and a corrupt fresh
+// segment opening mid-campaign still resume to the uninterrupted bits;
+// the corrupt one falls back to the last record of the segment before.
 func TestResumeBitwiseFaultedCheckpoint(t *testing.T) {
 	const totalInner, k = 32, 4
 	ref := runRESPA(t, totalInner, k, nil)
-	got := crashAndResume(t, totalInner, k, &ckpt.FaultPlan{CrashAtStep: 18, TornWrite: true}, 8)
+	got, _ := crashAndResume(t, totalInner, k, &ckpt.FaultPlan{CrashAtStep: 18, TornWrite: true}, 8)
 	assertBitwiseEqual(t, got.Final, ref.Final)
-	got = crashAndResume(t, totalInner, k,
-		&ckpt.FaultPlan{CrashAtStep: 16, CorruptSection: ckpt.SectionVelocities}, 8)
+	got, from := crashAndResume(t, totalInner, k,
+		&ckpt.FaultPlan{CrashAtStep: 16, CorruptSnapshot: true}, 8)
 	assertBitwiseEqual(t, got.Final, ref.Final)
-	if first := got.Frames[0].Step; first != 8 {
-		t.Fatalf("corrupt-snapshot resume should restart from the ring fallback at 8, got %d", first)
+	if from != 15 {
+		t.Fatalf("corrupt-snapshot resume should restart from the previous segment's last record at 15, got %d", from)
 	}
 	if got.EnergyDrift() != ref.EnergyDrift() {
 		t.Fatal("drift differs after faulted resume")

@@ -1,13 +1,13 @@
 package server
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sync"
+
+	"hfxmd/internal/ckpt"
 )
 
 // The crash-safe job journal. hfxd's HTTP API is synchronous — a client
@@ -21,13 +21,14 @@ import (
 // to completion, landing their results in the cache exactly as if the
 // crash had not happened.
 //
-// On-disk format: the magic "HFXDJNL\x01" followed by framed records,
-// each  size uint32 LE | crc32(payload) IEEE | payload (JSON). A torn
-// tail — a crash mid-append — fails the size or CRC check; the file is
-// truncated back to its valid prefix before reopening for append, so
-// later records can never hide behind torn bytes. Compaction (boot, and
-// periodically once enough finish records accumulate) rewrites the file
-// with only the outstanding submits via temp-file + fsync + rename.
+// On-disk format: the magic "HFXDJNL\x01" followed by records in the
+// ckpt framing (ckpt.Frame), size uint32 LE | crc32(payload) IEEE |
+// payload (JSON). A torn tail — a crash mid-append — fails the size or
+// CRC check; the file is truncated back to its valid prefix before
+// reopening for append, so later records can never hide behind torn
+// bytes. Compaction (boot, and periodically once enough finish records
+// accumulate) rewrites the file with only the outstanding submits via
+// ckpt.AtomicWriteFile.
 const jnlMagic = "HFXDJNL\x01"
 
 // journalRecord is one journal entry.
@@ -61,11 +62,7 @@ func frameRecord(rec journalRecord) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	buf := make([]byte, 8+len(payload))
-	binary.LittleEndian.PutUint32(buf[0:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[4:], crc32.ChecksumIEEE(payload))
-	copy(buf[8:], payload)
-	return buf, nil
+	return ckpt.Frame(payload), nil
 }
 
 // scanRecords walks the framed records in b (which excludes the magic)
@@ -73,21 +70,17 @@ func frameRecord(rec journalRecord) ([]byte, error) {
 func scanRecords(b []byte) ([]journalRecord, int) {
 	var recs []journalRecord
 	off := 0
-	for off+8 <= len(b) {
-		size := int(binary.LittleEndian.Uint32(b[off:]))
-		if off+8+size > len(b) {
+	for {
+		payload, n, ok := ckpt.NextFrame(b[off:])
+		if n == 0 || !ok {
 			break // torn tail
-		}
-		payload := b[off+8 : off+8+size]
-		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(b[off+4:]) {
-			break
 		}
 		var rec journalRecord
 		if err := json.Unmarshal(payload, &rec); err != nil {
 			break
 		}
 		recs = append(recs, rec)
-		off += 8 + size
+		off += n
 	}
 	return recs, off
 }
@@ -144,50 +137,26 @@ func openJobJournal(path string) (*jobJournal, error) {
 }
 
 // rewrite atomically replaces the journal with the given outstanding
-// submit records (temp + fsync + rename) and reopens it for append.
+// submit records and reopens it for append.
 func (jl *jobJournal) rewrite(ids []string) error {
+	buf := []byte(jnlMagic)
+	for _, id := range ids {
+		fr, err := frameRecord(journalRecord{Op: "submit", ID: id, Req: jl.outstanding[id]})
+		if err != nil {
+			return err
+		}
+		buf = append(buf, fr...)
+	}
+	if err := ckpt.AtomicWriteFile(filepath.Dir(jl.path), filepath.Base(jl.path), buf); err != nil {
+		return err
+	}
 	if jl.f != nil {
 		jl.f.Close()
-		jl.f = nil
 	}
-	tmp := jl.path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
+	var err error
+	if jl.f, err = os.OpenFile(jl.path, os.O_WRONLY|os.O_APPEND, 0o644); err != nil {
 		return err
 	}
-	if _, err := f.Write([]byte(jnlMagic)); err == nil {
-		for _, id := range ids {
-			var buf []byte
-			if buf, err = frameRecord(journalRecord{Op: "submit", ID: id, Req: jl.outstanding[id]}); err != nil {
-				break
-			}
-			if _, err = f.Write(buf); err != nil {
-				break
-			}
-		}
-	}
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, jl.path); err != nil {
-		return err
-	}
-	if d, err := os.Open(filepath.Dir(jl.path)); err == nil {
-		d.Sync()
-		d.Close()
-	}
-	out, err := os.OpenFile(jl.path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return err
-	}
-	jl.f = out
 	jl.finishes = 0
 	return nil
 }

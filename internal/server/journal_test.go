@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"net/http/httptest"
 	"os"
@@ -238,6 +239,30 @@ func waitCounter(t *testing.T, s *Server, name string, want int64) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	t.Fatalf("counter %s never reached %d (at %d)", name, want, s.reg.Counter(name).Value())
+}
+
+// TestJournalRecordBytesPinned pins the on-disk bytes of one submit and
+// one finish record, so a change to the framing cannot silently orphan
+// the outstanding jobs of a journal written before it.
+func TestJournalRecordBytesPinned(t *testing.T) {
+	req := JobRequest{Kind: KindSCF, System: "water"}
+	for _, c := range []struct {
+		rec  journalRecord
+		want string
+	}{
+		{journalRecord{Op: "submit", ID: "job-000001", Req: &req},
+			"47000000ee6eb56e7b226f70223a227375626d6974222c226964223a226a6f622d303030303031222c22726571223a7b226b696e64223a22736366222c2273797374656d223a227761746572227d7d"},
+		{journalRecord{Op: "finish", ID: "job-000001"},
+			"21000000984f1aaf7b226f70223a2266696e697368222c226964223a226a6f622d303030303031227d"},
+	} {
+		b, err := frameRecord(c.rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := hex.EncodeToString(b); got != c.want {
+			t.Fatalf("%s record bytes changed:\n got %s\nwant %s", c.rec.Op, got, c.want)
+		}
+	}
 }
 
 // FuzzScanRecords feeds arbitrary bytes to the journal decoder. It must

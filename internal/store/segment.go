@@ -3,11 +3,12 @@ package store
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"sort"
 	"strconv"
 	"strings"
+
+	"hfxmd/internal/ckpt"
 )
 
 // segMagic identifies (and versions) the segment file format. Every
@@ -57,23 +58,13 @@ func listSegments(dir string) ([]int64, error) {
 	return nums, nil
 }
 
-// frameRecord wraps a key/value pair in the size+CRC framing shared
-// with the ckpt journal: u32 payload length, u32 CRC32-IEEE of the
-// payload, payload = u16 key length + key + value.
+// frameRecord wraps a key/value pair in the ckpt framing (ckpt.Frame):
+// u32 payload length, u32 CRC32-IEEE of the payload, payload = u16 key
+// length + key + value.
 func frameRecord(key string, val []byte) []byte {
-	payload := len(key) + len(val) + 2
-	b := make([]byte, 0, 8+payload)
-	b = binary.LittleEndian.AppendUint32(b, uint32(payload))
-	crc := crc32.NewIEEE()
 	var klen [2]byte
 	binary.LittleEndian.PutUint16(klen[:], uint16(len(key)))
-	crc.Write(klen[:])
-	crc.Write([]byte(key))
-	crc.Write(val)
-	b = binary.LittleEndian.AppendUint32(b, crc.Sum32())
-	b = append(b, klen[:]...)
-	b = append(b, key...)
-	return append(b, val...)
+	return ckpt.Frame(klen[:], []byte(key), val)
 }
 
 // scannedRecord is one record surfaced by scanSegment: the key and the
@@ -113,33 +104,24 @@ func scanSegment(b []byte) scanResult {
 		return res
 	}
 	off := int64(len(segMagic))
-	n := int64(len(b))
-	for off+8 <= n {
-		size := int64(binary.LittleEndian.Uint32(b[off:]))
-		if size < 2 || size > maxRecordBytes || off+8+size > n {
+	for {
+		payload, n, ok := ckpt.NextFrame(b[off:])
+		size := int64(len(payload))
+		if n == 0 || size < 2 || size > maxRecordBytes {
 			break // unsteppable frame: torn tail starts here
 		}
-		crc := binary.LittleEndian.Uint32(b[off+4:])
-		payload := b[off+8 : off+8+size]
-		if crc32.ChecksumIEEE(payload) != crc {
+		if klen := int64(binary.LittleEndian.Uint16(payload)); ok && 2+klen <= size {
+			res.records = append(res.records, scannedRecord{
+				key: string(payload[2 : 2+klen]),
+				off: off + 8 + 2 + klen,
+				len: int32(size - 2 - klen),
+			})
+		} else {
 			res.corrupt++
-			off += 8 + size
-			continue
 		}
-		klen := int64(binary.LittleEndian.Uint16(payload))
-		if 2+klen > size {
-			res.corrupt++
-			off += 8 + size
-			continue
-		}
-		res.records = append(res.records, scannedRecord{
-			key: string(payload[2 : 2+klen]),
-			off: off + 8 + 2 + klen,
-			len: int32(size - 2 - klen),
-		})
-		off += 8 + size
+		off += int64(n)
 	}
 	res.validLen = off
-	res.torn = off < n
+	res.torn = off < int64(len(b))
 	return res
 }

@@ -18,7 +18,7 @@ trap 'rm -rf "$tmp"' EXIT
 go build -o "$tmp/aimd" ./cmd/aimd
 
 # A cold h2 step with analytic forces takes well under a millisecond:
-# enough steps that the victim still runs when its first snapshot lands.
+# enough steps that the victim still runs when its first rollover lands.
 STEPS=2000
 ARGS="-system h2 -steps $STEPS -dt 0.4 -temp 300 -seed 7"
 
@@ -29,14 +29,15 @@ sha() { sed -n 's/.*"finalStateSha256": "\([0-9a-f]*\)".*/\1/p' "$1"; }
 ref_sha="$(sha "$tmp/ref.json")"
 test -n "$ref_sha"
 
-# Victim: checkpointed run, killed once the first snapshot is durable.
+# Victim: checkpointed run, killed once a second segment file exists —
+# the first rollover is durable.
 "$tmp/aimd" $ARGS -ckpt-dir "$tmp/ck" -ckpt-every 10 > "$tmp/victim.log" 2>&1 &
 pid=$!
 i=0
-while [ ! -e "$tmp/ck" ] || [ -z "$(ls "$tmp/ck"/snap-*.ckpt 2>/dev/null)" ]; do
+while [ "$(ls "$tmp/ck"/step-*.wal 2>/dev/null | wc -l)" -lt 2 ]; do
 	i=$((i + 1))
 	if [ "$i" -gt 600 ]; then
-		echo "smoke_ckpt: no snapshot appeared before the run ended" >&2
+		echo "smoke_ckpt: no second segment appeared before the run ended" >&2
 		exit 1
 	fi
 	if ! kill -0 "$pid" 2>/dev/null; then
