@@ -578,27 +578,17 @@ type JobServer = server.Server
 // I/O (Config.JournalPath); a journal-less config cannot fail.
 func NewJobServer(cfg JobServerConfig) (*JobServer, error) { return server.New(cfg) }
 
-// Fleet is a cluster of hfxd instances behind a routing policy (see
-// internal/fleet: round-robin, least-loaded, cost-weighted,
-// cache-affinity).
+// Fleet is a cluster of hfxd instances behind one routing rule, cache
+// affinity (see internal/fleet): a job goes to an instance already
+// holding its result, else to its key's stable home instance, else to
+// the instance with the least predicted work outstanding.
 type Fleet = fleet.Cluster
 
 // FleetOptions configures NewFleet.
 type FleetOptions = fleet.Options
 
-// FleetPolicy selects a fleet routing strategy.
-type FleetPolicy = fleet.Policy
-
-// The available fleet routing policies.
-const (
-	FleetRoundRobin    = fleet.RoundRobin
-	FleetLeastLoaded   = fleet.LeastLoaded
-	FleetCostWeighted  = fleet.CostWeighted
-	FleetCacheAffinity = fleet.CacheAffinity
-)
-
 // NewFleet boots a cluster of hfxd instances, each on its own loopback
-// port, behind the configured routing policy.
+// port, behind the cache-affinity router.
 func NewFleet(opts FleetOptions) (*Fleet, error) { return fleet.New(opts) }
 
 // PredictMakespan is the exported cost-prediction hook: the modeled

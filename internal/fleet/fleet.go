@@ -7,7 +7,6 @@ import (
 	"net"
 	"net/http"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"hfxmd/internal/server"
@@ -16,22 +15,15 @@ import (
 )
 
 // Options configures a Cluster. The zero value plus New's defaults give
-// a 2-instance round-robin fleet.
+// a 2-instance fleet.
 type Options struct {
 	// Instances is the number of hfxd instances to boot (default 2).
 	Instances int
-	// Policy selects the routing strategy (default RoundRobin).
+	// Policy is the routing rule; CacheAffinity, the zero value, is the
+	// only one.
 	Policy Policy
 	// Server is the per-instance configuration template.
 	Server server.Config
-	// WorkersPerInstance optionally overrides Server.Workers per
-	// instance (len must equal Instances), modelling a heterogeneous
-	// fleet — the case where CostWeighted and LeastLoaded diverge.
-	WorkersPerInstance []int
-	// OverloadDepth is the queue depth at which CacheAffinity abandons a
-	// job's home instance and falls back to cost-weighted routing
-	// (default max(2, QueueCap/4)).
-	OverloadDepth int
 	// MaxSweeps bounds how many times Submit retries the whole fleet
 	// after finding every instance busy (default 3).
 	MaxSweeps int
@@ -56,18 +48,6 @@ type Options struct {
 func (o *Options) fillDefaults() {
 	if o.Instances == 0 {
 		o.Instances = 2
-	}
-	if o.OverloadDepth == 0 {
-		// Server.QueueCap may itself be defaulted later; mirror its
-		// default here.
-		qc := o.Server.QueueCap
-		if qc == 0 {
-			qc = 64
-		}
-		o.OverloadDepth = qc / 4
-		if o.OverloadDepth < 2 {
-			o.OverloadDepth = 2
-		}
 	}
 	if o.MaxSweeps == 0 {
 		o.MaxSweeps = 3
@@ -96,31 +76,28 @@ type Instance struct {
 	hs *http.Server
 }
 
-// Cluster is N instances behind a routing policy. Create with New,
-// submit with Submit, stop with Close.
+// Cluster is N instances behind the cache-affinity router. Create with
+// New, submit with Submit, stop with Close.
 type Cluster struct {
 	opts  Options
 	insts []*Instance
 	reg   *trace.Registry
 	store *store.Store // shared across instances when Options.StoreDir is set
 
-	cursor atomic.Int64 // round-robin state
-
-	// prices memoises PriceRequest by canonical key: the router prices
-	// each distinct job once, not once per submission.
-	priceMu sync.Mutex
-	prices  map[string]float64
+	// overloadDepth is the queue depth at which a job's home instance is
+	// abandoned for the one with the least outstanding predicted work: a
+	// quarter of the instances' queue capacity, at least 2.
+	overloadDepth int
 }
 
 // New boots the instances — each on its own 127.0.0.1 port — and
 // returns the routing front end.
 func New(opts Options) (*Cluster, error) {
 	opts.fillDefaults()
-	if len(opts.WorkersPerInstance) != 0 && len(opts.WorkersPerInstance) != opts.Instances {
-		return nil, fmt.Errorf("fleet: WorkersPerInstance has %d entries for %d instances",
-			len(opts.WorkersPerInstance), opts.Instances)
+	if opts.Policy != CacheAffinity {
+		return nil, fmt.Errorf("fleet: unknown routing policy %d (cache affinity is the only one)", opts.Policy)
 	}
-	c := &Cluster{opts: opts, reg: opts.Registry, prices: make(map[string]float64)}
+	c := &Cluster{opts: opts, reg: opts.Registry}
 	if opts.StoreDir != "" {
 		st, err := store.Open(store.Options{
 			Dir:      opts.StoreDir,
@@ -141,11 +118,7 @@ func New(opts Options) (*Cluster, error) {
 		c.reg.Counter(name)
 	}
 	for i := 0; i < opts.Instances; i++ {
-		cfg := opts.Server
-		if len(opts.WorkersPerInstance) != 0 {
-			cfg.Workers = opts.WorkersPerInstance[i]
-		}
-		srv, err := server.New(cfg)
+		srv, err := server.New(opts.Server)
 		if err != nil {
 			c.Close(context.Background())
 			return nil, fmt.Errorf("fleet: instance %d: %w", i, err)
@@ -167,6 +140,9 @@ func New(opts Options) (*Cluster, error) {
 		go inst.hs.Serve(ls)
 		c.insts = append(c.insts, inst)
 		c.reg.Counter(fmt.Sprintf("fleet.inst%d.routed", i))
+		// Every instance boots from one template, so they share one
+		// (defaulted) queue capacity.
+		c.overloadDepth = max(2, srv.QueueCap()/4)
 	}
 	return c, nil
 }
@@ -179,9 +155,6 @@ func (c *Cluster) Store() *store.Store { return c.store }
 
 // Registry exposes the router's metrics registry.
 func (c *Cluster) Registry() *trace.Registry { return c.reg }
-
-// Policy reports the routing policy.
-func (c *Cluster) Policy() Policy { return c.opts.Policy }
 
 // DrainInstance begins draining instance i — the lifecycle hook behind
 // rolling restarts and the failover tests. It returns once the
@@ -229,8 +202,7 @@ func (c *Cluster) Close(ctx context.Context) error {
 	return firstErr
 }
 
-// loads snapshots every instance's routing state. key may be empty when
-// the policy does not need cache residency.
+// loads snapshots every instance's routing state for one key.
 func (c *Cluster) loads(key string) []Load {
 	out := make([]Load, len(c.insts))
 	for i, inst := range c.insts {
@@ -239,43 +211,11 @@ func (c *Cluster) loads(key string) []Load {
 			Depth:      s.QueueDepth(),
 			QueuedNS:   s.QueuedCostNS(),
 			InflightNS: s.InflightCostNS(),
-			Workers:    s.Workers(),
 			Draining:   s.Draining(),
-			HoldsKey:   key != "" && s.CacheContains(key),
+			HoldsKey:   s.CacheContains(key),
 		}
 	}
 	return out
-}
-
-// price returns the job's canonical key and (for cost-aware policies)
-// its sched.PredictMakespan cost, memoised per key.
-func (c *Cluster) price(req server.JobRequest) (string, float64, error) {
-	switch c.opts.Policy {
-	case CacheAffinity:
-		key, err := server.CanonicalKey(req)
-		return key, 0, err
-	case CostWeighted:
-		key, err := server.CanonicalKey(req)
-		if err != nil {
-			return "", 0, err
-		}
-		c.priceMu.Lock()
-		ns, ok := c.prices[key]
-		c.priceMu.Unlock()
-		if ok {
-			return key, ns, nil
-		}
-		_, ns, err = server.PriceRequest(req, c.opts.Server.BuilderThreads)
-		if err != nil {
-			return "", 0, err
-		}
-		c.priceMu.Lock()
-		c.prices[key] = ns
-		c.priceMu.Unlock()
-		return key, ns, nil
-	default:
-		return "", 0, nil
-	}
 }
 
 // Submit routes one job and waits for its result, returning the index
@@ -287,7 +227,7 @@ func (c *Cluster) price(req server.JobRequest) (string, float64, error) {
 // busy, Submit backs off by the smallest Retry-After hint (scaled by
 // Options.BackoffScale) and sweeps again, up to Options.MaxSweeps.
 func (c *Cluster) Submit(ctx context.Context, req server.JobRequest) (*server.JobResult, int, error) {
-	key, predicted, err := c.price(req)
+	key, err := server.CanonicalKey(req)
 	if err != nil {
 		return nil, -1, err
 	}
@@ -297,8 +237,7 @@ func (c *Cluster) Submit(ctx context.Context, req server.JobRequest) (*server.Jo
 		busy := make(map[int]bool)
 		var minRetry time.Duration
 		for {
-			i := decide(c.opts.Policy, c.loads(key), key, predicted,
-				int(c.cursor.Add(1)-1), c.opts.OverloadDepth,
+			i := decide(c.loads(key), key, c.overloadDepth,
 				func(i int) bool { return drained[i] || busy[i] })
 			if i < 0 {
 				break

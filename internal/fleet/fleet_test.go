@@ -1,118 +1,119 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
-	"strings"
+	"runtime"
 	"testing"
 	"time"
 
 	"hfxmd/internal/server"
 )
 
-// --- decide(): the policy layer is a pure function, so every routing
-// rule is pinned against literal load snapshots.
+// --- decide(): routing is a pure function, so the rule is pinned
+// against literal load snapshots.
 
 func noneExcluded(int) bool { return false }
 
-func TestDecideRoundRobinSkipsDraining(t *testing.T) {
-	loads := []Load{{}, {Draining: true}, {}}
-	got := make([]int, 0, 6)
-	for cursor := 0; cursor < 6; cursor++ {
-		got = append(got, decide(RoundRobin, loads, "", 0, cursor, 2, noneExcluded))
-	}
-	want := []int{0, 2, 2, 0, 2, 2}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("round-robin order %v, want %v", got, want)
-	}
-	all := []Load{{Draining: true}, {Draining: true}}
-	if i := decide(RoundRobin, all, "", 0, 0, 2, noneExcluded); i != -1 {
-		t.Fatalf("all-draining fleet routed to %d, want -1", i)
-	}
-}
-
-// TestDecideLeastLoadedVsCostWeighted is the heterogeneous-fleet case
-// the two load policies are designed to disagree on: instance 0 has
-// twice the backlog but four times the workers, so it drains sooner.
-func TestDecideLeastLoadedVsCostWeighted(t *testing.T) {
-	loads := []Load{
-		{QueuedNS: 8e9, Workers: 4},
-		{QueuedNS: 4e9, Workers: 1},
-	}
-	if i := decide(LeastLoaded, loads, "", 1e8, 0, 2, noneExcluded); i != 1 {
-		t.Fatalf("least-loaded picked %d, want 1 (smaller raw backlog)", i)
-	}
-	if i := decide(CostWeighted, loads, "", 1e8, 0, 2, noneExcluded); i != 0 {
-		t.Fatalf("cost-weighted picked %d, want 0 (8e9/4 < 4e9/1)", i)
-	}
-}
-
-func TestDecideLeastLoadedCountsInflight(t *testing.T) {
-	loads := []Load{
-		{QueuedNS: 1e9, InflightNS: 5e9, Workers: 1},
-		{QueuedNS: 2e9, Workers: 1},
-	}
-	if i := decide(LeastLoaded, loads, "", 0, 0, 2, noneExcluded); i != 1 {
-		t.Fatalf("least-loaded ignored in-flight work, picked %d", i)
-	}
-}
+func allEligible(int) bool { return true }
 
 func TestDecideCacheAffinity(t *testing.T) {
 	key := "screen|h2|sto-3g"
-	home := rendezvous(key, 3, func(int) bool { return true })
+	home := rendezvous(key, 3, allEligible)
 	if home < 0 || home > 2 {
 		t.Fatalf("rendezvous home %d out of range", home)
 	}
 	// Stable: same key, same home, every time.
 	for k := 0; k < 4; k++ {
-		if h := rendezvous(key, 3, func(int) bool { return true }); h != home {
+		if h := rendezvous(key, 3, allEligible); h != home {
 			t.Fatalf("rendezvous unstable: %d then %d", home, h)
 		}
 	}
 
 	// A resident key beats the rendezvous home, regardless of load.
 	holder := (home + 1) % 3
-	loads := []Load{{Workers: 1}, {Workers: 1}, {Workers: 1}}
+	loads := make([]Load, 3)
 	loads[holder].HoldsKey = true
 	loads[holder].QueuedNS = 1e12
-	if i := decide(CacheAffinity, loads, key, 0, 0, 2, noneExcluded); i != holder {
+	if i := decide(loads, key, 2, noneExcluded); i != holder {
 		t.Fatalf("affinity ignored holder: picked %d, want %d", i, holder)
 	}
 
 	// No holder: the rendezvous home, while it is not overloaded.
-	cold := []Load{{Workers: 1}, {Workers: 1}, {Workers: 1}}
-	if i := decide(CacheAffinity, cold, key, 0, 0, 2, noneExcluded); i != home {
+	cold := make([]Load, 3)
+	if i := decide(cold, key, 2, noneExcluded); i != home {
 		t.Fatalf("cold fleet routed to %d, want home %d", i, home)
 	}
 
-	// Overloaded home: falls back to earliest completion.
+	// Overloaded home: falls back to the least outstanding predicted
+	// work, which is not the lowest index here.
 	cold[home].Depth = 2 // == overloadDepth
 	cold[home].QueuedNS = 9e9
-	i := decide(CacheAffinity, cold, key, 0, 0, 2, noneExcluded)
-	if i == home {
-		t.Fatal("affinity kept routing to an overloaded home")
+	a, b := (home+1)%3, (home+2)%3
+	cold[a].QueuedNS = 3e9
+	cold[b].QueuedNS = 1e9
+	if i := decide(cold, key, 2, noneExcluded); i != b {
+		t.Fatalf("overloaded home: routed to %d, want least-outstanding %d", i, b)
 	}
-	// Draining home: keys remap instead of failing.
-	cold[home].Depth, cold[home].QueuedNS = 0, 0
-	cold[home].Draining = true
-	if i := decide(CacheAffinity, cold, key, 0, 0, 2, noneExcluded); i == home || i < 0 {
-		t.Fatalf("draining home still routed: %d", i)
+	// Equal outstanding work: the lower index wins.
+	cold[a].QueuedNS, cold[b].QueuedNS = 1e9, 1e9
+	if i := decide(cold, key, 2, noneExcluded); i != min(a, b) {
+		t.Fatalf("tie routed to %d, want lower index %d", i, min(a, b))
 	}
 }
 
-func TestPolicyNamesRoundTrip(t *testing.T) {
-	for _, p := range Policies() {
-		got, ok := PolicyByName(p.String())
-		if !ok || got != p {
-			t.Fatalf("PolicyByName(%q) = %v, %v", p.String(), got, ok)
-		}
+// TestDecideDrainingOrExcludedHome: a home that is draining, or that this
+// failover sweep already rejected, remaps the key to its rendezvous home
+// among the remaining instances; with none left, decide returns -1.
+func TestDecideDrainingOrExcludedHome(t *testing.T) {
+	key := "buildjk|water|sto-3g"
+	home := rendezvous(key, 3, allEligible)
+	notHome := func(i int) bool { return i != home }
+	next := rendezvous(key, 3, notHome)
+	if next < 0 || next == home {
+		t.Fatalf("remapped home %d (home %d)", next, home)
 	}
-	if _, ok := PolicyByName("nope"); ok {
-		t.Fatal("PolicyByName accepted an unknown name")
+
+	draining := make([]Load, 3)
+	draining[home].Draining = true
+	if i := decide(draining, key, 2, noneExcluded); i != next {
+		t.Fatalf("draining home: routed to %d, want remapped home %d", i, next)
+	}
+	if i := decide(make([]Load, 3), key, 2, func(i int) bool { return i == home }); i != next {
+		t.Fatalf("excluded home: routed to %d, want remapped home %d", i, next)
+	}
+	// A draining holder is not routed to either.
+	draining[home].HoldsKey = true
+	if i := decide(draining, key, 2, noneExcluded); i != next {
+		t.Fatalf("draining holder: routed to %d, want %d", i, next)
+	}
+
+	all := []Load{{Draining: true}, {Draining: true}}
+	if i := decide(all, key, 2, noneExcluded); i != -1 {
+		t.Fatalf("all-draining fleet routed to %d, want -1", i)
+	}
+	if i := decide(make([]Load, 2), key, 2, func(int) bool { return true }); i != -1 {
+		t.Fatalf("all-excluded fleet routed to %d, want -1", i)
+	}
+}
+
+// TestDecideFallbackCountsInflight: the fallback weighs work the
+// workers are executing, not just the queue.
+func TestDecideFallbackCountsInflight(t *testing.T) {
+	key := "scf|lih|sto-3g"
+	home := rendezvous(key, 3, allEligible)
+	a, b := (home+1)%3, (home+2)%3
+	loads := make([]Load, 3)
+	loads[home].Depth = 2
+	loads[home].QueuedNS = 1e12
+	loads[a].QueuedNS, loads[a].InflightNS = 1e9, 5e9
+	loads[b].QueuedNS = 2e9
+	if i := decide(loads, key, 2, noneExcluded); i != b {
+		t.Fatalf("fallback ignored in-flight work, picked %d, want %d", i, b)
 	}
 }
 
@@ -122,8 +123,13 @@ func screenReq(system string) server.JobRequest {
 	return server.JobRequest{Kind: server.KindScreen, System: system}
 }
 
+// mustCluster boots a cluster that is closed when the test ends; the
+// cleanup also fails the test if any goroutine the cluster started —
+// listeners, handlers, workers, builder pools, client connections —
+// outlives Close.
 func mustCluster(t *testing.T, opts Options) *Cluster {
 	t.Helper()
+	before := runtime.NumGoroutine()
 	c, err := New(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -134,33 +140,32 @@ func mustCluster(t *testing.T, opts Options) *Cluster {
 		if err := c.Close(ctx); err != nil {
 			t.Errorf("close: %v", err)
 		}
+		deadline := time.Now().Add(10 * time.Second)
+		for runtime.NumGoroutine() > before {
+			if time.Now().After(deadline) {
+				buf := make([]byte, 1<<16)
+				t.Fatalf("goroutines leaked: %d -> %d\n%s",
+					before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
+			}
+			runtime.GC()
+			time.Sleep(10 * time.Millisecond)
+		}
 	})
 	return c
 }
 
-func TestClusterRoundRobinSpreadsJobs(t *testing.T) {
-	c := mustCluster(t, Options{
-		Instances: 3, Policy: RoundRobin,
-		Server: server.Config{Workers: 1, QueueCap: 8},
-	})
-	systems := []string{"h2", "he", "lih", "water", "lif", "ch4"}
-	ctx := context.Background()
-	for _, sys := range systems {
-		res, _, err := c.Submit(ctx, screenReq(sys))
-		if err != nil {
-			t.Fatalf("%s: %v", sys, err)
-		}
-		if res.State != server.StateDone {
-			t.Fatalf("%s: state %s: %s", sys, res.State, res.Error)
+// TestNewOverloadFromQueueCapAndPolicy: the overload depth is derived from the
+// instances' (defaulted) queue capacity, and cache affinity is the only
+// routing policy New accepts.
+func TestNewOverloadFromQueueCapAndPolicy(t *testing.T) {
+	for _, tc := range []struct{ queueCap, want int }{{0, 16}, {8, 2}, {1, 2}, {40, 10}} {
+		c := mustCluster(t, Options{Instances: 1, Server: server.Config{Workers: 1, QueueCap: tc.queueCap}})
+		if c.overloadDepth != tc.want {
+			t.Errorf("QueueCap %d: overload depth %d, want %d", tc.queueCap, c.overloadDepth, tc.want)
 		}
 	}
-	for i := 0; i < 3; i++ {
-		if got := c.Registry().Counter(fmt.Sprintf("fleet.inst%d.routed", i)).Value(); got != 2 {
-			t.Fatalf("inst%d routed %d jobs, want 2", i, got)
-		}
-	}
-	if got := c.Registry().Counter("fleet.submitted").Value(); got != 6 {
-		t.Fatalf("fleet.submitted = %d, want 6", got)
+	if _, err := New(Options{Policy: CacheAffinity + 1}); err == nil {
+		t.Fatal("New accepted a policy other than cache affinity")
 	}
 }
 
@@ -169,8 +174,8 @@ func TestClusterRoundRobinSpreadsJobs(t *testing.T) {
 // the same instance, with every other instance untouched.
 func TestClusterCacheAffinityPinsRepeats(t *testing.T) {
 	c := mustCluster(t, Options{
-		Instances: 3, Policy: CacheAffinity,
-		Server: server.Config{Workers: 1, QueueCap: 8},
+		Instances: 3,
+		Server:    server.Config{Workers: 1, QueueCap: 8},
 	})
 	ctx := context.Background()
 	var servedBy int
@@ -208,42 +213,58 @@ func TestClusterCacheAffinityPinsRepeats(t *testing.T) {
 	}
 }
 
-// TestClusterResultsBitwiseIdenticalAcrossPolicies pins the acceptance
-// criterion that routing never changes answers: the same job through
-// every policy yields an identical result payload.
-func TestClusterResultsBitwiseIdenticalAcrossPolicies(t *testing.T) {
+// TestClusterResultsBitwiseIdenticalAcrossInstances pins that routing
+// never changes answers: the same uncached job, executed by each
+// instance, returns identical payload bytes.
+func TestClusterResultsBitwiseIdenticalAcrossInstances(t *testing.T) {
 	ctx := context.Background()
-	var ref *server.ScreenSummary
-	for _, p := range Policies() {
-		c := mustCluster(t, Options{
-			Instances: 2, Policy: p,
-			Server: server.Config{Workers: 1, QueueCap: 8},
-		})
-		res, _, err := c.Submit(ctx, screenReq("lih"))
-		if err != nil {
-			t.Fatalf("%v: %v", p, err)
-		}
-		if res.Screen == nil {
-			t.Fatalf("%v: no screen summary", p)
-		}
-		if ref == nil {
-			ref = res.Screen
-			continue
-		}
-		if !reflect.DeepEqual(*ref, *res.Screen) {
-			t.Fatalf("%v diverged:\n  ref %+v\n  got %+v", p, *ref, *res.Screen)
+	c := mustCluster(t, Options{
+		Instances: 2,
+		Server:    server.Config{Workers: 1, QueueCap: 8},
+	})
+	for _, req := range []server.JobRequest{
+		screenReq("lih"),
+		{Kind: server.KindSCF, System: "lih", Functional: "PBE0"},
+	} {
+		var ref []byte
+		for _, inst := range c.Instances() {
+			res, err := inst.Client.Submit(ctx, req)
+			if err != nil {
+				t.Fatalf("%s on inst%d: %v", req.Kind, inst.Index, err)
+			}
+			if res.State != server.StateDone || res.CacheHit {
+				t.Fatalf("%s on inst%d: state %s, hit %v: %s", req.Kind, inst.Index, res.State, res.CacheHit, res.Error)
+			}
+			var payload any = res.Screen
+			if req.Kind == server.KindSCF {
+				payload = res.SCF
+			}
+			got, err := json.Marshal(payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(got) == "null" {
+				t.Fatalf("%s on inst%d: no payload", req.Kind, inst.Index)
+			}
+			if ref == nil {
+				ref = got
+				continue
+			}
+			if !bytes.Equal(got, ref) {
+				t.Fatalf("%s: inst%d diverged:\n  inst0 %s\n  inst%d %s", req.Kind, inst.Index, ref, inst.Index, got)
+			}
 		}
 	}
 }
 
 // TestClusterFailsOverOnDrainingError exercises the stale-view path: the
-// router's snapshot says instance 0 is healthy, but its submit answers a
-// typed 503. A fake always-draining backend stands in for instance 0's
-// client so the race is deterministic.
+// router's snapshot says the key's home instance is healthy, but its
+// submit answers a typed 503. A fake always-draining backend stands in
+// for the home's client so the race is deterministic.
 func TestClusterFailsOverOnDrainingError(t *testing.T) {
 	c := mustCluster(t, Options{
-		Instances: 2, Policy: RoundRobin,
-		Server: server.Config{Workers: 1, QueueCap: 8},
+		Instances: 2,
+		Server:    server.Config{Workers: 1, QueueCap: 8},
 	})
 	fake := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
@@ -251,14 +272,20 @@ func TestClusterFailsOverOnDrainingError(t *testing.T) {
 		json.NewEncoder(w).Encode(map[string]string{"error": "server is draining"})
 	}))
 	defer fake.Close()
-	c.Instances()[0].Client = server.NewClient(fake.URL)
+	req := screenReq("h2")
+	key, err := server.CanonicalKey(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	home := rendezvous(key, 2, allEligible)
+	c.Instances()[home].Client = server.NewClient(fake.URL)
 
-	res, i, err := c.Submit(context.Background(), screenReq("h2"))
+	res, i, err := c.Submit(context.Background(), req)
 	if err != nil {
 		t.Fatalf("failover did not save the job: %v", err)
 	}
-	if i != 1 {
-		t.Fatalf("job served by inst%d, want failover to inst1", i)
+	if i != 1-home {
+		t.Fatalf("job served by inst%d, want failover to inst%d", i, 1-home)
 	}
 	if res.State != server.StateDone {
 		t.Fatalf("state %s: %s", res.State, res.Error)
@@ -269,15 +296,16 @@ func TestClusterFailsOverOnDrainingError(t *testing.T) {
 }
 
 // TestClusterDrainInstanceReroutes drains a live instance and checks the
-// router stops considering it: every subsequent job lands elsewhere.
+// router stops considering it: every subsequent job lands elsewhere,
+// whichever instance is its key's home.
 func TestClusterDrainInstanceReroutes(t *testing.T) {
 	c := mustCluster(t, Options{
-		Instances: 2, Policy: RoundRobin,
-		Server: server.Config{Workers: 1, QueueCap: 8},
+		Instances: 2,
+		Server:    server.Config{Workers: 1, QueueCap: 8},
 	})
 	c.DrainInstance(0)
 	ctx := context.Background()
-	for k, sys := range []string{"h2", "he", "lih"} {
+	for k, sys := range []string{"h2", "he", "lih", "water", "lif", "ch4"} {
 		_, i, err := c.Submit(ctx, screenReq(sys))
 		if err != nil {
 			t.Fatalf("job %d: %v", k, err)
@@ -294,7 +322,7 @@ func TestClusterDrainInstanceReroutes(t *testing.T) {
 func TestClusterSweepsWaitOutBusyFleet(t *testing.T) {
 	hold := make(chan struct{})
 	c := mustCluster(t, Options{
-		Instances: 1, Policy: RoundRobin,
+		Instances: 1,
 		MaxSweeps: 200, BackoffScale: 0.005, MaxBackoff: 20 * time.Millisecond,
 		Server: server.Config{
 			Workers: 1, QueueCap: 1,
@@ -354,7 +382,7 @@ func TestClusterSharedStoreCrossInstanceHits(t *testing.T) {
 	dir := t.TempDir()
 	ctx := context.Background()
 	c := mustCluster(t, Options{
-		Instances: 2, Policy: RoundRobin, StoreDir: dir,
+		Instances: 2, StoreDir: dir,
 		Server: server.Config{Workers: 1, QueueCap: 8},
 	})
 	if c.Store() == nil {
@@ -367,20 +395,17 @@ func TestClusterSharedStoreCrossInstanceHits(t *testing.T) {
 	if r1.State != server.StateDone || r1.CacheHit {
 		t.Fatalf("first submission: %+v", r1)
 	}
-	// Round-robin sends the repeat to the OTHER instance, which must
-	// still hit: the store is shared, not per-instance.
-	r2, i2, err := c.Submit(ctx, screenReq("h2"))
+	// The repeat goes straight to the OTHER instance, which must still
+	// hit: the store is shared, not per-instance.
+	r2, err := c.Instances()[1-i1].Client.Submit(ctx, screenReq("h2"))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if i2 == i1 {
-		t.Fatalf("round-robin repeated instance %d; cannot prove sharing", i2)
 	}
 	if !r2.CacheHit {
 		t.Fatal("second instance missed the shared store")
 	}
-	if got := c.Registry().Counter("fleet.cache_hits").Value(); got != 1 {
-		t.Fatalf("fleet.cache_hits = %d, want 1", got)
+	if got := c.Instances()[1-i1].Srv.Metrics().Counter("jobs.executed").Value(); got != 0 {
+		t.Fatalf("second instance executed %d jobs, want 0", got)
 	}
 
 	// Restart the whole fleet over the same directory: disk-warm hit.
@@ -390,7 +415,7 @@ func TestClusterSharedStoreCrossInstanceHits(t *testing.T) {
 		t.Fatal(err)
 	}
 	c2 := mustCluster(t, Options{
-		Instances: 2, Policy: RoundRobin, StoreDir: dir,
+		Instances: 2, StoreDir: dir,
 		Server: server.Config{Workers: 1, QueueCap: 8},
 	})
 	r3, _, err := c2.Submit(ctx, screenReq("h2"))
@@ -400,101 +425,7 @@ func TestClusterSharedStoreCrossInstanceHits(t *testing.T) {
 	if !r3.CacheHit {
 		t.Fatal("rebooted fleet missed the disk tier")
 	}
-}
-
-func hChainXYZ(n int) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%d\nhydrogen chain\n", n)
-	for i := 0; i < n; i++ {
-		fmt.Fprintf(&sb, "H %.3f 0.0 0.0\n", float64(i)*0.9)
-	}
-	return sb.String()
-}
-
-// TestFleetPriceMemoPricesOnce pins the memo contract: a CostWeighted
-// router prices each key once and serves the memoised price after.
-func TestFleetPriceMemoPricesOnce(t *testing.T) {
-	c := mustCluster(t, Options{Policy: CostWeighted})
-	chain := server.JobRequest{Kind: server.KindBuildJK, XYZ: hChainXYZ(10)}
-	_, p1, err := c.price(chain)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, p2, _ := c.price(chain); p2 != p1 {
-		t.Fatalf("memoised price moved: %g != %g", p2, p1)
-	}
-	if len(c.prices) != 1 {
-		t.Fatalf("memo holds %d entries after pricing one key twice, want 1", len(c.prices))
-	}
-}
-
-// TestFleetCostWeightedRoutesToCheaperInflight parks one water build on
-// instance 0 and one H10-chain build on instance 1 (each held in flight
-// by a worker gate), then routes a probe job on a two-instance
-// CostWeighted fleet. The held jobs' in-flight predicted costs are the
-// only load signal, so the probe joins the instance whose parked job the
-// cost model prices cheaper: water (1.6e6 cost-model ns) against the
-// chain (5.6e6), instance 0.
-func TestFleetCostWeightedRoutesToCheaperInflight(t *testing.T) {
-	water := server.JobRequest{Kind: server.KindBuildJK, System: "water"}
-	chain := server.JobRequest{Kind: server.KindBuildJK, XYZ: hChainXYZ(10)}
-	_, waterNS, err := server.PriceRequest(water, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, chainNS, err := server.PriceRequest(chain, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if waterNS >= chainNS {
-		t.Fatalf("precondition: water %g must undercut the chain %g", waterNS, chainNS)
-	}
-
-	gate := make(chan struct{})
-	c := mustCluster(t, Options{
-		Instances: 2,
-		Policy:    CostWeighted,
-		Server: server.Config{
-			Workers: 1, CacheBytes: -1,
-			BeforeRun: func(kind string) { <-gate },
-		},
-	})
-	held := make(chan error, 2)
-	go func() {
-		_, err := c.Instances()[0].Client.Submit(context.Background(), water)
-		held <- err
-	}()
-	go func() {
-		_, err := c.Instances()[1].Client.Submit(context.Background(), chain)
-		held <- err
-	}()
-	waitFor(t, "held jobs in flight", func() bool {
-		return c.Instances()[0].Srv.InflightCostNS() > 0 &&
-			c.Instances()[1].Srv.InflightCostNS() > 0
-	})
-
-	probeDone := make(chan int, 1)
-	go func() {
-		_, idx, err := c.Submit(context.Background(), screenReq("he"))
-		if err != nil {
-			t.Errorf("probe: %v", err)
-			idx = -1
-		}
-		probeDone <- idx
-	}()
-	// Only release the workers once the probe is routed and queued on its
-	// chosen instance — the decision must see the parked loads.
-	waitFor(t, "probe queued", func() bool {
-		return c.Instances()[0].Srv.QueueDepth()+c.Instances()[1].Srv.QueueDepth() == 1
-	})
-	close(gate)
-	idx := <-probeDone
-	for i := 0; i < 2; i++ {
-		if err := <-held; err != nil {
-			t.Fatalf("held job: %v", err)
-		}
-	}
-	if idx != 0 {
-		t.Fatalf("probe routed to %d, want 0 (the parked water build is cheaper)", idx)
+	if got := c2.Registry().Counter("fleet.cache_hits").Value(); got != 1 {
+		t.Fatalf("fleet.cache_hits = %d, want 1", got)
 	}
 }

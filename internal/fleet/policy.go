@@ -1,81 +1,39 @@
 // Package fleet grows hfxd from a single process into a cluster: N
 // instances, each a full server.Server (bounded cost-priced admission
-// queue, worker pool, LRU result cache) listening on its own loopback
-// port, behind a router with pluggable policies. The router leans on the
-// same observation the admission queue does — the paper's claim that HFX
-// job cost is *predictable* from the screened pair list — so an instance
-// can be scored by the predicted work ahead of it, not just its queue
-// depth, and a job can be priced before any instance accepts it.
+// queue, worker pool, result store whose hot tier answers repeats)
+// listening on its own loopback port, behind a router with one rule:
+// cache affinity. A job goes to an instance already holding its
+// canonical result key, else to the key's stable rendezvous home, else
+// to the instance with the least predicted work outstanding, counted in
+// the cost-model nanoseconds each instance's admission queue already
+// holds — the paper's claim that HFX job cost is predictable from the
+// screened pair list. The router itself never screens a job or computes
+// its cost.
 package fleet
 
-import (
-	"hash/fnv"
-	"strconv"
-)
+import "hash/fnv"
 
-// Policy selects the routing strategy of a Cluster.
+// Policy names the routing rule of a Cluster. CacheAffinity, the zero
+// value, is the only rule; New rejects any other value. The type stays
+// only because bench/ names fleet.CacheAffinity, and goes when bench/
+// is next edited (ROADMAP 1(d)).
 type Policy int
 
-const (
-	// RoundRobin deals jobs cyclically over the non-draining instances,
-	// ignoring load and cache state — the ablation baseline.
-	RoundRobin Policy = iota
-	// LeastLoaded routes to the instance with the least predicted work
-	// outstanding (queued + in-flight cost-model ns), ignoring capacity.
-	LeastLoaded
-	// CostWeighted routes to the instance with the earliest predicted
-	// completion for this job: (queued + in-flight predicted cost) /
-	// workers + the job's own sched.PredictMakespan price. On a
-	// heterogeneous fleet this prefers big instances that drain faster
-	// even when their raw backlog is larger.
-	CostWeighted
-	// CacheAffinity routes a job to the instance already holding its
-	// canonical result key (a guaranteed free hit), else to the job's
-	// stable rendezvous-hash home so repeats warm one instance's caches
-	// and builders; an overloaded home falls back to CostWeighted.
-	CacheAffinity
-)
-
-// String implements fmt.Stringer.
-func (p Policy) String() string {
-	switch p {
-	case RoundRobin:
-		return "round-robin"
-	case LeastLoaded:
-		return "least-loaded"
-	case CostWeighted:
-		return "cost-weighted"
-	case CacheAffinity:
-		return "cache-affinity"
-	default:
-		return "Policy(" + strconv.Itoa(int(p)) + ")"
-	}
-}
-
-// Policies lists every routing policy in presentation order.
-func Policies() []Policy {
-	return []Policy{RoundRobin, LeastLoaded, CostWeighted, CacheAffinity}
-}
-
-// PolicyByName maps a policy name to its value.
-func PolicyByName(name string) (Policy, bool) {
-	for _, p := range Policies() {
-		if p.String() == name {
-			return p, true
-		}
-	}
-	return 0, false
-}
+// CacheAffinity routes a job to the instance already holding its
+// canonical result key (a guaranteed free hit), else to the job's stable
+// rendezvous-hash home so repeats warm one instance's caches and
+// builders; a draining or overloaded home falls back to the instance
+// with the least outstanding predicted work.
+const CacheAffinity Policy = 0
 
 // Load is one instance's routing-relevant state snapshot: the live
 // signals the server exports (queue depth, queued and in-flight
-// predicted cost, worker count, drain flag) plus whether its result
-// cache holds the job's canonical key.
+// predicted cost, drain flag) plus whether its result store holds the
+// job's canonical key.
 type Load struct {
 	Depth      int
 	QueuedNS   float64
 	InflightNS float64
-	Workers    int
 	Draining   bool
 	HoldsKey   bool
 }
@@ -83,74 +41,32 @@ type Load struct {
 // outstanding is the predicted work an instance has committed to.
 func (l Load) outstanding() float64 { return l.QueuedNS + l.InflightNS }
 
-// eta is the predicted completion time of a job of cost predictedNS
-// admitted to this instance now.
-func (l Load) eta(predictedNS float64) float64 {
-	w := l.Workers
-	if w < 1 {
-		w = 1
-	}
-	return l.outstanding()/float64(w) + predictedNS
-}
-
 // decide picks the target instance for one submission attempt, or -1
 // when no instance is eligible (every one draining or excluded). It is a
-// pure function of its snapshot, which is what makes every policy
-// deterministic — and unit-testable — for a given cluster state:
-// cursor drives RoundRobin, key/predictedNS drive the cost- and
-// cache-aware policies, and excluded marks instances this failover sweep
-// has already rejected.
-func decide(p Policy, loads []Load, key string, predictedNS float64, cursor int, overloadDepth int, excluded func(int) bool) int {
+// pure function of its snapshot, so routing is deterministic — and
+// unit-testable — for a given cluster state; excluded marks instances
+// this failover sweep has already rejected.
+func decide(loads []Load, key string, overloadDepth int, excluded func(int) bool) int {
 	n := len(loads)
 	eligible := func(i int) bool { return !loads[i].Draining && !excluded(i) }
-	switch p {
-	case RoundRobin:
-		for k := 0; k < n; k++ {
-			i := ((cursor+k)%n + n) % n
-			if eligible(i) {
-				return i
-			}
+	// A resident result key answers without queueing or builder work:
+	// route there regardless of load.
+	for i := 0; i < n; i++ {
+		if eligible(i) && loads[i].HoldsKey {
+			return i
 		}
-		return -1
-	case LeastLoaded:
-		return argmin(n, eligible, func(i int) float64 { return loads[i].outstanding() },
-			func(i int) float64 { return float64(loads[i].Depth) })
-	case CostWeighted:
-		return argmin(n, eligible, func(i int) float64 { return loads[i].eta(predictedNS) },
-			func(i int) float64 { return loads[i].outstanding() })
-	case CacheAffinity:
-		// A resident result key answers without queueing or builder work:
-		// route there regardless of load.
-		for i := 0; i < n; i++ {
-			if eligible(i) && loads[i].HoldsKey {
-				return i
-			}
-		}
-		// Otherwise the key's stable home, so repeats of this key warm one
-		// instance's result cache and builder instead of all of them.
-		home := rendezvous(key, n, eligible)
-		if home >= 0 && loads[home].Depth < overloadDepth {
-			return home
-		}
-		// Overloaded (or no) home: pay the affinity loss, go for the
-		// earliest completion.
-		return argmin(n, eligible, func(i int) float64 { return loads[i].eta(predictedNS) },
-			func(i int) float64 { return loads[i].outstanding() })
-	default:
-		return -1
 	}
-}
-
-// argmin returns the eligible index minimising score, ties broken by
-// tiebreak and then by index — fully deterministic.
-func argmin(n int, eligible func(int) bool, score, tiebreak func(int) float64) int {
+	// Otherwise the key's stable home, so repeats of this key warm one
+	// instance's result cache and builder instead of all of them.
+	home := rendezvous(key, n, eligible)
+	if home >= 0 && loads[home].Depth < overloadDepth {
+		return home
+	}
+	// Overloaded (or no) home: pay the affinity loss, go to the least
+	// outstanding predicted work, ties broken by index.
 	best := -1
 	for i := 0; i < n; i++ {
-		if !eligible(i) {
-			continue
-		}
-		if best < 0 || score(i) < score(best) ||
-			(score(i) == score(best) && tiebreak(i) < tiebreak(best)) {
+		if eligible(i) && (best < 0 || loads[i].outstanding() < loads[best].outstanding()) {
 			best = i
 		}
 	}

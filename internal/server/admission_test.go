@@ -1,7 +1,9 @@
 package server
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -131,54 +133,6 @@ func TestClientDrainingErrorTyped(t *testing.T) {
 	}
 	if err := <-shutDone; err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestClientSubmitRetryWaitsOutBusy(t *testing.T) {
-	block := make(chan struct{})
-	running := make(chan string, 1)
-	s := mustNew(t, Config{
-		Workers: 1, QueueCap: 1, CacheBytes: -1,
-		BeforeRun: func(kind string) {
-			select {
-			case running <- kind:
-				<-block
-			default: // only the first job is held
-			}
-		},
-	})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	defer s.Shutdown(context.Background())
-
-	// Job A holds the worker, job B fills the queue: C's first attempts
-	// all meet a full queue until the worker is released.
-	go NewClient(ts.URL).Submit(context.Background(), JobRequest{Kind: KindScreen, System: "h2"})
-	<-running
-	go NewClient(ts.URL).Submit(context.Background(), JobRequest{Kind: KindScreen, System: "water"})
-	deadline := time.Now().Add(10 * time.Second)
-	for s.QueueDepth() != 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("job B never queued")
-		}
-		time.Sleep(time.Millisecond)
-	}
-
-	go func() { time.Sleep(50 * time.Millisecond); close(block) }()
-	res, attempts, err := NewClient(ts.URL).SubmitRetry(context.Background(),
-		JobRequest{Kind: KindScreen, System: "he"},
-		RetryPolicy{MaxAttempts: 200, BackoffScale: 0.005, MaxBackoff: 20 * time.Millisecond})
-	if err != nil {
-		t.Fatalf("SubmitRetry: %v (after %d attempts)", err, attempts)
-	}
-	if res.State != StateDone {
-		t.Fatalf("job C: %+v", res)
-	}
-	if attempts < 2 {
-		t.Fatalf("job C should have been rejected at least once, attempts=%d", attempts)
-	}
-	if got := s.Metrics().Counter("jobs.rejected_full").Value(); got < 1 {
-		t.Fatalf("jobs.rejected_full %d, want >= 1", got)
 	}
 }
 
@@ -383,7 +337,7 @@ func TestQueueEqualRankConcurrentPushFIFO(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------------
-// Router-facing pricing hooks.
+// Router-facing key and pricing hooks.
 
 func TestCanonicalKeyAndPriceRequest(t *testing.T) {
 	req := JobRequest{Kind: KindBuildJK, System: "water"}
@@ -422,6 +376,13 @@ func TestCanonicalKeyAndPriceRequest(t *testing.T) {
 	if _, _, err := PriceRequest(JobRequest{System: "unobtainium"}, 1); err == nil {
 		t.Fatal("PriceRequest must validate")
 	}
+	// An out-of-range cluster size is a validation error, not a panic in
+	// the caller's goroutine (a fleet router computes keys in Submit's).
+	for _, n := range []int{-1, maxNWater + 1} {
+		if _, err := CanonicalKey(JobRequest{Kind: KindScreen, System: "watercluster", NWater: n}); err == nil {
+			t.Fatalf("CanonicalKey accepted nwater %d", n)
+		}
+	}
 }
 
 // TestCanonicalKeyPinned pins the literal cache key of one scf and one
@@ -439,6 +400,48 @@ func TestCanonicalKeyPinned(t *testing.T) {
 			t.Errorf("%s %s: key %q, %v; want %q", tc.req.Kind, tc.req.System, got, err, tc.want)
 		}
 	}
+}
+
+// FuzzJobRequest feeds arbitrary bytes to the job-request decoder that
+// POST /v1/jobs uses. For every request that decodes and validates,
+// CanonicalKey must not panic (a fleet router calls it in the caller's
+// goroutine) and may fail only where the geometry does not resolve — the
+// requests hfxd answers 400 after validation; a resolvable request
+// re-encoded and decoded again must keep its key. Nothing here screens or
+// prices, so every input stays cheap.
+func FuzzJobRequest(f *testing.F) {
+	for _, seed := range []string{
+		`{"kind":"screen","system":"watercluster","nwater":-1}`,
+		`{"kind":"scf","xyz":"2\nh2\nH 0 0 0\nH 0 0 NaN\n"}`,
+		`{"kind":"trajectory","system":"lih","functional":"PBE0","maxSteps":3,"respaK":2,"ref":"loose"}`,
+		`{"kind":"solvent-scan","solvent":"dmso","points":3,"rmin":4,"rmax":8}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		req, err := decodeRequest(bytes.NewReader(body))
+		if err != nil {
+			return
+		}
+		key, err := CanonicalKey(req)
+		if _, rerr := req.resolveMolecule(); (err == nil) != (rerr == nil) {
+			t.Fatalf("CanonicalKey error %v, geometry error %v", err, rerr)
+		}
+		if err != nil {
+			return
+		}
+		again, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := decodeRequest(bytes.NewReader(again))
+		if err != nil {
+			t.Fatalf("re-encoded request %s rejected: %v", again, err)
+		}
+		if key2, err := CanonicalKey(back); err != nil || key2 != key {
+			t.Fatalf("re-encoded request keys %q, %v; want %q", key2, err, key)
+		}
+	})
 }
 
 // TestTrajectoryPricedAsSCFPlusGradient: an outer step is one SCF and one

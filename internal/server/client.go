@@ -44,7 +44,7 @@ func (e *BusyError) Error() string {
 // accepting jobs. It is typed — unlike a generic transport error —
 // because the right reaction differs: a fleet router fails the job over
 // to another instance immediately, while a busy rejection is worth a
-// backoff-and-retry against the same instance.
+// backoff-and-retry (the fleet's retry sweep).
 type DrainingError struct{ Msg string }
 
 // Error implements error.
@@ -98,98 +98,4 @@ func (c *Client) Submit(ctx context.Context, req JobRequest) (*JobResult, error)
 		msg, _ := io.ReadAll(io.LimitReader(hres.Body, 4096))
 		return nil, fmt.Errorf("server returned %s: %s", hres.Status, bytes.TrimSpace(msg))
 	}
-}
-
-// RetryPolicy shapes SubmitRetry's reaction to 429 rejections.
-type RetryPolicy struct {
-	// MaxAttempts bounds the total submit attempts (default 4).
-	MaxAttempts int
-	// MaxBackoff caps a single wait (default 2s). The wait itself is the
-	// server's Retry-After hint scaled by BackoffScale.
-	MaxBackoff time.Duration
-	// BackoffScale scales the server's Retry-After hint; in-process
-	// harnesses use small values so a 1 s hint does not dominate the run
-	// (default 1.0).
-	BackoffScale float64
-}
-
-func (p *RetryPolicy) fillDefaults() {
-	if p.MaxAttempts == 0 {
-		p.MaxAttempts = 4
-	}
-	if p.MaxBackoff == 0 {
-		p.MaxBackoff = 2 * time.Second
-	}
-	if p.BackoffScale == 0 {
-		p.BackoffScale = 1
-	}
-}
-
-// SubmitRetry posts a job, backing off and retrying on BusyError per the
-// policy. It is the client loop synthetic-load generators use: busy
-// rejections are waited out (honouring the server's Retry-After hint),
-// while DrainingError returns immediately — one instance cannot wait a
-// drain out, the caller must fail over. The attempt count (≥ 1) is
-// returned alongside the result so callers can account retries.
-func (c *Client) SubmitRetry(ctx context.Context, req JobRequest, pol RetryPolicy) (*JobResult, int, error) {
-	pol.fillDefaults()
-	var lastErr error
-	for attempt := 1; ; attempt++ {
-		res, err := c.Submit(ctx, req)
-		if err == nil {
-			return res, attempt, nil
-		}
-		lastErr = err
-		busy, ok := err.(*BusyError)
-		if !ok || attempt >= pol.MaxAttempts {
-			return nil, attempt, lastErr
-		}
-		wait := time.Duration(float64(busy.RetryAfter) * pol.BackoffScale)
-		if wait > pol.MaxBackoff {
-			wait = pol.MaxBackoff
-		}
-		select {
-		case <-time.After(wait):
-		case <-ctx.Done():
-			return nil, attempt, ctx.Err()
-		}
-	}
-}
-
-// MetricsJSON fetches the structured /metrics snapshot.
-func (c *Client) MetricsJSON(ctx context.Context) (map[string]any, error) {
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/metrics?format=json", nil)
-	if err != nil {
-		return nil, err
-	}
-	hres, err := c.httpClient().Do(hreq)
-	if err != nil {
-		return nil, err
-	}
-	defer hres.Body.Close()
-	if hres.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("metrics returned %s", hres.Status)
-	}
-	var m map[string]any
-	if err := json.NewDecoder(hres.Body).Decode(&m); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-// Health probes /healthz.
-func (c *Client) Health(ctx context.Context) error {
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/healthz", nil)
-	if err != nil {
-		return err
-	}
-	hres, err := c.httpClient().Do(hreq)
-	if err != nil {
-		return err
-	}
-	defer hres.Body.Close()
-	if hres.StatusCode != http.StatusOK {
-		return fmt.Errorf("healthz returned %s", hres.Status)
-	}
-	return nil
 }

@@ -8,14 +8,17 @@
 // sched.PredictMakespan hook) and the bounded queue runs shortest-
 // predicted-job-first with starvation aging, the serving-layer analogue
 // of the paper's static LPT schedule. Identical jobs are answered from
-// an LRU result cache keyed by a canonical hash of the resolved
-// geometry, basis and method options, skipping the builders entirely.
+// the result store's hot in-memory tier (or its disk tier) keyed by a
+// canonical hash of the resolved geometry, basis and method options,
+// skipping the builders entirely.
 package server
 
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"strings"
 	"time"
@@ -177,6 +180,20 @@ func (r *JobRequest) normalize() {
 	}
 }
 
+// decodeRequest reads one POST /v1/jobs body: unknown fields are an
+// error, defaults are filled in, and the request is validated. It does
+// no geometry, screening or pricing work.
+func decodeRequest(r io.Reader) (JobRequest, error) {
+	var req JobRequest
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		return req, fmt.Errorf("bad request body: %w", err)
+	}
+	req.normalize()
+	return req, req.validate()
+}
+
 // validate rejects malformed requests before any work is done.
 func (r *JobRequest) validate() error {
 	switch r.Kind {
@@ -234,6 +251,9 @@ func (r *JobRequest) validate() error {
 	if r.Ranks > 1 && r.Kind != KindBuildJK {
 		return fmt.Errorf("ranks is only supported for buildjk jobs")
 	}
+	if r.NWater < 1 || r.NWater > maxNWater {
+		return fmt.Errorf("nwater needs 1 <= nwater <= %d, got %d", maxNWater, r.NWater)
+	}
 	return nil
 }
 
@@ -241,6 +261,12 @@ func (r *JobRequest) validate() error {
 // goroutine with its own persistent pool, so the limit keeps a single
 // request from monopolising the process.
 const maxJobRanks = 64
+
+// maxNWater bounds -system watercluster: the cluster is built and
+// screened at admission, before the queue can refuse it, so an unbounded
+// size would let one request exhaust memory. 64 waters is the largest
+// cluster the paper-scale census needs.
+const maxNWater = 64
 
 // maxTrajectorySteps and maxTrajectoryK bound a trajectory campaign:
 // every outer step costs an SCF run and a gradient build, so an unbounded
@@ -328,7 +354,7 @@ type JobResult struct {
 	ID    string `json:"id"`
 	Kind  string `json:"kind"`
 	State string `json:"state"` // done|failed|cancelled
-	// CacheHit marks a result served from the LRU cache without touching
+	// CacheHit marks a result served from the result store without touching
 	// a builder; CacheKey is the canonical job hash.
 	CacheHit bool   `json:"cacheHit"`
 	CacheKey string `json:"cacheKey"`
@@ -591,9 +617,9 @@ func CanonicalKey(req JobRequest) (string, error) {
 // PriceRequest resolves, screens and prices a request exactly as server
 // admission would (sched.PredictMakespan over the screened task costs),
 // returning the canonical cache key and the predicted cost in cost-model
-// nanoseconds. It is the router-side pricing hook: a cost-weighted fleet
-// router calls it once per distinct key and scores instances by
-// predicted completion time. The request is normalized on a copy.
+// nanoseconds, for callers that want a job's price before submitting it
+// (the fleet router does not price). The request is normalized on a
+// copy.
 func PriceRequest(req JobRequest, threads int) (key string, predictedNS float64, err error) {
 	req.normalize()
 	if err := req.validate(); err != nil {

@@ -13,7 +13,7 @@ import (
 // The crash-safe job journal. hfxd's HTTP API is synchronous — a client
 // holds its request open until the job finishes — but an accepted job
 // represents real promised work: it may be queued behind minutes of
-// other jobs, and its result is what fills the LRU cache other clients
+// other jobs, and its result is what fills the result store other clients
 // hit. If the daemon dies, every accepted-but-unfinished job would
 // silently vanish. The journal makes admission durable: one framed
 // record per accepted job (the full request) and one per finished job;

@@ -94,9 +94,10 @@ func (c *Config) fillDefaults() {
 }
 
 // Server is the hfxd job service: a bounded cost-aware admission queue
-// in front of a fixed worker pool, an LRU result cache, and a metrics
-// registry merging server gauges with the builders' trace counters.
-// Create with New, expose with Handler, stop with Shutdown.
+// in front of a fixed worker pool, a result cache (the result store's
+// hot tier, over an optional disk tier), and a metrics registry merging
+// server gauges with the builders' trace counters. Create with New,
+// expose with Handler, stop with Shutdown.
 type Server struct {
 	cfg   Config
 	reg   *trace.Registry
@@ -281,25 +282,27 @@ func (s *Server) Metrics() *trace.Registry { return s.reg }
 func (s *Server) QueueDepth() int { return s.q.depth() }
 
 // QueuedCostNS reports the summed predicted cost (cost-model ns) of the
-// queued jobs — the live load signal least-loaded fleet routing uses.
+// queued jobs — with InflightCostNS, the load signal a fleet router
+// falls back on when a job's home instance is overloaded.
 func (s *Server) QueuedCostNS() float64 { return s.q.queuedCost() }
 
 // InflightCostNS reports the summed predicted cost (cost-model ns) of
 // the jobs currently executing on the workers.
 func (s *Server) InflightCostNS() float64 { return float64(s.inflightNS.Load()) }
 
-// Workers reports the configured worker count, the capacity a
-// cost-weighted router divides predicted load by.
-func (s *Server) Workers() int { return s.cfg.Workers }
+// QueueCap reports the admission queue's capacity (after defaults), from
+// which a fleet router derives the depth at which it calls an instance
+// overloaded.
+func (s *Server) QueueCap() int { return s.cfg.QueueCap }
 
 // Draining reports whether the server has stopped accepting jobs — the
 // lifecycle signal a fleet router uses to route around an instance that
 // is shutting down.
 func (s *Server) Draining() bool { return s.draining.Load() }
 
-// CacheContains reports whether the result cache currently holds the
-// canonical key, without touching the LRU order: the probe behind
-// cache-affinity routing.
+// CacheContains reports whether the result store currently holds the
+// canonical key, without touching the hot tier's recency order: the
+// probe behind a fleet's cache-affinity routing.
 func (s *Server) CacheContains(key string) bool { return s.cache.contains(key) }
 
 // Shutdown gracefully stops the server: admission is closed immediately
@@ -739,15 +742,8 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
-	var req JobRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request body: "+err.Error())
-		return
-	}
-	req.normalize()
-	if err := req.validate(); err != nil {
+	req, err := decodeRequest(http.MaxBytesReader(w, r.Body, 1<<20))
+	if err != nil {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}

@@ -448,6 +448,8 @@ func TestServerValidationAndMethods(t *testing.T) {
 		`{"functional":"B3LYP"}`,
 		`{"kind":"solvent-scan","solvent":"H2O"}`,
 		`{"system":"water","xyz":"1\n\nH 0 0 0\n"}`,
+		`{"kind":"screen","system":"watercluster","nwater":-1}`,
+		`{"kind":"screen","system":"watercluster","nwater":65}`,
 		`{not json`,
 	} {
 		if code := post(body); code != http.StatusBadRequest {
@@ -478,7 +480,13 @@ func TestServerValidationAndMethods(t *testing.T) {
 	if err != nil || !strings.Contains(string(text), "gauge") {
 		t.Fatalf("text metrics unreadable: %v\n%s", err, text)
 	}
-	m, err := NewClient(ts.URL).MetricsJSON(context.Background())
+	jres, err := http.Get(ts.URL + "/metrics?format=json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m map[string]any
+	err = json.NewDecoder(jres.Body).Decode(&m)
+	jres.Body.Close()
 	if err != nil {
 		t.Fatal(err)
 	}

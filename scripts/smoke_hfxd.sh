@@ -2,7 +2,9 @@
 # End-to-end smoke test for the hfxd job service: boot the daemon on a
 # random port, submit the same water/STO-3G SCF job twice, assert the
 # second submission is answered from the result cache, and check that
-# SIGTERM drains cleanly.
+# SIGTERM drains cleanly. With curl available it first posts a malformed
+# request (nwater -1) that must be a 400; the checks after it show the
+# server kept serving.
 #
 # Needs only a POSIX shell + go; uses hfxd's own client mode instead of
 # curl/jq so it runs anywhere the toolchain does.
@@ -28,6 +30,15 @@ for _ in $(seq 1 100); do
 done
 [ -n "$url" ] || { echo "no handshake from hfxd:"; cat "$tmp/hfxd.log"; exit 1; }
 echo "smoke: server at $url"
+
+# A malformed cluster size is rejected at validation (skipped when curl
+# is unavailable).
+if command -v curl >/dev/null 2>&1; then
+    code=$(curl -s -o "$tmp/bad.json" -w '%{http_code}' -H 'Content-Type: application/json' \
+        -d '{"kind":"screen","system":"watercluster","nwater":-1}' "$url/v1/jobs") || true
+    [ "$code" = 400 ] || {
+        echo "nwater -1 answered $code, want 400:"; cat "$tmp/bad.json" "$tmp/hfxd.log" 2>/dev/null; exit 1; }
+fi
 
 "$tmp/hfxd" -submit -url "$url" -system water -basis STO-3G >"$tmp/first.json"
 grep -q '"state": "done"' "$tmp/first.json"
