@@ -323,15 +323,23 @@ const (
 // per-executor buffers and starts Threads persistent executors on one
 // rank.
 func NewBuilder(eng *integrals.Engine, scr *screen.Result, opts Options) *Builder {
+	return NewPricedBuilder(eng, scr, opts, nil)
+}
+
+// NewPricedBuilder is NewBuilder on a task list its caller already priced
+// as BuilderTasks(eng, scr, opts.Cost, opts.Granule) — an admission's —
+// so that a served job is priced once; nil tasks are priced here.
+func NewPricedBuilder(eng *integrals.Engine, scr *screen.Result, opts Options, tasks []Task) *Builder {
 	if opts.Threads <= 0 {
 		opts.Threads = runtime.GOMAXPROCS(0)
 	}
-	return newBuilder(eng, scr, Placement{Ranks: 1, ThreadsPerRank: opts.Threads, UnitsPerThread: 1, Opts: opts}, nil)
+	return newBuilder(eng, scr, Placement{Ranks: 1, ThreadsPerRank: opts.Threads, UnitsPerThread: 1, Opts: opts}, nil, tasks)
 }
 
 // newBuilder builds the core for a normalized placement; world is the
-// mprt world of a multi-rank placement (nil on one rank).
-func newBuilder(eng *integrals.Engine, scr *screen.Result, pm Placement, world *mprt.World) *Builder {
+// mprt world of a multi-rank placement (nil on one rank) and tasks the
+// priced decomposition (nil: price it here).
+func newBuilder(eng *integrals.Engine, scr *screen.Result, pm Placement, world *mprt.World, tasks []Task) *Builder {
 	opts := pm.Opts
 	if world == nil {
 		pm.Shape, _ = torus.ShapeForNodes(1)
@@ -345,7 +353,9 @@ func newBuilder(eng *integrals.Engine, scr *screen.Result, pm Placement, world *
 	} else {
 		pl.reg = trace.NewRegistry()
 	}
-	pl.tasks = BuilderTasks(eng, scr, opts.Cost, opts.Granule)
+	if pl.tasks = tasks; tasks == nil {
+		pl.tasks = BuilderTasks(eng, scr, opts.Cost, opts.Granule)
+	}
 	pl.costs = TaskCosts(pl.tasks)
 	pl.costStats = sched.Summarize(pl.costs)
 	if pm.Noise != nil {

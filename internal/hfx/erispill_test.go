@@ -1,7 +1,9 @@
 package hfx
 
 import (
+	"bytes"
 	"encoding/binary"
+	"math"
 	"testing"
 
 	"hfxmd/internal/chem"
@@ -199,4 +201,58 @@ func TestSpillEmptyExport(t *testing.T) {
 	if img := d.ExportERICache(); img != nil {
 		t.Fatal("direct builder exported a cache image")
 	}
+}
+
+// cacheState serializes what a builder's ERI cache holds: every shard's
+// fill flags and slab bits, then the fill count.
+func cacheState(b *Builder) []byte {
+	c := b.pl.cache
+	var out []byte
+	for i := range c.shards {
+		sh := &c.shards[i]
+		for _, f := range sh.filled {
+			if f {
+				out = append(out, 1)
+			} else {
+				out = append(out, 0)
+			}
+		}
+		for _, v := range sh.slab {
+			out = binary.LittleEndian.AppendUint64(out, math.Float64bits(v))
+		}
+	}
+	return binary.LittleEndian.AppendUint64(out, uint64(c.filled.Load()))
+}
+
+// FuzzImportERICache feeds arbitrary images to the spill decoder of a
+// semi-direct builder. It must never panic, and an import either succeeds
+// or fails with the builder's cache exactly as it was before the call.
+func FuzzImportERICache(f *testing.F) {
+	eng, scr := setup(f, chem.Water(), 1e-8)
+	opts := DefaultOptions()
+	opts.Threads = 1
+	opts.CacheBudgetBytes = 1 << 20
+	src := NewBuilder(eng, scr, opts)
+	src.BuildJK(testDensity(eng.Basis.NBasis, 1))
+	img := src.ExportERICache()
+	if img == nil {
+		f.Fatal("ExportERICache returned nil for a filled cache")
+	}
+	restamped := append([]byte(nil), img...)
+	binary.LittleEndian.PutUint64(restamped[len(eriSpillMagic):], src.layoutHashAt(integrals.KernelRevision-1))
+	src.Close()
+	f.Add(img)
+	f.Add(restamped)
+	f.Add(img[:len(img)/2])
+
+	dst := NewBuilder(eng, scr, opts)
+	f.Cleanup(dst.Close)
+	f.Fuzz(func(t *testing.T, b []byte) {
+		before := cacheState(dst)
+		if _, err := dst.ImportERICache(b); err != nil {
+			if !bytes.Equal(cacheState(dst), before) {
+				t.Fatalf("failed import (%v) changed the cache", err)
+			}
+		}
+	})
 }

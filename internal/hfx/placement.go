@@ -141,7 +141,7 @@ func newPlaced(eng *integrals.Engine, scr *screen.Result, pm Placement) (*DistBu
 		}
 		pm.Shape = world.Shape()
 	}
-	return &DistBuilder{newBuilder(eng, scr, pm, world)}, nil
+	return &DistBuilder{newBuilder(eng, scr, pm, world, nil)}, nil
 }
 
 // place computes the static schedule over the slots under the placement

@@ -490,7 +490,8 @@ func eriQuartet(bra, ket *pairData, out []float64, vector bool, stats *qpx.Stats
 //     4-lane batches;
 //  2. per bra primitive, its ket primitives are contracted into the
 //     Hermite intermediate G[cd][tuv] = Σ_ket Σ_k E_k^{cd}·R[tuv+k], reading
-//     the ket's cached term table (R offsets are additive). R is built at
+//     the ket's cached term table (R offsets are additive), in the form
+//     the quartet's shape selects (the stage 2 forms below). R is built at
 //     Q−P with pref folded into its seeds: R_{tuv}(−X) = (−1)^{t+u+v}·R_{tuv}(X)
 //     moves the textbook ket phase (−1)^{k} onto the bra index tuv;
 //  3. the bra term table, with that phase, is applied to G once per bra
@@ -534,8 +535,8 @@ func eriQuartetCut(bra, ket *pairData, out []float64, cut float64, vector bool, 
 	}
 
 	// Stage 1: gather, then Boys over the whole primitive list.
-	alpha, pref := s.soa[nq:2*nq], s.soa[2*nq:3*nq]
-	qx, qy, qz := s.soa[3*nq:4*nq], s.soa[4*nq:5*nq], s.soa[5*nq:6*nq]
+	gl := gathered{fn: fn, alpha: s.soa[nq : 2*nq], pref: s.soa[2*nq : 3*nq],
+		x: s.soa[3*nq : 4*nq], y: s.soa[4*nq : 5*nq], z: s.soa[5*nq : 6*nq]}
 	q := 0
 	for i := 0; i < nb; i++ {
 		bp := &bra.prims[i]
@@ -544,8 +545,8 @@ func eriQuartetCut(bra, ket *pairData, out []float64, cut float64, vector bool, 
 			inv := 1 / (bp.p + kp.p)
 			a := bp.p * kp.p * inv
 			x, y, z := kp.px[0]-bp.px[0], kp.px[1]-bp.px[1], kp.px[2]-bp.px[2]
-			alpha[q], pref[q] = a, twoPi52*math.Sqrt(inv)
-			qx[q], qy[q], qz[q] = x, y, z
+			gl.alpha[q], gl.pref[q] = a, twoPi52*math.Sqrt(inv)
+			gl.x[q], gl.y[q], gl.z[q] = x, y, z
 			tvals[q] = a * (x*x + y*y + z*z)
 			q++
 		}
@@ -568,7 +569,7 @@ func eriQuartetCut(bra, ket *pairData, out []float64, cut float64, vector bool, 
 	s.g = grow(s.g, nkc*nh)
 	s.hoff = grow(s.hoff, hermCount[max(bra.l, ket.l)])
 	s.koff = grow(s.koff, khi)
-	r, g, hoff, koff := s.r, s.g, s.hoff, s.koff
+	g, hoff, koff := s.g, s.hoff, s.koff
 	for h := range hoff {
 		tuv := hermTUV[h]
 		hoff[h] = int32((int(tuv[0])*m1+int(tuv[1]))*m1 + int(tuv[2]))
@@ -576,40 +577,21 @@ func eriQuartetCut(bra, ket *pairData, out []float64, cut float64, vector bool, 
 	for k := klo; k < khi; k++ {
 		koff[k] = hoff[ket.hidx[k]]
 	}
-	hoffB := hoff[:nh]
 	q = 0
 	for i := 0; i < nb; i++ {
 		// Stage 2: contract the ket primitives into G.
-		for x := range g {
-			g[x] = 0
+		nk := int(cnt[i])
+		switch {
+		case ltot == 1 && nh == 4 && nkc == 1:
+			gl.psss(ket, q, nk, g)
+		case ltot == 2 && nh == 10 && nkc == 1:
+			gl.ppss(ket, q, nk, g)
+		case ltot == 2 && nh == 4 && nkc == 3:
+			gl.spsp(ket, q, nk, g)
+		default:
+			gl.generic(ket, ltot, q, nk, hoff[:nh], koff, s.r, g)
 		}
-		for j, nk := 0, int(cnt[i]); j < nk; j++ {
-			buildR(ltot, fn[q*m1:(q+1)*m1], alpha[q], pref[q], qx[q], qy[q], qz[q], r)
-			q++
-			off := ket.off[j*nkc : (j+1)*nkc+1]
-			if nh == 1 {
-				// (ss| bra: G has one Hermite index per ket component.
-				for c := range g {
-					ko, val := koff[off[c]:off[c+1]], ket.val[off[c]:off[c+1]]
-					var v float64
-					for k, o := range ko {
-						v += val[k] * r[o]
-					}
-					g[c] += v
-				}
-				continue
-			}
-			for c := 0; c < nkc; c++ {
-				gc := g[c*nh : (c+1)*nh]
-				ko, val := koff[off[c]:off[c+1]], ket.val[off[c]:off[c+1]]
-				for k, o := range ko {
-					coef, rk := val[k], r[o:]
-					for h, ob := range hoffB {
-						gc[h] += coef * rk[ob]
-					}
-				}
-			}
-		}
+		q += nk
 		// Stage 3: apply the bra terms, once per bra primitive.
 		off := bra.off[i*bra.ncomp : (i+1)*bra.ncomp+1]
 		for a := 0; a < bra.ncomp; a++ {
@@ -622,6 +604,185 @@ func eriQuartetCut(bra, ket *pairData, out []float64, cut float64, vector bool, 
 					v += val[k] * hermSign[h] * gc[h]
 				}
 				row[c] += v
+			}
+		}
+	}
+}
+
+// gathered is stage 1's output: per primitive quartet of the gathered
+// list its Boys values F_0..F_ltot (job-major), α, the prefactor and Q−P.
+type gathered struct {
+	fn, alpha, pref, x, y, z []float64
+}
+
+// Stage 2 forms. Each contracts the nk ket primitives of one bra
+// primitive — primitive quartets q..q+nk−1 of the gathered list — into G
+// with the same multiply-adds in the same order, (ket primitive,
+// component, term, Hermite index), so every form writes the bits the
+// generic one does. A ket component without terms (its E₀ underflowed)
+// adds nothing. The fused forms cover the s/p shapes of ltot 1 and 2 in
+// the orientation QuartetOps picks: they build R inline with buildR's
+// arithmetic and keep G in registers.
+
+// psss is stage 2 of (p s|s s): four Hermite indices against one ket term.
+func (gl *gathered) psss(ket *pairData, q, nk int, g []float64) {
+	fn := gl.fn[2*q : 2*(q+nk)]
+	alpha, pref := gl.alpha[q:q+nk], gl.pref[q:q+nk]
+	x, y, z := gl.x[q:q+nk], gl.y[q:q+nk], gl.z[q:q+nk]
+	off := ket.off[:nk+1]
+	var g0, g1, g2, g3 float64
+	for j, p := range alpha {
+		s1 := fn[2*j+1] * (pref[j] * (-2 * p))
+		r0 := fn[2*j] * pref[j]
+		rx, ry, rz := x[j]*s1, y[j]*s1, z[j]*s1
+		for _, coef := range ket.val[off[j]:off[j+1]] {
+			g0 += coef * r0
+			g1 += coef * rx
+			g2 += coef * ry
+			g3 += coef * rz
+		}
+	}
+	g[0], g[1], g[2], g[3] = g0, g1, g2, g3
+}
+
+// ppss is stage 2 of (p p|s s): ten Hermite indices against one ket term.
+func (gl *gathered) ppss(ket *pairData, q, nk int, g []float64) {
+	fn := gl.fn[3*q : 3*(q+nk)]
+	alpha, pref := gl.alpha[q:q+nk], gl.pref[q:q+nk]
+	x, y, z := gl.x[q:q+nk], gl.y[q:q+nk], gl.z[q:q+nk]
+	off := ket.off[:nk+1]
+	var g0, g1, g2, g3, g4, g5, g6, g7, g8, g9 float64
+	for j, p := range alpha {
+		// buildR at l = 2, by Hermite index.
+		scale1 := pref[j] * (-2 * p)
+		s1, s2 := fn[3*j+1]*scale1, fn[3*j+2]*(scale1*(-2*p))
+		xj, yj, zj := x[j], y[j], z[j]
+		az, ay, ax := zj*s2, yj*s2, xj*s2
+		r0 := fn[3*j] * pref[j]
+		r1, r2, r3 := xj*s1, yj*s1, zj*s1
+		r4, r5, r6 := xj*ax+s1, xj*ay, xj*az
+		r7, r8, r9 := yj*ay+s1, yj*az, zj*az+s1
+		for _, coef := range ket.val[off[j]:off[j+1]] {
+			g0 += coef * r0
+			g1 += coef * r1
+			g2 += coef * r2
+			g3 += coef * r3
+			g4 += coef * r4
+			g5 += coef * r5
+			g6 += coef * r6
+			g7 += coef * r7
+			g8 += coef * r8
+			g9 += coef * r9
+		}
+	}
+	g[0], g[1], g[2], g[3], g[4] = g0, g1, g2, g3, g4
+	g[5], g[6], g[7], g[8], g[9] = g5, g6, g7, g8, g9
+}
+
+// spsp is stage 2 of (s p|s p): four Hermite indices against the terms of
+// three ket components, each of Hermite degree ≤ 1. m[k][h] is R at the
+// sum of the k-th and h-th degree-≤1 triples.
+func (gl *gathered) spsp(ket *pairData, q, nk int, g []float64) {
+	fn := gl.fn[3*q : 3*(q+nk)]
+	alpha, pref := gl.alpha[q:q+nk], gl.pref[q:q+nk]
+	x, y, z := gl.x[q:q+nk], gl.y[q:q+nk], gl.z[q:q+nk]
+	off := ket.off[:3*nk+1]
+	var acc [3][4]float64
+	var m [4][4]float64
+	for j, p := range alpha {
+		// buildR at l = 2, placed by the pair of triples it sums.
+		scale1 := pref[j] * (-2 * p)
+		s1, s2 := fn[3*j+1]*scale1, fn[3*j+2]*(scale1*(-2*p))
+		xj, yj, zj := x[j], y[j], z[j]
+		az, ay, ax := zj*s2, yj*s2, xj*s2
+		m[0][0] = fn[3*j] * pref[j]
+		m[0][1], m[0][2], m[0][3] = xj*s1, yj*s1, zj*s1
+		m[1][1], m[1][2], m[1][3] = xj*ax+s1, xj*ay, xj*az
+		m[2][2], m[2][3], m[3][3] = yj*ay+s1, yj*az, zj*az+s1
+		m[1][0], m[2][0], m[3][0] = m[0][1], m[0][2], m[0][3]
+		m[2][1], m[3][1], m[3][2] = m[1][2], m[1][3], m[2][3]
+		for c := range acc {
+			gc := &acc[c]
+			lo, hi := off[3*j+c], off[3*j+c+1]
+			for k, coef := range ket.val[lo:hi] {
+				mk := &m[ket.hidx[int(lo)+k]&3]
+				gc[0] += coef * mk[0]
+				gc[1] += coef * mk[1]
+				gc[2] += coef * mk[2]
+				gc[3] += coef * mk[3]
+			}
+		}
+	}
+	for c := range acc {
+		copy(g[4*c:4*c+4], acc[c][:])
+	}
+}
+
+// generic is stage 2 of every other shape: R from buildR per primitive
+// quartet, read at the ket term's offset plus the bra index's. Bras of 4
+// and 10 Hermite indices (s/p/d pairs of degree ≤ 2) run unrolled, with
+// the offsets and the component's G row in locals.
+func (gl *gathered) generic(ket *pairData, ltot, q, nk int, hoffB, koff []int32, r, g []float64) {
+	m1 := ltot + 1
+	nkc, nh := ket.ncomp, len(hoffB)
+	for x := range g {
+		g[x] = 0
+	}
+	var hb [10]int32
+	copy(hb[:], hoffB)
+	h1, h2, h3, h4, h5, h6, h7, h8, h9 := hb[1], hb[2], hb[3], hb[4], hb[5], hb[6], hb[7], hb[8], hb[9]
+	for j := 0; j < nk; j++ {
+		buildR(ltot, gl.fn[q*m1:(q+1)*m1], gl.alpha[q], gl.pref[q], gl.x[q], gl.y[q], gl.z[q], r)
+		q++
+		off := ket.off[j*nkc : (j+1)*nkc+1]
+		for c := 0; c < nkc; c++ {
+			ko, val := koff[off[c]:off[c+1]], ket.val[off[c]:off[c+1]]
+			switch nh {
+			case 1:
+				// (ss| bra: G has one Hermite index per ket component.
+				var v float64
+				for k, o := range ko {
+					v += val[k] * r[o]
+				}
+				g[c] += v
+			case 4:
+				gc := g[4*c : 4*c+4]
+				g0, g1, g2, g3 := gc[0], gc[1], gc[2], gc[3]
+				for k, o := range ko {
+					coef := val[k]
+					g0 += coef * r[o]
+					g1 += coef * r[o+h1]
+					g2 += coef * r[o+h2]
+					g3 += coef * r[o+h3]
+				}
+				gc[0], gc[1], gc[2], gc[3] = g0, g1, g2, g3
+			case 10:
+				gc := g[10*c : 10*c+10]
+				g0, g1, g2, g3, g4 := gc[0], gc[1], gc[2], gc[3], gc[4]
+				g5, g6, g7, g8, g9 := gc[5], gc[6], gc[7], gc[8], gc[9]
+				for k, o := range ko {
+					coef := val[k]
+					g0 += coef * r[o]
+					g1 += coef * r[o+h1]
+					g2 += coef * r[o+h2]
+					g3 += coef * r[o+h3]
+					g4 += coef * r[o+h4]
+					g5 += coef * r[o+h5]
+					g6 += coef * r[o+h6]
+					g7 += coef * r[o+h7]
+					g8 += coef * r[o+h8]
+					g9 += coef * r[o+h9]
+				}
+				gc[0], gc[1], gc[2], gc[3], gc[4] = g0, g1, g2, g3, g4
+				gc[5], gc[6], gc[7], gc[8], gc[9] = g5, g6, g7, g8, g9
+			default:
+				gc := g[c*nh : (c+1)*nh]
+				for k, o := range ko {
+					coef, rk := val[k], r[o:]
+					for h, ob := range hoffB {
+						gc[h] += coef * rk[ob]
+					}
+				}
 			}
 		}
 	}

@@ -206,7 +206,7 @@ func rProgramFor(l int) *rProgram {
 
 // rSize returns the buffer length buildR needs at total angular momentum l.
 func rSize(l int) int {
-	if l <= 2 {
+	if l <= 4 {
 		return (l + 1) * (l + 1) * (l + 1)
 	}
 	return rProgramFor(l).size
@@ -216,8 +216,9 @@ func rSize(l int) int {
 // into w (length ≥ rSize(l)) from the Boys values f[m] = F_m(T), m ≤ l,
 // seeding with R^m_{000} = scale·(−2p)^m·f[m]: R is linear in its seeds, so
 // the prefactor folded in here multiplies the whole tensor. l = 1 and 2 —
-// 4 and 10 live entries, the bulk of an s/p census — are written out; the
-// rest run their rProgram.
+// 4 and 10 live entries, the bulk of an s/p census — are written out,
+// l = 3 and 4 run their rProgram as generated straight-line code (rgen.go,
+// which writes the cube only) and the rest interpret it.
 func buildR(l int, f []float64, p, scale, x, y, z float64, w []float64) {
 	p2 := -2 * p
 	switch l {
@@ -237,6 +238,10 @@ func buildR(l int, f []float64, p, scale, x, y, z float64, w []float64) {
 		w[1], w[3], w[9] = z*s1, y*s1, x*s1
 		w[2], w[6], w[18] = z*az+s1, y*ay+s1, x*ax+s1
 		w[4], w[10], w[12] = y*az, x*az, x*ay
+	case 3:
+		buildR3(f, p, scale, x, y, z, w)
+	case 4:
+		buildR4(f, p, scale, x, y, z, w)
 	default:
 		prog := rProgramFor(l)
 		w = w[:prog.size]

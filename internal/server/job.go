@@ -487,6 +487,9 @@ type prepared struct {
 	eng   *integrals.Engine
 	scr   *screen.Result
 	tasks []hfx.Task
+	// opts are the options tasks were priced under and the job's builder
+	// is made with, so the builder takes the tasks as they are.
+	opts hfx.Options
 	// builderKey identifies the (geometry, basis, screening, options)
 	// combination a builder is specific to; workers reuse a live builder
 	// across consecutive jobs with the same key.
@@ -524,11 +527,11 @@ func prepare(req *JobRequest, threads int, sopts screen.Options) (*prepared, flo
 	}
 	eng := integrals.NewEngine(set)
 	scr := screen.BuildPairList(eng, sopts)
-	cm := hfx.DefaultCostModel()
-	tasks := hfx.BuilderTasks(eng, scr, cm, 0)
+	opts := hfxOptions(req, threads)
+	tasks := hfx.BuilderTasks(eng, scr, opts.Cost, opts.Granule)
 	costs := hfx.TaskCosts(tasks)
 	p := &prepared{
-		mol: mol, set: set, eng: eng, scr: scr, tasks: tasks,
+		mol: mol, set: set, eng: eng, scr: scr, tasks: tasks, opts: opts,
 		totalNS:    sched.TotalCost(costs),
 		makespanNS: sched.PredictMakespan(sched.LPT, costs, max(threads, 1)),
 	}

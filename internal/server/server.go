@@ -414,10 +414,7 @@ func (st *workerState) builderFor(j *job, s *Server) (*hfx.Builder, error) {
 		return st.builder, nil
 	}
 	st.close(s)
-	opts := hfx.DefaultOptions()
-	opts.Threads = s.cfg.BuilderThreads
-	opts.DensityWeighted = *j.req.DensityWeighted
-	opts.CacheBudgetBytes = int64(j.req.CacheMB) << 20
+	opts := j.prep.opts
 	var b *hfx.Builder
 	if j.req.Ranks > 1 {
 		d, err := hfx.NewDistBuilder(j.prep.eng, j.prep.scr, hfx.DistOptions{Ranks: j.req.Ranks, Schedule: mprt.DimExchange, Opts: opts})
@@ -426,7 +423,7 @@ func (st *workerState) builderFor(j *job, s *Server) (*hfx.Builder, error) {
 		}
 		b = d.Builder
 	} else {
-		b = hfx.NewBuilder(j.prep.eng, j.prep.scr, opts)
+		b = hfx.NewPricedBuilder(j.prep.eng, j.prep.scr, opts, j.prep.tasks)
 	}
 	st.builder, st.key, st.prep = b, j.prep.builderKey, j.prep
 	s.reg.Counter("builders.created").Add(1)
@@ -535,17 +532,24 @@ func (s *Server) scfConfig(req *JobRequest) scf.Config {
 	f, _ := dft.ByName(req.Functional)
 	sopts := screen.DefaultOptions()
 	sopts.Threshold = req.Screen
-	hopts := hfx.DefaultOptions()
-	hopts.Threads = s.cfg.BuilderThreads
-	hopts.DensityWeighted = *req.DensityWeighted
-	hopts.CacheBudgetBytes = int64(req.CacheMB) << 20
 	return scf.Config{
 		Basis:      req.Basis,
 		Functional: f,
 		Screen:     sopts,
-		HFX:        hopts,
+		HFX:        hfxOptions(req, s.cfg.BuilderThreads),
 		MaxIter:    req.MaxIter,
 	}
+}
+
+// hfxOptions returns the builder options a request is served with on
+// threads builder threads; admission prices its task list under them.
+func hfxOptions(req *JobRequest, threads int) hfx.Options {
+	opts := hfx.DefaultOptions()
+	opts.Threads = threads
+	opts.Cost = hfx.DefaultCostModel()
+	opts.DensityWeighted = *req.DensityWeighted
+	opts.CacheBudgetBytes = int64(req.CacheMB) << 20
+	return opts
 }
 
 // seedDensity applies partial-hit prefix reuse to an SCF config: when
@@ -590,6 +594,12 @@ func (s *Server) storeDensity(key string, res *scf.Result) {
 func (s *Server) runSCF(j *job) *JobResult {
 	cfg := s.scfConfig(&j.req)
 	dkey := s.seedDensity(&cfg, j.prep.mol, j.prep.set.NBasis)
+	// The run builds on the admission's pair list and task list, so it
+	// neither screens nor prices again; the builder is the job's own,
+	// neither spilled nor kept by the worker.
+	b := hfx.NewPricedBuilder(j.prep.eng, j.prep.scr, j.prep.opts, j.prep.tasks)
+	defer b.Close()
+	cfg.ExternalBuilder = b
 	res, err := scf.RunContext(j.ctx, j.prep.mol, cfg)
 	if err != nil {
 		state := StateFailed

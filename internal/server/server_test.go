@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -8,11 +9,15 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"hfxmd/internal/hfx"
+	"hfxmd/internal/scf"
+	"hfxmd/internal/screen"
 	"hfxmd/internal/store"
 )
 
@@ -267,6 +272,59 @@ func TestServerSCFJobAndCacheHit(t *testing.T) {
 	}
 	if got := counter(s, "hfx.fock_builds"); got != builds {
 		t.Fatalf("cache hit did builder work: %d -> %d Fock builds", builds, got)
+	}
+
+	// The served run builds on the admission's pair list and task list;
+	// its summary is that of an in-process run of the same request, bit
+	// for bit.
+	req := JobRequest{Kind: KindSCF, System: "water", CacheMB: 16}
+	served := submit(t, ts, req)
+	req.normalize()
+	mol, err := req.resolveMolecule()
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, err := scf.Run(mol, s.scfConfig(&req))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _ := json.Marshal(served.SCF)
+	want, _ := json.Marshal(SummarizeSCF(in))
+	if !bytes.Equal(got, want) {
+		t.Fatalf("served SCF summary differs from an in-process run:\n%s\n%s", got, want)
+	}
+}
+
+// TestServedBuilderTakesAdmissionTasks: the builder a buildjk job runs on
+// schedules the task list its admission priced — the same slice, not a
+// second pricing of it — and that list is the one a builder made with the
+// served options prices for itself.
+func TestServedBuilderTakesAdmissionTasks(t *testing.T) {
+	s := mustNew(t, Config{Workers: 1, CacheBytes: -1})
+	defer s.Shutdown(context.Background())
+	req := JobRequest{Kind: KindBuildJK, System: "water"}
+	req.normalize()
+	sopts := screen.DefaultOptions()
+	sopts.Threshold = req.Screen
+	prep, _, err := prepare(&req, s.cfg.BuilderThreads, sopts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st workerState
+	defer st.close(s)
+	b, err := st.builderFor(&job{req: req, prep: prep}, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tasks := b.Tasks()
+	if len(tasks) == 0 || len(tasks) != len(prep.tasks) || &tasks[0] != &prep.tasks[0] {
+		t.Fatalf("served builder schedules %d tasks at %p, admission priced %d at %p",
+			len(tasks), tasks, len(prep.tasks), prep.tasks)
+	}
+	own := hfx.NewBuilder(prep.eng, prep.scr, hfxOptions(&req, s.cfg.BuilderThreads))
+	defer own.Close()
+	if !slices.Equal(own.Tasks(), tasks) {
+		t.Fatal("admission priced the task list under other options than the served builder's")
 	}
 }
 
@@ -601,6 +659,17 @@ func TestServerLifecycle(t *testing.T) {
 	cancelB()
 	if err := <-errB; err == nil {
 		t.Fatal("job B's client should observe its cancellation")
+	}
+	// The server notices the client going away asynchronously: release
+	// the worker only once queued job B's context is cancelled, or B may
+	// be popped and run before it is.
+	s.q.mu.Lock()
+	jobB := s.q.items[0]
+	s.q.mu.Unlock()
+	select {
+	case <-jobB.ctx.Done():
+	case <-time.After(10 * time.Second):
+		t.Fatal("server never saw job B's client go away")
 	}
 	close(block)
 
