@@ -279,15 +279,11 @@ type Trajectory = md.Trajectory
 // Frame is one trajectory snapshot.
 type Frame = md.Frame
 
-// ScanPoint is one point of a reaction-coordinate profile.
-type ScanPoint = md.ScanPoint
-
 // Surface maps a geometry to its energy and forces: what trajectories
 // (RunRESPA) and relaxations (Optimize) consume.
 type Surface = md.Surface
 
-// PotentialFunc maps a geometry to an energy: the input of scans and of
-// FDSurface.
+// PotentialFunc maps a geometry to an energy: the input of FDSurface.
 type PotentialFunc = md.PotentialFunc
 
 // SCFPotential adapts an SCF configuration into an energy-only potential.
@@ -313,9 +309,17 @@ type StoreOptions = store.Options
 // rebuilding the index from the segment files on disk.
 func OpenStore(opts StoreOptions) (*Store, error) { return store.Open(opts) }
 
-// DistanceScan computes a constrained approach/dissociation profile.
-func DistanceScan(mol *Molecule, pot PotentialFunc, i, j, fragStart int, coords []float64) ([]ScanPoint, error) {
-	return md.DistanceScan(mol, pot, i, j, fragStart, coords)
+// ScanProfile is an energy profile along a sequence of geometries: its
+// points and the depth of its well.
+type ScanProfile = md.Profile
+
+// Scan computes the energy profile over the geometries geom builds at
+// coords, in order, on one MDSession under the scan solver settings, so
+// each point warm-starts from the ones before it; Rel and the well are
+// measured from the first converged point. progress, if non-nil, sees the
+// session's counters after every point.
+func Scan(cfg SCFConfig, opt MDSessionOptions, coords []float64, geom func(r float64) (*Molecule, error), progress func(MDSessionStats)) (*ScanProfile, error) {
+	return md.Scan(cfg, opt, coords, geom, progress)
 }
 
 // OptimizeOptions configures geometry minimisation.
@@ -348,12 +352,8 @@ type RespaEvaluator = respa.Evaluator
 // RespaForceField is the cheap (fast) reference surface: forces only.
 type RespaForceField = respa.ForceField
 
-// The built-in cheap-reference modes of BuildRespaReference.
-const (
-	RespaRefSpring   = respa.RefSpring
-	RespaRefLoose    = respa.RefLoose
-	RespaRefBaseline = respa.RefBaseline
-)
+// RespaRefSpring is the cheap-reference mode of BuildRespaReference.
+const RespaRefSpring = respa.RefSpring
 
 // RunRESPA integrates an r-RESPA trajectory: inner velocity Verlet on
 // the cheap force at δt, the slow correction F_full − F_cheap applied
@@ -370,9 +370,9 @@ func RunRESPA(mol *Molecule, full RespaEvaluator, cheap RespaForceField, opts Re
 // An MDSession's Forces is the warm-started alternative.
 func RespaSCFEvaluator(cfg SCFConfig) RespaEvaluator { return md.SCFForces(cfg) }
 
-// BuildRespaReference resolves a named cheap-force mode ("spring",
-// "loose", "baseline") against the initial geometry and model
-// chemistry, returning the force field and its canonical label.
+// BuildRespaReference resolves a named cheap-force mode ("spring", the
+// only one) against the initial geometry, returning the force field and
+// its canonical label.
 func BuildRespaReference(mode string, mol *Molecule, cfg SCFConfig, fdStep float64, workers int) (RespaForceField, string, error) {
 	return respa.BuildReference(mode, mol, cfg, fdStep, workers)
 }
@@ -444,12 +444,6 @@ type MDSummary = server.MDSummary
 func SummarizeMD(traj *Trajectory, wall time.Duration) *MDSummary {
 	return server.SummarizeMD(traj, wall)
 }
-
-// BarrierHeight extracts the maximum relative energy of a profile.
-func BarrierHeight(pts []ScanPoint) float64 { return md.BarrierHeight(pts) }
-
-// ReactionEnergy returns E(last) − E(first) of a profile.
-func ReactionEnergy(pts []ScanPoint) float64 { return md.ReactionEnergy(pts) }
 
 // ---------------------------------------------------------------------------
 // Machine layer (BG/Q simulator).
@@ -537,7 +531,7 @@ type SCFSummary = server.SCFSummary
 // (hfxd wire format, also emitted by cmd/solvents -json).
 type ScanSummary = server.ScanSummary
 
-// ScanPointJSON is one point of a ScanSummary profile.
+// ScanPointJSON is one point of a ScanSummary or ScanProfile.
 type ScanPointJSON = server.ScanPointJSON
 
 // TrajSummary is the shared JSON encoding of a trajectory-campaign job

@@ -84,20 +84,6 @@ func TestFacadeExchangeBuilderErrors(t *testing.T) {
 	}
 }
 
-func TestFacadeScanHelpers(t *testing.T) {
-	pts := []hfxmd.ScanPoint{
-		{Coord: 4, Energy: -1.0, Rel: 0.02},
-		{Coord: 3, Energy: -1.02, Rel: 0},
-		{Coord: 2, Energy: -0.9, Rel: 0.12},
-	}
-	if hfxmd.BarrierHeight(pts) != 0.12 {
-		t.Fatal("barrier")
-	}
-	if math.Abs(hfxmd.ReactionEnergy(pts)-0.1) > 1e-12 {
-		t.Fatal("reaction energy")
-	}
-}
-
 // ExampleRunSCF demonstrates the quickstart path; the energy matches the
 // Szabo–Ostlund literature value.
 func ExampleRunSCF() {

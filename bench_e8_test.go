@@ -14,8 +14,10 @@ package hfxmd_test
 //      π* is what the peroxide attacks in the paper's ring-opening
 //      pathway; DMSO's LUMO lies higher — enhanced stability.
 //
-// Each point is a full SCF on a 10–17-atom system, so this is the most
-// expensive benchmark in the suite.
+// Each profile is hfxmd.Scan, the routine cmd/solvents and hfxd's
+// solvent-scan jobs run: one MD session, every point an SCF on a 17- or
+// 14-atom complex warm-started from the points before it, which makes
+// this the most expensive benchmark in the suite.
 
 import (
 	"fmt"
@@ -27,87 +29,58 @@ import (
 	"hfxmd/internal/phys"
 )
 
-// e8Config is shared with cmd/solvents: HF with damped, level-shifted SCF.
-func e8Config() hfxmd.SCFConfig {
-	scropt := hfxmd.DefaultScreening()
-	scropt.Threshold = 1e-6
-	return hfxmd.SCFConfig{
-		Screen:        scropt,
-		MaxIter:       80,
-		EnergyTol:     1e-6,
-		CommutatorTol: 1e-3,
-		Damping:       0.5,
-		DampIters:     8,
-		LevelShift:    0.3,
-	}
-}
-
 func BenchmarkE8SolventStability(b *testing.B) {
 	coords := []float64{9.0, 5.0, 4.0}
-	cfg := e8Config()
+	scropt := hfxmd.DefaultScreening()
+	scropt.Threshold = 1e-6
+	cfg := hfxmd.SCFConfig{Screen: scropt} // as cmd/solvents
 
 	type profile struct {
-		solvent  string
-		energies []float64
-		rels     []float64 // kcal/mol vs the separated (first) point
-		well     float64
-		lumo     float64 // isolated-solvent LUMO (electrophilicity)
+		solvent string
+		*hfxmd.ScanProfile
+		lumo float64 // isolated-solvent LUMO (electrophilicity)
 	}
 	var profiles []profile
 	for i := 0; i < b.N; i++ {
 		profiles = profiles[:0]
 		for _, solvent := range []string{"PC", "DMSO"} {
-			pr := profile{solvent: solvent}
-			for _, r := range coords {
-				mol, err := hfxmd.SolvatedPeroxide(solvent, r)
-				if err != nil {
-					b.Fatal(err)
-				}
-				res, err := hfxmd.RunSCF(mol, cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if !res.Converged {
-					b.Logf("%s at R=%.1f not converged after %d iterations", solvent, r, res.Iterations)
-				}
-				pr.energies = append(pr.energies, res.Energy)
+			prof, err := hfxmd.Scan(cfg, hfxmd.MDSessionOptions{}, coords,
+				func(r float64) (*hfxmd.Molecule, error) { return hfxmd.SolvatedPeroxide(solvent, r) }, nil)
+			if err != nil {
+				b.Fatal(err)
 			}
-			for _, e := range pr.energies {
-				rel := (e - pr.energies[0]) * phys.HartreeToKcalMol
-				pr.rels = append(pr.rels, rel)
-				if rel < pr.well {
-					pr.well = rel
+			for _, p := range prof.Points {
+				if !p.Converged {
+					b.Logf("%s at R=%.1f not converged after %d iterations", solvent, p.R, p.Iterations)
 				}
 			}
 			// Electrophilicity panel: isolated-solvent LUMO.
-			var mono *hfxmd.Molecule
-			if solvent == "PC" {
-				mono = hfxmd.PropyleneCarbonate()
-			} else {
+			mono := hfxmd.PropyleneCarbonate()
+			if solvent == "DMSO" {
 				mono = hfxmd.DimethylSulfoxide()
 			}
 			res, err := hfxmd.RunSCF(mono, cfg)
 			if err != nil {
 				b.Fatal(err)
 			}
-			pr.lumo = res.LUMO()
-			profiles = append(profiles, pr)
+			profiles = append(profiles, profile{solvent, prof, res.LUMO()})
 		}
 	}
-	b.ReportMetric(profiles[0].well, "PC-well-kcal")
-	b.ReportMetric(profiles[1].well, "DMSO-well-kcal")
+	kcal := func(eh float64) float64 { return eh * phys.HartreeToKcalMol }
+	b.ReportMetric(kcal(profiles[0].Well), "PC-well-kcal")
+	b.ReportMetric(kcal(profiles[1].Well), "DMSO-well-kcal")
 	b.ReportMetric(profiles[0].lumo, "PC-LUMO-Eh")
 	b.ReportMetric(profiles[1].lumo, "DMSO-LUMO-Eh")
 	once("e8", func() {
 		fmt.Printf("\n[E8] (a) Li2O2 approach profiles (HF/STO-3G, rigid fragments)\n")
 		for _, pr := range profiles {
-			fmt.Printf("%s + Li2O2:\n%10s %16s %14s\n", pr.solvent, "R[bohr]", "E[Eh]", "ΔE[kcal/mol]")
-			for k, r := range coords {
-				fmt.Printf("%10.2f %16.8f %14.2f\n", r, pr.energies[k], pr.rels[k])
+			fmt.Printf("%s + Li2O2:\n%10s %16s %14s %6s\n", pr.solvent, "R[bohr]", "E[Eh]", "ΔE[kcal/mol]", "iters")
+			for _, p := range pr.Points {
+				fmt.Printf("%10.2f %16.8f %14.2f %6d\n", p.R, p.Energy, kcal(p.Rel), p.Iterations)
 			}
 		}
 		fmt.Printf("encounter wells: PC %.1f, DMSO %.1f kcal/mol (DMSO's exposed S=O binds Li harder — its solvating strength)\n",
-			profiles[0].well, profiles[1].well)
+			kcal(profiles[0].Well), kcal(profiles[1].Well))
 		fmt.Printf("\n[E8] (b) electrophilicity (LUMO of the isolated solvent):\n")
 		fmt.Printf("    PC   %8.4f Eh\n    DMSO %8.4f Eh\n", profiles[0].lumo, profiles[1].lumo)
 		if profiles[0].lumo < profiles[1].lumo {

@@ -8,12 +8,12 @@
 //	aimd -system water -steps 10 -functional PBE0 -temp 300
 //
 // Every trajectory is r-RESPA: an SCF plus its analytic gradient every
-// k-th step, a cheap reference force between (-steps counts outer steps);
+// k-th step, the spring reference force between (-steps counts outer steps);
 // at the default -k 1 it is plain velocity Verlet. With -store-dir each
 // SCF warm-starts from a density predictor over the previous steps, the
 // first from the density a previous run stored:
 //
-//	aimd -system h2 -steps 10 -k 4 -ref spring -functional PBE0
+//	aimd -system h2 -steps 10 -k 4 -functional PBE0
 //	aimd -system lih -steps 20 -functional PBE0 -store-dir st
 //
 // Checkpointed trajectory, killed and resumed:
@@ -56,7 +56,6 @@ func main() {
 		seed       = flag.Int64("seed", 7, "velocity-initialisation seed")
 
 		respaK = flag.Int("k", 1, "RESPA inner steps per full-force evaluation (1 = plain velocity Verlet; -steps counts outer steps and -dt is the inner timestep)")
-		ref    = flag.String("ref", "spring", "RESPA cheap reference force: spring|loose|baseline (ignored at -k 1)")
 
 		storeDir = flag.String("store-dir", "", "tiered store directory: each SCF warm-starts from a density predictor over the previous steps, the first from the density a previous run stored (same tolerance, different bits than a cold run; a resume is tolerance-equal, not bitwise)")
 
@@ -100,10 +99,7 @@ func main() {
 			return e, frc, err
 		}
 	}
-	if *respaK <= 1 { // the reference cancels from the force sum
-		*ref = hfxmd.RespaRefSpring
-	}
-	cheap, label, err := hfxmd.BuildRespaReference(*ref, mol, scfCfg, 0, 0)
+	cheap, label, err := hfxmd.BuildRespaReference(hfxmd.RespaRefSpring, mol, scfCfg, 0, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -142,7 +138,7 @@ func main() {
 	if !*jsonOut {
 		if *respaK > 1 {
 			fmt.Printf("RESPA BOMD: %s, %s/%s, %d outer steps x %d inner of %.2f fs (ref %s), T0=%.0fK thermostat=%v\n",
-				mol.Name, *functional, *basisName, *steps, *respaK, *dt, *ref, *temp, *thermostat)
+				mol.Name, *functional, *basisName, *steps, *respaK, *dt, label, *temp, *thermostat)
 		} else {
 			fmt.Printf("BOMD: %s, %s/%s, %d steps of %.2f fs, T0=%.0fK thermostat=%v\n",
 				mol.Name, *functional, *basisName, *steps, *dt, *temp, *thermostat)

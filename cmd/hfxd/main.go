@@ -64,12 +64,11 @@ func main() {
 		points  = flag.Int("points", 5, "scan points for -submit -kind solvent-scan")
 		mdSteps = flag.Int("md-steps", 4, "outer MD steps for -submit -kind trajectory")
 		respaK  = flag.Int("respa-k", 2, "RESPA inner steps per full force for -submit -kind trajectory")
-		mdRef   = flag.String("md-ref", "spring", "cheap reference force for -submit -kind trajectory: spring|loose|baseline")
 	)
 	flag.Parse()
 
 	if *submit {
-		if err := runSubmit(*url, *kind, *system, *basis, *funcnl, *eps, *points, *mdSteps, *respaK, *mdRef); err != nil {
+		if err := runSubmit(*url, *kind, *system, *basis, *funcnl, *eps, *points, *mdSteps, *respaK); err != nil {
 			log.Fatal(err)
 		}
 		return
@@ -127,7 +126,7 @@ func main() {
 	}
 }
 
-func runSubmit(url, kind, system, basis, functional string, eps float64, points, mdSteps, respaK int, mdRef string) error {
+func runSubmit(url, kind, system, basis, functional string, eps float64, points, mdSteps, respaK int) error {
 	req := server.JobRequest{
 		Kind:       kind,
 		Basis:      basis,
@@ -142,7 +141,6 @@ func runSubmit(url, kind, system, basis, functional string, eps float64, points,
 		req.System = system
 		req.MaxSteps = mdSteps
 		req.RespaK = respaK
-		req.Ref = mdRef
 	default:
 		req.System = system
 	}

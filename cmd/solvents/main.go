@@ -7,7 +7,10 @@
 // electrophilic centre (the carbonate carbon of propylene carbonate; the
 // sulfur of dimethyl sulfoxide) and reports the interaction energies —
 // the precursor of the degradation pathway the paper identifies for PC
-// and the enhanced stability it predicts for alternative solvents.
+// and the enhanced stability it predicts for alternative solvents. Each
+// profile runs on one MD session (hfxmd.Scan), so every point
+// warm-starts from the points before it; the table and -json report each
+// point's SCF iterations.
 //
 // Usage:
 //
@@ -46,14 +49,7 @@ func main() {
 	}
 	scropt := hfxmd.DefaultScreening()
 	scropt.Threshold = *eps
-	cfg := hfxmd.SCFConfig{
-		Basis:      *basisName,
-		Functional: f,
-		Screen:     scropt,
-		MaxIter:    120,
-		Damping:    0.5, DampIters: 8,
-		LevelShift: 0.3,
-	}
+	cfg := hfxmd.SCFConfig{Basis: *basisName, Functional: f, Screen: scropt}
 
 	coords := make([]float64, *points)
 	for i := range coords {
@@ -63,51 +59,25 @@ func main() {
 	if !*jsonOut {
 		fmt.Printf("Li2O2 attack profiles, %s/%s, ε=%g\n", *functional, *basisName, *eps)
 	}
-	type verdict struct {
-		name string
-		well float64 // hartree, most negative relative energy vs separated
-	}
-	var results []verdict
 	var scans []*hfxmd.ScanSummary
 	for _, solvent := range []string{"PC", "DMSO"} {
-		if !*jsonOut {
-			fmt.Printf("\n--- %s + Li2O2 ---\n%10s %16s %14s\n", solvent, "R [bohr]", "E [Eh]", "ΔE [kcal/mol]")
+		prof, err := hfxmd.Scan(cfg, hfxmd.MDSessionOptions{}, coords,
+			func(r float64) (*hfxmd.Molecule, error) { return hfxmd.SolvatedPeroxide(solvent, r) }, nil)
+		if err != nil {
+			log.Fatal(err)
 		}
-		scan := &hfxmd.ScanSummary{Solvent: solvent}
-		var ref, well float64
-		for i, r := range coords {
-			mol, err := hfxmd.SolvatedPeroxide(solvent, r)
-			if err != nil {
-				log.Fatal(err)
-			}
-			res, err := hfxmd.RunSCF(mol, cfg)
-			if err != nil {
-				log.Fatal(err)
-			}
-			if !res.Converged {
-				if !*jsonOut {
-					fmt.Printf("%10.2f   (SCF not converged after %d iterations)\n", r, res.Iterations)
-				}
-				scan.Points = append(scan.Points, hfxmd.ScanPointJSON{R: r, Energy: res.Energy})
+		scans = append(scans, &hfxmd.ScanSummary{Solvent: solvent, Points: prof.Points, WellKcal: prof.Well * phys.HartreeToKcalMol})
+		if *jsonOut {
+			continue
+		}
+		fmt.Printf("\n--- %s + Li2O2 ---\n%10s %16s %14s %6s\n", solvent, "R [bohr]", "E [Eh]", "ΔE [kcal/mol]", "iters")
+		for _, p := range prof.Points {
+			if !p.Converged {
+				fmt.Printf("%10.2f   (SCF not converged after %d iterations)\n", p.R, p.Iterations)
 				continue
 			}
-			if i == 0 {
-				ref = res.Energy
-			}
-			rel := res.Energy - ref
-			scan.Points = append(scan.Points, hfxmd.ScanPointJSON{
-				R: r, Energy: res.Energy, Rel: rel, Converged: true,
-			})
-			if !*jsonOut {
-				fmt.Printf("%10.2f %16.8f %14.2f\n", r, res.Energy, rel*phys.HartreeToKcalMol)
-			}
-			if rel < well {
-				well = rel
-			}
+			fmt.Printf("%10.2f %16.8f %14.2f %6d\n", p.R, p.Energy, p.Rel*phys.HartreeToKcalMol, p.Iterations)
 		}
-		scan.WellKcal = well * phys.HartreeToKcalMol
-		scans = append(scans, scan)
-		results = append(results, verdict{solvent, well})
 	}
 	if *jsonOut {
 		enc := json.NewEncoder(os.Stdout)
@@ -119,12 +89,13 @@ func main() {
 	}
 
 	fmt.Println("\n=== stability verdict ===")
-	for _, r := range results {
-		fmt.Printf("%-5s Li2O2 encounter well: %8.2f kcal/mol\n", r.name, r.well*phys.HartreeToKcalMol)
+	for _, s := range scans {
+		fmt.Printf("%-5s Li2O2 encounter well: %8.2f kcal/mol\n", s.Solvent, s.WellKcal)
 	}
 	// Electrophilicity panel: the degradation pathway is nucleophilic
 	// attack of the peroxide on the solvent, gauged by the LUMO of the
-	// isolated molecule.
+	// isolated molecule — from a plain SCF, since the scans' level shift
+	// would lift every virtual level by 0.3 Eh.
 	lumo := map[string]float64{}
 	for _, pair := range []struct {
 		name string

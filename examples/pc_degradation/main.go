@@ -23,34 +23,21 @@ func main() {
 	coords := []float64{9.0, 4.2}
 	scropt := hfxmd.DefaultScreening()
 	scropt.Threshold = 1e-6
-	cfg := hfxmd.SCFConfig{
-		Screen:  scropt,
-		MaxIter: 100, Damping: 0.5, DampIters: 8, LevelShift: 0.3,
-	}
+	cfg := hfxmd.SCFConfig{Screen: scropt}
 
 	fmt.Println("Li2O2 approach energies (HF/STO-3G, rigid fragments)")
 	wells := map[string]float64{}
 	for _, solvent := range []string{"PC", "DMSO"} {
-		fmt.Printf("\n%s + Li2O2:\n%10s %16s %14s\n", solvent, "R [bohr]", "E [Eh]", "ΔE [kcal/mol]")
-		var ref float64
-		for i, r := range coords {
-			mol, err := hfxmd.SolvatedPeroxide(solvent, r)
-			if err != nil {
-				log.Fatal(err)
-			}
-			res, err := hfxmd.RunSCF(mol, cfg)
-			if err != nil {
-				log.Fatal(err)
-			}
-			if i == 0 {
-				ref = res.Energy
-			}
-			rel := (res.Energy - ref) * phys.HartreeToKcalMol
-			fmt.Printf("%10.2f %16.8f %14.2f\n", r, res.Energy, rel)
-			if rel < wells[solvent] {
-				wells[solvent] = rel
-			}
+		prof, err := hfxmd.Scan(cfg, hfxmd.MDSessionOptions{}, coords,
+			func(r float64) (*hfxmd.Molecule, error) { return hfxmd.SolvatedPeroxide(solvent, r) }, nil)
+		if err != nil {
+			log.Fatal(err)
 		}
+		fmt.Printf("\n%s + Li2O2:\n%10s %16s %14s\n", solvent, "R [bohr]", "E [Eh]", "ΔE [kcal/mol]")
+		for _, p := range prof.Points {
+			fmt.Printf("%10.2f %16.8f %14.2f\n", p.R, p.Energy, p.Rel*phys.HartreeToKcalMol)
+		}
+		wells[solvent] = prof.Well * phys.HartreeToKcalMol
 	}
 	fmt.Printf("\nencounter energies near contact: PC %.1f kcal/mol, DMSO %.1f kcal/mol\n",
 		wells["PC"], wells["DMSO"])

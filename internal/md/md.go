@@ -2,9 +2,9 @@
 // potential-energy surface: the energy-and-forces Surface every
 // trajectory and relaxation consumes, the warm-started Session that
 // serves it along a trajectory, the velocity draw and Berendsen rescale
-// package respa integrates with, and the constrained reaction-coordinate
-// scans used for the Li/air electrolyte-degradation study (paper
-// experiment E8).
+// package respa integrates with, and Scan, the energy profile along a
+// geometry sequence on one Session that the Li/air electrolyte-degradation
+// study (paper experiment E8) runs.
 //
 // A closed-shell SCF surface has analytic forces — scf.RunForces: one SCF
 // plus one gradient build — which Session.Forces (warm-started across
@@ -29,8 +29,8 @@ import (
 // trajectories (package respa) and relaxations (package opt) consume.
 type Surface func(*chem.Molecule) (epot float64, f []chem.Vec3, err error)
 
-// PotentialFunc maps a geometry to a total energy in hartree: the
-// energy-only surface of the scans, and the input of FDSurface.
+// PotentialFunc maps a geometry to a total energy in hartree: the input
+// of FDSurface.
 type PotentialFunc func(*chem.Molecule) (float64, error)
 
 // SCFPotential adapts an scf.Config into a PotentialFunc.

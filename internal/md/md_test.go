@@ -26,14 +26,6 @@ func springPot(k, r0 float64) md.PotentialFunc {
 	}
 }
 
-// morsePot is an analytic Morse potential between atoms 0 and 1.
-func morsePot(de, a, r0 float64) md.PotentialFunc {
-	return func(m *chem.Molecule) (float64, error) {
-		x := math.Exp(-a * (m.Distance(0, 1) - r0))
-		return de * (1 - x) * (1 - x), nil
-	}
-}
-
 // verlet integrates a plain velocity-Verlet trajectory: respa.Run at
 // K = 1, where the spring reference cancels from the force sum.
 func verlet(mol *chem.Molecule, full md.Surface, opts respa.Options) (*md.Trajectory, error) {
@@ -158,52 +150,6 @@ func TestSCFMDShortTrajectory(t *testing.T) {
 	dN := traj.Frames[len(traj.Frames)-1].Positions[1].Sub(traj.Frames[len(traj.Frames)-1].Positions[0]).Norm()
 	if dN >= d0 {
 		t.Fatalf("bond did not contract: %g -> %g", d0, dN)
-	}
-}
-
-func TestDistanceScanMorse(t *testing.T) {
-	// Two-atom molecule, fragment = atom 1; Morse well at r0=1.4.
-	mol := chem.Hydrogen(4.0)
-	pot := morsePot(0.17, 1.0, 1.4)
-	coords := []float64{4.0, 3.0, 2.2, 1.7, 1.4, 1.2}
-	pts, err := md.DistanceScan(mol, pot, 0, 1, 1, coords)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != len(coords) {
-		t.Fatalf("%d points", len(pts))
-	}
-	// Minimum at r=1.4, relative energy zero there.
-	for _, p := range pts {
-		if p.Coord == 1.4 && p.Rel > 1e-12 {
-			t.Fatalf("minimum not at 1.4: %+v", p)
-		}
-		if p.Rel < 0 {
-			t.Fatalf("negative relative energy %+v", p)
-		}
-	}
-	// Binding: end of scan approaches the well from the repulsive side,
-	// reaction energy relative to separated limit is negative at r0.
-	if md.ReactionEnergy(pts[:5]) >= 0 {
-		t.Fatal("Morse approach should be downhill to the minimum")
-	}
-	if md.BarrierHeight(pts) <= 0 {
-		t.Fatal("repulsive wall should register as a positive max")
-	}
-}
-
-func TestDistanceScanValidation(t *testing.T) {
-	mol := chem.Hydrogen(1.4)
-	pot := springPot(1, 1)
-	if _, err := md.DistanceScan(mol, pot, 0, 9, 1, []float64{1}); err == nil {
-		t.Fatal("expected range error")
-	}
-	if _, err := md.DistanceScan(mol, pot, 0, 1, 0, []float64{1}); err == nil {
-		t.Fatal("expected fragment error")
-	}
-	bad := chem.Hydrogen(0)
-	if _, err := md.DistanceScan(bad, pot, 0, 1, 1, []float64{1}); err == nil {
-		t.Fatal("expected coincident-atom error")
 	}
 }
 

@@ -4,81 +4,97 @@ import (
 	"fmt"
 
 	"hfxmd/internal/chem"
+	"hfxmd/internal/scf"
 )
 
-// ScanPoint is one point on a reaction-coordinate profile.
+// ScanPoint is one point of an energy profile, in the JSON encoding hfxd's
+// solvent-scan jobs and cmd/solvents -json share.
 type ScanPoint struct {
-	// Coord is the constrained coordinate value in bohr.
-	Coord float64
-	// Energy is the SCF energy at that geometry in hartree.
-	Energy float64
-	// Rel is Energy minus the profile minimum, in hartree.
-	Rel float64
+	// R is the scan coordinate the point's geometry was built at (bohr
+	// for a distance scan).
+	R float64 `json:"r"`
+	// Energy is the SCF energy in hartree.
+	Energy float64 `json:"energy"`
+	// Rel is Energy minus the energy of the profile's first converged
+	// point, in hartree; 0 for an unconverged point.
+	Rel       float64 `json:"rel"`
+	Converged bool    `json:"converged"`
+	// Iterations counts the point's SCF iterations (a cold retry of a
+	// seeded run included): the warm start, point by point.
+	Iterations int `json:"iterations"`
 }
 
-// DistanceScan computes the energy profile along the distance between two
-// atoms by rigidly translating the fragment containing atom j (all atoms
-// with index ≥ fragStart) along the i→j axis. This is the constrained
-// scan used for the peroxide-attack coordinate in experiment E8.
-func DistanceScan(mol *chem.Molecule, pot PotentialFunc, i, j, fragStart int, coords []float64) ([]ScanPoint, error) {
-	if i < 0 || j < 0 || i >= mol.NAtoms() || j >= mol.NAtoms() {
-		return nil, fmt.Errorf("md: scan atoms (%d,%d) out of range", i, j)
-	}
-	if fragStart <= 0 || fragStart > mol.NAtoms() {
-		return nil, fmt.Errorf("md: fragment start %d out of range", fragStart)
-	}
-	axis := mol.Atoms[j].Pos.Sub(mol.Atoms[i].Pos)
-	r0 := axis.Norm()
-	if r0 < 1e-10 {
-		return nil, fmt.Errorf("md: scan atoms coincide")
-	}
-	u := axis.Scale(1 / r0)
+// Profile is an energy profile along a sequence of geometries.
+type Profile struct {
+	Points []ScanPoint
+	// Well is the most negative Rel of the profile (hartree): the depth of
+	// an encounter well, 0 for a purely repulsive profile.
+	Well float64
+}
 
-	pts := make([]ScanPoint, 0, len(coords))
+// scanConfig applies the solver settings every scan runs under: damping
+// 0.5 over the first 8 iterations and a 0.3 Eh level shift, which carry
+// the SCF through the close-contact geometries of an approach profile,
+// and 120 iterations when cfg sets no bound.
+func scanConfig(cfg scf.Config) scf.Config {
+	cfg.Damping, cfg.DampIters = 0.5, 8
+	cfg.LevelShift = 0.3
+	if cfg.MaxIter == 0 {
+		cfg.MaxIter = 120
+	}
+	return cfg
+}
+
+// Scan computes the energy profile over the geometries geom builds at the
+// coordinates coords, in order, as Run calls on one Session under
+// scanConfig(cfg): each point starts from the density predictor's
+// extrapolation of the points before it (and, with opt.Store, the first
+// from a stored density) and reuses the session's builder and XC
+// integrator, the shortcuts trajectory steps get. A point whose SCF does
+// not converge is recorded and the scan goes on; any other error (cfg.Ctx
+// cancelled, a bad geometry) ends it, returning the points so far.
+// progress, if non-nil, sees the session's counters after every point.
+func Scan(cfg scf.Config, opt SessionOptions, coords []float64, geom func(r float64) (*chem.Molecule, error), progress func(SessionStats)) (*Profile, error) {
+	sess := NewSession(scanConfig(cfg), opt)
+	defer sess.Close()
+	prof := &Profile{}
+	defer prof.relate()
+	var iters int64
 	for _, r := range coords {
-		g := mol.Clone()
-		shift := u.Scale(r - r0)
-		for k := fragStart; k < g.NAtoms(); k++ {
-			g.Atoms[k].Pos = g.Atoms[k].Pos.Add(shift)
-		}
-		e, err := pot(g)
+		m, err := geom(r)
 		if err != nil {
-			return pts, fmt.Errorf("md: scan point r=%.3f: %w", r, err)
+			return prof, err
 		}
-		pts = append(pts, ScanPoint{Coord: r, Energy: e})
-	}
-	// Fill relative energies.
-	min := pts[0].Energy
-	for _, p := range pts[1:] {
-		if p.Energy < min {
-			min = p.Energy
+		res, err := sess.Run(m)
+		if err != nil {
+			return prof, fmt.Errorf("md: scan point r=%.3f: %w", r, err)
+		}
+		st := sess.Stats()
+		prof.Points = append(prof.Points, ScanPoint{
+			R: r, Energy: res.Energy, Converged: res.Converged,
+			Iterations: int(st.SCFIterations - iters),
+		})
+		iters = st.SCFIterations
+		if progress != nil {
+			progress(st)
 		}
 	}
-	for k := range pts {
-		pts[k].Rel = pts[k].Energy - min
-	}
-	return pts, nil
+	return prof, nil
 }
 
-// BarrierHeight returns the highest relative energy encountered before
-// the profile's global minimum position — a simple proxy for the forward
-// reaction barrier on a scan ordered from far to near approach.
-func BarrierHeight(pts []ScanPoint) float64 {
-	var maxRel float64
-	for _, p := range pts {
-		if p.Rel > maxRel {
-			maxRel = p.Rel
+// relate fills Rel and Well the one way every profile is measured: from
+// the first converged point, over converged points only.
+func (p *Profile) relate() {
+	ref, seen := 0.0, false
+	for i := range p.Points {
+		pt := &p.Points[i]
+		if !pt.Converged {
+			continue
 		}
+		if !seen {
+			ref, seen = pt.Energy, true
+		}
+		pt.Rel = pt.Energy - ref
+		p.Well = min(p.Well, pt.Rel)
 	}
-	return maxRel
-}
-
-// ReactionEnergy returns E(last) − E(first): negative means the scan's
-// end point (e.g. the degraded adduct) is more stable than the separated
-// reactants at the scan start.
-func ReactionEnergy(pts []ScanPoint) float64 {
-	if len(pts) < 2 {
-		return 0
-	}
-	return pts[len(pts)-1].Energy - pts[0].Energy
 }

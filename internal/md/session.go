@@ -26,18 +26,13 @@ type SessionOptions struct {
 	// ~1e-2 bohr, so one list typically serves tens of steps.
 	MaxDisplacement float64
 	// Store, if non-nil, seeds the *first* step of a session from a
-	// persisted prefix density (the "density:" namespace hfxd's scf jobs
-	// also read and write) and persists each converged density back, so
-	// trajectories warm-start across processes and fleet instances.
-	// Within a session the predictor's own history always wins — it is
-	// one step old, the best seed there is.
+	// persisted density (scf.LoadSeed, the protocol hfxd's scf jobs also
+	// use) and persists each converged density back (scf.SaveSeed), so
+	// trajectories and scans warm-start across processes and fleet
+	// instances. Within a session the predictor's own history always wins
+	// — it is one step old, the best seed there is.
 	Store *store.Store
 }
-
-// densityKeyPrefix is the store namespace for converged densities; it
-// matches internal/server's, so an aimd trajectory and an hfxd instance
-// pointed at the same store directory seed each other.
-const densityKeyPrefix = "density:"
 
 // SessionStats counts the session's reuse traffic.
 type SessionStats struct {
@@ -57,8 +52,13 @@ type SessionStats struct {
 	// a force evaluation. Forces are analytic now, so it stays 0; the
 	// field remains for the readers of these stats.
 	DisplacedRuns int64
-	// Fallbacks counts seeded runs that failed and were retried cold.
+	// Fallbacks counts seeded runs that failed or did not converge and
+	// were retried cold.
 	Fallbacks int64
+	// FockBuilds counts the Fock builds the session's builders served, and
+	// HFX is the report of the latest one.
+	FockBuilds int64
+	HFX        hfx.Report
 	// PredictorOrder is the extrapolation order of the latest run's seed
 	// (0 when it was not seeded from the trajectory's own history).
 	PredictorOrder int
@@ -96,6 +96,7 @@ type Session struct {
 	builder *hfx.Builder
 	refPos  []chem.Vec3 // geometry the pair list was built at
 	refEl   []chem.Element
+	served  int64 // builds of the current builder already in stats.FockBuilds
 	stats   SessionStats
 }
 
@@ -138,9 +139,9 @@ func (s *Session) Stats() SessionStats {
 // Run performs one SCF at the given geometry with every cross-step
 // shortcut the session has banked: a seed extrapolated from the previous
 // converged densities, pair-list reuse within the displacement bound, and
-// in-place builder and integrator rebinding. A failed seeded run falls back
-// to a cold one (unless the failure is a context cancellation, which
-// propagates).
+// in-place builder and integrator rebinding. A seeded run that fails or
+// does not converge falls back to a cold one (unless the failure is a
+// context cancellation, which propagates).
 func (s *Session) Run(m *chem.Molecule) (*scf.Result, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -185,6 +186,7 @@ func (s *Session) runLocked(m *chem.Molecule, solve func(*chem.Molecule, scf.Con
 		s.builder = hfx.NewBuilder(eng, s.scr, s.cfg.HFX)
 		s.refPos = pos
 		s.refEl = elementsOf(m)
+		s.served = 0
 		s.stats.PairListBuilds++
 	}
 
@@ -199,34 +201,23 @@ func (s *Session) runLocked(m *chem.Molecule, solve func(*chem.Molecule, scf.Con
 	case run.InitialDensity != nil:
 		s.stats.WarmStarts++
 	case s.opt.Store != nil:
-		key := densityKeyPrefix + scf.DensityPrefixKey(s.cfg, m)
-		if b, ok := s.opt.Store.Get(key); ok {
-			if p, _ := scf.DecodeSeed(b, m); p != nil && p.Rows == set.NBasis {
-				run.InitialDensity = p
-				s.stats.StoreSeeds++
-			}
+		if run.InitialDensity, _ = scf.LoadSeed(s.opt.Store, s.cfg, m, set.NBasis); run.InitialDensity != nil {
+			s.stats.StoreSeeds++
+			break
 		}
-		if run.InitialDensity == nil {
-			s.stats.ColdStarts++
-		}
+		s.stats.ColdStarts++
 	default:
 		s.stats.ColdStarts++
 	}
 
-	res, f, err := solve(m, run)
-	if res != nil {
-		s.stats.SCFIterations += int64(res.Iterations)
-	}
-	if err != nil && run.InitialDensity != nil && (s.cfg.Ctx == nil || s.cfg.Ctx.Err() == nil) {
+	res, f, err := s.solveCounted(solve, m, run)
+	if (err != nil || !res.Converged) && run.InitialDensity != nil && (s.cfg.Ctx == nil || s.cfg.Ctx.Err() == nil) {
 		// A stale seed must never fail the trajectory: retry cold on the
 		// same builder (its cache blocks are already at this geometry),
 		// and let the history that produced the seed go.
 		s.stats.Fallbacks++
 		s.pred.clear()
-		res, f, err = solve(m, cold)
-		if res != nil {
-			s.stats.SCFIterations += int64(res.Iterations)
-		}
+		res, f, err = s.solveCounted(solve, m, cold)
 	}
 	s.stats.XCPasses = s.xc.Passes()
 	s.stats.LivePoints, s.stats.GridPoints = s.xc.Points()
@@ -236,10 +227,24 @@ func (s *Session) runLocked(m *chem.Molecule, solve func(*chem.Molecule, scf.Con
 	}
 	s.pred.record(res.P, overlap, res.C, res.NOcc, pos)
 	if s.opt.Store != nil {
-		key := densityKeyPrefix + scf.DensityPrefixKey(s.cfg, m)
-		s.opt.Store.Put(key, scf.EncodeSeed(m, set.NBasis, res.P.Data))
+		scf.SaveSeed(s.opt.Store, s.cfg, res)
 	}
 	return res, f, nil
+}
+
+// solveCounted runs one SCF and adds its iterations and the Fock builds
+// it ran to the session's counters.
+func (s *Session) solveCounted(solve func(*chem.Molecule, scf.Config) (*scf.Result, []chem.Vec3, error), m *chem.Molecule, cfg scf.Config) (*scf.Result, []chem.Vec3, error) {
+	res, f, err := solve(m, cfg)
+	if res != nil {
+		s.stats.SCFIterations += int64(res.Iterations)
+		if n := res.HFXReport.Pool.Builds; n > s.served {
+			s.stats.FockBuilds += n - s.served
+			s.served = n
+			s.stats.HFX = res.HFXReport
+		}
+	}
+	return res, f, err
 }
 
 // Forces evaluates the full surface at m — energy plus the analytic

@@ -241,7 +241,7 @@ func TestSessionStoreSeedsFreshSession(t *testing.T) {
 	if s1 := forces(nudged(0)); s1.ColdStarts != 1 || s1.StoreSeeds != 0 {
 		t.Fatalf("first session on an empty store: %+v", s1)
 	}
-	if _, ok := st.Get(densityKeyPrefix + scf.DensityPrefixKey(cfg, nudged(0))); !ok {
+	if _, ok := st.Get(scf.DensityKey(cfg, nudged(0))); !ok {
 		t.Fatal("first session persisted no density")
 	}
 

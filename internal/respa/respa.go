@@ -29,7 +29,6 @@ import (
 
 	"hfxmd/internal/chem"
 	"hfxmd/internal/ckpt"
-	"hfxmd/internal/dft"
 	"hfxmd/internal/md"
 	"hfxmd/internal/phys"
 	"hfxmd/internal/scf"
@@ -356,62 +355,17 @@ func SpringReference(mol *chem.Molecule, bondScale, kSpring float64) ForceField 
 	}
 }
 
-// LooseSCF derives the loosened solver settings for a reference surface
-// from a production config: convergence three orders of magnitude
-// coarser and a tighter iteration cap, enough for forces that only have
-// to track the cheap part of the dynamics between HFX corrections. Its
-// forces stay finite differences of the energy (md.ForcesN): the analytic
-// gradient assumes a stationary density, which this solver does not reach.
-func LooseSCF(cfg scf.Config) scf.Config {
-	loose := cfg
-	loose.EnergyTol = 1e-5
-	loose.CommutatorTol = 1e-3
-	if loose.MaxIter == 0 || loose.MaxIter > 50 {
-		loose.MaxIter = 50
-	}
-	return loose
-}
-
-// BaselineSCF derives the PBE-style baseline reference from a
-// production config: the semilocal functional with no exact-exchange
-// fraction, the split Mandal et al. use (full hybrid on the outer step,
-// pure GGA inside).
-func BaselineSCF(cfg scf.Config) scf.Config {
-	base := cfg
-	base.Functional = dft.PBE{}
-	return base
-}
-
-// Reference modes accepted by BuildReference.
-const (
-	RefSpring   = "spring"
-	RefLoose    = "loose"
-	RefBaseline = "baseline"
-)
+// RefSpring is the one cheap-reference mode BuildReference accepts.
+const RefSpring = "spring"
 
 // BuildReference resolves a named cheap-force mode against the initial
-// geometry and production SCF config: "spring" (analytic harmonic
-// bonds), "loose" (FD forces on a loosened SCF) or "baseline" (analytic
-// forces of the converged PBE baseline surface, each evaluation cold).
-// fdStep and workers configure the finite-difference mode; the returned
-// label goes into Options.RefLabel.
+// geometry: "spring" (or empty), the analytic harmonic-bond reference
+// (SpringReference). An SCF reference would cost more per inner step than
+// the full hybrid step it stands in for, so there is none. cfg, fdStep and
+// workers are unused; the returned label goes into Options.RefLabel.
 func BuildReference(mode string, mol *chem.Molecule, cfg scf.Config, fdStep float64, workers int) (ForceField, string, error) {
-	switch mode {
-	case RefSpring, "":
-		return SpringReference(mol, 0, 0), RefSpring, nil
-	case RefLoose:
-		loose := md.SCFPotential(LooseSCF(cfg))
-		return func(m *chem.Molecule) ([]chem.Vec3, error) {
-			return md.ForcesN(m, loose, fdStep, workers)
-		}, RefLoose, nil
-	case RefBaseline:
-		baseline := md.SCFForces(BaselineSCF(cfg))
-		return func(m *chem.Molecule) ([]chem.Vec3, error) {
-			_, f, err := baseline(m)
-			return f, err
-		}, RefBaseline, nil
-	default:
-		return nil, "", fmt.Errorf("respa: unknown reference mode %q (want %s, %s or %s)",
-			mode, RefSpring, RefLoose, RefBaseline)
+	if mode != RefSpring && mode != "" {
+		return nil, "", fmt.Errorf("respa: unknown reference mode %q (want %s)", mode, RefSpring)
 	}
+	return SpringReference(mol, 0, 0), RefSpring, nil
 }

@@ -414,6 +414,22 @@ func TestSpringReference(t *testing.T) {
 	}
 }
 
+// TestBuildReferenceSpringOnly: spring (or no name) is the one reference;
+// the retired SCF references are unknown modes.
+func TestBuildReferenceSpringOnly(t *testing.T) {
+	mol := chem.Hydrogen(1.4)
+	for _, mode := range []string{"", RefSpring} {
+		if ff, label, err := BuildReference(mode, mol, scf.Config{}, 0, 0); err != nil || ff == nil || label != RefSpring {
+			t.Fatalf("mode %q: label %q, %v", mode, label, err)
+		}
+	}
+	for _, mode := range []string{"loose", "baseline"} {
+		if _, _, err := BuildReference(mode, mol, scf.Config{}, 0, 0); err == nil {
+			t.Fatalf("mode %q must be an error", mode)
+		}
+	}
+}
+
 // sessionRun runs a RESPA campaign whose full surface is a warm
 // md.Session and returns the trajectory and the session's counters.
 func sessionRun(t *testing.T, mol *chem.Molecule, cfg scf.Config, opts Options) (*md.Trajectory, md.SessionStats) {

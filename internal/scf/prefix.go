@@ -13,20 +13,22 @@ import (
 	"hfxmd/internal/store"
 )
 
-// DensityPrefixKey fingerprints the part of a calculation that a stored
-// converged density can seed: the model chemistry (basis, functional,
-// screening threshold, density weighting) plus the system's charge and
-// element composition. Atomic positions are deliberately excluded —
-// geometries that differ only in coordinates (solvent-scan points, MD
-// steps) share the key, which is exactly the partial-hit prefix reuse
-// the tiered store exploits: the stored density of a neighbouring
-// geometry becomes Config.InitialDensity for the next one.
+// DensityKey is the store key of a converged density: the "density:"
+// namespace, shared by hfxd's scf jobs and every md.Session with a store,
+// followed by a fingerprint of the part of a calculation the density can
+// seed — the model chemistry (basis, functional, screening threshold,
+// density weighting) plus the system's charge and element composition.
+// Atomic positions are deliberately excluded — geometries that differ only
+// in coordinates (scan points, MD steps) share the key, which is exactly
+// the partial-hit prefix reuse the tiered store exploits: the stored
+// density of a neighbouring geometry becomes Config.InitialDensity for the
+// next one.
 //
 // Sharing the key guarantees matching basis dimensions (same elements,
 // same basis set ⇒ same NBasis) but not that the density means anything
 // at the new geometry: the entry carries the geometry it was converged at
 // (EncodeSeed) and DecodeSeed decides.
-func DensityPrefixKey(cfg Config, mol *chem.Molecule) string {
+func DensityKey(cfg Config, mol *chem.Molecule) string {
 	cfg.fillDefaults()
 	h := sha256.New()
 	fmt.Fprintf(h, "basis=%s;func=%s;screen=%g;dw=%v;charge=%d;",
@@ -45,7 +47,31 @@ func DensityPrefixKey(cfg Config, mol *chem.Molecule) string {
 		fmt.Fprintf(h, "%d:%d;", el, counts[chem.Element(el)])
 	}
 	sum := h.Sum(nil)
-	return hex.EncodeToString(sum[:16])
+	return "density:" + hex.EncodeToString(sum[:16])
+}
+
+// LoadSeed is the lookup half of the density-seed protocol: the density
+// st holds under DensityKey(cfg, mol), if DecodeSeed lets it seed mol and
+// it has the run's nbasis rows (an entry written under other basis data is
+// a miss). The density is nil unless the status is SeedHit.
+func LoadSeed(st *store.Store, cfg Config, mol *chem.Molecule, nbasis int) (*linalg.Matrix, SeedStatus) {
+	b, ok := st.Get(DensityKey(cfg, mol))
+	if !ok {
+		return nil, SeedMiss
+	}
+	p, status := DecodeSeed(b, mol)
+	if status == SeedHit && p.Rows != nbasis {
+		return nil, SeedMiss
+	}
+	return p, status
+}
+
+// SaveSeed is the persist half: a converged result's density, with the
+// geometry it belongs to, under its DensityKey. It reports whether the
+// density was stored; an unconverged one never is.
+func SaveSeed(st *store.Store, cfg Config, res *Result) bool {
+	mol := res.Set.Mol
+	return res.Converged && st.Put(DensityKey(cfg, mol), EncodeSeed(mol, res.Set.NBasis, res.P.Data)) == nil
 }
 
 // SeedMaxShift is how far (bohr) any atom may sit from where the stored
@@ -89,7 +115,7 @@ func EncodeSeed(mol *chem.Molecule, nbasis int, p []float64) []byte {
 // DecodeSeed returns the density stored in b if it can seed an SCF on mol:
 // the rows of a density are basis functions in atom order, so the stored
 // geometry must list the same elements atom by atom (which, under one
-// DensityPrefixKey, also makes the dimensions agree), and no atom may have
+// DensityKey, also makes the dimensions agree), and no atom may have
 // moved more than SeedMaxShift.
 func DecodeSeed(b []byte, mol *chem.Molecule) (*linalg.Matrix, SeedStatus) {
 	n, data, geom, err := store.DecodeMatrixPrefix(b)

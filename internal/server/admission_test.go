@@ -415,6 +415,7 @@ func FuzzJobRequest(f *testing.F) {
 		`{"kind":"scf","xyz":"2\nh2\nH 0 0 0\nH 0 0 NaN\n"}`,
 		`{"kind":"trajectory","system":"lih","functional":"PBE0","maxSteps":3,"respaK":2,"ref":"loose"}`,
 		`{"kind":"solvent-scan","solvent":"dmso","points":3,"rmin":4,"rmax":8}`,
+		`{"kind":"solvent-scan","points":65}`,
 	} {
 		f.Add([]byte(seed))
 	}

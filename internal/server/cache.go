@@ -6,16 +6,13 @@ import (
 	"hfxmd/internal/store"
 )
 
-// Store key namespaces. One store directory holds three kinds of
-// content-addressed entries, distinguished by prefix: finished job
-// results, converged densities for prefix reuse, and spilled ERI cache
-// images (whose "eri:" prefix is minted by hfx.Builder.SpillKey). A store
-// written by an older server may also hold a "calib:model" entry; nothing
-// reads it.
-const (
-	resultKeyPrefix  = "result:"
-	densityKeyPrefix = "density:"
-)
+// resultKeyPrefix namespaces finished job results. One store directory
+// holds three kinds of content-addressed entries, distinguished by prefix:
+// these, converged densities for prefix reuse ("density:", minted by
+// scf.DensityKey), and spilled ERI cache images ("eri:", minted by
+// hfx.Builder.SpillKey). A store written by an older server may also hold
+// a "calib:model" entry; nothing reads it.
+const resultKeyPrefix = "result:"
 
 // resultCache adapts the tiered content-addressed store to the server's
 // result cache: canonical job hash → JSON-encoded finished JobResult.

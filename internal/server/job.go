@@ -29,7 +29,7 @@ import (
 	"hfxmd/internal/hfx"
 	"hfxmd/internal/integrals"
 	"hfxmd/internal/linalg"
-	"hfxmd/internal/phys"
+	"hfxmd/internal/md"
 	"hfxmd/internal/respa"
 	"hfxmd/internal/scf"
 	"hfxmd/internal/sched"
@@ -107,8 +107,8 @@ type JobRequest struct {
 	// TempK seeds Maxwell–Boltzmann velocities and drives the Berendsen
 	// bath (default 300).
 	TempK float64 `json:"tempK,omitempty"`
-	// Ref selects the cheap reference force: spring|loose|baseline
-	// (default spring).
+	// Ref names the cheap reference force; spring, the default, is the
+	// only one.
 	Ref string `json:"ref,omitempty"`
 	// Seed makes velocity initialisation reproducible (default 1).
 	Seed int64 `json:"seed,omitempty"`
@@ -211,18 +211,15 @@ func (r *JobRequest) validate() error {
 		if r.TempK < 0 {
 			return fmt.Errorf("negative tempK %g", r.TempK)
 		}
-		switch r.Ref {
-		case respa.RefSpring, respa.RefLoose, respa.RefBaseline:
-		default:
-			return fmt.Errorf("unknown trajectory ref %q (want %s, %s or %s)",
-				r.Ref, respa.RefSpring, respa.RefLoose, respa.RefBaseline)
+		if r.Ref != respa.RefSpring {
+			return fmt.Errorf("unknown trajectory ref %q (want %s)", r.Ref, respa.RefSpring)
 		}
 	case KindSolventScan:
 		if r.Solvent != "PC" && r.Solvent != "DMSO" {
 			return fmt.Errorf("unknown solvent %q (want PC or DMSO)", r.Solvent)
 		}
-		if r.Points < 2 {
-			return fmt.Errorf("solvent-scan needs at least 2 points, got %d", r.Points)
+		if r.Points < 2 || r.Points > maxScanPoints {
+			return fmt.Errorf("solvent-scan needs 2 <= points <= %d, got %d", maxScanPoints, r.Points)
 		}
 		if !(r.RMin > 0 && r.RMax > r.RMin) {
 			return fmt.Errorf("solvent-scan needs 0 < rmin < rmax, got [%g, %g]", r.RMin, r.RMax)
@@ -267,6 +264,11 @@ const maxJobRanks = 64
 // size would let one request exhaust memory. 64 waters is the largest
 // cluster the paper-scale census needs.
 const maxNWater = 64
+
+// maxScanPoints bounds a solvent scan: every point is an SCF on a
+// 10–17-atom complex, so an unbounded request would hold a worker until
+// its deadline.
+const maxScanPoints = 64
 
 // maxTrajectorySteps and maxTrajectoryK bound a trajectory campaign:
 // every outer step costs an SCF run and a gradient build, so an unbounded
@@ -461,12 +463,7 @@ type ScreenSummary struct {
 
 // ScanPointJSON is one point of a solvent-scan profile, shared with
 // cmd/solvents -json.
-type ScanPointJSON struct {
-	R         float64 `json:"r"`      // constrained coordinate, bohr
-	Energy    float64 `json:"energy"` // hartree
-	Rel       float64 `json:"rel"`    // hartree, vs the first (farthest) point
-	Converged bool    `json:"converged"`
-}
+type ScanPointJSON = md.ScanPoint
 
 // ScanSummary is the result of a solvent-scan job: the approach profile
 // of Li2O2 towards the solvent's electrophilic centre and the depth of
@@ -568,18 +565,6 @@ const (
 
 // frobenius returns the Frobenius norm of m.
 func frobenius(m *linalg.Matrix) float64 { return m.FrobeniusNorm() }
-
-// wellDepth returns the most negative relative energy of a profile in
-// kcal/mol (0 when the profile is purely repulsive).
-func wellDepth(pts []ScanPointJSON) float64 {
-	var well float64
-	for _, p := range pts {
-		if p.Converged && p.Rel < well {
-			well = p.Rel
-		}
-	}
-	return well * phys.HartreeToKcalMol
-}
 
 // retryAfterSeconds estimates how long a client should wait before
 // resubmitting when the queue is full: the predicted work ahead of the

@@ -15,7 +15,9 @@ import (
 	"hfxmd/internal/chem"
 	"hfxmd/internal/dft"
 	"hfxmd/internal/hfx"
+	"hfxmd/internal/md"
 	"hfxmd/internal/mprt"
+	"hfxmd/internal/phys"
 	"hfxmd/internal/scf"
 	"hfxmd/internal/screen"
 	"hfxmd/internal/store"
@@ -552,48 +554,24 @@ func hfxOptions(req *JobRequest, threads int) hfx.Options {
 	return opts
 }
 
-// seedDensity applies partial-hit prefix reuse to an SCF config: when
-// the store holds a converged density for the same model-chemistry and
-// composition prefix that was converged at a neighbouring geometry (the
-// previous scan point, an earlier MD step — scf.DecodeSeed draws the
-// line), SCF starts from it instead of the cold SAD guess. A stored
-// density of some other geometry of the same composition is counted as
-// rejected and the run starts from SAD. Returns the store key under which
-// this run's converged density belongs.
-func (s *Server) seedDensity(cfg *scf.Config, mol *chem.Molecule, nbasis int) string {
-	key := densityKeyPrefix + scf.DensityPrefixKey(*cfg, mol)
-	status := scf.SeedMiss
-	if b, ok := s.store.Get(key); ok {
-		cfg.InitialDensity, status = scf.DecodeSeed(b, mol)
-	}
-	if status == scf.SeedHit && cfg.InitialDensity.Rows != nbasis {
-		cfg.InitialDensity, status = nil, scf.SeedMiss // written under other basis data
-	}
-	switch status {
-	case scf.SeedHit:
-		s.reg.Counter("prefix.density_hits").Add(1)
-	case scf.SeedRejected:
-		s.reg.Counter("prefix.density_rejected").Add(1)
-	default:
-		s.reg.Counter("prefix.density_misses").Add(1)
-	}
-	return key
-}
-
-// storeDensity records a converged density, with its geometry, under its
-// prefix key.
-func (s *Server) storeDensity(key string, res *scf.Result) {
-	if !res.Converged {
-		return
-	}
-	if err := s.store.Put(key, scf.EncodeSeed(res.Set.Mol, res.Set.NBasis, res.P.Data)); err == nil {
-		s.reg.Counter("prefix.density_stored").Add(1)
-	}
+// seedDensity applies partial-hit prefix reuse to an SCF config
+// (scf.LoadSeed): a converged density stored for the same model chemistry
+// and composition at a neighbouring geometry seeds the run instead of the
+// cold SAD guess. The outcome is counted in prefix.density_hits, _rejected
+// (a stored density of some other geometry) or _misses.
+func (s *Server) seedDensity(cfg *scf.Config, mol *chem.Molecule, nbasis int) {
+	var status scf.SeedStatus
+	cfg.InitialDensity, status = scf.LoadSeed(s.store, *cfg, mol, nbasis)
+	s.reg.Counter([...]string{
+		scf.SeedMiss:     "prefix.density_misses",
+		scf.SeedRejected: "prefix.density_rejected",
+		scf.SeedHit:      "prefix.density_hits",
+	}[status]).Add(1)
 }
 
 func (s *Server) runSCF(j *job) *JobResult {
 	cfg := s.scfConfig(&j.req)
-	dkey := s.seedDensity(&cfg, j.prep.mol, j.prep.set.NBasis)
+	s.seedDensity(&cfg, j.prep.mol, j.prep.set.NBasis)
 	// The run builds on the admission's pair list and task list, so it
 	// neither screens nor prices again; the builder is the job's own,
 	// neither spilled nor kept by the worker.
@@ -609,7 +587,9 @@ func (s *Server) runSCF(j *job) *JobResult {
 		return &JobResult{State: state, Error: err.Error()}
 	}
 	s.mergeReport(res.HFXReport, res.HFXReport.Pool.Builds)
-	s.storeDensity(dkey, res)
+	if scf.SaveSeed(s.store, cfg, res) {
+		s.reg.Counter("prefix.density_stored").Add(1)
+	}
 	return &JobResult{State: StateDone, SCF: SummarizeSCF(res)}
 }
 
@@ -658,45 +638,29 @@ func (s *Server) runScreen(j *job) *JobResult {
 	}}
 }
 
+// runScan computes a solvent's Li2O2 approach profile (kind solvent-scan)
+// with md.Scan: one session across the points, seeded from the server's
+// store, its Fock builds published as they happen.
 func (s *Server) runScan(j *job) *JobResult {
-	cfg := s.scfConfig(&j.req)
-	// The E8 profile needs the robust solver settings of cmd/solvents.
-	cfg.Damping, cfg.DampIters = 0.5, 8
-	cfg.LevelShift = 0.3
-	if cfg.MaxIter == 0 {
-		cfg.MaxIter = 120
-	}
 	req := &j.req
-	sum := &ScanSummary{Solvent: req.Solvent}
-	var ref float64
-	for i := 0; i < req.Points; i++ {
-		r := req.RMax + (req.RMin-req.RMax)*float64(i)/float64(req.Points-1)
-		mol, err := chem.SolvatedPeroxide(req.Solvent, r)
-		if err != nil {
-			return &JobResult{State: StateFailed, Error: err.Error()}
-		}
-		// Every point shares the scan's composition prefix, so point i
-		// starts from point i−1's converged density — the partial-hit
-		// reuse that makes a scan cheaper than independent SCFs.
-		pcfg := cfg
-		dkey := s.seedDensity(&pcfg, mol, j.prep.set.NBasis)
-		res, err := scf.RunContext(j.ctx, mol, pcfg)
-		if err != nil {
-			if j.ctx.Err() != nil {
-				return &JobResult{State: StateCancelled, Error: err.Error(), Scan: sum}
-			}
-			return &JobResult{State: StateFailed, Error: err.Error(), Scan: sum}
-		}
-		s.mergeReport(res.HFXReport, res.HFXReport.Pool.Builds)
-		s.storeDensity(dkey, res)
-		if i == 0 {
-			ref = res.Energy
-		}
-		sum.Points = append(sum.Points, ScanPointJSON{
-			R: r, Energy: res.Energy, Rel: res.Energy - ref, Converged: res.Converged,
-		})
+	cfg := s.scfConfig(req)
+	cfg.Ctx = j.ctx
+	coords := make([]float64, req.Points)
+	for i := range coords {
+		coords[i] = req.RMax + (req.RMin-req.RMax)*float64(i)/float64(req.Points-1)
 	}
-	sum.WellKcal = wellDepth(sum.Points)
+	var published md.SessionStats
+	prof, err := md.Scan(cfg, md.SessionOptions{Store: s.store}, coords,
+		func(r float64) (*chem.Molecule, error) { return chem.SolvatedPeroxide(req.Solvent, r) },
+		func(st md.SessionStats) { s.publishSession(st, published); published = st })
+	sum := &ScanSummary{Solvent: req.Solvent, Points: prof.Points, WellKcal: prof.Well * phys.HartreeToKcalMol}
+	if err != nil {
+		state := StateFailed
+		if j.ctx.Err() != nil {
+			state = StateCancelled
+		}
+		return &JobResult{State: state, Error: err.Error(), Scan: sum}
+	}
 	return &JobResult{State: StateDone, Scan: sum}
 }
 

@@ -508,6 +508,8 @@ func TestServerValidationAndMethods(t *testing.T) {
 		`{"system":"water","xyz":"1\n\nH 0 0 0\n"}`,
 		`{"kind":"screen","system":"watercluster","nwater":-1}`,
 		`{"kind":"screen","system":"watercluster","nwater":65}`,
+		`{"kind":"solvent-scan","points":65}`,
+		`{"kind":"trajectory","system":"h2","ref":"loose"}`,
 		`{not json`,
 	} {
 		if code := post(body); code != http.StatusBadRequest {

@@ -170,19 +170,18 @@ func TestDensityChainsAcrossGeometries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	keyA := s.seedDensity(&cfgA, molA, set.NBasis)
+	s.seedDensity(&cfgA, molA, set.NBasis)
 	if cfgA.InitialDensity != nil {
 		t.Fatal("empty store must not seed")
 	}
 	resA, err := scf.Run(molA, cfgA)
-	if err != nil {
-		t.Fatal(err)
+	if err != nil || !scf.SaveSeed(s.store, cfgA, resA) {
+		t.Fatalf("cold run not stored: %v", err)
 	}
-	s.storeDensity(keyA, resA)
 
 	cfgB := s.scfConfig(&req)
-	keyB := s.seedDensity(&cfgB, molB, set.NBasis)
-	if keyB != keyA {
+	s.seedDensity(&cfgB, molB, set.NBasis)
+	if keyA, keyB := scf.DensityKey(cfgA, molA), scf.DensityKey(cfgB, molB); keyB != keyA {
 		t.Fatalf("perturbed geometry changed the prefix key: %s vs %s", keyB, keyA)
 	}
 	if cfgB.InitialDensity == nil {
@@ -221,12 +220,11 @@ func TestSeedGuardRejectsOtherGeometries(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		key := s.seedDensity(&cfg, m, set.NBasis)
+		s.seedDensity(&cfg, m, set.NBasis)
 		res, err := scf.Run(m, cfg)
-		if err != nil || !res.Converged {
+		if err != nil || !res.Converged || !scf.SaveSeed(s.store, cfg, res) {
 			t.Fatalf("scf: %v", err)
 		}
-		s.storeDensity(key, res)
 		return res, cfg
 	}
 	cold, cfg := run(mol)
@@ -243,7 +241,7 @@ func TestSeedGuardRejectsOtherGeometries(t *testing.T) {
 	if res.Iterations > cold.Iterations {
 		t.Fatalf("near seed took %d iterations, cold %d", res.Iterations, cold.Iterations)
 	}
-	s.storeDensity(densityKeyPrefix+scf.DensityPrefixKey(cfg, mol), cold) // the reference geometry again
+	scf.SaveSeed(s.store, cfg, cold) // the reference geometry again
 
 	rotated := chem.Water()
 	for i := range rotated.Atoms { // quarter turn about x: (x, y, z) → (x, −z, y)
@@ -258,9 +256,10 @@ func TestSeedGuardRejectsOtherGeometries(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if key := s.seedDensity(&cfg, m, set.NBasis); key != densityKeyPrefix+scf.DensityPrefixKey(cfg, mol) {
+		if scf.DensityKey(cfg, m) != scf.DensityKey(cfg, mol) {
 			t.Fatalf("case %d: same composition must share the prefix key", i)
 		}
+		s.seedDensity(&cfg, m, set.NBasis)
 		if cfg.InitialDensity != nil {
 			t.Fatalf("case %d: a density of another geometry must not seed", i)
 		}
@@ -281,8 +280,7 @@ func TestSeedGuardRejectsOtherGeometries(t *testing.T) {
 
 	// An entry without a geometry (the pre-guard format) is a miss.
 	cfg = s.scfConfig(&req)
-	key := densityKeyPrefix + scf.DensityPrefixKey(cfg, mol)
-	if err := s.store.Put(key, store.EncodeMatrix(cold.Set.NBasis, cold.P.Data)); err != nil {
+	if err := s.store.Put(scf.DensityKey(cfg, mol), store.EncodeMatrix(cold.Set.NBasis, cold.P.Data)); err != nil {
 		t.Fatal(err)
 	}
 	misses := counter(s, "prefix.density_misses")

@@ -50,6 +50,14 @@ func TestServerTrajectoryJob(t *testing.T) {
 	if got := counter(s, "traj.outer_steps"); got != 3 {
 		t.Fatalf("traj.outer_steps = %d, want 3", got)
 	}
+	// Every SCF iteration is one Fock build on the session's builders, and
+	// the session's publish path counts each of them once.
+	if got := counter(s, "hfx.fock_builds"); got != tr.SCFIterations {
+		t.Fatalf("hfx.fock_builds = %d, want the session's %d", got, tr.SCFIterations)
+	}
+	if counter(s, "hfx.quartets_computed") == 0 {
+		t.Fatal("trajectory builds left hfx.quartets_computed at 0")
+	}
 
 	// The repeat is answered from the result cache with the same bits.
 	res2 := submit(t, ts, trajReq())

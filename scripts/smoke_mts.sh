@@ -16,7 +16,7 @@ trap 'rm -rf "$tmp"' EXIT
 go build -o "$tmp/aimd" ./cmd/aimd
 
 STEPS=200 # outer steps: 400 inner at k=2
-ARGS="-system h2 -steps $STEPS -k 2 -ref spring -dt 0.25 -temp 300 -seed 7"
+ARGS="-system h2 -steps $STEPS -k 2 -dt 0.25 -temp 300 -seed 7"
 
 # Reference: the same trajectory, never interrupted, no checkpointing.
 "$tmp/aimd" $ARGS -json > "$tmp/ref.json"
