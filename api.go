@@ -19,7 +19,6 @@ import (
 	"hfxmd/internal/opt"
 	"hfxmd/internal/respa"
 	"hfxmd/internal/scf"
-	"hfxmd/internal/sched"
 	"hfxmd/internal/screen"
 	"hfxmd/internal/server"
 	"hfxmd/internal/store"
@@ -212,16 +211,8 @@ func (e *ExchangeBuilder) NBasis() int { return e.b.Eng.Basis.NBasis }
 // tree or the torus dimension-exchange.
 type CollectiveSchedule = mprt.Schedule
 
-// The available collective schedules.
-const (
-	ScheduleBinomial    = mprt.Binomial
-	ScheduleDimExchange = mprt.DimExchange
-)
-
-// CollectiveScheduleByName resolves "binomial" or "dim-exchange".
-func CollectiveScheduleByName(name string) (CollectiveSchedule, bool) {
-	return mprt.ScheduleByName(name)
-}
+// ScheduleDimExchange is the torus dimension-exchange schedule.
+const ScheduleDimExchange = mprt.DimExchange
 
 // DistExchangeOptions configures a rank-distributed Fock build.
 type DistExchangeOptions = hfx.DistOptions
@@ -584,21 +575,3 @@ type FleetOptions = fleet.Options
 // NewFleet boots a cluster of hfxd instances, each on its own loopback
 // port, behind the cache-affinity router.
 func NewFleet(opts FleetOptions) (*Fleet, error) { return fleet.New(opts) }
-
-// PredictMakespan is the exported cost-prediction hook: the modeled
-// wall-clock of executing tasks with the given costs on nWorkers workers
-// under the chosen balancing algorithm.
-func PredictMakespan(alg BalanceAlgorithm, costs []float64, nWorkers int) float64 {
-	return sched.PredictMakespan(alg, costs, nWorkers)
-}
-
-// BalanceAlgorithm names a static load-balancing strategy.
-type BalanceAlgorithm = sched.Algorithm
-
-// The available balancing strategies.
-const (
-	BalanceBlock      = sched.Block
-	BalanceRoundRobin = sched.RoundRobin
-	BalanceLPT        = sched.LPT
-	BalanceSteal      = sched.Steal
-)

@@ -17,6 +17,7 @@ import (
 	"strings"
 
 	"hfxmd"
+	"hfxmd/internal/chem"
 	"hfxmd/internal/phys"
 )
 
@@ -25,7 +26,7 @@ func main() {
 	log.SetPrefix("scfrun: ")
 	var (
 		xyzPath    = flag.String("xyz", "", "path to an XYZ geometry (ångström)")
-		system     = flag.String("system", "water", "built-in system: water|h2|he|lih|lif|ch4|pc|dmso|li2o2|watercluster")
+		system     = flag.String("system", "water", "built-in system: "+strings.Join(chem.SystemNames(), "|"))
 		nwater     = flag.Int("n", 4, "cluster size for -system watercluster")
 		basisName  = flag.String("basis", "STO-3G", "basis set: "+strings.Join(hfxmd.AvailableBasisSets(), "|"))
 		functional = flag.String("functional", "HF", "functional: HF|LDA|PBE|PBE0")
@@ -152,28 +153,5 @@ func pickSystem(xyzPath, system string, nwater int) (*hfxmd.Molecule, error) {
 		defer f.Close()
 		return hfxmd.ReadXYZ(f)
 	}
-	switch strings.ToLower(system) {
-	case "water":
-		return hfxmd.Water(), nil
-	case "h2":
-		return hfxmd.Hydrogen(1.4), nil
-	case "he":
-		return hfxmd.Helium(), nil
-	case "lih":
-		return hfxmd.LithiumHydride(), nil
-	case "lif":
-		return hfxmd.LithiumFluoride(), nil
-	case "ch4":
-		return hfxmd.Methane(), nil
-	case "pc":
-		return hfxmd.PropyleneCarbonate(), nil
-	case "dmso":
-		return hfxmd.DimethylSulfoxide(), nil
-	case "li2o2":
-		return hfxmd.LithiumPeroxide(), nil
-	case "watercluster":
-		return hfxmd.WaterCluster(nwater, 1), nil
-	default:
-		return nil, fmt.Errorf("unknown system %q", system)
-	}
+	return chem.System(strings.ToLower(system), nwater)
 }

@@ -11,6 +11,44 @@ import (
 // aa converts ångström to bohr for the literal geometries below.
 func aa(x float64) float64 { return x * phys.AngstromToBohr }
 
+// systems is the one table of named reference systems: hfxd's system
+// selector and /v1/systems and cmd/scfrun's -system all read it.
+var systems = []struct {
+	name  string
+	build func(nwater int) *Molecule
+}{
+	{"water", func(int) *Molecule { return Water() }},
+	{"h2", func(int) *Molecule { return Hydrogen(1.4) }},
+	{"he", func(int) *Molecule { return Helium() }},
+	{"lih", func(int) *Molecule { return LithiumHydride() }},
+	{"lif", func(int) *Molecule { return LithiumFluoride() }},
+	{"ch4", func(int) *Molecule { return Methane() }},
+	{"pc", func(int) *Molecule { return PropyleneCarbonate() }},
+	{"dmso", func(int) *Molecule { return DimethylSulfoxide() }},
+	{"li2o2", func(int) *Molecule { return LithiumPeroxide() }},
+	{"watercluster", func(n int) *Molecule { return WaterCluster(n, 1) }},
+}
+
+// SystemNames returns the names System accepts, in table order.
+func SystemNames() []string {
+	names := make([]string, len(systems))
+	for i, s := range systems {
+		names[i] = s.name
+	}
+	return names
+}
+
+// System builds the named reference system; nwater is the size of a
+// "watercluster" (seed 1) and unused by every other system.
+func System(name string, nwater int) (*Molecule, error) {
+	for _, s := range systems {
+		if s.name == name {
+			return s.build(nwater), nil
+		}
+	}
+	return nil, fmt.Errorf("unknown system %q", name)
+}
+
 // Hydrogen returns H2 at the given bond length (bohr). The default
 // textbook geometry is R = 1.4 a0.
 func Hydrogen(r float64) *Molecule {

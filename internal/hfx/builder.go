@@ -47,11 +47,6 @@ type Options struct {
 	// Admission is priority-ordered by Schwarz bound × predicted block
 	// cost; see internal/hfx/ericache.go.
 	CacheBudgetBytes int64
-	// NoEarlyExit disables the sorted-pair early exit in the quartet loop
-	// (the ket list is sorted by descending Q, so a failed Schwarz product
-	// normally terminates the whole ket range). Ablation/testing knob; the
-	// results are bitwise identical either way.
-	NoEarlyExit bool
 }
 
 // DefaultOptions returns the paper's production configuration.
@@ -765,9 +760,9 @@ func (pl *pool) braRows(bra screen.Pair, row []float64) {
 func (pl *pool) screenQuartet(bra, ket screen.Pair, ji int, row []float64) (ok, rest bool) {
 	if !pl.opts.DensityWeighted {
 		ok = pl.scr.QuartetSurvives(bra, ket)
-		return ok, !ok && !pl.opts.NoEarlyExit
+		return ok, !ok
 	}
-	if !pl.opts.NoEarlyExit && !pl.scr.QuartetSurvivesWeighted(bra, ket, pl.pmaxAll) {
+	if !pl.scr.QuartetSurvivesWeighted(bra, ket, pl.pmaxAll) {
 		return false, true
 	}
 	return pl.scr.QuartetSurvivesWeighted(bra, ket, max(row[ket.A], row[ket.B], pl.pairP[ji])), false

@@ -6,6 +6,7 @@ import (
 
 	"hfxmd/internal/chem"
 	"hfxmd/internal/linalg"
+	"hfxmd/internal/screen"
 )
 
 // TestSemiDirectMatchesDirect: cached replay must agree with direct builds
@@ -98,11 +99,12 @@ func TestSemiDirectWarmHits(t *testing.T) {
 	}
 }
 
-// TestEarlyExitMatchesExhaustive pins the sorted-pair early exit: with
-// NoEarlyExit the quartet loop tests every ket individually (the old
-// path); the default breaks out of the Q-sorted range at the first plain
-// failure. J/K must be bitwise identical and the screened/computed
-// bookkeeping must agree, in both screening modes.
+// TestEarlyExitMatchesExhaustive pins the sorted-pair early exit: the
+// quartet loop breaks out of the Q-sorted ket range at the first failure
+// of the plain (or, density-weighted, the global-density) test, and must
+// still compute exactly the quartets that pass the exact test one by one.
+// Every computed quartet passed that test, so computing as many as the
+// exhaustive count means computing the same set. Both screening modes.
 func TestEarlyExitMatchesExhaustive(t *testing.T) {
 	for _, dw := range []bool{false, true} {
 		t.Run(fmt.Sprintf("dw=%v", dw), func(t *testing.T) {
@@ -111,24 +113,27 @@ func TestEarlyExitMatchesExhaustive(t *testing.T) {
 			opts := DefaultOptions()
 			opts.DensityWeighted = dw
 			opts.Threads = 2
-			fast := NewBuilder(eng, scr, opts)
-			defer fast.Close()
-			opts.NoEarlyExit = true
-			slow := NewBuilder(eng, scr, opts)
-			defer slow.Close()
-			jf, kf, repF := fast.BuildJK(p)
-			js, ks, repS := slow.BuildJK(p)
-			if diff := linalg.MaxAbsDiff(jf, js); diff != 0 {
-				t.Fatalf("J early-exit vs exhaustive diff %g, want bitwise 0", diff)
+			b := NewBuilder(eng, scr, opts)
+			defer b.Close()
+			_, _, rep := b.BuildJK(p)
+			var survivors, total int64
+			for _, task := range b.Tasks() {
+				bra := scr.Pairs[task.Bra]
+				for _, ket := range scr.Pairs[task.KetLo:task.KetHi] {
+					ok := scr.QuartetSurvives(bra, ket)
+					if dw {
+						pmax := screen.MaxDensityAbsQuartet(eng.Basis, p, bra.A, bra.B, ket.A, ket.B)
+						ok = scr.QuartetSurvivesWeighted(bra, ket, pmax)
+					}
+					if ok {
+						survivors++
+					}
+					total++
+				}
 			}
-			if diff := linalg.MaxAbsDiff(kf, ks); diff != 0 {
-				t.Fatalf("K early-exit vs exhaustive diff %g, want bitwise 0", diff)
-			}
-			if repF.QuartetsComputed != repS.QuartetsComputed ||
-				repF.QuartetsScreened != repS.QuartetsScreened {
-				t.Fatalf("bookkeeping diverged: computed %d vs %d, screened %d vs %d",
-					repF.QuartetsComputed, repS.QuartetsComputed,
-					repF.QuartetsScreened, repS.QuartetsScreened)
+			if rep.QuartetsComputed != survivors || rep.QuartetsScreened != total-survivors {
+				t.Fatalf("computed %d, screened %d; exhaustive: %d of %d survive",
+					rep.QuartetsComputed, rep.QuartetsScreened, survivors, total)
 			}
 		})
 	}
@@ -138,9 +143,9 @@ func TestEarlyExitMatchesExhaustive(t *testing.T) {
 // (H2O)4/STO-3G at ε = 1e-8, two threads and a cache budget that admits
 // about a quarter of the surviving quartets: QuartetsComputed,
 // QuartetsScreened, Cache.Hits and Cache.Misses of a cold build, a warm
-// build and a ΔP build, for plain and density-weighted screening, with and
-// without the early exit. Every screening decision and every cache lookup
-// shows in these counts, so they may only move with the screen itself.
+// build and a ΔP build, for plain and density-weighted screening. Every
+// screening decision and every cache lookup shows in these counts, so they
+// may only move with the screen itself.
 func TestQuartetAccountingPinned(t *testing.T) {
 	eng, scr := setup(t, chem.WaterCluster(4, 1), 1e-8)
 	n := eng.Basis.NBasis
@@ -157,22 +162,19 @@ func TestQuartetAccountingPinned(t *testing.T) {
 		if dw {
 			want = weighted
 		}
-		for _, noExit := range []bool{false, true} {
-			opts := DefaultOptions()
-			opts.Threads = 2
-			opts.DensityWeighted = dw
-			opts.NoEarlyExit = noExit
-			opts.CacheBudgetBytes = budget
-			b := NewBuilder(eng, scr, opts)
-			for i, d := range []*linalg.Matrix{p, p, dp} {
-				_, _, rep := b.BuildJK(d)
-				got := [4]int64{rep.QuartetsComputed, rep.QuartetsScreened, rep.Cache.Hits, rep.Cache.Misses}
-				if got != want[i] {
-					t.Errorf("dw=%v noEarlyExit=%v build %d: computed/screened/hits/misses %v, want %v", dw, noExit, i, got, want[i])
-				}
+		opts := DefaultOptions()
+		opts.Threads = 2
+		opts.DensityWeighted = dw
+		opts.CacheBudgetBytes = budget
+		b := NewBuilder(eng, scr, opts)
+		for i, d := range []*linalg.Matrix{p, p, dp} {
+			_, _, rep := b.BuildJK(d)
+			got := [4]int64{rep.QuartetsComputed, rep.QuartetsScreened, rep.Cache.Hits, rep.Cache.Misses}
+			if got != want[i] {
+				t.Errorf("dw=%v build %d: computed/screened/hits/misses %v, want %v", dw, i, got, want[i])
 			}
-			b.Close()
 		}
+		b.Close()
 	}
 }
 

@@ -59,17 +59,6 @@ func (s Schedule) String() string {
 	}
 }
 
-// ScheduleByName resolves "binomial" or "dim-exchange".
-func ScheduleByName(name string) (Schedule, bool) {
-	switch name {
-	case "binomial":
-		return Binomial, true
-	case "dim-exchange", "dimexchange":
-		return DimExchange, true
-	}
-	return 0, false
-}
-
 // Options configures a World.
 type Options struct {
 	// Ranks is the number of ranks (required, ≥ 1).

@@ -302,6 +302,7 @@ func run(mol *chem.Molecule, cfg Config, forces bool) (*Result, []chem.Vec3, err
 		}
 
 		c, eps = solveFock(f, x)
+		unshift(eps, nocc, 2, cfg.LevelShift)
 		if cfg.Damping > 0 && iter <= cfg.DampIters {
 			pOld := p.Clone()
 			buildDensity(p, c, nocc)
@@ -417,6 +418,23 @@ func levelShift(f, s, p *linalg.Matrix, shift float64, nocc int) *linalg.Matrix 
 	out.AXPY(shift, s)
 	out.AXPY(-shift/2, sps)
 	return out
+}
+
+// unshift takes a level shift back out of the orbital energies of the
+// shifted Fock matrix. On the orbitals of a converged density levelShift
+// adds shift·(1 − occ/2) to each of the nocc occupied levels (occ is their
+// occupation: 2 closed-shell, 1 per spin) and shift to every virtual.
+func unshift(eps []float64, nocc int, occ, shift float64) {
+	if shift == 0 {
+		return
+	}
+	for i := range eps {
+		if i < nocc {
+			eps[i] -= shift * (1 - occ/2)
+		} else {
+			eps[i] -= shift
+		}
+	}
 }
 
 // MullikenCharges returns per-atom Mulliken partial charges.

@@ -280,6 +280,48 @@ func TestLevelShiftStillConverges(t *testing.T) {
 	}
 }
 
+// TestLevelShiftLeavesOrbitalEnergies: a level shift steers the SCF but
+// must not show in the reported orbital energies — every level of a
+// shifted run agrees with the unshifted run's, in both drivers (water RHF;
+// the Li atom's UHF, whose occupied spin levels the shift raises too).
+func TestLevelShiftLeavesOrbitalEnergies(t *testing.T) {
+	cfg := Config{EnergyTol: 1e-11, CommutatorTol: 1e-8}
+	shifted := cfg
+	shifted.LevelShift = 0.3
+	agree := func(name string, got, want []float64) {
+		t.Helper()
+		for i := range want {
+			if math.Abs(got[i]-want[i]) > 1e-6 {
+				t.Errorf("%s level %d: shifted %.6f, unshifted %.6f", name, i, got[i], want[i])
+			}
+		}
+	}
+	rhf := func(c Config) *Result {
+		res, err := Run(chem.Water(), c)
+		if err != nil || !res.Converged {
+			t.Fatalf("water RHF: converged %v, err %v", res != nil && res.Converged, err)
+		}
+		return res
+	}
+	ref, sh := rhf(cfg), rhf(shifted)
+	if math.Abs(sh.LUMO()-ref.LUMO()) > 1e-6 {
+		t.Errorf("LUMO shifted %.6f, unshifted %.6f", sh.LUMO(), ref.LUMO())
+	}
+	agree("RHF", sh.OrbitalEnergies, ref.OrbitalEnergies)
+
+	li := &chem.Molecule{Name: "Li", Atoms: []chem.Atom{{El: chem.Li}}}
+	uhf := func(c Config) *UnrestrictedResult {
+		res, err := RunUnrestricted(li, c, 2)
+		if err != nil || !res.Converged {
+			t.Fatalf("Li UHF: converged %v, err %v", res != nil && res.Converged, err)
+		}
+		return res
+	}
+	uref, ush := uhf(cfg), uhf(shifted)
+	agree("UHF alpha", ush.EpsAlpha, uref.EpsAlpha)
+	agree("UHF beta", ush.EpsBeta, uref.EpsBeta)
+}
+
 func TestSemiDirectSCFMatchesDirect(t *testing.T) {
 	// Semi-direct builds (hfx.Options.CacheBudgetBytes) replay cached ERI
 	// blocks instead of re-evaluating them; the SCF trajectory must be

@@ -152,6 +152,8 @@ func RunUnrestricted(mol *chem.Molecule, cfg Config, multiplicity int) (*Unrestr
 		var epsA, epsB []float64
 		ca, epsA = solveFock(fa, x)
 		cb, epsB = solveFock(fb, x)
+		unshift(epsA, na, 1, cfg.LevelShift)
+		unshift(epsB, nb, 1, cfg.LevelShift)
 		updateSpinDensity(pa, ca, na, cfg, iter)
 		updateSpinDensity(pb, cb, nb, cfg, iter)
 

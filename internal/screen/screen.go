@@ -212,41 +212,12 @@ func (r *Result) QuartetSurvivesWeighted(p1, p2 Pair, pmax float64) bool {
 	return pmax*p1.Q*p2.Q >= r.Opts.Threshold
 }
 
-// MaxDensityAbs returns max |P_ij| over the blocks coupling two shell
-// pairs in the exchange contraction; used for density-weighted screening.
-// The exchange term K_{μν} += P_{λσ}(μλ|νσ) couples the bra pair (μλ) and
-// ket pair (νσ) through P on the λσ positions, so the four cross blocks
-// are examined.
-func MaxDensityAbs(set *basis.Set, p *linalg.Matrix, a, b, c, d int) float64 {
-	blockMax := func(s1, s2 int) float64 {
-		sh1, sh2 := &set.Shells[s1], &set.Shells[s2]
-		var m float64
-		for i := sh1.Index; i < sh1.Index+sh1.NFuncs(); i++ {
-			row := p.Row(i)
-			for j := sh2.Index; j < sh2.Index+sh2.NFuncs(); j++ {
-				if v := math.Abs(row[j]); v > m {
-					m = v
-				}
-			}
-		}
-		return m
-	}
-	m := blockMax(a, c)
-	for _, bm := range []float64{blockMax(a, d), blockMax(b, c), blockMax(b, d)} {
-		if bm > m {
-			m = bm
-		}
-	}
-	return m
-}
-
-// MaxDensityAbsQuartet returns the fused density bound for the quartet
-// (ab|cd): the maximum of MaxDensityAbs(a,b,c,d) (exchange coupling
-// blocks) and MaxDensityAbs(a,c,b,d) (the Coulomb-relevant bra/ket blocks)
-// computed in one pass. The union of the two four-block scans is seven
-// distinct blocks — (a,c) appears in both — so the fused form does the
-// same work as 1¾ calls instead of 2, and saves the call overhead in the
-// screening hot loop.
+// MaxDensityAbsQuartet returns the density bound for the quartet (ab|cd)
+// used by density-weighted screening: max |P_ij| over the seven distinct
+// shell blocks that multiply (ab|cd) in J and K — the exchange coupling
+// blocks (a,c) (a,d) (b,c) (b,d), through which K_{μν} += P_{λσ}(μλ|νσ)
+// couples the bra and the ket, and the Coulomb-relevant blocks (a,b)
+// (c,b) (c,d).
 func MaxDensityAbsQuartet(set *basis.Set, p *linalg.Matrix, a, b, c, d int) float64 {
 	var m float64
 	blockMax := func(s1, s2 int) {
@@ -261,12 +232,12 @@ func MaxDensityAbsQuartet(set *basis.Set, p *linalg.Matrix, a, b, c, d int) floa
 			}
 		}
 	}
-	// MaxDensityAbs(a,b,c,d) blocks: (a,c) (a,d) (b,c) (b,d).
+	// Exchange blocks: (a,c) (a,d) (b,c) (b,d).
 	blockMax(a, c)
 	blockMax(a, d)
 	blockMax(b, c)
 	blockMax(b, d)
-	// MaxDensityAbs(a,c,b,d) adds: (a,b) (c,b) (c,d); (a,d) is shared.
+	// Coulomb-relevant blocks: (a,b) (c,b) (c,d).
 	blockMax(a, b)
 	blockMax(c, b)
 	blockMax(c, d)

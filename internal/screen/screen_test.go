@@ -109,19 +109,45 @@ func TestMaxDensityAbs(t *testing.T) {
 	// Put a large element coupling shell 0 (O 1s, index 0) and shell 4
 	// (H 1s, last index).
 	p.Set(0, n-1, -3.5)
-	got := MaxDensityAbs(eng.Basis, p, 0, 1, 4, 3)
+	got := MaxDensityAbsQuartet(eng.Basis, p, 0, 1, 4, 3)
 	if math.Abs(got-3.5) > 1e-15 {
-		t.Fatalf("MaxDensityAbs got %g want 3.5", got)
+		t.Fatalf("MaxDensityAbsQuartet got %g want 3.5", got)
 	}
 	// A quartet not touching that element sees 0.
-	if got := MaxDensityAbs(eng.Basis, p, 1, 2, 2, 3); got != 0 {
+	if got := MaxDensityAbsQuartet(eng.Basis, p, 1, 2, 2, 3); got != 0 {
 		t.Fatalf("expected 0, got %g", got)
 	}
 }
 
+// maxDensityAbs returns max |P_ij| over the four cross blocks (a,c) (a,d)
+// (b,c) (b,d) — the reference the fused MaxDensityAbsQuartet is checked
+// against.
+func maxDensityAbs(set *basis.Set, p *linalg.Matrix, a, b, c, d int) float64 {
+	blockMax := func(s1, s2 int) float64 {
+		sh1, sh2 := &set.Shells[s1], &set.Shells[s2]
+		var m float64
+		for i := sh1.Index; i < sh1.Index+sh1.NFuncs(); i++ {
+			row := p.Row(i)
+			for j := sh2.Index; j < sh2.Index+sh2.NFuncs(); j++ {
+				if v := math.Abs(row[j]); v > m {
+					m = v
+				}
+			}
+		}
+		return m
+	}
+	m := blockMax(a, c)
+	for _, bm := range []float64{blockMax(a, d), blockMax(b, c), blockMax(b, d)} {
+		if bm > m {
+			m = bm
+		}
+	}
+	return m
+}
+
 // TestMaxDensityAbsQuartetMatchesTwoCalls: the fused bound must equal the
-// max of the two MaxDensityAbs calls it replaces in the HFX hot loop, for
-// every quartet of an asymmetric dense matrix.
+// max of two four-block scans, maxDensityAbs(a,b,c,d) and
+// maxDensityAbs(a,c,b,d), for every quartet of an asymmetric dense matrix.
 func TestMaxDensityAbsQuartetMatchesTwoCalls(t *testing.T) {
 	eng := waterEngine(1)
 	n := eng.Basis.NBasis
@@ -136,8 +162,8 @@ func TestMaxDensityAbsQuartetMatchesTwoCalls(t *testing.T) {
 		for b := a; b < ns; b++ {
 			for c := 0; c < ns; c++ {
 				for d := c; d < ns; d++ {
-					want := MaxDensityAbs(eng.Basis, p, a, b, c, d)
-					if w2 := MaxDensityAbs(eng.Basis, p, a, c, b, d); w2 > want {
+					want := maxDensityAbs(eng.Basis, p, a, b, c, d)
+					if w2 := maxDensityAbs(eng.Basis, p, a, c, b, d); w2 > want {
 						want = w2
 					}
 					got := MaxDensityAbsQuartet(eng.Basis, p, a, b, c, d)

@@ -294,30 +294,9 @@ func (r *JobRequest) resolveMolecule() (*chem.Molecule, error) {
 		mol.Charge = r.Charge
 		return mol, nil
 	}
-	var mol *chem.Molecule
-	switch r.System {
-	case "water":
-		mol = chem.Water()
-	case "h2":
-		mol = chem.Hydrogen(1.4)
-	case "he":
-		mol = chem.Helium()
-	case "lih":
-		mol = chem.LithiumHydride()
-	case "lif":
-		mol = chem.LithiumFluoride()
-	case "ch4":
-		mol = chem.Methane()
-	case "pc":
-		mol = chem.PropyleneCarbonate()
-	case "dmso":
-		mol = chem.DimethylSulfoxide()
-	case "li2o2":
-		mol = chem.LithiumPeroxide()
-	case "watercluster":
-		mol = chem.WaterCluster(r.NWater, 1)
-	default:
-		return nil, fmt.Errorf("unknown system %q", r.System)
+	mol, err := chem.System(r.System, r.NWater)
+	if err != nil {
+		return nil, err
 	}
 	mol.Charge = r.Charge
 	return mol, nil

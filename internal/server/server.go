@@ -822,7 +822,7 @@ func (s *Server) newHitID() string {
 // handleSystems lists the built-in geometries and job kinds.
 func (s *Server) handleSystems(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{
-		"systems": []string{"water", "h2", "he", "lih", "lif", "ch4", "pc", "dmso", "li2o2", "watercluster"},
+		"systems": chem.SystemNames(),
 		"kinds":   []string{KindSCF, KindBuildJK, KindScreen, KindSolventScan, KindTrajectory},
 	})
 }

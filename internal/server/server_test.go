@@ -231,6 +231,46 @@ func submit(t *testing.T, ts *httptest.Server, req JobRequest) *JobResult {
 
 func counter(s *Server, name string) int64 { return s.Metrics().Counter(name).Value() }
 
+// TestSystemsListMatchesResolver: /v1/systems lists exactly the names the
+// job resolver accepts — every listed name resolves, once, and an unlisted
+// one does not.
+func TestSystemsListMatchesResolver(t *testing.T) {
+	s := mustNew(t, Config{Workers: 1})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	defer s.Shutdown(context.Background())
+
+	resp, err := http.Get(ts.URL + "/v1/systems")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var body struct{ Systems []string }
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+		t.Fatal(err)
+	}
+	if len(body.Systems) == 0 {
+		t.Fatal("no systems listed")
+	}
+	seen := map[string]bool{}
+	for _, name := range body.Systems {
+		if seen[name] {
+			t.Errorf("%q listed twice", name)
+		}
+		seen[name] = true
+		req := JobRequest{Kind: KindSCF, System: name, NWater: 2}
+		if _, err := req.resolveMolecule(); err != nil {
+			t.Errorf("listed system %q does not resolve: %v", name, err)
+		}
+	}
+	for _, name := range []string{"nope", "WATER", "h2o", ""} {
+		req := JobRequest{Kind: KindSCF, System: name, NWater: 2}
+		if _, err := req.resolveMolecule(); err == nil {
+			t.Errorf("unlisted system %q resolves", name)
+		}
+	}
+}
+
 func TestServerSCFJobAndCacheHit(t *testing.T) {
 	s := mustNew(t, Config{Workers: 2})
 	ts := httptest.NewServer(s.Handler())

@@ -42,9 +42,6 @@ type Options struct {
 	// exceeds it, the segment is fsynced and atomically renamed to its
 	// immutable name and a fresh active file is started (default 16 MiB).
 	SegmentBytes int64
-	// NoFsync skips per-put fsync — only for benchmarks measuring the
-	// format cost apart from the disk. Crash durability needs fsync.
-	NoFsync bool
 	// Registry receives the store.* counters and gauges (optional).
 	Registry *trace.Registry
 }
@@ -61,9 +58,8 @@ type ref struct {
 // for concurrent use; a Store may be shared by every server instance
 // of an in-process fleet.
 type Store struct {
-	mu    sync.Mutex
-	dir   string
-	fsync bool
+	mu     sync.Mutex
+	dir    string
 	segCap int64
 
 	hot   *hotLRU
@@ -102,7 +98,6 @@ func Open(opts Options) (*Store, error) {
 	}
 	s := &Store{
 		dir:    opts.Dir,
-		fsync:  !opts.NoFsync,
 		segCap: opts.SegmentBytes,
 		hot:    newHotLRU(opts.HotBytes),
 		idx:    make(map[string]ref),
@@ -216,11 +211,9 @@ func (s *Store) newActive() error {
 		f.Close()
 		return err
 	}
-	if s.fsync {
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return err
-		}
+	if err := f.Sync(); err != nil {
+		f.Close()
+		return err
 	}
 	s.active = f
 	s.activeID = int32(len(s.files))
@@ -293,10 +286,8 @@ func (s *Store) Put(key string, val []byte) error {
 	if _, err := s.active.Write(rec); err != nil {
 		return err
 	}
-	if s.fsync {
-		if err := s.active.Sync(); err != nil {
-			return err
-		}
+	if err := s.active.Sync(); err != nil {
+		return err
 	}
 	// Value offset within the record: frame header (8) + klen (2) + key.
 	s.idx[key] = ref{
@@ -319,10 +310,8 @@ func (s *Store) Put(key string, val []byte) error {
 // immutable seg-N name, directory fsync, fresh active file. Refs into
 // the sealed segment keep working through the file table.
 func (s *Store) seal() error {
-	if s.fsync {
-		if err := s.active.Sync(); err != nil {
-			return err
-		}
+	if err := s.active.Sync(); err != nil {
+		return err
 	}
 	if err := s.active.Close(); err != nil {
 		return err
@@ -331,9 +320,7 @@ func (s *Store) seal() error {
 	if err := os.Rename(filepath.Join(s.dir, activeName), sealed); err != nil {
 		return err
 	}
-	if s.fsync {
-		ckpt.SyncDir(s.dir)
-	}
+	ckpt.SyncDir(s.dir)
 	s.files[s.activeID] = sealed
 	s.nextSeg++
 	s.reg.Counter("store.seals").Add(1)
@@ -410,10 +397,7 @@ func (s *Store) Close() error {
 	if s.active == nil {
 		return nil
 	}
-	var err error
-	if s.fsync {
-		err = s.active.Sync()
-	}
+	err := s.active.Sync()
 	if cerr := s.active.Close(); err == nil {
 		err = cerr
 	}

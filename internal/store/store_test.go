@@ -317,7 +317,6 @@ func TestConcurrentGetPutPromote(t *testing.T) {
 	s := openTest(t, t.TempDir(), func(o *Options) {
 		o.HotBytes = 4 << 10 // small: forces eviction + re-promotion churn
 		o.SegmentBytes = 8 << 10
-		o.NoFsync = true // keep the race test fast
 	})
 	const (
 		workers = 8
