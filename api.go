@@ -1,7 +1,6 @@
 package hfxmd
 
 import (
-	"context"
 	"io"
 	"time"
 
@@ -105,17 +104,10 @@ type SCFResult = scf.Result
 // GridSpec controls the DFT integration grid.
 type GridSpec = dft.GridSpec
 
-// RunSCF performs a restricted SCF calculation.
+// RunSCF performs a restricted SCF calculation. A non-nil cfg.Ctx is
+// polled once per iteration: its cancellation or deadline stops the solver
+// between iterations, returning the partial result and the context error.
 func RunSCF(mol *Molecule, cfg SCFConfig) (*SCFResult, error) { return scf.Run(mol, cfg) }
-
-// RunSCFContext is RunSCF with a cancellation context, polled once per
-// SCF iteration: deadlines and client disconnects stop the solver
-// between iterations, returning the partial result and the context
-// error. The hfxd job service uses this to keep hung jobs from pinning
-// its workers.
-func RunSCFContext(ctx context.Context, mol *Molecule, cfg SCFConfig) (*SCFResult, error) {
-	return scf.RunContext(ctx, mol, cfg)
-}
 
 // UHFResult is an unrestricted (open-shell) SCF result.
 type UHFResult = scf.UnrestrictedResult

@@ -5,26 +5,21 @@ import "hfxmd/internal/linalg"
 // diis implements Pulay's direct inversion in the iterative subspace:
 // the next Fock matrix is the linear combination of stored Fock matrices
 // whose associated error vectors combine to the minimum-norm residual,
-// subject to Σc = 1.
+// subject to Σc = 1. It keeps the last diisDepth pairs; the zero value is
+// empty.
 type diis struct {
-	depth int
 	focks []*linalg.Matrix
 	errs  []*linalg.Matrix
 }
 
-func newDIIS(depth int) *diis {
-	if depth < 2 {
-		depth = 2
-	}
-	return &diis{depth: depth}
-}
+const diisDepth = 8
 
 // extrapolate stores the (F, err) pair and returns the DIIS-extrapolated
 // Fock matrix; with fewer than two stored pairs it returns f unchanged.
 func (d *diis) extrapolate(f, errMat *linalg.Matrix) *linalg.Matrix {
 	d.focks = append(d.focks, f.Clone())
 	d.errs = append(d.errs, errMat.Clone())
-	if len(d.focks) > d.depth {
+	if len(d.focks) > diisDepth {
 		d.focks = d.focks[1:]
 		d.errs = d.errs[1:]
 	}

@@ -1,6 +1,8 @@
-// Package scf drives restricted Hartree–Fock and Kohn–Sham self-consistent
-// field calculations on top of the integral engine, the task-parallel HFX
-// builder and the DFT grid machinery. It supports the functionals HF, LDA,
+// Package scf drives restricted Hartree–Fock and Kohn–Sham, and
+// unrestricted Hartree–Fock, self-consistent field calculations on top of
+// the integral engine, the task-parallel HFX builder and the DFT grid
+// machinery: one loop over spin channels, one for a closed shell and two
+// (α and β) for an unrestricted run. It supports the functionals HF, LDA,
 // PBE and — the paper's production method — the PBE0 hybrid, whose exact-
 // exchange part is exactly the quantity the paper's parallelization scheme
 // accelerates.
@@ -43,34 +45,29 @@ type Config struct {
 	EnergyTol float64
 	// CommutatorTol is the DIIS-error convergence criterion (default 1e-6).
 	CommutatorTol float64
-	// DIISDepth is the maximum number of stored Fock matrices (default 8).
-	DIISDepth int
 	// LevelShift adds a virtual-orbital shift (hartree) for robustness.
 	LevelShift float64
 	// Damping mixes the new density with the old one during the first
 	// DampIters iterations: P ← (1−Damping)·P_new + Damping·P_old.
-	// Stabilises difficult core-guess starts (0 disables).
+	// Stabilises difficult starts (0 disables).
 	Damping   float64
 	DampIters int
 	// OnIteration, if set, is called after every SCF cycle with the
 	// iteration number, current energy and DIIS error norm.
 	OnIteration func(iter int, energy, diisErr float64)
-	// Guess selects the starting density: "sad" (superposition of atomic
-	// densities, the default) or "core" (diagonalised core Hamiltonian).
-	Guess string
-	// InitialDensity, when non-nil, overrides Guess with an explicit
-	// starting density (row-major n×n, matching the built basis). This is
-	// the prefix-reuse path: a converged density stored for a related
-	// geometry (a neighbouring scan point or MD step) restarts SCF close
-	// to the solution in a few iterations. The matrix is cloned, not
-	// aliased.
+	// InitialDensity, when non-nil, replaces the SAD guess (superposition
+	// of atomic densities) with an explicit starting total density
+	// (row-major n×n, matching the built basis; an unrestricted run splits
+	// it by spin fraction). This is the prefix-reuse path: a converged
+	// density stored for a related geometry (a neighbouring scan point or
+	// MD step) restarts SCF close to the solution in a few iterations. The
+	// matrix is cloned, not aliased.
 	InitialDensity *linalg.Matrix
 	// Ctx, if non-nil, is polled once per SCF iteration; when it is
 	// cancelled (deadline exceeded, client disconnect, server drain)
 	// the driver stops between iterations and returns the context error
 	// alongside the partial result, so a hung or abandoned job cannot
-	// pin a server worker forever. Nil preserves the pre-context
-	// behaviour. RunContext is the convenience wrapper that sets it.
+	// pin a server worker forever. Nil never cancels.
 	Ctx context.Context
 	// Screening, when non-nil, injects a prebuilt pair list instead of
 	// screening here — the cross-step reuse path for MD, where the shell
@@ -114,12 +111,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.CommutatorTol == 0 {
 		c.CommutatorTol = 1e-6
-	}
-	if c.DIISDepth == 0 {
-		c.DIISDepth = 8
-	}
-	if c.Guess == "" {
-		c.Guess = "sad"
 	}
 	// Only a fully zero HFX config means "unset". Comparing individual
 	// fields here used to misfire: hfx.BaselineOptions() has Balancer ==
@@ -174,16 +165,6 @@ func (r *Result) LUMO() float64 {
 // Gap returns the HOMO-LUMO gap.
 func (r *Result) Gap() float64 { return r.LUMO() - r.HOMO() }
 
-// RunContext performs the SCF under an explicit cancellation context: a
-// wrapper over Run that sets cfg.Ctx so existing call sites keep the old
-// two-argument signature. Cancellation is checked once per iteration; on
-// cancellation the partial (unconverged) result is returned together
-// with an error wrapping ctx.Err().
-func RunContext(ctx context.Context, mol *chem.Molecule, cfg Config) (*Result, error) {
-	cfg.Ctx = ctx
-	return Run(mol, cfg)
-}
-
 // Run performs the SCF for the molecule under the given configuration.
 func Run(mol *chem.Molecule, cfg Config) (*Result, error) {
 	res, _, err := run(mol, cfg, false)
@@ -202,113 +183,183 @@ func run(mol *chem.Molecule, cfg Config, forces bool) (*Result, []chem.Vec3, err
 		return nil, nil, errors.New("scf: restricted SCF requires an even electron count")
 	}
 	nocc := ne / 2
-
-	set, err := basis.Build(cfg.Basis, mol)
+	sv, err := newSolver(mol, cfg, nocc, forces)
 	if err != nil {
 		return nil, nil, err
 	}
+	defer sv.close()
+	ch := &channel{p: sv.p, nocc: nocc, occ: 2}
+	res, err := sv.iterate(ch)
+	res.NOcc = nocc
+	res.OrbitalEnergies, res.C, res.P = ch.eps, ch.c, ch.p.Clone()
+	if err != nil || !forces {
+		return res, nil, err
+	}
+	if !res.Converged {
+		return res, nil, fmt.Errorf("%w after %d iterations", ErrNotConverged, res.Iterations)
+	}
+	aX := cfg.Functional.ExactExchangeFraction()
+	return res, forcesOf(mol, sv.builder, sv.xcInt, res.P, ch.c, ch.eps[:nocc], aX), nil
+}
+
+// solver holds what every SCF run needs before its first iteration.
+type solver struct {
+	cfg      Config
+	set      *basis.Set
+	s, h, x  *linalg.Matrix
+	builder  *hfx.Builder
+	owned    bool // the builder is the run's own, closed with it
+	xcInt    *dft.Integrator
+	p        *linalg.Matrix // the starting total density
+	eNuclear float64
+}
+
+// newSolver builds the basis, S, H, the orthogonaliser X, the J/K builder
+// (cfg.ExternalBuilder, or a new one on cfg.Screening or a fresh pair list),
+// the XC integrator of a grid functional and the starting total density
+// (cfg.InitialDensity, else SAD) for a run whose channels occupy at most
+// nocc orbitals. cfg must be defaulted.
+func newSolver(mol *chem.Molecule, cfg Config, nocc int, forces bool) (*solver, error) {
+	set, err := basis.Build(cfg.Basis, mol)
+	if err != nil {
+		return nil, err
+	}
+	n := set.NBasis
 	eng := integrals.NewEngine(set)
-	s := eng.Overlap()
-	h := eng.CoreHamiltonian()
-	x := linalg.LowdinOrthogonalizer(s, 1e-9)
-	if x.Cols < nocc {
-		return nil, nil, fmt.Errorf("scf: basis too linearly dependent: %d independent functions for %d occupied orbitals", x.Cols, nocc)
+	sv := &solver{cfg: cfg, set: set, s: eng.Overlap(), h: eng.CoreHamiltonian(),
+		p: linalg.NewSquare(n), eNuclear: mol.NuclearRepulsion()}
+	sv.x = linalg.LowdinOrthogonalizer(sv.s, 1e-9)
+	if sv.x.Cols < nocc {
+		return nil, fmt.Errorf("scf: basis too linearly dependent: %d independent functions for %d occupied orbitals", sv.x.Cols, nocc)
+	}
+	if p0 := cfg.InitialDensity; p0 != nil {
+		if p0.Rows != n || p0.Cols != n {
+			return nil, fmt.Errorf("scf: initial density is %dx%d, basis needs %dx%d", p0.Rows, p0.Cols, n, n)
+		}
+		sv.p.CopyFrom(p0)
+	} else {
+		sadGuess(set, sv.p)
 	}
 
-	builder := cfg.ExternalBuilder
-	if builder != nil {
-		if nb := builder.NBasis(); nb != set.NBasis {
-			return nil, nil, fmt.Errorf("scf: external builder is bound to %d basis functions, geometry needs %d", nb, set.NBasis)
+	if sv.builder = cfg.ExternalBuilder; sv.builder != nil {
+		if nb := sv.builder.NBasis(); nb != n {
+			return nil, fmt.Errorf("scf: external builder is bound to %d basis functions, geometry needs %d", nb, n)
 		}
 	} else {
 		scr := cfg.Screening
 		if scr == nil {
 			scr = screen.BuildPairList(eng, cfg.Screen)
 		}
-		builder = hfx.NewBuilder(eng, scr, cfg.HFX)
-		defer builder.Close()
+		sv.builder, sv.owned = hfx.NewBuilder(eng, scr, cfg.HFX), true
 	}
 
-	var xcInt *dft.Integrator
 	if cfg.Functional.NeedsGrid() {
-		if xcInt = cfg.ExternalIntegrator; xcInt == nil {
-			xcInt = new(dft.Integrator)
+		if sv.xcInt = cfg.ExternalIntegrator; sv.xcInt == nil {
+			sv.xcInt = new(dft.Integrator)
 		}
-		xcInt.Rebind(cfg.Functional, set, dft.BuildGrid(mol, cfg.Grid), forces)
+		sv.xcInt.Rebind(cfg.Functional, set, dft.BuildGrid(mol, cfg.Grid), forces)
 	}
+	return sv, nil
+}
 
-	res := &Result{Set: set, NOcc: nocc, ENuclear: mol.NuclearRepulsion()}
-	n := set.NBasis
-	p := linalg.NewSquare(n)
-	diis := newDIIS(cfg.DIISDepth)
-
-	var c *linalg.Matrix
-	var eps []float64
-	switch {
-	case cfg.InitialDensity != nil:
-		if cfg.InitialDensity.Rows != n || cfg.InitialDensity.Cols != n {
-			return nil, nil, fmt.Errorf("scf: initial density is %dx%d, basis needs %dx%d",
-				cfg.InitialDensity.Rows, cfg.InitialDensity.Cols, n, n)
-		}
-		p.CopyFrom(cfg.InitialDensity)
-	case cfg.Guess == "core":
-		c, eps = solveFock(h, x)
-		buildDensity(p, c, nocc)
-	case cfg.Guess == "sad":
-		sadGuess(set, p)
-	default:
-		return nil, nil, fmt.Errorf("scf: unknown guess %q (want sad or core)", cfg.Guess)
+// close releases the builder if the run built it.
+func (sv *solver) close() {
+	if sv.owned {
+		sv.builder.Close()
 	}
+}
 
-	var lastE float64
+// channel is one spin channel: a closed-shell run has one, whose density is
+// the total density and whose orbitals hold occ = 2 electrons each; an
+// unrestricted run has two, α and β, with occ = 1.
+type channel struct {
+	p    *linalg.Matrix // density, updated in place each iteration
+	nocc int
+	occ  float64
+	diis diis
+	// The last iteration's J[P_σ], K[P_σ], DIIS error norm, orbitals and
+	// orbital energies.
+	j, k    *linalg.Matrix
+	errNorm float64
+	c       *linalg.Matrix
+	eps     []float64
+}
+
+// iterate runs the SCF cycles over the channels, from their starting
+// densities: per channel F_σ = h + J[ΣP] − (aₓ/occ)·K[P_σ] + V_xc[ΣP], its
+// own DIIS extrapolation, level shift and diagonalisation, and a (damped)
+// density update. The result carries the energy and convergence of the last
+// completed iteration; a cancelled context ends the run between iterations
+// with an error wrapping it.
+func (sv *solver) iterate(chs ...*channel) (*Result, error) {
+	cfg, h, s, x := sv.cfg, sv.h, sv.s, sv.x
+	res := &Result{Set: sv.set, ENuclear: sv.eNuclear}
 	aX := cfg.Functional.ExactExchangeFraction()
+	var lastE float64
 	for iter := 1; iter <= cfg.MaxIter; iter++ {
 		if cfg.Ctx != nil {
 			if err := cfg.Ctx.Err(); err != nil {
-				return res, nil, fmt.Errorf("scf: cancelled before iteration %d: %w", iter, err)
+				return res, fmt.Errorf("scf: cancelled before iteration %d: %w", iter, err)
 			}
 		}
-		j, k, rep := builder.BuildJK(p)
-		res.HFXReport = rep
-
-		f := h.Clone()
-		f.AXPY(1, j)
-		if aX != 0 {
-			f.AXPY(-0.5*aX, k)
+		// J and K are linear in the density: one build per channel gives
+		// everything. A build's J and K alias the builder's buffers, so all
+		// but the last channel's are copied out before the next build.
+		for i, ch := range chs {
+			ch.j, ch.k, res.HFXReport = sv.builder.BuildJK(ch.p)
+			if i < len(chs)-1 {
+				ch.j, ch.k = ch.j.Clone(), ch.k.Clone()
+			}
 		}
+		jt, pt := chs[0].j, chs[0].p
+		if len(chs) == 2 {
+			jt, pt = sum(jt, chs[1].j), sum(pt, chs[1].p)
+		}
+
+		var vxc *linalg.Matrix
 		var exc float64
-		if xcInt != nil {
-			xc := xcInt.Integrate(p)
-			f.AXPY(1, xc.V)
-			exc = xc.Energy
+		if sv.xcInt != nil {
+			xc := sv.xcInt.Integrate(pt)
+			vxc, exc = xc.V, xc.Energy
 			res.GridElectrons = xc.NElec
 		}
-
-		e1 := linalg.TraceMul(p, h)
-		ej := 0.5 * linalg.TraceMul(p, j)
-		ek := 0.0
+		e1 := linalg.TraceMul(pt, h)
+		ej := 0.5 * linalg.TraceMul(pt, jt)
+		var ek float64
+		for _, ch := range chs {
+			f := h.Clone()
+			f.AXPY(1, jt)
+			if aX != 0 {
+				f.AXPY(-aX/ch.occ, ch.k)
+				ek += linalg.TraceMul(ch.p, ch.k)
+			}
+			if vxc != nil {
+				f.AXPY(1, vxc)
+			}
+			// DIIS extrapolation on the orthonormalised commutator.
+			errMat := commutator(f, ch.p, s, x)
+			f = ch.diis.extrapolate(f, errMat)
+			ch.errNorm = errMat.FrobeniusNorm()
+			if cfg.LevelShift != 0 {
+				f = levelShift(f, s, ch.p, cfg.LevelShift)
+			}
+			ch.c, ch.eps = solveFock(f, x)
+			unshift(ch.eps, ch.nocc, ch.occ, cfg.LevelShift)
+			if cfg.Damping > 0 && iter <= cfg.DampIters {
+				pOld := ch.p.Clone()
+				buildDensity(ch.p, ch.c, ch.nocc, ch.occ)
+				ch.p.Scale(1-cfg.Damping).AXPY(cfg.Damping, pOld)
+			} else {
+				buildDensity(ch.p, ch.c, ch.nocc, ch.occ)
+			}
+		}
 		if aX != 0 {
-			ek = -0.25 * aX * linalg.TraceMul(p, k)
+			ek *= -0.5 * aX / chs[0].occ
 		}
 		energy := e1 + ej + ek + exc + res.ENuclear
-
-		// DIIS extrapolation on the orthonormalised commutator.
-		errMat := commutator(f, p, s, x)
-		f = diis.extrapolate(f, errMat)
-		errNorm := errMat.FrobeniusNorm()
-
-		if cfg.LevelShift != 0 {
-			f = levelShift(f, s, p, cfg.LevelShift, nocc)
-		}
-
-		c, eps = solveFock(f, x)
-		unshift(eps, nocc, 2, cfg.LevelShift)
-		if cfg.Damping > 0 && iter <= cfg.DampIters {
-			pOld := p.Clone()
-			buildDensity(p, c, nocc)
-			p.Scale(1-cfg.Damping).AXPY(cfg.Damping, pOld)
-		} else {
-			buildDensity(p, c, nocc)
+		errNorm := chs[0].errNorm
+		if len(chs) == 2 {
+			errNorm = math.Hypot(errNorm, chs[1].errNorm)
 		}
 
 		if cfg.OnIteration != nil {
@@ -317,9 +368,6 @@ func run(mol *chem.Molecule, cfg Config, forces bool) (*Result, []chem.Vec3, err
 		res.Iterations = iter
 		res.Energy = energy
 		res.EOne, res.ECoulomb, res.EExchangeHF, res.EXC = e1, ej, ek, exc
-		res.OrbitalEnergies = eps
-		res.C = c
-		res.P = p.Clone()
 
 		if iter > 1 && math.Abs(energy-lastE) < cfg.EnergyTol && errNorm < cfg.CommutatorTol {
 			res.Converged = true
@@ -327,13 +375,14 @@ func run(mol *chem.Molecule, cfg Config, forces bool) (*Result, []chem.Vec3, err
 		}
 		lastE = energy
 	}
-	if !forces {
-		return res, nil, nil
-	}
-	if !res.Converged {
-		return res, nil, fmt.Errorf("%w after %d iterations", ErrNotConverged, res.Iterations)
-	}
-	return res, forcesOf(mol, builder, xcInt, res.P, c, eps[:nocc], aX), nil
+	return res, nil
+}
+
+// sum returns a + b as a new matrix.
+func sum(a, b *linalg.Matrix) *linalg.Matrix {
+	t := a.Clone()
+	t.AXPY(1, b)
+	return t
 }
 
 // sadGuess fills p with a superposition of (spherically averaged) neutral
@@ -341,7 +390,7 @@ func run(mol *chem.Molecule, cfg Config, forces bool) (*Result, []chem.Vec3, err
 // with up to 2 electrons per s shell and 6 per p shell, spread evenly
 // over the Cartesian components. The resulting diagonal density carries
 // the right electron count per atom and starts the SCF far closer to the
-// solution than the core guess for polyatomics.
+// solution than the core Hamiltonian's orbitals for polyatomics.
 func sadGuess(set *basis.Set, p *linalg.Matrix) {
 	p.Zero()
 	remaining := make(map[int]float64, set.Mol.NAtoms())
@@ -385,8 +434,9 @@ func solveFock(f, x *linalg.Matrix) (*linalg.Matrix, []float64) {
 	return linalg.Mul(x, cp), eps
 }
 
-// buildDensity overwrites p with 2·C_occ·C_occᵀ.
-func buildDensity(p, c *linalg.Matrix, nocc int) {
+// buildDensity overwrites p with occ·C_occ·C_occᵀ, occ the electrons per
+// orbital.
+func buildDensity(p, c *linalg.Matrix, nocc int, occ float64) {
 	n := p.Rows
 	for i := 0; i < n; i++ {
 		ci := c.Row(i)[:nocc]
@@ -397,7 +447,7 @@ func buildDensity(p, c *linalg.Matrix, nocc int) {
 			for o := 0; o < nocc; o++ {
 				v += ci[o] * cj[o]
 			}
-			row[j] = 2 * v
+			row[j] = occ * v
 		}
 	}
 }
@@ -412,7 +462,7 @@ func commutator(f, p, s, x *linalg.Matrix) *linalg.Matrix {
 
 // levelShift raises the virtual-orbital energies by adding
 // shift·(S − S·P·S/2) — the standard density-based projector shift.
-func levelShift(f, s, p *linalg.Matrix, shift float64, nocc int) *linalg.Matrix {
+func levelShift(f, s, p *linalg.Matrix, shift float64) *linalg.Matrix {
 	sps := linalg.Mul(s, linalg.Mul(p, s))
 	out := f.Clone()
 	out.AXPY(shift, s)

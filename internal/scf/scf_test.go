@@ -394,7 +394,7 @@ func TestWater631GAnchors(t *testing.T) {
 func TestRunContextPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := RunContext(ctx, chem.Water(), Config{})
+	res, err := Run(chem.Water(), Config{Ctx: ctx})
 	if err == nil || !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
@@ -411,13 +411,14 @@ func TestRunContextCancelMidRun(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	cfg := Config{
+		Ctx: ctx,
 		OnIteration: func(iter int, energy, diisErr float64) {
 			if iter == 2 {
 				cancel()
 			}
 		},
 	}
-	res, err := RunContext(ctx, chem.Water(), cfg)
+	res, err := Run(chem.Water(), cfg)
 	if err == nil || !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
@@ -432,7 +433,7 @@ func TestRunContextCancelMidRun(t *testing.T) {
 func TestRunContextDeadline(t *testing.T) {
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	_, err := RunContext(ctx, chem.Water(), Config{})
+	_, err := Run(chem.Water(), Config{Ctx: ctx})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("want DeadlineExceeded, got %v", err)
 	}

@@ -3,21 +3,17 @@ package scf
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"hfxmd/internal/basis"
 	"hfxmd/internal/chem"
-	"hfxmd/internal/hfx"
-	"hfxmd/internal/integrals"
 	"hfxmd/internal/linalg"
-	"hfxmd/internal/screen"
 )
 
 // UnrestrictedResult carries a converged UHF state. The Li/air chemistry
 // of the reproduced paper involves open-shell species (superoxide O2⁻,
 // lithium superoxide LiO2, solvent radicals from the degradation
-// pathway), so the SCF layer supports spin-unrestricted Hartree–Fock in
-// addition to the restricted driver.
+// pathway), so the SCF layer runs spin-unrestricted Hartree–Fock on the
+// loop of the restricted runs.
 type UnrestrictedResult struct {
 	// Energy is the total UHF energy in hartree.
 	Energy float64
@@ -46,13 +42,14 @@ func (r *UnrestrictedResult) S2Exact() float64 {
 	return s * (s + 1)
 }
 
-// RunUnrestricted performs a spin-unrestricted Hartree–Fock calculation.
-// Multiplicity is 2S+1 (0 means the lowest consistent with the electron
-// count: 1 for even, 2 for odd). Only the HF functional is supported —
-// spin-polarised semilocal functionals are outside this reproduction's
-// scope and return an error. There is no analytic gradient for it either
-// (RunForces is closed-shell): forces on a UHF surface come from
-// differencing its energy (md.FDSurface).
+// RunUnrestricted performs a spin-unrestricted Hartree–Fock calculation:
+// the SCF loop of Run over an α and a β channel, from the starting density
+// split by spin fraction. Multiplicity is 2S+1 (0 means the lowest
+// consistent with the electron count: 1 for even, 2 for odd). Only the HF
+// functional is supported — spin-polarised semilocal functionals are
+// outside this reproduction's scope and return an error. There is no
+// analytic gradient for it either (RunForces is closed-shell): forces on a
+// UHF surface come from differencing its energy (md.FDSurface).
 func RunUnrestricted(mol *chem.Molecule, cfg Config, multiplicity int) (*UnrestrictedResult, error) {
 	cfg.fillDefaults()
 	if cfg.Functional.NeedsGrid() {
@@ -72,138 +69,24 @@ func RunUnrestricted(mol *chem.Molecule, cfg Config, multiplicity int) (*Unrestr
 	nb := (ne - nUnpaired) / 2
 	na := nb + nUnpaired
 
-	set, err := basis.Build(cfg.Basis, mol)
+	sv, err := newSolver(mol, cfg, na, false)
 	if err != nil {
 		return nil, err
 	}
-	eng := integrals.NewEngine(set)
-	s := eng.Overlap()
-	h := eng.CoreHamiltonian()
-	x := linalg.LowdinOrthogonalizer(s, 1e-9)
-	if x.Cols < na {
-		return nil, fmt.Errorf("scf: basis too small: %d functions for %d alpha electrons", x.Cols, na)
-	}
-
-	scr := screen.BuildPairList(eng, cfg.Screen)
-	builder := hfx.NewBuilder(eng, scr, cfg.HFX)
-	defer builder.Close()
-
+	defer sv.close()
+	alpha := &channel{p: sv.p, nocc: na, occ: 1}
+	beta := &channel{p: sv.p.Clone(), nocc: nb, occ: 1}
+	alpha.p.Scale(float64(na) / float64(ne))
+	beta.p.Scale(float64(nb) / float64(ne))
+	r, err := sv.iterate(alpha, beta)
 	res := &UnrestrictedResult{
-		Set: set, NAlpha: na, NBeta: nb,
-		ENuclear: mol.NuclearRepulsion(),
+		Energy: r.Energy, EOne: r.EOne, ECoulomb: r.ECoulomb, EExchange: r.EExchangeHF,
+		ENuclear: r.ENuclear, Converged: r.Converged, Iterations: r.Iterations,
+		NAlpha: na, NBeta: nb, EpsAlpha: alpha.eps, EpsBeta: beta.eps,
+		PAlpha: alpha.p, PBeta: beta.p, PTotal: sum(alpha.p, beta.p),
+		S2: spinSquared(alpha.c, beta.c, sv.s, na, nb), Set: sv.set,
 	}
-	n := set.NBasis
-	pa := linalg.NewSquare(n)
-	pb := linalg.NewSquare(n)
-	// SAD guess split by spin fraction.
-	sadGuess(set, pa)
-	pb.CopyFrom(pa)
-	pa.Scale(float64(na) / float64(ne))
-	pb.Scale(float64(nb) / float64(ne))
-
-	diisA := newDIIS(cfg.DIISDepth)
-	diisB := newDIIS(cfg.DIISDepth)
-	var ca, cb *linalg.Matrix
-	var lastE float64
-	// BuildJK returns matrices aliasing the builder's pooled buffers, so
-	// the alpha-channel result must be copied out before the beta build
-	// overwrites it.
-	ja := linalg.NewSquare(n)
-	ka := linalg.NewSquare(n)
-	for iter := 1; iter <= cfg.MaxIter; iter++ {
-		if cfg.Ctx != nil {
-			if err := cfg.Ctx.Err(); err != nil {
-				return res, fmt.Errorf("scf: cancelled before iteration %d: %w", iter, err)
-			}
-		}
-		// J and K are linear in the density: two builds give everything.
-		jaP, kaP, _ := builder.BuildJK(pa)
-		ja.CopyFrom(jaP)
-		ka.CopyFrom(kaP)
-		jb, kb, _ := builder.BuildJK(pb)
-		jt := ja.Clone()
-		jt.AXPY(1, jb)
-
-		fa := h.Clone()
-		fa.AXPY(1, jt)
-		fa.AXPY(-1, ka)
-		fb := h.Clone()
-		fb.AXPY(1, jt)
-		fb.AXPY(-1, kb)
-
-		pt := pa.Clone()
-		pt.AXPY(1, pb)
-		e1 := linalg.TraceMul(pt, h)
-		ej := 0.5 * linalg.TraceMul(pt, jt)
-		ek := -0.5 * (linalg.TraceMul(pa, ka) + linalg.TraceMul(pb, kb))
-		energy := e1 + ej + ek + res.ENuclear
-
-		errA := commutator(fa, pa, s, x)
-		errB := commutator(fb, pb, s, x)
-		fa = diisA.extrapolate(fa, errA)
-		fb = diisB.extrapolate(fb, errB)
-		errNorm := math.Hypot(errA.FrobeniusNorm(), errB.FrobeniusNorm())
-
-		if cfg.LevelShift != 0 {
-			fa = levelShift(fa, s, pa, cfg.LevelShift, na)
-			fb = levelShift(fb, s, pb, cfg.LevelShift, nb)
-		}
-
-		var epsA, epsB []float64
-		ca, epsA = solveFock(fa, x)
-		cb, epsB = solveFock(fb, x)
-		unshift(epsA, na, 1, cfg.LevelShift)
-		unshift(epsB, nb, 1, cfg.LevelShift)
-		updateSpinDensity(pa, ca, na, cfg, iter)
-		updateSpinDensity(pb, cb, nb, cfg, iter)
-
-		if cfg.OnIteration != nil {
-			cfg.OnIteration(iter, energy, errNorm)
-		}
-		res.Iterations = iter
-		res.Energy = energy
-		res.EOne, res.ECoulomb, res.EExchange = e1, ej, ek
-		res.EpsAlpha, res.EpsBeta = epsA, epsB
-
-		if iter > 1 && math.Abs(energy-lastE) < cfg.EnergyTol && errNorm < cfg.CommutatorTol {
-			res.Converged = true
-			break
-		}
-		lastE = energy
-	}
-	res.PAlpha = pa.Clone()
-	res.PBeta = pb.Clone()
-	res.PTotal = pa.Clone()
-	res.PTotal.AXPY(1, pb)
-	res.S2 = spinSquared(ca, cb, s, na, nb)
-	return res, nil
-}
-
-// updateSpinDensity builds P_σ = C_occ·C_occᵀ (note: no factor 2 for a
-// spin channel), with optional early-iteration damping.
-func updateSpinDensity(p, c *linalg.Matrix, nocc int, cfg Config, iter int) {
-	build := func(dst *linalg.Matrix) {
-		n := dst.Rows
-		for i := 0; i < n; i++ {
-			ci := c.Row(i)[:nocc]
-			row := dst.Row(i)
-			for j := 0; j < n; j++ {
-				cj := c.Row(j)[:nocc]
-				var v float64
-				for o := 0; o < nocc; o++ {
-					v += ci[o] * cj[o]
-				}
-				row[j] = v
-			}
-		}
-	}
-	if cfg.Damping > 0 && iter <= cfg.DampIters {
-		old := p.Clone()
-		build(p)
-		p.Scale(1-cfg.Damping).AXPY(cfg.Damping, old)
-	} else {
-		build(p)
-	}
+	return res, err
 }
 
 // spinSquared evaluates ⟨S²⟩ = S_z(S_z+1) + N_β − Σ_{ij} |⟨φ_i^α|φ_j^β⟩|²

@@ -4,9 +4,13 @@ import (
 	"math"
 	"testing"
 
+	"hfxmd/internal/basis"
 	"hfxmd/internal/chem"
 	"hfxmd/internal/dft"
+	"hfxmd/internal/hfx"
 	"hfxmd/internal/integrals"
+	"hfxmd/internal/linalg"
+	"hfxmd/internal/screen"
 )
 
 func TestUHFHydrogenAtom(t *testing.T) {
@@ -139,5 +143,36 @@ func TestUHFDefaultMultiplicity(t *testing.T) {
 	}
 	if res.NAlpha != 1 || res.NBeta != 0 {
 		t.Fatalf("auto multiplicity picked %d/%d", res.NAlpha, res.NBeta)
+	}
+}
+
+// TestUHFHonoursSharedConfig: the unrestricted run goes through the same
+// setup as the closed-shell one, so it builds on a Config.ExternalBuilder
+// (two builds per iteration, one per spin, bit for bit the run on its own
+// builder) and rejects a wrong-sized Config.InitialDensity.
+func TestUHFHonoursSharedConfig(t *testing.T) {
+	li := &chem.Molecule{Name: "Li", Atoms: []chem.Atom{{El: chem.Li}}}
+	own, err := RunUnrestricted(li, Config{}, 2)
+	if err != nil || !own.Converged {
+		t.Fatalf("Li UHF: converged %v, err %v", own != nil && own.Converged, err)
+	}
+	eng := integrals.NewEngine(basis.MustBuild("STO-3G", li))
+	b := hfx.NewBuilder(eng, screen.BuildPairList(eng, screen.DefaultOptions()), hfx.DefaultOptions())
+	defer b.Close()
+	res, err := RunUnrestricted(li, Config{ExternalBuilder: b}, 2)
+	if err != nil || !res.Converged {
+		t.Fatalf("Li UHF on an external builder: converged %v, err %v", res != nil && res.Converged, err)
+	}
+	if _, _, rep := b.BuildJK(res.PAlpha); rep.Pool.Builds != int64(2*res.Iterations+1) {
+		t.Fatalf("external builder served %d builds, want 2 per iteration (%d) and one more",
+			rep.Pool.Builds-1, 2*res.Iterations)
+	}
+	if res.Energy != own.Energy || res.Iterations != own.Iterations {
+		t.Fatalf("external builder: E %.12f in %d iterations, own builder %.12f in %d",
+			res.Energy, res.Iterations, own.Energy, own.Iterations)
+	}
+
+	if _, err := RunUnrestricted(li, Config{InitialDensity: linalg.NewSquare(3)}, 2); err == nil {
+		t.Fatal("dimension-mismatched initial density must be rejected")
 	}
 }

@@ -578,7 +578,8 @@ func (s *Server) runSCF(j *job) *JobResult {
 	b := hfx.NewPricedBuilder(j.prep.eng, j.prep.scr, j.prep.opts, j.prep.tasks)
 	defer b.Close()
 	cfg.ExternalBuilder = b
-	res, err := scf.RunContext(j.ctx, j.prep.mol, cfg)
+	cfg.Ctx = j.ctx
+	res, err := scf.Run(j.prep.mol, cfg)
 	if err != nil {
 		state := StateFailed
 		if j.ctx.Err() != nil {

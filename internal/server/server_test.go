@@ -21,14 +21,34 @@ import (
 	"hfxmd/internal/store"
 )
 
-// mustNew starts a server or fails the test; the journal-less configs
-// used here can only fail on journal I/O.
+// mustNew starts a server or fails the test. When the test ends the server
+// is shut down (Shutdown is idempotent, so a test may drain it first) and
+// the test fails if any goroutine outlives it: workers, builder pools and
+// handlers must all be gone.
 func mustNew(t *testing.T, cfg Config) *Server {
 	t.Helper()
+	before := runtime.NumGoroutine()
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		if err := s.Shutdown(ctx); err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+		deadline := time.Now().Add(10 * time.Second)
+		for runtime.NumGoroutine() > before {
+			if time.Now().After(deadline) {
+				buf := make([]byte, 1<<16)
+				t.Fatalf("goroutines leaked: %d -> %d\n%s",
+					before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
+			}
+			runtime.GC()
+			time.Sleep(10 * time.Millisecond)
+		}
+	})
 	return s
 }
 
@@ -238,7 +258,6 @@ func TestSystemsListMatchesResolver(t *testing.T) {
 	s := mustNew(t, Config{Workers: 1})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	defer s.Shutdown(context.Background())
 
 	resp, err := http.Get(ts.URL + "/v1/systems")
 	if err != nil {
@@ -275,7 +294,6 @@ func TestServerSCFJobAndCacheHit(t *testing.T) {
 	s := mustNew(t, Config{Workers: 2})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	defer s.Shutdown(context.Background())
 
 	res := submit(t, ts, JobRequest{Kind: KindSCF, System: "water"})
 	if res.State != StateDone || res.CacheHit {
@@ -341,7 +359,6 @@ func TestServerSCFJobAndCacheHit(t *testing.T) {
 // served options prices for itself.
 func TestServedBuilderTakesAdmissionTasks(t *testing.T) {
 	s := mustNew(t, Config{Workers: 1, CacheBytes: -1})
-	defer s.Shutdown(context.Background())
 	req := JobRequest{Kind: KindBuildJK, System: "water"}
 	req.normalize()
 	sopts := screen.DefaultOptions()
@@ -372,7 +389,6 @@ func TestServerScreenAndBuildJKWithBuilderReuse(t *testing.T) {
 	s := mustNew(t, Config{Workers: 1, CacheBytes: -1})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	defer s.Shutdown(context.Background())
 
 	scr := submit(t, ts, JobRequest{Kind: KindScreen, System: "water"})
 	if scr.State != StateDone || scr.Screen == nil {
@@ -412,7 +428,6 @@ func TestServerSemiDirectBuildJK(t *testing.T) {
 	s := mustNew(t, Config{Workers: 1, CacheBytes: -1})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	defer s.Shutdown(context.Background())
 
 	// cacheMb=0 vs cacheMb=64 are different builders (distinct builder
 	// keys) but must produce identical numbers.
@@ -450,7 +465,6 @@ func TestServerDistributedBuildJK(t *testing.T) {
 	s := mustNew(t, Config{Workers: 1, CacheBytes: -1, BuilderThreads: 4})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	defer s.Shutdown(context.Background())
 
 	single := submit(t, ts, JobRequest{Kind: KindBuildJK, System: "water"})
 	if single.State != StateDone || single.Build == nil || single.Build.Ranks != 0 {
@@ -514,7 +528,6 @@ func TestServerJobDeadline(t *testing.T) {
 	s := mustNew(t, Config{Workers: 1, CacheBytes: -1})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	defer s.Shutdown(context.Background())
 
 	res := submit(t, ts, JobRequest{Kind: KindSCF, System: "watercluster", NWater: 2, TimeoutMS: 5})
 	if res.State != StateCancelled {
@@ -529,7 +542,6 @@ func TestServerValidationAndMethods(t *testing.T) {
 	s := mustNew(t, Config{Workers: 1})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	defer s.Shutdown(context.Background())
 
 	post := func(body string) int {
 		t.Helper()
@@ -609,7 +621,6 @@ func TestServerRejectsNonFiniteXYZ(t *testing.T) {
 	s := mustNew(t, Config{Workers: 1})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	defer s.Shutdown(context.Background())
 
 	for _, x := range []string{"NaN", "Inf", "-inf"} {
 		xyz := "2\nh2\nH 0 0 0\nH 0 0 " + x + "\n"
@@ -635,10 +646,8 @@ func TestServerRejectsNonFiniteXYZ(t *testing.T) {
 // TestServerLifecycle is the drain/backpressure/cancellation test of the
 // issue: fill the queue to get a 429, cancel a queued job, then shut
 // down and assert that in-flight work completes, every builder is
-// closed, and no goroutines leak.
+// closed, and (through mustNew) no goroutine leaks.
 func TestServerLifecycle(t *testing.T) {
-	before := runtime.NumGoroutine()
-
 	block := make(chan struct{})
 	running := make(chan string, 16)
 	s := mustNew(t, Config{
@@ -742,21 +751,6 @@ func TestServerLifecycle(t *testing.T) {
 		t.Fatalf("builders.open %d after shutdown, want 0", open)
 	}
 	ts.Close()
-
-	// No goroutine leak: workers, builder pools and handlers are gone.
-	deadline = time.Now().Add(10 * time.Second)
-	for {
-		runtime.GC()
-		if n := runtime.NumGoroutine(); n <= before+2 {
-			break
-		}
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<16)
-			t.Fatalf("goroutines leaked: %d -> %d\n%s",
-				before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
 }
 
 // TestServerConcurrentJobs drives 8 concurrent jobs of mixed kinds
@@ -766,7 +760,6 @@ func TestServerConcurrentJobs(t *testing.T) {
 	s := mustNew(t, Config{Workers: 4, CacheBytes: -1})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	defer s.Shutdown(context.Background())
 
 	reqs := []JobRequest{
 		{Kind: KindSCF, System: "water"},
@@ -806,7 +799,6 @@ func TestServerResultJSONRoundTrip(t *testing.T) {
 	s := mustNew(t, Config{Workers: 1})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	defer s.Shutdown(context.Background())
 
 	res := submit(t, ts, JobRequest{Kind: KindSCF, System: "h2"})
 	raw, err := json.Marshal(res)

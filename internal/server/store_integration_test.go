@@ -28,12 +28,11 @@ func TestStoreDirMustDifferFromJournalDir(t *testing.T) {
 		t.Fatalf("same dir for journal and store must be rejected, got %v", err)
 	}
 	// Distinct directories are fine.
-	s := mustNew(t, Config{
+	mustNew(t, Config{
 		Workers:     1,
 		JournalPath: filepath.Join(dir, "journal", "jobs.journal"),
 		StoreDir:    filepath.Join(dir, "store"),
 	})
-	s.Shutdown(context.Background())
 }
 
 func TestRestartAnswersFromDiskWithZeroFockBuilds(t *testing.T) {
@@ -60,7 +59,6 @@ func TestRestartAnswersFromDiskWithZeroFockBuilds(t *testing.T) {
 	s2 := mustNew(t, Config{Workers: 1, StoreDir: storeDir})
 	ts2 := httptest.NewServer(s2.Handler())
 	defer ts2.Close()
-	defer s2.Shutdown(context.Background())
 	r2 := submit(t, ts2, req)
 	if r2.State != StateDone || !r2.CacheHit {
 		t.Fatalf("restarted server should serve a disk-warm hit: %+v", r2)
@@ -80,7 +78,6 @@ func TestERISpillWarmsReplacementBuilder(t *testing.T) {
 	s := mustNew(t, Config{Workers: 1, StoreDir: filepath.Join(t.TempDir(), "store")})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	defer s.Shutdown(context.Background())
 
 	// Fill the first builder's ERI cache.
 	b1 := submit(t, ts, JobRequest{Kind: KindBuildJK, System: "water", CacheMB: 64})
@@ -120,7 +117,6 @@ func TestPrefixDensitySeedsRelatedJob(t *testing.T) {
 	s := mustNew(t, Config{Workers: 1, StoreDir: filepath.Join(t.TempDir(), "store")})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	defer s.Shutdown(context.Background())
 
 	r1 := submit(t, ts, JobRequest{Kind: KindSCF, System: "water"})
 	if r1.State != StateDone || r1.SCF == nil || !r1.SCF.Converged {
@@ -155,7 +151,6 @@ func TestDensityChainsAcrossGeometries(t *testing.T) {
 	// (A real solvent-scan job exercises the same path but is far too
 	// expensive for a unit test; this pins the chaining directly.)
 	s := mustNew(t, Config{Workers: 1, StoreDir: filepath.Join(t.TempDir(), "store")})
-	defer s.Shutdown(context.Background())
 
 	req := JobRequest{Kind: KindSCF, System: "water"}
 	req.normalize()
@@ -208,7 +203,6 @@ func TestDensityChainsAcrossGeometries(t *testing.T) {
 // counted as rejected, and converge in no more iterations than a cold run.
 func TestSeedGuardRejectsOtherGeometries(t *testing.T) {
 	s := mustNew(t, Config{Workers: 1, StoreDir: filepath.Join(t.TempDir(), "store")})
-	defer s.Shutdown(context.Background())
 
 	req := JobRequest{Kind: KindSCF, System: "water"}
 	req.normalize()

@@ -17,7 +17,6 @@ func TestServerTrajectoryJob(t *testing.T) {
 	s := mustNew(t, Config{Workers: 1})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	defer s.Shutdown(context.Background())
 
 	res := submit(t, ts, trajReq())
 	if res.State != StateDone || res.CacheHit {
@@ -73,7 +72,6 @@ func TestServerTrajectorySessionMetrics(t *testing.T) {
 	s := mustNew(t, Config{Workers: 1})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	defer s.Shutdown(context.Background())
 
 	req := JobRequest{Kind: KindTrajectory, System: "lih", Functional: "PBE0", MaxSteps: 4, RespaK: 2, Ref: "spring"}
 	res := submit(t, ts, req)
@@ -102,7 +100,6 @@ func TestServerTrajectoryValidation(t *testing.T) {
 	s := mustNew(t, Config{Workers: 1})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	defer s.Shutdown(context.Background())
 
 	for _, mut := range []func(*JobRequest){
 		func(r *JobRequest) { r.MaxSteps = maxTrajectorySteps + 1 },
@@ -125,7 +122,6 @@ func TestServerTrajectoryCancelNamesStep(t *testing.T) {
 	s := mustNew(t, Config{Workers: 1})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	defer s.Shutdown(context.Background())
 
 	// (H2O)2 at one SCF plus one gradient per outer step runs some 60 ms
 	// a step: the full campaign outlasts the deadline more than tenfold.
@@ -165,7 +161,6 @@ func TestServerTrajectoryJournalReplay(t *testing.T) {
 	s := mustNew(t, Config{Workers: 1, JournalPath: path})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	defer s.Shutdown(context.Background())
 	deadline := time.Now().Add(30 * time.Second)
 	for counter(s, "jobs.done") < 1 {
 		if time.Now().After(deadline) {

@@ -25,12 +25,12 @@
 #     BenchmarkBuildJKSemiDirect (0 allocs/op; the tests enforce it too),
 #     and every experiment benchmark BenchmarkE1…E8 once, so the
 #     experiment index cannot rot unnoticed.
-#  6. Four end-to-end smokes through the real binaries: the hfxd job
-#     service, SIGKILL crash-restart of a checkpointed aimd run and of a
-#     k=2 RESPA campaign (the resumed final state must match the
-#     uninterrupted reference bitwise), and SIGKILL restart of a
-#     store-backed hfxd (the repeated job is a disk-tier hit with zero
-#     Fock builds).
+#  6. Three end-to-end smokes through the real binaries: the hfxd job
+#     service; SIGKILL crash-restart of a checkpointed aimd run at k=1
+#     and of a k=2 RESPA campaign (each resumed final state must match
+#     its uninterrupted reference bitwise), then a store-seeded aimd
+#     rerun; and SIGKILL restart of a store-backed hfxd (the repeated job
+#     is a disk-tier hit with zero Fock builds).
 set -eux
 
 cd "$(dirname "$0")/.."
@@ -63,5 +63,4 @@ HFXMD_TIMED_TESTS=1 go test -count=1 -p 1 \
 
 scripts/smoke_hfxd.sh
 scripts/smoke_ckpt.sh
-scripts/smoke_mts.sh
 scripts/smoke_store.sh
