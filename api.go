@@ -9,12 +9,10 @@ import (
 	"hfxmd/internal/chem"
 	"hfxmd/internal/ckpt"
 	"hfxmd/internal/dft"
-	"hfxmd/internal/fleet"
 	"hfxmd/internal/hfx"
 	"hfxmd/internal/integrals"
 	"hfxmd/internal/linalg"
 	"hfxmd/internal/md"
-	"hfxmd/internal/mprt"
 	"hfxmd/internal/opt"
 	"hfxmd/internal/respa"
 	"hfxmd/internal/scf"
@@ -145,9 +143,6 @@ type ScreeningOptions = screen.Options
 // (LPT balancing, density-weighted screening, vector kernels).
 func PaperExchangeOptions() ExchangeOptions { return hfx.DefaultOptions() }
 
-// BaselineExchangeOptions returns the state-of-the-art comparator.
-func BaselineExchangeOptions() ExchangeOptions { return hfx.BaselineOptions() }
-
 // DefaultScreening returns the production screening options (ε = 1e-8).
 func DefaultScreening() ScreeningOptions { return screen.DefaultOptions() }
 
@@ -195,63 +190,6 @@ func (e *ExchangeBuilder) Close() { e.b.Close() }
 
 // NBasis returns the basis dimension of the builder.
 func (e *ExchangeBuilder) NBasis() int { return e.b.Eng.Basis.NBasis }
-
-// ---------------------------------------------------------------------------
-// Multi-rank runtime layer (mprt).
-
-// CollectiveSchedule selects how mprt collectives move data: a binomial
-// tree or the torus dimension-exchange.
-type CollectiveSchedule = mprt.Schedule
-
-// ScheduleDimExchange is the torus dimension-exchange schedule.
-const ScheduleDimExchange = mprt.DimExchange
-
-// DistExchangeOptions configures a rank-distributed Fock build.
-type DistExchangeOptions = hfx.DistOptions
-
-// DistExchangeReport describes one rank-distributed build: per-rank phase
-// walls, collective traffic, and the measured-vs-modeled schedule steps.
-type DistExchangeReport = hfx.DistReport
-
-// DistExchangeBuilder runs the Fock build across an in-process mprt
-// world: the screened task list is statically partitioned over
-// torus-mapped ranks and the partial J/K are combined with deterministic
-// collectives. Results are bitwise identical to an ExchangeBuilder with
-// Threads = Ranks×ThreadsPerRank.
-type DistExchangeBuilder struct {
-	d *hfx.DistBuilder
-}
-
-// NewDistExchangeBuilder prepares the screened decomposition, the mprt
-// world and the per-rank executors for a molecule and basis.
-func NewDistExchangeBuilder(mol *Molecule, basisName string, sopts ScreeningOptions, dopts DistExchangeOptions) (*DistExchangeBuilder, error) {
-	set, err := basis.Build(basisName, mol)
-	if err != nil {
-		return nil, err
-	}
-	eng := integrals.NewEngine(set)
-	scr := screen.BuildPairList(eng, sopts)
-	d, err := hfx.NewDistBuilder(eng, scr, dopts)
-	if err != nil {
-		return nil, err
-	}
-	return &DistExchangeBuilder{d: d}, nil
-}
-
-// BuildJK evaluates J and K across the ranks. Like
-// ExchangeBuilder.BuildJK, the returned matrices alias builder-owned
-// buffers and are valid only until the next BuildJK. The error reports a
-// rank failure the builder could not recover from (an injected rank
-// death is recovered internally and only shows up as rep.RankRestarts).
-func (e *DistExchangeBuilder) BuildJK(p *Matrix) (j, k *Matrix, rep DistExchangeReport, err error) {
-	return e.d.BuildJK(p)
-}
-
-// Close stops the executors and the mprt world.
-func (e *DistExchangeBuilder) Close() { e.d.Close() }
-
-// NBasis returns the basis dimension of the builder.
-func (e *DistExchangeBuilder) NBasis() int { return e.d.Eng.Basis.NBasis }
 
 // ---------------------------------------------------------------------------
 // Dynamics layer.
@@ -500,70 +438,10 @@ func FeasibilityTable(c MDCampaign, racks []int, opts SimOptions) ([]CampaignRes
 // ---------------------------------------------------------------------------
 // Job service layer (hfxd).
 
-// JobRequest is the JSON body submitted to an hfxd server.
-type JobRequest = server.JobRequest
-
-// JobResult is the JSON response of an hfxd job.
-type JobResult = server.JobResult
-
 // SCFSummary is the shared JSON encoding of an SCF result (hfxd wire
 // format, also emitted by cmd/scfrun -json).
 type SCFSummary = server.SCFSummary
 
-// ScanSummary is the shared JSON encoding of a solvent-scan profile
-// (hfxd wire format, also emitted by cmd/solvents -json).
-type ScanSummary = server.ScanSummary
-
-// ScanPointJSON is one point of a ScanSummary or ScanProfile.
-type ScanPointJSON = server.ScanPointJSON
-
-// TrajSummary is the shared JSON encoding of a trajectory-campaign job
-// (hfxd wire format): per-outer-step records, drift, reuse counters and
-// the bitwise final-state fingerprint.
-type TrajSummary = server.TrajSummary
-
-// TrajStepJSON is one completed outer step of a TrajSummary.
-type TrajStepJSON = server.TrajStepJSON
-
 // SummarizeSCF converts a converged SCF result into the shared wire
 // encoding.
 func SummarizeSCF(res *SCFResult) *SCFSummary { return server.SummarizeSCF(res) }
-
-// JobClient is the Go client for an hfxd server.
-type JobClient = server.Client
-
-// NewJobClient returns a client for the given hfxd base URL.
-func NewJobClient(baseURL string) *JobClient { return server.NewClient(baseURL) }
-
-// JobServerBusyError is the 429 admission rejection with its Retry-After
-// backoff hint.
-type JobServerBusyError = server.BusyError
-
-// JobServerDrainingError is the typed 503 rejection from a draining
-// server: unlike a busy rejection it is not worth retrying against the
-// same instance — fail the job over to another one.
-type JobServerDrainingError = server.DrainingError
-
-// JobServerConfig tunes an embedded hfxd server.
-type JobServerConfig = server.Config
-
-// JobServer is the hfxd job service, embeddable behind any http.Server.
-type JobServer = server.Server
-
-// NewJobServer starts an hfxd worker pool; attach its Handler to an HTTP
-// listener and stop it with Shutdown. The error paths are job-journal
-// I/O (Config.JournalPath); a journal-less config cannot fail.
-func NewJobServer(cfg JobServerConfig) (*JobServer, error) { return server.New(cfg) }
-
-// Fleet is a cluster of hfxd instances behind one routing rule, cache
-// affinity (see internal/fleet): a job goes to an instance already
-// holding its result, else to its key's stable home instance, else to
-// the instance with the least predicted work outstanding.
-type Fleet = fleet.Cluster
-
-// FleetOptions configures NewFleet.
-type FleetOptions = fleet.Options
-
-// NewFleet boots a cluster of hfxd instances, each on its own loopback
-// port, behind the cache-affinity router.
-func NewFleet(opts FleetOptions) (*Fleet, error) { return fleet.New(opts) }

@@ -14,10 +14,10 @@ package hfxmd_test
 //      π* is what the peroxide attacks in the paper's ring-opening
 //      pathway; DMSO's LUMO lies higher — enhanced stability.
 //
-// Each profile is hfxmd.Scan, the routine cmd/solvents and hfxd's
-// solvent-scan jobs run: one MD session, every point an SCF on a 17- or
-// 14-atom complex warm-started from the points before it, which makes
-// this the most expensive benchmark in the suite.
+// Each profile is hfxmd.Scan, the routine hfxd's solvent-scan jobs run:
+// one MD session, every point an SCF on a 17- or 14-atom complex
+// warm-started from the points before it, which makes this the most
+// expensive benchmark in the suite.
 
 import (
 	"fmt"
@@ -33,7 +33,7 @@ func BenchmarkE8SolventStability(b *testing.B) {
 	coords := []float64{9.0, 5.0, 4.0}
 	scropt := hfxmd.DefaultScreening()
 	scropt.Threshold = 1e-6
-	cfg := hfxmd.SCFConfig{Screen: scropt} // as cmd/solvents
+	cfg := hfxmd.SCFConfig{Screen: scropt} // a solvent-scan job with "screen": 1e-6
 
 	type profile struct {
 		solvent string
@@ -71,6 +71,13 @@ func BenchmarkE8SolventStability(b *testing.B) {
 	b.ReportMetric(kcal(profiles[1].Well), "DMSO-well-kcal")
 	b.ReportMetric(profiles[0].lumo, "PC-LUMO-Eh")
 	b.ReportMetric(profiles[1].lumo, "DMSO-LUMO-Eh")
+	for _, pr := range profiles {
+		iters := 0
+		for _, p := range pr.Points {
+			iters += p.Iterations
+		}
+		b.ReportMetric(float64(iters), pr.solvent+"-scf-iters")
+	}
 	once("e8", func() {
 		fmt.Printf("\n[E8] (a) Li2O2 approach profiles (HF/STO-3G, rigid fragments)\n")
 		for _, pr := range profiles {

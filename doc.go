@@ -27,6 +27,7 @@
 //	if err != nil { ... }
 //	fmt.Println(res.Energy)
 //
-// See the examples/ directory for complete programs and EXPERIMENTS.md
-// for the per-figure reproduction index.
+// See examples/quickstart for a complete program and EXPERIMENTS.md for
+// the per-figure reproduction index: each figure is one Benchmark in this
+// package's tests.
 package hfxmd

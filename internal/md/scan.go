@@ -7,8 +7,8 @@ import (
 	"hfxmd/internal/scf"
 )
 
-// ScanPoint is one point of an energy profile, in the JSON encoding hfxd's
-// solvent-scan jobs and cmd/solvents -json share.
+// ScanPoint is one point of an energy profile, in the JSON encoding of
+// hfxd's solvent-scan jobs.
 type ScanPoint struct {
 	// R is the scan coordinate the point's geometry was built at (bohr
 	// for a distance scan).

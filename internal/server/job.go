@@ -440,8 +440,8 @@ type ScreenSummary struct {
 	Threads          int     `json:"threads"`
 }
 
-// ScanPointJSON is one point of a solvent-scan profile, shared with
-// cmd/solvents -json.
+// ScanPointJSON is one point of a solvent-scan profile: the md.ScanPoint
+// that BenchmarkE8SolventStability's profiles carry too.
 type ScanPointJSON = md.ScanPoint
 
 // ScanSummary is the result of a solvent-scan job: the approach profile

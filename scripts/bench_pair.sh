@@ -28,11 +28,23 @@
 # the committed BENCH_fock.json.
 #
 # Usage: scripts/bench_pair.sh [base-rev [counts.json]]
-# base-rev defaults to the merge-base of HEAD and main; N sets the number
-# of pairs (default 10; one pair takes about 30 s on 2 vCPUs).
+# An absent or empty base-rev defaults to the merge-base of HEAD and main,
+# or to HEAD^ when that merge-base is HEAD itself and the working tree
+# has no change against it (the change is already committed on main).
+# The script prints the base it used and how it chose it. N sets the
+# number of pairs (default 10; one pair takes about 30 s on 2 vCPUs).
 set -eu
 cd "$(dirname "$0")/.."
-base="$(git rev-parse "${1:-$(git merge-base HEAD main)}")"
+if [ -n "${1:-}" ]; then
+	base="$1" why="given"
+else
+	base="$(git merge-base HEAD main)" why="the merge-base of HEAD and main"
+	if [ "$base" = "$(git rev-parse HEAD)" ] && git diff --quiet HEAD; then
+		base="HEAD^" why="HEAD^, since HEAD is the merge-base with main and the tree is clean"
+	fi
+fi
+base="$(git rev-parse "$base")"
+echo "base: $base ($why)" >&2
 out="${2:-}"
 pairs="${N:-10}"
 tmp="$(mktemp -d)"

@@ -4,7 +4,8 @@
 #  1. go vet, gofmt (no file may need formatting) and go build.
 #  2. The Fock perf gate, scripts/bench_pair.sh: every Fock-build, ERI
 #     class, XC, analytic-gradient and session-step benchmark row of the
-#     merge-base with main against the working tree, as ten alternating
+#     script's default base (the merge-base with main, or HEAD^ on a
+#     clean main) against the working tree, as ten alternating
 #     pairs of prebuilt test binaries. It fails on any row whose median
 #     is more than 20% (BenchmarkBuildJKSemiDirect) or 25% (every other
 #     row) above the base's and that was slower in at least nine of ten
@@ -24,7 +25,8 @@
 #     steady-state allocation guards BenchmarkBuildJKPooled and
 #     BenchmarkBuildJKSemiDirect (0 allocs/op; the tests enforce it too),
 #     and every experiment benchmark BenchmarkE1…E8 once, so the
-#     experiment index cannot rot unnoticed.
+#     experiment index cannot rot unnoticed: each is the one regenerator
+#     of its table.
 #  6. Three end-to-end smokes through the real binaries: the hfxd job
 #     service; SIGKILL crash-restart of a checkpointed aimd run at k=1
 #     and of a k=2 RESPA campaign (each resumed final state must match
@@ -42,7 +44,7 @@ go build ./...
 # The Fock perf gate (step 2 above).
 counts="$(mktemp)"
 trap 'rm -f "$counts"' EXIT
-scripts/bench_pair.sh "$(git merge-base HEAD main)" "$counts"
+scripts/bench_pair.sh '' "$counts"
 diff BENCH_fock.json "$counts"
 
 go test -race -count=1 ./...
@@ -55,8 +57,9 @@ done
 
 # The slow suite: one iteration of each benchmark is enough, since they
 # fail themselves on warm-cache misses and the allocs/op column must read
-# 0. The BenchmarkE* experiments (about two minutes on 2 vCPUs, most of it
-# E8's peroxide dynamics) run once each so none can break unnoticed.
+# 0. The BenchmarkE* experiments (about two and a half minutes on 2 vCPUs:
+# E8's two benchmarks take most of it, E1–E3's shared strong-scaling study
+# about 35 s) run once each so none can break unnoticed.
 HFXMD_TIMED_TESTS=1 go test -count=1 -p 1 \
 	-bench 'BenchmarkBuildJK(Pooled|SemiDirect)$|BenchmarkE[0-9]' -benchtime 1x \
 	. ./internal/hfx/ ./internal/dft/
