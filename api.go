@@ -2,7 +2,6 @@ package hfxmd
 
 import (
 	"io"
-	"time"
 
 	"hfxmd/internal/basis"
 	"hfxmd/internal/bgq"
@@ -200,8 +199,8 @@ type Trajectory = md.Trajectory
 // Frame is one trajectory snapshot.
 type Frame = md.Frame
 
-// Surface maps a geometry to its energy and forces: what trajectories
-// (RunRESPA) and relaxations (Optimize) consume.
+// Surface maps a geometry to its energy and forces: what relaxations
+// (Optimize) consume.
 type Surface = md.Surface
 
 // PotentialFunc maps a geometry to an energy: the input of FDSurface.
@@ -213,7 +212,7 @@ func SCFPotential(cfg SCFConfig) PotentialFunc { return md.SCFPotential(cfg) }
 // FDSurface lifts a PotentialFunc into a Surface by central finite
 // differences with step h over at most workers goroutines — for
 // potentials without analytic forces (model surfaces, UHF); a
-// closed-shell SCF has RespaSCFEvaluator.
+// closed-shell SCF has analytic ones (RunCampaign).
 func FDSurface(pot PotentialFunc, h float64, workers int) Surface {
 	return md.FDSurface(pot, h, workers)
 }
@@ -267,35 +266,19 @@ type MDStepError = md.StepError
 // steps on a cheap reference force per full-surface evaluation.
 type RespaOptions = respa.Options
 
-// RespaEvaluator is the full (slow) surface: energy plus forces.
-type RespaEvaluator = respa.Evaluator
+// CampaignSummary is the result of a RESPA campaign: per-outer-step
+// records, the conserved-energy drift, the session counters and the
+// finalStateSha256 fingerprint (hfxd's trajectory payload, cmd/aimd -json).
+type CampaignSummary = respa.Summary
 
-// RespaForceField is the cheap (fast) reference surface: forces only.
-type RespaForceField = respa.ForceField
-
-// RespaRefSpring is the cheap-reference mode of BuildRespaReference.
-const RespaRefSpring = respa.RefSpring
-
-// RunRESPA integrates an r-RESPA trajectory: inner velocity Verlet on
-// the cheap force at δt, the slow correction F_full − F_cheap applied
-// every K-th step; K = 1 is plain velocity Verlet on the full surface.
-// Checkpoint/resume composes with CkptWriter and stays bitwise across
-// boundaries.
-func RunRESPA(mol *Molecule, full RespaEvaluator, cheap RespaForceField, opts RespaOptions) (*Trajectory, error) {
-	return respa.Run(mol, full, cheap, opts)
-}
-
-// RespaSCFEvaluator is the state-free full-surface evaluator of an SCF
-// model chemistry: a cold SCF plus its analytic gradient per call, a pure
-// function of the geometry, so a checkpointed trajectory resumes bitwise.
-// An MDSession's Forces is the warm-started alternative.
-func RespaSCFEvaluator(cfg SCFConfig) RespaEvaluator { return md.SCFForces(cfg) }
-
-// BuildRespaReference resolves a named cheap-force mode ("spring", the
-// only one) against the initial geometry, returning the force field and
-// its canonical label.
-func BuildRespaReference(mode string, mol *Molecule, cfg SCFConfig, fdStep float64, workers int) (RespaForceField, string, error) {
-	return respa.BuildReference(mode, mol, cfg, fdStep, workers)
+// RunCampaign integrates an r-RESPA campaign on the spring reference:
+// inner velocity Verlet on it at δt, the slow correction from the full
+// surface every K-th step; K = 1 is plain velocity Verlet on the full
+// surface. The full surface is sess.Forces, or with a nil sess a cold SCF
+// plus its analytic gradient per call, which keeps a checkpoint resume
+// (CkptWriter, RespaOptions.Resume) bitwise.
+func RunCampaign(mol *Molecule, cfg SCFConfig, sess *MDSession, opts RespaOptions) (*CampaignSummary, *Trajectory, error) {
+	return respa.Campaign(mol, cfg, sess, opts, nil)
 }
 
 // MDSession carries SCF state across the consecutive geometries of one
@@ -355,16 +338,6 @@ type TraceRegistry = trace.Registry
 
 // NewTraceRegistry returns an empty registry.
 func NewTraceRegistry() *TraceRegistry { return trace.NewRegistry() }
-
-// MDSummary is the shared JSON encoding of a BOMD trajectory (cmd/aimd
-// -json wire format).
-type MDSummary = server.MDSummary
-
-// SummarizeMD converts a trajectory into the shared wire encoding; wall
-// is the integration wall time of this process.
-func SummarizeMD(traj *Trajectory, wall time.Duration) *MDSummary {
-	return server.SummarizeMD(traj, wall)
-}
 
 // ---------------------------------------------------------------------------
 // Machine layer (BG/Q simulator).

@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"math"
 	"testing"
-	"time"
 
 	"hfxmd"
 	"hfxmd/internal/phys"
@@ -105,10 +104,10 @@ func BenchmarkE8SolventStability(b *testing.B) {
 // SCFs, so the peroxide's approach to the carbonate carbon can be
 // integrated instead of scanned: a short PBE0/STO-3G RESPA campaign
 // (k = 2, spring reference, 300 K) from the encounter well of panel (a),
-// through the same md.Session an hfxd `trajectory` job uses with this
-// model chemistry (README: "E8 as a trajectory job"). The SCF runs at the
-// served defaults; a step that fails to converge ends the run with the
-// session's typed error rather than a force.
+// run by hfxmd.RunCampaign on an md.Session as an hfxd `trajectory` job
+// runs it with this model chemistry (README: "E8 as a trajectory job").
+// The SCF runs at the served defaults; a step that fails to converge ends
+// the run with the session's typed error rather than a force.
 func BenchmarkE8PeroxideDynamics(b *testing.B) {
 	const (
 		outerSteps = 10
@@ -120,74 +119,51 @@ func BenchmarkE8PeroxideDynamics(b *testing.B) {
 	hopts.CacheBudgetBytes = 256 << 20
 	cfg := hfxmd.SCFConfig{Functional: pbe0, HFX: hopts}
 
-	type outerStep struct {
-		timeFS, total, dist float64
-		wall                time.Duration
-		iters               int64
-	}
-	var steps []outerStep
-	var drift float64
-	var fallbacks int64
+	var sum *hfxmd.CampaignSummary
+	var dist []float64 // min O…C per outer step
 	for i := 0; i < b.N; i++ {
 		mol, err := hfxmd.SolvatedPeroxide("PC", startR)
 		if err != nil {
 			b.Fatal(err)
 		}
-		nSol := hfxmd.PropyleneCarbonate().NAtoms()
-		// Atom 0 is PC's carbonate carbon; the peroxide oxygens lead the
-		// Li2O2 fragment.
-		ocDistance := func(pos []hfxmd.Vec3) float64 {
-			return math.Min(pos[nSol].Sub(pos[0]).Norm(), pos[nSol+1].Sub(pos[0]).Norm())
-		}
 		sess := hfxmd.NewMDSession(cfg, hfxmd.MDSessionOptions{})
-		cheap, label, err := hfxmd.BuildRespaReference("spring", mol, cfg, 0, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		full := func(m *hfxmd.Molecule) (float64, []hfxmd.Vec3, error) {
-			f, e, err := sess.Forces(m, 0, 0)
-			return e, f, err
-		}
-		steps = steps[:0]
-		last, lastIters := time.Now(), int64(0)
-		traj, err := hfxmd.RunRESPA(mol, full, cheap, hfxmd.RespaOptions{
-			Steps: outerSteps, K: respaK, TemperatureK: 300, Seed: 1, RefLabel: label,
-			OnOuterStep: func(outer int, f hfxmd.Frame) {
-				now, iters := time.Now(), sess.Stats().SCFIterations
-				if outer > 0 {
-					steps = append(steps, outerStep{f.TimeFS, f.Total, ocDistance(f.Positions), now.Sub(last), iters - lastIters})
-				}
-				last, lastIters = now, iters
-			},
-		})
-		fallbacks = sess.Stats().Fallbacks
+		var traj *hfxmd.Trajectory
+		sum, traj, err = hfxmd.RunCampaign(mol, cfg, sess,
+			hfxmd.RespaOptions{Steps: outerSteps, K: respaK, TemperatureK: 300, Seed: 1})
 		sess.Close()
 		if err != nil {
-			b.Fatalf("after %d outer steps: %v", len(steps), err)
+			b.Fatalf("after %d outer steps: %v", len(sum.Steps), err)
 		}
-		drift = traj.EnergyDrift()
+		// Atom 0 is PC's carbonate carbon; the peroxide oxygens lead the
+		// Li2O2 fragment. Frame 0 is the starting state, not a step.
+		nSol := hfxmd.PropyleneCarbonate().NAtoms()
+		dist = dist[:0]
+		for j := range sum.Steps {
+			pos := traj.Frames[j+1].Positions
+			dist = append(dist, math.Min(pos[nSol].Sub(pos[0]).Norm(), pos[nSol+1].Sub(pos[0]).Norm()))
+		}
 	}
-	var wall time.Duration
+	var wallMS float64
 	var iters int64
-	for _, s := range steps {
-		wall += s.wall
-		iters += s.iters
+	for _, s := range sum.Steps {
+		wallMS += s.WallMS
+		iters += s.SCFIterations
 	}
-	n := float64(len(steps))
-	b.ReportMetric(float64(wall.Milliseconds())/n, "ms/outer-step")
+	n := float64(len(sum.Steps))
+	b.ReportMetric(wallMS/n, "ms/outer-step")
 	b.ReportMetric(float64(iters)/n, "scf-iters/outer-step")
-	b.ReportMetric(drift, "drift-Eh/atom")
-	b.ReportMetric(float64(fallbacks), "cold-fallbacks")
+	b.ReportMetric(sum.DriftPerAtom, "drift-Eh/atom")
+	b.ReportMetric(float64(sum.Fallbacks), "cold-fallbacks")
 	once("e8c", func() {
-		fmt.Printf("\n[E8] (c) PC + Li2O2 dynamics (PBE0/STO-3G, RESPA k=%d, spring reference, 300 K, %d outer steps)\n", respaK, len(steps))
+		fmt.Printf("\n[E8] (c) PC + Li2O2 dynamics (PBE0/STO-3G, RESPA k=%d, spring reference, 300 K, %d outer steps)\n", respaK, len(sum.Steps))
 		fmt.Printf("%10s %16s %14s %10s %10s\n", "t[fs]", "E_total[Eh]", "min O…C[bohr]", "wall[s]", "SCF iters")
-		for _, s := range steps {
-			fmt.Printf("%10.2f %16.8f %14.4f %10.2f %10d\n", s.timeFS, s.total, s.dist, s.wall.Seconds(), s.iters)
+		for i, s := range sum.Steps {
+			fmt.Printf("%10.2f %16.8f %14.4f %10.2f %10d\n", s.TimeFS, s.Total, dist[i], s.WallMS/1e3, s.SCFIterations)
 		}
-		fmt.Printf("drift %.2e Eh/atom; one SCF + one gradient build per outer step (finite differences: 103 SCFs)\n", drift)
-		if fallbacks > 0 {
+		fmt.Printf("drift %.2e Eh/atom; one SCF + one gradient build per outer step (finite differences: 103 SCFs)\n", sum.DriftPerAtom)
+		if sum.Fallbacks > 0 {
 			fmt.Printf("%d of %d force evaluations: the seeded SCF ran out of iterations and the session recomputed the step cold\n",
-				fallbacks, len(steps)+1)
+				sum.Fallbacks, len(sum.Steps)+1)
 		}
 	})
 }

@@ -37,10 +37,23 @@ import (
 	"log"
 	"os"
 	"strings"
-	"time"
 
 	"hfxmd"
 )
+
+// aimdSummary is the -json output: the campaign summary plus this run's
+// restore point (absent for a fresh run; ReplayedSteps counts journal
+// records ahead of the snapshot the restore absorbed) and checkpoint
+// traffic (absent without -ckpt-dir).
+type aimdSummary struct {
+	*hfxmd.CampaignSummary
+	ResumedFromStep    *int64 `json:"resumedFromStep,omitempty"`
+	ReplayedSteps      int64  `json:"replayedSteps,omitempty"`
+	CkptSnapshots      int64  `json:"ckptSnapshots,omitempty"`
+	CkptSnapshotBytes  int64  `json:"ckptSnapshotBytes,omitempty"`
+	CkptJournalAppends int64  `json:"ckptJournalAppends,omitempty"`
+	CkptJournalBytes   int64  `json:"ckptJournalBytes,omitempty"`
+}
 
 func main() {
 	log.SetFlags(0)
@@ -84,7 +97,6 @@ func main() {
 		log.Fatalf("unknown functional %q", *functional)
 	}
 	scfCfg := hfxmd.SCFConfig{Basis: *basisName, Functional: f}
-	full := hfxmd.RespaSCFEvaluator(scfCfg)
 	var sess *hfxmd.MDSession
 	if *storeDir != "" {
 		st, err := hfxmd.OpenStore(hfxmd.StoreOptions{Dir: *storeDir})
@@ -94,18 +106,10 @@ func main() {
 		defer st.Close()
 		sess = hfxmd.NewMDSession(scfCfg, hfxmd.MDSessionOptions{Store: st})
 		defer sess.Close()
-		full = func(m *hfxmd.Molecule) (float64, []hfxmd.Vec3, error) {
-			frc, e, err := sess.Forces(m, 0, 0)
-			return e, frc, err
-		}
-	}
-	cheap, label, err := hfxmd.BuildRespaReference(hfxmd.RespaRefSpring, mol, scfCfg, 0, 0)
-	if err != nil {
-		log.Fatal(err)
 	}
 	opts := hfxmd.RespaOptions{
 		Steps: *steps, K: *respaK, Dt: *dt, TemperatureK: *temp,
-		Thermostat: *thermostat, Seed: *seed, RefLabel: label,
+		Thermostat: *thermostat, Seed: *seed,
 	}
 
 	reg := hfxmd.NewTraceRegistry()
@@ -137,8 +141,8 @@ func main() {
 
 	if !*jsonOut {
 		if *respaK > 1 {
-			fmt.Printf("RESPA BOMD: %s, %s/%s, %d outer steps x %d inner of %.2f fs (ref %s), T0=%.0fK thermostat=%v\n",
-				mol.Name, *functional, *basisName, *steps, *respaK, *dt, label, *temp, *thermostat)
+			fmt.Printf("RESPA BOMD: %s, %s/%s, %d outer steps x %d inner of %.2f fs (ref spring), T0=%.0fK thermostat=%v\n",
+				mol.Name, *functional, *basisName, *steps, *respaK, *dt, *temp, *thermostat)
 		} else {
 			fmt.Printf("BOMD: %s, %s/%s, %d steps of %.2f fs, T0=%.0fK thermostat=%v\n",
 				mol.Name, *functional, *basisName, *steps, *dt, *temp, *thermostat)
@@ -150,8 +154,7 @@ func main() {
 		fmt.Println()
 	}
 
-	t0 := time.Now()
-	traj, err := hfxmd.RunRESPA(mol, full, cheap, opts)
+	sum, traj, err := hfxmd.RunCampaign(mol, scfCfg, sess, opts)
 	if err != nil {
 		var se *hfxmd.MDStepError
 		if errors.As(err, &se) {
@@ -159,27 +162,22 @@ func main() {
 		}
 		log.Fatal(err)
 	}
-	wall := time.Since(t0)
 
 	if *jsonOut {
-		sum := hfxmd.SummarizeMD(traj, wall)
-		if *respaK > 1 {
-			sum.RespaK = *respaK
-		}
+		out := aimdSummary{CampaignSummary: sum}
 		if res != nil {
-			step := res.State.Step
-			sum.ResumedFromStep = &step
-			sum.ReplayedSteps = res.ReplayedSteps
+			out.ResumedFromStep = &res.State.Step
+			out.ReplayedSteps = res.ReplayedSteps
 		}
 		if *ckptDir != "" {
-			sum.CkptSnapshots = reg.Counter("ckpt.snapshots").Value()
-			sum.CkptSnapshotBytes = reg.Counter("ckpt.snapshot_bytes").Value()
-			sum.CkptJournalAppends = reg.Counter("ckpt.journal_appends").Value()
-			sum.CkptJournalBytes = reg.Counter("ckpt.journal_bytes").Value()
+			out.CkptSnapshots = reg.Counter("ckpt.snapshots").Value()
+			out.CkptSnapshotBytes = reg.Counter("ckpt.snapshot_bytes").Value()
+			out.CkptJournalAppends = reg.Counter("ckpt.journal_appends").Value()
+			out.CkptJournalBytes = reg.Counter("ckpt.journal_bytes").Value()
 		}
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
-		if err := enc.Encode(sum); err != nil {
+		if err := enc.Encode(out); err != nil {
 			log.Fatal(err)
 		}
 		return
@@ -190,11 +188,10 @@ func main() {
 		fmt.Printf("%5d %8.2f %16.8f %14.8f %16.8f %9.1f\n",
 			fr.Step, fr.TimeFS, fr.Potential, fr.Kinetic, fr.Total, fr.TempK)
 	}
-	fmt.Printf("\nenergy drift (peak-to-peak per atom): %.3e Eh\n", traj.EnergyDrift())
+	fmt.Printf("\nenergy drift (peak-to-peak per atom): %.3e Eh\n", sum.DriftPerAtom)
 	if sess != nil {
-		ss := sess.Stats()
 		fmt.Printf("store: %d store seeds, %d predictor warm starts, %d fallbacks (%s)\n",
-			ss.StoreSeeds, ss.WarmStarts, ss.Fallbacks, *storeDir)
+			sum.StoreSeeds, sum.WarmStarts, sum.Fallbacks, *storeDir)
 	}
 	if *ckptDir != "" {
 		fmt.Printf("checkpoints: %d snapshots (%d bytes), %d journal appends (%d bytes) in %s\n",

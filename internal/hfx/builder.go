@@ -38,8 +38,6 @@ type Options struct {
 	// flag is scoped to this builder: two builders sharing one integrals.Engine
 	// may disagree on it without affecting each other.
 	Vector bool
-	// Cost overrides the cost model (zero value = DefaultCostModel).
-	Cost CostModel
 	// CacheBudgetBytes enables semi-direct builds: up to this many bytes
 	// of surviving ERI quartet blocks are cached on first evaluation and
 	// replayed (re-contracted against the new density, skipping integral
@@ -322,8 +320,9 @@ func NewBuilder(eng *integrals.Engine, scr *screen.Result, opts Options) *Builde
 }
 
 // NewPricedBuilder is NewBuilder on a task list its caller already priced
-// as BuilderTasks(eng, scr, opts.Cost, opts.Granule) — an admission's —
-// so that a served job is priced once; nil tasks are priced here.
+// as BuilderTasks(eng, scr, DefaultCostModel(), opts.Granule) — an
+// admission's — so that a served job is priced once; nil tasks are priced
+// here.
 func NewPricedBuilder(eng *integrals.Engine, scr *screen.Result, opts Options, tasks []Task) *Builder {
 	if opts.Threads <= 0 {
 		opts.Threads = runtime.GOMAXPROCS(0)
@@ -339,9 +338,6 @@ func newBuilder(eng *integrals.Engine, scr *screen.Result, pm Placement, world *
 	if world == nil {
 		pm.Shape, _ = torus.ShapeForNodes(1)
 	}
-	if opts.Cost == (CostModel{}) {
-		opts.Cost = DefaultCostModel()
-	}
 	pl := &pool{eng: eng, scr: scr, opts: opts, pm: pm, world: world, dead: -1, quit: make(chan struct{})}
 	if world != nil {
 		pl.reg = world.Registry()
@@ -349,7 +345,7 @@ func newBuilder(eng *integrals.Engine, scr *screen.Result, pm Placement, world *
 		pl.reg = trace.NewRegistry()
 	}
 	if pl.tasks = tasks; tasks == nil {
-		pl.tasks = BuilderTasks(eng, scr, opts.Cost, opts.Granule)
+		pl.tasks = BuilderTasks(eng, scr, DefaultCostModel(), opts.Granule)
 	}
 	pl.costs = TaskCosts(pl.tasks)
 	pl.costStats = sched.Summarize(pl.costs)
@@ -384,7 +380,7 @@ func newBuilder(eng *integrals.Engine, scr *screen.Result, pm Placement, world *
 	}
 	if opts.CacheBudgetBytes > 0 {
 		pl.cache = newERICache(eng.Basis, scr.Pairs, pl.tasks, pl.asn,
-			newBuilderPricer(opts.Cost, eng, scr), opts.CacheBudgetBytes)
+			newBuilderPricer(DefaultCostModel(), eng, scr), opts.CacheBudgetBytes)
 	}
 	pl.rankCompute, pl.rankComm, pl.rankBusy = make([]time.Duration, R), make([]time.Duration, R), make([]float64, R)
 	if world != nil {

@@ -48,7 +48,8 @@ const (
 // JobRequest is the JSON body of POST /v1/jobs. Exactly one of System or
 // XYZ selects the geometry (solvent-scan jobs use Solvent instead).
 type JobRequest struct {
-	// Kind is one of scf|buildjk|screen|solvent-scan (default scf).
+	// Kind is one of scf|buildjk|screen|solvent-scan|trajectory (default
+	// scf).
 	Kind string `json:"kind,omitempty"`
 	// System names a built-in geometry:
 	// water|h2|he|lih|lif|ch4|pc|dmso|li2o2|watercluster.
@@ -330,7 +331,7 @@ func (r *JobRequest) cacheKey(mol *chem.Molecule) string {
 }
 
 // JobResult is the JSON response of POST /v1/jobs. Exactly one of the
-// payload pointers (SCF, Build, Screen, Scan) is set for a done job.
+// payload pointers (SCF, Build, Screen, Scan, Traj) is set for a done job.
 type JobResult struct {
 	ID    string `json:"id"`
 	Kind  string `json:"kind"`
@@ -350,7 +351,7 @@ type JobResult struct {
 	Build  *BuildSummary  `json:"build,omitempty"`
 	Screen *ScreenSummary `json:"screen,omitempty"`
 	Scan   *ScanSummary   `json:"scan,omitempty"`
-	Traj   *TrajSummary   `json:"traj,omitempty"`
+	Traj   *respa.Summary `json:"traj,omitempty"`
 }
 
 // SCFSummary is the shared JSON encoding of a converged SCF result, used
@@ -490,9 +491,19 @@ const scfIterationsEstimate = 15
 // and the one-electron and XC terms add a few tenths of a build.
 const gradientBuildsEstimate = 4
 
+// screenOptions returns the screening options a request is served with.
+// Admission's pair list (prepare) and the SCF config the job runs under
+// (scfConfig) both take them from here, so a run on admission's pair list
+// is screened under the options its config carries.
+func (r *JobRequest) screenOptions() screen.Options {
+	o := screen.DefaultOptions()
+	o.Threshold = r.Screen
+	return o
+}
+
 // prepare resolves, screens and prices a normalized request. The
 // returned predicted cost is in cost-model nanoseconds.
-func prepare(req *JobRequest, threads int, sopts screen.Options) (*prepared, float64, error) {
+func prepare(req *JobRequest, threads int) (*prepared, float64, error) {
 	mol, err := req.resolveMolecule()
 	if err != nil {
 		return nil, 0, err
@@ -502,9 +513,9 @@ func prepare(req *JobRequest, threads int, sopts screen.Options) (*prepared, flo
 		return nil, 0, err
 	}
 	eng := integrals.NewEngine(set)
-	scr := screen.BuildPairList(eng, sopts)
+	scr := screen.BuildPairList(eng, req.screenOptions())
 	opts := hfxOptions(req, threads)
-	tasks := hfx.BuilderTasks(eng, scr, opts.Cost, opts.Granule)
+	tasks := hfx.BuilderTasks(eng, scr, hfx.DefaultCostModel(), opts.Granule)
 	costs := hfx.TaskCosts(tasks)
 	p := &prepared{
 		mol: mol, set: set, eng: eng, scr: scr, tasks: tasks, opts: opts,
@@ -592,9 +603,7 @@ func PriceRequest(req JobRequest, threads int) (key string, predictedNS float64,
 	if err := req.validate(); err != nil {
 		return "", 0, err
 	}
-	sopts := screen.DefaultOptions()
-	sopts.Threshold = req.Screen
-	prep, predicted, err := prepare(&req, max(threads, 1), sopts)
+	prep, predicted, err := prepare(&req, max(threads, 1))
 	if err != nil {
 		return "", 0, err
 	}

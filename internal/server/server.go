@@ -19,7 +19,6 @@ import (
 	"hfxmd/internal/mprt"
 	"hfxmd/internal/phys"
 	"hfxmd/internal/scf"
-	"hfxmd/internal/screen"
 	"hfxmd/internal/store"
 	"hfxmd/internal/trace"
 )
@@ -246,9 +245,7 @@ func (s *Server) replayJournal() {
 			drop(err)
 			continue
 		}
-		sopts := screen.DefaultOptions()
-		sopts.Threshold = req.Screen
-		prep, predicted, err := prepare(&req, s.cfg.BuilderThreads, sopts)
+		prep, predicted, err := prepare(&req, s.cfg.BuilderThreads)
 		if err != nil {
 			drop(err)
 			continue
@@ -532,12 +529,10 @@ func (s *Server) execute(st *workerState, j *job) *JobResult {
 // scfConfig maps a request to the SCF driver configuration.
 func (s *Server) scfConfig(req *JobRequest) scf.Config {
 	f, _ := dft.ByName(req.Functional)
-	sopts := screen.DefaultOptions()
-	sopts.Threshold = req.Screen
 	return scf.Config{
 		Basis:      req.Basis,
 		Functional: f,
-		Screen:     sopts,
+		Screen:     req.screenOptions(),
 		HFX:        hfxOptions(req, s.cfg.BuilderThreads),
 		MaxIter:    req.MaxIter,
 	}
@@ -548,7 +543,6 @@ func (s *Server) scfConfig(req *JobRequest) scf.Config {
 func hfxOptions(req *JobRequest, threads int) hfx.Options {
 	opts := hfx.DefaultOptions()
 	opts.Threads = threads
-	opts.Cost = hfx.DefaultCostModel()
 	opts.DensityWeighted = *req.DensityWeighted
 	opts.CacheBudgetBytes = int64(req.CacheMB) << 20
 	return opts
@@ -754,9 +748,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 
 	// Admission pricing: screen the system and predict the job cost from
 	// the pair list (the paper's predictability claim, repurposed).
-	sopts := screen.DefaultOptions()
-	sopts.Threshold = req.Screen
-	prep, predicted, err := prepare(&req, s.cfg.BuilderThreads, sopts)
+	prep, predicted, err := prepare(&req, s.cfg.BuilderThreads)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return

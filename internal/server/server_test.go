@@ -17,7 +17,6 @@ import (
 
 	"hfxmd/internal/hfx"
 	"hfxmd/internal/scf"
-	"hfxmd/internal/screen"
 	"hfxmd/internal/store"
 )
 
@@ -361,9 +360,7 @@ func TestServedBuilderTakesAdmissionTasks(t *testing.T) {
 	s := mustNew(t, Config{Workers: 1, CacheBytes: -1})
 	req := JobRequest{Kind: KindBuildJK, System: "water"}
 	req.normalize()
-	sopts := screen.DefaultOptions()
-	sopts.Threshold = req.Screen
-	prep, _, err := prepare(&req, s.cfg.BuilderThreads, sopts)
+	prep, _, err := prepare(&req, s.cfg.BuilderThreads)
 	if err != nil {
 		t.Fatal(err)
 	}

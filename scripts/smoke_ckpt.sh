@@ -8,7 +8,8 @@
 # injected fault), resumes from the directory it left behind, and
 # requires the resumed run's finalStateSha256 — a hash of the complete
 # final MD state — to equal that of an uninterrupted reference run.
-# Bitwise, or the smoke fails.
+# Bitwise, or the smoke fails. The resumed run's first steps[] record must
+# lie past its restore point (resumedFromStep).
 # Then the warm-started -store-dir path, without a kill: a second run on
 # the store the first one filled must seed its first SCF from it, fall
 # back to a cold SCF nowhere, and end on the first run's potential to
@@ -61,6 +62,13 @@ for RUN in "-steps 2000 -dt 0.4" "-steps 200 -k 2 -dt 0.25"; do
 	from="$(sed -n 's/.*"resumedFromStep": \([0-9]*\).*/\1/p' "$tmp/resumed.json")"
 
 	test -n "$from" || { echo "smoke_ckpt: $RUN: resumed run reports no restore point" >&2; exit 1; }
+	# Its step records are the steps it completed: the restore point's
+	# frame, re-emitted on an outer boundary, is not one of them.
+	first="$(sed -n '/^ *"step": /{s/[^0-9]//g;p;q;}' "$tmp/resumed.json")"
+	if [ -z "$first" ] || [ "$first" -le "$from" ]; then
+		echo "smoke_ckpt: FAIL: $RUN: resumed from step $from, first step record '$first'" >&2
+		exit 1
+	fi
 	if [ "$res_sha" != "$ref_sha" ]; then
 		echo "smoke_ckpt: FAIL: $RUN: resumed final state $res_sha != reference $ref_sha" >&2
 		exit 1
