@@ -12,13 +12,11 @@ import (
 	"hfxmd/internal/integrals"
 	"hfxmd/internal/linalg"
 	"hfxmd/internal/md"
-	"hfxmd/internal/opt"
 	"hfxmd/internal/respa"
 	"hfxmd/internal/scf"
 	"hfxmd/internal/screen"
 	"hfxmd/internal/server"
 	"hfxmd/internal/store"
-	"hfxmd/internal/torus"
 	"hfxmd/internal/trace"
 )
 
@@ -199,24 +197,6 @@ type Trajectory = md.Trajectory
 // Frame is one trajectory snapshot.
 type Frame = md.Frame
 
-// Surface maps a geometry to its energy and forces: what relaxations
-// (Optimize) consume.
-type Surface = md.Surface
-
-// PotentialFunc maps a geometry to an energy: the input of FDSurface.
-type PotentialFunc = md.PotentialFunc
-
-// SCFPotential adapts an SCF configuration into an energy-only potential.
-func SCFPotential(cfg SCFConfig) PotentialFunc { return md.SCFPotential(cfg) }
-
-// FDSurface lifts a PotentialFunc into a Surface by central finite
-// differences with step h over at most workers goroutines — for
-// potentials without analytic forces (model surfaces, UHF); a
-// closed-shell SCF has analytic ones (RunCampaign).
-func FDSurface(pot PotentialFunc, h float64, workers int) Surface {
-	return md.FDSurface(pot, h, workers)
-}
-
 // Store is the two-tier content-addressed store: a byte-budgeted hot
 // in-memory LRU over CRC-framed on-disk segments. hfxd, aimd and the
 // fleet harness share one via its directory.
@@ -240,18 +220,6 @@ type ScanProfile = md.Profile
 // session's counters after every point.
 func Scan(cfg SCFConfig, opt MDSessionOptions, coords []float64, geom func(r float64) (*Molecule, error), progress func(MDSessionStats)) (*ScanProfile, error) {
 	return md.Scan(cfg, opt, coords, geom, progress)
-}
-
-// OptimizeOptions configures geometry minimisation.
-type OptimizeOptions = opt.Options
-
-// OptimizeResult is a relaxed structure.
-type OptimizeResult = opt.Result
-
-// Optimize relaxes a geometry on the given surface (FIRE), one surface
-// call per step.
-func Optimize(mol *Molecule, surf Surface, opts OptimizeOptions) (*OptimizeResult, error) {
-	return opt.Minimize(mol, surf, opts)
 }
 
 // MDStepError reports a trajectory failure — SCF non-convergence, a
@@ -314,10 +282,6 @@ type CkptWriter = ckpt.Writer
 // fallbacks).
 type CkptResume = ckpt.Resume
 
-// CkptFaultPlan injects crash, torn-write and corrupt-opening-record
-// faults into a CkptWriter (test and smoke harness).
-type CkptFaultPlan = ckpt.FaultPlan
-
 // MDState is the complete restartable state of one MD step.
 type MDState = ckpt.MDState
 
@@ -344,9 +308,6 @@ func NewTraceRegistry() *TraceRegistry { return trace.NewRegistry() }
 
 // Machine is a simulated BG/Q partition.
 type Machine = bgq.Machine
-
-// TorusShape is a 5-D torus partition shape.
-type TorusShape = torus.Shape
 
 // MachineWorkload describes one HFX build for the simulator.
 type MachineWorkload = bgq.Workload

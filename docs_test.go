@@ -1,13 +1,18 @@
 package hfxmd_test
 
 import (
+	"fmt"
+	"go/parser"
+	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
+	"unicode"
 )
 
 // The prose files whose test names, script and program paths must stay
@@ -30,7 +35,17 @@ var (
 	// Text that names what is gone on purpose.
 	retired  = regexp.MustCompile(`retired \(was [^)]*\)`)
 	declared = regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)\w*)\(`)
+	// A Markdown heading, a DESIGN.md section of one package, and a
+	// citation of a DESIGN.md section: by quoted name (a line break may
+	// separate the two) or by link anchor.
+	heading        = regexp.MustCompile(`(?m)^#+ +(.+?) *$`)
+	packageSection = regexp.MustCompile(`(?m)^## +(internal/\S+) *$`)
+	citedSection   = regexp.MustCompile(`DESIGN\.md,?\s+"([^"]+)"`)
+	linkedSection  = regexp.MustCompile(`DESIGN\.md#([^)\s]+)`)
 )
+
+// designMaxLines bounds DESIGN.md.
+const designMaxLines = 1000
 
 // expandBraces expands every {a,b} alternation of s.
 func expandBraces(s string) []string {
@@ -91,6 +106,132 @@ func unregenerated(text string) []string {
 	return rows
 }
 
+// designProblems checks DESIGN.md's structure against the module: its
+// "## internal/…" sections are exactly the packages of imports (each
+// package's module imports), once each, in an order where no package
+// imports one whose section comes later; every package section cites at
+// least one declared test; and the text has at most maxLines lines.
+func designProblems(text string, imports map[string][]string, tests map[string]bool, maxLines int) []string {
+	var problems []string
+	locs := packageSection.FindAllStringSubmatchIndex(text, -1)
+	at := map[string]int{}
+	for i, loc := range locs {
+		pkg := text[loc[2]:loc[3]]
+		if _, dup := at[pkg]; dup {
+			problems = append(problems, "duplicate "+pkg)
+		}
+		at[pkg] = i
+		if _, ok := imports[pkg]; !ok {
+			problems = append(problems, "extra "+pkg)
+		}
+		end := len(text)
+		if next := strings.Index(text[loc[1]:], "\n## "); next >= 0 {
+			end = loc[1] + next
+		}
+		cites := false
+		for _, ref := range citedTest.FindAllString(text[loc[1]:end], -1) {
+			for _, name := range expandBraces(ref) {
+				cites = cites || tests[name]
+			}
+		}
+		if !cites {
+			problems = append(problems, pkg+" cites no test")
+		}
+	}
+	pkgs := make([]string, 0, len(imports))
+	for pkg := range imports {
+		pkgs = append(pkgs, pkg)
+	}
+	slices.Sort(pkgs)
+	for _, pkg := range pkgs {
+		i, ok := at[pkg]
+		if !ok {
+			problems = append(problems, "missing "+pkg)
+			continue
+		}
+		for _, dep := range imports[pkg] {
+			if j, ok := at[dep]; ok && j > i {
+				problems = append(problems, pkg+" imports later "+dep)
+			}
+		}
+	}
+	if n := strings.Count(strings.TrimSuffix(text, "\n"), "\n") + 1; n > maxLines {
+		problems = append(problems, fmt.Sprintf("%d lines > %d", n, maxLines))
+	}
+	return problems
+}
+
+// staleSections lists the DESIGN.md sections text cites, by quoted name
+// or by link anchor, that are no heading of design.
+func staleSections(text, design string) []string {
+	headings, anchors := map[string]bool{}, map[string]bool{}
+	for _, m := range heading.FindAllStringSubmatch(design, -1) {
+		headings[m[1]], anchors[anchor(m[1])] = true, true
+	}
+	var stale []string
+	for _, m := range citedSection.FindAllStringSubmatch(text, -1) {
+		if name := strings.Join(strings.Fields(m[1]), " "); !headings[name] {
+			stale = append(stale, strconv.Quote(name))
+		}
+	}
+	for _, m := range linkedSection.FindAllStringSubmatch(text, -1) {
+		if !anchors[m[1]] {
+			stale = append(stale, "#"+m[1])
+		}
+	}
+	return stale
+}
+
+// anchor is the link fragment a Markdown renderer gives a heading:
+// lower case, punctuation dropped, spaces turned into hyphens.
+func anchor(h string) string {
+	return strings.Map(func(r rune) rune {
+		switch {
+		case r == ' ':
+			return '-'
+		case r == '-' || r == '_' || unicode.IsLetter(r) || unicode.IsDigit(r):
+			return unicode.ToLower(r)
+		}
+		return -1
+	}, h)
+}
+
+// modulePackages walks internal/ and returns every package directory with
+// the module packages its non-test files import, both as module-relative
+// paths ("internal/hfx").
+func modulePackages(t *testing.T) map[string][]string {
+	t.Helper()
+	mod, err := os.ReadFile("go.mod")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prefix := strings.Fields(string(mod))[1] + "/" // go.mod opens with "module <path>"
+	fset := token.NewFileSet()
+	imports := map[string][]string{}
+	err = filepath.WalkDir("internal", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
+		if err != nil {
+			return err
+		}
+		pkg := filepath.ToSlash(filepath.Dir(path))
+		deps := imports[pkg]
+		for _, imp := range f.Imports {
+			if dep, ok := strings.CutPrefix(strings.Trim(imp.Path.Value, `"`), prefix); ok && !slices.Contains(deps, dep) {
+				deps = append(deps, dep)
+			}
+		}
+		imports[pkg] = deps
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return imports
+}
+
 // declaredTests collects every Test, Benchmark and Fuzz function of the
 // module's _test.go files.
 func declaredTests(t *testing.T) map[string]bool {
@@ -120,10 +261,20 @@ func fileExists(path string) bool {
 // TestDocReferences: every test name, script path and cmd/ or examples/
 // program the README, DESIGN, EXPERIMENTS and the verify recipe cite
 // exists — a renamed or deleted one must be renamed in the prose too, or
-// marked "retired (was …)" — and every claim or ablation row of their
-// tables names exactly one regenerating benchmark.
+// marked "retired (was …)" — every claim or ablation row of their tables
+// names exactly one regenerating benchmark, and every DESIGN.md section
+// they cite by name is a heading of it. DESIGN.md itself has one section
+// per package of internal/, in dependency order, each citing a test, in at
+// most designMaxLines lines.
 func TestDocReferences(t *testing.T) {
 	tests := declaredTests(t)
+	design, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range designProblems(string(design), modulePackages(t), tests, designMaxLines) {
+		t.Errorf("DESIGN.md: %s", p)
+	}
 	for _, doc := range citingDocs {
 		b, err := os.ReadFile(doc)
 		if err != nil {
@@ -136,6 +287,9 @@ func TestDocReferences(t *testing.T) {
 		}
 		for _, id := range unregenerated(string(b)) {
 			t.Errorf("%s: row %s does not name exactly one regenerating benchmark", doc, id)
+		}
+		for _, name := range staleSections(string(b), string(design)) {
+			t.Errorf("%s cites DESIGN.md section %s, which does not exist", doc, name)
 		}
 	}
 }
@@ -180,6 +334,40 @@ func TestStaleReferencesRules(t *testing.T) {
 	} {
 		if got := strings.Join(unregenerated(tc.text), " "); got != tc.want {
 			t.Errorf("%q: unregenerated %q, want %q", tc.text, got, tc.want)
+		}
+	}
+	imports := map[string][]string{"internal/a": nil, "internal/b": {"internal/a"}}
+	for _, tc := range []struct {
+		text string
+		want string
+	}{
+		{"# D\n## Preamble\n## internal/a\n`TestAlpha`\n### Sub\n## internal/b\n`TestBeta{One,Two}`\n## cmd\n", ""},
+		{"## internal/a\n`TestAlpha`\n", "missing internal/b"},
+		{"## internal/b\n`TestAlpha`\n## internal/a\n`TestAlpha`\n", "internal/b imports later internal/a"},
+		{"## internal/a\n`TestAlpah`\n## internal/b\n`TestAlpha`\n", "internal/a cites no test"},
+		{"## internal/a\n`TestAlpha`\n## internal/b\n## cmd\n`TestAlpha`\n", "internal/b cites no test"},
+		{"## internal/a\n`TestAlpha`\n## internal/b\n`TestAlpha`\n## internal/c\n`TestAlpha`\n", "extra internal/c"},
+		{"## internal/a\n`TestAlpha`\n## internal/a\n`TestAlpha`\n## internal/b\n`TestAlpha`\n", "duplicate internal/a"},
+		{"## internal/a\n`TestAlpha`\n## internal/b\n`TestAlpha`\n\n\n\n\n\n", "9 lines > 8"},
+	} {
+		if got := strings.Join(designProblems(tc.text, imports, tests, 8), "; "); got != tc.want {
+			t.Errorf("%q: design problems %q, want %q", tc.text, got, tc.want)
+		}
+	}
+	design := "# D\n## internal/a\n### Bitwise contract\n## cmd/* and the facade\n"
+	for _, tc := range []struct {
+		text string
+		want string
+	}{
+		{`see DESIGN.md "internal/a" and DESIGN.md "Bitwise contract"`, ""},
+		{"see DESIGN.md\n\"cmd/* and\nthe facade\"", ""},
+		{`DESIGN.md, "internal/a"; DESIGN.md "cmd/*"`, `"cmd/*"`},
+		{`DESIGN.md "J/K digestion" beside DESIGN.md`, `"J/K digestion"`},
+		{"[a](DESIGN.md#internala), [b](DESIGN.md#bitwise-contract) and [c](DESIGN.md#cmd-and-the-facade)", ""},
+		{"[b](DESIGN.md#internalb)", "#internalb"},
+	} {
+		if got := strings.Join(staleSections(tc.text, design), " "); got != tc.want {
+			t.Errorf("%q: stale sections %q, want %q", tc.text, got, tc.want)
 		}
 	}
 }

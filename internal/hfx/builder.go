@@ -94,10 +94,9 @@ type Report struct {
 	ScreeningStats  screen.Stats
 	TaskCostStats   sched.CostStats
 
-	// BalanceRatio (max/mean) and TheoreticalEff describe the static
-	// schedule over the slots.
-	BalanceRatio   float64
-	TheoreticalEff float64
+	// BalanceRatio (max/mean) describes the static schedule over the
+	// slots.
+	BalanceRatio float64
 	// RankLoads is the per-rank cost under the placement model the
 	// balancer saw; BalanceRatioPredicted is max/mean of those loads and
 	// BalanceRatioMeasured max/mean of the unit walls each rank executed
@@ -667,7 +666,6 @@ func (pl *pool) report(start time.Time, comm0 [5]int64) Report {
 		ScreeningStats:        pl.scr.Stats,
 		TaskCostStats:         pl.costStats,
 		BalanceRatio:          pl.asn.BalanceRatio(),
-		TheoreticalEff:        pl.asn.TheoreticalEfficiency(),
 		RankLoads:             pl.rankLoads,
 		BalanceRatioPredicted: maxMeanRatio(pl.rankLoads),
 		RankCompute:           pl.rankCompute,

@@ -482,9 +482,11 @@ func TestReportPhaseTable(t *testing.T) {
 // that way, alone on the CPUs and without the race detector, which
 // distorts the cost shape): for every s/p class and orientation the
 // predicted cost must stay within 2× of the measured kernel time in
-// served mode. A class's measured time is the minimum of 40 repetitions,
-// divided by the median ratio to the prediction over all classes, so the
-// check is of the model's shape and holds on a slower machine.
+// served mode. Each of 40 repetitions times every class once, in turn,
+// so a slow stretch of the machine falls on all classes alike; a class's
+// measured time is its minimum over the repetitions, divided by the
+// median ratio to the prediction over all classes, so the check is of
+// the model's shape and holds on a slower machine.
 func TestCostModelTracksKernel(t *testing.T) {
 	eng, _ := setup(t, chem.WaterCluster(2, 1), 1e-10)
 	set := eng.Basis
@@ -527,17 +529,22 @@ func TestCostModelTracksKernel(t *testing.T) {
 	out := make([]float64, eng.MaxERIBufLen())
 	scratch := integrals.NewScratch()
 	vector := DefaultOptions().Vector
-	ratios := make([]float64, len(classes))
-	for i, cl := range classes {
-		best := math.Inf(1)
-		for rep := 0; rep < 40; rep++ {
+	best := make([]float64, len(classes))
+	for i := range best {
+		best[i] = math.Inf(1)
+	}
+	for rep := 0; rep < 40; rep++ {
+		for i, cl := range classes {
 			start := time.Now()
 			for _, q := range cl.qs {
 				eng.ERIShellScratch(q[0], q[1], q[2], q[3], out, vector, nil, scratch)
 			}
-			best = math.Min(best, float64(time.Since(start).Nanoseconds()))
+			best[i] = math.Min(best[i], float64(time.Since(start).Nanoseconds()))
 		}
-		ratios[i] = best / cl.predicted
+	}
+	ratios := make([]float64, len(classes))
+	for i, cl := range classes {
+		ratios[i] = best[i] / cl.predicted
 	}
 	sorted := append([]float64(nil), ratios...)
 	sort.Float64s(sorted)

@@ -328,7 +328,6 @@ type Comm struct {
 	// after Run returns (or any other happens-before edge).
 	bytesSent int64
 	sends     int64
-	hopsSent  int64
 }
 
 // Rank returns this endpoint's rank.
@@ -342,9 +341,6 @@ func (c *Comm) BytesSent() int64 { return c.bytesSent }
 
 // Sends returns the number of messages this rank has sent.
 func (c *Comm) Sends() int64 { return c.sends }
-
-// HopsSent returns the summed torus hop distance of this rank's sends.
-func (c *Comm) HopsSent() int64 { return c.hopsSent }
 
 // Send delivers data to the given rank under a tag. The slice is
 // borrowed by the receiver, not copied: the sender must not write to it
@@ -363,7 +359,6 @@ func (c *Comm) sendHops(to, tag int, data []float64, hops int) {
 	b := int64(8 * len(data))
 	c.bytesSent += b
 	c.sends++
-	c.hopsSent += int64(hops)
 	c.w.reg.Counter("mprt.sends").Add(1)
 	c.w.reg.Counter("mprt.bytes").Add(b)
 	c.w.reg.Counter("mprt.hops").Add(int64(hops))

@@ -4,8 +4,6 @@
 // and time in atomic time units.
 package phys
 
-import "fmt"
-
 // Fundamental conversion factors (CODATA-2010 era values, matching the
 // vintage of the reproduced paper).
 const (
@@ -32,24 +30,3 @@ const (
 	// BoltzmannHartreePerK is the Boltzmann constant in hartree/kelvin.
 	BoltzmannHartreePerK = 3.1668114e-6
 )
-
-// Energy is an energy value in hartree with pretty-printing helpers.
-type Energy float64
-
-// EV returns the energy in electron-volt.
-func (e Energy) EV() float64 { return float64(e) * HartreeToEV }
-
-// KcalMol returns the energy in kcal/mol.
-func (e Energy) KcalMol() float64 { return float64(e) * HartreeToKcalMol }
-
-// String renders the energy in hartree with high precision.
-func (e Energy) String() string { return fmt.Sprintf("%.8f Eh", float64(e)) }
-
-// Length is a length value in bohr.
-type Length float64
-
-// Angstrom returns the length in ångström.
-func (l Length) Angstrom() float64 { return float64(l) * BohrToAngstrom }
-
-// String renders the length in bohr.
-func (l Length) String() string { return fmt.Sprintf("%.6f a0", float64(l)) }

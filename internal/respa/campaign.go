@@ -26,8 +26,7 @@ type Step struct {
 	// WallMS is the wall time this outer step took (inner steps
 	// included).
 	WallMS float64 `json:"wallMs"`
-	// SCFIterations is what the session's SCFs spent on this step (0
-	// without a session).
+	// SCFIterations is what the full-surface SCFs spent on this step.
 	SCFIterations int64 `json:"scfIterations"`
 }
 
@@ -49,10 +48,10 @@ type Summary struct {
 	FinalTotal     float64 `json:"finalTotal"`
 	FinalTempK     float64 `json:"finalTempK"`
 	Steps          []Step  `json:"steps"`
-	// SCFIterations is the session total (one SCF per full-surface
+	// SCFIterations is the campaign's total (one SCF per full-surface
 	// evaluation, the starting one included); WarmStarts/PairListReuses/
 	// PairListBuilds expose the cross-step density prediction and
-	// screening reuse the campaign ran on. All are 0 without a session.
+	// screening reuse the campaign ran on, and are 0 without a session.
 	SCFIterations  int64 `json:"scfIterations"`
 	WarmStarts     int64 `json:"warmStarts"`
 	StoreSeeds     int64 `json:"storeSeeds,omitempty"`
@@ -68,16 +67,29 @@ type Summary struct {
 
 // Campaign runs a RESPA AIMD campaign from mol on the spring reference
 // (opts.RefLabel is set to it). The full surface is sess.Forces — the
-// warm-started evaluator — or, with a nil sess, md.SCFForces(cfg), whose
-// cold SCFs keep a checkpoint resume bitwise. The caller's OnOuterStep
-// still sees every frame; Campaign records one Step per completed outer
-// step and hands it to progress, if non-nil, with the session's counters
-// after it. The first frame (step 0, or the frame Run re-emits when it
-// resumes on an outer boundary) is no step. The summary is filled on the
-// error path too, so a failed or cancelled campaign reports the steps it
-// completed.
+// warm-started evaluator — or, with a nil sess, a cold SCF plus its
+// analytic gradient per call (md.SCFForces' arithmetic), which keeps a
+// checkpoint resume bitwise and whose SCF iterations the campaign counts
+// itself. The caller's OnOuterStep still sees every frame; Campaign
+// records one Step per completed outer step and hands it to progress, if
+// non-nil, with the counters after it (the session's, or without one
+// the cold SCFs' iterations). The first frame (step 0, or the frame Run
+// re-emits when it resumes on an outer boundary) is no step. The summary
+// is filled on the error path too, so a failed or cancelled campaign
+// reports the steps it completed.
 func Campaign(mol *chem.Molecule, cfg scf.Config, sess *md.Session, opts Options, progress func(Step, md.SessionStats)) (*Summary, *md.Trajectory, error) {
-	full, stats := md.SCFForces(cfg), func() md.SessionStats { return md.SessionStats{} }
+	var cold md.SessionStats
+	full := func(m *chem.Molecule) (float64, []chem.Vec3, error) {
+		res, f, err := scf.RunForces(m, cfg)
+		if res != nil {
+			cold.SCFIterations += int64(res.Iterations)
+		}
+		if err != nil {
+			return 0, nil, err
+		}
+		return res.Energy, f, nil
+	}
+	stats := func() md.SessionStats { return cold }
 	if sess != nil {
 		full = func(m *chem.Molecule) (float64, []chem.Vec3, error) {
 			f, e, err := sess.Forces(m, 0, 0)

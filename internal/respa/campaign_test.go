@@ -135,42 +135,60 @@ func TestCampaignResumeOnOuterBoundary(t *testing.T) {
 	}
 }
 
-// TestCampaignSessionCounters: on a session, the steps' SCF iterations
-// plus the starting evaluation's are the summary's total and the
+// TestCampaignSessionCounters: with a session and without one, the
+// steps' SCF iterations plus the starting evaluation's are the summary's
+// total, and that total is positive. On a session it is also the
 // session's, progress runs once per completed outer step with the
 // session's counters, and the caller's OnOuterStep still sees every frame.
+// Without one, the starting evaluation is an independent cold SCF.
 func TestCampaignSessionCounters(t *testing.T) {
 	const outer, k = 3, 2
 	cfg := scf.Config{}
-	sess := md.NewSession(cfg, md.SessionOptions{})
-	defer sess.Close()
-	var frames, calls int
-	var start int64
-	opts := campaignOpts(outer, k)
-	opts.OnOuterStep = func(o int, f md.Frame) {
-		if frames++; o == 0 {
-			start = sess.Stats().SCFIterations
+	mol := chem.Hydrogen(1.5)
+	for _, withSession := range []bool{true, false} {
+		var sess *md.Session
+		if withSession {
+			sess = md.NewSession(cfg, md.SessionOptions{})
+			defer sess.Close()
 		}
-	}
-	sum, _, err := Campaign(chem.Hydrogen(1.5), cfg, sess, opts, func(st Step, ss md.SessionStats) {
-		if calls++; st.Step != calls*k || ss.Runs != int64(calls+1) {
-			t.Errorf("progress call %d: step %d after %d session runs", calls, st.Step, ss.Runs)
+		var frames, calls int
+		var start int64
+		opts := campaignOpts(outer, k)
+		opts.OnOuterStep = func(o int, f md.Frame) {
+			if frames++; o == 0 && sess != nil {
+				start = sess.Stats().SCFIterations
+			}
 		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if frames != outer+1 || calls != outer || len(sum.Steps) != outer {
-		t.Fatalf("%d frames, %d progress calls, %d step records; want %d, %d, %d", frames, calls, len(sum.Steps), outer+1, outer, outer)
-	}
-	total := start
-	for _, st := range sum.Steps {
-		if st.SCFIterations <= 0 {
-			t.Fatalf("step %d spent %d SCF iterations", st.Step, st.SCFIterations)
+		sum, _, err := Campaign(mol, cfg, sess, opts, func(st Step, ss md.SessionStats) {
+			if calls++; st.Step != calls*k || sess != nil && ss.Runs != int64(calls+1) {
+				t.Errorf("session %v, progress call %d: step %d after %d session runs", withSession, calls, st.Step, ss.Runs)
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		total += st.SCFIterations
-	}
-	if start <= 0 || total != sum.SCFIterations || total != sess.Stats().SCFIterations {
-		t.Fatalf("start %d + steps = %d, summary %d, session %d", start, total, sum.SCFIterations, sess.Stats().SCFIterations)
+		if frames != outer+1 || calls != outer || len(sum.Steps) != outer {
+			t.Fatalf("session %v: %d frames, %d progress calls, %d step records; want %d, %d, %d", withSession, frames, calls, len(sum.Steps), outer+1, outer, outer)
+		}
+		want := sum.SCFIterations
+		if sess == nil {
+			res, _, err := scf.RunForces(mol, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			start = int64(res.Iterations)
+		} else {
+			want = sess.Stats().SCFIterations
+		}
+		total := start
+		for _, st := range sum.Steps {
+			if st.SCFIterations <= 0 {
+				t.Fatalf("session %v: step %d spent %d SCF iterations", withSession, st.Step, st.SCFIterations)
+			}
+			total += st.SCFIterations
+		}
+		if start <= 0 || total != sum.SCFIterations || total != want {
+			t.Fatalf("session %v: start %d + steps = %d, summary %d, session %d", withSession, start, total, sum.SCFIterations, want)
+		}
 	}
 }

@@ -61,9 +61,6 @@ func (a *Assignment) BalanceRatio() float64 {
 	return a.MaxLoad() / mean
 }
 
-// Imbalance returns (max-mean)/mean, i.e. BalanceRatio-1.
-func (a *Assignment) Imbalance() float64 { return a.BalanceRatio() - 1 }
-
 // Algorithm names a balancing strategy.
 type Algorithm int
 
