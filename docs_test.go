@@ -2,6 +2,7 @@ package hfxmd_test
 
 import (
 	"fmt"
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
@@ -32,6 +33,13 @@ var (
 	// benchmark it cites.
 	claimRow       = regexp.MustCompile(`(?m)^\| *[EA][0-9]+[a-z]? *\|.*$`)
 	citedBenchmark = regexp.MustCompile(`\bBenchmark[A-Za-z0-9_]+`)
+	// A code span; in it a -run or -bench pattern, and an identifier (with
+	// {a,b} alternations) after an optional lower-case package qualifier;
+	// and a capitalised hump of a CamelCase identifier.
+	codeSpan    = regexp.MustCompile("`([^`\n]+)`")
+	flagPattern = regexp.MustCompile(`-(?:test\.)?(?:run|bench)[ =]('[^']*'|"[^"]*"|[^ '"]+)`)
+	spanIdent   = regexp.MustCompile(`(?:\b([a-z][a-z0-9]*)\.)?\b([A-Za-z_](?:[A-Za-z0-9_]|\{[A-Za-z0-9_,]*\})*)`)
+	hump        = regexp.MustCompile(`[A-Z][a-z][a-z0-9]*`)
 	// Text that names what is gone on purpose.
 	retired  = regexp.MustCompile(`retired \(was [^)]*\)`)
 	declared = regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)\w*)\(`)
@@ -85,6 +93,49 @@ func staleReferences(text string, tests map[string]bool, exists func(path string
 			for _, path := range expandBraces(ref) {
 				if !exists(path) {
 					stale = append(stale, path)
+				}
+			}
+		}
+	}
+	return stale
+}
+
+// camelCase reports whether name is capitalised and has at least two
+// humps (SchwarzNorm, ERIShellDeriv), unlike a word, an acronym, a formula
+// or a JSON key (Pairs, NaN, H2O2, finalStateSha256).
+func camelCase(name string) bool {
+	return unicode.IsUpper(rune(name[0])) && len(hump.FindAllString(name, 2)) == 2
+}
+
+// undeclaredIdents lists the CamelCase identifiers text cites in code
+// spans that the module does not declare (idents). A name qualified by a
+// package outside the module (sync.WaitGroup) is not checked; a Test,
+// Benchmark or Fuzz name is staleReferences' to check; and a CamelCase
+// word of a -run or -bench pattern must be part of some declared test name.
+func undeclaredIdents(text string, idents, tests, pkgs map[string]bool) []string {
+	text = retired.ReplaceAllString(text, "")
+	var stale []string
+	for _, m := range codeSpan.FindAllStringSubmatch(text, -1) {
+		span := m[1]
+		for _, pm := range flagPattern.FindAllStringSubmatch(span, -1) {
+			for _, word := range spanIdent.FindAllStringSubmatch(pm[1], -1) {
+				found := !camelCase(word[2])
+				for t := range tests {
+					found = found || strings.Contains(t, word[2])
+				}
+				if !found {
+					stale = append(stale, word[2])
+				}
+			}
+		}
+		span = flagPattern.ReplaceAllString(span, "")
+		for _, id := range spanIdent.FindAllStringSubmatch(span, -1) {
+			if id[1] != "" && !pkgs[id[1]] || citedTest.MatchString(id[2]) {
+				continue
+			}
+			for _, name := range expandBraces(id[2]) {
+				if camelCase(name) && !idents[name] {
+					stale = append(stale, name)
 				}
 			}
 		}
@@ -232,6 +283,47 @@ func modulePackages(t *testing.T) map[string][]string {
 	return imports
 }
 
+// declaredIdents collects every name the module's Go files declare:
+// functions and methods, types, variables, constants, struct fields and
+// interface methods.
+func declaredIdents(t *testing.T) map[string]bool {
+	t.Helper()
+	idents := map[string]bool{}
+	add := func(names ...*ast.Ident) {
+		for _, n := range names {
+			idents[n.Name] = true
+		}
+	}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") {
+			return err
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncDecl:
+				add(n.Name)
+			case *ast.TypeSpec:
+				add(n.Name)
+			case *ast.ValueSpec:
+				add(n.Names...)
+			case *ast.Field:
+				add(n.Names...)
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return idents
+}
+
 // declaredTests collects every Test, Benchmark and Fuzz function of the
 // module's _test.go files.
 func declaredTests(t *testing.T) map[string]bool {
@@ -272,8 +364,13 @@ func TestDocReferences(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range designProblems(string(design), modulePackages(t), tests, designMaxLines) {
+	imports := modulePackages(t)
+	for _, p := range designProblems(string(design), imports, tests, designMaxLines) {
 		t.Errorf("DESIGN.md: %s", p)
+	}
+	idents, pkgs := declaredIdents(t), map[string]bool{"hfxmd": true}
+	for pkg := range imports {
+		pkgs[filepath.Base(pkg)] = true
 	}
 	for _, doc := range citingDocs {
 		b, err := os.ReadFile(doc)
@@ -284,6 +381,11 @@ func TestDocReferences(t *testing.T) {
 		slices.Sort(stale)
 		for _, ref := range slices.Compact(stale) {
 			t.Errorf("%s cites %s, which does not exist", doc, ref)
+		}
+		stale = undeclaredIdents(string(b), idents, tests, pkgs)
+		slices.Sort(stale)
+		for _, name := range slices.Compact(stale) {
+			t.Errorf("%s cites %s, which the module does not declare", doc, name)
 		}
 		for _, id := range unregenerated(string(b)) {
 			t.Errorf("%s: row %s does not name exactly one regenerating benchmark", doc, id)
@@ -334,6 +436,29 @@ func TestStaleReferencesRules(t *testing.T) {
 	} {
 		if got := strings.Join(unregenerated(tc.text), " "); got != tc.want {
 			t.Errorf("%q: unregenerated %q, want %q", tc.text, got, tc.want)
+		}
+	}
+	idents := map[string]bool{"SchwarzNorm": true, "SchwarzMatrix": true, "NewBuilder": true}
+	pkgs := map[string]bool{"hfx": true, "integrals": true}
+	benches := map[string]bool{"BenchmarkGammaRay": true, "TestAlpha": true}
+	for _, tc := range []struct {
+		text string
+		want string
+	}{
+		{"`SchwarzNorm`, `Engine.SchwarzMatrix()` and `hfx.NewBuilder(eng, scr, opts)`", ""},
+		{"`SchwarzMatrixThreads`, the primitive-pair bounds", "SchwarzMatrixThreads"},
+		{"`integrals.SchwarzMatrixThreads(1)` and `Placement.FaultPlan`", "SchwarzMatrixThreads FaultPlan"},
+		{"`sync.WaitGroup`, `math.NaN` and `e.GoneName`", ""},
+		{"`Schwarz{Norm,Matrix}` and `Schwarz{Norm,Tensor}`", "SchwarzTensor"},
+		{"`TestAlpah` and `TestBeta{One,Three}` are staleReferences' to report", ""},
+		{"a `NaN`/`Inf` coordinate, `H2O2`, `RunMD`, `finalStateSha256` and `tableFor`", ""},
+		{"retired (was `SchwarzMatrixThreads`) beside `SchwarzNorm`", ""},
+		{"`go test -run '^$' -bench GammaRay -benchtime 1x .`", ""},
+		{"`go test -run AlphaBeta ./x/` and `x.test -test.bench 'GammaRay|DeltaWave'`", "AlphaBeta DeltaWave"},
+		{"`-bench E1|E2` and `-run=GammaRay`", ""},
+	} {
+		if got := strings.Join(undeclaredIdents(tc.text, idents, benches, pkgs), " "); got != tc.want {
+			t.Errorf("%q: undeclared %q, want %q", tc.text, got, tc.want)
 		}
 	}
 	imports := map[string][]string{"internal/a": nil, "internal/b": {"internal/a"}}

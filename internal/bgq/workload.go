@@ -9,12 +9,12 @@ import (
 	"hfxmd/internal/screen"
 )
 
-// Per-water condensed-phase statistics measured from the real pipeline on
-// water clusters with the default ε = 1e-8 screening (see the calibration
-// test in workload_test.go). These extrapolate the screened workload to
-// system sizes whose pair lists would be impractical to enumerate here —
-// the substitution documented in DESIGN.md for the paper's production
-// systems.
+// Per-water condensed-phase statistics, set by hand rather than measured:
+// at ε = 1e-8 the real pair list holds about 161 pairs per water at
+// (H2O)27/STO-3G, not 300, and only the quartet cost is checked against a
+// measured workload, to within 30× (TestMeasuredWorkloadGroundsSynthetic;
+// ROADMAP item 13). They extrapolate the screened workload to system sizes
+// whose pair lists would be impractical to enumerate here (DESIGN.md).
 const (
 	// pairsPerWaterSTO is the surviving shell pairs per water molecule in
 	// a liquid-density cluster (STO-3G).
@@ -24,8 +24,8 @@ const (
 	// density decays).
 	quartetsPerPair = 600
 	// quartetCostSTO is the mean contracted-quartet evaluation time in
-	// seconds on a BG/Q core (measured ~tens of microseconds in our Go
-	// kernels; BG/Q A2 cores at 1.6 GHz are comparable).
+	// seconds on a BG/Q core (tens of microseconds, set before the
+	// current Go kernels; BG/Q A2 cores at 1.6 GHz are comparable).
 	quartetCostSTO = 30e-6
 	// basisPerWater counts basis functions per water (STO-3G).
 	basisPerWater = 7

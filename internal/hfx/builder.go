@@ -348,7 +348,7 @@ func newBuilder(eng *integrals.Engine, scr *screen.Result, pm Placement, world *
 	}
 	pl.costs = TaskCosts(pl.tasks)
 	pl.costStats = sched.Summarize(pl.costs)
-	if pm.Noise != nil {
+	if pm.noise != nil {
 		pl.classes = TaskClasses(eng.Basis, scr.Pairs, pl.tasks)
 	}
 	R, T := pm.Ranks, pm.ThreadsPerRank
@@ -514,7 +514,7 @@ func (pl *pool) runUnit(x *executor, u int, stolen bool) {
 	if stolen {
 		x.reclaimed += wall
 	}
-	if d := pl.pm.Noise.StragglerDelay(x.rank, wall); d > 0 {
+	if d := pl.pm.noise.StragglerDelay(x.rank, wall); d > 0 {
 		time.Sleep(d)
 		wall += d
 	}
@@ -571,7 +571,7 @@ func (b *Builder) BuildJK(p *linalg.Matrix) (j, k *linalg.Matrix, rep Report) {
 	if builds.Value() > 1 {
 		pl.reg.Counter("pool.reuse_hits").Add(1)
 	}
-	if fp := pl.pm.FaultPlan; fp != nil && int64(fp.Build) == builds.Value() {
+	if fp := pl.pm.faultPlan; fp != nil && int64(fp.Build) == builds.Value() {
 		pl.dead = fp.Rank
 	}
 	pl.computed.Store(0)

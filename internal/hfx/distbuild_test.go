@@ -171,7 +171,7 @@ func TestDistBuilderRankFaultRecovery(t *testing.T) {
 		for victim := 0; victim < ranks; victim++ {
 			d, err := NewDistBuilder(eng, scr, DistOptions{
 				Ranks: ranks, Schedule: sched, Opts: DefaultOptions(),
-				FaultPlan: &RankFaultPlan{Rank: victim, Build: 2},
+				faultPlan: &RankFaultPlan{Rank: victim, Build: 2},
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -227,7 +227,7 @@ func TestDistReportBalanceRatiosDivergeUnderNoise(t *testing.T) {
 
 	_, _, noisy := distBuild(t, eng, scr, DistOptions{
 		Ranks: 4, Opts: DefaultOptions(),
-		Noise: &steal.NoisePlan{Seed: 9, Pct: 0.3, StragglerRank: 1, StragglerSlow: 4.0},
+		noise: &steal.NoisePlan{Seed: 9, Pct: 0.3, StragglerRank: 1, StragglerSlow: 4.0},
 	}, p)
 	// The placement model cannot see the straggler, so the predicted
 	// ratio stays modest while the measured one blows up.

@@ -169,7 +169,7 @@ func TestGradientBitwiseAcrossPlacements(t *testing.T) {
 		}
 		stolen, err := NewStealBuilder(eng, scr, StealOptions{
 			Ranks: 2, UnitsPerThread: 2, Opts: opts, Steal: true, Seed: 7,
-			Noise: &steal.NoisePlan{StragglerRank: 1, StragglerSlow: 4},
+			noise: &steal.NoisePlan{StragglerRank: 1, StragglerSlow: 4},
 		})
 		if err != nil {
 			t.Fatal(err)

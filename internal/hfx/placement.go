@@ -27,7 +27,7 @@ import (
 //
 // Bitwise contract: J, K and the gradient are identical — every bit — to
 // a single-rank Builder with Threads = S, for any rank count, thread
-// count, collective schedule and steal pattern, as long as no Noise plan
+// count, collective schedule and steal pattern, as long as no noise plan
 // distorts the placement model.
 type Placement struct {
 	// Ranks is the number of mprt ranks (required, ≥ 1).
@@ -51,15 +51,15 @@ type Placement struct {
 	// cheapest outstanding unit of another. Off, every unit runs on its
 	// home rank — the static arm, bitwise identical to the stealing one.
 	Steal bool
-	// Noise optionally distorts the placement model (the costs the
-	// balancer sees) and slows a straggler rank — mispredict injection for
-	// balance experiments. Arithmetic is never touched, but a distorted
-	// placement groups tasks differently, so the bitwise pin against the
-	// single-rank Builder holds only when the costs are left alone.
-	Noise *steal.NoisePlan
-	// FaultPlan optionally kills one rank during one build's compute
-	// phase, exercising the restart path (nil injects nothing).
-	FaultPlan *RankFaultPlan
+	// noise optionally distorts the placement model (the costs the
+	// balancer sees) and slows a straggler rank — the balance tests'
+	// mispredicts. Arithmetic is never touched, but a distorted placement
+	// groups tasks differently, so the bitwise pin against the single-rank
+	// Builder holds only when the costs are left alone.
+	noise *steal.NoisePlan
+	// faultPlan optionally kills one rank during one build's compute
+	// phase, for the restart tests (nil injects nothing).
+	faultPlan *RankFaultPlan
 	// Seed drives the rank-count-independent victim selection order.
 	Seed uint64
 }
@@ -148,7 +148,7 @@ func newPlaced(eng *integrals.Engine, scr *screen.Result, pm Placement) (*DistBu
 // model — the cost-model task costs, distorted by the noise plan — and the
 // steal plan over it.
 func (pl *pool) place() {
-	costs := pl.pm.Noise.Perturb(pl.costs, pl.classes)
+	costs := pl.pm.noise.Perturb(pl.costs, pl.classes)
 	pl.asn = sched.Balance(pl.opts.Balancer, costs, len(pl.slots))
 	pl.plan = steal.NewPlan(pl.asn, pl.pm.Ranks, pl.pm.Seed)
 	pl.deques = steal.NewDeques(pl.plan, pl.reg)

@@ -105,7 +105,7 @@ func TestStealBuildNoisyPinnedAcrossRankCounts(t *testing.T) {
 					Schedule:       sch,
 					Opts:           DefaultOptions(),
 					Steal:          stealing,
-					Noise:          noise,
+					noise:          noise,
 					Seed:           7,
 				})
 				if err != nil {
@@ -136,7 +136,7 @@ func TestStealBuildNoisyPinnedAcrossRankCounts(t *testing.T) {
 	for _, stealing := range []bool{false, true} {
 		b, err := NewStealBuilder(eng, scr, StealOptions{
 			Ranks: 3, ThreadsPerRank: 2, UnitsPerThread: 4,
-			Opts: DefaultOptions(), Steal: stealing, Noise: noise, Seed: 7,
+			Opts: DefaultOptions(), Steal: stealing, noise: noise, Seed: 7,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -220,7 +220,7 @@ func TestStealRecoversBalanceUnderStraggler(t *testing.T) {
 	run := func(stealing bool) StealReport {
 		b, err := NewStealBuilder(eng, scr, StealOptions{
 			Ranks: 4, UnitsPerThread: 4, Opts: DefaultOptions(),
-			Steal: stealing, Noise: noise, Seed: 7,
+			Steal: stealing, noise: noise, Seed: 7,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -2,7 +2,7 @@ package integrals
 
 import (
 	"math"
-	"sync/atomic"
+	"slices"
 
 	"hfxmd/internal/basis"
 	"hfxmd/internal/boys"
@@ -28,128 +28,22 @@ import (
 // table stacks per Cartesian component pair: centre (a, then b) × axis.
 const derivStack = 6
 
-// derivPairDataFor returns the (cached) derivative table of a shell pair:
-// a pairData with l = la+lb+1 whose component index runs
-// [centre][axis][a][b], i.e. ncomp = 6·na·nb.
-func (e *Engine) derivPairDataFor(a, b int) *pairData {
-	ns := e.Basis.NShells()
-	e.derivInit.Do(func() { e.derivCache = make([]atomic.Pointer[pairData], ns*ns) })
-	slot := &e.derivCache[a*ns+b]
-	if pd := slot.Load(); pd != nil {
-		return pd
-	}
-	slot.CompareAndSwap(nil, buildDerivPairData(&e.Basis.Shells[a], &e.Basis.Shells[b]))
-	return slot.Load()
-}
-
 // buildDerivPairData is buildPairData for the six centre derivatives of a
-// shell pair.
+// shell pair: a pairData with l = la+lb+1 whose component index runs
+// [centre][axis][a][b], i.e. ncomp = 6·na·nb, in contraction order and
+// without bounds.
 func buildDerivPairData(sa, sb *basis.Shell) *pairData {
 	if sa.L+sb.L+1 > maxHermL {
 		panic("integrals: derivative tables unsupported for this angular momentum")
 	}
-	ab := [3]float64{
-		sa.Center[0] - sb.Center[0],
-		sa.Center[1] - sb.Center[1],
-		sa.Center[2] - sb.Center[2],
-	}
-	ca, cb := Components(sa.L), Components(sb.L)
-	normA, normB := cartNorms[sa.L], cartNorms[sb.L]
-	nprim := len(sa.Exps) * len(sb.Exps)
+	pb := getPairBuilder()
+	pb.terms(sa, sb, true)
 	pd := &pairData{
-		l:     sa.L + sb.L + 1,
-		ncomp: derivStack * len(ca) * len(cb),
-		prims: make([]primPair, 0, nprim),
+		l: sa.L + sb.L + 1, ncomp: derivStack * NCart(sa.L) * NCart(sb.L),
+		prims: slices.Clone(pb.prims), off: slices.Clone(pb.off),
+		hidx: slices.Clone(pb.hidx), val: slices.Clone(pb.val),
 	}
-	pd.off = make([]int32, 1, nprim*pd.ncomp+1)
-	// Every component pair has Π(a+b+1) Hermite terms per primitive pair,
-	// with one more degree along the differentiated axis.
-	bound := 0
-	for _, cA := range ca {
-		for _, cB := range cb {
-			x, y, z := cA.X+cB.X+1, cA.Y+cB.Y+1, cA.Z+cB.Z+1
-			bound += (x+1)*y*z + x*(y+1)*z + x*y*(z+1)
-		}
-	}
-	bound *= 2 * nprim
-	pd.hidx = make([]uint8, 0, bound)
-	pd.val = make([]float64, 0, bound)
-	var ets [3]eTable
-	for ia, ea := range sa.Exps {
-		for ib, eb := range sb.Exps {
-			p := ea + eb
-			coef := sa.Coefs[ia] * sb.Coefs[ib] / p
-			for d := 0; d < 3; d++ {
-				ets[d].build(sa.L+1, sb.L+1, ab[d], ea, eb)
-			}
-			pd.prims = append(pd.prims, primPair{
-				p: p,
-				px: [3]float64{
-					(ea*sa.Center[0] + eb*sb.Center[0]) / p,
-					(ea*sa.Center[1] + eb*sb.Center[1]) / p,
-					(ea*sa.Center[2] + eb*sb.Center[2]) / p,
-				},
-			})
-			// e1 returns the 1D coefficient of Λ_t along axis d for powers
-			// (i, j): plain unless d is the differentiated axis.
-			e1 := func(centre, axis, d, i, j, t int) float64 {
-				et := &ets[d]
-				switch {
-				case d != axis:
-					return et.at(i, j, t)
-				case centre == 0:
-					v := 2 * ea * et.at(i+1, j, t)
-					if i > 0 {
-						v -= float64(i) * et.at(i-1, j, t)
-					}
-					return v
-				default:
-					v := 2 * eb * et.at(i, j+1, t)
-					if j > 0 {
-						v -= float64(j) * et.at(i, j-1, t)
-					}
-					return v
-				}
-			}
-			for centre := 0; centre < 2; centre++ {
-				for axis := 0; axis < 3; axis++ {
-					for ai, cA := range ca {
-						for bi, cB := range cb {
-							scale := coef * normA[ai] * normB[bi]
-							top := [3]int{cA.X + cB.X, cA.Y + cB.Y, cA.Z + cB.Z}
-							top[axis]++
-							for t := 0; t <= top[0]; t++ {
-								ex := e1(centre, axis, 0, cA.X, cB.X, t)
-								if ex == 0 {
-									continue
-								}
-								for u := 0; u <= top[1]; u++ {
-									ey := e1(centre, axis, 1, cA.Y, cB.Y, u)
-									if ey == 0 {
-										continue
-									}
-									for v := 0; v <= top[2]; v++ {
-										ez := e1(centre, axis, 2, cA.Z, cB.Z, v)
-										if ez == 0 {
-											continue
-										}
-										pd.hidx = append(pd.hidx, hermIndex[t][u][v])
-										pd.val = append(pd.val, scale*ex*ey*ez)
-									}
-								}
-							}
-							pd.off = append(pd.off, int32(len(pd.val)))
-						}
-					}
-				}
-			}
-		}
-	}
-	if len(pd.val) < bound/2 {
-		// Coincident centres: give the slack back, as buildPairData does.
-		pd.hidx = append([]uint8(nil), pd.hidx...)
-		pd.val = append([]float64(nil), pd.val...)
-	}
+	putPairBuilder(pb)
 	return pd
 }
 

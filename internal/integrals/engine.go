@@ -20,14 +20,15 @@ type Engine struct {
 	// the same batch pipeline either way and results are identical.
 	Vector bool
 
-	// pairCache memoises the Hermite term tables of every shell pair
-	// (indexed a·NShells+b), built lazily on first use.
-	pairInit  sync.Once
-	pairCache []atomic.Pointer[pairData]
-	// derivCache does the same for the derivative tables (see deriv.go),
-	// which only a gradient build asks for.
-	derivInit  sync.Once
-	derivCache []atomic.Pointer[pairData]
+	// plain and deriv memoise the term tables of every shell pair and their
+	// derivative tables (deriv.go), which only a gradient build asks for.
+	plain, deriv tableCache
+}
+
+// tableCache memoises shell-pair tables by a·NShells+b, built on first use.
+type tableCache struct {
+	once  sync.Once
+	slots []atomic.Pointer[pairData]
 }
 
 // NewEngine returns an integral engine over the given basis.

@@ -2,7 +2,6 @@ package integrals
 
 import (
 	"math"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -68,16 +67,25 @@ type pairData struct {
 // pairDataFor returns the (cached) Hermite-space data of a shell pair.
 // The cache persists across quartets and SCF iterations — rebuilding the
 // term tables per quartet would dominate the contraction cost.
-func (e *Engine) pairDataFor(a, b int) *pairData {
+func (e *Engine) pairDataFor(a, b int) *pairData { return e.tableFor(&e.plain, a, b, buildPairData) }
+
+// derivPairDataFor returns the (cached) derivative table of a shell pair
+// (buildDerivPairData).
+func (e *Engine) derivPairDataFor(a, b int) *pairData {
+	return e.tableFor(&e.deriv, a, b, buildDerivPairData)
+}
+
+// tableFor returns entry (a, b) of c, building it on first use.
+func (e *Engine) tableFor(c *tableCache, a, b int, build func(sa, sb *basis.Shell) *pairData) *pairData {
 	ns := e.Basis.NShells()
-	e.pairInit.Do(func() { e.pairCache = make([]atomic.Pointer[pairData], ns*ns) })
-	slot := &e.pairCache[a*ns+b]
+	c.once.Do(func() { c.slots = make([]atomic.Pointer[pairData], ns*ns) })
+	slot := &c.slots[a*ns+b]
 	if pd := slot.Load(); pd != nil {
 		return pd
 	}
 	// Racing builders produce identical tables; the first one published
 	// is the one everybody uses.
-	slot.CompareAndSwap(nil, buildPairData(&e.Basis.Shells[a], &e.Basis.Shells[b]))
+	slot.CompareAndSwap(nil, build(&e.Basis.Shells[a], &e.Basis.Shells[b]))
 	return slot.Load()
 }
 
@@ -88,11 +96,12 @@ func (e *Engine) pairDataFor(a, b int) *pairData {
 // The slice is the cached table's own: read-only.
 func (e *Engine) PrimSchwarz(a, b int) []float64 { return e.pairDataFor(a, b).q }
 
-// pairBuilder is the reusable working set of buildPairData: the table in
-// contraction order and the kernel scratch and block its Schwarz factors
-// are evaluated with.
+// pairBuilder is the reusable working set of the table builders and
+// SchwarzNorm: E tables and their derivatives, the table in contraction
+// order, and the kernel scratch and block of the Schwarz factors.
 type pairBuilder struct {
 	ets     [3]eTable
+	dts     [derivStack]eTable
 	prims   []primPair
 	off     []int32
 	hidx    []uint8
@@ -128,11 +137,14 @@ func putPairBuilder(pb *pairBuilder) {
 	pairBuilders.Unlock()
 }
 
-// buildPairData enumerates the primitive pairs of two shells and their
-// Hermite term tables, bounds every primitive pair and stores them by
-// descending bound.
-func buildPairData(sa, sb *basis.Shell) *pairData {
-	pb := getPairBuilder()
+// terms fills the builder's buffers with the Hermite term table of the
+// shell pair (sa, sb) in contraction order: per primitive pair its
+// scalars, and per Cartesian component pair the nonzero E_t·E_u·E_v with
+// the contraction coefficients, 1/p and the component norms folded in.
+// With deriv set the component pairs are the six centre derivatives,
+// stacked [centre][axis][a][b]: the E tables are built one degree higher,
+// and each derivative reads its differentiated axis from eTable.derive.
+func (pb *pairBuilder) terms(sa, sb *basis.Shell, deriv bool) {
 	ab := [3]float64{
 		sa.Center[0] - sb.Center[0],
 		sa.Center[1] - sb.Center[1],
@@ -140,10 +152,10 @@ func buildPairData(sa, sb *basis.Shell) *pairData {
 	}
 	ca, cb := Components(sa.L), Components(sb.L)
 	normA, normB := cartNorms[sa.L], cartNorms[sb.L]
-	nprim := len(sa.Exps) * len(sb.Exps)
-	ncomp := len(ca) * len(cb)
-
-	// Pass 1: the table in contraction order, in the builder's buffers.
+	stack, up := 1, 0
+	if deriv {
+		stack, up = derivStack, 1
+	}
 	prims, off := pb.prims[:0], append(pb.off[:0], 0)
 	hidx, val := pb.hidx[:0], pb.val[:0]
 	ets := &pb.ets
@@ -153,7 +165,7 @@ func buildPairData(sa, sb *basis.Shell) *pairData {
 			// 1/p is the pair's share of the ERI prefactor 2π^{5/2}/(pq√(p+q)).
 			coef := sa.Coefs[ia] * sb.Coefs[ib] / p
 			for d := 0; d < 3; d++ {
-				ets[d].build(sa.L, sb.L, ab[d], ea, eb)
+				ets[d].build(sa.L+up, sb.L+up, ab[d], ea, eb)
 			}
 			prims = append(prims, primPair{
 				p: p,
@@ -164,36 +176,66 @@ func buildPairData(sa, sb *basis.Shell) *pairData {
 				},
 				ss: coef * ets[0].at(0, 0, 0) * ets[1].at(0, 0, 0) * ets[2].at(0, 0, 0),
 			})
-			for ai, cA := range ca {
-				for bi, cB := range cb {
-					scale := coef * normA[ai] * normB[bi]
-					for t := 0; t <= cA.X+cB.X; t++ {
-						ex := ets[0].at(cA.X, cB.X, t)
-						if ex == 0 {
-							continue
-						}
-						for u := 0; u <= cA.Y+cB.Y; u++ {
-							ey := ets[1].at(cA.Y, cB.Y, u)
-							if ey == 0 {
+			if deriv {
+				for d := 0; d < 3; d++ {
+					pb.dts[d].derive(&ets[d], sa.L, sb.L, false, ea)
+					pb.dts[3+d].derive(&ets[d], sa.L, sb.L, true, eb)
+				}
+			}
+			for s := 0; s < stack; s++ {
+				// Derivative s reads its axis from dts[s], at a power
+				// shifted by one.
+				tab := [3]*eTable{&ets[0], &ets[1], &ets[2]}
+				var sh [2][3]int // [centre][axis]
+				if deriv {
+					tab[s%3], sh[s/3][s%3] = &pb.dts[s], 1
+				}
+				tx, ty, tz := tab[0], tab[1], tab[2]
+				for ai, cA := range ca {
+					for bi, cB := range cb {
+						scale := coef * normA[ai] * normB[bi]
+						ix, jx := cA.X+sh[0][0], cB.X+sh[1][0]
+						iy, jy := cA.Y+sh[0][1], cB.Y+sh[1][1]
+						iz, jz := cA.Z+sh[0][2], cB.Z+sh[1][2]
+						for t := 0; t <= ix+jx; t++ {
+							ex := tx.at(ix, jx, t)
+							if ex == 0 {
 								continue
 							}
-							for v := 0; v <= cA.Z+cB.Z; v++ {
-								ez := ets[2].at(cA.Z, cB.Z, v)
-								if ez == 0 {
+							for u := 0; u <= iy+jy; u++ {
+								ey := ty.at(iy, jy, u)
+								if ey == 0 {
 									continue
 								}
-								hidx = append(hidx, hermIndex[t][u][v])
-								val = append(val, scale*ex*ey*ez)
+								for v := 0; v <= iz+jz; v++ {
+									ez := tz.at(iz, jz, v)
+									if ez == 0 {
+										continue
+									}
+									hidx = append(hidx, hermIndex[t][u][v])
+									val = append(val, scale*ex*ey*ez)
+								}
 							}
 						}
+						off = append(off, int32(len(val)))
 					}
-					off = append(off, int32(len(val)))
 				}
 			}
 		}
 	}
+	pb.prims, pb.off, pb.hidx, pb.val = prims, off, hidx, val
+}
 
-	// Pass 2: bound every primitive pair by its own diagonal quartet — the
+// buildPairData enumerates the primitive pairs of two shells and their
+// Hermite term tables, bounds every primitive pair and stores them by
+// descending bound.
+func buildPairData(sa, sb *basis.Shell) *pairData {
+	pb := getPairBuilder()
+	pb.terms(sa, sb, false)
+	prims, off, hidx, val := pb.prims, pb.off, pb.hidx, pb.val
+	nprim, ncomp := len(prims), NCart(sa.L)*NCart(sb.L)
+
+	// Bound every primitive pair by its own diagonal quartet — the
 	// kernel itself on a one-primitive view of the table (slices, no copy)
 	// — and order the pairs by descending bound, contraction order among
 	// equals. The table proper is allocated once, at its final size.
@@ -209,18 +251,12 @@ func buildPairData(sa, sb *basis.Shell) *pairData {
 		qtail: floats[len(val)+nprim:],
 		order: ints[nprim*ncomp+1:],
 	}
-	blk := grow(pb.blk, ncomp*ncomp)
 	view := pairData{l: pd.l, ncomp: ncomp, hidx: hidx, val: val}
 	for i := range prims {
 		view.prims = prims[i : i+1]
 		view.off = off[i*ncomp : (i+1)*ncomp+1]
-		eriQuartet(&view, &view, blk, false, nil, &pb.scratch)
-		var m float64
-		for c := 0; c < ncomp; c++ {
-			m = max(m, blk[c*ncomp+c])
-		}
+		qi := pb.selfBound(&view)
 		// Insertion into the descending list: nprim is at most a few dozen.
-		qi := math.Sqrt(m)
 		k := i
 		for ; k > 0 && pd.q[k-1] < qi; k-- {
 			pd.q[k], pd.order[k] = pd.q[k-1], pd.order[k-1]
@@ -241,9 +277,21 @@ func buildPairData(sa, sb *basis.Shell) *pairData {
 		copy(pd.hidx[dst[0]:], hidx[src[0]:src[ncomp]])
 		copy(pd.val[dst[0]:], val[src[0]:src[ncomp]])
 	}
-	pb.prims, pb.off, pb.hidx, pb.val, pb.blk = prims, off, hidx, val, blk
 	putPairBuilder(pb)
 	return pd
+}
+
+// selfBound returns √max_c (c c|c c) over the component pairs of pd: the
+// kernel on pd's own diagonal quartet, evaluated in pb's block and scratch.
+func (pb *pairBuilder) selfBound(pd *pairData) float64 {
+	n := pd.ncomp
+	pb.blk = grow(pb.blk, n*n)
+	eriQuartet(pd, pd, pb.blk, false, nil, &pb.scratch)
+	var m float64
+	for c := 0; c < n; c++ {
+		m = max(m, pb.blk[c*n+c])
+	}
+	return math.Sqrt(m)
 }
 
 // PairClass is what the kernel's operation counts depend on in a shell
@@ -788,77 +836,36 @@ func (gl *gathered) generic(ket *pairData, ltot, q, nk int, hoffB, koff []int32,
 	}
 }
 
-// SchwarzMatrix returns the shell-pair Cauchy–Schwarz norms
+// SchwarzNorm returns the Cauchy–Schwarz norm of shell pair (a, b),
 //
-//	Q[ab] = √( max_{μ∈a,ν∈b} (μν|μν) ),
+//	Q_ab = √( max_{μ∈a,ν∈b} (μν|μν) ),
 //
-// the rigorous upper-bound factors |(μν|λσ)| ≤ Q[ab]·Q[cd] that drive the
-// paper's controllable-accuracy screening. It parallelises over shell
-// rows with GOMAXPROCS workers; use SchwarzMatrixThreads to control the
-// worker count.
-func (e *Engine) SchwarzMatrix() *linalg.Matrix {
-	return e.SchwarzMatrixThreads(0)
+// the rigorous upper-bound factor |(μν|λσ)| ≤ Q_ab·Q_cd that drives the
+// paper's controllable-accuracy screening. It is safe for concurrent use.
+func (e *Engine) SchwarzNorm(a, b int) float64 {
+	pd := e.pairDataFor(a, b)
+	if len(pd.prims) == 1 {
+		// The table's own bound is this very quartet.
+		return pd.q[0]
+	}
+	pb := getPairBuilder()
+	defer putPairBuilder(pb)
+	return pb.selfBound(pd)
 }
 
-// SchwarzMatrixThreads computes the Schwarz matrix with the given number
-// of worker goroutines (the same convention as hfx.Options.Threads: zero
-// or negative means GOMAXPROCS). Rows are dispatched dynamically because
-// row a carries NShells−a pairs — a static block split would be badly
-// imbalanced. Every (a,b) entry is computed independently, so the result
-// is deterministic regardless of the worker count.
-func (e *Engine) SchwarzMatrixThreads(threads int) *linalg.Matrix {
+// SchwarzMatrix returns the symmetric matrix of every shell pair's
+// SchwarzNorm, evaluated serially: the reference that screening and the
+// bounds pin are checked against.
+func (e *Engine) SchwarzMatrix() *linalg.Matrix {
 	ns := e.Basis.NShells()
 	q := linalg.NewSquare(ns)
-	if threads <= 0 {
-		threads = runtime.GOMAXPROCS(0)
+	for a := 0; a < ns; a++ {
+		for b := a; b < ns; b++ {
+			v := e.SchwarzNorm(a, b)
+			q.Set(a, b, v)
+			q.Set(b, a, v)
+		}
 	}
-	if threads > ns {
-		threads = max(ns, 1)
-	}
-	var nextRow atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < threads; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var blk []float64
-			scratch := eriPool.Get().(*Scratch)
-			defer eriPool.Put(scratch)
-			for {
-				a := int(nextRow.Add(1)) - 1
-				if a >= ns {
-					return
-				}
-				sa := &e.Basis.Shells[a]
-				for b := a; b < ns; b++ {
-					pd := e.pairDataFor(a, b)
-					if len(pd.prims) == 1 {
-						// The table's own bound is this very quartet.
-						q.Set(a, b, pd.q[0])
-						q.Set(b, a, pd.q[0])
-						continue
-					}
-					sb := &e.Basis.Shells[b]
-					na, nb := sa.NFuncs(), sb.NFuncs()
-					blk = grow(blk, na*nb*na*nb)
-					eriQuartet(pd, pd, blk, false, nil, scratch)
-					var m float64
-					for i := 0; i < na; i++ {
-						for j := 0; j < nb; j++ {
-							v := blk[((i*nb+j)*na+i)*nb+j] // (ij|ij)
-							if v > m {
-								m = v
-							}
-						}
-					}
-					val := math.Sqrt(math.Max(m, 0))
-					q.Set(a, b, val)
-					q.Set(b, a, val)
-				}
-			}
-		}()
-	}
-	wg.Wait()
 	return q
 }
 

@@ -31,6 +31,37 @@ func (e *eTable) set(i, j, t int, v float64) {
 	e.data[(i*(e.jmax+1)+j)*(e.imax+e.jmax+1)+t] = v
 }
 
+// derive sets d to the derivative of the E coefficients e with respect to
+// centre A of exponent x (or, with onB, centre B):
+//
+//	∂A: 2x·E_t^{i+1,j} − i·E_t^{i−1,j}    ∂B: 2x·E_t^{i,j+1} − j·E_t^{i,j−1}
+//
+// for i ≤ la and j ≤ lb, e being built one degree higher. Each is stored
+// at its raised power, (i+1, j) or (i, j+1), so that at reaches t = i+j+1.
+func (d *eTable) derive(e *eTable, la, lb int, onB bool, x float64) {
+	if cap(d.data) < len(e.data) {
+		d.data = make([]float64, len(e.data))
+	}
+	d.imax, d.jmax, d.data = e.imax, e.jmax, d.data[:len(e.data)]
+	for i := 0; i <= la; i++ {
+		for j := 0; j <= lb; j++ {
+			// (i1, j1) is the raised power, n the factor of the lowered
+			// one, (2i−i1, 2j−j1).
+			i1, j1, n := i+1, j, i
+			if onB {
+				i1, j1, n = i, j+1, j
+			}
+			for t := 0; t <= i+j+1; t++ {
+				v := 2 * x * e.at(i1, j1, t)
+				if n > 0 {
+					v -= float64(n) * e.at(2*i-i1, 2*j-j1, t)
+				}
+				d.set(i1, j1, t, v)
+			}
+		}
+	}
+}
+
 // buildETable computes the E coefficients for one dimension. ab is the
 // separation A_x − B_x, a and b the primitive exponents.
 func buildETable(imax, jmax int, ab, a, b float64) *eTable {

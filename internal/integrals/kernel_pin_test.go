@@ -129,7 +129,7 @@ func TestKernelBitsPinned(t *testing.T) {
 	}
 	for _, tc := range bounds {
 		e := NewEngine(basis.MustBuild(tc.basis, tc.mol))
-		q := e.SchwarzMatrixThreads(1)
+		q := e.SchwarzMatrix()
 		h := fnv.New64a()
 		for a := 0; a < e.Basis.NShells(); a++ {
 			for b := 0; b < e.Basis.NShells(); b++ {

@@ -47,9 +47,9 @@ func (r *UnrestrictedResult) S2Exact() float64 {
 // split by spin fraction. Multiplicity is 2S+1 (0 means the lowest
 // consistent with the electron count: 1 for even, 2 for odd). Only the HF
 // functional is supported — spin-polarised semilocal functionals are
-// outside this reproduction's scope and return an error. There is no
-// analytic gradient for it either (RunForces is closed-shell): forces on a
-// UHF surface come from differencing its energy (md.FDSurface).
+// outside this reproduction's scope and return an error. It returns
+// energies only: RunForces, the one analytic gradient, is closed-shell,
+// and nothing in the module computes UHF forces.
 func RunUnrestricted(mol *chem.Molecule, cfg Config, multiplicity int) (*UnrestrictedResult, error) {
 	cfg.fillDefaults()
 	if cfg.Functional.NeedsGrid() {

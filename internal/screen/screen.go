@@ -15,10 +15,11 @@
 package screen
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -49,10 +50,9 @@ type Options struct {
 	ExtentEps float64
 	// NoDistance disables the real-space pre-screen (for ablation).
 	NoDistance bool
-	// Threads is the number of worker goroutines used for the Schwarz
-	// matrix and the pair sweep, following the hfx.Options.Threads
-	// convention: zero (or negative) means GOMAXPROCS. The result is
-	// identical for every worker count.
+	// Threads is the number of worker goroutines of the pair sweep,
+	// following the hfx.Options.Threads convention: zero (or negative)
+	// means GOMAXPROCS. The result is identical for every worker count.
 	Threads int
 }
 
@@ -66,8 +66,6 @@ func DefaultOptions() Options {
 type Result struct {
 	// Pairs is the surviving shell-pair list, sorted by descending Q.
 	Pairs []Pair
-	// Q is the full shell-pair Schwarz matrix (kept for quartet tests).
-	Q *linalg.Matrix
 	// Stats describes how much work screening removed.
 	Stats Stats
 	// Opts echoes the options used.
@@ -82,10 +80,10 @@ type Stats struct {
 	DistanceSurvived int
 	// SchwarzSurvived is the final pair count.
 	SchwarzSurvived int
-	// SchwarzWall is the wall time spent building the Schwarz matrix.
+	// SchwarzWall is the wall time of the pair sweep: the distance test
+	// of every pair and the Schwarz norm of each one that passes it.
 	SchwarzWall time.Duration
-	// PairWall is the wall time of the pair sweep (distance + Schwarz
-	// tests and the final sort).
+	// PairWall is the wall time of the Schwarz test and the final sort.
 	PairWall time.Duration
 	// Threads is the worker count the pipeline actually used.
 	Threads int
@@ -101,17 +99,18 @@ func (s Stats) String() string {
 		100*float64(s.SchwarzSurvived)/math.Max(1, float64(s.TotalPairs)))
 }
 
-// BuildPairList runs the screening pipeline over a basis set. The Schwarz
-// matrix and the pair sweep are parallelised over shell rows across
-// opts.Threads workers (zero means GOMAXPROCS); rows are claimed
-// dynamically because row a carries ns−a candidate pairs, so static
-// striding would leave the worker holding the early rows far behind.
-// Per-row results are concatenated in row order before the final sort, so
-// the output is identical for every worker count.
+// BuildPairList runs the screening pipeline over a basis set in one sweep
+// over shell rows: every pair takes the distance test, and only the pairs
+// that pass it pay for their Schwarz norm (Engine.SchwarzNorm). Rows are
+// claimed dynamically by opts.Threads workers (zero means GOMAXPROCS),
+// because row a carries ns−a candidate pairs; the survivors are filtered
+// in row order before a stable sort, so the output is identical for every
+// worker count.
 func BuildPairList(eng *integrals.Engine, opts Options) *Result {
 	set := eng.Basis
 	ns := set.NShells()
 	res := &Result{Opts: opts}
+	res.Stats.TotalPairs = ns * (ns + 1) / 2
 
 	nw := opts.Threads
 	if nw <= 0 {
@@ -123,32 +122,7 @@ func BuildPairList(eng *integrals.Engine, opts Options) *Result {
 	res.Stats.Threads = nw
 
 	start := time.Now()
-	res.Q = eng.SchwarzMatrixThreads(opts.Threads)
-	res.Stats.SchwarzWall = time.Since(start)
-
-	start = time.Now()
-	dist := func(a, b *basis.Shell) float64 {
-		d := [3]float64{
-			a.Center[0] - b.Center[0],
-			a.Center[1] - b.Center[1],
-			a.Center[2] - b.Center[2],
-		}
-		return math.Sqrt(d[0]*d[0] + d[1]*d[1] + d[2]*d[2])
-	}
-
-	// The pair survives the Schwarz screen when its norm could still
-	// contribute against the *largest* partner pair norm in the system.
-	var qmax float64
-	for a := 0; a < ns; a++ {
-		for b := a; b < ns; b++ {
-			if v := res.Q.At(a, b); v > qmax {
-				qmax = v
-			}
-		}
-	}
-
-	rowPairs := make([][]Pair, ns)
-	var distSurvived, schwarzSurvived atomic.Int64
+	rows := make([][]Pair, ns)
 	var nextRow atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < nw; w++ {
@@ -161,41 +135,52 @@ func BuildPairList(eng *integrals.Engine, opts Options) *Result {
 					return
 				}
 				sa := &set.Shells[a]
-				var ds, ss int64
 				for b := a; b < ns; b++ {
 					sb := &set.Shells[b]
-					r := dist(sa, sb)
-					if !opts.NoDistance {
-						if r > sa.Extent(opts.ExtentEps)+sb.Extent(opts.ExtentEps) {
-							continue
-						}
-					}
-					ds++
-					q := res.Q.At(a, b)
-					if q*qmax < opts.Threshold {
+					dx, dy, dz := sa.Center[0]-sb.Center[0], sa.Center[1]-sb.Center[1], sa.Center[2]-sb.Center[2]
+					r := math.Sqrt(dx*dx + dy*dy + dz*dz)
+					if !opts.NoDistance && r > sa.Extent(opts.ExtentEps)+sb.Extent(opts.ExtentEps) {
 						continue
 					}
-					ss++
-					rowPairs[a] = append(rowPairs[a], Pair{A: a, B: b, Q: q, R: r})
+					rows[a] = append(rows[a], Pair{A: a, B: b, Q: eng.SchwarzNorm(a, b), R: r})
 				}
-				distSurvived.Add(ds)
-				schwarzSurvived.Add(ss)
 			}
 		}()
 	}
 	wg.Wait()
+	res.Stats.SchwarzWall = time.Since(start)
 
-	res.Stats.TotalPairs = ns * (ns + 1) / 2
-	res.Stats.DistanceSurvived = int(distSurvived.Load())
-	res.Stats.SchwarzSurvived = int(schwarzSurvived.Load())
+	// A pair survives the Schwarz screen when its norm could still
+	// contribute against the *largest* partner pair norm in the system.
+	// The largest norm among the distance survivors is the largest of all
+	// pairs: Q_ab ≤ max(Q_aa, Q_bb) by Cauchy–Schwarz, and every diagonal
+	// pair passes the distance test.
+	start = time.Now()
+	var qmax float64
+	for _, row := range rows {
+		res.Stats.DistanceSurvived += len(row)
+		for _, p := range row {
+			qmax = max(qmax, p.Q)
+		}
+	}
+	for a, row := range rows {
+		kept := row[:0]
+		for _, p := range row {
+			if p.Q*qmax >= opts.Threshold {
+				kept = append(kept, p)
+			}
+		}
+		rows[a] = kept
+		res.Stats.SchwarzSurvived += len(kept)
+	}
 	res.Pairs = make([]Pair, 0, res.Stats.SchwarzSurvived)
-	for a := 0; a < ns; a++ {
-		res.Pairs = append(res.Pairs, rowPairs[a]...)
+	for _, row := range rows {
+		res.Pairs = append(res.Pairs, row...)
 	}
 	// Descending Q: the HFX task generator consumes pairs most-significant
-	// first so that the quartet loop can break out early. SliceStable keeps
-	// the row-ordered concatenation deterministic among equal norms.
-	sort.SliceStable(res.Pairs, func(i, j int) bool { return res.Pairs[i].Q > res.Pairs[j].Q })
+	// first so that the quartet loop can break out early. A stable sort
+	// keeps the row order deterministic among equal norms.
+	slices.SortStableFunc(res.Pairs, func(x, y Pair) int { return cmp.Compare(y.Q, x.Q) })
 	res.Stats.PairWall = time.Since(start)
 	return res
 }

@@ -1,7 +1,8 @@
 #!/bin/sh
-# The Fock perf gate: every Fock-build, ERI-kernel, XC, analytic-gradient
-# and session-step benchmark row of a base revision against the working
-# tree, as alternating runs of prebuilt test binaries. The guest drifts by
+# The Fock perf gate: every Fock-build, ERI-kernel, prep (pair tables and
+# pair list), XC, analytic-gradient and session-step benchmark row of a
+# base revision against the working tree, as alternating runs of prebuilt
+# test binaries. The guest drifts by
 # up to 1.6x with its neighbours' load; running the two sides of a row
 # back to back, in alternating order, puts both under the same drift, so
 # no wall-clock baseline is committed anywhere.
@@ -55,7 +56,7 @@ git archive "$base" | tar -x -C "$tmp/base"
 for side in base change; do
 	src=.
 	test "$side" = base && src="$tmp/base"
-	for pkg in hfx integrals dft scf md; do
+	for pkg in hfx integrals screen dft scf md; do
 		# -trimpath: identical code builds identical binaries on both sides.
 		(cd "$src" && go test -c -trimpath -o "$tmp/$side-$pkg.test" "./internal/$pkg/")
 	done
@@ -108,6 +109,8 @@ while [ "$i" -le "$pairs" ]; do
 hfx -test.bench BenchmarkBuildJK(Pooled|SemiDirect|SemiDirect631Gs)$ -test.benchtime 3x
 hfx -test.bench BenchmarkDirectBuild -test.cpu 1 -test.benchtime 10x
 integrals -test.bench BenchmarkERIClass -test.benchtime 0.2s
+integrals -test.bench BenchmarkPairTables -test.cpu 1
+screen -test.bench BenchmarkBuildPairListThreads1 -test.cpu 1
 dft -test.bench Benchmark(IntegratePBE0|XCTabulate) -test.cpu 1 -test.benchtime 0.2s
 scf -test.bench BenchmarkGradient -test.cpu 1 -test.benchtime 0.2s
 md -test.bench BenchmarkSessionStep -test.cpu 1 -test.benchtime 24x

@@ -3,7 +3,7 @@
 #
 #  1. go vet, gofmt (no file may need formatting) and go build.
 #  2. The Fock perf gate, scripts/bench_pair.sh: every Fock-build, ERI
-#     class, XC, analytic-gradient and session-step benchmark row of the
+#     class, prep, XC, analytic-gradient and session-step benchmark row of the
 #     script's default base (the merge-base with main, or HEAD^ on a
 #     clean main) against the working tree, as ten alternating
 #     pairs of prebuilt test binaries. It fails on any row whose median
