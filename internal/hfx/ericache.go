@@ -1,7 +1,8 @@
 package hfx
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync/atomic"
 
 	"hfxmd/internal/basis"
@@ -110,14 +111,8 @@ func newERICache(set *basis.Set, pairs []screen.Pair, tasks []Task,
 			})
 		}
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].prio != cands[j].prio {
-			return cands[i].prio > cands[j].prio
-		}
-		if cands[i].task != cands[j].task {
-			return cands[i].task < cands[j].task
-		}
-		return cands[i].koff < cands[j].koff
+	slices.SortFunc(cands, func(a, b cacheCand) int {
+		return cmp.Or(cmp.Compare(b.prio, a.prio), cmp.Compare(a.task, b.task), cmp.Compare(a.koff, b.koff))
 	})
 
 	c := &eriCache{budget: budget, usedBytes: base}

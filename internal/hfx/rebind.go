@@ -6,9 +6,6 @@ import (
 	"hfxmd/internal/integrals"
 )
 
-// NBasis returns the basis dimension the builder is bound to.
-func (b *Builder) NBasis() int { return b.Eng.Basis.NBasis }
-
 // Rebind points the builder at a new integral engine — a nearby
 // geometry of the *same composition and basis*, whose shell structure
 // (count, angular momenta, function offsets) is identical — while

@@ -119,69 +119,58 @@ func (e *Engine) overlapGradient(w *linalg.Matrix, scale float64, g []chem.Vec3)
 	})
 }
 
-// kineticGradient adds ∂Tr(p·T)/∂R to g, differentiating kineticBlock's
-// per-dimension factors with respect to centre A (∂/∂B = −∂/∂A).
+// kineticGradient adds ∂Tr(p·T)/∂R to g, differentiating the kinetic
+// integral's per-dimension factors (primWalk.kinetic) with respect to
+// centre A (∂/∂B = −∂/∂A).
 func (e *Engine) kineticGradient(p *linalg.Matrix, g []chem.Vec3) {
 	set := e.Basis
+	pw := new(primWalk)
 	e.forShellPairs(func(i, j int, weight float64) {
 		sa, sb := &set.Shells[i], &set.Shells[j]
 		if sa.Atom == sb.Atom {
 			return
 		}
-		ab := [3]float64{
-			sa.Center[0] - sb.Center[0],
-			sa.Center[1] - sb.Center[1],
-			sa.Center[2] - sb.Center[2],
-		}
-		var ets [3]eTable
 		var d chem.Vec3
-		for ia, ea := range sa.Exps {
-			for ib, eb := range sb.Exps {
-				coef := sa.Coefs[ia] * sb.Coefs[ib]
-				pp := ea + eb
-				for k := 0; k < 3; k++ {
-					ets[k].build(sa.L+1, sb.L+2, ab[k], ea, eb)
+		pw.walk(sa, sb, sa.L+1, sb.L+2, func() {
+			ea, coef := pw.ea, pw.coef
+			pw.kinetic(sa.L+1, sb.L)
+			s := func(k, i, j int) float64 {
+				if i < 0 || j < 0 {
+					return 0
 				}
-				root := math.Sqrt(math.Pi / pp)
-				s := func(k, i, j int) float64 {
-					if i < 0 || j < 0 {
-						return 0
+				return pw.s[k][i][j]
+			}
+			t := func(k, i, j int) float64 {
+				if i < 0 {
+					return 0
+				}
+				return pw.t[k][i][j]
+			}
+			// da differentiates a 1D factor with respect to A.
+			da := func(f func(k, i, j int) float64, k, i, j int) float64 {
+				return 2*ea*f(k, i+1, j) - float64(i)*f(k, i-1, j)
+			}
+			for a, cA := range Components(sa.L) {
+				ai := [3]int{cA.X, cA.Y, cA.Z}
+				for b, cB := range Components(sb.L) {
+					bi := [3]int{cB.X, cB.Y, cB.Z}
+					wt := weight * coef * cartNorms[sa.L][a] * cartNorms[sb.L][b] *
+						p.At(sa.Index+a, sb.Index+b)
+					if wt == 0 {
+						continue
 					}
-					return ets[k].at(i, j, 0) * root
-				}
-				t := func(k, i, j int) float64 {
-					if i < 0 {
-						return 0
+					var sv, tv, dsv, dtv [3]float64
+					for k := 0; k < 3; k++ {
+						sv[k], tv[k] = s(k, ai[k], bi[k]), t(k, ai[k], bi[k])
+						dsv[k], dtv[k] = da(s, k, ai[k], bi[k]), da(t, k, ai[k], bi[k])
 					}
-					return eb*float64(2*j+1)*s(k, i, j) - 2*eb*eb*s(k, i, j+2) -
-						0.5*float64(j*(j-1))*s(k, i, j-2)
-				}
-				// da differentiates a 1D factor with respect to A.
-				da := func(f func(k, i, j int) float64, k, i, j int) float64 {
-					return 2*ea*f(k, i+1, j) - float64(i)*f(k, i-1, j)
-				}
-				for a, cA := range Components(sa.L) {
-					ai := [3]int{cA.X, cA.Y, cA.Z}
-					for b, cB := range Components(sb.L) {
-						bi := [3]int{cB.X, cB.Y, cB.Z}
-						pw := weight * coef * cartNorms[sa.L][a] * cartNorms[sb.L][b] *
-							p.At(sa.Index+a, sb.Index+b)
-						if pw == 0 {
-							continue
-						}
-						var sv, tv, dsv, dtv [3]float64
-						for k := 0; k < 3; k++ {
-							sv[k], tv[k] = s(k, ai[k], bi[k]), t(k, ai[k], bi[k])
-							dsv[k], dtv[k] = da(s, k, ai[k], bi[k]), da(t, k, ai[k], bi[k])
-						}
-						for k := 0; k < 3; k++ {
-							k1, k2 := (k+1)%3, (k+2)%3
-							d[k] += pw * (dtv[k]*sv[k1]*sv[k2] + dsv[k]*(tv[k1]*sv[k2]+sv[k1]*tv[k2]))
-						}
+					for k := 0; k < 3; k++ {
+						k1, k2 := (k+1)%3, (k+2)%3
+						d[k] += wt * (dtv[k]*sv[k1]*sv[k2] + dsv[k]*(tv[k1]*sv[k2]+sv[k1]*tv[k2]))
 					}
 				}
 			}
-		}
+		})
 		for k := 0; k < 3; k++ {
 			g[sa.Atom][k] += d[k]
 			g[sb.Atom][k] -= d[k]

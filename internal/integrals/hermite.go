@@ -62,16 +62,10 @@ func (d *eTable) derive(e *eTable, la, lb int, onB bool, x float64) {
 	}
 }
 
-// buildETable computes the E coefficients for one dimension. ab is the
-// separation A_x − B_x, a and b the primitive exponents.
-func buildETable(imax, jmax int, ab, a, b float64) *eTable {
-	e := new(eTable)
-	e.build(imax, jmax, ab, a, b)
-	return e
-}
-
-// build fills e in place, reusing its storage when it is large enough
-// (the shell-pair builder runs it once per primitive pair and dimension).
+// build computes the E coefficients for one dimension in place, reusing
+// e's storage when it is large enough (the shell-pair builder and the
+// one-electron pass run it once per primitive pair and dimension). ab is
+// the separation A_x − B_x, a and b the primitive exponents.
 //
 // Recurrences (McMurchie–Davidson):
 //

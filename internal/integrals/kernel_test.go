@@ -172,7 +172,8 @@ func refERI(sa, sb, sc, sd *basis.Shell) []float64 {
 	fn := make([]float64, n)
 	tables := func(s1, s2 *basis.Shell, e1, e2 float64) (ets [3]*eTable, px [3]float64) {
 		for d := 0; d < 3; d++ {
-			ets[d] = buildETable(s1.L, s2.L, s1.Center[d]-s2.Center[d], e1, e2)
+			ets[d] = new(eTable)
+			ets[d].build(s1.L, s2.L, s1.Center[d]-s2.Center[d], e1, e2)
 			px[d] = (e1*s1.Center[d] + e2*s2.Center[d]) / (e1 + e2)
 		}
 		return

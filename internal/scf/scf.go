@@ -84,7 +84,10 @@ type Config struct {
 	// the worker pool, the task schedule and the semi-direct cache
 	// layout, so the new step's first build refills exactly the admitted
 	// ERI blocks of the previous one. Implies Screening (the builder's
-	// pair list is used).
+	// pair list is used). The run takes the builder's basis and engine
+	// as its own, so the builder must be bound to Basis over the run's
+	// molecule: the same elements at the same positions, else the run
+	// fails.
 	ExternalBuilder *hfx.Builder
 	// ExternalIntegrator, when non-nil, is the XC integrator a DFT run
 	// rebinds to its geometry instead of allocating one: its tables and
@@ -214,20 +217,30 @@ type solver struct {
 	eNuclear float64
 }
 
-// newSolver builds the basis, S, H, the orthogonaliser X, the J/K builder
+// newSolver builds the basis and engine (or takes cfg.ExternalBuilder's),
+// S and H in one pass, the orthogonaliser X, the J/K builder
 // (cfg.ExternalBuilder, or a new one on cfg.Screening or a fresh pair list),
 // the XC integrator of a grid functional and the starting total density
 // (cfg.InitialDensity, else SAD) for a run whose channels occupy at most
 // nocc orbitals. cfg must be defaulted.
 func newSolver(mol *chem.Molecule, cfg Config, nocc int, forces bool) (*solver, error) {
-	set, err := basis.Build(cfg.Basis, mol)
-	if err != nil {
-		return nil, err
+	var eng *integrals.Engine
+	if cfg.ExternalBuilder != nil {
+		eng = cfg.ExternalBuilder.Eng
+		if err := boundTo(eng.Basis, cfg.Basis, mol); err != nil {
+			return nil, err
+		}
+	} else {
+		set, err := basis.Build(cfg.Basis, mol)
+		if err != nil {
+			return nil, err
+		}
+		eng = integrals.NewEngine(set)
 	}
+	set := eng.Basis
 	n := set.NBasis
-	eng := integrals.NewEngine(set)
-	sv := &solver{cfg: cfg, set: set, s: eng.Overlap(), h: eng.CoreHamiltonian(),
-		p: linalg.NewSquare(n), eNuclear: mol.NuclearRepulsion()}
+	sv := &solver{cfg: cfg, set: set, p: linalg.NewSquare(n), eNuclear: mol.NuclearRepulsion()}
+	sv.s, sv.h = eng.OverlapAndCore()
 	sv.x = linalg.LowdinOrthogonalizer(sv.s, 1e-9)
 	if sv.x.Cols < nocc {
 		return nil, fmt.Errorf("scf: basis too linearly dependent: %d independent functions for %d occupied orbitals", sv.x.Cols, nocc)
@@ -241,11 +254,7 @@ func newSolver(mol *chem.Molecule, cfg Config, nocc int, forces bool) (*solver, 
 		sadGuess(set, sv.p)
 	}
 
-	if sv.builder = cfg.ExternalBuilder; sv.builder != nil {
-		if nb := sv.builder.NBasis(); nb != n {
-			return nil, fmt.Errorf("scf: external builder is bound to %d basis functions, geometry needs %d", nb, n)
-		}
-	} else {
+	if sv.builder = cfg.ExternalBuilder; sv.builder == nil {
 		scr := cfg.Screening
 		if scr == nil {
 			scr = screen.BuildPairList(eng, cfg.Screen)
@@ -260,6 +269,25 @@ func newSolver(mol *chem.Molecule, cfg Config, nocc int, forces bool) (*solver, 
 		sv.xcInt.Rebind(cfg.Functional, set, dft.BuildGrid(mol, cfg.Grid), forces)
 	}
 	return sv, nil
+}
+
+// boundTo returns an error unless set, an external builder's basis, is
+// basis name over mol's elements at mol's positions.
+func boundTo(set *basis.Set, name string, mol *chem.Molecule) error {
+	if set.Name != name {
+		return fmt.Errorf("scf: external builder is bound to basis %s, the run asks for %s", set.Name, name)
+	}
+	bound := set.Mol.Atoms
+	if len(bound) != len(mol.Atoms) {
+		return fmt.Errorf("scf: external builder is bound to %d atoms, the run has %d", len(bound), len(mol.Atoms))
+	}
+	for i, a := range mol.Atoms {
+		if b := bound[i]; b.El != a.El || b.Pos != a.Pos {
+			return fmt.Errorf("scf: external builder has %s at %v as atom %d, the run has %s at %v",
+				b.El, b.Pos, i, a.El, a.Pos)
+		}
+	}
+	return nil
 }
 
 // close releases the builder if the run built it.

@@ -4,14 +4,17 @@ import (
 	"context"
 	"errors"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
+	"hfxmd/internal/basis"
 	"hfxmd/internal/chem"
 	"hfxmd/internal/dft"
 	"hfxmd/internal/hfx"
 	"hfxmd/internal/integrals"
 	"hfxmd/internal/linalg"
+	"hfxmd/internal/screen"
 )
 
 func runHF(t testing.TB, mol *chem.Molecule) *Result {
@@ -521,6 +524,37 @@ func TestXCEnergiesPinnedToFiniteDifferencePotential(t *testing.T) {
 		}
 		if d := math.Abs(res.GridElectrons - tc.nelec); d > 1e-10 {
 			t.Fatalf("%s: grid electrons %.14f, want %.14f (off by %.2g)", name, res.GridElectrons, tc.nelec, d)
+		}
+	}
+}
+
+// TestExternalBuilderMustMatchGeometry: a run on an external builder takes
+// the builder's basis and engine, bit for bit the run on its own builder,
+// and fails unless the builder is bound to the run's basis, elements and
+// positions.
+func TestExternalBuilderMustMatchGeometry(t *testing.T) {
+	water := chem.Water()
+	own := runHF(t, water)
+	eng := integrals.NewEngine(basis.MustBuild("STO-3G", water))
+	b := hfx.NewBuilder(eng, screen.BuildPairList(eng, screen.DefaultOptions()), hfx.DefaultOptions())
+	defer b.Close()
+	res, err := Run(water.Clone(), Config{ExternalBuilder: b})
+	if err != nil || res.Energy != own.Energy || res.Set != eng.Basis {
+		t.Fatalf("on the bound geometry: err %v, E %.12f (own builder %.12f), builder's basis %v",
+			err, res.Energy, own.Energy, res != nil && res.Set == eng.Basis)
+	}
+	moved := water.Clone()
+	moved.Atoms[1].Pos[0] += 1e-3
+	hf := water.Clone()
+	hf.Atoms[0].El, hf.Charge = chem.F, 1
+	for name, run := range map[string]func() error{
+		"moved atom":    func() error { _, err := Run(moved, Config{ExternalBuilder: b}); return err },
+		"other element": func() error { _, err := Run(hf, Config{ExternalBuilder: b}); return err },
+		"other basis":   func() error { _, err := Run(water, Config{Basis: "6-31G", ExternalBuilder: b}); return err },
+		"fewer atoms":   func() error { _, err := Run(chem.Hydrogen(1.4), Config{ExternalBuilder: b}); return err },
+	} {
+		if err := run(); err == nil || !strings.Contains(err.Error(), "external builder") {
+			t.Errorf("%s: err %v, want the external builder's mismatch", name, err)
 		}
 	}
 }

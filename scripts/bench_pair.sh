@@ -1,6 +1,6 @@
 #!/bin/sh
 # The Fock perf gate: every Fock-build, ERI-kernel, prep (pair tables and
-# pair list), XC, analytic-gradient and session-step benchmark row of a
+# pair list), one-electron, XC, analytic-gradient and session-step benchmark row of a
 # base revision against the working tree, as alternating runs of prebuilt
 # test binaries. The guest drifts by
 # up to 1.6x with its neighbours' load; running the two sides of a row
@@ -109,7 +109,7 @@ while [ "$i" -le "$pairs" ]; do
 hfx -test.bench BenchmarkBuildJK(Pooled|SemiDirect|SemiDirect631Gs)$ -test.benchtime 3x
 hfx -test.bench BenchmarkDirectBuild -test.cpu 1 -test.benchtime 10x
 integrals -test.bench BenchmarkERIClass -test.benchtime 0.2s
-integrals -test.bench BenchmarkPairTables -test.cpu 1
+integrals -test.bench Benchmark(PairTables|OneElectron)$ -test.cpu 1
 screen -test.bench BenchmarkBuildPairListThreads1 -test.cpu 1
 dft -test.bench Benchmark(IntegratePBE0|XCTabulate) -test.cpu 1 -test.benchtime 0.2s
 scf -test.bench BenchmarkGradient -test.cpu 1 -test.benchtime 0.2s
