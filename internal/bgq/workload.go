@@ -128,7 +128,7 @@ func MeasuredWorkload(set *basis.Set, pairs []screen.Pair, tasks []hfx.Task) *Wo
 	var maxQ float64
 	for i := range tasks {
 		costs[i] = tasks[i].Cost * 1e-9
-		if c := tasks[i].Cost / float64(maxInt(tasks[i].QuartetsInTask, 1)); c > maxQ {
+		if c := tasks[i].Cost / float64(max(tasks[i].QuartetsInTask, 1)); c > maxQ {
 			maxQ = c
 		}
 	}
@@ -137,14 +137,7 @@ func MeasuredWorkload(set *basis.Set, pairs []screen.Pair, tasks []hfx.Task) *Wo
 		Name:                fmt.Sprintf("%s measured HFX", set.Mol.Name),
 		TaskCosts:           costs,
 		KMatrixBytes:        nb * nb * 8,
-		TouchedBytesPerTask: 500 * float64(hfx.TotalQuartets(tasks)) / float64(maxInt(len(tasks), 1)),
+		TouchedBytesPerTask: 500 * float64(hfx.TotalQuartets(tasks)) / float64(max(len(tasks), 1)),
 		QuartetCost:         maxQ * 1e-9,
 	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -332,37 +332,12 @@ func (it *Integrator) integrateChunk(c *xcChunk) {
 		nb := min(xcBlock, c.hi-lo)
 		phi := it.phi[lo*n : (lo+nb)*n]
 		t := c.t[:nb*n]
-		clear(t)
-		for mu := 0; mu < n; mu++ {
-			row := it.p.Row(mu)
-			for b := 0; b < nb; b++ {
-				if pm := phi[b*n+mu]; pm != 0 {
-					tb := t[b*n:][:len(row)]
-					for nu, x := range row {
-						tb[nu] += pm * x
-					}
-				}
-			}
-		}
+		rowProducts(t, phi, it.p)
 		// Per point: density, functional, and the row of A over T's.
 		for b := 0; b < nb; b++ {
 			tb, pb := t[b*n:(b+1)*n], phi[b*n:(b+1)*n]
-			var rho float64
-			for nu, x := range tb {
-				rho += x * pb[nu]
-			}
-			var grho [3]float64
-			var gb [][3]float64
-			if gga {
-				gb = it.dphi[(lo+b)*n : (lo+b+1)*n]
-				for nu, x := range tb {
-					grho[0] += x * gb[nu][0]
-					grho[1] += x * gb[nu][1]
-					grho[2] += x * gb[nu][2]
-				}
-				grho = [3]float64{2 * grho[0], 2 * grho[1], 2 * grho[2]}
-			}
-			if rho < rhoFloor {
+			rho, grho, low := it.density(tb, lo+b)
+			if low {
 				clear(tb)
 				continue
 			}
@@ -374,8 +349,8 @@ func (it *Integrator) integrateChunk(c *xcChunk) {
 			for nu := range tb {
 				tb[nu] = ar * pb[nu]
 			}
-			if gb != nil {
-				gx, gy, gz := ag*grho[0], ag*grho[1], ag*grho[2]
+			if gga {
+				gb, gx, gy, gz := it.dphi[(lo+b)*n:(lo+b+1)*n], ag*grho[0], ag*grho[1], ag*grho[2]
 				for nu := range tb {
 					tb[nu] += gx*gb[nu][0] + gy*gb[nu][1] + gz*gb[nu][2]
 				}
@@ -393,4 +368,43 @@ func (it *Integrator) integrateChunk(c *xcChunk) {
 			}
 		}
 	}
+}
+
+// rowProducts sets dst to rows·P, one n-wide row per row of rows: Σ_μ
+// rows_b,μ·P_μν over μ in order, skipping rows' zeros. For a symmetric P
+// that is the row (P·rows_b)ᵀ, term for term.
+func rowProducts(dst, rows []float64, p *linalg.Matrix) {
+	n := p.Rows
+	clear(dst)
+	for mu := 0; mu < n; mu++ {
+		row := p.Row(mu)
+		for off := 0; off < len(rows); off += n {
+			if pm := rows[off+mu]; pm != 0 {
+				db := dst[off:][:len(row)]
+				for nu, x := range row {
+					db[nu] += pm * x
+				}
+			}
+		}
+	}
+}
+
+// density returns ρ = Σ t∘φ at live point i from its row t of T = Φ·P,
+// whether ρ is below rhoFloor, where the functional is skipped, and
+// otherwise for a GGA ∇ρ = 2 Σ t∘∇φ.
+func (it *Integrator) density(t []float64, i int) (rho float64, grho [3]float64, low bool) {
+	for nu, x := range it.phi[i*it.n : (i+1)*it.n] {
+		rho += t[nu] * x
+	}
+	low = rho < rhoFloor
+	if !low && it.f.NeedsGradient() {
+		var gx, gy, gz float64 // scalars, so they stay in registers
+		for nu, g := range it.dphi[i*it.n : (i+1)*it.n] {
+			gx += t[nu] * g[0]
+			gy += t[nu] * g[1]
+			gz += t[nu] * g[2]
+		}
+		grho = [3]float64{2 * gx, 2 * gy, 2 * gz}
+	}
+	return rho, grho, low
 }

@@ -25,7 +25,7 @@ import (
 // xcGradScratch is one chunk's working set and partial gradient.
 type xcGradScratch struct {
 	g     []float64 // 3 × atoms
-	t, a  []float64 // n each
+	a     []float64 // n
 	part  becke     // Becke partition with the chunk's own per-point scratch
 	u, dw []chem.Vec3
 }
@@ -37,8 +37,8 @@ func (it *Integrator) bindGradScratch() {
 	mol, n := it.set.Mol, it.n
 	natoms := mol.NAtoms()
 	first := &it.slab[0].grad
-	if len(first.g) != 3*natoms || len(first.t) != n {
-		floats := make([]float64, xcChunks*(5*natoms+2*n)+natoms*natoms)
+	if len(first.g) != 3*natoms || len(first.a) != n {
+		floats := make([]float64, xcChunks*(5*natoms+n)+natoms*natoms)
 		vecs := make([]chem.Vec3, xcChunks*2*natoms)
 		cut := func(k int) []float64 {
 			s := floats[:k:k]
@@ -48,7 +48,7 @@ func (it *Integrator) bindGradScratch() {
 		dist := cut(natoms * natoms)
 		for ci := range it.slab {
 			s := &it.slab[ci].grad
-			s.g, s.t, s.a = cut(3*natoms), cut(n), cut(n)
+			s.g, s.a = cut(3*natoms), cut(n)
 			s.part = becke{dist: dist, r: cut(natoms), cell: cut(natoms)}
 			s.u, s.dw = vecs[:natoms:natoms], vecs[natoms:2*natoms:2*natoms]
 			vecs = vecs[2*natoms:]
@@ -61,10 +61,11 @@ func (it *Integrator) bindGradScratch() {
 }
 
 // Gradient returns the nuclear-coordinate gradient of the XC energy
-// Integrate(p).Energy at fixed density p, one vector per atom. The chunks'
-// partial gradients are merged in index order, so like Integrate the bits
-// do not depend on GOMAXPROCS. On an integrator bound for forces it
-// allocates only its result.
+// Integrate(p).Energy at fixed density p, one vector per atom. p must be
+// symmetric, as every SCF density is: the gradient reads each point's P·φ
+// off its row of Φ·P. The chunks' partial gradients are merged in index
+// order, so like Integrate the bits do not depend on GOMAXPROCS. On an
+// integrator bound for forces it allocates only its result.
 func (it *Integrator) Gradient(p *linalg.Matrix) []chem.Vec3 {
 	if !it.forces {
 		it.Rebind(it.f, it.set, it.grid, true)
@@ -82,61 +83,51 @@ func (it *Integrator) Gradient(p *linalg.Matrix) []chem.Vec3 {
 	return out
 }
 
-// gradientChunk accumulates the chunk's share of the gradient.
+// gradientChunk accumulates the chunk's share of the gradient on Integrate's blocks.
 func (it *Integrator) gradientChunk(c *xcChunk) {
 	s, n, gga := &c.grad, it.n, it.f.NeedsGradient()
 	clear(s.g)
-	for i := c.lo; i < c.hi; i++ {
-		phi, dphi := it.phi[i*n:(i+1)*n], it.dphi[i*n:(i+1)*n]
-		var rho float64
-		for mu := range s.t {
-			var v float64
-			for nu, x := range it.p.Row(mu) {
-				v += x * phi[nu]
+	for lo := c.lo; lo < c.hi; lo += xcBlock {
+		nb := min(xcBlock, c.hi-lo)
+		t := c.t[:nb*n]
+		rowProducts(t, it.phi[lo*n:(lo+nb)*n], it.p)
+		for i := lo; i < lo+nb; i++ {
+			tb, phi, dphi := t[(i-lo)*n:(i-lo+1)*n], it.phi[i*n:(i+1)*n], it.dphi[i*n:(i+1)*n]
+			rho, grho, low := it.density(tb, i)
+			if low {
+				continue
 			}
-			s.t[mu] = v
-			rho += v * phi[mu]
-		}
-		if rho < rhoFloor {
-			continue
-		}
-		var grho [3]float64
-		if gga {
-			for mu, x := range s.t {
-				grho[0] += x * dphi[mu][0]
-				grho[1] += x * dphi[mu][1]
-				grho[2] += x * dphi[mu][2]
-			}
-			grho = [3]float64{2 * grho[0], 2 * grho[1], 2 * grho[2]}
-		}
-		pt := &it.pts[i]
-		fv, dfdrho, dfdgamma := it.f.Eval(rho, grho[0]*grho[0]+grho[1]*grho[1]+grho[2]*grho[2])
-		it.weightGradient(pt, pt.W*fv, s)
+			pt := &it.pts[i]
+			fv, dfdrho, dfdgamma := it.f.Eval(rho, grho[0]*grho[0]+grho[1]*grho[1]+grho[2]*grho[2])
+			it.weightGradient(pt, pt.W*fv, s)
 
-		ar, ag := pt.W*dfdrho, 2*pt.W*dfdgamma
-		for nu := range s.a {
-			s.a[nu] = ar*phi[nu] + ag*(grho[0]*dphi[nu][0]+grho[1]*dphi[nu][1]+grho[2]*dphi[nu][2])
-		}
-		own := s.g[3*pt.Atom : 3*pt.Atom+3]
-		for mu, atom := range it.fnAtom {
-			if atom == pt.Atom {
-				continue // moves with the point
+			ar, ag := pt.W*dfdrho, 2*pt.W*dfdgamma
+			for nu := range s.a {
+				s.a[nu] = ar*phi[nu] + ag*(grho[0]*dphi[nu][0]+grho[1]*dphi[nu][1]+grho[2]*dphi[nu][2])
 			}
-			var q float64
-			for nu, x := range it.p.Row(mu) {
-				q += x * s.a[nu]
-			}
-			v := [3]float64{dphi[mu][0] * q, dphi[mu][1] * q, dphi[mu][2] * q}
-			if gga {
-				h, tg := &it.hphi[i*n+mu], ag*s.t[mu]
-				v[0] += tg * (h[0]*grho[0] + h[1]*grho[1] + h[2]*grho[2])
-				v[1] += tg * (h[1]*grho[0] + h[3]*grho[1] + h[4]*grho[2])
-				v[2] += tg * (h[2]*grho[0] + h[4]*grho[1] + h[5]*grho[2])
-			}
-			g := s.g[3*atom : 3*atom+3]
-			for k := range g {
-				g[k] -= 2 * v[k]
-				own[k] += 2 * v[k]
+			own := s.g[3*pt.Atom : 3*pt.Atom+3]
+			for mu, atom := range it.fnAtom {
+				if atom == pt.Atom {
+					continue // moves with the point
+				}
+				// Q_μ = (P·a)_μ, one dot per function off the owner: it
+				// skips the owner's rows, which rowProducts cannot.
+				var q float64
+				for nu, x := range it.p.Row(mu) {
+					q += x * s.a[nu]
+				}
+				v := [3]float64{dphi[mu][0] * q, dphi[mu][1] * q, dphi[mu][2] * q}
+				if gga {
+					h, tg := &it.hphi[i*n+mu], ag*tb[mu]
+					v[0] += tg * (h[0]*grho[0] + h[1]*grho[1] + h[2]*grho[2])
+					v[1] += tg * (h[1]*grho[0] + h[3]*grho[1] + h[4]*grho[2])
+					v[2] += tg * (h[2]*grho[0] + h[4]*grho[1] + h[5]*grho[2])
+				}
+				g := s.g[3*atom : 3*atom+3]
+				for k := range g {
+					g[k] -= 2 * v[k]
+					own[k] += 2 * v[k]
+				}
 			}
 		}
 	}

@@ -12,6 +12,8 @@
 // (1978) 218.
 package integrals
 
+import "math"
+
 // CartComponent is one Cartesian angular-momentum triple (lx,ly,lz).
 type CartComponent struct{ X, Y, Z int }
 
@@ -97,5 +99,5 @@ func componentNorm(c CartComponent) float64 {
 	}
 	num := doubleFactorial(2*l - 1)
 	den := doubleFactorial(2*c.X-1) * doubleFactorial(2*c.Y-1) * doubleFactorial(2*c.Z-1)
-	return sqrt(num / den)
+	return math.Sqrt(num / den)
 }

@@ -12,7 +12,7 @@ import (
 
 // Engine evaluates molecular integrals over a basis.Set. It is safe for
 // concurrent use: per-call scratch is allocated locally and shell-pair
-// cache entries are published with atomic pointers.
+// cache entries and the overlap matrix are published with atomic pointers.
 type Engine struct {
 	Basis *basis.Set
 	// Vector makes ERIShell account every quartet's gathered primitive
@@ -23,6 +23,7 @@ type Engine struct {
 	// plain and deriv memoise the term tables of every shell pair and their
 	// derivative tables (deriv.go), which only a gradient build asks for.
 	plain, deriv tableCache
+	s            atomic.Pointer[linalg.Matrix] // S, built by the first request for it
 }
 
 // tableCache memoises shell-pair tables by a·NShells+b, built on first use.
@@ -37,8 +38,30 @@ func NewEngine(b *basis.Set) *Engine { return &Engine{Basis: b} }
 // twoPi52 = 2·π^{5/2}, the ERI prefactor.
 var twoPi52 = 2 * math.Pow(math.Pi, 2.5)
 
-// Overlap returns the overlap matrix S.
-func (e *Engine) Overlap() *linalg.Matrix { return e.oneElectron(noOrigin, oneS)[oneS] }
+// Overlap returns the overlap matrix S. The matrix belongs to the engine,
+// which computes it once for every caller: read it, never write it.
+func (e *Engine) Overlap() *linalg.Matrix {
+	if s := e.s.Load(); s != nil {
+		return s
+	}
+	return e.keepOverlap(e.oneElectron(noOrigin, oneS)[oneS])
+}
+
+// keepOverlap counts a computed S and publishes it as the engine's unless a
+// concurrent call published one first; it returns the published one.
+func (e *Engine) keepOverlap(s *linalg.Matrix) *linalg.Matrix {
+	overlapPasses.Add(1)
+	e.s.CompareAndSwap(nil, s)
+	return e.s.Load()
+}
+
+// overlapPasses counts the overlap matrices every engine of the process
+// has computed.
+var overlapPasses atomic.Int64
+
+// OverlapPasses returns how many overlap matrices the engines of this
+// process have computed: one per geometry served on one engine.
+func OverlapPasses() int64 { return overlapPasses.Load() }
 
 // Kinetic returns the kinetic-energy matrix T.
 func (e *Engine) Kinetic() *linalg.Matrix { return e.oneElectron(noOrigin, oneT)[oneT] }
@@ -51,10 +74,14 @@ func (e *Engine) Nuclear() *linalg.Matrix { return e.oneElectron(noOrigin, oneV)
 func (e *Engine) CoreHamiltonian() *linalg.Matrix { return e.oneElectron(noOrigin, oneH)[oneH] }
 
 // OverlapAndCore returns S and H from one pass, the two matrices an SCF
-// run needs before its first iteration.
+// run needs before its first iteration. S is Overlap's matrix; once the
+// engine has it, the pass computes H alone, with the same bits.
 func (e *Engine) OverlapAndCore() (s, h *linalg.Matrix) {
+	if s := e.s.Load(); s != nil {
+		return s, e.CoreHamiltonian()
+	}
 	m := e.oneElectron(noOrigin, oneS, oneH)
-	return m[oneS], m[oneH]
+	return e.keepOverlap(m[oneS]), m[oneH]
 }
 
 // Dipole returns the three dipole-moment matrices ⟨μ|x_c|ν⟩ relative to

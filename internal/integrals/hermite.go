@@ -5,8 +5,6 @@ import (
 	"sync"
 )
 
-func sqrt(x float64) float64 { return math.Sqrt(x) }
-
 // eTable holds the Hermite expansion coefficients E_t^{ij} for one
 // Cartesian dimension of a primitive pair: the product of Gaussians with
 // exponents a (angular power up to imax) and b (up to jmax) expands as

@@ -3,6 +3,7 @@ package md
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"hfxmd/internal/basis"
@@ -92,11 +93,9 @@ type Session struct {
 	mu      sync.Mutex
 	pred    predictor
 	xc      dft.Integrator
-	scr     *screen.Result
-	builder *hfx.Builder
-	refPos  []chem.Vec3 // geometry the pair list was built at
-	refEl   []chem.Element
-	served  int64 // builds of the current builder already in stats.FockBuilds
+	builder *hfx.Builder // its Scr is the pair list, its Eng this step's engine
+	refPos  []chem.Vec3  // geometry the pair list was built at
+	served  int64        // builds of the current builder already in stats.FockBuilds
 	stats   SessionStats
 }
 
@@ -165,9 +164,10 @@ func (s *Session) runLocked(m *chem.Molecule, solve func(*chem.Molecule, scf.Con
 	}
 	eng := integrals.NewEngine(set)
 
-	// Screening-list reuse, guarded by composition identity and the
-	// max-displacement invalidation bound.
-	same := s.builder != nil && s.sameComposition(m)
+	// Screening-list reuse, guarded by composition identity with the
+	// builder's bound molecule and the max-displacement invalidation bound.
+	same := s.builder != nil && slices.EqualFunc(s.builder.Eng.Basis.Mol.Atoms, m.Atoms,
+		func(a, b chem.Atom) bool { return a.El == b.El })
 	if !same {
 		s.pred.clear()
 	}
@@ -182,16 +182,15 @@ func (s *Session) runLocked(m *chem.Molecule, solve func(*chem.Molecule, scf.Con
 		if s.builder != nil {
 			s.builder.Close()
 		}
-		s.scr = screen.BuildPairList(eng, s.cfg.Screen)
-		s.builder = hfx.NewBuilder(eng, s.scr, s.cfg.HFX)
+		s.builder = hfx.NewBuilder(eng, screen.BuildPairList(eng, s.cfg.Screen), s.cfg.HFX)
 		s.refPos = pos
-		s.refEl = elementsOf(m)
 		s.served = 0
 		s.stats.PairListBuilds++
 	}
 
+	// eng is the builder's engine either way, so the predictor's S below is
+	// the one the solver reads.
 	cold := s.cfg
-	cold.Screening = s.scr
 	cold.ExternalBuilder = s.builder
 	cold.ExternalIntegrator = &s.xc
 	run := cold
@@ -294,26 +293,4 @@ func positionsOf(m *chem.Molecule) []chem.Vec3 {
 		pos[i] = a.Pos
 	}
 	return pos
-}
-
-func elementsOf(m *chem.Molecule) []chem.Element {
-	els := make([]chem.Element, m.NAtoms())
-	for i, a := range m.Atoms {
-		els[i] = a.El
-	}
-	return els
-}
-
-// sameComposition reports whether m matches the pair-list reference
-// system atom for atom.
-func (s *Session) sameComposition(m *chem.Molecule) bool {
-	if len(s.refEl) != m.NAtoms() {
-		return false
-	}
-	for i, a := range m.Atoms {
-		if a.El != s.refEl[i] {
-			return false
-		}
-	}
-	return true
 }

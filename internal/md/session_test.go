@@ -9,6 +9,7 @@ import (
 	"hfxmd/internal/chem"
 	"hfxmd/internal/dft"
 	"hfxmd/internal/hfx"
+	"hfxmd/internal/integrals"
 	"hfxmd/internal/scf"
 	"hfxmd/internal/store"
 )
@@ -113,6 +114,29 @@ func TestSessionCompositionChange(t *testing.T) {
 	}
 	if st := s.Stats(); st.PairListBuilds != 2 || st.PairListReuses != 0 {
 		t.Fatalf("composition change must rebuild, stats %+v", st)
+	}
+}
+
+// TestSessionStepComputesOverlapOnce: the predictor and the solver of a
+// served step read S from one engine, the builder's, so each step walks
+// the S pass once — the cold first step, the pair-list rebuild and the
+// warm steps alike.
+func TestSessionStepComputesOverlapOnce(t *testing.T) {
+	cfg := sessionCfg()
+	cfg.Functional = dft.PBE0{}
+	s := NewSession(cfg, SessionOptions{MaxDisplacement: 0.015})
+	defer s.Close()
+	for _, dz := range []float64{0, 0.01, 0.02, 0.03} {
+		before := integrals.OverlapPasses()
+		if _, _, err := s.Forces(nudged(dz), 0, 1); err != nil {
+			t.Fatal(err)
+		}
+		if n := integrals.OverlapPasses() - before; n != 1 {
+			t.Fatalf("step at dz = %g walked the S pass %d times, want 1", dz, n)
+		}
+	}
+	if st := s.Stats(); st.PairListBuilds < 2 || st.PairListReuses == 0 || st.WarmStarts == 0 {
+		t.Fatalf("steps did not cover a rebuild, a reuse and a warm start: %+v", st)
 	}
 }
 

@@ -266,10 +266,3 @@ func Summarize(costs []float64) CostStats {
 	}
 	return st
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -28,7 +28,6 @@ import (
 	"hfxmd/internal/dft"
 	"hfxmd/internal/hfx"
 	"hfxmd/internal/integrals"
-	"hfxmd/internal/linalg"
 	"hfxmd/internal/md"
 	"hfxmd/internal/respa"
 	"hfxmd/internal/scf"
@@ -375,7 +374,6 @@ type SCFSummary struct {
 	Mulliken []float64  `json:"mulliken,omitempty"`
 }
 
-// SummarizeSCF builds the shared wire encoding from an SCF result.
 // finiteOrNil maps NaN/Inf to nil so the value JSON-encodes as absent.
 func finiteOrNil(x float64) *float64 {
 	if math.IsNaN(x) || math.IsInf(x, 0) {
@@ -384,8 +382,14 @@ func finiteOrNil(x float64) *float64 {
 	return &x
 }
 
+// SummarizeSCF builds the shared wire encoding from an SCF result.
 func SummarizeSCF(res *scf.Result) *SCFSummary {
-	eng := integrals.NewEngine(res.Set)
+	return summarizeSCF(res, integrals.NewEngine(res.Set))
+}
+
+// summarizeSCF is SummarizeSCF on eng, an engine over res.Set: the run's
+// own engine gives the dipole and Mulliken charges without a second S.
+func summarizeSCF(res *scf.Result, eng *integrals.Engine) *SCFSummary {
 	return &SCFSummary{
 		Energy:      res.Energy,
 		EOne:        res.EOne,
@@ -552,9 +556,6 @@ const (
 	StateFailed    = "failed"
 	StateCancelled = "cancelled"
 )
-
-// frobenius returns the Frobenius norm of m.
-func frobenius(m *linalg.Matrix) float64 { return m.FrobeniusNorm() }
 
 // retryAfterSeconds estimates how long a client should wait before
 // resubmitting when the queue is full: the predicted work ahead of the

@@ -585,7 +585,7 @@ func (s *Server) runSCF(j *job) *JobResult {
 	if scf.SaveSeed(s.store, cfg, res) {
 		s.reg.Counter("prefix.density_stored").Add(1)
 	}
-	return &JobResult{State: StateDone, SCF: SummarizeSCF(res)}
+	return &JobResult{State: StateDone, SCF: summarizeSCF(res, j.prep.eng)}
 }
 
 // runBuildJK runs one J/K build on the worker's cached builder. With
@@ -606,8 +606,8 @@ func (s *Server) runBuildJK(st *workerState, j *job) *JobResult {
 		QuartetsScreened: rep.QuartetsScreened,
 		BalanceRatio:     rep.BalanceRatio,
 		WallNS:           rep.Wall.Nanoseconds(),
-		JNorm:            frobenius(jm),
-		KNorm:            frobenius(km),
+		JNorm:            jm.FrobeniusNorm(),
+		KNorm:            km.FrobeniusNorm(),
 		ExchangeEnergy:   hfx.ExchangeEnergy(p, km),
 		EriCacheHits:     rep.Cache.Hits,
 		EriCacheMisses:   rep.Cache.Misses,

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"hfxmd/internal/hfx"
+	"hfxmd/internal/integrals"
 	"hfxmd/internal/scf"
 	"hfxmd/internal/store"
 )
@@ -349,6 +350,23 @@ func TestServerSCFJobAndCacheHit(t *testing.T) {
 	want, _ := json.Marshal(SummarizeSCF(in))
 	if !bytes.Equal(got, want) {
 		t.Fatalf("served SCF summary differs from an in-process run:\n%s\n%s", got, want)
+	}
+}
+
+// TestServedSCFComputesOverlapOnce: a served SCF job's solver and its
+// summary (Mulliken charges) share the job's integral engine, so the job
+// walks the S pass once.
+func TestServedSCFComputesOverlapOnce(t *testing.T) {
+	s := mustNew(t, Config{Workers: 1})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	before := integrals.OverlapPasses()
+	res := submit(t, ts, JobRequest{Kind: KindSCF, System: "water"})
+	if res.State != StateDone || res.SCF == nil || len(res.SCF.Mulliken) == 0 {
+		t.Fatalf("served SCF: %+v", res)
+	}
+	if n := integrals.OverlapPasses() - before; n != 1 {
+		t.Fatalf("a served SCF job walked the S pass %d times, want 1", n)
 	}
 }
 
