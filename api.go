@@ -116,12 +116,12 @@ func RunUHF(mol *Molecule, cfg SCFConfig, multiplicity int) (*UHFResult, error) 
 
 // MullikenCharges returns per-atom partial charges for a converged result.
 func MullikenCharges(res *SCFResult) []float64 {
-	return scf.MullikenCharges(res, integrals.NewEngine(res.Set))
+	return scf.MullikenCharges(res, res.Eng)
 }
 
 // DipoleMoment returns the dipole vector (a.u.) for a converged result.
 func DipoleMoment(res *SCFResult) [3]float64 {
-	return scf.Dipole(res, integrals.NewEngine(res.Set))
+	return scf.Dipole(res, res.Eng)
 }
 
 // ---------------------------------------------------------------------------

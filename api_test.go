@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
 	"hfxmd"
+	"hfxmd/internal/integrals"
 )
 
 func TestFacadeSCFWater(t *testing.T) {
@@ -28,6 +30,26 @@ func TestFacadeSCFWater(t *testing.T) {
 	mu := hfxmd.DipoleMoment(res)
 	if mu[2] <= 0 {
 		t.Fatalf("dipole %v", mu)
+	}
+}
+
+// TestSummaryReusesRunOverlap: an SCF result carries the engine its run
+// used, whose S is already memoised, so the wire summary and the facade's
+// Mulliken charges and dipole compute no second overlap matrix.
+func TestSummaryReusesRunOverlap(t *testing.T) {
+	res, err := hfxmd.RunSCF(hfxmd.Water(), hfxmd.SCFConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := integrals.OverlapPasses()
+	sum := hfxmd.SummarizeSCF(res)
+	q := hfxmd.MullikenCharges(res)
+	mu := hfxmd.DipoleMoment(res)
+	if n := integrals.OverlapPasses() - before; n != 0 {
+		t.Fatalf("summarising a finished SCF walked the S pass %d times, want 0", n)
+	}
+	if len(q) != 3 || !slices.Equal(q, sum.Mulliken) || mu != sum.Dipole {
+		t.Fatalf("facade charges %v / dipole %v differ from the summary's %v / %v", q, mu, sum.Mulliken, sum.Dipole)
 	}
 }
 

@@ -429,3 +429,40 @@ func TestClusterSharedStoreCrossInstanceHits(t *testing.T) {
 		t.Fatalf("fleet.cache_hits = %d, want 1", got)
 	}
 }
+
+// TestSharedStoreGaugesCountSiblingWrites: on a shared store an instance's
+// cache gauges read the store itself, so a result written by one instance
+// shows in the other's cache.entries before that one has run any job.
+func TestSharedStoreGaugesCountSiblingWrites(t *testing.T) {
+	ctx := context.Background()
+	c := mustCluster(t, Options{
+		Instances: 2, StoreDir: t.TempDir(),
+		Server: server.Config{Workers: 1, QueueCap: 8},
+	})
+	r, i, err := c.Submit(ctx, screenReq("h2"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.State != server.StateDone || r.CacheHit {
+		t.Fatalf("first submission: %+v", r)
+	}
+	b := c.Instances()[1-i]
+	if got := b.Srv.Metrics().Counter("jobs.executed").Value(); got != 0 {
+		t.Fatalf("instance B executed %d jobs, want 0", got)
+	}
+	resp, err := http.Get(b.URL + "/metrics?format=json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap struct {
+		Gauges map[string]int64 `json:"gauges"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&snap)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := snap.Gauges["cache.entries"]; got != 1 {
+		t.Fatalf("instance B cache.entries = %d, want 1 (the result instance A wrote)", got)
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"math"
 
 	"hfxmd/internal/integrals"
+	"hfxmd/internal/screen"
 )
 
 // eriSpillMagic versions the serialized ERI cache image. Integrity is
@@ -25,7 +26,7 @@ const eriSpillMagic = "HFXERI\x01"
 // iff a slab image from one drops bit-exactly into the other.
 // Deliberately independent of the density, SCF settings, and result cache
 // key: the same geometry requested with a different maxIter shares spills.
-func (c *eriCache) layoutHash(rev uint64, eps float64, nbasis int, pairs []screenPairView) uint64 {
+func (c *eriCache) layoutHash(rev uint64, eps float64, nbasis int, pairs []screen.Pair) uint64 {
 	h := fnv.New64a()
 	var b [8]byte
 	w := func(v uint64) {
@@ -47,17 +48,11 @@ func (c *eriCache) layoutHash(rev uint64, eps float64, nbasis int, pairs []scree
 	}
 	w(uint64(len(pairs)))
 	for _, p := range pairs {
-		w(uint64(p.a))
-		w(uint64(p.b))
-		w(math.Float64bits(p.q))
+		w(uint64(p.A))
+		w(uint64(p.B))
+		w(math.Float64bits(p.Q))
 	}
 	return h.Sum64()
-}
-
-// screenPairView is the layout-relevant slice of a screen.Pair.
-type screenPairView struct {
-	a, b int
-	q    float64
 }
 
 // builderLayoutHash computes the spill layout hash of a builder's cache
@@ -73,11 +68,7 @@ func (b *Builder) layoutHashAt(rev uint64) uint64 {
 	if pl.cache == nil {
 		return 0
 	}
-	pairs := make([]screenPairView, len(pl.scr.Pairs))
-	for i, p := range pl.scr.Pairs {
-		pairs[i] = screenPairView{a: p.A, b: p.B, q: p.Q}
-	}
-	return pl.cache.layoutHash(rev, pl.scr.Opts.Threshold, pl.eng.Basis.NBasis, pairs)
+	return pl.cache.layoutHash(rev, pl.scr.Opts.Threshold, pl.eng.Basis.NBasis, pl.scr.Pairs)
 }
 
 // SpillKey returns the content-address of this builder's ERI cache

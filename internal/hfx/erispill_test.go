@@ -6,9 +6,11 @@ import (
 	"math"
 	"testing"
 
+	"hfxmd/internal/basis"
 	"hfxmd/internal/chem"
 	"hfxmd/internal/integrals"
 	"hfxmd/internal/linalg"
+	"hfxmd/internal/screen"
 )
 
 // TestSpillWarmBitwiseIdentical is the acceptance pin for ERI spill: a
@@ -255,4 +257,29 @@ func FuzzImportERICache(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestSpillKeyPinned pins SpillKey on two fixed builders, so spill images
+// already written to a store stay importable: any change to what the
+// layout hash reads, or to the order it reads it in, moves these keys.
+func TestSpillKeyPinned(t *testing.T) {
+	for _, c := range []struct {
+		mol  *chem.Molecule
+		want string
+	}{
+		{chem.Water(), "eri:ce404f170918cf79"},
+		{chem.WaterCluster(2, 1), "eri:c03db08e0d87cbf4"},
+	} {
+		eng := integrals.NewEngine(basis.MustBuild("STO-3G", c.mol))
+		scr := screen.BuildPairList(eng, screen.DefaultOptions())
+		opts := DefaultOptions()
+		opts.Threads = 1
+		opts.CacheBudgetBytes = 1 << 20
+		b := NewBuilder(eng, scr, opts)
+		got := b.SpillKey()
+		b.Close()
+		if got != c.want {
+			t.Errorf("%s: SpillKey = %s, want %s", c.mol.Name, got, c.want)
+		}
+	}
 }

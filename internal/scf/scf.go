@@ -147,6 +147,10 @@ type Result struct {
 	GridElectrons float64
 	// Set is the instantiated basis.
 	Set *basis.Set
+	// Eng is the integral engine the run used, over Set: an
+	// ExternalBuilder's own engine, else the one the run built. Its S is
+	// memoised, so MullikenCharges(res, res.Eng) computes no second S.
+	Eng *integrals.Engine
 }
 
 // HOMO returns the highest occupied orbital energy.
@@ -208,7 +212,7 @@ func run(mol *chem.Molecule, cfg Config, forces bool) (*Result, []chem.Vec3, err
 // solver holds what every SCF run needs before its first iteration.
 type solver struct {
 	cfg      Config
-	set      *basis.Set
+	eng      *integrals.Engine
 	s, h, x  *linalg.Matrix
 	builder  *hfx.Builder
 	owned    bool // the builder is the run's own, closed with it
@@ -239,7 +243,7 @@ func newSolver(mol *chem.Molecule, cfg Config, nocc int, forces bool) (*solver, 
 	}
 	set := eng.Basis
 	n := set.NBasis
-	sv := &solver{cfg: cfg, set: set, p: linalg.NewSquare(n), eNuclear: mol.NuclearRepulsion()}
+	sv := &solver{cfg: cfg, eng: eng, p: linalg.NewSquare(n), eNuclear: mol.NuclearRepulsion()}
 	sv.s, sv.h = eng.OverlapAndCore()
 	sv.x = linalg.LowdinOrthogonalizer(sv.s, 1e-9)
 	if sv.x.Cols < nocc {
@@ -321,7 +325,7 @@ type channel struct {
 // with an error wrapping it.
 func (sv *solver) iterate(chs ...*channel) (*Result, error) {
 	cfg, h, s, x := sv.cfg, sv.h, sv.s, sv.x
-	res := &Result{Set: sv.set, ENuclear: sv.eNuclear}
+	res := &Result{Set: sv.eng.Basis, Eng: sv.eng, ENuclear: sv.eNuclear}
 	aX := cfg.Functional.ExactExchangeFraction()
 	var lastE float64
 	for iter := 1; iter <= cfg.MaxIter; iter++ {

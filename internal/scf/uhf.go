@@ -84,7 +84,7 @@ func RunUnrestricted(mol *chem.Molecule, cfg Config, multiplicity int) (*Unrestr
 		ENuclear: r.ENuclear, Converged: r.Converged, Iterations: r.Iterations,
 		NAlpha: na, NBeta: nb, EpsAlpha: alpha.eps, EpsBeta: beta.eps,
 		PAlpha: alpha.p, PBeta: beta.p, PTotal: sum(alpha.p, beta.p),
-		S2: spinSquared(alpha.c, beta.c, sv.s, na, nb), Set: sv.set,
+		S2: spinSquared(alpha.c, beta.c, sv.s, na, nb), Set: sv.eng.Basis,
 	}
 	return res, err
 }

@@ -10,8 +10,7 @@ import (
 // holds three kinds of content-addressed entries, distinguished by prefix:
 // these, converged densities for prefix reuse ("density:", minted by
 // scf.DensityKey), and spilled ERI cache images ("eri:", minted by
-// hfx.Builder.SpillKey). A store written by an older server may also hold
-// a "calib:model" entry; nothing reads it.
+// hfx.Builder.SpillKey).
 const resultKeyPrefix = "result:"
 
 // resultCache adapts the tiered content-addressed store to the server's

@@ -382,14 +382,10 @@ func finiteOrNil(x float64) *float64 {
 	return &x
 }
 
-// SummarizeSCF builds the shared wire encoding from an SCF result.
+// SummarizeSCF builds the shared wire encoding from an SCF result. The
+// dipole and Mulliken charges come from the run's own engine, res.Eng,
+// whose S the solver has already computed.
 func SummarizeSCF(res *scf.Result) *SCFSummary {
-	return summarizeSCF(res, integrals.NewEngine(res.Set))
-}
-
-// summarizeSCF is SummarizeSCF on eng, an engine over res.Set: the run's
-// own engine gives the dipole and Mulliken charges without a second S.
-func summarizeSCF(res *scf.Result, eng *integrals.Engine) *SCFSummary {
 	return &SCFSummary{
 		Energy:      res.Energy,
 		EOne:        res.EOne,
@@ -402,8 +398,8 @@ func summarizeSCF(res *scf.Result, eng *integrals.Engine) *SCFSummary {
 		NBasis:      res.Set.NBasis,
 		HOMO:        finiteOrNil(res.HOMO()),
 		LUMO:        finiteOrNil(res.LUMO()),
-		Dipole:      scf.Dipole(res, eng),
-		Mulliken:    scf.MullikenCharges(res, eng),
+		Dipole:      scf.Dipole(res, res.Eng),
+		Mulliken:    scf.MullikenCharges(res, res.Eng),
 	}
 }
 

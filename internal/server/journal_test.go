@@ -183,6 +183,37 @@ func TestServerRestoresJournaledJobsOnBoot(t *testing.T) {
 	}
 }
 
+// TestReplayedJobKeepsItsDeadline: a journaled job replayed at boot goes
+// through live admission, so it runs under its own timeoutMs rather than
+// the server default, and its price is observed in job.predicted_ms.
+func TestReplayedJobKeepsItsDeadline(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "jobs.wal")
+	jl, err := openJobJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := JobRequest{Kind: KindSCF, System: "watercluster", NWater: 2, TimeoutMS: 5}
+	if _, err := jl.submit("job-000001", &req); err != nil {
+		t.Fatal(err)
+	}
+	jl.close()
+
+	s := mustNew(t, Config{Workers: 1, CacheBytes: -1, JournalPath: path})
+	deadline := time.Now().Add(30 * time.Second)
+	for counter(s, "jobs.cancelled")+counter(s, "jobs.done")+counter(s, "jobs.failed") == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("replayed job never finished")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if c, d := counter(s, "jobs.cancelled"), counter(s, "jobs.done"); c != 1 || d != 0 {
+		t.Fatalf("replayed 5 ms job: cancelled=%d done=%d, want cancelled=1 done=0", c, d)
+	}
+	if got := s.reg.Histogram("job.predicted_ms", latencyEdgesMS).Total(); got != 1 {
+		t.Fatalf("job.predicted_ms observed %d replayed jobs, want 1", got)
+	}
+}
+
 // TestServerJournalsLiveJobs checks the steady-state write path: a job
 // accepted over HTTP lands a submit record and, once done, a finish
 // record, leaving nothing outstanding.

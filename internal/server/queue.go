@@ -40,6 +40,19 @@ type job struct {
 	done   chan struct{}
 }
 
+// outcome is the result of a run that returned err, before its payload:
+// done on nil, cancelled once the job's context has ended, else failed.
+func (j *job) outcome(err error) *JobResult {
+	switch {
+	case err == nil:
+		return &JobResult{State: StateDone}
+	case j.ctx.Err() != nil:
+		return &JobResult{State: StateCancelled, Error: err.Error()}
+	default:
+		return &JobResult{State: StateFailed, Error: err.Error()}
+	}
+}
+
 // queue is the bounded, cost-aware admission queue. Ordering is
 // shortest-predicted-job-first with starvation aging: the heap key is
 //

@@ -193,8 +193,7 @@ func New(cfg Config) (*Server, error) {
 		s.reg.Counter(c)
 	}
 	for _, g := range []string{
-		"jobs.queued", "jobs.running", "builders.open", "cache.entries", "cache.bytes",
-		"traj.last_step",
+		"jobs.running", "builders.open", "traj.last_step",
 	} {
 		s.reg.Gauge(g)
 	}
@@ -217,57 +216,67 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// replayJournal re-enqueues every outstanding journaled job before the
-// workers start. Requests that no longer validate, and jobs beyond the
-// queue capacity, are struck out instead of replayed. No handler waits
-// on a replayed job: it runs, lands in the result cache, and its finish
-// record strikes it from the journal like any live job.
+// replayJournal re-enqueues every outstanding journaled job through live
+// admission (admit) before the workers start. Requests that no longer
+// validate or price, and jobs beyond the queue capacity, are struck out
+// instead. No handler waits on a replayed job: it runs, lands in the result
+// cache, and its finish record strikes it from the journal like any other.
 func (s *Server) replayJournal() {
 	for _, rec := range s.journal.snapshotOutstanding() {
 		// Keep the original ID and advance the allocator past it so live
-		// submissions never collide with replayed ones.
+		// submissions never collide with replayed ones; nothing else mints
+		// an ID before New returns.
 		var seq int64
-		if _, err := fmt.Sscanf(rec.ID, "job-%d", &seq); err == nil {
-			for cur := s.nextID.Load(); cur < seq; cur = s.nextID.Load() {
-				if s.nextID.CompareAndSwap(cur, seq) {
-					break
-				}
-			}
+		if _, err := fmt.Sscanf(rec.ID, "job-%d", &seq); err == nil && seq > s.nextID.Load() {
+			s.nextID.Store(seq)
 		}
 		req := *rec.Req
 		req.normalize()
-		drop := func(why error) {
+		err := req.validate()
+		if err == nil {
+			_, err = s.admit(context.Background(), rec.ID, req)
+		}
+		if err != nil {
 			s.reg.Counter("journal.replay_dropped").Add(1)
 			s.journal.finish(rec.ID)
-			_ = why
-		}
-		if err := req.validate(); err != nil {
-			drop(err)
-			continue
-		}
-		prep, predicted, err := prepare(&req, s.cfg.BuilderThreads)
-		if err != nil {
-			drop(err)
-			continue
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), s.cfg.DefaultTimeout)
-		j := &job{
-			id: rec.ID, req: req, key: req.cacheKey(prep.mol),
-			prep: prep, predicted: predicted,
-			rank: predicted,
-			seq:  s.nextSeq.Add(1),
-			enq:  time.Now(), ctx: ctx, cancel: cancel,
-			done: make(chan struct{}),
-		}
-		s.reg.Gauge("jobs.queued").Add(1)
-		if err := s.q.push(j); err != nil {
-			s.reg.Gauge("jobs.queued").Add(-1)
-			cancel()
-			drop(err)
 			continue
 		}
 		s.reg.Counter("journal.replayed").Add(1)
 	}
+}
+
+// admit is the one admission of a job, live or replayed: it prices a
+// normalized, valid request, gives it a context on parent under its own
+// timeoutMs clamped to MaxTimeout, ranks it predicted + AgingNSPerSec·t and
+// queues it as id (a new ID when id is empty). A job the queue refuses is
+// returned, context cancelled, with ErrQueueFull or ErrDraining.
+func (s *Server) admit(parent context.Context, id string, req JobRequest) (*job, error) {
+	prep, predicted, err := prepare(&req, s.cfg.BuilderThreads)
+	if err != nil {
+		return nil, err
+	}
+	s.reg.Histogram("job.predicted_ms", latencyEdgesMS).Observe(predicted / 1e6)
+	timeout := s.cfg.DefaultTimeout
+	if req.TimeoutMS > 0 {
+		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
+	}
+	if id == "" {
+		id = s.newID()
+	}
+	ctx, cancel := context.WithTimeout(parent, min(timeout, s.cfg.MaxTimeout))
+	j := &job{
+		id: id, req: req, key: req.cacheKey(prep.mol),
+		prep: prep, predicted: predicted,
+		rank: predicted + s.cfg.AgingNSPerSec*time.Since(s.start).Seconds(),
+		seq:  s.nextSeq.Add(1),
+		enq:  time.Now(), ctx: ctx, cancel: cancel,
+		done: make(chan struct{}),
+	}
+	if err := s.q.push(j); err != nil {
+		cancel()
+		return j, err
+	}
+	return j, nil
 }
 
 // Handler returns the HTTP interface of the server.
@@ -348,7 +357,6 @@ func (s *Server) Store() *store.Store { return s.store }
 type workerState struct {
 	key     string
 	builder *hfx.Builder
-	prep    *prepared
 }
 
 // close releases the cached builder, if any, spilling the semi-direct
@@ -424,7 +432,7 @@ func (st *workerState) builderFor(j *job, s *Server) (*hfx.Builder, error) {
 	} else {
 		b = hfx.NewPricedBuilder(j.prep.eng, j.prep.scr, opts, j.prep.tasks)
 	}
-	st.builder, st.key, st.prep = b, j.prep.builderKey, j.prep
+	st.builder, st.key = b, j.prep.builderKey
 	s.reg.Counter("builders.created").Add(1)
 	s.reg.Gauge("builders.open").Add(1)
 	s.warmERI(b)
@@ -442,7 +450,6 @@ func (s *Server) worker() {
 		if !ok {
 			return
 		}
-		s.reg.Gauge("jobs.queued").Add(-1)
 		queueMS := float64(time.Since(j.enq)) / float64(time.Millisecond)
 		s.reg.Histogram("job.queue_ms", latencyEdgesMS).Observe(queueMS)
 		if err := j.ctx.Err(); err != nil {
@@ -484,8 +491,6 @@ func (s *Server) finish(j *job, res *JobResult) {
 	case StateDone:
 		s.cache.put(j.key, *res) // before the counter: whoever saw it move may resubmit and must hit
 		s.reg.Counter("jobs.done").Add(1)
-		s.reg.Gauge("cache.entries").Set(int64(s.cache.entries()))
-		s.reg.Gauge("cache.bytes").Set(s.cache.bytes())
 	case StateFailed:
 		s.reg.Counter("jobs.failed").Add(1)
 	case StateCancelled:
@@ -575,17 +580,13 @@ func (s *Server) runSCF(j *job) *JobResult {
 	cfg.Ctx = j.ctx
 	res, err := scf.Run(j.prep.mol, cfg)
 	if err != nil {
-		state := StateFailed
-		if j.ctx.Err() != nil {
-			state = StateCancelled
-		}
-		return &JobResult{State: state, Error: err.Error()}
+		return j.outcome(err)
 	}
 	s.mergeReport(res.HFXReport, res.HFXReport.Pool.Builds)
 	if scf.SaveSeed(s.store, cfg, res) {
 		s.reg.Counter("prefix.density_stored").Add(1)
 	}
-	return &JobResult{State: StateDone, SCF: summarizeSCF(res, j.prep.eng)}
+	return &JobResult{State: StateDone, SCF: SummarizeSCF(res)}
 }
 
 // runBuildJK runs one J/K build on the worker's cached builder. With
@@ -594,7 +595,7 @@ func (s *Server) runSCF(j *job) *JobResult {
 func (s *Server) runBuildJK(st *workerState, j *job) *JobResult {
 	b, err := st.builderFor(j, s)
 	if err != nil {
-		return &JobResult{State: StateFailed, Error: err.Error()}
+		return j.outcome(err)
 	}
 	p := scf.SADDensity(j.prep.set)
 	jm, km, rep := b.BuildJK(p)
@@ -648,15 +649,9 @@ func (s *Server) runScan(j *job) *JobResult {
 	prof, err := md.Scan(cfg, md.SessionOptions{Store: s.store}, coords,
 		func(r float64) (*chem.Molecule, error) { return chem.SolvatedPeroxide(req.Solvent, r) },
 		func(st md.SessionStats) { s.publishSession(st, published); published = st })
-	sum := &ScanSummary{Solvent: req.Solvent, Points: prof.Points, WellKcal: prof.Well * phys.HartreeToKcalMol}
-	if err != nil {
-		state := StateFailed
-		if j.ctx.Err() != nil {
-			state = StateCancelled
-		}
-		return &JobResult{State: state, Error: err.Error(), Scan: sum}
-	}
-	return &JobResult{State: StateDone, Scan: sum}
+	res := j.outcome(err)
+	res.Scan = &ScanSummary{Solvent: req.Solvent, Points: prof.Points, WellKcal: prof.Well * phys.HartreeToKcalMol}
+	return res
 }
 
 // mergeReport folds a builder's report into the server-level registry:
@@ -748,42 +743,20 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 
 	// Admission pricing: screen the system and predict the job cost from
 	// the pair list (the paper's predictability claim, repurposed).
-	prep, predicted, err := prepare(&req, s.cfg.BuilderThreads)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
+	j, err := s.admit(r.Context(), "", req)
+	switch {
+	case err == ErrDraining:
+		s.reg.Counter("jobs.rejected_draining").Add(1)
+		httpError(w, http.StatusServiceUnavailable, "server is draining")
 		return
-	}
-	s.reg.Histogram("job.predicted_ms", latencyEdgesMS).Observe(predicted / 1e6)
-
-	timeout := s.cfg.DefaultTimeout
-	if req.TimeoutMS > 0 {
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-	}
-	if timeout > s.cfg.MaxTimeout {
-		timeout = s.cfg.MaxTimeout
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
-	j := &job{
-		id: s.newID(), req: req, key: key,
-		prep: prep, predicted: predicted,
-		rank: predicted + s.cfg.AgingNSPerSec*time.Since(s.start).Seconds(),
-		seq:  s.nextSeq.Add(1),
-		enq:  time.Now(), ctx: ctx, cancel: cancel,
-		done: make(chan struct{}),
-	}
-	s.reg.Gauge("jobs.queued").Add(1)
-	if err := s.q.push(j); err != nil {
-		s.reg.Gauge("jobs.queued").Add(-1)
-		cancel()
-		if err == ErrDraining {
-			s.reg.Counter("jobs.rejected_draining").Add(1)
-			httpError(w, http.StatusServiceUnavailable, "server is draining")
-			return
-		}
+	case err == ErrQueueFull:
 		s.reg.Counter("jobs.rejected_full").Add(1)
 		w.Header().Set("Retry-After",
-			strconv.Itoa(retryAfterSeconds(s.q.queuedCost(), s.InflightCostNS(), predicted, s.cfg.Workers)))
+			strconv.Itoa(retryAfterSeconds(s.q.queuedCost(), s.InflightCostNS(), j.predicted, s.cfg.Workers)))
 		httpError(w, http.StatusTooManyRequests, "admission queue full")
+		return
+	case err != nil:
+		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	if s.journal != nil {
@@ -851,7 +824,11 @@ func (s *Server) snapshot() metricsSnapshot {
 		Histograms: map[string]map[string]any{},
 		Phases:     map[string]float64{},
 	}
+	// The queue and cache gauges are read where they are published; on a
+	// shared fleet store the cache gauges count sibling instances' writes.
 	s.reg.Gauge("jobs.queued").Set(int64(snap.QueueDepth))
+	s.reg.Gauge("cache.entries").Set(int64(s.cache.entries()))
+	s.reg.Gauge("cache.bytes").Set(s.cache.bytes())
 	for _, c := range s.reg.Counters() {
 		snap.Counters[c.Name] = c.Value
 	}

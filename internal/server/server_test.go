@@ -353,6 +353,27 @@ func TestServerSCFJobAndCacheHit(t *testing.T) {
 	}
 }
 
+// TestGaugesReadAtPublish: the queue and cache gauges of the JSON
+// snapshot are the queue's depth and the store's own counts.
+func TestGaugesReadAtPublish(t *testing.T) {
+	s := mustNew(t, Config{Workers: 1})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	for _, sys := range []string{"water", "lih"} {
+		if res := submit(t, ts, JobRequest{Kind: KindSCF, System: sys}); res.State != StateDone {
+			t.Fatalf("%s: %+v", sys, res)
+		}
+	}
+	g := s.snapshot().Gauges
+	if g["jobs.queued"] != 0 || g["cache.entries"] != int64(s.cache.entries()) || g["cache.bytes"] != s.cache.bytes() {
+		t.Fatalf("gauges queued=%d entries=%d bytes=%d, want 0, %d, %d",
+			g["jobs.queued"], g["cache.entries"], g["cache.bytes"], s.cache.entries(), s.cache.bytes())
+	}
+	if s.cache.entries() == 0 || s.cache.bytes() == 0 {
+		t.Fatal("two finished SCF jobs left the cache empty")
+	}
+}
+
 // TestServedSCFComputesOverlapOnce: a served SCF job's solver and its
 // summary (Mulliken charges) share the job's integral engine, so the job
 // walks the S pass once.

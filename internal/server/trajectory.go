@@ -34,14 +34,9 @@ func (s *Server) runTrajectory(j *job) *JobResult {
 		s.publishSession(st, published)
 		published = st
 	})
-	if err != nil {
-		state := StateFailed
-		if j.ctx.Err() != nil {
-			state = StateCancelled
-		}
-		return &JobResult{State: state, Error: err.Error(), Traj: sum}
-	}
-	return &JobResult{State: StateDone, Traj: sum}
+	res := j.outcome(err)
+	res.Traj = sum
+	return res
 }
 
 // predictorOrderEdges buckets the density predictor's order, 0 (no

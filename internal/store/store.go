@@ -135,7 +135,7 @@ func (s *Store) boot() error {
 	}
 	for _, n := range nums {
 		path := filepath.Join(s.dir, segName(n))
-		if err := s.bootFile(path, false); err != nil {
+		if err := s.bootFile(path); err != nil {
 			return err
 		}
 		s.nextSeg = n + 1
@@ -172,7 +172,7 @@ func (s *Store) boot() error {
 }
 
 // bootFile scans one sealed segment into the index.
-func (s *Store) bootFile(path string, _ bool) error {
+func (s *Store) bootFile(path string) error {
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return err

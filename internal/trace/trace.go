@@ -183,20 +183,6 @@ func (r *Registry) Histogram(name string, edges []float64) *Histogram {
 	return h
 }
 
-// Merge folds another registry's counters into this one (added) — used by
-// the hfxd service to absorb the traffic counters of a finished
-// distributed build's mprt world into its lifetime /metrics registry.
-// Gauges, histograms and the timer are not merged: they describe live
-// state of their owner, not accumulated work.
-func (r *Registry) Merge(src *Registry) {
-	if src == nil || src == r {
-		return
-	}
-	for _, c := range src.Counters() {
-		r.Counter(c.Name).Add(c.Value)
-	}
-}
-
 // CounterValue is one row of a Registry snapshot.
 type CounterValue struct {
 	Name  string

@@ -55,13 +55,21 @@ e1=$(sed -n 's/.*"energy": \([^,]*\),.*/\1/p' "$tmp/first.json" | head -1)
 e2=$(sed -n 's/.*"energy": \([^,]*\),.*/\1/p' "$tmp/second.json" | head -1)
 [ "$e1" = "$e2" ] || { echo "cache returned a different energy: $e1 vs $e2"; exit 1; }
 
-# /metrics must report the hit (skipped when curl is unavailable).
+# /metrics must report the hit and the derived queue and cache gauges
+# (skipped when curl is unavailable).
 if command -v curl >/dev/null 2>&1; then
     metrics=$(curl -s "$url/metrics?format=json")
     echo "$metrics" | grep -q '"cache.hits": 1' || {
         echo "metrics do not show the cache hit:"; echo "$metrics"; exit 1; }
     echo "$metrics" | grep -q '"jobs.executed": 1' || {
         echo "cache hit should not have executed a second job:"; echo "$metrics"; exit 1; }
+    # The derived gauges, read from the queue and the store at publish
+    # time: nothing queued, and two entries (the result and the SCF's
+    # converged prefix density).
+    echo "$metrics" | grep -q '"jobs.queued": 0' || {
+        echo "metrics do not show an empty queue:"; echo "$metrics"; exit 1; }
+    echo "$metrics" | grep -q '"cache.entries": 2' || {
+        echo "metrics do not show the result and its density in the cache:"; echo "$metrics"; exit 1; }
 fi
 
 # Graceful drain: SIGTERM, then the process must exit cleanly.
