@@ -160,3 +160,23 @@ func TestSteadyStateBuildAllocs(t *testing.T) {
 		t.Fatal("no result")
 	}
 }
+
+// BenchmarkNewBuilderSemiDirect is the set-up and Close of a one-thread
+// builder with a 16 MiB ERI cache on (H2O)2/STO-3G, the shape of an hfxd
+// scf job with cacheMb 16: task pricing, placement, the cache's admission
+// ranking of every canonical quartet, and its slabs.
+func BenchmarkNewBuilderSemiDirect(b *testing.B) {
+	eng := integrals.NewEngine(basis.MustBuild("STO-3G", chem.WaterCluster(2, 1)))
+	scr := screen.BuildPairList(eng, screen.DefaultOptions())
+	opts := DefaultOptions()
+	opts.Threads = 1
+	opts.CacheBudgetBytes = 16 << 20
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		builder := NewBuilder(eng, scr, opts)
+		if builder.pl.cache == nil {
+			b.Fatal("the builder has no ERI cache")
+		}
+		builder.Close()
+	}
+}

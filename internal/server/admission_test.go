@@ -403,12 +403,12 @@ func TestCanonicalKeyPinned(t *testing.T) {
 }
 
 // FuzzJobRequest feeds arbitrary bytes to the job-request decoder that
-// POST /v1/jobs uses. For every request that decodes and validates,
-// CanonicalKey must not panic (a fleet router calls it in the caller's
-// goroutine) and may fail only where the geometry does not resolve — the
-// requests hfxd answers 400 after validation; a resolvable request
-// re-encoded and decoded again must keep its key. Nothing here screens or
-// prices, so every input stays cheap.
+// POST /v1/jobs uses, which resolves what it decodes. For every request
+// that decodes, CanonicalKey must not panic (a fleet router calls it in the
+// caller's goroutine), may fail only where the geometry does not resolve,
+// and must return the decoder's own key; a request re-encoded and decoded
+// again must keep its key. Nothing here screens or prices, so every input
+// stays cheap.
 func FuzzJobRequest(f *testing.F) {
 	for _, seed := range []string{
 		`{"kind":"screen","system":"watercluster","nwater":-1}`,
@@ -419,8 +419,10 @@ func FuzzJobRequest(f *testing.F) {
 	} {
 		f.Add([]byte(seed))
 	}
+	big, _ := json.Marshal(JobRequest{Kind: KindScreen, XYZ: latticeXYZ(maxXYZAtoms + 1)})
+	f.Add(big)
 	f.Fuzz(func(t *testing.T, body []byte) {
-		req, err := decodeRequest(bytes.NewReader(body))
+		req, err := decodeRequest(bytes.NewReader(body), nil)
 		if err != nil {
 			return
 		}
@@ -431,11 +433,14 @@ func FuzzJobRequest(f *testing.F) {
 		if err != nil {
 			return
 		}
+		if key != req.key {
+			t.Fatalf("CanonicalKey %q, the decoder's key %q", key, req.key)
+		}
 		again, err := json.Marshal(req)
 		if err != nil {
 			t.Fatal(err)
 		}
-		back, err := decodeRequest(bytes.NewReader(again))
+		back, err := decodeRequest(bytes.NewReader(again), nil)
 		if err != nil {
 			t.Fatalf("re-encoded request %s rejected: %v", again, err)
 		}
@@ -464,5 +469,91 @@ func TestTrajectoryPricedAsSCFPlusGradient(t *testing.T) {
 		if math.Abs(trajNS-want) > 1e-9*want {
 			t.Fatalf("%s: %d-step trajectory priced %g ns, want %g (SCF job %g)", system, steps, trajNS, want, scfNS)
 		}
+	}
+}
+
+// latticeXYZ is an inline geometry of n hydrogen atoms on a cubic lattice
+// 2 Å apart, six to an edge.
+func latticeXYZ(n int) string {
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "%d\nlattice\n", n)
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&sb, "H %d %d %d\n", 2*(i%6), 2*(i/6%6), 2*(i/36))
+	}
+	return sb.String()
+}
+
+// TestRequestResolvedOnce: the handler and journal replay resolve each
+// request once — defaults, validation, geometry and canonical key — and
+// admission and the worker build from that resolution, so jobs.resolved
+// moves by one for a replayed job, a cache miss and a cache hit alike.
+func TestRequestResolvedOnce(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "jobs.wal")
+	jl, err := openJobJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := jl.submit("job-000001", &JobRequest{Kind: KindScreen, System: "lih"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := jl.close(); err != nil {
+		t.Fatal(err)
+	}
+	s := mustNew(t, Config{Workers: 1, JournalPath: path})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	if got := counter(s, "jobs.resolved"); got != 1 {
+		t.Fatalf("a replayed job resolved %d times, want 1", got)
+	}
+	for i, want := range []bool{false, true} {
+		res := submit(t, ts, JobRequest{Kind: KindSCF, System: "h2"})
+		if res.State != StateDone || res.CacheHit != want {
+			t.Fatalf("submit %d: %+v, want cache hit %v", i, res, want)
+		}
+		if got := counter(s, "jobs.resolved"); got != int64(i+2) {
+			t.Fatalf("after submit %d (cache hit %v) jobs.resolved reads %d, want %d", i, want, got, i+2)
+		}
+	}
+	if r, sub, rep := counter(s, "jobs.resolved"), counter(s, "jobs.submitted"), counter(s, "journal.replayed"); r != sub+rep {
+		t.Fatalf("jobs.resolved %d, want jobs.submitted %d + journal.replayed %d", r, sub, rep)
+	}
+}
+
+// TestInlineGeometryBounded: an inline XYZ of more than maxXYZAtoms atoms
+// is refused before anything is built or screened — a 400 at the handler
+// with no price observed, an error from CanonicalKey (the fleet router's
+// key) and a struck-out job at journal replay — and one of exactly
+// maxXYZAtoms atoms is served.
+func TestInlineGeometryBounded(t *testing.T) {
+	big := JobRequest{Kind: KindScreen, XYZ: latticeXYZ(maxXYZAtoms + 1)}
+	if _, err := CanonicalKey(big); err == nil {
+		t.Fatalf("CanonicalKey accepted %d inline atoms", maxXYZAtoms+1)
+	}
+	path := filepath.Join(t.TempDir(), "jobs.wal")
+	jl, err := openJobJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := jl.submit("job-000001", &big); err != nil {
+		t.Fatal(err)
+	}
+	if err := jl.close(); err != nil {
+		t.Fatal(err)
+	}
+	s := mustNew(t, Config{Workers: 1, JournalPath: path})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	if got := counter(s, "journal.replay_dropped"); got != 1 {
+		t.Fatalf("journal.replay_dropped %d, want 1", got)
+	}
+	_, err = NewClient(ts.URL).Submit(context.Background(), big)
+	if err == nil || !strings.Contains(err.Error(), "400") {
+		t.Fatalf("%d inline atoms: %v, want a 400", maxXYZAtoms+1, err)
+	}
+	if n := s.reg.Histogram("job.predicted_ms", latencyEdgesMS).Total(); n != 0 {
+		t.Fatalf("job.predicted_ms observed %d prices, want none", n)
+	}
+	if res := submit(t, ts, JobRequest{Kind: KindScreen, XYZ: latticeXYZ(maxXYZAtoms)}); res.State != StateDone || res.Screen == nil {
+		t.Fatalf("%d inline atoms: %+v", maxXYZAtoms, res)
 	}
 }

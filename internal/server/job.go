@@ -33,6 +33,7 @@ import (
 	"hfxmd/internal/scf"
 	"hfxmd/internal/sched"
 	"hfxmd/internal/screen"
+	"hfxmd/internal/trace"
 )
 
 // The job kinds hfxd serves.
@@ -112,6 +113,11 @@ type JobRequest struct {
 	Ref string `json:"ref,omitempty"`
 	// Seed makes velocity initialisation reproducible (default 1).
 	Seed int64 `json:"seed,omitempty"`
+
+	// mol and key are the request's resolution (resolve): its geometry and
+	// canonical result key. JSON ignores them.
+	mol *chem.Molecule
+	key string
 }
 
 // normalize fills defaults in place so that equivalent requests have
@@ -180,18 +186,38 @@ func (r *JobRequest) normalize() {
 	}
 }
 
-// decodeRequest reads one POST /v1/jobs body: unknown fields are an
-// error, defaults are filled in, and the request is validated. It does
-// no geometry, screening or pricing work.
-func decodeRequest(r io.Reader) (JobRequest, error) {
+// decodeRequest reads one POST /v1/jobs body, in which unknown fields are
+// an error, and resolves the request. It does no screening or pricing.
+func decodeRequest(r io.Reader, reg *trace.Registry) (JobRequest, error) {
 	var req JobRequest
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		return req, fmt.Errorf("bad request body: %w", err)
 	}
-	req.normalize()
-	return req, req.validate()
+	return req, req.resolve(reg)
+}
+
+// resolve is the one resolution of a request: it fills defaults,
+// validates, builds the geometry and hashes the canonical result key, and
+// keeps the molecule and the key on the request for admission, the worker
+// and the result. The handler and journal replay resolve each request
+// once and count it in reg's jobs.resolved; CanonicalKey and PriceRequest
+// resolve a copy without a registry.
+func (r *JobRequest) resolve(reg *trace.Registry) error {
+	r.normalize()
+	if err := r.validate(); err != nil {
+		return err
+	}
+	mol, err := r.resolveMolecule()
+	if err != nil {
+		return err
+	}
+	r.mol, r.key = mol, r.cacheKey(mol)
+	if reg != nil {
+		reg.Counter("jobs.resolved").Add(1)
+	}
+	return nil
 }
 
 // validate rejects malformed requests before any work is done.
@@ -265,6 +291,10 @@ const maxJobRanks = 64
 // cluster the paper-scale census needs.
 const maxNWater = 64
 
+// maxXYZAtoms bounds an inline geometry at the size of the largest
+// built-in system, the maxNWater cluster, for the same reason.
+const maxXYZAtoms = 3 * maxNWater
+
 // maxScanPoints bounds a solvent scan: every point is an SCF on a
 // 10–17-atom complex, so an unbounded request would hold a worker until
 // its deadline.
@@ -281,20 +311,22 @@ const (
 
 // resolveMolecule maps the request's geometry selector to a Molecule.
 // For solvent-scan jobs it returns the closest-approach geometry, which
-// dominates the predicted cost.
+// dominates the predicted cost. An inline XYZ of more than maxXYZAtoms
+// atoms is refused here, where every path that reads a geometry looks.
 func (r *JobRequest) resolveMolecule() (*chem.Molecule, error) {
 	if r.Kind == KindSolventScan {
 		return chem.SolvatedPeroxide(r.Solvent, r.RMin)
 	}
-	if r.XYZ != "" {
-		mol, err := chem.ReadXYZ(strings.NewReader(r.XYZ))
-		if err != nil {
-			return nil, err
+	var mol *chem.Molecule
+	var err error
+	if r.XYZ == "" {
+		mol, err = chem.System(r.System, r.NWater)
+	} else {
+		mol, err = chem.ReadXYZ(strings.NewReader(r.XYZ))
+		if err == nil && len(mol.Atoms) > maxXYZAtoms {
+			err = fmt.Errorf("xyz has %d atoms, more than the limit %d", len(mol.Atoms), maxXYZAtoms)
 		}
-		mol.Charge = r.Charge
-		return mol, nil
 	}
-	mol, err := chem.System(r.System, r.NWater)
 	if err != nil {
 		return nil, err
 	}
@@ -454,12 +486,11 @@ type ScanSummary struct {
 	WellKcal float64         `json:"wellKcal"`
 }
 
-// prepared is the admission-time state of a job: the resolved geometry,
-// instantiated basis, integral engine, screened pair list and task
-// decomposition. Workers reuse it so the screening work done to price
-// the job is not repeated for buildjk/screen kinds.
+// prepared is the admission-time state of a job: the instantiated basis,
+// integral engine, screened pair list and task decomposition of its
+// resolved geometry. Workers reuse it so the screening work done to price
+// the job is not repeated.
 type prepared struct {
-	mol   *chem.Molecule
 	set   *basis.Set
 	eng   *integrals.Engine
 	scr   *screen.Result
@@ -467,10 +498,6 @@ type prepared struct {
 	// opts are the options tasks were priced under and the job's builder
 	// is made with, so the builder takes the tasks as they are.
 	opts hfx.Options
-	// builderKey identifies the (geometry, basis, screening, options)
-	// combination a builder is specific to; workers reuse a live builder
-	// across consecutive jobs with the same key.
-	builderKey string
 	// totalNS/makespanNS are the cost-model predictions for one Fock
 	// build: serial cost and the LPT makespan on the server's builder
 	// thread count.
@@ -501,14 +528,15 @@ func (r *JobRequest) screenOptions() screen.Options {
 	return o
 }
 
-// prepare resolves, screens and prices a normalized request. The
-// returned predicted cost is in cost-model nanoseconds.
+// prepare screens and prices a request from its resolution, resolving it
+// first if nothing has. The predicted cost is in cost-model nanoseconds.
 func prepare(req *JobRequest, threads int) (*prepared, float64, error) {
-	mol, err := req.resolveMolecule()
-	if err != nil {
-		return nil, 0, err
+	if req.mol == nil {
+		if err := req.resolve(nil); err != nil {
+			return nil, 0, err
+		}
 	}
-	set, err := basis.Build(req.Basis, mol)
+	set, err := basis.Build(req.Basis, req.mol)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -518,15 +546,10 @@ func prepare(req *JobRequest, threads int) (*prepared, float64, error) {
 	tasks := hfx.BuilderTasks(eng, scr, hfx.DefaultCostModel(), opts.Granule)
 	costs := hfx.TaskCosts(tasks)
 	p := &prepared{
-		mol: mol, set: set, eng: eng, scr: scr, tasks: tasks, opts: opts,
+		set: set, eng: eng, scr: scr, tasks: tasks, opts: opts,
 		totalNS:    sched.TotalCost(costs),
 		makespanNS: sched.PredictMakespan(sched.LPT, costs, max(threads, 1)),
 	}
-	// The geometry+method hash doubles as builder identity; the ERI cache
-	// budget and the rank count shape the builder (not the result — the
-	// distributed build is bitwise-pinned), so they extend the key.
-	p.builderKey = fmt.Sprintf("%s;cachemb=%d;ranks=%d",
-		req.cacheKey(mol), req.CacheMB, max(req.Ranks, 1))
 	predicted := p.makespanNS
 	switch req.Kind {
 	case KindSCF:
@@ -575,34 +598,19 @@ func retryAfterSeconds(queuedNS, inflightNS, newNS float64, workers int) int {
 
 // CanonicalKey returns the canonical result-cache hash of a request —
 // the identity a fleet router needs for cache-affinity routing — without
-// doing any screening work. The request is normalized and validated on a
-// copy; the caller's value is not mutated.
+// doing any screening work. It resolves a copy; the caller's value is not
+// mutated.
 func CanonicalKey(req JobRequest) (string, error) {
-	req.normalize()
-	if err := req.validate(); err != nil {
-		return "", err
-	}
-	mol, err := req.resolveMolecule()
-	if err != nil {
-		return "", err
-	}
-	return req.cacheKey(mol), nil
+	err := req.resolve(nil)
+	return req.key, err
 }
 
-// PriceRequest resolves, screens and prices a request exactly as server
-// admission would (sched.PredictMakespan over the screened task costs),
-// returning the canonical cache key and the predicted cost in cost-model
-// nanoseconds, for callers that want a job's price before submitting it
-// (the fleet router does not price). The request is normalized on a
-// copy.
+// PriceRequest resolves, screens and prices a copy of a request exactly as
+// server admission would (sched.PredictMakespan over the screened task
+// costs), returning the canonical cache key and the predicted cost in
+// cost-model nanoseconds, for callers that want a job's price before
+// submitting it (the fleet router does not price).
 func PriceRequest(req JobRequest, threads int) (key string, predictedNS float64, err error) {
-	req.normalize()
-	if err := req.validate(); err != nil {
-		return "", 0, err
-	}
-	prep, predicted, err := prepare(&req, max(threads, 1))
-	if err != nil {
-		return "", 0, err
-	}
-	return req.cacheKey(prep.mol), predicted, nil
+	_, predicted, err := prepare(&req, max(threads, 1))
+	return req.key, predicted, err
 }

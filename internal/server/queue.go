@@ -20,8 +20,7 @@ var (
 // job is one admitted unit of work flowing through the queue.
 type job struct {
 	id  string
-	req JobRequest
-	key string // canonical cache key
+	req JobRequest // resolved: its key is the job's canonical cache key
 
 	prep      *prepared
 	predicted float64 // cost-model ns

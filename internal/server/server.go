@@ -177,7 +177,7 @@ func New(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	// Pre-create the instruments handlers touch so snapshots are stable.
 	for _, c := range []string{
-		"jobs.submitted", "jobs.executed", "jobs.done", "jobs.failed",
+		"jobs.resolved", "jobs.submitted", "jobs.executed", "jobs.done", "jobs.failed",
 		"jobs.cancelled", "jobs.rejected_full", "jobs.rejected_draining",
 		"cache.hits", "cache.misses", "builders.created", "builders.reused",
 		"journal.appends", "journal.bytes", "journal.replayed",
@@ -231,8 +231,7 @@ func (s *Server) replayJournal() {
 			s.nextID.Store(seq)
 		}
 		req := *rec.Req
-		req.normalize()
-		err := req.validate()
+		err := req.resolve(s.reg)
 		if err == nil {
 			_, err = s.admit(context.Background(), rec.ID, req)
 		}
@@ -246,11 +245,15 @@ func (s *Server) replayJournal() {
 }
 
 // admit is the one admission of a job, live or replayed: it prices a
-// normalized, valid request, gives it a context on parent under its own
+// resolved request, gives it a context on parent under its own
 // timeoutMs clamped to MaxTimeout, ranks it predicted + AgingNSPerSec·t and
-// queues it as id (a new ID when id is empty). A job the queue refuses is
-// returned, context cancelled, with ErrQueueFull or ErrDraining.
+// queues it as id (a new ID when id is empty). A draining server refuses
+// the job before pricing it; a job the queue refuses is returned, context
+// cancelled, with ErrQueueFull or ErrDraining.
 func (s *Server) admit(parent context.Context, id string, req JobRequest) (*job, error) {
+	if s.draining.Load() {
+		return nil, ErrDraining
+	}
 	prep, predicted, err := prepare(&req, s.cfg.BuilderThreads)
 	if err != nil {
 		return nil, err
@@ -265,8 +268,7 @@ func (s *Server) admit(parent context.Context, id string, req JobRequest) (*job,
 	}
 	ctx, cancel := context.WithTimeout(parent, min(timeout, s.cfg.MaxTimeout))
 	j := &job{
-		id: id, req: req, key: req.cacheKey(prep.mol),
-		prep: prep, predicted: predicted,
+		id: id, req: req, prep: prep, predicted: predicted,
 		rank: predicted + s.cfg.AgingNSPerSec*time.Since(s.start).Seconds(),
 		seq:  s.nextSeq.Add(1),
 		enq:  time.Now(), ctx: ctx, cancel: cancel,
@@ -416,7 +418,11 @@ func (s *Server) warmERI(b *hfx.Builder) {
 // replacement builder with a semi-direct cache is warmed from any
 // spilled image in the store.
 func (st *workerState) builderFor(j *job, s *Server) (*hfx.Builder, error) {
-	if st.builder != nil && st.key == j.prep.builderKey {
+	// The result key doubles as builder identity; the ERI cache budget and
+	// the rank count shape the builder (not the result — the distributed
+	// build is bitwise-pinned), so they extend it.
+	key := fmt.Sprintf("%s;cachemb=%d;ranks=%d", j.req.key, j.req.CacheMB, max(j.req.Ranks, 1))
+	if st.builder != nil && st.key == key {
 		s.reg.Counter("builders.reused").Add(1)
 		return st.builder, nil
 	}
@@ -432,7 +438,7 @@ func (st *workerState) builderFor(j *job, s *Server) (*hfx.Builder, error) {
 	} else {
 		b = hfx.NewPricedBuilder(j.prep.eng, j.prep.scr, opts, j.prep.tasks)
 	}
-	st.builder, st.key = b, j.prep.builderKey
+	st.builder, st.key = b, key
 	s.reg.Counter("builders.created").Add(1)
 	s.reg.Gauge("builders.open").Add(1)
 	s.warmERI(b)
@@ -485,11 +491,11 @@ func (s *Server) worker() {
 func (s *Server) finish(j *job, res *JobResult) {
 	res.ID = j.id
 	res.Kind = j.req.Kind
-	res.CacheKey = j.key
+	res.CacheKey = j.req.key
 	res.PredictedCostNS = j.predicted
 	switch res.State {
 	case StateDone:
-		s.cache.put(j.key, *res) // before the counter: whoever saw it move may resubmit and must hit
+		s.cache.put(j.req.key, *res) // before the counter: whoever saw it move may resubmit and must hit
 		s.reg.Counter("jobs.done").Add(1)
 	case StateFailed:
 		s.reg.Counter("jobs.failed").Add(1)
@@ -570,7 +576,7 @@ func (s *Server) seedDensity(cfg *scf.Config, mol *chem.Molecule, nbasis int) {
 
 func (s *Server) runSCF(j *job) *JobResult {
 	cfg := s.scfConfig(&j.req)
-	s.seedDensity(&cfg, j.prep.mol, j.prep.set.NBasis)
+	s.seedDensity(&cfg, j.req.mol, j.prep.set.NBasis)
 	// The run builds on the admission's pair list and task list, so it
 	// neither screens nor prices again; the builder is the job's own,
 	// neither spilled nor kept by the worker.
@@ -578,7 +584,7 @@ func (s *Server) runSCF(j *job) *JobResult {
 	defer b.Close()
 	cfg.ExternalBuilder = b
 	cfg.Ctx = j.ctx
-	res, err := scf.Run(j.prep.mol, cfg)
+	res, err := scf.Run(j.req.mol, cfg)
 	if err != nil {
 		return j.outcome(err)
 	}
@@ -706,22 +712,13 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
-	req, err := decodeRequest(http.MaxBytesReader(w, r.Body, 1<<20))
+	req, err := decodeRequest(http.MaxBytesReader(w, r.Body, 1<<20), s.reg)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	s.reg.Counter("jobs.submitted").Add(1)
-
-	// Resolve the geometry once: the canonical hash serves the cache
-	// lookup and, on a miss, admission pricing.
-	mol, err := req.resolveMolecule()
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	key := req.cacheKey(mol)
-	if res, ok := s.cache.get(key); ok {
+	if res, ok := s.cache.get(req.key); ok {
 		s.reg.Counter("cache.hits").Add(1)
 		res.CacheHit = true
 		// Hits mint from their own sequence with a distinct prefix: a
@@ -734,12 +731,6 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.reg.Counter("cache.misses").Add(1)
-
-	if s.draining.Load() {
-		s.reg.Counter("jobs.rejected_draining").Add(1)
-		httpError(w, http.StatusServiceUnavailable, "server is draining")
-		return
-	}
 
 	// Admission pricing: screen the system and predict the job cost from
 	// the pair list (the paper's predictability claim, repurposed).

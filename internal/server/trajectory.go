@@ -20,7 +20,7 @@ func (s *Server) runTrajectory(j *job) *JobResult {
 	sess := md.NewSession(cfg, md.SessionOptions{Store: s.store})
 	defer sess.Close()
 	var published md.SessionStats
-	sum, _, err := respa.Campaign(j.prep.mol, cfg, sess, respa.Options{
+	sum, _, err := respa.Campaign(j.req.mol, cfg, sess, respa.Options{
 		Steps:        req.MaxSteps,
 		K:            req.RespaK,
 		Dt:           req.DtFS,

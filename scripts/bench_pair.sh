@@ -12,7 +12,8 @@
 # script prints the median and quartiles of both sides (ns per primitive
 # quartet for the ERI classes, ns/op for the rest), the ratio of the
 # medians (base over change: above 1 is a speed-up), the pairs in which
-# the change was slower, and a verdict:
+# the change was slower, the quartiles of the per-pair ratios (base over
+# change within each pair) and a verdict:
 #   worse       the change's median is above the base's by more than the
 #               row's band (20% for BenchmarkBuildJKSemiDirect, 25% for
 #               every other row) and the change was slower in at least
@@ -29,11 +30,18 @@
 # the committed BENCH_fock.json.
 #
 # Usage: scripts/bench_pair.sh [base-rev [counts.json]]
+#        AA=1 scripts/bench_pair.sh [rev [counts.json]]
 # An absent or empty base-rev defaults to the merge-base of HEAD and main,
 # or to HEAD^ when that merge-base is HEAD itself and the working tree
 # has no change against it (the change is already committed on main).
 # The script prints the base it used and how it chose it. N sets the
 # number of pairs (default 10; one pair takes about 30 s on 2 vCPUs).
+#
+# With AA=1 the script runs an A/A check: both sides are built from the
+# same tree (`git archive` of the revision), so every difference between
+# them is noise. Each row's ratio of medians and its per-pair ratio
+# quartiles are then that row's A/A spread, and a row that reads worse
+# is a false alarm of the gate.
 set -eu
 cd "$(dirname "$0")/.."
 if [ -n "${1:-}" ]; then
@@ -46,6 +54,8 @@ else
 fi
 base="$(git rev-parse "$base")"
 echo "base: $base ($why)" >&2
+aa="${AA:-}"
+test -n "$aa" && echo "A/A: both sides are built from $base" >&2
 out="${2:-}"
 pairs="${N:-10}"
 tmp="$(mktemp -d)"
@@ -55,7 +65,7 @@ mkdir "$tmp/base"
 git archive "$base" | tar -x -C "$tmp/base"
 for side in base change; do
 	src=.
-	test "$side" = base && src="$tmp/base"
+	test "$side" = base -o -n "$aa" && src="$tmp/base"
 	for pkg in hfx integrals screen dft scf md; do
 		# -trimpath: identical code builds identical binaries on both sides.
 		(cd "$src" && go test -c -trimpath -o "$tmp/$side-$pkg.test" "./internal/$pkg/")
@@ -66,7 +76,7 @@ done
 # package directory.
 bench() {
 	dir=. bin="$tmp/$1-$2.test" pkg="$2"
-	test "$1" = base && dir="$tmp/base"
+	test "$1" = base -o -n "$aa" && dir="$tmp/base"
 	shift 2
 	(cd "$dir/internal/$pkg" && "$bin" -test.run '^$' -test.timeout 10m "$@" </dev/null)
 }
@@ -149,26 +159,33 @@ if [ -n "$out" ]; then
 	}' "$tmp/rows" >"$out"
 fi
 
-printf '%-40s %30s %30s %7s %6s %s\n' row "base p25/p50/p75" "change p25/p50/p75" ratio slower verdict
+printf '%-40s %30s %30s %7s %6s %23s %s\n' row "base p25/p50/p75" "change p25/p50/p75" ratio slower "pair ratio p25/p50/p75" verdict
 awk '$1 == "t"' "$tmp/rows" | sort -k2,2 -k3,3 -k5,5g | awk '
 function q(side, f,   n, x) {
 	n = cnt[side]
 	x = f * (n - 1) + 1
 	return v[side, int(x)] + (x - int(x)) * (v[side, int(x) + 1] - v[side, int(x)])
 }
-function flush(   b, c, slower, p, band, verdict) {
+function flush(   b, c, slower, p, band, verdict, i, j, t) {
 	if (row == "") return
 	if (!cnt["base"] || !cnt["change"]) { printf "%-40s only on one side\n", row; return }
 	slower = 0
-	for (p in bv) if ((p in cv) && cv[p] > bv[p]) slower++
+	# The per-pair ratios, insertion-sorted into v["ratio", 1..n].
+	cnt["ratio"] = 0
+	for (p in bv) if (p in cv) {
+		t = bv[p] / cv[p]
+		for (i = ++cnt["ratio"]; i > 1 && v["ratio", i - 1] > t; i--) v["ratio", i] = v["ratio", i - 1]
+		v["ratio", i] = t
+		if (cv[p] > bv[p]) slower++
+	}
 	b = q("base", 0.5); c = q("change", 0.5)
 	band = row == "BenchmarkBuildJKSemiDirect" ? 20 : 25
 	verdict = "ok"
 	if (c > (1 + band / 100) * b) verdict = 10 * slower >= 9 * cnt["base"] ? "worse" : "unresolved"
 	if (verdict == "worse") failed = 1
-	printf "%-40s %9.4g/%9.4g/%9.4g %9.4g/%9.4g/%9.4g %7.3f %3d/%-2d %s\n", row,
+	printf "%-40s %9.4g/%9.4g/%9.4g %9.4g/%9.4g/%9.4g %7.3f %3d/%-2d %7.3f/%7.3f/%7.3f %s\n", row,
 		q("base", 0.25), b, q("base", 0.75), q("change", 0.25), c, q("change", 0.75),
-		b / c, slower, cnt["base"], verdict
+		b / c, slower, cnt["base"], q("ratio", 0.25), q("ratio", 0.5), q("ratio", 0.75), verdict
 }
 $2 != row { flush(); row = $2; delete cnt; delete v; delete bv; delete cv }
 {

@@ -2,8 +2,9 @@
 # End-to-end smoke test for the hfxd job service: boot the daemon on a
 # random port, submit the same water/STO-3G SCF job twice, assert the
 # second submission is answered from the result cache, and check that
-# SIGTERM drains cleanly. With curl available it first posts a malformed
-# request (nwater -1) that must be a 400; the checks after it show the
+# SIGTERM drains cleanly. With curl available it first posts two requests
+# that must be 400s, a malformed cluster size (nwater -1) and a 193-atom
+# inline geometry, one past the bound; the checks after them show the
 # server kept serving.
 #
 # Needs only a POSIX shell + go; uses hfxd's own client mode instead of
@@ -38,6 +39,14 @@ if command -v curl >/dev/null 2>&1; then
         -d '{"kind":"screen","system":"watercluster","nwater":-1}' "$url/v1/jobs") || true
     [ "$code" = 400 ] || {
         echo "nwater -1 answered $code, want 400:"; cat "$tmp/bad.json" "$tmp/hfxd.log" 2>/dev/null; exit 1; }
+    # An inline geometry one atom past the 192-atom bound: hydrogens on a
+    # 2 Å lattice, the newlines escaped for JSON.
+    xyz=$(awk 'BEGIN { printf "193\\nlattice\\n"
+        for (i = 0; i < 193; i++) printf "H %d %d %d\\n", 2 * (i % 6), 2 * (int(i / 6) % 6), 2 * int(i / 36) }')
+    code=$(curl -s -o "$tmp/bad.json" -w '%{http_code}' -H 'Content-Type: application/json' \
+        -d "{\"kind\":\"screen\",\"xyz\":\"$xyz\"}" "$url/v1/jobs") || true
+    [ "$code" = 400 ] || {
+        echo "a 193-atom xyz answered $code, want 400:"; cat "$tmp/bad.json" "$tmp/hfxd.log" 2>/dev/null; exit 1; }
 fi
 
 "$tmp/hfxd" -submit -url "$url" -system water -basis STO-3G >"$tmp/first.json"
