@@ -111,13 +111,8 @@ func newERICache(set *basis.Set, pairs []screen.Pair, tasks []Task,
 			})
 		}
 	}
-	// Ties in priority go in (task, koff) order, the order candidates were
-	// made in, compared as one packed key.
 	slices.SortFunc(cands, func(a, b cacheCand) int {
-		if c := cmp.Compare(b.prio, a.prio); c != 0 {
-			return c
-		}
-		return cmp.Compare(int64(a.task)<<32|int64(a.koff), int64(b.task)<<32|int64(b.koff))
+		return cmp.Or(cmp.Compare(b.prio, a.prio), cmp.Compare(a.task, b.task), cmp.Compare(a.koff, b.koff))
 	})
 
 	c := &eriCache{budget: budget, usedBytes: base}

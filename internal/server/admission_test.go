@@ -403,12 +403,12 @@ func TestCanonicalKeyPinned(t *testing.T) {
 }
 
 // FuzzJobRequest feeds arbitrary bytes to the job-request decoder that
-// POST /v1/jobs uses, which resolves what it decodes. For every request
-// that decodes, CanonicalKey must not panic (a fleet router calls it in the
-// caller's goroutine), may fail only where the geometry does not resolve,
-// and must return the decoder's own key; a request re-encoded and decoded
-// again must keep its key. Nothing here screens or prices, so every input
-// stays cheap.
+// POST /v1/jobs uses, which resolves what it decodes, and to CanonicalKey
+// on the plainly unmarshalled request, as a fleet router calls it on a raw
+// request in the caller's goroutine. CanonicalKey must not panic; for every
+// request the decoder takes it must return the decoder's own key, and a
+// request re-encoded and decoded again must keep that key. Nothing here
+// screens or prices, so every input stays cheap.
 func FuzzJobRequest(f *testing.F) {
 	for _, seed := range []string{
 		`{"kind":"screen","system":"watercluster","nwater":-1}`,
@@ -422,30 +422,28 @@ func FuzzJobRequest(f *testing.F) {
 	big, _ := json.Marshal(JobRequest{Kind: KindScreen, XYZ: latticeXYZ(maxXYZAtoms + 1)})
 	f.Add(big)
 	f.Fuzz(func(t *testing.T, body []byte) {
-		req, err := decodeRequest(bytes.NewReader(body), nil)
-		if err != nil {
+		var raw JobRequest
+		if json.Unmarshal(body, &raw) != nil {
 			return
 		}
-		key, err := CanonicalKey(req)
-		if _, rerr := req.resolveMolecule(); (err == nil) != (rerr == nil) {
-			t.Fatalf("CanonicalKey error %v, geometry error %v", err, rerr)
-		}
-		if err != nil {
+		key, err := CanonicalKey(raw)
+		req, derr := decodeRequest(bytes.NewReader(body))
+		if derr != nil {
 			return
 		}
-		if key != req.key {
-			t.Fatalf("CanonicalKey %q, the decoder's key %q", key, req.key)
+		if err != nil || key != req.key {
+			t.Fatalf("CanonicalKey %q, %v; the decoder's key %q", key, err, req.key)
 		}
 		again, err := json.Marshal(req)
 		if err != nil {
 			t.Fatal(err)
 		}
-		back, err := decodeRequest(bytes.NewReader(again), nil)
+		back, err := decodeRequest(bytes.NewReader(again))
 		if err != nil {
 			t.Fatalf("re-encoded request %s rejected: %v", again, err)
 		}
-		if key2, err := CanonicalKey(back); err != nil || key2 != key {
-			t.Fatalf("re-encoded request keys %q, %v; want %q", key2, err, key)
+		if back.key != key {
+			t.Fatalf("re-encoded request keys %q; want %q", back.key, key)
 		}
 	})
 }
@@ -483,39 +481,60 @@ func latticeXYZ(n int) string {
 	return sb.String()
 }
 
-// TestRequestResolvedOnce: the handler and journal replay resolve each
-// request once — defaults, validation, geometry and canonical key — and
-// admission and the worker build from that resolution, so jobs.resolved
-// moves by one for a replayed job, a cache miss and a cache hit alike.
-func TestRequestResolvedOnce(t *testing.T) {
+// journalOf writes a job journal holding reqs as outstanding jobs
+// job-000001, job-000002, … and returns its path.
+func journalOf(t *testing.T, reqs ...JobRequest) string {
+	t.Helper()
 	path := filepath.Join(t.TempDir(), "jobs.wal")
 	jl, err := openJobJournal(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := jl.submit("job-000001", &JobRequest{Kind: KindScreen, System: "lih"}); err != nil {
-		t.Fatal(err)
+	for i := range reqs {
+		if _, err := jl.submit(fmt.Sprintf("job-%06d", i+1), &reqs[i]); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := jl.close(); err != nil {
 		t.Fatal(err)
 	}
-	s := mustNew(t, Config{Workers: 1, JournalPath: path})
+	return path
+}
+
+// TestRequestResolvedOnce: the handler and journal replay resolve each
+// request once — defaults, validation, geometry and canonical key — and
+// admission and the worker build from that resolution, so jobs.resolved
+// moves by one for a cache miss, a cache hit and a replay that resolves,
+// whether admission then takes the replay or strikes it out. Admission
+// refuses a request nothing has resolved.
+func TestRequestResolvedOnce(t *testing.T) {
+	// On a one-slot queue the first of the two resolvable replays is
+	// admitted and the second struck out; the inline geometry past the
+	// bound is struck out before it resolves.
+	path := journalOf(t, JobRequest{Kind: KindScreen, System: "lih"}, JobRequest{Kind: KindScreen, System: "h2"},
+		JobRequest{Kind: KindScreen, XYZ: latticeXYZ(maxXYZAtoms + 1)})
+	replay := mustNew(t, Config{Workers: 1, QueueCap: 1, JournalPath: path})
+	if r, rep, drop := counter(replay, "jobs.resolved"), counter(replay, "journal.replayed"), counter(replay, "journal.replay_dropped"); r != 2 || rep != 1 || drop != 2 {
+		t.Fatalf("replay: jobs.resolved %d, journal.replayed %d, journal.replay_dropped %d; want 2, 1, 2", r, rep, drop)
+	}
+
+	s := mustNew(t, Config{Workers: 1})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	if got := counter(s, "jobs.resolved"); got != 1 {
-		t.Fatalf("a replayed job resolved %d times, want 1", got)
-	}
 	for i, want := range []bool{false, true} {
 		res := submit(t, ts, JobRequest{Kind: KindSCF, System: "h2"})
 		if res.State != StateDone || res.CacheHit != want {
 			t.Fatalf("submit %d: %+v, want cache hit %v", i, res, want)
 		}
-		if got := counter(s, "jobs.resolved"); got != int64(i+2) {
-			t.Fatalf("after submit %d (cache hit %v) jobs.resolved reads %d, want %d", i, want, got, i+2)
+		if got := counter(s, "jobs.resolved"); got != int64(i+1) {
+			t.Fatalf("after submit %d (cache hit %v) jobs.resolved reads %d, want %d", i, want, got, i+1)
 		}
 	}
-	if r, sub, rep := counter(s, "jobs.resolved"), counter(s, "jobs.submitted"), counter(s, "journal.replayed"); r != sub+rep {
-		t.Fatalf("jobs.resolved %d, want jobs.submitted %d + journal.replayed %d", r, sub, rep)
+	if r, sub := counter(s, "jobs.resolved"), counter(s, "jobs.submitted"); r != sub {
+		t.Fatalf("jobs.resolved %d, want jobs.submitted %d", r, sub)
+	}
+	if _, err := s.admit(context.Background(), "", JobRequest{Kind: KindScreen, System: "h2"}); err == nil {
+		t.Fatal("admission took an unresolved request")
 	}
 }
 
@@ -529,24 +548,13 @@ func TestInlineGeometryBounded(t *testing.T) {
 	if _, err := CanonicalKey(big); err == nil {
 		t.Fatalf("CanonicalKey accepted %d inline atoms", maxXYZAtoms+1)
 	}
-	path := filepath.Join(t.TempDir(), "jobs.wal")
-	jl, err := openJobJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := jl.submit("job-000001", &big); err != nil {
-		t.Fatal(err)
-	}
-	if err := jl.close(); err != nil {
-		t.Fatal(err)
-	}
-	s := mustNew(t, Config{Workers: 1, JournalPath: path})
+	s := mustNew(t, Config{Workers: 1, JournalPath: journalOf(t, big)})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	if got := counter(s, "journal.replay_dropped"); got != 1 {
 		t.Fatalf("journal.replay_dropped %d, want 1", got)
 	}
-	_, err = NewClient(ts.URL).Submit(context.Background(), big)
+	_, err := NewClient(ts.URL).Submit(context.Background(), big)
 	if err == nil || !strings.Contains(err.Error(), "400") {
 		t.Fatalf("%d inline atoms: %v, want a 400", maxXYZAtoms+1, err)
 	}

@@ -33,7 +33,6 @@ import (
 	"hfxmd/internal/scf"
 	"hfxmd/internal/sched"
 	"hfxmd/internal/screen"
-	"hfxmd/internal/trace"
 )
 
 // The job kinds hfxd serves.
@@ -188,23 +187,21 @@ func (r *JobRequest) normalize() {
 
 // decodeRequest reads one POST /v1/jobs body, in which unknown fields are
 // an error, and resolves the request. It does no screening or pricing.
-func decodeRequest(r io.Reader, reg *trace.Registry) (JobRequest, error) {
+func decodeRequest(r io.Reader) (JobRequest, error) {
 	var req JobRequest
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		return req, fmt.Errorf("bad request body: %w", err)
 	}
-	return req, req.resolve(reg)
+	return req, req.resolve()
 }
 
-// resolve is the one resolution of a request: it fills defaults,
-// validates, builds the geometry and hashes the canonical result key, and
-// keeps the molecule and the key on the request for admission, the worker
-// and the result. The handler and journal replay resolve each request
-// once and count it in reg's jobs.resolved; CanonicalKey and PriceRequest
-// resolve a copy without a registry.
-func (r *JobRequest) resolve(reg *trace.Registry) error {
+// resolve is a request's one resolution: defaults, validation, geometry and
+// canonical result key, kept on the request for admission, the worker and
+// the result. The handler and journal replay resolve each request once;
+// CanonicalKey and PriceRequest resolve a copy.
+func (r *JobRequest) resolve() error {
 	r.normalize()
 	if err := r.validate(); err != nil {
 		return err
@@ -214,9 +211,6 @@ func (r *JobRequest) resolve(reg *trace.Registry) error {
 		return err
 	}
 	r.mol, r.key = mol, r.cacheKey(mol)
-	if reg != nil {
-		reg.Counter("jobs.resolved").Add(1)
-	}
 	return nil
 }
 
@@ -532,7 +526,7 @@ func (r *JobRequest) screenOptions() screen.Options {
 // first if nothing has. The predicted cost is in cost-model nanoseconds.
 func prepare(req *JobRequest, threads int) (*prepared, float64, error) {
 	if req.mol == nil {
-		if err := req.resolve(nil); err != nil {
+		if err := req.resolve(); err != nil {
 			return nil, 0, err
 		}
 	}
@@ -601,7 +595,7 @@ func retryAfterSeconds(queuedNS, inflightNS, newNS float64, workers int) int {
 // doing any screening work. It resolves a copy; the caller's value is not
 // mutated.
 func CanonicalKey(req JobRequest) (string, error) {
-	err := req.resolve(nil)
+	err := req.resolve()
 	return req.key, err
 }
 

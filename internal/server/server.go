@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"path/filepath"
@@ -231,8 +232,9 @@ func (s *Server) replayJournal() {
 			s.nextID.Store(seq)
 		}
 		req := *rec.Req
-		err := req.resolve(s.reg)
+		err := req.resolve()
 		if err == nil {
+			s.reg.Counter("jobs.resolved").Add(1)
 			_, err = s.admit(context.Background(), rec.ID, req)
 		}
 		if err != nil {
@@ -244,13 +246,16 @@ func (s *Server) replayJournal() {
 	}
 }
 
-// admit is the one admission of a job, live or replayed: it prices a
-// resolved request, gives it a context on parent under its own
-// timeoutMs clamped to MaxTimeout, ranks it predicted + AgingNSPerSec·t and
-// queues it as id (a new ID when id is empty). A draining server refuses
-// the job before pricing it; a job the queue refuses is returned, context
-// cancelled, with ErrQueueFull or ErrDraining.
+// admit is the one admission of a job, live or replayed: it refuses an
+// unresolved request, prices a resolved one, gives it a context on parent
+// under its own timeoutMs clamped to MaxTimeout, ranks it predicted +
+// AgingNSPerSec·t and queues it as id (a new ID when id is empty). A draining
+// server refuses the job before pricing it; a job the queue refuses is
+// returned, context cancelled, with ErrQueueFull or ErrDraining.
 func (s *Server) admit(parent context.Context, id string, req JobRequest) (*job, error) {
+	if req.mol == nil {
+		return nil, errors.New("server: admission of an unresolved request")
+	}
 	if s.draining.Load() {
 		return nil, ErrDraining
 	}
@@ -712,11 +717,12 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
-	req, err := decodeRequest(http.MaxBytesReader(w, r.Body, 1<<20), s.reg)
+	req, err := decodeRequest(http.MaxBytesReader(w, r.Body, 1<<20))
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
+	s.reg.Counter("jobs.resolved").Add(1)
 	s.reg.Counter("jobs.submitted").Add(1)
 	if res, ok := s.cache.get(req.key); ok {
 		s.reg.Counter("cache.hits").Add(1)

@@ -30,18 +30,17 @@
 # the committed BENCH_fock.json.
 #
 # Usage: scripts/bench_pair.sh [base-rev [counts.json]]
-#        AA=1 scripts/bench_pair.sh [rev [counts.json]]
 # An absent or empty base-rev defaults to the merge-base of HEAD and main,
 # or to HEAD^ when that merge-base is HEAD itself and the working tree
 # has no change against it (the change is already committed on main).
 # The script prints the base it used and how it chose it. N sets the
 # number of pairs (default 10; one pair takes about 30 s on 2 vCPUs).
 #
-# With AA=1 the script runs an A/A check: both sides are built from the
-# same tree (`git archive` of the revision), so every difference between
+# An A/A check is `scripts/bench_pair.sh REV` run from a clean checkout
+# of REV: both sides are then the same tree, so every difference between
 # them is noise. Each row's ratio of medians and its per-pair ratio
-# quartiles are then that row's A/A spread, and a row that reads worse
-# is a false alarm of the gate.
+# quartiles are that row's A/A spread, and a row that reads worse is a
+# false alarm of the gate.
 set -eu
 cd "$(dirname "$0")/.."
 if [ -n "${1:-}" ]; then
@@ -54,8 +53,6 @@ else
 fi
 base="$(git rev-parse "$base")"
 echo "base: $base ($why)" >&2
-aa="${AA:-}"
-test -n "$aa" && echo "A/A: both sides are built from $base" >&2
 out="${2:-}"
 pairs="${N:-10}"
 tmp="$(mktemp -d)"
@@ -65,7 +62,7 @@ mkdir "$tmp/base"
 git archive "$base" | tar -x -C "$tmp/base"
 for side in base change; do
 	src=.
-	test "$side" = base -o -n "$aa" && src="$tmp/base"
+	test "$side" = base && src="$tmp/base"
 	for pkg in hfx integrals screen dft scf md; do
 		# -trimpath: identical code builds identical binaries on both sides.
 		(cd "$src" && go test -c -trimpath -o "$tmp/$side-$pkg.test" "./internal/$pkg/")
@@ -76,7 +73,7 @@ done
 # package directory.
 bench() {
 	dir=. bin="$tmp/$1-$2.test" pkg="$2"
-	test "$1" = base -o -n "$aa" && dir="$tmp/base"
+	test "$1" = base && dir="$tmp/base"
 	shift 2
 	(cd "$dir/internal/$pkg" && "$bin" -test.run '^$' -test.timeout 10m "$@" </dev/null)
 }
@@ -166,7 +163,7 @@ function q(side, f,   n, x) {
 	x = f * (n - 1) + 1
 	return v[side, int(x)] + (x - int(x)) * (v[side, int(x) + 1] - v[side, int(x)])
 }
-function flush(   b, c, slower, p, band, verdict, i, j, t) {
+function flush(   b, c, slower, p, band, verdict, i, t) {
 	if (row == "") return
 	if (!cnt["base"] || !cnt["change"]) { printf "%-40s only on one side\n", row; return }
 	slower = 0
