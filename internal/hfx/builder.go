@@ -28,7 +28,7 @@ type Options struct {
 	// Balancer selects the static load-balancing algorithm. The paper's
 	// scheme is sched.LPT; sched.Block reproduces the naive layout.
 	Balancer sched.Algorithm
-	// Granule is the target task cost passed to GenerateTasks (0 = auto).
+	// Granule is the target task cost of the builder's tasks (0 = auto).
 	Granule float64
 	// DensityWeighted enables the P-weighted Schwarz quartet test, which
 	// tightens screening as SCF converges.
@@ -142,6 +142,20 @@ type Report struct {
 	Cache CacheStats
 }
 
+// BuildSums names the builder registry's lifetime sums of what each build
+// reports (the phase walls in ns). A caller that publishes a builder's work
+// adds their movement between two reads (Report.Sums): each build once.
+var BuildSums = [...]string{"pool.builds", "quartets.computed", "quartets.screened", "prim.evaluated",
+	"prim.skipped", "ericache.hits", "ericache.misses", "pool.zero_ns", "pool.compute_ns", "pool.reduce_ns"}
+
+// Sums reads BuildSums from the registry of the builder that made r.
+func (r Report) Sums() (sums [len(BuildSums)]int64) {
+	for i := range sums {
+		sums[i] = r.Metrics.Counter(BuildSums[i]).Value()
+	}
+	return sums
+}
+
 // PoolStats describes the persistent state behind a Builder.
 type PoolStats struct {
 	// Workers is the number of persistent executors.
@@ -157,9 +171,6 @@ type PoolStats struct {
 	// ReuseHits counts builds that reused the buffers (every build after
 	// the first).
 	ReuseHits int64
-	// ZeroTime is the cumulative CPU time spent zeroing accumulators
-	// across all builds (summed over executors).
-	ZeroTime time.Duration
 	// CacheSlabBytes is the payload capacity of the semi-direct ERI cache
 	// slabs (0 when the cache is disabled). Included in BufferBytes.
 	CacheSlabBytes int64
@@ -315,24 +326,33 @@ const (
 // per-executor buffers and starts Threads persistent executors on one
 // rank.
 func NewBuilder(eng *integrals.Engine, scr *screen.Result, opts Options) *Builder {
-	return NewPricedBuilder(eng, scr, opts, nil)
+	b, _ := NewPricedBuilder(eng, scr, Placement{Opts: opts}, nil, nil) // one rank cannot fail
+	return b
 }
 
-// NewPricedBuilder is NewBuilder on a task list its caller already priced
-// as BuilderTasks(eng, scr, DefaultCostModel(), opts.Granule) — an
-// admission's — so that a served job is priced once; nil tasks are priced
-// here.
-func NewPricedBuilder(eng *integrals.Engine, scr *screen.Result, opts Options, tasks []Task) *Builder {
+// NewPricedBuilder places the core as pm says — one rank as NewBuilder,
+// more as NewDistBuilder or, stealing, NewStealBuilder — on tasks and prices
+// already cut as PricedTasks(eng, scr, pm.Opts), an admission's, so that a
+// served build is priced once; nil tasks are priced here.
+func NewPricedBuilder(eng *integrals.Engine, scr *screen.Result, pm Placement, tasks []Task, prices []float64) (*Builder, error) {
+	if pm.Ranks > 1 {
+		d, err := newPlaced(eng, scr, pm, tasks, prices)
+		if err != nil {
+			return nil, err
+		}
+		return d.Builder, nil
+	}
+	opts := pm.Opts
 	if opts.Threads <= 0 {
 		opts.Threads = runtime.GOMAXPROCS(0)
 	}
-	return newBuilder(eng, scr, Placement{Ranks: 1, ThreadsPerRank: opts.Threads, UnitsPerThread: 1, Opts: opts}, nil, tasks)
+	return newBuilder(eng, scr, Placement{Ranks: 1, ThreadsPerRank: opts.Threads, UnitsPerThread: 1, Opts: opts}, nil, tasks, prices), nil
 }
 
 // newBuilder builds the core for a normalized placement; world is the
-// mprt world of a multi-rank placement (nil on one rank) and tasks the
-// priced decomposition (nil: price it here).
-func newBuilder(eng *integrals.Engine, scr *screen.Result, pm Placement, world *mprt.World, tasks []Task) *Builder {
+// mprt world of a multi-rank placement (nil on one rank), and tasks and
+// prices the priced decomposition (nil tasks: price it here).
+func newBuilder(eng *integrals.Engine, scr *screen.Result, pm Placement, world *mprt.World, tasks []Task, prices []float64) *Builder {
 	opts := pm.Opts
 	if world == nil {
 		pm.Shape, _ = torus.ShapeForNodes(1)
@@ -344,7 +364,7 @@ func newBuilder(eng *integrals.Engine, scr *screen.Result, pm Placement, world *
 		pl.reg = trace.NewRegistry()
 	}
 	if pl.tasks = tasks; tasks == nil {
-		pl.tasks = BuilderTasks(eng, scr, DefaultCostModel(), opts.Granule)
+		pl.tasks, prices = PricedTasks(eng, scr, opts)
 	}
 	pl.costs = TaskCosts(pl.tasks)
 	pl.costStats = sched.Summarize(pl.costs)
@@ -378,8 +398,7 @@ func newBuilder(eng *integrals.Engine, scr *screen.Result, pm Placement, world *
 		pl.pairP = make([]float64, len(scr.Pairs))
 	}
 	if opts.CacheBudgetBytes > 0 {
-		pl.cache = newERICache(eng.Basis, scr.Pairs, pl.tasks, pl.asn,
-			newBuilderPricer(DefaultCostModel(), eng, scr), opts.CacheBudgetBytes)
+		pl.cache = newERICache(eng.Basis, scr.Pairs, pl.tasks, pl.asn, prices, opts.CacheBudgetBytes)
 	}
 	pl.rankCompute, pl.rankComm, pl.rankBusy = make([]time.Duration, R), make([]time.Duration, R), make([]float64, R)
 	if world != nil {
@@ -391,14 +410,14 @@ func newBuilder(eng *integrals.Engine, scr *screen.Result, pm Placement, world *
 	// lookups never insert into the registry map.
 	pl.reg.Counter("pool.buffers_alloc").Add(int64(2*len(pl.slots) + len(pl.execs)))
 	pl.reg.Counter("pool.buffer_bytes").Add(int64(2*len(pl.slots)*n*n+len(pl.execs)*buflen) * 8)
-	for _, c := range []string{"pool.builds", "pool.reuse_hits", "pool.zero_ns", "mprt.rank_restarts"} {
+	for _, c := range append([]string{"pool.reuse_hits", "mprt.rank_restarts"}, BuildSums[:]...) {
 		pl.reg.Counter(c)
 	}
 	pl.reg.Counter("screen.wall_ns").Add(scr.Stats.Wall().Nanoseconds())
 	if pl.cache != nil {
 		pl.reg.Counter("pool.buffers_alloc").Add(int64(len(pl.cache.shards)))
 		pl.reg.Counter("pool.buffer_bytes").Add(pl.cache.slabBytes())
-		for _, c := range []string{"ericache.hits", "ericache.misses", "ericache.bytes", "ericache.evictions"} {
+		for _, c := range []string{"ericache.bytes", "ericache.evictions"} {
 			pl.reg.Counter(c)
 		}
 		pl.reg.Counter("ericache.admitted").Add(pl.cache.admitted)
@@ -679,7 +698,6 @@ func (pl *pool) report(start time.Time, comm0 [5]int64) Report {
 			BufferBytes:      reg.Counter("pool.buffer_bytes").Value(),
 			Builds:           reg.Counter("pool.builds").Value(),
 			ReuseHits:        reg.Counter("pool.reuse_hits").Value(),
-			ZeroTime:         time.Duration(reg.Counter("pool.zero_ns").Value()),
 		},
 	}
 	rep.StealsSucceeded = rep.BlocksMigrated
@@ -689,6 +707,12 @@ func (pl *pool) report(start time.Time, comm0 [5]int64) Report {
 	for i := range pl.slots {
 		rep.Prim.Add(pl.slots[i].prim)
 	}
+	reg.Counter("quartets.computed").Add(rep.QuartetsComputed)
+	reg.Counter("quartets.screened").Add(rep.QuartetsScreened)
+	reg.Counter("prim.evaluated").Add(rep.Prim.Evaluated)
+	reg.Counter("prim.skipped").Add(rep.Prim.Skipped)
+	reg.Counter("pool.compute_ns").Add(int64(reg.Timer.Get("compute")))
+	reg.Counter("pool.reduce_ns").Add(int64(reg.Timer.Get("reduce")))
 	clear(pl.rankCompute)
 	clear(pl.rankBusy)
 	for i := range pl.execs {

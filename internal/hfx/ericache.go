@@ -78,10 +78,11 @@ type cacheCand struct {
 	prio float64
 }
 
-// newERICache plans the admission and allocates the shard slabs. Returns
-// nil when the budget cannot hold even the slot index plus one block.
+// newERICache plans the admission by the task cut's prices (PricedTasks)
+// and allocates the shard slabs. Returns nil when the budget cannot hold
+// even the slot index plus one block.
 func newERICache(set *basis.Set, pairs []screen.Pair, tasks []Task,
-	asn *sched.Assignment, pr *pricer, budget int64) *eriCache {
+	asn *sched.Assignment, prices []float64, budget int64) *eriCache {
 	nq := 0
 	for i := range tasks {
 		nq += tasks[i].QuartetsInTask
@@ -98,6 +99,7 @@ func newERICache(set *basis.Set, pairs []screen.Pair, tasks []Task,
 	// the block is to survive screening (and how large its contribution
 	// is), the cost model predicts how expensive it is to recompute.
 	cands := make([]cacheCand, 0, nq)
+	prices = prices[:nq] // tasks priced without an ERI cache plan panic here
 	for ti := range tasks {
 		t := &tasks[ti]
 		bra := pairs[t.Bra]
@@ -107,7 +109,7 @@ func newERICache(set *basis.Set, pairs []screen.Pair, tasks []Task,
 				task: int32(ti),
 				koff: int32(ji - t.KetLo),
 				blen: int32(eriBlockLen(set, bra.A, bra.B, ket.A, ket.B)),
-				prio: bra.Q * ket.Q * pr.quartet(t.Bra, ji),
+				prio: bra.Q * ket.Q * prices[len(cands)],
 			})
 		}
 	}

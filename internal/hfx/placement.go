@@ -104,7 +104,7 @@ func NewDistBuilder(eng *integrals.Engine, scr *screen.Result, pm DistOptions) (
 		return nil, fmt.Errorf("hfx: a rank-distributed build has one slot per executor and no stealing (use NewStealBuilder)")
 	}
 	pm.UnitsPerThread = 1
-	return newPlaced(eng, scr, pm)
+	return newPlaced(eng, scr, pm, nil, nil)
 }
 
 // NewStealBuilder places the core on Ranks×ThreadsPerRank executors over
@@ -113,7 +113,7 @@ func NewStealBuilder(eng *integrals.Engine, scr *screen.Result, pm StealOptions)
 	if pm.UnitsPerThread <= 0 {
 		pm.UnitsPerThread = 4
 	}
-	return newPlaced(eng, scr, pm)
+	return newPlaced(eng, scr, pm, nil, nil)
 }
 
 // BuildJK is Builder.BuildJK; the error is always nil (a killed rank is
@@ -124,12 +124,12 @@ func (d *DistBuilder) BuildJK(p *linalg.Matrix) (j, k *linalg.Matrix, rep DistRe
 }
 
 // newPlaced validates a multi-rank placement and builds the core on its
-// mprt world (none on one rank).
-func newPlaced(eng *integrals.Engine, scr *screen.Result, pm Placement) (*DistBuilder, error) {
+// mprt world (none on one rank) from tasks and prices (nil: price here).
+func newPlaced(eng *integrals.Engine, scr *screen.Result, pm Placement, tasks []Task, prices []float64) (*DistBuilder, error) {
 	if pm.Ranks < 1 {
 		return nil, fmt.Errorf("hfx: need at least 1 rank, got %d", pm.Ranks)
 	}
-	pm.ThreadsPerRank = max(pm.ThreadsPerRank, 1)
+	pm.ThreadsPerRank, pm.UnitsPerThread = max(pm.ThreadsPerRank, 1), max(pm.UnitsPerThread, 1)
 	if t, u := pm.ThreadsPerRank, pm.UnitsPerThread; t&(t-1) != 0 || u&(u-1) != 0 {
 		return nil, fmt.Errorf("hfx: threads per rank (%d) and units per thread (%d) must be powers of two", t, u)
 	}
@@ -141,7 +141,7 @@ func newPlaced(eng *integrals.Engine, scr *screen.Result, pm Placement) (*DistBu
 		}
 		pm.Shape = world.Shape()
 	}
-	return &DistBuilder{newBuilder(eng, scr, pm, world, nil)}, nil
+	return &DistBuilder{newBuilder(eng, scr, pm, world, tasks, prices)}, nil
 }
 
 // place computes the static schedule over the slots under the placement

@@ -247,3 +247,56 @@ func TestCacheInvalidate(t *testing.T) {
 		t.Fatalf("cache did not refill after invalidate: misses=%d", rep3.Cache.Misses)
 	}
 }
+
+// TestOnePricingPassPerBuild: a semi-direct NewBuilder prices each
+// canonical quartet once — the task cut's pass, whose prices the ERI
+// cache ranks its admission by — and NewPricedBuilder on PricedTasks'
+// decomposition prices nothing, on one rank or two: it schedules that
+// task slice itself and admits what NewBuilder admits. A pricing that
+// plans no ERI cache keeps no per-quartet prices.
+func TestOnePricingPassPerBuild(t *testing.T) {
+	eng, scr := setup(t, chem.WaterCluster(2, 1), 1e-10)
+	opts := DefaultOptions()
+	opts.Threads = 1
+	opts.CacheBudgetBytes = 1 << 20
+	passes := func(f func()) int64 {
+		n := pricingPasses.Load()
+		f()
+		return pricingPasses.Load() - n
+	}
+	var own *Builder
+	if n := passes(func() { own = NewBuilder(eng, scr, opts) }); n != 1 {
+		t.Fatalf("a semi-direct NewBuilder made %d pricing passes, want 1", n)
+	}
+	defer own.Close()
+	tasks, prices := PricedTasks(eng, scr, opts)
+	if len(prices) != TotalQuartets(tasks) {
+		t.Fatalf("%d prices for %d canonical quartets", len(prices), TotalQuartets(tasks))
+	}
+	for _, ranks := range []int{1, 2} {
+		var b *Builder
+		var err error
+		if n := passes(func() { b, err = NewPricedBuilder(eng, scr, Placement{Ranks: ranks, Opts: opts}, tasks, prices) }); n != 0 {
+			t.Fatalf("%d ranks: NewPricedBuilder made %d pricing passes, want 0", ranks, n)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := b.Tasks(); len(got) != len(tasks) || &got[0] != &tasks[0] {
+			t.Errorf("%d ranks: the builder does not schedule the priced task slice", ranks)
+		}
+		if got, want := b.pl.cache.admitted, own.pl.cache.admitted; got != want || b.pl.cache.usedBytes != own.pl.cache.usedBytes {
+			t.Errorf("%d ranks: admitted %d quartets, NewBuilder %d", ranks, got, want)
+		}
+		if ranks == 1 && b.SpillKey() != own.SpillKey() {
+			t.Errorf("SpillKey %s, NewBuilder's %s", b.SpillKey(), own.SpillKey())
+		}
+		b.Close()
+	}
+	for _, budget := range []int64{0, 4} { // none, and less than the slot index
+		opts.CacheBudgetBytes = budget
+		if _, prices := PricedTasks(eng, scr, opts); prices != nil {
+			t.Fatalf("budget %d: a pricing that plans no ERI cache kept %d prices", budget, len(prices))
+		}
+	}
+}

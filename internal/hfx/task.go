@@ -1,6 +1,8 @@
 package hfx
 
 import (
+	"sync/atomic"
+
 	"hfxmd/internal/basis"
 	"hfxmd/internal/integrals"
 	"hfxmd/internal/screen"
@@ -24,29 +26,48 @@ type Task struct {
 // simulation on large ones. Without an engine it prices every primitive
 // quartet of a quartet — the exact kernel; the builders run BuilderTasks.
 func GenerateTasks(set *basis.Set, pairs []screen.Pair, cm CostModel, granule float64) []Task {
-	return generateTasks(newPricer(cm, set, pairs), granule)
+	tasks, _ := generateTasks(newPricer(cm, set, pairs), granule, false)
+	return tasks
 }
 
 // BuilderTasks is GenerateTasks priced the way a builder on (eng, scr)
 // evaluates under scr's threshold: nothing for a quartet that fails the
 // shell-level Schwarz test, and no primitive quartet below the
-// primitive-level cut. It is the decomposition NewBuilder, NewDistBuilder
-// and NewStealBuilder schedule, and what admission prices a job by.
+// primitive-level cut.
 func BuilderTasks(eng *integrals.Engine, scr *screen.Result, cm CostModel, granule float64) []Task {
-	return generateTasks(newBuilderPricer(cm, eng, scr), granule)
+	tasks, _ := generateTasks(newBuilderPricer(cm, eng, scr), granule, false)
+	return tasks
 }
 
-func generateTasks(pr *pricer, granule float64) []Task {
+// PricedTasks is BuilderTasks under opts at the default cost model — what
+// every builder schedules and admission prices a job by — plus, when opts
+// plan an ERI cache, each canonical quartet's price in task order.
+func PricedTasks(eng *integrals.Engine, scr *screen.Result, opts Options) (tasks []Task, prices []float64) {
+	n := int64(len(scr.Pairs))
+	cache := opts.CacheBudgetBytes > n*(n+1)/2*cacheSlotIndexBytes // else newERICache plans none
+	return generateTasks(newBuilderPricer(DefaultCostModel(), eng, scr), opts.Granule, cache)
+}
+
+// pricingPasses counts generateTasks calls, the one place quartets are priced.
+var pricingPasses atomic.Int64
+
+func generateTasks(pr *pricer, granule float64, keepPrices bool) (tasks []Task, prices []float64) {
+	pricingPasses.Add(1)
 	if granule <= 0 {
 		granule = 250_000 // ~0.25 ms of quartet work per task
 	}
-	var tasks []Task
+	if n := len(pr.classes); keepPrices {
+		prices = make([]float64, 0, n*(n+1)/2)
+	}
 	for i := range pr.classes {
 		lo := 0
 		var acc float64
 		var count int
 		for j := 0; j <= i; j++ {
 			c := pr.quartet(i, j)
+			if keepPrices {
+				prices = append(prices, c)
+			}
 			if acc+c > granule && count > 0 {
 				tasks = append(tasks, Task{Bra: i, KetLo: lo, KetHi: j, Cost: acc, QuartetsInTask: count})
 				lo, acc, count = j, 0, 0
@@ -58,7 +79,7 @@ func generateTasks(pr *pricer, granule float64) []Task {
 			tasks = append(tasks, Task{Bra: i, KetLo: lo, KetHi: i + 1, Cost: acc, QuartetsInTask: count})
 		}
 	}
-	return tasks
+	return tasks, prices
 }
 
 // TaskClasses maps each task to its work class: the angular momenta of

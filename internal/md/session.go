@@ -56,9 +56,11 @@ type SessionStats struct {
 	// Fallbacks counts seeded runs that failed or did not converge and
 	// were retried cold.
 	Fallbacks int64
-	// FockBuilds counts the Fock builds the session's builders served, and
-	// HFX is the report of the latest one.
+	// FockBuilds counts the Fock builds the session's builders served,
+	// HFXSums sums hfx.BuildSums over all of them, and HFX is the report
+	// of the latest one.
 	FockBuilds int64
+	HFXSums    [len(hfx.BuildSums)]int64
 	HFX        hfx.Report
 	// PredictorOrder is the extrapolation order of the latest run's seed
 	// (0 when it was not seeded from the trajectory's own history).
@@ -93,9 +95,9 @@ type Session struct {
 	mu      sync.Mutex
 	pred    predictor
 	xc      dft.Integrator
-	builder *hfx.Builder // its Scr is the pair list, its Eng this step's engine
-	refPos  []chem.Vec3  // geometry the pair list was built at
-	served  int64        // builds of the current builder already in stats.FockBuilds
+	builder *hfx.Builder              // its Scr is the pair list, its Eng this step's engine
+	refPos  []chem.Vec3               // geometry the pair list was built at
+	served  [len(hfx.BuildSums)]int64 // the current builder's sums already in stats.HFXSums
 	stats   SessionStats
 }
 
@@ -184,7 +186,7 @@ func (s *Session) runLocked(m *chem.Molecule, solve func(*chem.Molecule, scf.Con
 		}
 		s.builder = hfx.NewBuilder(eng, screen.BuildPairList(eng, s.cfg.Screen), s.cfg.HFX)
 		s.refPos = pos
-		s.served = 0
+		s.served = [len(hfx.BuildSums)]int64{}
 		s.stats.PairListBuilds++
 	}
 
@@ -235,14 +237,19 @@ func (s *Session) runLocked(m *chem.Molecule, solve func(*chem.Molecule, scf.Con
 // it ran to the session's counters.
 func (s *Session) solveCounted(solve func(*chem.Molecule, scf.Config) (*scf.Result, []chem.Vec3, error), m *chem.Molecule, cfg scf.Config) (*scf.Result, []chem.Vec3, error) {
 	res, f, err := solve(m, cfg)
-	if res != nil {
-		s.stats.SCFIterations += int64(res.Iterations)
-		if n := res.HFXReport.Pool.Builds; n > s.served {
-			s.stats.FockBuilds += n - s.served
-			s.served = n
-			s.stats.HFX = res.HFXReport
-		}
+	if res == nil {
+		return res, f, err
 	}
+	s.stats.SCFIterations += int64(res.Iterations)
+	if res.HFXReport.Metrics == nil { // stopped before its first build
+		return res, f, err
+	}
+	sums := res.HFXReport.Sums()
+	for i := range sums {
+		s.stats.HFXSums[i] += sums[i] - s.served[i]
+	}
+	s.served = sums
+	s.stats.FockBuilds, s.stats.HFX = s.stats.HFXSums[0], res.HFXReport
 	return res, f, err
 }
 

@@ -101,6 +101,35 @@ func TestSessionInvalidationBound(t *testing.T) {
 	}
 }
 
+// TestSessionSumsEveryBuild: HFXSums adds every Fock build of every
+// builder the session ran once, across a pair-list rebuild. Under plain
+// screening each build on one pair list computes the same quartets, so
+// the quartet sum is Σ builds × that build's count.
+func TestSessionSumsEveryBuild(t *testing.T) {
+	cfg := sessionCfg()
+	cfg.HFX = hfx.DefaultOptions()
+	cfg.HFX.DensityWeighted = false
+	s := NewSession(cfg, SessionOptions{MaxDisplacement: 0.05})
+	defer s.Close()
+	var builds, quartets int64
+	for _, dz := range []float64{0, 0.04, 0.2, 0.21} { // the third step rebuilds
+		res, err := s.Run(nudged(dz))
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := s.Stats().FockBuilds - builds
+		builds += n
+		quartets += n * res.HFXReport.QuartetsComputed
+	}
+	st := s.Stats()
+	if st.PairListBuilds != 2 {
+		t.Fatalf("want one rebuild, stats %+v", st)
+	}
+	if st.HFXSums[0] != st.FockBuilds || st.HFXSums[1] != quartets {
+		t.Fatalf("HFXSums builds/quartets %d/%d, want %d/%d", st.HFXSums[0], st.HFXSums[1], st.FockBuilds, quartets)
+	}
+}
+
 // TestSessionCompositionChange: a different system can never reuse the
 // builder, whatever the displacement metric says.
 func TestSessionCompositionChange(t *testing.T) {

@@ -482,16 +482,15 @@ type ScanSummary struct {
 
 // prepared is the admission-time state of a job: the instantiated basis,
 // integral engine, screened pair list and task decomposition of its
-// resolved geometry. Workers reuse it so the screening work done to price
-// the job is not repeated.
+// resolved geometry, priced (hfx.PricedTasks) under opts, the options its
+// builder is made with. Workers build on it, screening and pricing nothing.
 type prepared struct {
-	set   *basis.Set
-	eng   *integrals.Engine
-	scr   *screen.Result
-	tasks []hfx.Task
-	// opts are the options tasks were priced under and the job's builder
-	// is made with, so the builder takes the tasks as they are.
-	opts hfx.Options
+	set    *basis.Set
+	eng    *integrals.Engine
+	scr    *screen.Result
+	tasks  []hfx.Task
+	prices []float64
+	opts   hfx.Options
 	// totalNS/makespanNS are the cost-model predictions for one Fock
 	// build: serial cost and the LPT makespan on the server's builder
 	// thread count.
@@ -537,10 +536,10 @@ func prepare(req *JobRequest, threads int) (*prepared, float64, error) {
 	eng := integrals.NewEngine(set)
 	scr := screen.BuildPairList(eng, req.screenOptions())
 	opts := hfxOptions(req, threads)
-	tasks := hfx.BuilderTasks(eng, scr, hfx.DefaultCostModel(), opts.Granule)
+	tasks, prices := hfx.PricedTasks(eng, scr, opts)
 	costs := hfx.TaskCosts(tasks)
 	p := &prepared{
-		set: set, eng: eng, scr: scr, tasks: tasks, opts: opts,
+		set: set, eng: eng, scr: scr, tasks: tasks, prices: prices, opts: opts,
 		totalNS:    sched.TotalCost(costs),
 		makespanNS: sched.PredictMakespan(sched.LPT, costs, max(threads, 1)),
 	}

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -364,6 +365,7 @@ func (s *Server) Store() *store.Store { return s.store }
 type workerState struct {
 	key     string
 	builder *hfx.Builder
+	sums    buildSums // the builder's hfx.BuildSums already in /metrics
 }
 
 // close releases the cached builder, if any, spilling the semi-direct
@@ -415,13 +417,13 @@ func (s *Server) warmERI(b *hfx.Builder) {
 	s.reg.Counter("eri.warmed_blocks").Add(n)
 }
 
-// builderFor returns a builder for the job's prepared state, reusing the
-// cached one when the builder key (which carries the rank count) matches.
-// A request with ranks > 1 gets the rank-distributed placement of the same
-// core, one executor per rank: its bits equal a single-rank builder with
-// that many threads, so ranks stay out of the result cache key. A
-// replacement builder with a semi-direct cache is warmed from any
-// spilled image in the store.
+// builderFor returns a builder on the job's prepared state and pricing,
+// reusing the cached one when the builder key (which carries the rank
+// count) matches. A request with ranks > 1 gets the rank-distributed
+// placement of the same core, one executor per rank: its bits equal a
+// single-rank builder with that many threads, so ranks stay out of the
+// result cache key. A replacement builder with a semi-direct cache is
+// warmed from any spilled image in the store.
 func (st *workerState) builderFor(j *job, s *Server) (*hfx.Builder, error) {
 	// The result key doubles as builder identity; the ERI cache budget and
 	// the rank count shape the builder (not the result — the distributed
@@ -432,18 +434,12 @@ func (st *workerState) builderFor(j *job, s *Server) (*hfx.Builder, error) {
 		return st.builder, nil
 	}
 	st.close(s)
-	opts := j.prep.opts
-	var b *hfx.Builder
-	if j.req.Ranks > 1 {
-		d, err := hfx.NewDistBuilder(j.prep.eng, j.prep.scr, hfx.DistOptions{Ranks: j.req.Ranks, Schedule: mprt.DimExchange, Opts: opts})
-		if err != nil {
-			return nil, err
-		}
-		b = d.Builder
-	} else {
-		b = hfx.NewPricedBuilder(j.prep.eng, j.prep.scr, opts, j.prep.tasks)
+	pm := hfx.Placement{Ranks: j.req.Ranks, Schedule: mprt.DimExchange, Opts: j.prep.opts}
+	b, err := hfx.NewPricedBuilder(j.prep.eng, j.prep.scr, pm, j.prep.tasks, j.prep.prices)
+	if err != nil {
+		return nil, err
 	}
-	st.builder, st.key = b, key
+	st.builder, st.key, st.sums = b, key, buildSums{}
 	s.reg.Counter("builders.created").Add(1)
 	s.reg.Gauge("builders.open").Add(1)
 	s.warmERI(b)
@@ -582,10 +578,9 @@ func (s *Server) seedDensity(cfg *scf.Config, mol *chem.Molecule, nbasis int) {
 func (s *Server) runSCF(j *job) *JobResult {
 	cfg := s.scfConfig(&j.req)
 	s.seedDensity(&cfg, j.req.mol, j.prep.set.NBasis)
-	// The run builds on the admission's pair list and task list, so it
-	// neither screens nor prices again; the builder is the job's own,
-	// neither spilled nor kept by the worker.
-	b := hfx.NewPricedBuilder(j.prep.eng, j.prep.scr, j.prep.opts, j.prep.tasks)
+	// The builder is the job's own, on one rank (it cannot fail), neither
+	// spilled nor kept by the worker.
+	b, _ := hfx.NewPricedBuilder(j.prep.eng, j.prep.scr, hfx.Placement{Opts: j.prep.opts}, j.prep.tasks, j.prep.prices)
 	defer b.Close()
 	cfg.ExternalBuilder = b
 	cfg.Ctx = j.ctx
@@ -593,7 +588,7 @@ func (s *Server) runSCF(j *job) *JobResult {
 	if err != nil {
 		return j.outcome(err)
 	}
-	s.mergeReport(res.HFXReport, res.HFXReport.Pool.Builds)
+	s.mergeReport(res.HFXReport, res.HFXReport.Sums(), buildSums{})
 	if scf.SaveSeed(s.store, cfg, res) {
 		s.reg.Counter("prefix.density_stored").Add(1)
 	}
@@ -610,7 +605,8 @@ func (s *Server) runBuildJK(st *workerState, j *job) *JobResult {
 	}
 	p := scf.SADDensity(j.prep.set)
 	jm, km, rep := b.BuildJK(p)
-	s.mergeReport(rep, 1)
+	s.mergeReport(rep, rep.Sums(), st.sums)
+	st.sums = rep.Sums()
 	sum := &BuildSummary{
 		NBasis:           j.prep.set.NBasis,
 		NTasks:           rep.NTasks,
@@ -665,33 +661,29 @@ func (s *Server) runScan(j *job) *JobResult {
 	return res
 }
 
-// mergeReport folds a builder's report into the server-level registry:
-// builds is how many Fock builds the job ran (the report's Pool.Builds
-// counts the builder's lifetime, which spans jobs when a worker reuses
-// it). The phase and traffic counters of the per-job builders become
-// cumulative service metrics next to the queue/cache gauges; a
-// multi-rank build adds its collective traffic and per-rank
-// compute/comm walls.
-func (s *Server) mergeReport(rep hfx.Report, builds int64) {
-	s.reg.Counter("hfx.fock_builds").Add(builds)
-	s.reg.Counter("hfx.quartets_computed").Add(rep.QuartetsComputed)
-	s.reg.Counter("hfx.quartets_screened").Add(rep.QuartetsScreened)
-	s.reg.Counter("hfx.prim_quartets").Add(rep.Prim.Evaluated)
-	s.reg.Counter("hfx.prim_skipped").Add(rep.Prim.Skipped)
+type buildSums = [len(hfx.BuildSums)]int64
+
+// hfxSums are the /metrics names hfx.BuildSums add to, in its order: the
+// hfx.* counters, then the hfx.<phase> timers its three walls charge.
+var hfxSums = [len(hfx.BuildSums)]string{"hfx.fock_builds", "hfx.quartets_computed", "hfx.quartets_screened", "hfx.prim_quartets",
+	"hfx.prim_skipped", "hfx.ericache.hits", "hfx.ericache.misses", "hfx.zero", "hfx.compute", "hfx.reduce"}
+
+// mergeReport folds a job's Fock builds into the server-level registry:
+// sums − prev, the movement of hfx.BuildSums since the last publish, so
+// each build adds once, and from rep, the latest build's report, its pair
+// list's screening wall, tail bound and multi-rank traffic and walls.
+func (s *Server) mergeReport(rep hfx.Report, sums, prev buildSums) {
+	for i, name := range hfxSums {
+		if d := sums[i] - prev[i]; strings.HasSuffix(hfx.BuildSums[i], "_ns") {
+			s.reg.Timer.Charge(name, time.Duration(d))
+		} else {
+			s.reg.Counter(name).Add(d)
+		}
+	}
 	// The latest build's screening error bound, Σ q_i·q_j over the
 	// primitive quartets it skipped, in units of 1e-15.
 	s.reg.Gauge("hfx.prim_tail_bound_femto").Set(int64(rep.Prim.TailBound * 1e15))
-	s.reg.Counter("hfx.zero_ns").Add(int64(rep.Pool.ZeroTime))
 	s.reg.Counter("hfx.screen_wall_ns").Add(rep.ScreeningStats.Wall().Nanoseconds())
-	if rep.Cache.Enabled {
-		s.reg.Counter("hfx.ericache.hits").Add(rep.Cache.Hits)
-		s.reg.Counter("hfx.ericache.misses").Add(rep.Cache.Misses)
-	}
-	if rep.Timings != nil {
-		for _, p := range rep.Timings.Phases() {
-			s.reg.Timer.Charge("hfx."+p.Name, p.D)
-		}
-	}
 	if rep.Ranks > 1 {
 		s.reg.Counter("mprt.comm_bytes").Add(rep.CommBytes)
 		s.reg.Counter("mprt.sends").Add(rep.Sends)

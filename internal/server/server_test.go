@@ -17,6 +17,7 @@ import (
 
 	"hfxmd/internal/hfx"
 	"hfxmd/internal/integrals"
+	"hfxmd/internal/mprt"
 	"hfxmd/internal/scf"
 	"hfxmd/internal/store"
 )
@@ -418,6 +419,87 @@ func TestServedBuilderTakesAdmissionTasks(t *testing.T) {
 	defer own.Close()
 	if !slices.Equal(own.Tasks(), tasks) {
 		t.Fatal("admission priced the task list under other options than the served builder's")
+	}
+}
+
+// TestServedPlacementsBuildOnAdmissionPricing: every served buildjk
+// placement, one rank or two, direct or semi-direct, schedules admission's
+// task slice itself, and a semi-direct one admits what a fresh builder of
+// the same placement and options admits: the same SpillKey.
+func TestServedPlacementsBuildOnAdmissionPricing(t *testing.T) {
+	s := mustNew(t, Config{Workers: 1, CacheBytes: -1})
+	for _, c := range []struct{ ranks, cacheMB int }{{1, 1}, {2, 0}, {2, 1}} {
+		req := JobRequest{Kind: KindBuildJK, System: "water", Ranks: c.ranks, CacheMB: c.cacheMB}
+		req.normalize()
+		prep, _, err := prepare(&req, s.cfg.BuilderThreads)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var st workerState
+		b, err := st.builderFor(&job{req: req, prep: prep}, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tasks := b.Tasks(); len(tasks) == 0 || len(tasks) != len(prep.tasks) || &tasks[0] != &prep.tasks[0] {
+			t.Errorf("%+v: served builder schedules %d tasks at %p, admission priced %d at %p",
+				c, len(tasks), tasks, len(prep.tasks), prep.tasks)
+		}
+		if c.cacheMB > 0 {
+			fresh := hfx.NewBuilder(prep.eng, prep.scr, hfxOptions(&req, s.cfg.BuilderThreads))
+			if c.ranks > 1 {
+				d, err := hfx.NewDistBuilder(prep.eng, prep.scr, hfx.DistOptions{Ranks: c.ranks, Schedule: mprt.DimExchange, Opts: hfxOptions(&req, s.cfg.BuilderThreads)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				fresh.Close()
+				fresh = d.Builder
+			}
+			if got, want := b.SpillKey(), fresh.SpillKey(); got == "" || got != want {
+				t.Errorf("%+v: served SpillKey %q, a fresh builder's %q", c, got, want)
+			}
+			fresh.Close()
+		}
+		st.close(s)
+	}
+}
+
+// TestSCFJobCountsEveryBuild: a job adds each of its Fock builds to the
+// hfx.* counters once. Under plain screening every build on one geometry
+// computes the same quartets, so an scf job moves hfx.quartets_computed by
+// its hfx.fock_builds × one buildjk's quartetsComputed, and a buildjk on
+// the worker's reused builder by one build's.
+func TestSCFJobCountsEveryBuild(t *testing.T) {
+	s := mustNew(t, Config{Workers: 1, CacheBytes: -1})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	plain := false
+	req := JobRequest{Kind: KindBuildJK, System: "water", DensityWeighted: &plain}
+	b := submit(t, ts, req)
+	if b.State != StateDone || b.Build == nil {
+		t.Fatalf("buildjk: %+v", b)
+	}
+	per := b.Build.QuartetsComputed
+	if got := counter(s, "hfx.quartets_computed"); per == 0 || got != per {
+		t.Fatalf("hfx.quartets_computed %d after one buildjk of %d quartets", got, per)
+	}
+	builds := counter(s, "hfx.fock_builds")
+	r := submit(t, ts, JobRequest{Kind: KindSCF, System: "water", DensityWeighted: &plain})
+	if r.State != StateDone {
+		t.Fatalf("scf: %+v", r)
+	}
+	n := counter(s, "hfx.fock_builds") - builds
+	if got, want := counter(s, "hfx.quartets_computed"), per+n*per; n < 2 || got != want {
+		t.Fatalf("hfx.quartets_computed %d after an scf job of %d builds, want %d", got, n, want)
+	}
+	for i := 0; i < 2; i++ {
+		before, builds := counter(s, "hfx.quartets_computed"), counter(s, "hfx.fock_builds")
+		b := submit(t, ts, req)
+		if got := counter(s, "hfx.quartets_computed") - before; b.State != StateDone || got != b.Build.QuartetsComputed {
+			t.Fatalf("buildjk %d added %d quartets, its build computed %d", i, got, b.Build.QuartetsComputed)
+		}
+		if got := counter(s, "hfx.fock_builds") - builds; got != 1 {
+			t.Fatalf("buildjk %d added %d Fock builds", i, got)
+		}
 	}
 }
 

@@ -45,13 +45,13 @@ var predictorOrderEdges = []float64{0, 1, 2, 3, 4, 5, 6}
 
 // publishSession adds the session counters' movement since prev to the
 // metrics surface — the one publish path of trajectory and scan jobs: the
-// Fock builds the session's builders served and their latest report
-// (mergeReport), cold fallbacks and XC table passes as counters (per step
-// against traj.outer_steps), the step's predictor order as a histogram,
-// and the live share of the latest XC grid as gauges.
+// Fock builds the session's builders served since prev (mergeReport), cold
+// fallbacks and XC table passes as counters (per step against
+// traj.outer_steps), the step's predictor order as a histogram, and the
+// live share of the latest XC grid as gauges.
 func (s *Server) publishSession(st, prev md.SessionStats) {
 	if st.FockBuilds > prev.FockBuilds {
-		s.mergeReport(st.HFX, st.FockBuilds-prev.FockBuilds)
+		s.mergeReport(st.HFX, st.HFXSums, prev.HFXSums)
 	}
 	s.reg.Counter("md.session_fallbacks").Add(st.Fallbacks - prev.Fallbacks)
 	s.reg.Counter("md.xc_passes").Add(st.XCPasses - prev.XCPasses)

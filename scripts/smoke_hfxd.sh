@@ -5,7 +5,8 @@
 # SIGTERM drains cleanly. With curl available it first posts two requests
 # that must be 400s, a malformed cluster size (nwater -1) and a 193-atom
 # inline geometry, one past the bound; the checks after them show the
-# server kept serving.
+# server kept serving; after the cache checks it posts a two-rank buildjk,
+# which must come back done on 2 ranks.
 #
 # Needs only a POSIX shell + go; uses hfxd's own client mode instead of
 # curl/jq so it runs anywhere the toolchain does.
@@ -79,6 +80,12 @@ if command -v curl >/dev/null 2>&1; then
         echo "metrics do not show an empty queue:"; echo "$metrics"; exit 1; }
     echo "$metrics" | grep -q '"cache.entries": 2' || {
         echo "metrics do not show the result and its density in the cache:"; echo "$metrics"; exit 1; }
+    # A two-rank buildjk: the distributed placement is built on admission's
+    # pricing through the same construction as a one-rank builder.
+    code=$(curl -s -o "$tmp/ranks.json" -w '%{http_code}' -H 'Content-Type: application/json' \
+        -d '{"kind":"buildjk","system":"water","ranks":2}' "$url/v1/jobs") || true
+    { [ "$code" = 200 ] && grep -q '"state": "done"' "$tmp/ranks.json" && grep -q '"ranks": 2' "$tmp/ranks.json"; } || {
+        echo "a ranks 2 buildjk answered $code:"; cat "$tmp/ranks.json" "$tmp/hfxd.log"; exit 1; }
 fi
 
 # Graceful drain: SIGTERM, then the process must exit cleanly.
