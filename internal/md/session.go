@@ -42,9 +42,10 @@ type SessionStats struct {
 	// steps before, StoreSeeds from a persisted prefix density,
 	// ColdStarts from the SAD guess.
 	Runs, WarmStarts, StoreSeeds, ColdStarts int64
-	// PairListBuilds/PairListReuses count screening decisions;
-	// a build replaces the builder, a reuse rebinds it in place.
-	PairListBuilds, PairListReuses int64
+	// PairListBuilds/PairListReuses count screening decisions; a build
+	// replaces the builder, a reuse rebinds it in place. Screenings counts
+	// the pair lists the session screened itself, ScreenWallNS their walls.
+	PairListBuilds, PairListReuses, Screenings, ScreenWallNS int64
 	// SCFIterations accumulates iterations over every SCF the session
 	// ran: the machine-independent cost metric the respa session tests
 	// gate on and the benchmark reports as scf_iters_per_step.
@@ -103,7 +104,8 @@ type Session struct {
 
 // NewSession prepares a reuse session for one model chemistry. The
 // config's Ctx (if any) is honoured by every SCF the session runs, so
-// a server can cancel a trajectory mid-step.
+// a server can cancel a trajectory mid-step. An unused cfg.ExternalBuilder
+// serves its first pair list (runLocked); the session owns and closes it.
 func NewSession(cfg scf.Config, opt SessionOptions) *Session {
 	if cfg.Basis == "" {
 		cfg.Basis = "STO-3G"
@@ -117,7 +119,11 @@ func NewSession(cfg scf.Config, opt SessionOptions) *Session {
 	if opt.MaxDisplacement <= 0 {
 		opt.MaxDisplacement = 0.25
 	}
-	return &Session{cfg: cfg, opt: opt}
+	s := &Session{cfg: cfg, opt: opt, builder: cfg.ExternalBuilder}
+	if s.builder != nil {
+		s.refPos = positionsOf(s.builder.Eng.Basis.Mol)
+	}
+	return s
 }
 
 // Close releases the persistent builder.
@@ -160,33 +166,43 @@ func scfOnly(m *chem.Molecule, cfg scf.Config) (*scf.Result, []chem.Vec3, error)
 // under the session's shortcuts.
 func (s *Session) runLocked(m *chem.Molecule, solve func(*chem.Molecule, scf.Config) (*scf.Result, []chem.Vec3, error)) (*scf.Result, []chem.Vec3, error) {
 	s.stats.Runs++
-	set, err := basis.Build(s.cfg.Basis, m)
-	if err != nil {
-		return nil, nil, err
-	}
-	eng := integrals.NewEngine(set)
-
 	// Screening-list reuse, guarded by composition identity with the
 	// builder's bound molecule and the max-displacement invalidation bound.
+	// A handed builder the first step may reuse is that step's pair-list
+	// build instead, on its own engine if m is the geometry it is bound to.
 	same := s.builder != nil && slices.EqualFunc(s.builder.Eng.Basis.Mol.Atoms, m.Atoms,
 		func(a, b chem.Atom) bool { return a.El == b.El })
+	reuse := same && screen.MaxDisplacement(s.refPos, m) <= s.opt.MaxDisplacement
+	handed := reuse && s.stats.Runs == 1 // no step made a builder yet: it is cfg's
+	var eng *integrals.Engine
+	if handed && slices.Equal(s.builder.Eng.Basis.Mol.Atoms, m.Atoms) {
+		eng = s.builder.Eng
+	} else {
+		set, err := basis.Build(s.cfg.Basis, m)
+		if err != nil {
+			return nil, nil, err
+		}
+		eng = integrals.NewEngine(set)
+		reuse = reuse && s.builder.Rebind(eng) == nil
+	}
 	if !same {
 		s.pred.clear()
 	}
-	reuse := same && screen.MaxDisplacement(s.refPos, m) <= s.opt.MaxDisplacement
-	if reuse {
-		reuse = s.builder.Rebind(eng) == nil
-	}
 	pos := positionsOf(m)
-	if reuse {
-		s.stats.PairListReuses++
-	} else {
+	if !reuse {
 		if s.builder != nil {
 			s.builder.Close()
 		}
-		s.builder = hfx.NewBuilder(eng, screen.BuildPairList(eng, s.cfg.Screen), s.cfg.HFX)
+		scr := screen.BuildPairList(eng, s.cfg.Screen)
+		s.builder = hfx.NewBuilder(eng, scr, s.cfg.HFX)
 		s.refPos = pos
 		s.served = [len(hfx.BuildSums)]int64{}
+		s.stats.Screenings++
+		s.stats.ScreenWallNS += scr.Stats.Wall().Nanoseconds()
+	}
+	if reuse && !handed {
+		s.stats.PairListReuses++
+	} else {
 		s.stats.PairListBuilds++
 	}
 
@@ -202,7 +218,7 @@ func (s *Session) runLocked(m *chem.Molecule, solve func(*chem.Molecule, scf.Con
 	case run.InitialDensity != nil:
 		s.stats.WarmStarts++
 	case s.opt.Store != nil:
-		if run.InitialDensity, _ = scf.LoadSeed(s.opt.Store, s.cfg, m, set.NBasis); run.InitialDensity != nil {
+		if run.InitialDensity, _ = scf.LoadSeed(s.opt.Store, s.cfg, m, eng.Basis.NBasis); run.InitialDensity != nil {
 			s.stats.StoreSeeds++
 			break
 		}

@@ -3,14 +3,18 @@ package md
 import (
 	"errors"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
+	"hfxmd/internal/basis"
 	"hfxmd/internal/chem"
 	"hfxmd/internal/dft"
 	"hfxmd/internal/hfx"
 	"hfxmd/internal/integrals"
 	"hfxmd/internal/scf"
+	"hfxmd/internal/screen"
 	"hfxmd/internal/store"
 )
 
@@ -143,6 +147,110 @@ func TestSessionCompositionChange(t *testing.T) {
 	}
 	if st := s.Stats(); st.PairListBuilds != 2 || st.PairListReuses != 0 {
 		t.Fatalf("composition change must rebuild, stats %+v", st)
+	}
+}
+
+// handedBuilder is a builder made outside a session, under the options a
+// session defaults to, on mol's own engine.
+func handedBuilder(t *testing.T, mol *chem.Molecule) *hfx.Builder {
+	t.Helper()
+	set, err := basis.Build("STO-3G", mol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := integrals.NewEngine(set)
+	return hfx.NewBuilder(eng, screen.BuildPairList(eng, screen.DefaultOptions()), hfx.DefaultOptions())
+}
+
+// TestSessionRunsOnHandedBuilder: a builder handed in through
+// cfg.ExternalBuilder is the builder of the session's first pair list. The
+// first step runs on it and its engine, screens nothing and counts as the
+// step's pair-list build, and its energy and forces are the bits of a
+// session that screened for itself; the next step rebinds it like any
+// builder the session made.
+func TestSessionRunsOnHandedBuilder(t *testing.T) {
+	cfg := sessionCfg()
+	cfg.Functional = dft.PBE0{}
+	own := NewSession(cfg, SessionOptions{})
+	defer own.Close()
+	wantF, wantE, err := own.Forces(nudged(0.01), 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := own.Stats(); st.Screenings != 1 || st.ScreenWallNS <= 0 || st.PairListBuilds != 1 {
+		t.Fatalf("a session that screens for itself: %+v", st)
+	}
+
+	b := handedBuilder(t, nudged(0.01))
+	eng := b.Eng
+	cfg.ExternalBuilder = b
+	s := NewSession(cfg, SessionOptions{})
+	defer s.Close()
+	f, e, err := s.Forces(nudged(0.01), 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.builder != b || b.Eng != eng {
+		t.Fatal("the first step did not run on the handed builder and its engine")
+	}
+	st := s.Stats()
+	if st.Screenings != 0 || st.ScreenWallNS != 0 || st.PairListBuilds != 1 || st.PairListReuses != 0 {
+		t.Fatalf("a session on a handed builder: %+v, want one build and no screening of its own", st)
+	}
+	if math.Float64bits(e) != math.Float64bits(wantE) {
+		t.Fatalf("energy %.17g on the handed builder, %.17g screened by the session", e, wantE)
+	}
+	for i := range f {
+		if f[i] != wantF[i] {
+			t.Fatalf("force[%d] %v on the handed builder, %v screened by the session", i, f[i], wantF[i])
+		}
+	}
+	if _, _, err := s.Forces(nudged(0.02), 0, 1); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); s.builder != b || st.PairListBuilds != 1 || st.PairListReuses != 1 || st.Screenings != 0 {
+		t.Fatalf("the second step should rebind the handed builder: %+v", st)
+	}
+}
+
+// TestSessionRebindsMovedHandedBuilder: a first geometry within the
+// displacement bound of the handed builder's rebinds it, still as the
+// step's pair-list build.
+func TestSessionRebindsMovedHandedBuilder(t *testing.T) {
+	cfg := sessionCfg()
+	b := handedBuilder(t, nudged(0))
+	eng := b.Eng
+	cfg.ExternalBuilder = b
+	s := NewSession(cfg, SessionOptions{})
+	defer s.Close()
+	if _, err := s.Run(nudged(0.01)); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); s.builder != b || b.Eng == eng || st.PairListBuilds != 1 || st.PairListReuses != 0 || st.Screenings != 0 {
+		t.Fatalf("a moved first geometry should rebind the handed builder as its build: %+v", st)
+	}
+}
+
+// TestSessionReplacesStaleHandedBuilder: a handed builder bound to another
+// composition is closed and replaced on the first step, like any stale
+// builder; no goroutine of it outlives the session.
+func TestSessionReplacesStaleHandedBuilder(t *testing.T) {
+	before := runtime.NumGoroutine()
+	cfg := sessionCfg()
+	b := handedBuilder(t, chem.Hydrogen(1.4))
+	cfg.ExternalBuilder = b
+	s := NewSession(cfg, SessionOptions{MaxDisplacement: 1e9})
+	if _, err := s.Run(chem.LithiumHydride()); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); s.builder == b || st.PairListBuilds != 1 || st.Screenings != 1 {
+		t.Fatalf("a handed builder of another composition must be replaced: %+v", st)
+	}
+	s.Close()
+	for deadline := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines %d -> %d: the replaced builder was not closed", before, runtime.NumGoroutine())
+		}
 	}
 }
 

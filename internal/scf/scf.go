@@ -79,7 +79,8 @@ type Config struct {
 	Screening *screen.Result
 	// ExternalBuilder, when non-nil, performs the Fock builds instead of
 	// a builder constructed (and closed) per Run. The caller owns its
-	// lifecycle and must have rebound it to this geometry
+	// lifecycle (md.NewSession takes ownership of it, as the builder of
+	// the session's first pair list) and must have rebound it to this geometry
 	// (hfx.Builder.Rebind) — across consecutive MD steps this preserves
 	// the worker pool, the task schedule and the semi-direct cache
 	// layout, so the new step's first build refills exactly the admitted

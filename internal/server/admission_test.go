@@ -565,3 +565,41 @@ func TestInlineGeometryBounded(t *testing.T) {
 		t.Fatalf("%d inline atoms: %+v", maxXYZAtoms, res)
 	}
 }
+
+// TestEachScreeningCountedOnce: hfx.pair_lists counts every pair list a job
+// screened exactly once, where it was screened — admission's for every job
+// it prices, a session's for each rebuild — and hfx.screen_wall_ns adds
+// each one's wall once. A trajectory's first step runs on admission's list,
+// a buildjk on a reused worker builder counts its own admission's list, and
+// a screen job counts the list it reports.
+func TestEachScreeningCountedOnce(t *testing.T) {
+	s := mustNew(t, Config{Workers: 1, CacheBytes: -1})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	lih := JobRequest{Kind: KindTrajectory, System: "lih", Functional: "PBE0", MaxSteps: 4, RespaK: 2, Ref: "spring"}
+	buildjk := JobRequest{Kind: KindBuildJK, System: "water"}
+	for _, c := range []struct {
+		req   JobRequest
+		lists int64
+	}{
+		{trajReq(), 1}, {lih, 2}, {JobRequest{Kind: KindScreen, System: "water"}, 1}, {buildjk, 1}, {buildjk, 1},
+	} {
+		lists, wall := counter(s, "hfx.pair_lists"), counter(s, "hfx.screen_wall_ns")
+		res := submit(t, ts, c.req)
+		if res.State != StateDone {
+			t.Fatalf("%s %s: state %q (err %q)", c.req.Kind, c.req.System, res.State, res.Error)
+		}
+		if res.Traj != nil && res.Traj.PairListBuilds != c.lists {
+			t.Fatalf("%s: %d pair-list builds, want %d", c.req.System, res.Traj.PairListBuilds, c.lists)
+		}
+		if got := counter(s, "hfx.pair_lists") - lists; got != c.lists {
+			t.Fatalf("%s %s moved hfx.pair_lists by %d, want %d", c.req.Kind, c.req.System, got, c.lists)
+		}
+		if counter(s, "hfx.screen_wall_ns") <= wall {
+			t.Fatalf("%s %s added no screening wall", c.req.Kind, c.req.System)
+		}
+	}
+	if reused := counter(s, "builders.reused"); reused != 1 {
+		t.Fatalf("builders.reused %d: the second buildjk should reuse the worker's builder", reused)
+	}
+}

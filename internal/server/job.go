@@ -82,8 +82,7 @@ type JobRequest struct {
 	// are combined with deterministic collectives. The result is bitwise
 	// identical to the single-rank build, so ranks shapes the builder —
 	// and the per-rank phase walls in /metrics — but not the result cache
-	// key. 0 or 1 means single-rank; the semi-direct ERI cache (cacheMb)
-	// is disabled on the distributed path.
+	// key. 0 or 1 means single-rank.
 	Ranks int `json:"ranks,omitempty"`
 	// TimeoutMS is the per-job deadline in milliseconds (0 = server
 	// default). The deadline is checked between SCF iterations.
@@ -480,12 +479,11 @@ type ScanSummary struct {
 	WellKcal float64         `json:"wellKcal"`
 }
 
-// prepared is the admission-time state of a job: the instantiated basis,
-// integral engine, screened pair list and task decomposition of its
-// resolved geometry, priced (hfx.PricedTasks) under opts, the options its
-// builder is made with. Workers build on it, screening and pricing nothing.
+// prepared is the admission-time state of a job: the integral engine
+// (over the instantiated basis), screened pair list and task decomposition
+// of its resolved geometry, priced (hfx.PricedTasks) under opts, the options
+// its builder is made with. Workers build on it, screening and pricing nothing.
 type prepared struct {
-	set    *basis.Set
 	eng    *integrals.Engine
 	scr    *screen.Result
 	tasks  []hfx.Task
@@ -539,7 +537,7 @@ func prepare(req *JobRequest, threads int) (*prepared, float64, error) {
 	tasks, prices := hfx.PricedTasks(eng, scr, opts)
 	costs := hfx.TaskCosts(tasks)
 	p := &prepared{
-		set: set, eng: eng, scr: scr, tasks: tasks, prices: prices, opts: opts,
+		eng: eng, scr: scr, tasks: tasks, prices: prices, opts: opts,
 		totalNS:    sched.TotalCost(costs),
 		makespanNS: sched.PredictMakespan(sched.LPT, costs, max(threads, 1)),
 	}

@@ -248,11 +248,11 @@ func (s *Server) replayJournal() {
 }
 
 // admit is the one admission of a job, live or replayed: it refuses an
-// unresolved request, prices a resolved one, gives it a context on parent
-// under its own timeoutMs clamped to MaxTimeout, ranks it predicted +
-// AgingNSPerSec·t and queues it as id (a new ID when id is empty). A draining
-// server refuses the job before pricing it; a job the queue refuses is
-// returned, context cancelled, with ErrQueueFull or ErrDraining.
+// unresolved request, prices a resolved one (counting its pair list), gives
+// it a context on parent under its timeoutMs clamped to MaxTimeout, ranks it
+// predicted + AgingNSPerSec·t and queues it as id (a new ID when id is
+// empty). A draining server refuses the job before pricing it; a job the
+// queue refuses is returned, context cancelled, with ErrQueueFull or ErrDraining.
 func (s *Server) admit(parent context.Context, id string, req JobRequest) (*job, error) {
 	if req.mol == nil {
 		return nil, errors.New("server: admission of an unresolved request")
@@ -265,6 +265,8 @@ func (s *Server) admit(parent context.Context, id string, req JobRequest) (*job,
 		return nil, err
 	}
 	s.reg.Histogram("job.predicted_ms", latencyEdgesMS).Observe(predicted / 1e6)
+	s.reg.Counter("hfx.pair_lists").Add(1)
+	s.reg.Counter("hfx.screen_wall_ns").Add(prep.scr.Stats.Wall().Nanoseconds())
 	timeout := s.cfg.DefaultTimeout
 	if req.TimeoutMS > 0 {
 		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
@@ -417,13 +419,18 @@ func (s *Server) warmERI(b *hfx.Builder) {
 	s.reg.Counter("eri.warmed_blocks").Add(n)
 }
 
-// builderFor returns a builder on the job's prepared state and pricing,
-// reusing the cached one when the builder key (which carries the rank
-// count) matches. A request with ranks > 1 gets the rank-distributed
-// placement of the same core, one executor per rank: its bits equal a
-// single-rank builder with that many threads, so ranks stay out of the
-// result cache key. A replacement builder with a semi-direct cache is
-// warmed from any spilled image in the store.
+// builder is the one construction of every served builder, on p's engine,
+// pair list and priced tasks. One rank cannot fail; ranks > 1 place the same
+// core over that many executors, one per rank, bitwise equal to one rank with
+// that many threads, so ranks stay out of the result cache key.
+func (p *prepared) builder(ranks int) (*hfx.Builder, error) {
+	return hfx.NewPricedBuilder(p.eng, p.scr, hfx.Placement{Ranks: ranks, Schedule: mprt.DimExchange, Opts: p.opts}, p.tasks, p.prices)
+}
+
+// builderFor returns the worker's builder for j, reusing the cached one when
+// the builder key (which carries the rank count) matches; a replacement
+// (prepared.builder) with a semi-direct cache is warmed from any spilled
+// image in the store.
 func (st *workerState) builderFor(j *job, s *Server) (*hfx.Builder, error) {
 	// The result key doubles as builder identity; the ERI cache budget and
 	// the rank count shape the builder (not the result — the distributed
@@ -434,8 +441,7 @@ func (st *workerState) builderFor(j *job, s *Server) (*hfx.Builder, error) {
 		return st.builder, nil
 	}
 	st.close(s)
-	pm := hfx.Placement{Ranks: j.req.Ranks, Schedule: mprt.DimExchange, Opts: j.prep.opts}
-	b, err := hfx.NewPricedBuilder(j.prep.eng, j.prep.scr, pm, j.prep.tasks, j.prep.prices)
+	b, err := j.prep.builder(j.req.Ranks)
 	if err != nil {
 		return nil, err
 	}
@@ -577,12 +583,11 @@ func (s *Server) seedDensity(cfg *scf.Config, mol *chem.Molecule, nbasis int) {
 
 func (s *Server) runSCF(j *job) *JobResult {
 	cfg := s.scfConfig(&j.req)
-	s.seedDensity(&cfg, j.req.mol, j.prep.set.NBasis)
+	s.seedDensity(&cfg, j.req.mol, j.prep.eng.Basis.NBasis)
 	// The builder is the job's own, on one rank (it cannot fail), neither
 	// spilled nor kept by the worker.
-	b, _ := hfx.NewPricedBuilder(j.prep.eng, j.prep.scr, hfx.Placement{Opts: j.prep.opts}, j.prep.tasks, j.prep.prices)
-	defer b.Close()
-	cfg.ExternalBuilder = b
+	cfg.ExternalBuilder, _ = j.prep.builder(1)
+	defer cfg.ExternalBuilder.Close()
 	cfg.Ctx = j.ctx
 	res, err := scf.Run(j.req.mol, cfg)
 	if err != nil {
@@ -603,12 +608,12 @@ func (s *Server) runBuildJK(st *workerState, j *job) *JobResult {
 	if err != nil {
 		return j.outcome(err)
 	}
-	p := scf.SADDensity(j.prep.set)
+	p := scf.SADDensity(j.prep.eng.Basis)
 	jm, km, rep := b.BuildJK(p)
 	s.mergeReport(rep, rep.Sums(), st.sums)
 	st.sums = rep.Sums()
 	sum := &BuildSummary{
-		NBasis:           j.prep.set.NBasis,
+		NBasis:           j.prep.eng.Basis.NBasis,
 		NTasks:           rep.NTasks,
 		QuartetsComputed: rep.QuartetsComputed,
 		QuartetsScreened: rep.QuartetsScreened,
@@ -670,8 +675,8 @@ var hfxSums = [len(hfx.BuildSums)]string{"hfx.fock_builds", "hfx.quartets_comput
 
 // mergeReport folds a job's Fock builds into the server-level registry:
 // sums − prev, the movement of hfx.BuildSums since the last publish, so
-// each build adds once, and from rep, the latest build's report, its pair
-// list's screening wall, tail bound and multi-rank traffic and walls.
+// each build adds once, and from rep, the latest build's report, its tail
+// bound and multi-rank traffic and walls (admit counts pair lists).
 func (s *Server) mergeReport(rep hfx.Report, sums, prev buildSums) {
 	for i, name := range hfxSums {
 		if d := sums[i] - prev[i]; strings.HasSuffix(hfx.BuildSums[i], "_ns") {
@@ -683,7 +688,6 @@ func (s *Server) mergeReport(rep hfx.Report, sums, prev buildSums) {
 	// The latest build's screening error bound, Σ q_i·q_j over the
 	// primitive quartets it skipped, in units of 1e-15.
 	s.reg.Gauge("hfx.prim_tail_bound_femto").Set(int64(rep.Prim.TailBound * 1e15))
-	s.reg.Counter("hfx.screen_wall_ns").Add(rep.ScreeningStats.Wall().Nanoseconds())
 	if rep.Ranks > 1 {
 		s.reg.Counter("mprt.comm_bytes").Add(rep.CommBytes)
 		s.reg.Counter("mprt.sends").Add(rep.Sends)

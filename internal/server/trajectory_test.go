@@ -4,9 +4,13 @@ import (
 	"context"
 	"net/http/httptest"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
+
+	"hfxmd/internal/md"
+	"hfxmd/internal/respa"
 )
 
 func trajReq() JobRequest {
@@ -175,5 +179,77 @@ func TestServerTrajectoryJournalReplay(t *testing.T) {
 	hit := submit(t, ts, trajReq())
 	if !hit.CacheHit || hit.Traj == nil {
 		t.Fatalf("resubmit after replay must be a cache hit: %+v", hit)
+	}
+}
+
+// TestServedTrajectoryRunsOnAdmissionBuilder: a served trajectory runs its
+// first step on the builder admission priced, and that changes no bit: its
+// final state, its steps and its pair-list counts are those of
+// respa.Campaign on a fresh session under the same scfConfig, which screens
+// for itself. The only pair list screened is admission's.
+func TestServedTrajectoryRunsOnAdmissionBuilder(t *testing.T) {
+	water := JobRequest{Kind: KindTrajectory, System: "water", CacheMB: 8, MaxSteps: 3, RespaK: 2, Ref: "spring"}
+	for _, req := range []JobRequest{trajReq(), water} {
+		s := mustNew(t, Config{Workers: 1})
+		ts := httptest.NewServer(s.Handler())
+		res := submit(t, ts, req)
+		ts.Close()
+		got := res.Traj
+		if res.State != StateDone || got == nil {
+			t.Fatalf("%s: state %q (err %q)", req.System, res.State, res.Error)
+		}
+
+		if err := req.resolve(); err != nil {
+			t.Fatal(err)
+		}
+		cfg := s.scfConfig(&req)
+		sess := md.NewSession(cfg, md.SessionOptions{})
+		want, _, err := respa.Campaign(req.mol, cfg, sess, respa.Options{
+			Steps: req.MaxSteps, K: req.RespaK, Dt: req.DtFS, TemperatureK: req.TempK,
+			Thermostat: req.TempK > 0, Seed: req.Seed,
+		}, nil)
+		sess.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.FinalStateSha256 != want.FinalStateSha256 || got.PairListBuilds != want.PairListBuilds ||
+			got.PairListReuses != want.PairListReuses || got.SCFIterations != want.SCFIterations || len(got.Steps) != len(want.Steps) {
+			t.Fatalf("%s: served %+v, fresh session %+v", req.System, got, want)
+		}
+		for i, st := range got.Steps {
+			st.WallMS = want.Steps[i].WallMS
+			if st != want.Steps[i] {
+				t.Fatalf("%s: served step %+v, fresh session %+v", req.System, st, want.Steps[i])
+			}
+		}
+		if n := counter(s, "hfx.pair_lists"); n != got.PairListBuilds {
+			t.Fatalf("%s: hfx.pair_lists %d, want the %d pair-list builds", req.System, n, got.PairListBuilds)
+		}
+	}
+}
+
+// TestTrajectoryCancelledBeforeFirstStep: a trajectory whose deadline passes
+// after its worker took it up, before the campaign's first step, is
+// cancelled, screens nothing past admission and leaks no goroutine: the
+// builder admission handed its session is closed when the job ends, not
+// left to a finalizer (the wait below runs no GC; mustNew's check does).
+func TestTrajectoryCancelledBeforeFirstStep(t *testing.T) {
+	s := mustNew(t, Config{Workers: 1, BeforeRun: func(string) { time.Sleep(300 * time.Millisecond) }})
+	before := runtime.NumGoroutine()
+	ts := httptest.NewServer(s.Handler())
+	req := trajReq()
+	req.TimeoutMS = 100
+	res := submit(t, ts, req)
+	ts.Close()
+	if res.State != StateCancelled || res.Traj == nil || len(res.Traj.Steps) != 0 {
+		t.Fatalf("state %q (err %q), traj %+v: want a campaign cancelled before its first step", res.State, res.Error, res.Traj)
+	}
+	if n := counter(s, "hfx.pair_lists"); n != 1 {
+		t.Fatalf("hfx.pair_lists %d, want admission's one", n)
+	}
+	for deadline := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines %d -> %d after the cancelled job", before, runtime.NumGoroutine())
+		}
 	}
 }

@@ -6,7 +6,8 @@
 # that must be 400s, a malformed cluster size (nwater -1) and a 193-atom
 # inline geometry, one past the bound; the checks after them show the
 # server kept serving; after the cache checks it posts a two-rank buildjk,
-# which must come back done on 2 ranks.
+# which must come back done on 2 ranks, and a two-step h2 trajectory,
+# which must come back done on one pair-list build.
 #
 # Needs only a POSIX shell + go; uses hfxd's own client mode instead of
 # curl/jq so it runs anywhere the toolchain does.
@@ -86,6 +87,12 @@ if command -v curl >/dev/null 2>&1; then
         -d '{"kind":"buildjk","system":"water","ranks":2}' "$url/v1/jobs") || true
     { [ "$code" = 200 ] && grep -q '"state": "done"' "$tmp/ranks.json" && grep -q '"ranks": 2' "$tmp/ranks.json"; } || {
         echo "a ranks 2 buildjk answered $code:"; cat "$tmp/ranks.json" "$tmp/hfxd.log"; exit 1; }
+    # A two-step h2 trajectory: its session runs on the builder admission
+    # screened and priced, so its one pair-list build is that one.
+    code=$(curl -s -o "$tmp/traj.json" -w '%{http_code}' -H 'Content-Type: application/json' \
+        -d '{"kind":"trajectory","system":"h2","maxSteps":2}' "$url/v1/jobs") || true
+    { [ "$code" = 200 ] && grep -q '"state": "done"' "$tmp/traj.json" && grep -q '"pairListBuilds": 1,' "$tmp/traj.json"; } || {
+        echo "an h2 trajectory answered $code:"; cat "$tmp/traj.json" "$tmp/hfxd.log"; exit 1; }
 fi
 
 # Graceful drain: SIGTERM, then the process must exit cleanly.
